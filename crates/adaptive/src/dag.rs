@@ -49,9 +49,7 @@ use ckpt_core::ProblemInstance;
 use ckpt_dag::subgraph::{suffix_subgraph, SuffixSubgraph};
 use ckpt_dag::{linearize, topo, TaskId};
 use ckpt_expectation::sweep::LambdaSweep;
-use ckpt_simulator::{
-    ChainTask, DagDecision, DagDecisionContext, DagPolicy, DagPolicyMonteCarloOutcome,
-};
+use ckpt_simulator::{ChainTask, DagDecision, DagDecisionContext, DagPolicy, MonteCarloOutcome};
 
 use crate::error::AdaptiveError;
 use crate::harness::{EvaluationConfig, TruthModel};
@@ -651,7 +649,7 @@ pub fn compare_dag_policies(
 
 fn dag_result_row(
     policy: &'static str,
-    outcome: &DagPolicyMonteCarloOutcome,
+    outcome: &MonteCarloOutcome,
     clairvoyant_makespan: f64,
 ) -> DagPolicyResult {
     DagPolicyResult {
@@ -675,37 +673,29 @@ fn run_dag_policy<P>(
     config: &EvaluationConfig,
     order: &[usize],
     prototype: &P,
-) -> Result<DagPolicyMonteCarloOutcome, AdaptiveError>
+) -> Result<MonteCarloOutcome, AdaptiveError>
 where
     P: DagPolicy + Clone + Sync,
 {
-    let make_policy = |_trial: usize| prototype.clone();
     crate::harness::run_under_truth(
         truth,
         spec.downtime(),
         config,
         spec.total_work() + spec.len() as f64 * spec.mean_checkpoint_cost(),
         |scenario| {
-            scenario.run_dag_policy(spec.tasks(), order, spec.initial_recovery(), make_policy)
+            scenario
+                .run_dag_policy(spec.tasks(), order, spec.initial_recovery(), |_| prototype.clone())
         },
-        |scenario, make_stream| {
-            scenario.run_dag_policy_with_streams(
-                spec.tasks(),
-                order,
-                spec.initial_recovery(),
-                make_policy,
-                make_stream,
-            )
-        },
-        |outcome| &outcome.samples,
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint_positions;
     use ckpt_simulator::stream::{NoFailureStream, ScriptedStream};
-    use ckpt_simulator::{simulate_dag_policy, simulate_dag_policy_with_log, ExecutionEvent};
+    use ckpt_simulator::{simulate_dag_policy, PolicyExecutionRecord};
+    use ckpt_telemetry::{NoopSink, RingBufferSink};
 
     /// A heterogeneous layered DAG spec (per-last-task planning model).
     fn layered_spec(seed: u64) -> DagSpec {
@@ -737,20 +727,22 @@ mod tests {
         OrderSearchConfig { restarts: 3, steps: 80, threads: 1, ..Default::default() }
     }
 
-    /// The checkpoint positions a DAG policy takes on a given stream.
-    fn run_logged<P: DagPolicy>(
+    /// Runs a DAG policy on a given stream, tracing into `sink`.
+    fn run_traced<P: DagPolicy + ?Sized>(
         spec: &DagSpec,
         order: &[usize],
         policy: &mut P,
         stream: &mut dyn ckpt_simulator::FailureStream,
-    ) -> ckpt_simulator::DagPolicyLoggedExecution {
-        simulate_dag_policy_with_log(
+        sink: &mut RingBufferSink,
+    ) -> PolicyExecutionRecord {
+        simulate_dag_policy(
             spec.tasks(),
             order,
             spec.initial_recovery(),
             spec.downtime(),
             policy,
             stream,
+            sink,
         )
         .unwrap()
     }
@@ -760,19 +752,13 @@ mod tests {
         let spec = layered_spec(1);
         let plan = optimal_static_dag_plan(&spec, 1e-4, &quick_search()).unwrap();
         let mut policy = DagStaticPlan::from_plan(&plan);
-        let logged = run_logged(&spec, &plan.order_indices(), &mut policy, &mut NoFailureStream);
-        let taken: Vec<usize> = logged
-            .events
-            .iter()
-            .filter_map(|e| match *e {
-                ExecutionEvent::SegmentCompleted { segment, .. } => Some(segment),
-                _ => None,
-            })
-            .collect();
+        let mut sink = RingBufferSink::new(1_024);
+        let order = plan.order_indices();
+        let outcome = run_traced(&spec, &order, &mut policy, &mut NoFailureStream, &mut sink);
         let expected: Vec<usize> =
             plan.checkpoint_after.iter().enumerate().filter_map(|(p, &c)| c.then_some(p)).collect();
-        assert_eq!(taken, expected);
-        assert_eq!(logged.outcome.reorders, 0);
+        assert_eq!(checkpoint_positions(&sink), expected);
+        assert_eq!(outcome.reorders, 0);
     }
 
     #[test]
@@ -780,17 +766,19 @@ mod tests {
         for seed in [1u64, 5] {
             let spec = layered_spec(seed);
             let plan = optimal_static_dag_plan(&spec, 1e-4, &quick_search()).unwrap();
-            let mut static_policy = DagStaticPlan::from_plan(&plan);
-            let reference =
-                run_logged(&spec, &plan.order_indices(), &mut static_policy, &mut NoFailureStream);
+            let order = plan.order_indices();
+            let run = |policy: &mut dyn DagPolicy| {
+                let mut sink = RingBufferSink::new(1_024);
+                let outcome = run_traced(&spec, &order, policy, &mut NoFailureStream, &mut sink);
+                (outcome, checkpoint_positions(&sink))
+            };
+            let reference = run(&mut DagStaticPlan::from_plan(&plan));
             let mut resolve = DagAdaptiveResolve::new(&spec, &plan, 1e-4).unwrap();
-            let run = run_logged(&spec, &plan.order_indices(), &mut resolve, &mut NoFailureStream);
-            assert_eq!(run.outcome, reference.outcome, "seed {seed}: resolve drifted");
+            assert_eq!(run(&mut resolve), reference, "seed {seed}: resolve drifted");
             assert_eq!(resolve.replans(), 0);
 
             let mut relin = DagRelinearise::new(&spec, &plan, 1e-4).unwrap();
-            let run = run_logged(&spec, &plan.order_indices(), &mut relin, &mut NoFailureStream);
-            assert_eq!(run.outcome, reference.outcome, "seed {seed}: relinearise drifted");
+            assert_eq!(run(&mut relin), reference, "seed {seed}: relinearise drifted");
             assert_eq!(relin.replans(), 0);
             assert_eq!(relin.reorders(), 0);
         }
@@ -811,6 +799,7 @@ mod tests {
             spec.downtime(),
             &mut policy,
             &mut stream,
+            &mut NoopSink,
         )
         .unwrap();
         assert_eq!(outcome.record.failures, 3);
@@ -841,10 +830,12 @@ mod tests {
                 spec.downtime(),
                 &mut policy,
                 &mut stream,
+                &mut NoopSink,
             )
             .unwrap();
             // The final order must be a topological order of the graph.
-            let final_order: Vec<TaskId> = outcome.final_order.iter().map(|&i| TaskId(i)).collect();
+            let final_order = outcome.final_order.unwrap_or_else(|| plan.order_indices());
+            let final_order: Vec<TaskId> = final_order.into_iter().map(TaskId).collect();
             assert!(
                 topo::is_topological_order(spec.instance().graph(), &final_order),
                 "seed {seed}: final order is not topological"

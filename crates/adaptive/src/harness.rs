@@ -21,7 +21,7 @@
 
 use ckpt_failure::{TraceGenerator, TraceReplay, Weibull};
 use ckpt_simulator::stream::TraceStream;
-use ckpt_simulator::{PolicyMonteCarloOutcome, SimulationScenario};
+use ckpt_simulator::{MonteCarloOutcome, SimulationError, SimulationScenario};
 
 use crate::chain::ChainSpec;
 use crate::error::AdaptiveError;
@@ -218,7 +218,7 @@ pub fn compare_policies(
 
 fn result_row(
     policy: &'static str,
-    outcome: &PolicyMonteCarloOutcome,
+    outcome: &MonteCarloOutcome,
     clairvoyant_makespan: f64,
 ) -> PolicyResult {
     PolicyResult {
@@ -239,95 +239,75 @@ fn run_policy<P>(
     truth: &TruthModel,
     config: &EvaluationConfig,
     prototype: &P,
-) -> Result<PolicyMonteCarloOutcome, AdaptiveError>
+) -> Result<MonteCarloOutcome, AdaptiveError>
 where
     P: ckpt_simulator::Policy + Clone + Sync,
 {
-    let make_policy = |_trial: usize| prototype.clone();
     run_under_truth(
         truth,
         spec.downtime(),
         config,
         spec.total_work() + spec.len() as f64 * spec.mean_checkpoint_cost(),
-        |scenario| scenario.run_policy(spec.tasks(), spec.initial_recovery(), make_policy),
-        |scenario, make_stream| {
-            scenario.run_policy_with_streams(
-                spec.tasks(),
-                spec.initial_recovery(),
-                make_policy,
-                make_stream,
-            )
+        |scenario| {
+            scenario.run_policy(spec.tasks(), spec.initial_recovery(), |_| prototype.clone())
         },
-        |outcome| &outcome.samples,
     )
 }
 
 /// The truth-model driver shared by the chain and the DAG harnesses: builds
 /// the Monte-Carlo scenario of `truth` (downtime, trials, seed, threads
-/// applied uniformly) and hands it to `run_direct` (model-generated
-/// streams) — or, for trace truths, generates per-trial traces covering
-/// [`TRACE_HORIZON_FACTOR`] × `failure_free_makespan` and hands the stream
-/// factory to `run_with_traces`, then enforces the horizon guard on the
-/// returned samples: a makespan beyond the generated horizon means that
+/// applied uniformly) and hands it to `run`. A trace truth's scenario draws
+/// per-trial traces covering [`TRACE_HORIZON_FACTOR`] ×
+/// `failure_free_makespan` from each trial's seed, and its outcome must pass
+/// the horizon guard: a makespan beyond the generated horizon means that
 /// trial's trace ran out and its tail executed spuriously failure-free, so
 /// the run is rejected instead of reported optimistically.
 ///
 /// Keeping the scenario construction, the Weibull platform derivation and
 /// the horizon formula in exactly one place is what keeps the two
 /// harnesses' notion of a valid trial from drifting apart.
-pub(crate) fn run_under_truth<O>(
+pub(crate) fn run_under_truth(
     truth: &TruthModel,
     downtime: f64,
     config: &EvaluationConfig,
     failure_free_makespan: f64,
-    run_direct: impl Fn(SimulationScenario) -> Result<O, ckpt_simulator::SimulationError>,
-    run_with_traces: impl Fn(
-        SimulationScenario,
-        &(dyn Fn(usize, u64) -> TraceStream + Sync),
-    ) -> Result<O, ckpt_simulator::SimulationError>,
-    samples: impl Fn(&O) -> &[f64],
-) -> Result<O, AdaptiveError> {
-    let configure = |scenario: SimulationScenario| {
-        scenario
-            .with_downtime(downtime)
-            .with_trials(config.trials)
-            .with_seed(config.seed)
-            .with_threads(config.threads)
-    };
-    match *truth {
-        TruthModel::Exponential { lambda } => {
-            Ok(run_direct(configure(SimulationScenario::exponential(lambda)))?)
-        }
+    run: impl Fn(SimulationScenario) -> Result<MonteCarloOutcome, SimulationError>,
+) -> Result<MonteCarloOutcome, AdaptiveError> {
+    let (scenario, horizon) = match *truth {
+        TruthModel::Exponential { lambda } => (SimulationScenario::exponential(lambda), None),
         TruthModel::WeibullPlatform { processors, shape, platform_mtbf } => {
             let law = Weibull::with_mean(shape, platform_mtbf * processors as f64)?;
-            Ok(run_direct(configure(SimulationScenario::platform(processors, law)))?)
+            (SimulationScenario::platform(processors, law), None)
         }
         TruthModel::WeibullTrace { processors, shape, platform_mtbf } => {
             let law = Weibull::with_mean(shape, platform_mtbf * processors as f64)?;
             let horizon = TRACE_HORIZON_FACTOR * failure_free_makespan;
-            // The scenario's Exponential model is unused: streams come from
-            // the factory. Every policy re-generates the same per-trial
-            // trace from the derived seed, keeping the comparison paired.
-            let make_stream = move |_trial: usize, derived_seed: u64| {
+            // Every policy re-generates the same per-trial trace from the
+            // derived seed, keeping the comparison paired.
+            let scenario = SimulationScenario::from_streams(move |_trial, derived_seed| {
                 let generator = TraceGenerator::new(processors, derived_seed)
                     .expect("processors validated before running");
                 TraceStream::new(TraceReplay::new(generator.generate(law, horizon)))
-            };
-            let outcome =
-                run_with_traces(configure(SimulationScenario::exponential(1.0)), &make_stream)?;
-            if let Some(&worst) =
-                samples(&outcome).iter().max_by(|a, b| a.total_cmp(b)).filter(|&&m| m > horizon)
-            {
-                let trials = samples(&outcome).iter().filter(|&&m| m > horizon).count();
-                return Err(AdaptiveError::TraceHorizonExceeded {
-                    horizon,
-                    makespan: worst,
-                    trials,
-                });
-            }
-            Ok(outcome)
+            });
+            (scenario, Some(horizon))
+        }
+    };
+    let outcome = run(scenario
+        .with_downtime(downtime)
+        .with_trials(config.trials)
+        .with_seed(config.seed)
+        .with_threads(config.threads))?;
+    if let Some(horizon) = horizon {
+        let beyond = || outcome.samples.iter().filter(|&&m| m > horizon);
+        if let Some(&worst) = beyond().max_by(|a, b| a.total_cmp(b)) {
+            return Err(AdaptiveError::TraceHorizonExceeded {
+                horizon,
+                makespan: worst,
+                trials: beyond().count(),
+            });
         }
     }
+    Ok(outcome)
 }
 
 #[cfg(test)]

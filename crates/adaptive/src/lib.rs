@@ -70,12 +70,26 @@ pub use error::AdaptiveError;
 pub use harness::{compare_policies, EvaluationConfig, PolicyComparison, PolicyResult, TruthModel};
 pub use policies::{optimal_static_plan, AdaptiveResolve, PeriodicYoung, RateLearning, StaticPlan};
 
+/// The positions of the checkpoints a traced run committed, read off its
+/// `segment_completed` events.
+#[cfg(test)]
+pub(crate) fn checkpoint_positions(sink: &ckpt_telemetry::RingBufferSink) -> Vec<usize> {
+    sink.events()
+        .filter(|e| e.name() == "segment_completed")
+        .map(|e| match e.fields()[0].1 {
+            ckpt_telemetry::FieldValue::U64(position) => position as usize,
+            ref other => panic!("expected the segment field, got {other:?}"),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod proptests {
     use super::*;
     use ckpt_failure::{Pcg64, RandomSource};
+    use ckpt_simulator::simulate_policy;
     use ckpt_simulator::stream::NoFailureStream;
-    use ckpt_simulator::{simulate_policy_with_log, ExecutionEvent};
+    use ckpt_telemetry::{NoopSink, RingBufferSink};
     use proptest::prelude::*;
 
     /// A deterministic pseudo-random heterogeneous chain spec.
@@ -105,37 +119,31 @@ mod proptests {
             let placement = optimal_static_plan(&spec, rate).unwrap();
 
             let mut policy = AdaptiveResolve::new(&spec, rate).unwrap();
-            let mut stream = NoFailureStream;
-            let logged = simulate_policy_with_log(
+            let mut sink = RingBufferSink::new(4_096);
+            let outcome = simulate_policy(
                 spec.tasks(),
                 spec.initial_recovery(),
                 spec.downtime(),
                 &mut policy,
-                &mut stream,
+                &mut NoFailureStream,
+                &mut sink,
             )
             .unwrap();
-            let taken: Vec<usize> = logged
-                .events
-                .iter()
-                .filter_map(|e| match *e {
-                    ExecutionEvent::SegmentCompleted { segment, .. } => Some(segment),
-                    _ => None,
-                })
-                .collect();
-            prop_assert_eq!(&taken, &placement.checkpoint_positions);
+            prop_assert_eq!(&checkpoint_positions(&sink), &placement.checkpoint_positions);
             prop_assert_eq!(policy.replans(), 0);
 
             // Bitwise the same execution as replaying the DP plan statically.
             let mut static_policy = StaticPlan::from_placement(&placement);
-            let static_run = simulate_policy_with_log(
+            let static_run = simulate_policy(
                 spec.tasks(),
                 spec.initial_recovery(),
                 spec.downtime(),
                 &mut static_policy,
                 &mut NoFailureStream,
+                &mut NoopSink,
             )
             .unwrap();
-            prop_assert_eq!(logged.outcome.record, static_run.outcome.record);
+            prop_assert_eq!(outcome.record, static_run.record);
         }
 
         /// Policy-driven Monte-Carlo outcomes are bit-identical across

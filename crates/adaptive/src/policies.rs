@@ -339,8 +339,10 @@ impl Policy for RateLearning {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint_positions;
+    use ckpt_simulator::simulate_policy;
     use ckpt_simulator::stream::{NoFailureStream, ScriptedStream};
-    use ckpt_simulator::{simulate_policy, simulate_policy_with_log, ExecutionEvent};
+    use ckpt_telemetry::{NoopSink, RingBufferSink};
 
     fn spec() -> ChainSpec {
         ChainSpec::new(
@@ -359,22 +361,17 @@ mod tests {
         policy: &mut P,
         stream: &mut dyn ckpt_simulator::FailureStream,
     ) -> Vec<usize> {
-        let logged = simulate_policy_with_log(
+        let mut sink = RingBufferSink::new(1_024);
+        simulate_policy(
             spec.tasks(),
             spec.initial_recovery(),
             spec.downtime(),
             policy,
             stream,
+            &mut sink,
         )
         .unwrap();
-        logged
-            .events
-            .iter()
-            .filter_map(|e| match *e {
-                ExecutionEvent::SegmentCompleted { segment, .. } => Some(segment),
-                _ => None,
-            })
-            .collect()
+        checkpoint_positions(&sink)
     }
 
     #[test]
@@ -428,6 +425,7 @@ mod tests {
             spec.downtime(),
             &mut policy,
             &mut stream,
+            &mut NoopSink,
         )
         .unwrap();
         assert_eq!(outcome.record.failures, 3);
@@ -452,6 +450,7 @@ mod tests {
             spec.downtime(),
             &mut policy,
             &mut stream,
+            &mut NoopSink,
         )
         .unwrap();
         assert_eq!(policy.replans(), 1);
@@ -469,6 +468,7 @@ mod tests {
             spec.downtime(),
             &mut policy,
             &mut stream,
+            &mut NoopSink,
         )
         .unwrap();
         assert_eq!(policy.replans(), 0);

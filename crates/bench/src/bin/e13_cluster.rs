@@ -35,7 +35,7 @@ use ckpt_cluster::{
 };
 use ckpt_failure::{Exponential, FailureDistribution, Pcg64, RandomSource, ShockConfig};
 use ckpt_simulator::{simulate_policy, ChainTask, ExponentialStream};
-use ckpt_telemetry::{DigestSink, JsonlSink, TeeSink};
+use ckpt_telemetry::{DigestSink, JsonlSink, NoopSink, TeeSink};
 
 /// Machines in the pool.
 const MACHINES: usize = 6;
@@ -275,8 +275,8 @@ fn degenerate_chain_check() {
     for seed in 0..25u64 {
         let mut stream = ExponentialStream::new(1.0 / 400.0, seed);
         let mut replay = StaticPlan::new(plan.clone());
-        let expected =
-            simulate_policy(&tasks, 18.0, 5.0, &mut replay, &mut stream).expect("chain run");
+        let expected = simulate_policy(&tasks, 18.0, 5.0, &mut replay, &mut stream, &mut NoopSink)
+            .expect("chain run");
 
         let job = ClusterJob::new(tasks.clone(), 18.0, 5.0, plan.clone()).expect("valid job");
         let mut source = ExponentialMachineSource::new(1.0 / 400.0, &[seed]);

@@ -25,7 +25,7 @@ use ckpt_expectation::numeric::SampleStats;
 use ckpt_failure::{
     ClusterFailureInjector, FailureDistribution, Pcg64, RandomSource, RepairModel, ShockConfig,
 };
-use ckpt_simulator::{scatter_trials, scatter_trials_with};
+use ckpt_simulator::{effective_threads, scatter_trials, scatter_trials_with};
 use ckpt_telemetry::MetricsRegistry;
 
 /// Machine-repair model of a scenario — the clonable (per-trial) counterpart
@@ -198,15 +198,6 @@ impl ClusterScenario {
         self.planning_rate
     }
 
-    fn workers(&self) -> usize {
-        let requested = if self.threads == 0 {
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-        } else {
-            self.threads
-        };
-        requested.min(self.trials).max(1)
-    }
-
     /// Ranks jobs by total work, `0` = largest (ties broken by index).
     fn work_ranks(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.specs.len()).collect();
@@ -348,7 +339,7 @@ where
     drop(admission);
 
     let results: Vec<Result<ClusterOutcome, ClusterError>> =
-        scatter_trials(scenario.trials(), scenario.workers(), |trial| {
+        scatter_trials(scenario.trials(), effective_threads(scenario.threads), |trial| {
             let mut injector = scenario.injector(trial)?;
             let mut policy = factory();
             run_cluster(&jobs, scenario.machines, &mut injector, &mut policy, &scenario.config)
@@ -389,7 +380,7 @@ where
 
     let (results, shards) = scatter_trials_with(
         scenario.trials(),
-        scenario.workers(),
+        effective_threads(scenario.threads),
         MetricsRegistry::new,
         |trial, shard: &mut MetricsRegistry| {
             let mut injector = scenario.injector(trial)?;

@@ -15,6 +15,7 @@ use ckpt_cluster::{
     run_cluster, BaselinePolicy, ClusterConfig, ClusterJob, ExponentialMachineSource,
 };
 use ckpt_simulator::{simulate_policy, ChainTask, ExponentialStream};
+use ckpt_telemetry::NoopSink;
 
 fn chain(works: &[f64], ckpt: f64, rec: f64) -> Vec<ChainTask> {
     works.iter().map(|&w| ChainTask::new(w, ckpt, rec).unwrap()).collect()
@@ -36,6 +37,7 @@ fn assert_degenerate(
         downtime,
         &mut reference_policy,
         &mut reference_stream,
+        &mut NoopSink,
     )
     .unwrap();
 

@@ -43,7 +43,6 @@ use crate::schedule::Schedule;
 
 /// One row of a λ sweep.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LambdaSweepPoint {
     /// The platform failure rate of this point.
     pub lambda: f64,
@@ -222,7 +221,6 @@ pub fn checkpoint_crossover_lambda(
 /// The estimated probability (with a 95% confidence half-width) that the
 /// schedule's makespan exceeds `deadline`, by Monte-Carlo simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeadlineRisk {
     /// The deadline that was tested.
     pub deadline: f64,

@@ -29,7 +29,6 @@ use crate::instance::ProblemInstance;
 /// How the cost of a checkpoint (and of the matching recovery) is computed
 /// from the execution state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CheckpointCostModel {
     /// The paper's baseline: the cost of a checkpoint taken after task `T_i`
     /// is `C_i`, regardless of what else is in memory.

@@ -110,7 +110,6 @@ fn young_period_for_mean(mean_c: f64, lambda: f64) -> Result<f64, ScheduleError>
 /// One row of [`baseline_lambda_sweep`]: the expected makespan of the three
 /// standard fixed-order baselines at one failure rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BaselineSweepPoint {
     /// The platform failure rate of this point.
     pub lambda: f64,

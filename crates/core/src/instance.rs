@@ -18,7 +18,6 @@ use crate::error::{ensure_non_negative, ensure_positive, ScheduleError};
 /// Instances are immutable once built; construct them through
 /// [`ProblemInstance::builder`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProblemInstance {
     graph: TaskGraph,
     checkpoint_costs: Vec<f64>,

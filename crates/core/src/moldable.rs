@@ -16,7 +16,6 @@ use crate::error::{ensure_positive, ScheduleError};
 /// A moldable task: a total sequential load that can be spread over `p`
 /// processors according to the scenario's workload model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MoldableTask {
     /// Total sequential work of the task (seconds on one processor).
     pub sequential_work: f64,
@@ -35,7 +34,6 @@ impl MoldableTask {
 
 /// The best allocation found for a task or a chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Allocation {
     /// Number of processors to use.
     pub processors: u32,

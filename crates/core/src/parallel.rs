@@ -7,16 +7,15 @@
 //! results are consumed in item order — so as long as the work function is
 //! a pure function of its arguments (per-worker *scratch* state is fine:
 //! its contents must not influence results, only allocations), the output
-//! is **bit-identical for every worker count**.
+//! is **bit-identical for every worker count**. The chunking itself is the
+//! simulator's [`scatter_trials_with`]: one implementation of the pattern
+//! for the whole workspace.
 
-/// The number of worker threads to use (`0` = one per available core).
-pub fn effective_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-    } else {
-        requested
-    }
-}
+use std::convert::Infallible;
+
+use ckpt_simulator::scatter_trials_with;
+
+pub use ckpt_simulator::effective_threads;
 
 /// Maps `work(state, index, item)` over `items` across `threads` workers
 /// (`0` = one per core) in deterministic contiguous chunks; each worker
@@ -53,36 +52,14 @@ where
     G: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &I) -> T + Sync,
 {
-    let workers = effective_threads(threads).min(items.len()).max(1);
-    if workers <= 1 {
-        let mut state = init();
-        let results =
-            items.iter().enumerate().map(|(index, item)| work(&mut state, index, item)).collect();
-        return (results, vec![state]);
-    }
-
-    let mut slots: Vec<Option<T>> = items.iter().map(|_| None).collect();
-    let chunk = items.len().div_ceil(workers);
-    let chunk_count = items.len().div_ceil(chunk);
-    let mut states: Vec<Option<S>> = (0..chunk_count).map(|_| None).collect();
-    let (init, work) = (&init, &work);
-    std::thread::scope(|scope| {
-        for ((chunk_index, (slot_chunk, item_chunk)), state_slot) in
-            slots.chunks_mut(chunk).zip(items.chunks(chunk)).enumerate().zip(states.iter_mut())
-        {
-            scope.spawn(move || {
-                let mut state = init();
-                let base = chunk_index * chunk;
-                for (offset, (slot, item)) in slot_chunk.iter_mut().zip(item_chunk).enumerate() {
-                    *slot = Some(work(&mut state, base + offset, item));
-                }
-                *state_slot = Some(state);
-            });
-        }
-    });
-    let results = slots.into_iter().map(|slot| slot.expect("every item slot is filled")).collect();
-    let states = states.into_iter().map(|slot| slot.expect("every chunk leaves a state")).collect();
-    (results, states)
+    let (results, states) =
+        scatter_trials_with(items.len(), effective_threads(threads), init, |index, state| {
+            Ok::<T, Infallible>(work(state, index, &items[index]))
+        });
+    (
+        results.into_iter().map(|result| result.unwrap_or_else(|never| match never {})).collect(),
+        states,
+    )
 }
 
 #[cfg(test)]

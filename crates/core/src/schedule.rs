@@ -15,7 +15,6 @@ use crate::instance::ProblemInstance;
 /// a checkpoint is **always** taken after the last executed task: the final
 /// `true` is enforced by [`Schedule::new`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Schedule {
     order: Vec<TaskId>,
     checkpoint_after: Vec<bool>,

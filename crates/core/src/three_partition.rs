@@ -24,7 +24,6 @@ use crate::schedule::Schedule;
 /// A 3-PARTITION instance: `3n` positive integers that sum to `n·target`,
 /// with every value strictly between `target/4` and `target/2`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThreePartitionInstance {
     values: Vec<u64>,
     target: u64,

@@ -10,7 +10,6 @@ use crate::error::GraphError;
 /// `T0` only for graphs built programmatically, generators start at `T1`
 /// semantics through their names).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskId(pub usize);
 
 impl TaskId {
@@ -28,7 +27,6 @@ impl std::fmt::Display for TaskId {
 
 /// A task: a name plus its computational weight `w_i` (seconds of work).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Task {
     name: String,
     weight: f64,
@@ -67,7 +65,6 @@ impl Task {
 /// # Ok::<(), ckpt_dag::GraphError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskGraph {
     tasks: Vec<Task>,
     successors: Vec<Vec<TaskId>>,

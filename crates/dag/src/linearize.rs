@@ -12,9 +12,7 @@ use crate::graph::{TaskGraph, TaskId};
 use crate::topo::{is_topological_order, random_topological_order};
 
 /// How to turn a DAG into a sequential execution order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LinearizationStrategy {
     /// Kahn's algorithm with smallest-id tie-breaking (deterministic,
     /// insertion order for independent tasks).

@@ -111,7 +111,6 @@ pub fn width(graph: &TaskGraph) -> usize {
 
 /// Summary statistics of a task graph, as reported by the experiment harness.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GraphSummary {
     /// Number of tasks.
     pub tasks: usize,

@@ -25,7 +25,6 @@ use crate::error::{ensure_non_negative, ensure_positive, ExpectationError};
 /// All times are in seconds; `lambda` is the *platform* failure rate
 /// (`λ = p·λ_proc` in the paper's notation).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExecutionParams {
     work: f64,
     checkpoint: f64,

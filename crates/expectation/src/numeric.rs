@@ -115,7 +115,6 @@ where
 /// deviation, standard error, and a normal-approximation 95% confidence
 /// half-width.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SampleStats {
     /// Number of observations.
     pub count: usize,

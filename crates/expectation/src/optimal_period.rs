@@ -16,7 +16,6 @@ use crate::numeric::golden_section_min;
 
 /// The outcome of a period optimisation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OptimalPeriod {
     /// The optimal chunk duration (seconds of work between checkpoints).
     pub period: f64,
@@ -82,7 +81,6 @@ pub fn optimal_divisible_makespan(
 /// Side-by-side comparison of the optimal, Young and Daly periods for a given
 /// configuration — one row of experiment E1's period table.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PeriodComparison {
     /// The exact optimal period.
     pub optimal: f64,

@@ -14,9 +14,7 @@
 use crate::error::{ensure_positive, ExpectationError};
 
 /// How checkpoint (and recovery) cost scales with the processor count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OverheadModel {
     /// `C(p) = C_base / p`: per-processor link is the bottleneck.
     Proportional,
@@ -60,7 +58,6 @@ impl std::fmt::Display for OverheadModel {
 /// a given `p` it produces the effective `(W(p), C(p), R(p), λ(p))` tuple to
 /// feed into Proposition 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScalingScenario {
     /// Per-processor Exponential failure rate `λ_proc`.
     pub lambda_proc: f64,

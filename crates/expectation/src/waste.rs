@@ -15,7 +15,6 @@ use crate::exact::{expected_time, ExecutionParams};
 
 /// A waste decomposition for a periodic execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WasteBreakdown {
     /// Total waste: `1 − (useful work) / (expected total time)` ∈ [0, 1).
     pub total: f64,

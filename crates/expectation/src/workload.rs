@@ -14,9 +14,7 @@
 use crate::error::{ensure_fraction, ensure_non_negative, ensure_positive, ExpectationError};
 
 /// How a task's execution time scales with the processor count.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum WorkloadModel {
     /// `W(p) = W_total / p`: embarrassingly parallel work.
     #[default]

@@ -9,7 +9,6 @@ use crate::rng::RandomSource;
 /// [`DistributionKind::Exponential`]; for every other family it must fall back
 /// to heuristics and simulation (paper §6, third extension).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DistributionKind {
     /// Memoryless Exponential law (the paper's main model).
     Exponential,

@@ -20,7 +20,6 @@ use crate::rng::RandomSource;
 /// # Ok::<(), ckpt_failure::FailureModelError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogNormal {
     mu: f64,
     sigma: f64,

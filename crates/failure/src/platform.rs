@@ -14,7 +14,6 @@ use crate::rng::Pcg64;
 
 /// Index of a processor inside a platform (`0..p`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProcessorId(pub usize);
 
 impl std::fmt::Display for ProcessorId {
@@ -33,7 +32,6 @@ impl std::fmt::Display for ProcessorId {
 ///   behind the Bouguerra et al. formula that §3 calls inaccurate; we keep it
 ///   as a switchable policy so experiments can expose the difference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RejuvenationPolicy {
     /// Only the processor that failed restarts its clock.
     #[default]

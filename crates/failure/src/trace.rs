@@ -15,7 +15,6 @@ use crate::platform::{PlatformFailureProcess, ProcessorId};
 
 /// One failure event in a trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FailureEvent {
     /// Absolute time of the failure, in seconds from the trace origin.
     pub time: f64,
@@ -25,7 +24,6 @@ pub struct FailureEvent {
 
 /// An ordered collection of failure events on a platform of `p` processors.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FailureTrace {
     processors: usize,
     events: Vec<FailureEvent>,

@@ -26,7 +26,6 @@ use crate::rng::RandomSource;
 /// # Ok::<(), ckpt_failure::FailureModelError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Weibull {
     shape: f64,
     scale: f64,

@@ -10,7 +10,6 @@ use crate::stream::FailureStream;
 /// The four buckets partition the makespan exactly:
 /// `makespan = useful + lost + downtime + recovery`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeBreakdown {
     /// Work and checkpoint time of attempts that completed successfully.
     pub useful: f64,
@@ -33,7 +32,6 @@ impl TimeBreakdown {
 
 /// The outcome of simulating one complete execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExecutionRecord {
     /// Total wall-clock time of the execution.
     pub makespan: f64,

@@ -17,11 +17,14 @@
 //! stream (the paper's model), the superposition of per-processor streams of
 //! any law from `ckpt-failure`, or a recorded synthetic trace.
 //!
-//! Besides replaying **fixed** schedules, the simulator can drive **online**
-//! checkpoint policies: [`policy::simulate_policy`] executes a chain task by
-//! task and consults a [`Policy`] at every boundary ("checkpoint now or keep
-//! going?"), logging the decisions; [`SimulationScenario::run_policy`] is
-//! the matching Monte-Carlo driver (bit-identical at any thread count). The
+//! Besides replaying **fixed** schedules, the simulator drives **online**
+//! checkpoint policies: [`policy::simulate_dag_policy`] executes tasks in an
+//! order and consults a [`DagPolicy`] at every boundary ("checkpoint now or
+//! keep going?", and optionally "re-order the remaining tasks"), and
+//! [`policy::simulate_policy`] runs a chain [`Policy`] on the same engine.
+//! Both emit their sim-domain events live into a `ckpt-telemetry` sink.
+//! [`SimulationScenario`]'s `run_policy` and `run_dag_policy` are the
+//! matching Monte-Carlo drivers (bit-identical at any thread count). The
 //! concrete adaptive policies live in the `ckpt-adaptive` crate.
 //!
 //! The headline use is experiment E1: simulating a single segment and checking
@@ -54,29 +57,22 @@
 
 pub mod engine;
 pub mod error;
-pub mod event_log;
 pub mod levelled;
 pub mod montecarlo;
 pub mod policy;
 pub mod rollback;
 pub mod segment;
 pub mod stream;
-pub mod trace;
 
 pub use engine::{simulate, ExecutionRecord, TimeBreakdown};
 pub use error::SimulationError;
-pub use event_log::{simulate_with_log, ExecutionEvent, LoggedExecution};
 pub use levelled::levelled_segments;
 pub use montecarlo::{
-    scatter_trials, scatter_trials_with, DagPolicyMonteCarloOutcome, MonteCarloOutcome,
-    PolicyMonteCarloOutcome, SimulationScenario,
+    effective_threads, scatter_trials, scatter_trials_with, MonteCarloOutcome, SimulationScenario,
 };
 pub use policy::{
-    simulate_dag_policy, simulate_dag_policy_with_log, simulate_policy, simulate_policy_with_log,
-    ChainTask, DagDecision, DagDecisionContext, DagPolicy, DagPolicyExecutionRecord,
-    DagPolicyLoggedExecution, DecisionContext, Policy, PolicyExecutionRecord,
-    PolicyLoggedExecution,
+    simulate_dag_policy, simulate_policy, ChainTask, DagDecision, DagDecisionContext, DagPolicy,
+    DecisionContext, Policy, PolicyExecutionRecord,
 };
 pub use segment::Segment;
 pub use stream::{ExponentialStream, FailureStream, PlatformStream, TraceStream};
-pub use trace::{execution_event_to_trace, replay_log};

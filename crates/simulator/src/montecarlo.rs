@@ -1,40 +1,88 @@
 //! Monte-Carlo driver: repeat an execution many times and summarise.
 //!
 //! Trials are embarrassingly parallel and run across threads
-//! ([`SimulationScenario::with_threads`]); every trial derives its own RNG
-//! stream from the master seed and the trial index, and the aggregation pass
-//! walks trials in index order, so outcomes are **bit-identical for any
-//! thread count** at the same seed.
+//! ([`SimulationScenario::with_threads`]); every trial derives its own seed
+//! from the master seed and the trial index, and the aggregation pass walks
+//! trials in index order, so outcomes are **bit-identical for any thread
+//! count** at the same seed.
+//!
+//! The drivers — [`SimulationScenario::try_run`] (and [`run`]) for fixed
+//! schedules, [`run_policy`] for chain policies and [`run_dag_policy`] for
+//! DAG policies — sit over one private driver. It validates the scenario
+//! once, derives each trial's seed, builds the trial's failure stream from
+//! the scenario's source, scatters the trials across workers and aggregates
+//! them into one [`MonteCarloOutcome`].
+//!
+//! [`run`]: SimulationScenario::run
+//! [`run_policy`]: SimulationScenario::run_policy
+//! [`run_dag_policy`]: SimulationScenario::run_dag_policy
+
+use std::fmt;
+use std::sync::Arc;
 
 use ckpt_expectation::numeric::SampleStats;
 use ckpt_failure::{FailureDistribution, Pcg64, PlatformFailureProcess, RandomSource};
+use ckpt_telemetry::NoopSink;
 
 use crate::engine::{simulate, ExecutionRecord, TimeBreakdown};
-use crate::error::SimulationError;
-use crate::policy::{
-    simulate_dag_policy, simulate_policy, ChainTask, DagPolicy, DagPolicyExecutionRecord, Policy,
-    PolicyExecutionRecord,
-};
+use crate::error::{ensure_positive, SimulationError};
+use crate::policy::{self, ChainPolicy, ChainTask, DagPolicy, Policy};
 use crate::segment::Segment;
 use crate::stream::{ExponentialStream, FailureStream, PlatformStream};
 
-/// How failures are generated across Monte-Carlo trials.
-#[derive(Debug, Clone)]
-enum FailureModel {
+/// A per-trial stream factory: `(trial index, trial seed) → stream`.
+type StreamFactory = Arc<dyn Fn(usize, u64) -> Box<dyn FailureStream> + Send + Sync>;
+
+/// Where each trial's failures come from.
+#[derive(Clone)]
+enum FailureSource {
     /// Platform-level Exponential process with the given rate.
     Exponential { lambda: f64 },
     /// Superposition of `p` per-processor processes drawn from a prototype law.
-    Platform { processors: usize, law: std::sync::Arc<dyn FailureDistribution + Send + Sync> },
+    Platform { processors: usize, law: Arc<dyn FailureDistribution + Send + Sync> },
+    /// A caller-supplied factory (trace replay, scripted failures).
+    Streams(StreamFactory),
+}
+
+impl fmt::Debug for FailureSource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FailureSource::Exponential { lambda } => {
+                f.debug_struct("Exponential").field("lambda", lambda).finish()
+            }
+            FailureSource::Platform { processors, law } => f
+                .debug_struct("Platform")
+                .field("processors", processors)
+                .field("law", law)
+                .finish(),
+            FailureSource::Streams(_) => f.write_str("Streams(..)"),
+        }
+    }
+}
+
+impl FailureSource {
+    fn validate(&self) -> Result<(), SimulationError> {
+        match *self {
+            FailureSource::Exponential { lambda } => ensure_positive("lambda", lambda).map(drop),
+            FailureSource::Platform { processors: 0, .. } => {
+                Err(SimulationError::NonPositiveParameter { name: "processors", value: 0.0 })
+            }
+            FailureSource::Platform { .. } | FailureSource::Streams(_) => Ok(()),
+        }
+    }
 }
 
 /// A reusable Monte-Carlo simulation configuration.
 ///
-/// Build one with [`SimulationScenario::exponential`] or
-/// [`SimulationScenario::platform`], adjust it with the `with_*` methods and
-/// run it against any segment sequence with [`SimulationScenario::run`].
+/// Build one with [`SimulationScenario::exponential`],
+/// [`SimulationScenario::platform`] or [`SimulationScenario::from_streams`],
+/// adjust it with the `with_*` methods and run it against any segment
+/// sequence with [`SimulationScenario::run`], or under an online policy with
+/// [`SimulationScenario::run_policy`] and
+/// [`SimulationScenario::run_dag_policy`].
 #[derive(Debug, Clone)]
 pub struct SimulationScenario {
-    model: FailureModel,
+    source: FailureSource,
     downtime: f64,
     trials: usize,
     seed: u64,
@@ -49,6 +97,12 @@ pub struct MonteCarloOutcome {
     pub makespan: SampleStats,
     /// Statistics of the failure count across trials.
     pub failures: SampleStats,
+    /// Statistics of the checkpoints taken per trial, the mandatory final
+    /// one included (a fixed schedule takes one per segment).
+    pub checkpoints: SampleStats,
+    /// Statistics of the suffix reorders per trial (zero except under a
+    /// reordering DAG policy).
+    pub reorders: SampleStats,
     /// Mean time breakdown across trials.
     pub mean_breakdown: TimeBreakdown,
     /// The raw makespan observations (one per trial), in trial order.
@@ -88,16 +142,14 @@ impl MonteCarloOutcome {
 }
 
 impl SimulationScenario {
+    fn new(source: FailureSource) -> Self {
+        SimulationScenario { source, downtime: 0.0, trials: 1000, seed: 0x5EED, threads: 0 }
+    }
+
     /// Scenario with a platform-level Exponential failure process of rate
     /// `lambda` (the paper's model).
     pub fn exponential(lambda: f64) -> Self {
-        SimulationScenario {
-            model: FailureModel::Exponential { lambda },
-            downtime: 0.0,
-            trials: 1000,
-            seed: 0x5EED,
-            threads: 0,
-        }
+        Self::new(FailureSource::Exponential { lambda })
     }
 
     /// Scenario with `processors` processors each following `law`
@@ -106,13 +158,22 @@ impl SimulationScenario {
     where
         D: FailureDistribution + Send + Sync + 'static,
     {
-        SimulationScenario {
-            model: FailureModel::Platform { processors, law: std::sync::Arc::new(law) },
-            downtime: 0.0,
-            trials: 1000,
-            seed: 0x5EED,
-            threads: 0,
-        }
+        Self::new(FailureSource::Platform { processors, law: Arc::new(law) })
+    }
+
+    /// Scenario whose trial `i` plays the stream `make_stream(i, seed_i)`,
+    /// where `seed_i` is the seed the trial derives from the master seed —
+    /// for replaying recorded traces or scripted failures. The outcome is
+    /// identical at any thread count as long as `make_stream` is a pure
+    /// function of its arguments.
+    pub fn from_streams<F, S>(make_stream: F) -> Self
+    where
+        F: Fn(usize, u64) -> S + Send + Sync + 'static,
+        S: FailureStream + 'static,
+    {
+        Self::new(FailureSource::Streams(Arc::new(move |trial, seed| {
+            Box::new(make_stream(trial, seed)) as Box<dyn FailureStream>
+        })))
     }
 
     /// Sets the downtime `D` (builder style).
@@ -152,42 +213,6 @@ impl SimulationScenario {
         self.trials
     }
 
-    /// The number of worker threads a run will actually use.
-    fn effective_threads(&self) -> usize {
-        let requested = if self.threads == 0 {
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-        } else {
-            self.threads
-        };
-        requested.min(self.trials).max(1)
-    }
-
-    /// Runs one trial: derives the trial's RNG stream deterministically from
-    /// the root generator and the trial index (`hash(seed, trial)`), builds
-    /// the failure stream and simulates the segments once.
-    fn run_trial(
-        &self,
-        trial: usize,
-        segments: &[Segment],
-        root: &Pcg64,
-    ) -> Result<ExecutionRecord, SimulationError> {
-        let mut trial_rng = root.derive(trial as u64);
-        let trial_seed = trial_rng.next_u64();
-        match &self.model {
-            FailureModel::Exponential { lambda } => {
-                let mut stream = ExponentialStream::new(*lambda, trial_seed);
-                simulate(segments, self.downtime, &mut stream)
-            }
-            FailureModel::Platform { processors, law } => {
-                let proto = SharedLaw(std::sync::Arc::clone(law));
-                let process = PlatformFailureProcess::homogeneous(*processors, proto, trial_seed)
-                    .expect("scenario constructors require at least one processor");
-                let mut stream = PlatformStream::new(process);
-                simulate(segments, self.downtime, &mut stream)
-            }
-        }
-    }
-
     /// Runs the scenario on the given segment sequence.
     ///
     /// # Panics
@@ -199,470 +224,227 @@ impl SimulationScenario {
         self.try_run(segments).expect("invalid simulation scenario")
     }
 
-    /// Runs the scenario, returning configuration errors instead of panicking.
+    /// Runs the scenario on the fixed-schedule engine
+    /// ([`crate::engine::simulate`]), returning configuration errors instead
+    /// of panicking.
     ///
     /// # Errors
     ///
     /// * [`SimulationError::EmptySchedule`] if `segments` is empty;
     /// * [`SimulationError::ZeroTrials`] if the scenario has zero trials;
-    /// * [`SimulationError::NonPositiveParameter`] for an invalid failure rate.
+    /// * [`SimulationError::NonPositiveParameter`] for an invalid failure
+    ///   rate or a platform without processors;
+    /// * [`SimulationError::NegativeParameter`] for a negative downtime.
     pub fn try_run(&self, segments: &[Segment]) -> Result<MonteCarloOutcome, SimulationError> {
         if segments.is_empty() {
             return Err(SimulationError::EmptySchedule);
         }
-        if self.trials == 0 {
-            return Err(SimulationError::ZeroTrials);
-        }
-        if let FailureModel::Exponential { lambda } = self.model {
-            if !lambda.is_finite() || lambda <= 0.0 {
-                return Err(SimulationError::NonPositiveParameter {
-                    name: "lambda",
-                    value: lambda,
-                });
-            }
-        }
-
-        let root = Pcg64::seed_from_u64(self.seed);
-        let records = scatter_trials(self.trials, self.effective_threads(), |trial| {
-            self.run_trial(trial, segments, &root)
-        });
-
-        // Aggregate strictly in trial order: the summation order (and hence
-        // every floating-point result) is independent of the thread count.
-        let mut makespans = Vec::with_capacity(self.trials);
-        let mut failures = Vec::with_capacity(self.trials);
-        let mut breakdown_sum = TimeBreakdown::default();
-        for slot in records {
-            let record = slot?;
-            makespans.push(record.makespan);
-            failures.push(record.failures as f64);
-            breakdown_sum.useful += record.breakdown.useful;
-            breakdown_sum.lost += record.breakdown.lost;
-            breakdown_sum.downtime += record.breakdown.downtime;
-            breakdown_sum.recovery += record.breakdown.recovery;
-        }
-
-        let n = self.trials as f64;
-        Ok(MonteCarloOutcome {
-            makespan: SampleStats::from_values(&makespans),
-            failures: SampleStats::from_values(&failures),
-            mean_breakdown: TimeBreakdown {
-                useful: breakdown_sum.useful / n,
-                lost: breakdown_sum.lost / n,
-                downtime: breakdown_sum.downtime / n,
-                recovery: breakdown_sum.recovery / n,
-            },
-            samples: makespans,
-        })
+        self.drive(&FixedTrial { segments, downtime: self.downtime })
     }
 
-    /// Runs the scenario with a caller-supplied stream factory — used to
-    /// replay recorded traces or scripted failures across trials.
-    ///
-    /// The factory receives the trial index and must return a fresh stream.
-    /// Runs sequentially regardless of [`SimulationScenario::with_threads`]
-    /// (the `FnMut` factory may carry state across trials).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SimulationScenario::try_run`].
-    pub fn run_with_streams<F, S>(
-        &self,
-        segments: &[Segment],
-        mut factory: F,
-    ) -> Result<MonteCarloOutcome, SimulationError>
-    where
-        F: FnMut(usize) -> S,
-        S: FailureStream,
-    {
-        if segments.is_empty() {
-            return Err(SimulationError::EmptySchedule);
-        }
-        if self.trials == 0 {
-            return Err(SimulationError::ZeroTrials);
-        }
-        let mut makespans = Vec::with_capacity(self.trials);
-        let mut failures = Vec::with_capacity(self.trials);
-        let mut breakdown_sum = TimeBreakdown::default();
-        for trial in 0..self.trials {
-            let mut stream = factory(trial);
-            let record = simulate(segments, self.downtime, &mut stream)?;
-            makespans.push(record.makespan);
-            failures.push(record.failures as f64);
-            breakdown_sum.useful += record.breakdown.useful;
-            breakdown_sum.lost += record.breakdown.lost;
-            breakdown_sum.downtime += record.breakdown.downtime;
-            breakdown_sum.recovery += record.breakdown.recovery;
-        }
-        let n = self.trials as f64;
-        Ok(MonteCarloOutcome {
-            makespan: SampleStats::from_values(&makespans),
-            failures: SampleStats::from_values(&failures),
-            mean_breakdown: TimeBreakdown {
-                useful: breakdown_sum.useful / n,
-                lost: breakdown_sum.lost / n,
-                downtime: breakdown_sum.downtime / n,
-                recovery: breakdown_sum.recovery / n,
-            },
-            samples: makespans,
-        })
-    }
-}
-
-/// Aggregated outcome of a **policy-driven** Monte-Carlo run
-/// (see [`SimulationScenario::run_policy`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyMonteCarloOutcome {
-    /// Statistics of the makespan across trials.
-    pub makespan: SampleStats,
-    /// Statistics of the failure count across trials.
-    pub failures: SampleStats,
-    /// Statistics of the number of checkpoints the policy took per trial
-    /// (the mandatory final checkpoint included).
-    pub checkpoints: SampleStats,
-    /// Mean time breakdown across trials.
-    pub mean_breakdown: TimeBreakdown,
-    /// The raw makespan observations (one per trial), in trial order.
-    pub samples: Vec<f64>,
-}
-
-impl SimulationScenario {
     /// Runs a **policy-driven** Monte-Carlo experiment: each trial builds a
-    /// fresh failure stream from the scenario's model (exactly as
-    /// [`SimulationScenario::try_run`] does) and a fresh policy from
-    /// `make_policy(trial)`, then executes `tasks` under
-    /// [`crate::policy::simulate_policy`].
-    ///
-    /// Trials are spread across the scenario's worker threads with the same
-    /// deterministic contiguous-chunk pattern as the fixed-schedule runner:
-    /// the outcome is **bit-identical for every thread count** at the same
-    /// seed.
+    /// fresh failure stream from the scenario's source and a fresh policy
+    /// from `make_policy(trial)`, then executes the chain `tasks` under
+    /// [`crate::policy::simulate_policy`]'s engine.
     ///
     /// # Errors
     ///
-    /// * [`SimulationError::EmptySchedule`] if `tasks` is empty;
-    /// * [`SimulationError::ZeroTrials`] if the scenario has zero trials;
-    /// * [`SimulationError::NonPositiveParameter`] for an invalid failure
-    ///   rate;
-    /// * propagated engine validation errors (negative downtime or initial
-    ///   recovery).
+    /// * the [`crate::policy::simulate_policy`] validation errors (empty
+    ///   task set, negative downtime or initial recovery);
+    /// * the scenario errors of [`SimulationScenario::try_run`].
     pub fn run_policy<P, G>(
         &self,
         tasks: &[ChainTask],
         initial_recovery: f64,
         make_policy: G,
-    ) -> Result<PolicyMonteCarloOutcome, SimulationError>
+    ) -> Result<MonteCarloOutcome, SimulationError>
     where
         P: Policy,
         G: Fn(usize) -> P + Sync,
     {
-        if let FailureModel::Exponential { lambda } = self.model {
-            if !lambda.is_finite() || lambda <= 0.0 {
-                return Err(SimulationError::NonPositiveParameter {
-                    name: "lambda",
-                    value: lambda,
-                });
-            }
-        }
-        let root = Pcg64::seed_from_u64(self.seed);
-        self.policy_trials(tasks, |trial| {
-            let mut trial_rng = root.derive(trial as u64);
-            let trial_seed = trial_rng.next_u64();
-            let mut policy = make_policy(trial);
-            match &self.model {
-                FailureModel::Exponential { lambda } => {
-                    let mut stream = ExponentialStream::new(*lambda, trial_seed);
-                    simulate_policy(
-                        tasks,
-                        initial_recovery,
-                        self.downtime,
-                        &mut policy,
-                        &mut stream,
-                    )
-                }
-                FailureModel::Platform { processors, law } => {
-                    let proto = SharedLaw(std::sync::Arc::clone(law));
-                    let process =
-                        PlatformFailureProcess::homogeneous(*processors, proto, trial_seed)
-                            .expect("scenario constructors require at least one processor");
-                    let mut stream = PlatformStream::new(process);
-                    simulate_policy(
-                        tasks,
-                        initial_recovery,
-                        self.downtime,
-                        &mut policy,
-                        &mut stream,
-                    )
-                }
-            }
+        let order: Vec<usize> = (0..tasks.len()).collect();
+        self.run_dag_policy(tasks, &order, initial_recovery, |trial| {
+            ChainPolicy(make_policy(trial))
         })
     }
 
-    /// [`SimulationScenario::run_policy`] with a caller-supplied stream
-    /// factory (trace replay, scripted failures): `make_stream(trial, seed)`
-    /// receives the trial index and the trial's deterministically derived
-    /// seed and must return a fresh stream. The scenario's own failure model
-    /// is ignored; trials still run across the scenario's worker threads
-    /// with bit-identical outcomes at any thread count (both factories must
-    /// therefore be pure functions of their arguments).
+    /// The **DAG** counterpart of [`SimulationScenario::run_policy`]: each
+    /// trial builds a fresh [`DagPolicy`] from `make_policy(trial)`, then
+    /// executes `tasks` in `order` under
+    /// [`crate::policy::simulate_dag_policy`]'s engine.
     ///
     /// # Errors
     ///
-    /// Same as [`SimulationScenario::run_policy`], minus the failure-rate
-    /// check.
-    pub fn run_policy_with_streams<P, G, S, F>(
-        &self,
-        tasks: &[ChainTask],
-        initial_recovery: f64,
-        make_policy: G,
-        make_stream: F,
-    ) -> Result<PolicyMonteCarloOutcome, SimulationError>
-    where
-        P: Policy,
-        G: Fn(usize) -> P + Sync,
-        S: FailureStream,
-        F: Fn(usize, u64) -> S + Sync,
-    {
-        let root = Pcg64::seed_from_u64(self.seed);
-        self.policy_trials(tasks, |trial| {
-            let mut trial_rng = root.derive(trial as u64);
-            let trial_seed = trial_rng.next_u64();
-            let mut policy = make_policy(trial);
-            let mut stream = make_stream(trial, trial_seed);
-            simulate_policy(tasks, initial_recovery, self.downtime, &mut policy, &mut stream)
-        })
-    }
-
-    /// The shared policy-trial driver: runs `run_trial` for every trial
-    /// index (chunked across workers exactly like
-    /// [`SimulationScenario::try_run`]) and aggregates strictly in trial
-    /// order.
-    fn policy_trials<R>(
-        &self,
-        tasks: &[ChainTask],
-        run_trial: R,
-    ) -> Result<PolicyMonteCarloOutcome, SimulationError>
-    where
-        R: Fn(usize) -> Result<PolicyExecutionRecord, SimulationError> + Sync,
-    {
-        if tasks.is_empty() {
-            return Err(SimulationError::EmptySchedule);
-        }
-        if self.trials == 0 {
-            return Err(SimulationError::ZeroTrials);
-        }
-        let records = scatter_trials(self.trials, self.effective_threads(), run_trial);
-
-        let mut makespans = Vec::with_capacity(self.trials);
-        let mut failures = Vec::with_capacity(self.trials);
-        let mut checkpoints = Vec::with_capacity(self.trials);
-        let mut breakdown_sum = TimeBreakdown::default();
-        for slot in records {
-            let outcome = slot?;
-            makespans.push(outcome.record.makespan);
-            failures.push(outcome.record.failures as f64);
-            checkpoints.push(outcome.checkpoints as f64);
-            breakdown_sum.useful += outcome.record.breakdown.useful;
-            breakdown_sum.lost += outcome.record.breakdown.lost;
-            breakdown_sum.downtime += outcome.record.breakdown.downtime;
-            breakdown_sum.recovery += outcome.record.breakdown.recovery;
-        }
-        let n = self.trials as f64;
-        Ok(PolicyMonteCarloOutcome {
-            makespan: SampleStats::from_values(&makespans),
-            failures: SampleStats::from_values(&failures),
-            checkpoints: SampleStats::from_values(&checkpoints),
-            mean_breakdown: TimeBreakdown {
-                useful: breakdown_sum.useful / n,
-                lost: breakdown_sum.lost / n,
-                downtime: breakdown_sum.downtime / n,
-                recovery: breakdown_sum.recovery / n,
-            },
-            samples: makespans,
-        })
-    }
-}
-
-/// Aggregated outcome of a **policy-driven DAG** Monte-Carlo run
-/// (see [`SimulationScenario::run_dag_policy`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DagPolicyMonteCarloOutcome {
-    /// Statistics of the makespan across trials.
-    pub makespan: SampleStats,
-    /// Statistics of the failure count across trials.
-    pub failures: SampleStats,
-    /// Statistics of the number of checkpoints taken per trial.
-    pub checkpoints: SampleStats,
-    /// Statistics of the number of suffix reorders per trial.
-    pub reorders: SampleStats,
-    /// Mean time breakdown across trials.
-    pub mean_breakdown: TimeBreakdown,
-    /// The raw makespan observations (one per trial), in trial order.
-    pub samples: Vec<f64>,
-}
-
-impl SimulationScenario {
-    /// The **DAG** twin of [`SimulationScenario::run_policy`]: each trial
-    /// builds a fresh failure stream from the scenario's model and a fresh
-    /// [`DagPolicy`] from `make_policy(trial)`, then executes `tasks` in
-    /// `order` under [`crate::policy::simulate_dag_policy`].
-    ///
-    /// Trials are spread across the scenario's worker threads with the same
-    /// deterministic contiguous-chunk pattern as every other runner: the
-    /// outcome is **bit-identical for every thread count** at the same seed.
-    ///
-    /// # Errors
-    ///
-    /// * the [`simulate_dag_policy`] validation errors (empty task set,
-    ///   invalid order or suffix reorder, negative downtime/recovery);
-    /// * [`SimulationError::ZeroTrials`] if the scenario has zero trials;
-    /// * [`SimulationError::NonPositiveParameter`] for an invalid failure
-    ///   rate.
+    /// * the [`crate::policy::simulate_dag_policy`] validation errors (empty
+    ///   task set, invalid order or suffix reorder, negative
+    ///   downtime/recovery);
+    /// * the scenario errors of [`SimulationScenario::try_run`].
     pub fn run_dag_policy<P, G>(
         &self,
         tasks: &[ChainTask],
         order: &[usize],
         initial_recovery: f64,
         make_policy: G,
-    ) -> Result<DagPolicyMonteCarloOutcome, SimulationError>
+    ) -> Result<MonteCarloOutcome, SimulationError>
     where
         P: DagPolicy,
         G: Fn(usize) -> P + Sync,
     {
-        if let FailureModel::Exponential { lambda } = self.model {
-            if !lambda.is_finite() || lambda <= 0.0 {
-                return Err(SimulationError::NonPositiveParameter {
-                    name: "lambda",
-                    value: lambda,
-                });
-            }
-        }
-        let root = Pcg64::seed_from_u64(self.seed);
-        self.dag_policy_trials(tasks, |trial| {
-            let mut trial_rng = root.derive(trial as u64);
-            let trial_seed = trial_rng.next_u64();
-            let mut policy = make_policy(trial);
-            match &self.model {
-                FailureModel::Exponential { lambda } => {
-                    let mut stream = ExponentialStream::new(*lambda, trial_seed);
-                    simulate_dag_policy(
-                        tasks,
-                        order,
-                        initial_recovery,
-                        self.downtime,
-                        &mut policy,
-                        &mut stream,
-                    )
-                }
-                FailureModel::Platform { processors, law } => {
-                    let proto = SharedLaw(std::sync::Arc::clone(law));
-                    let process =
-                        PlatformFailureProcess::homogeneous(*processors, proto, trial_seed)
-                            .expect("scenario constructors require at least one processor");
-                    let mut stream = PlatformStream::new(process);
-                    simulate_dag_policy(
-                        tasks,
-                        order,
-                        initial_recovery,
-                        self.downtime,
-                        &mut policy,
-                        &mut stream,
-                    )
-                }
-            }
+        policy::validate(tasks, order, initial_recovery, self.downtime)?;
+        self.drive(&PolicyTrial {
+            tasks,
+            order,
+            initial_recovery,
+            downtime: self.downtime,
+            make_policy,
         })
     }
 
-    /// [`SimulationScenario::run_dag_policy`] with a caller-supplied stream
-    /// factory: `make_stream(trial, seed)` receives the trial index and the
-    /// trial's deterministically derived seed. The scenario's own failure
-    /// model is ignored; both factories must be pure functions of their
-    /// arguments for the thread-count invariance to hold.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SimulationScenario::run_dag_policy`], minus the
-    /// failure-rate check.
-    pub fn run_dag_policy_with_streams<P, G, S, F>(
-        &self,
-        tasks: &[ChainTask],
-        order: &[usize],
-        initial_recovery: f64,
-        make_policy: G,
-        make_stream: F,
-    ) -> Result<DagPolicyMonteCarloOutcome, SimulationError>
-    where
-        P: DagPolicy,
-        G: Fn(usize) -> P + Sync,
-        S: FailureStream,
-        F: Fn(usize, u64) -> S + Sync,
-    {
-        let root = Pcg64::seed_from_u64(self.seed);
-        self.dag_policy_trials(tasks, |trial| {
-            let mut trial_rng = root.derive(trial as u64);
-            let trial_seed = trial_rng.next_u64();
-            let mut policy = make_policy(trial);
-            let mut stream = make_stream(trial, trial_seed);
-            simulate_dag_policy(
-                tasks,
-                order,
-                initial_recovery,
-                self.downtime,
-                &mut policy,
-                &mut stream,
-            )
-        })
-    }
-
-    /// The shared DAG-policy trial driver: chunked across workers exactly
-    /// like [`SimulationScenario::try_run`], aggregated strictly in trial
-    /// order.
-    fn dag_policy_trials<R>(
-        &self,
-        tasks: &[ChainTask],
-        run_trial: R,
-    ) -> Result<DagPolicyMonteCarloOutcome, SimulationError>
-    where
-        R: Fn(usize) -> Result<DagPolicyExecutionRecord, SimulationError> + Sync,
-    {
-        if tasks.is_empty() {
-            return Err(SimulationError::EmptySchedule);
-        }
+    /// The one Monte-Carlo driver: validates the scenario, then runs every
+    /// trial on its own failure stream — seeded `hash(seed, trial)` — across
+    /// the worker threads and aggregates the records in trial order.
+    fn drive<T: Trial>(&self, trial: &T) -> Result<MonteCarloOutcome, SimulationError> {
         if self.trials == 0 {
             return Err(SimulationError::ZeroTrials);
         }
-        let records = scatter_trials(self.trials, self.effective_threads(), run_trial);
+        self.source.validate()?;
+        let root = Pcg64::seed_from_u64(self.seed);
+        let records = scatter_trials(self.trials, effective_threads(self.threads), |index| {
+            let seed = root.derive(index as u64).next_u64();
+            // The source is picked once per trial, so each engine runs
+            // monomorphised on its concrete stream type.
+            match &self.source {
+                FailureSource::Exponential { lambda } => {
+                    trial.run(index, &mut ExponentialStream::new(*lambda, seed))
+                }
+                FailureSource::Platform { processors, law } => {
+                    let process =
+                        PlatformFailureProcess::homogeneous(*processors, Arc::clone(law), seed)
+                            .expect("the processor count was validated");
+                    trial.run(index, &mut PlatformStream::new(process))
+                }
+                FailureSource::Streams(make_stream) => {
+                    trial.run(index, make_stream(index, seed).as_mut())
+                }
+            }
+        });
+        aggregate(records)
+    }
+}
 
-        let mut makespans = Vec::with_capacity(self.trials);
-        let mut failures = Vec::with_capacity(self.trials);
-        let mut checkpoints = Vec::with_capacity(self.trials);
-        let mut reorders = Vec::with_capacity(self.trials);
-        let mut breakdown_sum = TimeBreakdown::default();
-        for slot in records {
-            let outcome = slot?;
-            makespans.push(outcome.record.makespan);
-            failures.push(outcome.record.failures as f64);
-            checkpoints.push(outcome.checkpoints as f64);
-            reorders.push(outcome.reorders as f64);
-            breakdown_sum.useful += outcome.record.breakdown.useful;
-            breakdown_sum.lost += outcome.record.breakdown.lost;
-            breakdown_sum.downtime += outcome.record.breakdown.downtime;
-            breakdown_sum.recovery += outcome.record.breakdown.recovery;
-        }
-        let n = self.trials as f64;
-        Ok(DagPolicyMonteCarloOutcome {
-            makespan: SampleStats::from_values(&makespans),
-            failures: SampleStats::from_values(&failures),
-            checkpoints: SampleStats::from_values(&checkpoints),
-            reorders: SampleStats::from_values(&reorders),
-            mean_breakdown: TimeBreakdown {
-                useful: breakdown_sum.useful / n,
-                lost: breakdown_sum.lost / n,
-                downtime: breakdown_sum.downtime / n,
-                recovery: breakdown_sum.recovery / n,
-            },
-            samples: makespans,
-        })
+/// What the aggregation keeps of one trial.
+struct TrialRecord {
+    record: ExecutionRecord,
+    checkpoints: u64,
+    reorders: u64,
+}
+
+/// One trial's execution, generic over the failure stream.
+trait Trial: Sync {
+    fn run<S: FailureStream + ?Sized>(
+        &self,
+        trial: usize,
+        stream: &mut S,
+    ) -> Result<TrialRecord, SimulationError>;
+}
+
+/// A fixed schedule on the fixed-schedule engine.
+struct FixedTrial<'a> {
+    segments: &'a [Segment],
+    downtime: f64,
+}
+
+impl Trial for FixedTrial<'_> {
+    fn run<S: FailureStream + ?Sized>(
+        &self,
+        _trial: usize,
+        stream: &mut S,
+    ) -> Result<TrialRecord, SimulationError> {
+        let record = simulate(self.segments, self.downtime, stream)?;
+        Ok(TrialRecord { record, checkpoints: self.segments.len() as u64, reorders: 0 })
+    }
+}
+
+/// A fresh policy per trial on the policy engine, over a validated order.
+struct PolicyTrial<'a, G> {
+    tasks: &'a [ChainTask],
+    order: &'a [usize],
+    initial_recovery: f64,
+    downtime: f64,
+    make_policy: G,
+}
+
+impl<P, G> Trial for PolicyTrial<'_, G>
+where
+    P: DagPolicy,
+    G: Fn(usize) -> P + Sync,
+{
+    fn run<S: FailureStream + ?Sized>(
+        &self,
+        trial: usize,
+        stream: &mut S,
+    ) -> Result<TrialRecord, SimulationError> {
+        let mut policy = (self.make_policy)(trial);
+        let out = policy::execute(
+            self.tasks,
+            self.order,
+            self.initial_recovery,
+            self.downtime,
+            &mut policy,
+            stream,
+            &mut NoopSink,
+        )?;
+        Ok(TrialRecord { record: out.record, checkpoints: out.checkpoints, reorders: out.reorders })
+    }
+}
+
+/// Aggregates the trial records strictly in trial order: the summation
+/// order (and hence every floating-point result) is independent of the
+/// thread count.
+fn aggregate(
+    records: Vec<Result<TrialRecord, SimulationError>>,
+) -> Result<MonteCarloOutcome, SimulationError> {
+    let trials = records.len();
+    let mut makespans = Vec::with_capacity(trials);
+    let mut failures = Vec::with_capacity(trials);
+    let mut checkpoints = Vec::with_capacity(trials);
+    let mut reorders = Vec::with_capacity(trials);
+    let mut sum = TimeBreakdown::default();
+    for slot in records {
+        let trial = slot?;
+        makespans.push(trial.record.makespan);
+        failures.push(trial.record.failures as f64);
+        checkpoints.push(trial.checkpoints as f64);
+        reorders.push(trial.reorders as f64);
+        sum.useful += trial.record.breakdown.useful;
+        sum.lost += trial.record.breakdown.lost;
+        sum.downtime += trial.record.breakdown.downtime;
+        sum.recovery += trial.record.breakdown.recovery;
+    }
+    let n = trials as f64;
+    Ok(MonteCarloOutcome {
+        makespan: SampleStats::from_values(&makespans),
+        failures: SampleStats::from_values(&failures),
+        checkpoints: SampleStats::from_values(&checkpoints),
+        reorders: SampleStats::from_values(&reorders),
+        mean_breakdown: TimeBreakdown {
+            useful: sum.useful / n,
+            lost: sum.lost / n,
+            downtime: sum.downtime / n,
+            recovery: sum.recovery / n,
+        },
+        samples: makespans,
+    })
+}
+
+/// The number of worker threads a request for `requested` threads uses:
+/// `0` means one per available core. Every thread-parallel path of the
+/// workspace resolves its worker count through this rule.
+pub fn effective_threads(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+    } else {
+        requested
     }
 }
 
@@ -695,7 +477,8 @@ where
 /// index (worker 0's chunk first), so any order-sensitive reduction over
 /// them — merging per-worker telemetry shards, concatenating logs — is a
 /// pure function of `(trials, workers)` and never of thread scheduling.
-/// With `workers <= 1` exactly one state is returned.
+/// `workers` is clamped to `1..=trials`; with one worker exactly one state
+/// is returned.
 pub fn scatter_trials_with<T, E, S, G, R>(
     trials: usize,
     workers: usize,
@@ -709,8 +492,9 @@ where
     G: Fn() -> S + Sync,
     R: Fn(usize, &mut S) -> Result<T, E> + Sync,
 {
+    let workers = workers.min(trials).max(1);
     let mut records: Vec<Option<Result<T, E>>> = (0..trials).map(|_| None).collect();
-    let states = if workers <= 1 {
+    let states = if workers == 1 {
         let mut state = init();
         for (trial, slot) in records.iter_mut().enumerate() {
             *slot = Some(run_trial(trial, &mut state));
@@ -718,7 +502,7 @@ where
         vec![state]
     } else {
         let chunk = trials.div_ceil(workers);
-        let chunk_count = trials.div_ceil(chunk.max(1));
+        let chunk_count = trials.div_ceil(chunk);
         let mut slots: Vec<Option<S>> = (0..chunk_count).map(|_| None).collect();
         let init = &init;
         let run_trial = &run_trial;
@@ -743,47 +527,6 @@ where
     (records, states)
 }
 
-/// A cloneable, shareable view over a prototype failure law.
-///
-/// [`PlatformFailureProcess::homogeneous`] needs an owned, cloneable law to
-/// hand one copy to every processor; scenarios store the prototype behind an
-/// `Arc`, and this adaptor forwards every trait method to it.
-#[derive(Debug, Clone)]
-struct SharedLaw(std::sync::Arc<dyn FailureDistribution + Send + Sync>);
-
-impl FailureDistribution for SharedLaw {
-    fn kind(&self) -> ckpt_failure::DistributionKind {
-        self.0.kind()
-    }
-    fn sample(&self, rng: &mut dyn RandomSource) -> f64 {
-        self.0.sample(rng)
-    }
-    fn pdf(&self, x: f64) -> f64 {
-        self.0.pdf(x)
-    }
-    fn cdf(&self, x: f64) -> f64 {
-        self.0.cdf(x)
-    }
-    fn survival(&self, x: f64) -> f64 {
-        self.0.survival(x)
-    }
-    fn hazard(&self, x: f64) -> f64 {
-        self.0.hazard(x)
-    }
-    fn mean(&self) -> f64 {
-        self.0.mean()
-    }
-    fn quantile(&self, p: f64) -> f64 {
-        self.0.quantile(p)
-    }
-    fn conditional_survival(&self, elapsed: f64, x: f64) -> f64 {
-        self.0.conditional_survival(elapsed, x)
-    }
-    fn sample_remaining(&self, elapsed: f64, rng: &mut dyn RandomSource) -> f64 {
-        self.0.sample_remaining(elapsed, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -803,6 +546,22 @@ mod tests {
         assert!(matches!(zero.try_run(&[seg(1.0, 0.0, 0.0)]), Err(SimulationError::ZeroTrials)));
         let bad = SimulationScenario::exponential(0.0);
         assert!(bad.try_run(&[seg(1.0, 0.0, 0.0)]).is_err());
+    }
+
+    #[test]
+    fn zero_processor_platform_is_rejected() {
+        let scenario = SimulationScenario::platform(0, Exponential::new(1e-3).unwrap());
+        let rejected = |result: Result<MonteCarloOutcome, SimulationError>| {
+            matches!(result, Err(SimulationError::NonPositiveParameter { name: "processors", .. }))
+        };
+        assert!(rejected(scenario.try_run(&[seg(1.0, 0.0, 0.0)])));
+        assert!(rejected(
+            scenario.run_policy(&chain_tasks(), 0.0, |_| EveryOther { toggle: false })
+        ));
+        let order: Vec<usize> = (0..chain_tasks().len()).collect();
+        assert!(rejected(scenario.run_dag_policy(&chain_tasks(), &order, 0.0, |_| {
+            AlternateAndFlip { toggle: false, flipped: false }
+        })));
     }
 
     #[test]
@@ -903,8 +662,11 @@ mod tests {
     fn breakdown_mean_partitions_mean_makespan() {
         let scenario =
             SimulationScenario::exponential(1e-3).with_downtime(20.0).with_trials(500).with_seed(3);
-        let outcome = scenario.run(&[seg(1000.0, 100.0, 50.0)]);
+        let outcome = scenario.run(&[seg(1000.0, 100.0, 50.0), seg(500.0, 0.0, 50.0)]);
         assert!((outcome.mean_breakdown.total() - outcome.makespan.mean).abs() < 1e-6);
+        // A fixed schedule checkpoints once per segment and never reorders.
+        assert_eq!((outcome.checkpoints.mean, outcome.checkpoints.variance), (2.0, 0.0));
+        assert_eq!(outcome.reorders.mean, 0.0);
     }
 
     #[test]
@@ -974,13 +736,29 @@ mod tests {
 
     #[test]
     fn run_with_streams_uses_the_factory() {
-        let scenario = SimulationScenario::exponential(1.0).with_trials(3).with_downtime(0.0);
-        // Scripted: no failures at all, regardless of the exponential config.
-        let outcome = scenario
-            .run_with_streams(&[seg(10.0, 1.0, 0.0)], |_trial| ScriptedStream::new(vec![]))
-            .unwrap();
+        let scenario =
+            SimulationScenario::from_streams(|_, _| ScriptedStream::new(vec![])).with_trials(3);
+        // Scripted: no failures at all.
+        let outcome = scenario.try_run(&[seg(10.0, 1.0, 0.0)]).unwrap();
         assert_eq!(outcome.makespan.mean, 11.0);
         assert_eq!(outcome.failures.mean, 0.0);
+    }
+
+    #[test]
+    fn factory_streams_receive_the_trial_seeds() {
+        // A factory building the model's own stream from the derived seed
+        // reproduces the model-driven scenario bitwise.
+        let lambda = 1.0 / 2_000.0;
+        let segments = vec![seg(1_500.0, 80.0, 40.0), seg(700.0, 20.0, 60.0)];
+        let model = SimulationScenario::exponential(lambda).with_trials(301).with_seed(4);
+        let factory =
+            SimulationScenario::from_streams(move |_, seed| ExponentialStream::new(lambda, seed))
+                .with_trials(301)
+                .with_seed(4);
+        for threads in [1usize, 3] {
+            let expected = model.clone().with_threads(threads).run(&segments);
+            assert_eq!(factory.clone().with_threads(threads).run(&segments), expected);
+        }
     }
 
     #[test]
@@ -1081,20 +859,18 @@ mod tests {
         let tasks = chain_tasks();
         let order: Vec<usize> = (0..tasks.len()).collect();
         let scenario = || {
-            SimulationScenario::exponential(1.0).with_downtime(10.0).with_trials(201).with_seed(5)
+            SimulationScenario::from_streams(|trial, _seed| {
+                ScriptedStream::new(vec![700.0 + 41.0 * (trial % 5) as f64, 9_000.0])
+            })
+            .with_downtime(10.0)
+            .with_trials(201)
+            .with_seed(5)
         };
         let factory = |_trial: usize| AlternateAndFlip { toggle: true, flipped: false };
-        let streams = |trial: usize, _seed: u64| {
-            ScriptedStream::new(vec![700.0 + 41.0 * (trial % 5) as f64, 9_000.0])
-        };
-        let single = scenario()
-            .with_threads(1)
-            .run_dag_policy_with_streams(&tasks, &order, 15.0, factory, streams)
-            .unwrap();
-        let multi = scenario()
-            .with_threads(3)
-            .run_dag_policy_with_streams(&tasks, &order, 15.0, factory, streams)
-            .unwrap();
+        let single =
+            scenario().with_threads(1).run_dag_policy(&tasks, &order, 15.0, factory).unwrap();
+        let multi =
+            scenario().with_threads(3).run_dag_policy(&tasks, &order, 15.0, factory).unwrap();
         assert_eq!(single, multi);
         assert!(single.failures.mean > 0.0);
     }
@@ -1124,21 +900,17 @@ mod tests {
         // not depend on the thread count.
         let tasks = chain_tasks();
         let scenario = || {
-            SimulationScenario::exponential(1.0).with_downtime(10.0).with_trials(301).with_seed(9)
+            SimulationScenario::from_streams(|trial, _seed| {
+                ScriptedStream::new(vec![500.0 + 37.0 * (trial % 7) as f64, 4_000.0])
+            })
+            .with_downtime(10.0)
+            .with_trials(301)
+            .with_seed(9)
         };
         let factory = |_trial: usize| EveryOther { toggle: false };
-        let streams = |trial: usize, _seed: u64| {
-            ScriptedStream::new(vec![500.0 + 37.0 * (trial % 7) as f64, 4_000.0])
-        };
-        let single = scenario()
-            .with_threads(1)
-            .run_policy_with_streams(&tasks, 15.0, factory, streams)
-            .unwrap();
+        let single = scenario().with_threads(1).run_policy(&tasks, 15.0, factory).unwrap();
         for threads in [2usize, 5] {
-            let multi = scenario()
-                .with_threads(threads)
-                .run_policy_with_streams(&tasks, 15.0, factory, streams)
-                .unwrap();
+            let multi = scenario().with_threads(threads).run_policy(&tasks, 15.0, factory).unwrap();
             assert_eq!(single, multi, "differs at {threads} threads");
         }
         assert!(single.failures.mean > 0.0);

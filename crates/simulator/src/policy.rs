@@ -3,7 +3,7 @@
 //! The fixed-schedule engine ([`crate::engine::simulate`]) replays a
 //! partition of the workflow into segments that was decided *offline*. This
 //! module closes the loop: execution proceeds **task by task**, and after
-//! each completed task an online [`Policy`] is asked the paper's §2 question
+//! each completed task an online policy is asked the paper's §2 question
 //! — *"checkpoint now or keep going?"* — with full visibility of what the
 //! execution has observed so far (the clock, the failure times, the last
 //! checkpointed position). Failures roll the execution back to the last
@@ -12,25 +12,19 @@
 //! mid-execution (insert an extra checkpoint after a burst of failures,
 //! stretch segments when the platform turns out healthier than planned).
 //!
-//! The concrete adaptive policies (static replay, Young-periodic,
-//! re-solving, rate-learning) live in the `ckpt-adaptive` crate; this module
-//! owns the execution semantics and the Monte-Carlo driver
-//! ([`crate::montecarlo`]'s `run_policy`), which reuses the engine's
-//! deterministic contiguous-chunk threading — outcomes are bit-identical at
-//! any thread count.
-//!
-//! Beyond chains, [`simulate_dag_policy`] drives **linearised DAG**
-//! executions: tasks run in a caller-supplied topological order, and the
-//! [`DagPolicy`] consulted at every boundary may both toggle the next
-//! checkpoint *and* swap in a new precedence-valid order for the unexecuted
-//! suffix — the "re-linearise the remaining graph after a failure" primitive
-//! the `ckpt-adaptive` DAG policies build on. The matching Monte-Carlo
-//! driver is [`crate::montecarlo`]'s `run_dag_policy`.
+//! There is one engine. [`simulate_dag_policy`] executes tasks in a
+//! caller-supplied order, and the [`DagPolicy`] consulted at every boundary
+//! may both toggle the next checkpoint *and* swap in a new order for the
+//! unexecuted suffix — the "re-linearise the remaining graph after a
+//! failure" primitive the `ckpt-adaptive` DAG policies build on.
+//! [`simulate_policy`] runs a chain [`Policy`] on the same engine, over the
+//! identity order. The concrete adaptive policies live in the
+//! `ckpt-adaptive` crate; the matching Monte-Carlo drivers are
+//! [`crate::montecarlo`]'s `run_policy` and `run_dag_policy`.
 //!
 //! Semantics (the §2 model at task granularity):
 //!
-//! 1. tasks execute in chain order; work accumulates since the last
-//!    checkpoint;
+//! 1. tasks execute in order; work accumulates since the last checkpoint;
 //! 2. after a task's work completes, the policy decides whether to
 //!    checkpoint (the decision after the **final** task is forced to
 //!    "checkpoint", matching the model's mandatory final checkpoint);
@@ -39,14 +33,43 @@
 //!    an interruptible recovery (the recovery cost of the last checkpointed
 //!    task, or `R₀` before the first checkpoint), after which execution
 //!    resumes at the task following the last checkpoint.
+//!
+//! Both entry points emit the execution's sim-domain events **live** into a
+//! [`TelemetrySink`], in chronological order. Pass
+//! [`NoopSink`](ckpt_telemetry::NoopSink) to run untraced: the sink's
+//! `enabled()` is read once per run, and a disabled sink builds no event.
+//! Every event carries the order position it concerns as `segment`:
+//!
+//! | event | extra fields | emitted when |
+//! |---|---|---|
+//! | `attempt_started` | | a task's work starts |
+//! | `failure` | `wasted` | a failure strikes work, checkpoint or recovery; `wasted` is the time lost since the run (or the recovery) started |
+//! | `downtime_completed` | | the downtime after a failure ends |
+//! | `recovery_completed` | | a recovery completes |
+//! | `policy_decision` | `checkpoint` | the policy answered at a non-final boundary |
+//! | `segment_completed` | | a checkpoint became durable |
+
+use std::borrow::Cow;
+
+use ckpt_telemetry::{TelemetrySink, TraceEvent};
 
 use crate::engine::{ExecutionRecord, TimeBreakdown};
 use crate::error::{ensure_non_negative, SimulationError};
-use crate::event_log::ExecutionEvent;
 use crate::rollback::{
     absorb_recovery_failure, absorb_run_failure, commit_run, run_phase, PhaseOutcome,
 };
 use crate::stream::FailureStream;
+
+/// Records one sim-domain event into the run's sink, if it is traced. Every
+/// event carries the order position as `segment`, then its extra fields.
+macro_rules! emit {
+    ($trace:expr, $name:literal, $time:expr, $position:expr $(, $key:literal => $value:expr)*) => {
+        if let Some(sink) = $trace.as_deref_mut() {
+            let event = TraceEvent::sim($name, $time).with("segment", $position);
+            sink.record(&event$(.with($key, $value))*);
+        }
+    };
+}
 
 /// One task of a chain executed under an online policy.
 ///
@@ -55,7 +78,6 @@ use crate::stream::FailureStream;
 /// task's own checkpoint** — it is paid by failures occurring *after* the
 /// checkpoint is taken, which is only known online.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChainTask {
     work: f64,
     checkpoint: f64,
@@ -150,7 +172,7 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
     }
 }
 
-/// The outcome of one policy-driven execution.
+/// The outcome of one policy-driven execution (chain or DAG).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyExecutionRecord {
     /// Makespan, failure count and time breakdown (the same buckets as the
@@ -162,25 +184,21 @@ pub struct PolicyExecutionRecord {
     /// Policy consultations (one per non-final task boundary reached,
     /// re-executions included).
     pub decisions: u64,
+    /// Decisions that swapped in a new suffix order (always 0 on a chain).
+    pub reorders: u64,
+    /// The order the execution finished with (the initial order with every
+    /// accepted suffix reorder applied), or `None` if no decision reordered
+    /// the suffix and the initial order stands.
+    pub final_order: Option<Vec<usize>>,
 }
 
-/// A policy-driven execution with its full event log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyLoggedExecution {
-    /// The aggregate outcome.
-    pub outcome: PolicyExecutionRecord,
-    /// The chronological event log; policy decisions appear as
-    /// [`ExecutionEvent::PolicyDecision`] events. The `segment` index of
-    /// every event is the **task position** in the chain.
-    pub events: Vec<ExecutionEvent>,
-}
-
-/// Simulates one policy-driven execution of `tasks` (see the module docs for
-/// the exact semantics).
+/// Simulates one policy-driven execution of the chain `tasks` (see the
+/// module docs for the exact semantics and the events emitted into `sink`).
 ///
 /// `initial_recovery` is the cost `R₀` of restoring the initial state
 /// (failures before the first checkpoint), `downtime` the failure-free
-/// downtime `D` paid after every failure.
+/// downtime `D` paid after every failure. The chain runs on the DAG engine
+/// over the identity order.
 ///
 /// # Errors
 ///
@@ -193,207 +211,30 @@ pub fn simulate_policy<P, S>(
     downtime: f64,
     policy: &mut P,
     stream: &mut S,
+    sink: &mut dyn TelemetrySink,
 ) -> Result<PolicyExecutionRecord, SimulationError>
 where
     P: Policy + ?Sized,
     S: FailureStream + ?Sized,
 {
-    policy_core(tasks, initial_recovery, downtime, policy, stream, None)
+    let order: Vec<usize> = (0..tasks.len()).collect();
+    validate(tasks, &order, initial_recovery, downtime)?;
+    execute(tasks, &order, initial_recovery, downtime, &mut ChainPolicy(policy), stream, sink)
 }
 
-/// [`simulate_policy`] with full event logging (decision events included).
-///
-/// # Errors
-///
-/// Same contract as [`simulate_policy`].
-pub fn simulate_policy_with_log<P, S>(
-    tasks: &[ChainTask],
-    initial_recovery: f64,
-    downtime: f64,
-    policy: &mut P,
-    stream: &mut S,
-) -> Result<PolicyLoggedExecution, SimulationError>
-where
-    P: Policy + ?Sized,
-    S: FailureStream + ?Sized,
-{
-    let mut events = Vec::new();
-    let outcome =
-        policy_core(tasks, initial_recovery, downtime, policy, stream, Some(&mut events))?;
-    Ok(PolicyLoggedExecution { outcome, events })
-}
+/// Runs a chain [`Policy`] on the DAG engine: it never reorders, and it sees
+/// the DAG context minus the order.
+pub(crate) struct ChainPolicy<P>(pub(crate) P);
 
-/// The engine shared by the plain and the logged entry points.
-fn policy_core<P, S>(
-    tasks: &[ChainTask],
-    initial_recovery: f64,
-    downtime: f64,
-    policy: &mut P,
-    stream: &mut S,
-    mut events: Option<&mut Vec<ExecutionEvent>>,
-) -> Result<PolicyExecutionRecord, SimulationError>
-where
-    P: Policy + ?Sized,
-    S: FailureStream + ?Sized,
-{
-    if tasks.is_empty() {
-        return Err(SimulationError::EmptySchedule);
+impl<P: Policy> DagPolicy for ChainPolicy<P> {
+    fn decide(&mut self, ctx: &DagDecisionContext<'_>) -> DagDecision {
+        DagDecision::keep_order(self.0.decide(&DecisionContext {
+            position: ctx.position,
+            clock: ctx.clock,
+            last_checkpoint: ctx.last_checkpoint,
+            failure_times: ctx.failure_times,
+        }))
     }
-    let downtime = ensure_non_negative("downtime", downtime)?;
-    let initial_recovery = ensure_non_negative("initial_recovery", initial_recovery)?;
-
-    let n = tasks.len();
-    let mut clock = 0.0f64;
-    let mut breakdown = TimeBreakdown::default();
-    let mut failure_times: Vec<f64> = Vec::new();
-    let mut last_checkpoint: Option<usize> = None;
-    // Start of the current uncheckpointed run: everything executed since is
-    // lost on failure, committed as useful when a checkpoint completes.
-    let mut run_start = 0.0f64;
-    let mut checkpoints = 0u64;
-    let mut decisions = 0u64;
-    let mut position = 0usize;
-
-    macro_rules! log {
-        ($event:expr) => {
-            if let Some(sink) = events.as_deref_mut() {
-                sink.push($event);
-            }
-        };
-    }
-
-    while position < n {
-        log!(ExecutionEvent::AttemptStarted { segment: position, time: clock });
-
-        // Work phase of the current task.
-        let work = tasks[position].work;
-        if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, work) {
-            position = handle_failure(
-                last_checkpoint.map_or(initial_recovery, |k| tasks[k].recovery),
-                downtime,
-                at,
-                position,
-                last_checkpoint,
-                stream,
-                &mut clock,
-                &mut run_start,
-                &mut failure_times,
-                &mut breakdown,
-                &mut events,
-            );
-            continue;
-        }
-
-        // Decision point: the final task's checkpoint is mandatory (the
-        // model's final checkpoint), every other boundary asks the policy.
-        let take = if position + 1 == n {
-            true
-        } else {
-            decisions += 1;
-            let ctx =
-                DecisionContext { position, clock, last_checkpoint, failure_times: &failure_times };
-            let take = policy.decide(&ctx);
-            log!(ExecutionEvent::PolicyDecision {
-                segment: position,
-                time: clock,
-                checkpoint: take
-            });
-            take
-        };
-
-        if take {
-            let ckpt = tasks[position].checkpoint;
-            if ckpt > 0.0 {
-                if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, ckpt) {
-                    position = handle_failure(
-                        last_checkpoint.map_or(initial_recovery, |k| tasks[k].recovery),
-                        downtime,
-                        at,
-                        position,
-                        last_checkpoint,
-                        stream,
-                        &mut clock,
-                        &mut run_start,
-                        &mut failure_times,
-                        &mut breakdown,
-                        &mut events,
-                    );
-                    continue;
-                }
-            }
-            // The checkpoint is durable: commit the run as useful time.
-            commit_run(clock, &mut run_start, &mut breakdown);
-            last_checkpoint = Some(position);
-            checkpoints += 1;
-            log!(ExecutionEvent::SegmentCompleted { segment: position, time: clock });
-        }
-        position += 1;
-    }
-
-    let failures = failure_times.len() as u64;
-    Ok(PolicyExecutionRecord {
-        record: ExecutionRecord { makespan: clock, failures, breakdown },
-        checkpoints,
-        decisions,
-    })
-}
-
-/// Failure at `failure_time` while executing work or checkpoint of the task
-/// at `position`: lose the run back to the last checkpoint, pay the
-/// failure-free downtime, recover (interruptibly — recovery failures pay
-/// another downtime and restart the recovery), and return the position
-/// execution resumes at. `recovery` is the cost of restoring the last
-/// durable state (the last checkpointed task's recovery, or `R₀`), resolved
-/// by the caller — the chain engine indexes `tasks` by position, the DAG
-/// engine through its execution order.
-#[allow(clippy::too_many_arguments)] // flat engine state, called from two engines
-fn handle_failure<S: FailureStream + ?Sized>(
-    recovery: f64,
-    downtime: f64,
-    failure_time: f64,
-    position: usize,
-    last_checkpoint: Option<usize>,
-    stream: &mut S,
-    clock: &mut f64,
-    run_start: &mut f64,
-    failure_times: &mut Vec<f64>,
-    breakdown: &mut TimeBreakdown,
-    events: &mut Option<&mut Vec<ExecutionEvent>>,
-) -> usize {
-    let mut log = |event: ExecutionEvent| {
-        if let Some(sink) = events.as_deref_mut() {
-            sink.push(event);
-        }
-    };
-    log(ExecutionEvent::Failure {
-        segment: position,
-        time: failure_time,
-        wasted: failure_time - *run_start,
-    });
-    absorb_run_failure(failure_time, downtime, clock, *run_start, failure_times, breakdown);
-    log(ExecutionEvent::DowntimeCompleted { segment: position, time: *clock });
-    if recovery > 0.0 {
-        loop {
-            match run_phase(stream, clock, recovery) {
-                PhaseOutcome::Failed { at } => {
-                    log(ExecutionEvent::Failure {
-                        segment: position,
-                        time: at,
-                        wasted: at - *clock,
-                    });
-                    absorb_recovery_failure(at, downtime, clock, failure_times, breakdown);
-                    log(ExecutionEvent::DowntimeCompleted { segment: position, time: *clock });
-                }
-                PhaseOutcome::Completed => {
-                    breakdown.recovery += recovery;
-                    log(ExecutionEvent::RecoveryCompleted { segment: position, time: *clock });
-                    break;
-                }
-            }
-        }
-    }
-    *run_start = *clock;
-    last_checkpoint.map_or(0, |k| k + 1)
 }
 
 /// What a DAG policy sees at a decision point (a just-completed task of the
@@ -494,38 +335,11 @@ impl<P: DagPolicy + ?Sized> DagPolicy for Box<P> {
     }
 }
 
-/// The outcome of one policy-driven DAG execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DagPolicyExecutionRecord {
-    /// Makespan, failure count and time breakdown (same buckets as the
-    /// fixed-schedule engine).
-    pub record: ExecutionRecord,
-    /// Checkpoints taken, the mandatory final one included.
-    pub checkpoints: u64,
-    /// Policy consultations (one per non-final boundary reached,
-    /// re-executions included).
-    pub decisions: u64,
-    /// Decisions that swapped in a new suffix order.
-    pub reorders: u64,
-    /// The order the execution finished with (the initial order with every
-    /// accepted suffix reorder applied).
-    pub final_order: Vec<usize>,
-}
-
-/// A policy-driven DAG execution with its full event log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DagPolicyLoggedExecution {
-    /// The aggregate outcome.
-    pub outcome: DagPolicyExecutionRecord,
-    /// The chronological event log; the `segment` index of every event is
-    /// the **order position** the event concerns.
-    pub events: Vec<ExecutionEvent>,
-}
-
 /// Simulates one policy-driven execution of a linearised DAG: the tasks of
 /// `tasks` are executed in the order given by `order` (task indices), with
-/// the §2 rollback semantics of [`simulate_policy`] at the granularity of
-/// order positions, and `policy` consulted at every non-final boundary.
+/// the §2 rollback semantics at the granularity of order positions, and
+/// `policy` consulted at every non-final boundary. Events go to `sink` (see
+/// the module docs).
 ///
 /// The execution tracks the **completed-and-checkpointed frontier**: a
 /// checkpoint after position `p` durably commits positions `0..=p`, and a
@@ -533,7 +347,7 @@ pub struct DagPolicyLoggedExecution {
 /// Decisions may both toggle the next checkpoint and swap in a new order
 /// for the unexecuted suffix (see [`DagDecision`]); the engine verifies
 /// each proposed suffix is a permutation of the current one. A chain
-/// executed with the identity order reproduces [`simulate_policy`] exactly.
+/// executed with the identity order is exactly [`simulate_policy`].
 ///
 /// # Errors
 ///
@@ -550,43 +364,211 @@ pub fn simulate_dag_policy<P, S>(
     downtime: f64,
     policy: &mut P,
     stream: &mut S,
-) -> Result<DagPolicyExecutionRecord, SimulationError>
+    sink: &mut dyn TelemetrySink,
+) -> Result<PolicyExecutionRecord, SimulationError>
 where
     P: DagPolicy + ?Sized,
     S: FailureStream + ?Sized,
 {
-    dag_policy_core(tasks, order, initial_recovery, downtime, policy, stream, None)
+    validate(tasks, order, initial_recovery, downtime)?;
+    execute(tasks, order, initial_recovery, downtime, policy, stream, sink)
 }
 
-/// [`simulate_dag_policy`] with full event logging (decision events
-/// included).
-///
-/// # Errors
-///
-/// Same contract as [`simulate_dag_policy`].
-pub fn simulate_dag_policy_with_log<P, S>(
+/// Checks the inputs [`execute`] relies on: a non-empty task set, an order
+/// that is a permutation of it, and non-negative downtime and initial
+/// recovery. The Monte-Carlo drivers call this once per run, not per trial.
+pub(crate) fn validate(
+    tasks: &[ChainTask],
+    order: &[usize],
+    initial_recovery: f64,
+    downtime: f64,
+) -> Result<(), SimulationError> {
+    if tasks.is_empty() {
+        return Err(SimulationError::EmptySchedule);
+    }
+    let n = tasks.len();
+    let mut seen = vec![false; n];
+    if order.len() != n || order.iter().any(|&t| t >= n || std::mem::replace(&mut seen[t], true)) {
+        return Err(SimulationError::InvalidTaskOrder);
+    }
+    ensure_non_negative("downtime", downtime)?;
+    ensure_non_negative("initial_recovery", initial_recovery)?;
+    Ok(())
+}
+
+/// The policy engine: the one task-level §2 rollback loop. The inputs must
+/// have passed [`validate`].
+pub(crate) fn execute<P, S>(
     tasks: &[ChainTask],
     order: &[usize],
     initial_recovery: f64,
     downtime: f64,
     policy: &mut P,
     stream: &mut S,
-) -> Result<DagPolicyLoggedExecution, SimulationError>
+    sink: &mut dyn TelemetrySink,
+) -> Result<PolicyExecutionRecord, SimulationError>
 where
     P: DagPolicy + ?Sized,
     S: FailureStream + ?Sized,
 {
-    let mut events = Vec::new();
-    let outcome = dag_policy_core(
-        tasks,
-        order,
-        initial_recovery,
-        downtime,
-        policy,
-        stream,
-        Some(&mut events),
-    )?;
-    Ok(DagPolicyLoggedExecution { outcome, events })
+    let n = tasks.len();
+    let mut trace = if sink.enabled() { Some(sink) } else { None };
+    // The order is borrowed until the first reorder copies it; the
+    // permutation bitmap is allocated on that first reorder too.
+    let mut order = Cow::Borrowed(order);
+    let mut seen: Vec<bool> = Vec::new();
+    let mut clock = 0.0f64;
+    let mut breakdown = TimeBreakdown::default();
+    let mut failure_times: Vec<f64> = Vec::new();
+    let mut last_checkpoint: Option<usize> = None;
+    // Start of the current uncheckpointed run: everything executed since is
+    // lost on failure, committed as useful when a checkpoint completes.
+    let mut run_start = 0.0f64;
+    let mut checkpoints = 0u64;
+    let mut decisions = 0u64;
+    let mut reorders = 0u64;
+    let mut position = 0usize;
+
+    // Recovery cost of the last durable state, through the current order.
+    macro_rules! protecting_recovery {
+        () => {
+            last_checkpoint.map_or(initial_recovery, |k| tasks[order[k]].recovery)
+        };
+    }
+
+    while position < n {
+        emit!(trace, "attempt_started", clock, position);
+
+        let work = tasks[order[position]].work;
+        if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, work) {
+            position = handle_failure(
+                protecting_recovery!(),
+                downtime,
+                at,
+                position,
+                last_checkpoint,
+                stream,
+                &mut clock,
+                &mut run_start,
+                &mut failure_times,
+                &mut breakdown,
+                &mut trace,
+            );
+            continue;
+        }
+
+        // Decision point: the final boundary forces the checkpoint and has
+        // no suffix to reorder; every other boundary asks the policy.
+        let take = if position + 1 == n {
+            true
+        } else {
+            decisions += 1;
+            let ctx = DagDecisionContext {
+                position,
+                task: order[position],
+                clock,
+                last_checkpoint,
+                failure_times: &failure_times,
+                order: &order,
+            };
+            let decision = policy.decide(&ctx);
+            emit!(trace, "policy_decision", clock, position, "checkpoint" => decision.checkpoint);
+            if let Some(suffix) = decision.reorder_suffix {
+                if seen.is_empty() {
+                    seen = vec![false; n];
+                }
+                if !is_permutation_of(&order[position + 1..], &suffix, &mut seen) {
+                    return Err(SimulationError::InvalidTaskOrder);
+                }
+                order.to_mut()[position + 1..].copy_from_slice(&suffix);
+                reorders += 1;
+            }
+            decision.checkpoint
+        };
+
+        if take {
+            let ckpt = tasks[order[position]].checkpoint;
+            if ckpt > 0.0 {
+                if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, ckpt) {
+                    position = handle_failure(
+                        protecting_recovery!(),
+                        downtime,
+                        at,
+                        position,
+                        last_checkpoint,
+                        stream,
+                        &mut clock,
+                        &mut run_start,
+                        &mut failure_times,
+                        &mut breakdown,
+                        &mut trace,
+                    );
+                    continue;
+                }
+            }
+            // The checkpoint is durable: commit the run as useful time.
+            commit_run(clock, &mut run_start, &mut breakdown);
+            last_checkpoint = Some(position);
+            checkpoints += 1;
+            emit!(trace, "segment_completed", clock, position);
+        }
+        position += 1;
+    }
+
+    let failures = failure_times.len() as u64;
+    Ok(PolicyExecutionRecord {
+        record: ExecutionRecord { makespan: clock, failures, breakdown },
+        checkpoints,
+        decisions,
+        reorders,
+        final_order: match order {
+            Cow::Owned(order) => Some(order),
+            Cow::Borrowed(_) => None,
+        },
+    })
+}
+
+/// Failure at `failure_time` while executing work or checkpoint of the task
+/// at `position`: lose the run back to the last checkpoint, pay the
+/// failure-free downtime, recover (interruptibly — recovery failures pay
+/// another downtime and restart the recovery), and return the position
+/// execution resumes at. `recovery` is the cost of restoring the last
+/// durable state (the last checkpointed task's recovery, or `R₀`).
+#[allow(clippy::too_many_arguments)] // the engine's flat state
+fn handle_failure<S: FailureStream + ?Sized>(
+    recovery: f64,
+    downtime: f64,
+    failure_time: f64,
+    position: usize,
+    last_checkpoint: Option<usize>,
+    stream: &mut S,
+    clock: &mut f64,
+    run_start: &mut f64,
+    failure_times: &mut Vec<f64>,
+    breakdown: &mut TimeBreakdown,
+    trace: &mut Option<&mut dyn TelemetrySink>,
+) -> usize {
+    emit!(trace, "failure", failure_time, position, "wasted" => failure_time - *run_start);
+    absorb_run_failure(failure_time, downtime, clock, *run_start, failure_times, breakdown);
+    emit!(trace, "downtime_completed", *clock, position);
+    if recovery > 0.0 {
+        loop {
+            match run_phase(stream, clock, recovery) {
+                PhaseOutcome::Failed { at } => {
+                    emit!(trace, "failure", at, position, "wasted" => at - *clock);
+                    absorb_recovery_failure(at, downtime, clock, failure_times, breakdown);
+                    emit!(trace, "downtime_completed", *clock, position);
+                }
+                PhaseOutcome::Completed => {
+                    breakdown.recovery += recovery;
+                    emit!(trace, "recovery_completed", *clock, position);
+                    break;
+                }
+            }
+        }
+    }
+    *run_start = *clock;
+    last_checkpoint.map_or(0, |k| k + 1)
 }
 
 /// Verifies that `proposed` is a permutation of `current`, using `seen` as a
@@ -608,161 +590,28 @@ fn is_permutation_of(current: &[usize], proposed: &[usize], seen: &mut [bool]) -
     ok
 }
 
-/// The engine shared by the plain and the logged DAG entry points.
-fn dag_policy_core<P, S>(
-    tasks: &[ChainTask],
-    order: &[usize],
-    initial_recovery: f64,
-    downtime: f64,
-    policy: &mut P,
-    stream: &mut S,
-    mut events: Option<&mut Vec<ExecutionEvent>>,
-) -> Result<DagPolicyExecutionRecord, SimulationError>
-where
-    P: DagPolicy + ?Sized,
-    S: FailureStream + ?Sized,
-{
-    if tasks.is_empty() {
-        return Err(SimulationError::EmptySchedule);
-    }
-    let n = tasks.len();
-    let mut seen = vec![false; n];
-    if order.len() != n {
-        return Err(SimulationError::InvalidTaskOrder);
-    }
-    for &t in order {
-        if t >= n || seen[t] {
-            return Err(SimulationError::InvalidTaskOrder);
-        }
-        seen[t] = true;
-    }
-    seen.fill(false);
-    let downtime = ensure_non_negative("downtime", downtime)?;
-    let initial_recovery = ensure_non_negative("initial_recovery", initial_recovery)?;
-
-    let mut order: Vec<usize> = order.to_vec();
-    let mut clock = 0.0f64;
-    let mut breakdown = TimeBreakdown::default();
-    let mut failure_times: Vec<f64> = Vec::new();
-    let mut last_checkpoint: Option<usize> = None;
-    let mut run_start = 0.0f64;
-    let mut checkpoints = 0u64;
-    let mut decisions = 0u64;
-    let mut reorders = 0u64;
-    let mut position = 0usize;
-
-    macro_rules! log {
-        ($event:expr) => {
-            if let Some(sink) = events.as_deref_mut() {
-                sink.push($event);
-            }
-        };
-    }
-    // Recovery cost of the last durable state, through the current order.
-    macro_rules! protecting_recovery {
-        () => {
-            last_checkpoint.map_or(initial_recovery, |k| tasks[order[k]].recovery)
-        };
-    }
-
-    while position < n {
-        log!(ExecutionEvent::AttemptStarted { segment: position, time: clock });
-
-        let work = tasks[order[position]].work;
-        if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, work) {
-            position = handle_failure(
-                protecting_recovery!(),
-                downtime,
-                at,
-                position,
-                last_checkpoint,
-                stream,
-                &mut clock,
-                &mut run_start,
-                &mut failure_times,
-                &mut breakdown,
-                &mut events,
-            );
-            continue;
-        }
-
-        // Decision point: the final boundary forces the checkpoint and has
-        // no suffix to reorder; every other boundary asks the policy.
-        let take = if position + 1 == n {
-            true
-        } else {
-            decisions += 1;
-            let ctx = DagDecisionContext {
-                position,
-                task: order[position],
-                clock,
-                last_checkpoint,
-                failure_times: &failure_times,
-                order: &order,
-            };
-            let decision = policy.decide(&ctx);
-            log!(ExecutionEvent::PolicyDecision {
-                segment: position,
-                time: clock,
-                checkpoint: decision.checkpoint
-            });
-            if let Some(suffix) = decision.reorder_suffix {
-                if !is_permutation_of(&order[position + 1..], &suffix, &mut seen) {
-                    return Err(SimulationError::InvalidTaskOrder);
-                }
-                order[position + 1..].copy_from_slice(&suffix);
-                reorders += 1;
-            }
-            decision.checkpoint
-        };
-
-        if take {
-            let ckpt = tasks[order[position]].checkpoint;
-            if ckpt > 0.0 {
-                if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, ckpt) {
-                    position = handle_failure(
-                        protecting_recovery!(),
-                        downtime,
-                        at,
-                        position,
-                        last_checkpoint,
-                        stream,
-                        &mut clock,
-                        &mut run_start,
-                        &mut failure_times,
-                        &mut breakdown,
-                        &mut events,
-                    );
-                    continue;
-                }
-            }
-            commit_run(clock, &mut run_start, &mut breakdown);
-            last_checkpoint = Some(position);
-            checkpoints += 1;
-            log!(ExecutionEvent::SegmentCompleted { segment: position, time: clock });
-        }
-        position += 1;
-    }
-
-    let failures = failure_times.len() as u64;
-    Ok(DagPolicyExecutionRecord {
-        record: ExecutionRecord { makespan: clock, failures, breakdown },
-        checkpoints,
-        decisions,
-        reorders,
-        final_order: order,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::simulate;
     use crate::segment::Segment;
     use crate::stream::{ExponentialStream, NoFailureStream, ScriptedStream};
+    use ckpt_telemetry::{FieldValue, NoopSink, RingBufferSink, TimeDomain};
 
     fn task(work: f64, ckpt: f64, rec: f64) -> ChainTask {
         ChainTask::new(work, ckpt, rec).unwrap()
+    }
+
+    /// `(name, segment)` of every event a traced run emitted, in order.
+    fn events(sink: &RingBufferSink) -> Vec<(&str, usize)> {
+        sink.events()
+            .map(|e| match &e.fields()[0] {
+                (key, FieldValue::U64(segment)) if key == "segment" => {
+                    (e.name(), *segment as usize)
+                }
+                other => panic!("first field must be the segment, got {other:?}"),
+            })
+            .collect()
     }
 
     /// A policy replaying fixed per-position decisions.
@@ -786,12 +635,12 @@ mod tests {
     fn validates_inputs() {
         let mut stream = NoFailureStream;
         assert!(matches!(
-            simulate_policy(&[], 0.0, 0.0, &mut Never, &mut stream),
+            simulate_policy(&[], 0.0, 0.0, &mut Never, &mut stream, &mut NoopSink),
             Err(SimulationError::EmptySchedule)
         ));
         let tasks = [task(1.0, 0.0, 0.0)];
-        assert!(simulate_policy(&tasks, 0.0, -1.0, &mut Never, &mut stream).is_err());
-        assert!(simulate_policy(&tasks, -1.0, 0.0, &mut Never, &mut stream).is_err());
+        assert!(simulate_policy(&tasks, 0.0, -1.0, &mut Never, &mut stream, &mut NoopSink).is_err());
+        assert!(simulate_policy(&tasks, -1.0, 0.0, &mut Never, &mut stream, &mut NoopSink).is_err());
         assert!(ChainTask::new(0.0, 1.0, 1.0).is_err());
         assert!(ChainTask::new(1.0, -1.0, 1.0).is_err());
         assert!(ChainTask::new(1.0, 1.0, -1.0).is_err());
@@ -801,13 +650,15 @@ mod tests {
     fn failure_free_run_takes_nominal_time_and_forces_final_checkpoint() {
         let tasks = vec![task(100.0, 10.0, 5.0), task(200.0, 20.0, 5.0)];
         let mut stream = NoFailureStream;
-        let out = simulate_policy(&tasks, 0.0, 30.0, &mut Never, &mut stream).unwrap();
+        let out =
+            simulate_policy(&tasks, 0.0, 30.0, &mut Never, &mut stream, &mut NoopSink).unwrap();
         // No intermediate checkpoint, but the final one is mandatory.
         assert_eq!(out.checkpoints, 1);
         assert_eq!(out.decisions, 1);
         assert_eq!(out.record.makespan, 320.0);
         assert_eq!(out.record.breakdown.useful, 320.0);
         assert_eq!(out.record.failures, 0);
+        assert_eq!(out.final_order, None);
     }
 
     #[test]
@@ -834,9 +685,16 @@ mod tests {
             let mut s1 = ExponentialStream::new(1.0 / 900.0, seed);
             let mut s2 = ExponentialStream::new(1.0 / 900.0, seed);
             let fixed = simulate(&segments, 25.0, &mut s1).unwrap();
-            let online =
-                simulate_policy(&tasks, initial_recovery, 25.0, &mut Flags(flags.clone()), &mut s2)
-                    .unwrap();
+            let mut policy = Flags(flags.clone());
+            let online = simulate_policy(
+                &tasks,
+                initial_recovery,
+                25.0,
+                &mut policy,
+                &mut s2,
+                &mut NoopSink,
+            )
+            .unwrap();
             assert_eq!(fixed.failures, online.record.failures, "seed {seed}");
             assert!(
                 (fixed.makespan - online.record.makespan).abs() < 1e-9,
@@ -854,12 +712,69 @@ mod tests {
     fn breakdown_partitions_makespan() {
         let tasks = vec![task(100.0, 10.0, 20.0), task(150.0, 15.0, 25.0), task(80.0, 5.0, 10.0)];
         let mut stream = ScriptedStream::new(vec![30.0, 60.0, 200.0, 390.0]);
+        let mut policy = Flags(vec![true; 3]);
         let out =
-            simulate_policy(&tasks, 12.0, 7.5, &mut Flags(vec![true; 3]), &mut stream).unwrap();
+            simulate_policy(&tasks, 12.0, 7.5, &mut policy, &mut stream, &mut NoopSink).unwrap();
         assert!((out.record.breakdown.total() - out.record.makespan).abs() < 1e-9);
         // 30 and 60 strike task 0's attempts, 200 task 1's work and 390 task
         // 1's checkpoint.
         assert_eq!(out.record.failures, 4);
+    }
+
+    #[test]
+    fn scripted_failure_emits_the_sim_vocabulary() {
+        // One task: failure at t = 30, downtime 5, recovery 20, then a
+        // clean re-attempt and the mandatory final checkpoint.
+        let mut stream = ScriptedStream::new(vec![30.0]);
+        let mut sink = RingBufferSink::new(64);
+        let out = simulate_policy(
+            &[task(100.0, 10.0, 0.0)],
+            20.0,
+            5.0,
+            &mut Never,
+            &mut stream,
+            &mut sink,
+        )
+        .unwrap();
+        assert_eq!(out.record.failures, 1);
+        assert!((out.record.makespan - 165.0).abs() < 1e-12);
+        assert_eq!(
+            events(&sink),
+            vec![
+                ("attempt_started", 0),
+                ("failure", 0),
+                ("downtime_completed", 0),
+                ("recovery_completed", 0),
+                ("attempt_started", 0),
+                ("segment_completed", 0),
+            ]
+        );
+        let times: Vec<f64> = sink.events().map(|e| e.time()).collect();
+        assert_eq!(times, vec![0.0, 30.0, 35.0, 55.0, 55.0, 165.0]);
+        assert!(sink.events().all(|e| e.domain() == TimeDomain::Sim));
+        let failure = sink.events().nth(1).unwrap();
+        assert_eq!(failure.fields()[1], ("wasted".into(), FieldValue::F64(30.0)));
+    }
+
+    #[test]
+    fn disabled_sinks_receive_no_events() {
+        /// A sink that counts what it is handed while claiming to be off.
+        struct Disabled(usize);
+        impl TelemetrySink for Disabled {
+            fn enabled(&self) -> bool {
+                false
+            }
+            fn record(&mut self, _event: &TraceEvent) {
+                self.0 += 1;
+            }
+        }
+        let tasks = vec![task(100.0, 10.0, 20.0), task(100.0, 10.0, 20.0)];
+        let mut stream = ScriptedStream::new(vec![30.0, 60.0, 150.0]);
+        let mut sink = Disabled(0);
+        let mut policy = Flags(vec![true, true]);
+        let out = simulate_policy(&tasks, 5.0, 5.0, &mut policy, &mut stream, &mut sink).unwrap();
+        assert!(out.record.failures > 0);
+        assert_eq!(sink.0, 0);
     }
 
     #[test]
@@ -870,25 +785,34 @@ mod tests {
         let tasks = vec![task(100.0, 10.0, 20.0), task(100.0, 0.0, 0.0), task(100.0, 0.0, 0.0)];
         let mut stream = ScriptedStream::new(vec![250.0]);
         let mut policy = Flags(vec![true, false, false]);
-        let logged = simulate_policy_with_log(&tasks, 5.0, 8.0, &mut policy, &mut stream).unwrap();
+        let mut sink = RingBufferSink::new(64);
+        let out = simulate_policy(&tasks, 5.0, 8.0, &mut policy, &mut stream, &mut sink).unwrap();
         // Timeline: ckpt done at 110; failure at 250 loses 140; downtime 8
         // (258), recovery 20 (278); re-run tasks 1..2 (200) -> 478; no
         // checkpoint cost at the end (task 2's C = 0). Final checkpoint
         // completes at 478.
-        assert!((logged.outcome.record.makespan - 478.0).abs() < 1e-9);
-        assert!((logged.outcome.record.breakdown.lost - 140.0).abs() < 1e-9);
-        assert_eq!(logged.outcome.record.failures, 1);
+        assert!((out.record.makespan - 478.0).abs() < 1e-9);
+        assert!((out.record.breakdown.lost - 140.0).abs() < 1e-9);
+        assert_eq!(out.record.failures, 1);
         // Task 0 is attempted once; tasks 1 and 2 twice.
-        let attempts = |p: usize| {
-            logged
-                .events
-                .iter()
-                .filter(|e| matches!(e, ExecutionEvent::AttemptStarted { segment, .. } if *segment == p))
-                .count()
-        };
+        let attempts =
+            |p: usize| events(&sink).iter().filter(|&&e| e == ("attempt_started", p)).count();
         assert_eq!(attempts(0), 1);
         assert_eq!(attempts(1), 2);
         assert_eq!(attempts(2), 2);
+    }
+
+    /// The `(segment, checkpoint)` of every `policy_decision` event.
+    fn decisions(sink: &RingBufferSink) -> Vec<(usize, bool)> {
+        sink.events()
+            .filter(|e| e.name() == "policy_decision")
+            .map(|e| match e.fields() {
+                [(_, FieldValue::U64(segment)), (_, FieldValue::Bool(checkpoint))] => {
+                    (*segment as usize, *checkpoint)
+                }
+                other => panic!("unexpected decision fields {other:?}"),
+            })
+            .collect()
     }
 
     #[test]
@@ -896,21 +820,12 @@ mod tests {
         let tasks = vec![task(10.0, 1.0, 1.0), task(10.0, 1.0, 1.0), task(10.0, 1.0, 1.0)];
         let mut stream = NoFailureStream;
         let mut policy = Flags(vec![false, true, false]);
-        let logged = simulate_policy_with_log(&tasks, 0.0, 0.0, &mut policy, &mut stream).unwrap();
-        let decisions: Vec<(usize, bool)> = logged
-            .events
-            .iter()
-            .filter_map(|e| match *e {
-                ExecutionEvent::PolicyDecision { segment, checkpoint, .. } => {
-                    Some((segment, checkpoint))
-                }
-                _ => None,
-            })
-            .collect();
+        let mut sink = RingBufferSink::new(64);
+        let out = simulate_policy(&tasks, 0.0, 0.0, &mut policy, &mut stream, &mut sink).unwrap();
         // The final boundary is mandatory, not a decision.
-        assert_eq!(decisions, vec![(0, false), (1, true)]);
-        assert_eq!(logged.outcome.decisions, 2);
-        assert_eq!(logged.outcome.checkpoints, 2);
+        assert_eq!(decisions(&sink), vec![(0, false), (1, true)]);
+        assert_eq!(out.decisions, 2);
+        assert_eq!(out.checkpoints, 2);
     }
 
     #[test]
@@ -927,22 +842,15 @@ mod tests {
         // Failure at t = 150: inside task 1's work (no checkpoint was taken
         // after task 0 on the first pass).
         let mut stream = ScriptedStream::new(vec![150.0]);
-        let logged =
-            simulate_policy_with_log(&tasks, 0.0, 0.0, &mut AfterFirstFailure, &mut stream)
-                .unwrap();
-        let decisions: Vec<bool> = logged
-            .events
-            .iter()
-            .filter_map(|e| match *e {
-                ExecutionEvent::PolicyDecision { checkpoint, .. } => Some(checkpoint),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(decisions, vec![false, true], "re-execution decision must flip");
+        let mut sink = RingBufferSink::new(64);
+        let out = simulate_policy(&tasks, 0.0, 0.0, &mut AfterFirstFailure, &mut stream, &mut sink)
+            .unwrap();
+        let taken: Vec<bool> = decisions(&sink).into_iter().map(|(_, c)| c).collect();
+        assert_eq!(taken, vec![false, true], "re-execution decision must flip");
         // Timeline: 150 lost, rollback to 0; re-run task 0 (100) + ckpt
         // (10) at 260, task 1 (100) + final ckpt (10) at 370.
-        assert!((logged.outcome.record.makespan - 370.0).abs() < 1e-9);
-        assert_eq!(logged.outcome.checkpoints, 2);
+        assert!((out.record.makespan - 370.0).abs() < 1e-9);
+        assert_eq!(out.checkpoints, 2);
     }
 
     /// A DAG policy replaying fixed per-position decisions, never reordering.
@@ -951,6 +859,26 @@ mod tests {
         fn decide(&mut self, ctx: &DagDecisionContext<'_>) -> DagDecision {
             DagDecision::keep_order(self.0[ctx.position])
         }
+    }
+
+    /// Runs `tasks` in `order` under `policy`, untraced.
+    fn run_dag<P: DagPolicy>(
+        tasks: &[ChainTask],
+        order: &[usize],
+        initial_recovery: f64,
+        downtime: f64,
+        mut policy: P,
+        stream: &mut dyn FailureStream,
+    ) -> Result<PolicyExecutionRecord, SimulationError> {
+        simulate_dag_policy(
+            tasks,
+            order,
+            initial_recovery,
+            downtime,
+            &mut policy,
+            stream,
+            &mut NoopSink,
+        )
     }
 
     #[test]
@@ -966,22 +894,14 @@ mod tests {
         for seed in 0..20u64 {
             let mut s1 = ExponentialStream::new(1.0 / 900.0, seed);
             let mut s2 = ExponentialStream::new(1.0 / 900.0, seed);
+            let mut policy = Flags(flags.clone());
             let chain =
-                simulate_policy(&tasks, 15.0, 25.0, &mut Flags(flags.clone()), &mut s1).unwrap();
-            let dag = simulate_dag_policy(
-                &tasks,
-                &order,
-                15.0,
-                25.0,
-                &mut DagFlags(flags.clone()),
-                &mut s2,
-            )
-            .unwrap();
-            assert_eq!(chain.record, dag.record, "seed {seed}");
-            assert_eq!(chain.checkpoints, dag.checkpoints, "seed {seed}");
-            assert_eq!(chain.decisions, dag.decisions, "seed {seed}");
+                simulate_policy(&tasks, 15.0, 25.0, &mut policy, &mut s1, &mut NoopSink).unwrap();
+            let dag =
+                run_dag(&tasks, &order, 15.0, 25.0, DagFlags(flags.clone()), &mut s2).unwrap();
+            assert_eq!(chain, dag, "seed {seed}");
             assert_eq!(dag.reorders, 0);
-            assert_eq!(dag.final_order, order);
+            assert_eq!(dag.final_order, None);
         }
     }
 
@@ -989,17 +909,8 @@ mod tests {
     fn dag_engine_executes_through_the_order_indirection() {
         // Order [2, 0, 1]: position costs must come from the ordered tasks.
         let tasks = vec![task(100.0, 10.0, 5.0), task(200.0, 20.0, 6.0), task(300.0, 30.0, 7.0)];
-        let order = vec![2usize, 0, 1];
-        let mut stream = NoFailureStream;
-        let out = simulate_dag_policy(
-            &tasks,
-            &order,
-            0.0,
-            0.0,
-            &mut DagFlags(vec![true, false, false]),
-            &mut stream,
-        )
-        .unwrap();
+        let policy = DagFlags(vec![true, false, false]);
+        let out = run_dag(&tasks, &[2, 0, 1], 0.0, 0.0, policy, &mut NoFailureStream).unwrap();
         // 300 + 30 (ckpt after T2) + 100 + 200 + 20 (final ckpt = T1's).
         assert!((out.record.makespan - 650.0).abs() < 1e-9);
         assert_eq!(out.checkpoints, 2);
@@ -1010,17 +921,9 @@ mod tests {
         // Order [1, 0]; checkpoint after position 0 (task 1, recovery 80).
         // A failure during position 1's work must pay task 1's recovery.
         let tasks = vec![task(100.0, 0.0, 5.0), task(100.0, 10.0, 80.0)];
-        let order = vec![1usize, 0];
         let mut stream = ScriptedStream::new(vec![150.0]);
-        let out = simulate_dag_policy(
-            &tasks,
-            &order,
-            3.0,
-            7.0,
-            &mut DagFlags(vec![true, false]),
-            &mut stream,
-        )
-        .unwrap();
+        let policy = DagFlags(vec![true, false]);
+        let out = run_dag(&tasks, &[1, 0], 3.0, 7.0, policy, &mut stream).unwrap();
         // 100 + 10 (ckpt at 110); failure at 150 loses 40; downtime 7
         // (157), recovery 80 (237); re-run task 0 (100) -> 337; final ckpt
         // costs 0.
@@ -1047,19 +950,10 @@ mod tests {
     #[test]
     fn suffix_reorders_are_applied_and_counted() {
         let tasks = vec![task(100.0, 1.0, 1.0), task(200.0, 2.0, 2.0), task(300.0, 3.0, 3.0)];
-        let order = vec![0usize, 1, 2];
-        let mut stream = NoFailureStream;
-        let out = simulate_dag_policy(
-            &tasks,
-            &order,
-            0.0,
-            0.0,
-            &mut SwapOnce { done: false },
-            &mut stream,
-        )
-        .unwrap();
+        let policy = SwapOnce { done: false };
+        let out = run_dag(&tasks, &[0, 1, 2], 0.0, 0.0, policy, &mut NoFailureStream).unwrap();
         assert_eq!(out.reorders, 1);
-        assert_eq!(out.final_order, vec![0, 2, 1]);
+        assert_eq!(out.final_order, Some(vec![0, 2, 1]));
         // 100 + 1 (ckpt) + 300 + 200 + 2 (final ckpt = task 1's).
         assert!((out.record.makespan - 603.0).abs() < 1e-9);
     }
@@ -1078,21 +972,20 @@ mod tests {
     #[test]
     fn dag_engine_validates_orders_and_reorders() {
         let tasks = vec![task(1.0, 0.0, 0.0), task(1.0, 0.0, 0.0)];
-        let mut stream = NoFailureStream;
-        let mut never = DagFlags(vec![false, false]);
+        let never = || DagFlags(vec![false, false]);
         // Wrong length, out-of-range and duplicate initial orders.
         for bad in [vec![0usize], vec![0, 2], vec![0, 0]] {
             assert!(matches!(
-                simulate_dag_policy(&tasks, &bad, 0.0, 0.0, &mut never, &mut stream),
+                run_dag(&tasks, &bad, 0.0, 0.0, never(), &mut NoFailureStream),
                 Err(SimulationError::InvalidTaskOrder)
             ));
         }
         assert!(matches!(
-            simulate_dag_policy(&tasks, &[0, 1], 0.0, 0.0, &mut BadReorder, &mut stream),
+            run_dag(&tasks, &[0, 1], 0.0, 0.0, BadReorder, &mut NoFailureStream),
             Err(SimulationError::InvalidTaskOrder)
         ));
         assert!(matches!(
-            simulate_dag_policy(&[], &[], 0.0, 0.0, &mut never, &mut stream),
+            run_dag(&[], &[], 0.0, 0.0, never(), &mut NoFailureStream),
             Err(SimulationError::EmptySchedule)
         ));
     }
@@ -1104,25 +997,14 @@ mod tests {
         for seed in 0..10u64 {
             let mut s1 = ExponentialStream::new(1.0 / 600.0, seed);
             let mut s2 = ExponentialStream::new(1.0 / 600.0, seed);
-            let plain = simulate_dag_policy(
-                &tasks,
-                &order,
-                20.0,
-                12.0,
-                &mut DagFlags(vec![true, false, true]),
-                &mut s1,
-            )
-            .unwrap();
-            let logged = simulate_dag_policy_with_log(
-                &tasks,
-                &order,
-                20.0,
-                12.0,
-                &mut DagFlags(vec![true, false, true]),
-                &mut s2,
-            )
-            .unwrap();
-            assert_eq!(plain, logged.outcome, "seed {seed}");
+            let flags = || DagFlags(vec![true, false, true]);
+            let plain = run_dag(&tasks, &order, 20.0, 12.0, flags(), &mut s1).unwrap();
+            let mut sink = RingBufferSink::new(1024);
+            let traced =
+                simulate_dag_policy(&tasks, &order, 20.0, 12.0, &mut flags(), &mut s2, &mut sink)
+                    .unwrap();
+            assert_eq!(plain, traced, "seed {seed}");
+            assert!(!sink.is_empty());
         }
     }
 
@@ -1132,18 +1014,15 @@ mod tests {
         for seed in 0..15u64 {
             let mut s1 = ExponentialStream::new(1.0 / 600.0, seed);
             let mut s2 = ExponentialStream::new(1.0 / 600.0, seed);
+            let flags = || Flags(vec![true, false, true]);
             let plain =
-                simulate_policy(&tasks, 20.0, 12.0, &mut Flags(vec![true, false, true]), &mut s1)
-                    .unwrap();
-            let logged = simulate_policy_with_log(
-                &tasks,
-                20.0,
-                12.0,
-                &mut Flags(vec![true, false, true]),
-                &mut s2,
-            )
-            .unwrap();
-            assert_eq!(plain, logged.outcome, "seed {seed}");
+                simulate_policy(&tasks, 20.0, 12.0, &mut flags(), &mut s1, &mut NoopSink).unwrap();
+            let mut sink = RingBufferSink::new(1024);
+            let traced =
+                simulate_policy(&tasks, 20.0, 12.0, &mut flags(), &mut s2, &mut sink).unwrap();
+            assert_eq!(plain, traced, "seed {seed}");
+            let failures = sink.events().filter(|e| e.name() == "failure").count() as u64;
+            assert_eq!(traced.record.failures, failures, "seed {seed}");
         }
     }
 }

@@ -12,7 +12,6 @@ use crate::error::{ensure_non_negative, ensure_positive, SimulationError};
 /// in `ckpt-core` groups tasks between checkpoints and emits one segment per
 /// group.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment {
     work: f64,
     checkpoint: f64,

@@ -7,9 +7,9 @@
 //!    **fixed-schedule** evaluation seed for seed (same failure streams ⇒
 //!    same failure counts, makespans and time breakdowns);
 //! 3. the DAG policy Monte-Carlo comparison is **bit-identical at any
-//!    thread count** (1 vs 2/3/8) on random layered DAGs — gated to the
-//!    `--release` CI pass, like every DAG Monte-Carlo test (too slow in
-//!    debug).
+//!    thread count** (1 vs 2/3/8) on random layered DAGs — at full size in
+//!    the `--release` CI pass (too slow in debug), and debug-sized in
+//!    tier-1.
 
 use ckpt_bench::testgen::random_layered_instance;
 use ckpt_workflows::adaptive::{
@@ -21,9 +21,8 @@ use ckpt_workflows::core::order_search::{schedule_dag_search, OrderSearchConfig}
 use ckpt_workflows::core::Schedule;
 use ckpt_workflows::dag::TaskId;
 use ckpt_workflows::simulator::stream::{ExponentialStream, NoFailureStream};
-use ckpt_workflows::simulator::{
-    simulate, simulate_dag_policy, simulate_dag_policy_with_log, ExecutionEvent,
-};
+use ckpt_workflows::simulator::{simulate, simulate_dag_policy};
+use ckpt_workflows::telemetry::{FieldValue, NoopSink, RingBufferSink};
 use proptest::prelude::*;
 
 /// A heterogeneous layered DAG spec under the per-last-task model (the
@@ -41,6 +40,39 @@ fn quick_search() -> OrderSearchConfig {
 
 fn plan_at(spec: &DagSpec, rate: f64) -> DagPlan {
     optimal_static_dag_plan(spec, rate, &quick_search()).unwrap()
+}
+
+/// The positions of the checkpoints a traced run committed, read off its
+/// `segment_completed` events.
+fn checkpoint_positions(sink: &RingBufferSink) -> Vec<usize> {
+    sink.events()
+        .filter(|e| e.name() == "segment_completed")
+        .map(|e| match e.fields()[0].1 {
+            FieldValue::U64(position) => position as usize,
+            ref other => panic!("expected the segment field, got {other:?}"),
+        })
+        .collect()
+}
+
+/// Satellite property 3's assertion: the DAG policy comparison (all four
+/// rows, re-linearisation included) is bit-identical at 1 vs 2/3/8 worker
+/// threads.
+fn assert_comparison_is_thread_count_invariant(
+    seed: u64,
+    trials: usize,
+    search: &OrderSearchConfig,
+) -> Result<(), TestCaseError> {
+    let spec = layered_spec(seed);
+    let planning = 1.0 / 20_000.0;
+    let truth = TruthModel::Exponential { lambda: 1.0 / 4_000.0 };
+    let base = EvaluationConfig { trials, seed, threads: 1 };
+    let single = compare_dag_policies(&spec, planning, &truth, &base, search).unwrap();
+    for threads in [2usize, 3, 8] {
+        let config = EvaluationConfig { threads, ..base };
+        let multi = compare_dag_policies(&spec, planning, &truth, &config, search).unwrap();
+        prop_assert_eq!(&single, &multi);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -69,29 +101,24 @@ proptest! {
 
         // Policy run on a failure-free stream.
         let mut policy = DagRelinearise::new(&spec, &plan, rate).unwrap();
-        let logged = simulate_dag_policy_with_log(
+        let mut sink = RingBufferSink::new(1_024);
+        let outcome = simulate_dag_policy(
             spec.tasks(),
             &plan.order_indices(),
             spec.initial_recovery(),
             spec.downtime(),
             &mut policy,
             &mut NoFailureStream,
+            &mut sink,
         )
         .unwrap();
         prop_assert_eq!(policy.replans(), 0);
         prop_assert_eq!(policy.reorders(), 0);
-        prop_assert_eq!(logged.outcome.reorders, 0);
-        prop_assert_eq!(&logged.outcome.final_order, &plan.order_indices());
+        prop_assert_eq!(outcome.reorders, 0);
+        prop_assert_eq!(&outcome.final_order, &None);
 
         // Checkpoint positions taken == the plan's, bitwise.
-        let taken: Vec<usize> = logged
-            .events
-            .iter()
-            .filter_map(|e| match *e {
-                ExecutionEvent::SegmentCompleted { segment, .. } => Some(segment),
-                _ => None,
-            })
-            .collect();
+        let taken = checkpoint_positions(&sink);
         let planned: Vec<usize> = plan
             .checkpoint_after
             .iter()
@@ -109,9 +136,10 @@ proptest! {
             spec.downtime(),
             &mut static_policy,
             &mut NoFailureStream,
+            &mut NoopSink,
         )
         .unwrap();
-        prop_assert_eq!(logged.outcome.record, reference.record);
+        prop_assert_eq!(outcome.record, reference.record);
     }
 
     /// Satellite property 2: `DagStaticPlan` replay through the DAG policy
@@ -146,6 +174,7 @@ proptest! {
                 spec.downtime(),
                 &mut policy,
                 &mut policy_stream,
+                &mut NoopSink,
             )
             .unwrap();
 
@@ -166,24 +195,24 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Satellite property 3: the full DAG policy comparison (all four
-    /// rows, re-linearisation included) is bit-identical at 1 vs 2/3/8
-    /// worker threads. Runs in the `--release` CI pass only: each case is
-    /// 4 policies × 4 thread counts × 48 Monte-Carlo trials with order
-    /// searches inside, far too slow under a debug build.
+    /// Satellite property 3 at full size: 48 Monte-Carlo trials per policy
+    /// and thread count, with order searches inside. Runs in the
+    /// `--release` CI pass only; its debug-sized twin below runs in tier-1.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "DAG Monte-Carlo: run with --release (see CI)")]
     fn prop_dag_comparison_is_thread_count_invariant(seed in any::<u64>()) {
-        let spec = layered_spec(seed);
-        let planning = 1.0 / 20_000.0;
-        let truth = TruthModel::Exponential { lambda: 1.0 / 4_000.0 };
-        let base = EvaluationConfig { trials: 48, seed, threads: 1 };
-        let search = quick_search();
-        let single = compare_dag_policies(&spec, planning, &truth, &base, &search).unwrap();
-        for threads in [2usize, 3, 8] {
-            let config = EvaluationConfig { threads, ..base };
-            let multi = compare_dag_policies(&spec, planning, &truth, &config, &search).unwrap();
-            prop_assert_eq!(&single, &multi);
-        }
+        assert_comparison_is_thread_count_invariant(seed, 48, &quick_search())?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The debug-sized twin of `prop_dag_comparison_is_thread_count_invariant`:
+    /// fewer cases, trials and search steps, the same assertions.
+    #[test]
+    fn prop_dag_comparison_is_thread_count_invariant_small(seed in any::<u64>()) {
+        let search = OrderSearchConfig { restarts: 1, steps: 32, threads: 1, ..Default::default() };
+        assert_comparison_is_thread_count_invariant(seed, 12, &search)?;
     }
 }
