@@ -28,7 +28,9 @@
 //! failure-free stream they reproduce the offline DP optimum bit for bit
 //! (property-tested in the crate tests).
 
-use ckpt_core::chain_dp::{scalable_placement_on_table, ResumableDp, TablePlacement};
+use ckpt_core::chain_dp::{
+    scalable_placement_on_table_with_scratch, ChainDpScratch, ResumableDp, TablePlacement,
+};
 use ckpt_expectation::approximations::young_period;
 use ckpt_failure::fitting::OnlineExponentialMle;
 use ckpt_simulator::{DecisionContext, Policy};
@@ -44,7 +46,7 @@ use crate::error::AdaptiveError;
 /// Returns an [`AdaptiveError`] if `rate` is not strictly positive.
 pub fn optimal_static_plan(spec: &ChainSpec, rate: f64) -> Result<TablePlacement, AdaptiveError> {
     let table = spec.sweep().table_for(rate)?;
-    Ok(scalable_placement_on_table(&table))
+    Ok(scalable_placement_on_table_with_scratch(&table, &mut ChainDpScratch::new()))
 }
 
 /// Replays a fixed checkpoint placement, ignoring everything the execution

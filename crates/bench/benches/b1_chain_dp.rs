@@ -1,25 +1,39 @@
-//! B1 — scaling of the Algorithm 1 chain DP across its five formulations.
+//! B1 — scaling of the Algorithm 1 chain DP: the production entries against
+//! the `chain_dp::oracle` yardsticks.
 //!
 //! The headline comparison of the fast-path overhaul: the naive `O(n²)` DP
 //! (`reference`, two `exp` calls per cell) against the precomputed-cost
-//! pruned DP (`pruned`, the production path), the `O(n log n)` Li Chao
-//! divide-and-conquer solver (`divide_conquer`) and the blocked
-//! index-space divide and conquer (`blocked`), plus the paper's memoised
+//! pruned DP (`pruned`, `optimal_chain_schedule`), the global Li Chao
+//! `O(n log n)` solver (`divide_conquer`), the production dispatch on a
+//! prebuilt segment-cost table (`table_dispatch`,
+//! `scalable_placement_on_table_with_scratch`: the pruned DP below 1 024
+//! positions, the blocked kernel from there up) and the paper's memoised
 //! recursion. The 4096-task configuration is the acceptance benchmark: the
 //! pruned DP must beat the reference by ≥ 5×.
 //!
 //! The `chain_dp_large` group is the `n ≫ 10⁵` scaling acceptance of the
-//! blocked solver: only the envelope formulations run there (the quadratic
+//! blocked kernel: only the envelope formulations run there (the quadratic
 //! ones would take hours at `n = 10⁶`), on a λ chosen so the table stays
 //! out of its saturated fallback (`λ·total work ≈ 10` at `n = 10⁵`, `≈ 105`
-//! at `n = 10⁶`). The `blocked_scratch_reuse` entry is the same solver
-//! through a caller-owned `ChainDpScratch`, isolating the allocator-traffic
-//! cost the arena removes.
+//! at `n = 10⁶`). Every `table_dispatch` row, in both groups, hands each
+//! solve a fresh `ChainDpScratch`; `table_dispatch_scratch_reuse` reuses one
+//! arena, isolating the allocator-traffic cost the arena removes.
 
 use ckpt_bench::random_chain_instance;
-use ckpt_core::chain_dp;
+use ckpt_core::chain_dp::{self, oracle, scalable_placement_on_table_with_scratch, ChainDpScratch};
+use ckpt_core::evaluate::segment_cost_table;
+use ckpt_core::ProblemInstance;
+use ckpt_dag::properties;
+use ckpt_expectation::segment_cost::SegmentCostTable;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+
+/// The instance's segment-cost table along its chain order, built outside
+/// the timed loop.
+fn chain_table(instance: &ProblemInstance) -> SegmentCostTable {
+    let order = properties::as_chain(instance.graph()).expect("a chain");
+    segment_cost_table(instance, &order).expect("valid chain")
+}
 
 fn bench_chain_dp(c: &mut Criterion) {
     let mut group = c.benchmark_group("chain_dp");
@@ -28,20 +42,26 @@ fn bench_chain_dp(c: &mut Criterion) {
         let instance =
             random_chain_instance(7, n, 100.0, 2_000.0, 60.0, 90.0, 30.0, 1.0 / 10_000.0);
         group.bench_with_input(BenchmarkId::new("reference", n), &instance, |b, inst| {
-            b.iter(|| chain_dp::optimal_chain_schedule_reference(black_box(inst)).unwrap())
+            b.iter(|| oracle::optimal_chain_schedule_reference(black_box(inst)).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("pruned", n), &instance, |b, inst| {
             b.iter(|| chain_dp::optimal_chain_schedule(black_box(inst)).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("divide_conquer", n), &instance, |b, inst| {
-            b.iter(|| chain_dp::optimal_chain_schedule_divide_conquer(black_box(inst)).unwrap())
+            b.iter(|| oracle::optimal_chain_schedule_divide_conquer(black_box(inst)).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("blocked", n), &instance, |b, inst| {
-            b.iter(|| chain_dp::optimal_chain_schedule_blocked(black_box(inst)).unwrap())
+        let table = chain_table(&instance);
+        group.bench_with_input(BenchmarkId::new("table_dispatch", n), &table, |b, table| {
+            b.iter(|| {
+                scalable_placement_on_table_with_scratch(
+                    black_box(table),
+                    &mut ChainDpScratch::new(),
+                )
+            })
         });
         if n <= 1024 {
             group.bench_with_input(BenchmarkId::new("memoized", n), &instance, |b, inst| {
-                b.iter(|| chain_dp::optimal_chain_value_memoized(black_box(inst)).unwrap())
+                b.iter(|| oracle::optimal_chain_value_memoized(black_box(inst)).unwrap())
             });
         }
     }
@@ -58,13 +78,21 @@ fn bench_chain_dp(c: &mut Criterion) {
         BenchmarkId::new("divide_conquer_frequent_failures", 4096),
         &frequent,
         |b, inst| {
-            b.iter(|| chain_dp::optimal_chain_schedule_divide_conquer(black_box(inst)).unwrap())
+            b.iter(|| oracle::optimal_chain_schedule_divide_conquer(black_box(inst)).unwrap())
         },
     );
+    let table = chain_table(&frequent);
     group.bench_with_input(
-        BenchmarkId::new("blocked_frequent_failures", 4096),
-        &frequent,
-        |b, inst| b.iter(|| chain_dp::optimal_chain_schedule_blocked(black_box(inst)).unwrap()),
+        BenchmarkId::new("table_dispatch_frequent_failures", 4096),
+        &table,
+        |b, table| {
+            b.iter(|| {
+                scalable_placement_on_table_with_scratch(
+                    black_box(table),
+                    &mut ChainDpScratch::new(),
+                )
+            })
+        },
     );
     group.finish();
 }
@@ -78,26 +106,26 @@ fn bench_chain_dp_large(c: &mut Criterion) {
     for &n in &[100_000usize, 1_000_000] {
         let instance = random_chain_instance(7, n, 100.0, 2_000.0, 60.0, 90.0, 30.0, 1e-7);
         group.bench_with_input(BenchmarkId::new("divide_conquer", n), &instance, |b, inst| {
-            b.iter(|| chain_dp::optimal_chain_schedule_divide_conquer(black_box(inst)).unwrap())
+            b.iter(|| oracle::optimal_chain_schedule_divide_conquer(black_box(inst)).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("blocked", n), &instance, |b, inst| {
-            b.iter(|| chain_dp::optimal_chain_schedule_blocked(black_box(inst)).unwrap())
+        let table = chain_table(&instance);
+        group.bench_with_input(BenchmarkId::new("table_dispatch", n), &table, |b, table| {
+            b.iter(|| {
+                scalable_placement_on_table_with_scratch(
+                    black_box(table),
+                    &mut ChainDpScratch::new(),
+                )
+            })
         });
-        // Caller-owned scratch arena: same solver, no per-solve allocation of
+        // Caller-owned scratch arena: same kernel, no per-solve allocation of
         // the block-local Li Chao buffers and envelope scratch (~1 000
         // transient allocations per solve at n = 10⁶ otherwise).
-        let mut scratch = chain_dp::ChainDpScratch::new();
+        let mut scratch = ChainDpScratch::new();
         group.bench_with_input(
-            BenchmarkId::new("blocked_scratch_reuse", n),
-            &instance,
-            |b, inst| {
-                b.iter(|| {
-                    chain_dp::optimal_chain_schedule_blocked_with_scratch(
-                        black_box(inst),
-                        &mut scratch,
-                    )
-                    .unwrap()
-                })
+            BenchmarkId::new("table_dispatch_scratch_reuse", n),
+            &table,
+            |b, table| {
+                b.iter(|| scalable_placement_on_table_with_scratch(black_box(table), &mut scratch))
             },
         );
     }

@@ -5,8 +5,8 @@
 //! batched sweep machinery (`ckpt_expectation::sweep::LambdaSweep`): the
 //! chain's λ-independent precomputation is shared by every grid point, and
 //! each point re-solves Algorithm 1 on a per-rate segment-cost table
-//! (`ckpt_core::analysis::lambda_sweep`). Against that re-optimised curve the
-//! experiment reports
+//! (`ckpt_core::analysis::lambda_sweep_with_threads`). Against that
+//! re-optimised curve the experiment reports
 //!
 //! * the **fixed** optimal schedule planned at the grid's geometric midpoint
 //!   rate, evaluated (not re-optimised) at every grid rate
@@ -57,7 +57,8 @@ fn main() {
         ("young", 8),
     ]);
 
-    let sweep = analysis::lambda_sweep(&inst, lambda_min, lambda_max, points).expect("chain");
+    let sweep = analysis::lambda_sweep_with_threads(&inst, lambda_min, lambda_max, points, 0)
+        .expect("chain");
     // The λ-parallel sweep is bit-identical whatever the worker count.
     for threads in [1usize, 3] {
         let re_run =

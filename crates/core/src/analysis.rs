@@ -5,24 +5,22 @@
 //! the platform degrades?* and *what is the risk of missing a deadline even
 //! under the optimal policy?* This module answers both:
 //!
-//! * [`lambda_sweep`] re-solves the chain DP across a λ grid and reports the
-//!   optimal checkpoint count and expected makespan at each point. The sweep
-//!   is batched through
+//! * [`lambda_sweep_with_threads`] re-solves the chain DP across a λ grid
+//!   and reports the optimal checkpoint count and expected makespan at each
+//!   point. The sweep is batched through
 //!   [`LambdaSweep`](ckpt_expectation::sweep::LambdaSweep): the chain's
-//!   order validation, prefix
-//!   sums and cost vectors are materialised once and only the per-rate
-//!   exponentials and the DP itself are redone per grid point — no surrogate
-//!   instance is cloned per rate. Each grid point's table+DP is independent
-//!   of every other point, so the points are spread across worker threads in
-//!   the Monte-Carlo engine's deterministic contiguous-chunk pattern (one
-//!   [`ChainDpScratch`] per worker, results collected in grid order): the
-//!   sweep is **bit-identical at any thread count**, and
-//!   [`lambda_sweep_with_threads`] exposes the worker count;
+//!   order validation, prefix sums and cost vectors are materialised once
+//!   and only the per-rate exponentials and the DP itself are redone per
+//!   grid point — no surrogate instance is cloned per rate. Each grid
+//!   point's table+DP is independent of every other point, so the points are
+//!   spread across worker threads in the Monte-Carlo engine's deterministic
+//!   contiguous-chunk pattern (one [`ChainDpScratch`] per worker, results
+//!   collected in grid order): the sweep is **bit-identical at any thread
+//!   count**;
 //! * [`schedule_lambda_sweep`] evaluates one **fixed** schedule across a λ
 //!   vector through the same shared precomputation (the sensitivity curve of
-//!   a deployed policy, as opposed to the re-optimised curve above), with
-//!   the same per-rate independence and threading
-//!   ([`schedule_lambda_sweep_with_threads`]);
+//!   a deployed policy, as opposed to the re-optimised curve above) — an
+//!   `O(segments)` closed form per rate;
 //! * [`checkpoint_crossover_lambda`] finds, by bisection, the failure rate at
 //!   which the optimal policy starts taking more than a given number of
 //!   checkpoints — the "crossover" points the experiment harness plots;
@@ -57,31 +55,19 @@ pub struct LambdaSweepPoint {
 /// Re-solves the chain DP on a logarithmic grid of `points` failure rates
 /// between `lambda_min` and `lambda_max` (inclusive), batching the
 /// λ-independent work through one
-/// [`LambdaSweep`](ckpt_expectation::sweep::LambdaSweep).
+/// [`LambdaSweep`](ckpt_expectation::sweep::LambdaSweep), on `threads`
+/// workers (`0` = one per available core). Grid points are independent (one
+/// table + one DP each), so they are spread across workers in contiguous
+/// chunks — each worker reuses one [`ChainDpScratch`] across its chunk — and
+/// collected in grid order: the result is **bit-identical for every thread
+/// count**.
 ///
 /// # Errors
 ///
 /// * [`ScheduleError::NotAChain`] if the instance is not a chain;
-/// * [`ScheduleError::NonPositiveParameter`] for an invalid λ range or fewer
-///   than two points.
-pub fn lambda_sweep(
-    instance: &ProblemInstance,
-    lambda_min: f64,
-    lambda_max: f64,
-    points: usize,
-) -> Result<Vec<LambdaSweepPoint>, ScheduleError> {
-    lambda_sweep_with_threads(instance, lambda_min, lambda_max, points, 0)
-}
-
-/// [`lambda_sweep`] with an explicit worker-thread count (`0` = one per
-/// available core). Grid points are independent (one table + one DP each),
-/// so they are spread across workers in contiguous chunks — each worker
-/// reuses one [`ChainDpScratch`] across its chunk — and collected in grid
-/// order: the result is **bit-identical for every thread count**.
-///
-/// # Errors
-///
-/// Same as [`lambda_sweep`].
+/// * [`ScheduleError::NonPositiveParameter`] for an invalid λ range, fewer
+///   than two points, or a grid rate that fails the shared Proposition-1
+///   rate check.
 pub fn lambda_sweep_with_threads(
     instance: &ProblemInstance,
     lambda_min: f64,
@@ -115,63 +101,24 @@ pub fn lambda_sweep_with_threads(
 /// Evaluates one **fixed** schedule across the failure rates of `lambdas`,
 /// returning its expected makespan at each rate — the degradation curve of a
 /// policy that is *not* re-optimised as the platform degrades, the comparison
-/// baseline for [`lambda_sweep`]'s re-optimised curve.
+/// baseline for [`lambda_sweep_with_threads`]' re-optimised curve. Each rate
+/// costs one `O(segments)` closed-form pass
+/// ([`LambdaSweep::total_costs`](ckpt_expectation::sweep::LambdaSweep::total_costs)).
 ///
 /// # Errors
 ///
 /// * [`ScheduleError::InvalidOrder`] if `schedule`'s order does not fit
 ///   `instance`;
-/// * [`ScheduleError::NonPositiveParameter`] for a non-positive rate.
+/// * [`ScheduleError::NonPositiveParameter`] for a rate that fails the
+///   shared Proposition-1 rate check.
 pub fn schedule_lambda_sweep(
     instance: &ProblemInstance,
     schedule: &Schedule,
     lambdas: &[f64],
 ) -> Result<Vec<f64>, ScheduleError> {
-    schedule_lambda_sweep_with_threads(instance, schedule, lambdas, 0)
-}
-
-/// [`schedule_lambda_sweep`] with an explicit worker-thread count (`0` = one
-/// per available core). Rates are evaluated independently (one
-/// `O(segments)` closed-form pass each), chunked contiguously across
-/// workers and collected in input order: the result is **bit-identical for
-/// every thread count**.
-///
-/// # Errors
-///
-/// Same as [`schedule_lambda_sweep`].
-pub fn schedule_lambda_sweep_with_threads(
-    instance: &ProblemInstance,
-    schedule: &Schedule,
-    lambdas: &[f64],
-    threads: usize,
-) -> Result<Vec<f64>, ScheduleError> {
-    let sweep = lambda_sweep_for_order(instance, schedule.order())?;
-    let workers = crate::parallel::effective_threads(threads).min(lambdas.len()).max(1);
-    if workers <= 1 {
-        return sweep
-            .total_costs(schedule.checkpoint_after(), lambdas)
-            .map_err(ScheduleError::from_expectation);
-    }
-
-    // One contiguous rate chunk per worker, evaluated with the batched
-    // `total_costs` (the per-segment extraction is shared within a chunk);
-    // per-rate values are independent, so re-chunking cannot change them.
-    let chunk = lambdas.len().div_ceil(workers);
-    let chunks: Vec<&[f64]> = lambdas.chunks(chunk).collect();
-    let flags = schedule.checkpoint_after();
-    let per_chunk = crate::parallel::chunked_map_with(
-        &chunks,
-        workers,
-        || (),
-        |_, _, lambda_chunk| {
-            sweep.total_costs(flags, lambda_chunk).map_err(ScheduleError::from_expectation)
-        },
-    );
-    let mut out = Vec::with_capacity(lambdas.len());
-    for values in per_chunk {
-        out.extend(values?);
-    }
-    Ok(out)
+    lambda_sweep_for_order(instance, schedule.order())?
+        .total_costs(schedule.checkpoint_after(), lambdas)
+        .map_err(ScheduleError::from_expectation)
 }
 
 /// Finds the smallest failure rate at which the optimal policy takes **more
@@ -273,7 +220,7 @@ mod tests {
     #[test]
     fn sweep_is_monotone_in_checkpoints_and_makespan() {
         let inst = chain_instance(1e-4);
-        let sweep = lambda_sweep(&inst, 1e-7, 1e-2, 12).unwrap();
+        let sweep = lambda_sweep_with_threads(&inst, 1e-7, 1e-2, 12, 0).unwrap();
         assert_eq!(sweep.len(), 12);
         // Expected makespan grows with λ.
         assert!(sweep.windows(2).all(|w| w[1].expected_makespan >= w[0].expected_makespan - 1e-9));
@@ -288,7 +235,7 @@ mod tests {
     #[test]
     fn batched_sweep_matches_per_rate_resolves() {
         let inst = chain_instance(1e-4);
-        let sweep = lambda_sweep(&inst, 1e-6, 1e-3, 7).unwrap();
+        let sweep = lambda_sweep_with_threads(&inst, 1e-6, 1e-3, 7, 0).unwrap();
         for point in &sweep {
             let solo = optimal_chain_schedule(&inst.with_lambda(point.lambda).unwrap()).unwrap();
             let gap =
@@ -323,41 +270,28 @@ mod tests {
             let multi = lambda_sweep_with_threads(&inst, 1e-7, 1e-2, 25, threads).unwrap();
             assert_eq!(single, multi, "sweep differs at {threads} threads");
         }
-        let auto = lambda_sweep(&inst, 1e-7, 1e-2, 25).unwrap();
+        let auto = lambda_sweep_with_threads(&inst, 1e-7, 1e-2, 25, 0).unwrap();
         assert_eq!(single, auto, "default sweep differs from single-threaded");
     }
 
     #[test]
-    fn parallel_schedule_sweep_is_bit_identical_at_any_thread_count() {
+    fn schedule_sweep_rejects_an_invalid_rate_anywhere() {
         let inst = chain_instance(1e-4);
         let solution = optimal_chain_schedule(&inst).unwrap();
         let lambdas: Vec<f64> = (0..40).map(|i| 1e-7 * 1.4f64.powi(i)).collect();
-        let single =
-            schedule_lambda_sweep_with_threads(&inst, &solution.schedule, &lambdas, 1).unwrap();
-        for threads in [2usize, 3, 7, 64] {
-            let multi =
-                schedule_lambda_sweep_with_threads(&inst, &solution.schedule, &lambdas, threads)
-                    .unwrap();
-            assert_eq!(single, multi, "schedule sweep differs at {threads} threads");
-        }
-        let auto = schedule_lambda_sweep(&inst, &solution.schedule, &lambdas).unwrap();
-        assert_eq!(single, auto);
-        // An invalid rate anywhere in the vector surfaces as an error at any
-        // thread count.
+        assert_eq!(schedule_lambda_sweep(&inst, &solution.schedule, &lambdas).unwrap().len(), 40);
+        // An invalid rate anywhere in the vector surfaces as an error.
         let mut bad = lambdas.clone();
         bad[17] = -1.0;
-        for threads in [1usize, 3] {
-            assert!(schedule_lambda_sweep_with_threads(&inst, &solution.schedule, &bad, threads)
-                .is_err());
-        }
+        assert!(schedule_lambda_sweep(&inst, &solution.schedule, &bad).is_err());
     }
 
     #[test]
     fn sweep_validates_inputs() {
         let inst = chain_instance(1e-4);
-        assert!(lambda_sweep(&inst, 0.0, 1.0, 5).is_err());
-        assert!(lambda_sweep(&inst, 1e-3, 1e-4, 5).is_err());
-        assert!(lambda_sweep(&inst, 1e-5, 1e-3, 1).is_err());
+        assert!(lambda_sweep_with_threads(&inst, 0.0, 1.0, 5, 0).is_err());
+        assert!(lambda_sweep_with_threads(&inst, 1e-3, 1e-4, 5, 0).is_err());
+        assert!(lambda_sweep_with_threads(&inst, 1e-5, 1e-3, 1, 0).is_err());
     }
 
     #[test]

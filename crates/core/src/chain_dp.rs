@@ -1,5 +1,4 @@
-//! Algorithm 1: the `O(n²)` dynamic program for linear chains (Proposition 3),
-//! plus two faster formulations.
+//! Algorithm 1: the `O(n²)` dynamic program for linear chains (Proposition 3).
 //!
 //! For a chain `T1 → T2 → … → Tn`, the execution order is forced and only the
 //! checkpoint positions remain to be chosen. Writing `E(x)` for the optimal
@@ -11,54 +10,36 @@
 //! E(n+1) = 0
 //! ```
 //!
-//! where `T(·)` is the Proposition 1 closed form. Five implementations are
-//! provided:
+//! where `T(·)` is the Proposition 1 closed form. Production runs three
+//! entries and one reusable state, all on a precomputed
+//! [`SegmentCostTable`] (no `exp` in any inner loop):
 //!
-//! * [`optimal_chain_schedule`] — the production fast path: `O(n²)` bottom-up,
-//!   but every Proposition-1 evaluation goes through a precomputed
-//!   [`SegmentCostTable`] (no `exp` in the inner loop) and the inner loop is
-//!   pruned with the table's monotone segment lower bound, which for uniform
-//!   checkpoint costs cuts the loop the moment the segment term alone exceeds
-//!   the incumbent;
-//! * [`optimal_chain_schedule_divide_conquer`] — an `O(n log n)` solver. For a
-//!   fixed `x` the candidate costs decompose as
-//!   `slope(j)·t_x + E(j+1) − coeff(x)`: each candidate `j` is a **line** in
-//!   the query point `t_x = e^{λR_{x−1}}(1/λ+D)e^{−λ·prefix[x]}`. Minimising
-//!   over candidates is a lower-envelope query, answered by a Li Chao tree —
-//!   a divide-and-conquer structure over the query domain — in `O(log n)` per
-//!   insert/query. This also explains the classical monotonicity of
-//!   `choice[x]`: with uniform costs the slopes are sorted and the query
-//!   points monotone, so the envelope is swept in one direction;
-//! * [`optimal_chain_schedule_blocked`] — the `n ≫ 10⁵` scaling path: the
-//!   same line decomposition, but organised as a blocked divide and conquer
-//!   over **index space**. Cache-sized trailing blocks are solved with a
-//!   block-local Li Chao sweep (the tree spans one block's query points, not
-//!   all `n`); cross-block candidates are batched, each solved suffix range
-//!   contributing its lines to the whole prefix range's queries through one
-//!   sequential sorted-lines/sorted-queries envelope sweep. Every structure
-//!   therefore spans one contiguous range of the order at a time (bounded
-//!   working set, streaming-friendly access to the table's arrays) instead of
-//!   one global tree over all `n` query points;
-//! * [`optimal_chain_schedule_reference`] — the naive transcription that calls
-//!   the Proposition 1 closed form (two `exp`s) in every DP cell; kept as the
-//!   correctness reference and benchmark baseline;
-//! * [`optimal_chain_value_memoized`] — a faithful memoised-recursive
-//!   transcription of the paper's `DPMAKESPAN` pseudo-code.
+//! * [`optimal_chain_schedule`] — the exact pruned DP on a chain instance:
+//!   `O(n²)` bottom-up, the inner loop cut by the table's monotone segment
+//!   lower bound (for uniform checkpoint costs, the moment the segment term
+//!   alone exceeds the incumbent). Every bitwise contract of the workspace
+//!   rests on it;
+//! * [`scalable_placement_on_table_with_scratch`] — the recurrence on a
+//!   prebuilt table, for callers that own their execution order (`dag_schedule`
+//!   per linearisation under any §6 cost model, `order_search`,
+//!   `general_failures` at surrogate rates, `analysis` λ sweeps, the online
+//!   policies). Small or saturated tables run the pruned DP; from 1 024
+//!   positions up it runs the **blocked kernel**: the line decomposition of
+//!   the [`oracle`] module's Li Chao solver organised as a divide and conquer
+//!   over index space, so `10⁵`–`10⁶`-position tables stream through
+//!   cache-sized working sets;
+//! * [`optimal_levelled_schedule`] — the recurrence over `(position, level)`
+//!   checkpoints on a storage hierarchy, bitwise equal to
+//!   [`optimal_chain_schedule`] on [`StorageLevels::single`];
+//! * [`ResumableDp`] — the pruned recurrence as reusable state: prefix
+//!   re-solves after a local order change (the order search) and suffix-only
+//!   re-solves (online re-planning).
 //!
-//! The recurrence itself is order-agnostic: it only needs the segment costs
-//! of *some* fixed execution order. [`optimal_placement_on_table`] (the
-//! pruned quadratic core) and [`scalable_placement_on_table`] (which
-//! dispatches to the blocked envelope core above a size threshold) expose
-//! that table level directly, and are what `dag_schedule` (per
-//! linearisation, general §6 cost models), `general_failures` (surrogate-rate
-//! planning) and `analysis` (λ sweeps) run after building their own
-//! [`SegmentCostTable`]s.
-//!
-//! All formulations are cross-checked against each other and against
-//! exhaustive search in the tests and property tests below.
+//! The [`oracle`] module holds the yardsticks the tests and benches compare
+//! these against; every formulation is cross-checked against the others and
+//! against exhaustive search in the tests below.
 
 use ckpt_dag::{properties, TaskId};
-use ckpt_expectation::exact::{expected_time, ExecutionParams};
 use ckpt_expectation::segment_cost::SegmentCostTable;
 use ckpt_expectation::storage::{LevelledCostTable, StorageLevels};
 
@@ -67,6 +48,9 @@ use crate::evaluate::{levelled_cost_table, segment_cost_table};
 use crate::instance::ProblemInstance;
 use crate::schedule::Schedule;
 use crate::solver_stats;
+
+pub mod oracle;
+pub use oracle::optimal_chain_schedule_divide_conquer;
 
 /// The result of the chain dynamic program.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,8 +76,8 @@ fn chain_table(
 /// A checkpoint placement computed directly on a [`SegmentCostTable`],
 /// without reference to the instance the table came from.
 ///
-/// This is what the table-level solvers ([`optimal_placement_on_table`])
-/// return: callers that own the execution order (a chain, a DAG
+/// This is what [`scalable_placement_on_table_with_scratch`] returns:
+/// callers that own the execution order (a chain, a DAG
 /// linearisation, a λ-swept surrogate) turn it into a [`Schedule`]
 /// themselves.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,22 +138,11 @@ fn solution_from_positions(
     Ok(ChainSolution { schedule, expected_makespan, checkpoint_positions })
 }
 
-/// The pruned Algorithm 1 inner recurrence for positions `x < below`, given
-/// final values for `value[below..]`: `value[x]` is the optimal expected
-/// time for positions `x..n`, `choice[x]` the first checkpoint position of
-/// an optimal solution for that suffix. `value` must hold `n + 1` entries
-/// with `value[n] = 0`.
-fn pruned_dp_range(
-    table: &SegmentCostTable,
-    value: &mut [f64],
-    choice: &mut [usize],
-    below: usize,
-) {
-    pruned_dp_span(table, value, choice, 0, below);
-}
-
 /// The pruned Algorithm 1 inner recurrence restricted to positions
-/// `from ≤ x < below`, given final values for `value[below..]`. The
+/// `from ≤ x < below`, given final values for `value[below..]`: `value[x]`
+/// becomes the optimal expected time for positions `x..n`, `choice[x]` the
+/// first checkpoint position of an optimal solution for that suffix
+/// (`value` holds `n + 1` entries with `value[n] = 0`). The
 /// recurrence for `x` never reads positions `< x`, so any contiguous span can
 /// be solved independently of the prefix before it — which is what both the
 /// order search ([`ResumableDp::try_prefix`], `from = 0`) and the online
@@ -214,13 +187,21 @@ fn pruned_dp_span(
     solver_stats::DP_PRUNE_BREAKS.add(prune_breaks);
 }
 
-/// The pruned bottom-up Algorithm 1 recurrence, on a prebuilt table.
-fn pruned_dp(table: &SegmentCostTable) -> (Vec<f64>, Vec<usize>) {
+/// The pruned recurrence over the whole of `table`, in `scratch`'s DP
+/// buffers: the exact `O(n²)` solve behind [`optimal_chain_schedule`] and
+/// the small/saturated branch of
+/// [`scalable_placement_on_table_with_scratch`].
+fn pruned_placement(table: &SegmentCostTable, scratch: &mut ChainDpScratch) -> TablePlacement {
     let n = table.len();
-    let mut value = vec![0.0f64; n + 1];
-    let mut choice = vec![0usize; n];
-    pruned_dp_range(table, &mut value, &mut choice, n);
-    (value, choice)
+    scratch.value.clear();
+    scratch.value.resize(n + 1, 0.0);
+    scratch.choice.clear();
+    scratch.choice.resize(n, 0);
+    pruned_dp_span(table, &mut scratch.value, &mut scratch.choice, 0, n);
+    TablePlacement {
+        expected_makespan: scratch.value[0],
+        checkpoint_positions: positions_from_choice(&scratch.choice),
+    }
 }
 
 /// Reusable state of the pruned Algorithm 1 recurrence that supports
@@ -286,7 +267,7 @@ impl ResumableDp {
         self.choice.clear();
         self.choice.resize(n, 0);
         solver_stats::FULL_SOLVES.add(1);
-        pruned_dp_range(table, &mut self.value, &mut self.choice, n);
+        pruned_dp_span(table, &mut self.value, &mut self.choice, 0, n);
         self.trial_pending = false;
         self.value[0]
     }
@@ -312,7 +293,7 @@ impl ResumableDp {
         self.trial_choice.extend_from_slice(&self.choice);
         solver_stats::PREFIX_TRIALS.add(1);
         solver_stats::SUFFIX_REUSED_POSITIONS.add((n - below) as u64);
-        pruned_dp_range(table, &mut self.trial_value, &mut self.trial_choice, below);
+        pruned_dp_span(table, &mut self.trial_value, &mut self.trial_choice, 0, below);
         self.trial_pending = true;
         self.trial_value[0]
     }
@@ -435,23 +416,6 @@ impl ResumableDp {
     }
 }
 
-/// Runs Algorithm 1's recurrence directly on a prebuilt [`SegmentCostTable`]
-/// — the order-agnostic core shared by every solver of the workspace that
-/// owns a fixed execution order: the chain solvers here,
-/// [`crate::dag_schedule`]'s per-linearisation placement (under any §6 cost
-/// model), [`crate::general_failures`]' exponential-equivalent planner and
-/// [`crate::analysis`]'s λ sweeps.
-///
-/// `O(n²)` worst case with the table's monotone lower-bound pruning, `O(n)`
-/// space, no `exp` in the inner loop.
-pub fn optimal_placement_on_table(table: &SegmentCostTable) -> TablePlacement {
-    let (value, choice) = pruned_dp(table);
-    TablePlacement {
-        expected_makespan: value[0],
-        checkpoint_positions: positions_from_choice(&choice),
-    }
-}
-
 /// Computes the optimal checkpoint placement for a linear-chain instance,
 /// bottom-up, in `O(n²)` time and `O(n)` space — with the per-cell
 /// Proposition-1 evaluation reduced to a few multiplies by a precomputed
@@ -488,7 +452,7 @@ pub fn optimal_placement_on_table(table: &SegmentCostTable) -> TablePlacement {
 ///   [`ProblemInstance::builder`]).
 pub fn optimal_chain_schedule(instance: &ProblemInstance) -> Result<ChainSolution, ScheduleError> {
     let (order, table) = chain_table(instance)?;
-    let placement = optimal_placement_on_table(&table);
+    let placement = pruned_placement(&table, &mut ChainDpScratch::new());
     solution_from_positions(
         instance,
         order,
@@ -497,85 +461,14 @@ pub fn optimal_chain_schedule(instance: &ProblemInstance) -> Result<ChainSolutio
     )
 }
 
-/// A levelled checkpoint placement computed directly on a
-/// [`LevelledCostTable`]: each checkpoint is a `(position, level)` pair —
-/// after which position it is taken and which storage level it is written
-/// to. The hierarchical-storage analogue of [`TablePlacement`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LevelledPlacement {
-    /// The optimal expected makespan over the table's order (the DP value).
-    pub expected_makespan: f64,
-    /// The checkpoints as `(position, level)` pairs in increasing position
-    /// order. The final position is always the table's last (the mandatory
-    /// final checkpoint).
-    pub checkpoints: Vec<(usize, usize)>,
-}
-
-impl LevelledPlacement {
-    /// The checkpoint positions alone, in increasing order.
-    pub fn checkpoint_positions(&self) -> Vec<usize> {
-        self.checkpoints.iter().map(|&(j, _)| j).collect()
-    }
-
-    /// The placement with levels erased, in the form the single-level
-    /// consumers ([`Schedule::new`] via
-    /// [`TablePlacement::checkpoint_after`]) understand.
-    pub fn table_placement(&self) -> TablePlacement {
-        TablePlacement {
-            expected_makespan: self.expected_makespan,
-            checkpoint_positions: self.checkpoint_positions(),
-        }
-    }
-
-    /// The number of checkpoints written to `level`.
-    pub fn checkpoints_on_level(&self, level: usize) -> usize {
-        self.checkpoints.iter().filter(|&&(_, l)| l == level).count()
-    }
-
-    /// The number of checkpoints taken (the final mandatory one included).
-    pub fn checkpoint_count(&self) -> usize {
-        self.checkpoints.len()
-    }
-}
-
-/// Computes the optimal `(position, level)` checkpoint placement on a
-/// [`LevelledCostTable`]: Algorithm 1 generalised to hierarchical storage.
-///
-/// The DP state is `(x, p, s)` — the suffix starts at position `x`,
-/// protected by a checkpoint written to level `p`, with `s` slots of the
-/// bounded level still unused (levels at most one of which is bounded; see
-/// [`StorageLevels`]). The recurrence extends the paper's over the written
-/// level `ℓ`:
-///
-/// ```text
-/// E(x, p, s) = min_{x ≤ j < n} min_ℓ [ T_{p,ℓ}(x, j) + E(j+1, ℓ, s − [ℓ bounded]) ]
-/// E(n, ·, ·) = 0
-/// ```
-///
-/// where `T_{p,ℓ}` charges level `p`'s protecting coefficient and level
-/// `ℓ`'s write cost
-/// ([`SegmentCostTable::cost_with_coefficient`]). Choosing the bounded
-/// level consumes a slot **permanently** (the fast tier holds only so many
-/// checkpoints for the lifetime of the run), which is what makes the
-/// reachable plan set — and hence the optimum — monotone in the slot
-/// budget. The inner loop keeps the single-level solver's pruning: the
-/// cross-level lower bound is the minimum of the per-level monotone bounds,
-/// so once it clears the incumbent no later split on any level can win.
-///
-/// With a single unbounded level the state space collapses to `(x)` and
-/// every floating-point operation replays [`optimal_placement_on_table`]'s
-/// in order, so the result is **bitwise identical** — the differential wall
-/// the tests enforce.
-///
-/// `O(n² · L · (L + S))` time for `L` levels and a slot budget of `S`,
-/// `O(n · L · S)` space.
-///
-/// # Panics
-///
-/// Panics if no feasible plan exists — only possible when *every* level is
-/// slot-bounded, i.e. a single bounded level with fewer slots than the one
-/// mandatory final checkpoint.
-pub fn optimal_levelled_placement_on_table(table: &LevelledCostTable) -> LevelledPlacement {
+/// The levelled recurrence of [`optimal_levelled_schedule`] on a prebuilt
+/// [`LevelledCostTable`]: the DP value and the checkpoints as
+/// `(position, level)` pairs in increasing position order. With a single
+/// unbounded level the state space collapses to `(x)` and every
+/// floating-point operation replays the flat pruned DP's in order, so the
+/// result is **bitwise identical** — +∞ optima included. The caller rejects
+/// the one hierarchy without a plan, a sole level with no slot.
+fn optimal_levelled_placement_on_table(table: &LevelledCostTable) -> (f64, Vec<(usize, usize)>) {
     let n = table.len();
     let levels = table.level_count();
     let (bounded, budget) = match table.levels().bounded() {
@@ -587,6 +480,10 @@ pub fn optimal_levelled_placement_on_table(table: &LevelledCostTable) -> Levelle
     let slot_states = budget + 1;
     let states = levels * slot_states;
     let idx = |x: usize, p: usize, s: usize| (x * levels + p) * slot_states + s;
+    // A state whose candidates all cost +∞ keeps its default choice: the
+    // last position, on a level that spends no slot (if any does not), so
+    // the traceback of a +∞ optimum ends at once, as Algorithm 1's does.
+    let free_level = (0..levels).find(|&level| bounded != Some(level)).unwrap_or(0);
     // value[idx(x, p, s)] is E(x, p, s); row x = n is the 0 base case.
     let mut value = vec![0.0f64; (n + 1) * states];
     let mut choice_j = vec![0usize; n * states];
@@ -601,7 +498,7 @@ pub fn optimal_levelled_placement_on_table(table: &LevelledCostTable) -> Levelle
             for s in 0..slot_states {
                 let mut best = f64::INFINITY;
                 let mut best_j = n - 1;
-                let mut best_level = 0usize;
+                let mut best_level = free_level;
                 for j in x..n {
                     let mut bound =
                         table.table(0).segment_lower_bound_with_coefficient(x, j, coefficient);
@@ -648,11 +545,6 @@ pub fn optimal_levelled_placement_on_table(table: &LevelledCostTable) -> Levelle
     solver_stats::DP_CANDIDATES.add(candidates);
     solver_stats::DP_PRUNE_BREAKS.add(prune_breaks);
 
-    let expected_makespan = value[idx(0, 0, budget)];
-    assert!(
-        expected_makespan.is_finite(),
-        "no feasible levelled plan: the only storage level cannot hold the final checkpoint"
-    );
     let mut checkpoints = Vec::new();
     let (mut x, mut p, mut s) = (0usize, 0usize, budget);
     while x < n {
@@ -666,7 +558,7 @@ pub fn optimal_levelled_placement_on_table(table: &LevelledCostTable) -> Levelle
         p = level;
         x = j + 1;
     }
-    LevelledPlacement { expected_makespan, checkpoints }
+    (value[idx(0, 0, budget)], checkpoints)
 }
 
 /// The result of the levelled chain dynamic program
@@ -687,12 +579,6 @@ pub struct LevelledSolution {
 }
 
 impl LevelledSolution {
-    /// The storage level the checkpoint after `position` is written to, or
-    /// `None` if no checkpoint is taken there.
-    pub fn level_at(&self, position: usize) -> Option<usize> {
-        self.checkpoints.iter().find(|&&(j, _)| j == position).map(|&(_, level)| level)
-    }
-
     /// Converts the levelled plan into simulator [`Segment`](ckpt_simulator::Segment)s: each
     /// segment's checkpoint cost is scaled by the written level's write
     /// factor, and the *next* segment's recovery by that same level's read
@@ -725,12 +611,27 @@ impl LevelledSolution {
 /// Computes the optimal joint `(position, level)` checkpoint plan for a
 /// linear-chain instance over a storage hierarchy: Algorithm 1 with the
 /// written storage level as a second decision per checkpoint and the fast
-/// tier's slot budget threaded through the DP state
-/// ([`optimal_levelled_placement_on_table`]).
+/// tier's slot budget threaded through the DP state. The state `(x, p, s)`
+/// is the suffix from position `x`, protected by a checkpoint on level `p`,
+/// with `s` slots of the bounded level (at most one level is bounded) left:
+///
+/// ```text
+/// E(x, p, s) = min_{x ≤ j < n} min_ℓ [ T_{p,ℓ}(x, j) + E(j+1, ℓ, s − [ℓ bounded]) ]
+/// E(n, ·, ·) = 0
+/// ```
+///
+/// where `T_{p,ℓ}` charges level `p`'s protecting coefficient and level
+/// `ℓ`'s write cost ([`SegmentCostTable::cost_with_coefficient`]). A slot
+/// is spent **permanently** (the fast tier holds only so many checkpoints
+/// for the lifetime of the run), which makes the reachable plan set — and
+/// hence the optimum — monotone in the slot budget. The inner loop keeps
+/// the flat solver's pruning: the cross-level bound is the minimum of the
+/// per-level monotone bounds. `O(n² · L · (L + S))` time for `L` levels and
+/// a budget of `S` slots, `O(n · L · S)` space.
 ///
 /// With `StorageLevels::single()` this is **bitwise identical** to
-/// [`optimal_chain_schedule`] — same expected makespan to the last bit,
-/// same positions (differential-tested).
+/// [`optimal_chain_schedule`] — same expected makespan to the last bit
+/// (+∞ included), same positions (differential-tested).
 ///
 /// # Example
 ///
@@ -764,76 +665,28 @@ impl LevelledSolution {
 ///
 /// * [`ScheduleError::NotAChain`] if the instance graph is not a linear
 ///   chain;
+/// * [`ScheduleError::InvalidStorageLevels`] for a sole storage level with
+///   no slot, which cannot hold the mandatory final checkpoint;
 /// * propagated validation errors (cannot occur for instances built through
 ///   [`ProblemInstance::builder`]).
 pub fn optimal_levelled_schedule(
     instance: &ProblemInstance,
     levels: &StorageLevels,
 ) -> Result<LevelledSolution, ScheduleError> {
+    if let [only] = levels.levels() {
+        if only.slots() == Some(0) {
+            return Err(ScheduleError::InvalidStorageLevels);
+        }
+    }
     let order = properties::as_chain(instance.graph()).ok_or(ScheduleError::NotAChain)?;
     let table = levelled_cost_table(instance, &order, levels.clone())?;
-    let placement = optimal_levelled_placement_on_table(&table);
+    let (expected_makespan, checkpoints) = optimal_levelled_placement_on_table(&table);
     let mut checkpoint_after = vec![false; order.len()];
-    for &(j, _) in &placement.checkpoints {
+    for &(j, _) in &checkpoints {
         checkpoint_after[j] = true;
     }
     let schedule = Schedule::new(instance, order, checkpoint_after)?;
-    Ok(LevelledSolution {
-        schedule,
-        expected_makespan: placement.expected_makespan,
-        checkpoints: placement.checkpoints,
-        levels: levels.clone(),
-    })
-}
-
-/// Computes the optimal checkpoint placement in `O(n log n)` by treating each
-/// candidate "first checkpoint at `j`" as a line `slope(j)·t + E(j+1)` in the
-/// query point `t_x` and sweeping a Li Chao tree (divide and conquer over the
-/// query domain) from the end of the chain to its start.
-///
-/// Returns the same optimum as [`optimal_chain_schedule`] (cross-checked to
-/// `10⁻¹⁰` relative error in the tests); the checkpoint positions may differ
-/// only between exactly cost-equivalent solutions.
-///
-/// On *saturated* instances (`λ·total work` ≳ 650, where the slope/query
-/// decomposition overflows `f64`) this transparently falls back to the pruned
-/// `O(n²)` DP, which remains exact there.
-///
-/// # Errors
-///
-/// Same as [`optimal_chain_schedule`].
-pub fn optimal_chain_schedule_divide_conquer(
-    instance: &ProblemInstance,
-) -> Result<ChainSolution, ScheduleError> {
-    let (order, table) = chain_table(instance)?;
-    if table.is_saturated() {
-        return saturated_fallback(instance, order, &table);
-    }
-    let n = order.len();
-
-    let points: Vec<f64> = (0..n).map(|x| table.query_point(x)).collect();
-    let mut domain = points.clone();
-    domain.sort_by(f64::total_cmp);
-    domain.dedup();
-    let mut envelope = LiChaoTree::new(domain);
-
-    let mut value = vec![0.0f64; n + 1];
-    let mut choice = vec![0usize; n];
-    for x in (0..n).rev() {
-        // Candidate "first checkpoint at j = x" becomes available exactly
-        // now: its intercept E(x+1) was computed in the previous step.
-        envelope.insert(LiChaoLine { slope: table.slope(x), intercept: value[x + 1], id: x });
-        let (best, id) = envelope.query(points[x]);
-        value[x] = best - table.coefficient(x);
-        choice[x] = id;
-    }
-
-    // Re-sum the reconstructed segments through the table so the reported
-    // value carries the summation order of the other solvers rather than the
-    // envelope's line arithmetic.
-    let positions = positions_from_choice(&choice);
-    let expected_makespan = resummed_value(&table, &positions);
-    solution_from_positions(instance, order, positions, expected_makespan)
+    Ok(LevelledSolution { schedule, expected_makespan, checkpoints, levels: levels.clone() })
 }
 
 /// Sums the table costs of the checkpoint-delimited segments of `positions` —
@@ -854,90 +707,32 @@ fn resummed_value(table: &SegmentCostTable, positions: &[usize]) -> f64 {
 /// DP state) near 64 KiB together — L1/L2 resident on current hardware.
 const DP_BLOCK: usize = 1024;
 
-/// Computes the optimal checkpoint placement with the same line
-/// decomposition as [`optimal_chain_schedule_divide_conquer`], organised as
-/// a **blocked divide and conquer over index space** so chains of
-/// `10⁵`–`10⁶` tasks stream through cache-sized working sets. Worst case
-/// `O(n log² n)` (each of the `log(n / DP_BLOCK)` cross-range levels
-/// comparison-sorts its lines and queries); effectively `O(n log n)` when
-/// slopes and query points are near-monotone in position — uniform
-/// checkpoint/recovery costs, the common case — because the sorts are
-/// adaptive. Measured faster than the global Li Chao solver from `≈ 10⁵`
-/// tasks up (see `EXPERIMENTS.md`):
+/// Caller-owned scratch arena for [`scalable_placement_on_table_with_scratch`]:
+/// the blocked kernel's block-local Li Chao buffers and envelope scratch,
+/// and the DP state of both kernels.
 ///
-/// * trailing blocks of `DP_BLOCK` (1 024) positions are solved with a
-///   block-local Li Chao sweep whose tree spans only the block's query
-///   points (L2-resident, unlike the divide-and-conquer solver's global
-///   tree over all `n` points);
-/// * once a suffix range is solved, its candidate lines are batched into a
-///   monotone lower envelope (lines sorted by slope, queries by point, one
-///   forward sweep over each — purely sequential scans) over just the
-///   matching prefix range, and each prefix position folds the envelope
-///   minimum into its best-cross-range candidate. Each position therefore
-///   meets `O(log(n / DP_BLOCK))` envelopes, every one spanning a single
-///   contiguous range — no global `O(n)`-domain structure is ever built, and
-///   no quadratic state is materialised.
-///
-/// Returns the same optimum as [`optimal_chain_schedule`] (cross-checked to
-/// `10⁻¹⁰` relative error in the tests); checkpoint positions may differ only
-/// between exactly cost-equivalent solutions. On *saturated* instances
-/// (`λ·total work` ≳ 650) this transparently falls back to the pruned `O(n²)`
-/// DP, exactly like the divide-and-conquer solver.
-///
-/// # Errors
-///
-/// Same as [`optimal_chain_schedule`].
-pub fn optimal_chain_schedule_blocked(
-    instance: &ProblemInstance,
-) -> Result<ChainSolution, ScheduleError> {
-    optimal_chain_schedule_blocked_with_scratch(instance, &mut ChainDpScratch::new())
-}
-
-/// The shared saturated-instance fallback of the two envelope solvers: the
-/// slope/query-point decomposition overflows there, so run the pruned DP on
-/// the **already-built** table instead of rebuilding anything.
-fn saturated_fallback(
-    instance: &ProblemInstance,
-    order: Vec<TaskId>,
-    table: &SegmentCostTable,
-) -> Result<ChainSolution, ScheduleError> {
-    let placement = optimal_placement_on_table(table);
-    solution_from_positions(
-        instance,
-        order,
-        placement.checkpoint_positions,
-        placement.expected_makespan,
-    )
-}
-
-/// Caller-owned scratch arena for the blocked chain solver (and the pruned
-/// DP behind [`scalable_placement_on_table_with_scratch`]).
-///
-/// One solve of [`optimal_chain_schedule_blocked`] at `n = 10⁶` otherwise
-/// performs ~1 000 transient allocations: a Li Chao node vector and a sorted
-/// query-point domain per trailing block, plus lines/hull/query buffers per
-/// cross-range envelope level. Holding the buffers here removes all of that
-/// allocator traffic from the hot path — batch consumers (λ sweeps, the
-/// order search, the §6 batch planner) reuse one arena across every solve.
+/// One blocked solve at `n = 10⁶` otherwise performs ~1 000 transient
+/// allocations: a Li Chao node vector and a sorted query-point domain per
+/// trailing block, plus lines/hull/query buffers per cross-range envelope
+/// level. Batch consumers (λ sweeps, the order search, the §6 batch planner)
+/// reuse one arena across every solve; a fresh arena allocates nothing
+/// until its first solve.
 ///
 /// # Example
 ///
 /// ```
-/// use ckpt_core::{chain_dp, chain_dp::ChainDpScratch, ProblemInstance};
-/// use ckpt_dag::generators;
+/// use ckpt_core::chain_dp::{scalable_placement_on_table_with_scratch, ChainDpScratch};
+/// use ckpt_expectation::sweep::LambdaSweep;
 ///
+/// // One 2 000-position order, solved at three rates through one arena.
+/// let n = 2_000;
+/// let sweep = LambdaSweep::new(30.0, &vec![300.0; n], &vec![30.0; n], &vec![30.0; n])?;
 /// let mut scratch = ChainDpScratch::new();
-/// for lambda in [1e-5, 1e-4, 1e-3] {
-///     let graph = generators::uniform_chain(64, 300.0)?;
-///     let instance = ProblemInstance::builder(graph)
-///         .uniform_checkpoint_cost(30.0)
-///         .uniform_recovery_cost(30.0)
-///         .platform_lambda(lambda)
-///         .build()?;
-///     let with_scratch =
-///         chain_dp::optimal_chain_schedule_blocked_with_scratch(&instance, &mut scratch)?;
-///     let fresh = chain_dp::optimal_chain_schedule_blocked(&instance)?;
-///     assert_eq!(with_scratch.expected_makespan, fresh.expected_makespan);
+/// for lambda in [1e-7, 1e-6, 1e-5] {
+///     let table = sweep.table_for(lambda)?;
+///     let reused = scalable_placement_on_table_with_scratch(&table, &mut scratch);
+///     let fresh = scalable_placement_on_table_with_scratch(&table, &mut ChainDpScratch::new());
+///     assert_eq!(reused, fresh);
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -964,32 +759,36 @@ impl ChainDpScratch {
     }
 }
 
-/// Tables at least this long run the blocked core in
-/// [`scalable_placement_on_table`]; below it the pruned quadratic DP is
-/// comparable or faster (and in dense-checkpoint regimes its lower-bound
-/// pruning wins outright).
+/// Tables at least this long run the blocked kernel in
+/// [`scalable_placement_on_table_with_scratch`]; below it the pruned
+/// quadratic DP is comparable or faster (and in dense-checkpoint regimes its
+/// lower-bound pruning wins outright).
 const SCALABLE_THRESHOLD: usize = 1024;
 
-/// Runs the Algorithm 1 recurrence on `table` with the formulation suited to
-/// its size: the blocked envelope core for large non-saturated tables
-/// (`10⁵`–`10⁶` positions would take the quadratic DP hours in rare-failure
-/// regimes), the pruned quadratic DP for small or saturated ones. This is
-/// the entry point batch consumers ([`crate::analysis::lambda_sweep`], the
-/// [`crate::general_failures`] batch planner) use so sweeps over large
-/// chains scale like the chain solvers themselves.
+/// Runs the Algorithm 1 recurrence on a prebuilt `table` with the kernel
+/// suited to its size, out of a caller-owned [`ChainDpScratch`]:
 ///
-/// Returns the same optimum as [`optimal_placement_on_table`] (the two cores
-/// are cross-checked to `10⁻¹⁰` relative error in the tests); checkpoint
-/// positions may differ only between exactly cost-equivalent solutions.
-pub fn scalable_placement_on_table(table: &SegmentCostTable) -> TablePlacement {
-    scalable_placement_on_table_with_scratch(table, &mut ChainDpScratch::new())
-}
-
-/// [`scalable_placement_on_table`] with a caller-owned [`ChainDpScratch`]:
-/// identical result, but all working buffers (block-local Li Chao trees,
-/// envelope scratch, DP state) are reused across calls instead of being
-/// reallocated per solve. This is the entry point batch consumers
-/// ([`crate::analysis::lambda_sweep`], [`crate::order_search`]) loop over.
+/// * below 1 024 positions, or on saturated tables
+///   (`λ·total work` ≳ 650, where the slope/query-point decomposition
+///   overflows), the exact pruned DP;
+/// * otherwise the **blocked kernel**, a divide and conquer over index space
+///   so `10⁵`–`10⁶`-position tables stream through cache-sized working sets
+///   (worst case `O(n log² n)`, effectively `O(n log n)` when slopes and
+///   query points are near-monotone in position — uniform costs, the common
+///   case — because its sorts are adaptive). Trailing blocks of 1 024
+///   positions are solved with a block-local Li Chao sweep whose tree spans
+///   only the block's query points; once a suffix range is solved, its
+///   candidate lines are batched into a monotone lower envelope (lines
+///   sorted by slope, queries by point, one forward sweep over each) over
+///   the matching prefix range. Each position meets `O(log(n / 1024))`
+///   envelopes, each spanning one contiguous range; no quadratic state is
+///   materialised.
+///
+/// Both kernels return the optimum (cross-checked to `10⁻¹⁰` relative error
+/// against each other and the [`oracle`] yardsticks); checkpoint positions
+/// may differ only between exactly cost-equivalent solutions. The buffers
+/// are reused across calls, so batch consumers loop over this entry with
+/// one arena.
 pub fn scalable_placement_on_table_with_scratch(
     table: &SegmentCostTable,
     scratch: &mut ChainDpScratch,
@@ -997,43 +796,8 @@ pub fn scalable_placement_on_table_with_scratch(
     if table.len() >= SCALABLE_THRESHOLD && !table.is_saturated() {
         blocked_placement_with_block_into(table, DP_BLOCK, scratch)
     } else {
-        let n = table.len();
-        scratch.value.clear();
-        scratch.value.resize(n + 1, 0.0);
-        scratch.choice.clear();
-        scratch.choice.resize(n, 0);
-        pruned_dp_range(table, &mut scratch.value, &mut scratch.choice, n);
-        TablePlacement {
-            expected_makespan: scratch.value[0],
-            checkpoint_positions: positions_from_choice(&scratch.choice),
-        }
+        pruned_placement(table, scratch)
     }
-}
-
-/// [`optimal_chain_schedule_blocked`] with a caller-owned
-/// [`ChainDpScratch`]: identical result, no per-solve allocation of the
-/// block-local Li Chao buffers and envelope scratch (~1 000 transient
-/// allocations at `n = 10⁶` otherwise; measured in `b1_chain_dp`'s
-/// `blocked_scratch_reuse` entry).
-///
-/// # Errors
-///
-/// Same as [`optimal_chain_schedule`].
-pub fn optimal_chain_schedule_blocked_with_scratch(
-    instance: &ProblemInstance,
-    scratch: &mut ChainDpScratch,
-) -> Result<ChainSolution, ScheduleError> {
-    let (order, table) = chain_table(instance)?;
-    if table.is_saturated() {
-        return saturated_fallback(instance, order, &table);
-    }
-    let placement = blocked_placement_with_block_into(&table, DP_BLOCK, scratch);
-    solution_from_positions(
-        instance,
-        order,
-        placement.checkpoint_positions,
-        placement.expected_makespan,
-    )
 }
 
 /// The blocked core with an explicit block size, so tests can force deep
@@ -1336,145 +1100,13 @@ impl LiChaoTree {
     }
 }
 
-/// The naive `O(n²)` bottom-up DP calling the Proposition 1 closed form (two
-/// `exp` evaluations) in every cell — the formulation a direct transcription
-/// of the paper produces.
-///
-/// Kept as the correctness reference for [`optimal_chain_schedule`] and as
-/// the baseline of the `b1_chain_dp` bench; production code should use the
-/// precomputed-cost fast path instead.
-///
-/// # Errors
-///
-/// Same as [`optimal_chain_schedule`].
-pub fn optimal_chain_schedule_reference(
-    instance: &ProblemInstance,
-) -> Result<ChainSolution, ScheduleError> {
-    let order = properties::as_chain(instance.graph()).ok_or(ScheduleError::NotAChain)?;
-    let n = order.len();
-    let lambda = instance.lambda();
-    let downtime = instance.downtime();
-
-    // Prefix sums of the chain weights: prefix[k] = w_0 + … + w_{k-1}.
-    let mut prefix = vec![0.0f64; n + 1];
-    for (k, &task) in order.iter().enumerate() {
-        prefix[k + 1] = prefix[k] + instance.weight(task);
-    }
-    // Recovery protecting a segment that starts at position x.
-    let recovery_before = |x: usize| -> f64 {
-        if x == 0 {
-            instance.initial_recovery()
-        } else {
-            instance.recovery_cost(order[x - 1])
-        }
-    };
-
-    let mut value = vec![0.0f64; n + 1];
-    let mut choice = vec![0usize; n];
-    for x in (0..n).rev() {
-        let recovery = recovery_before(x);
-        let mut best = f64::INFINITY;
-        let mut best_j = n - 1;
-        for j in x..n {
-            let work = prefix[j + 1] - prefix[x];
-            let params = ExecutionParams::new(
-                work,
-                instance.checkpoint_cost(order[j]),
-                downtime,
-                recovery,
-                lambda,
-            )
-            .expect("instance parameters were validated at construction");
-            let cost = expected_time(&params) + value[j + 1];
-            if cost < best {
-                best = cost;
-                best_j = j;
-            }
-        }
-        value[x] = best;
-        choice[x] = best_j;
-    }
-
-    solution_from_positions(instance, order, positions_from_choice(&choice), value[0])
-}
-
-/// Faithful transcription of the paper's recursive `DPMAKESPAN(x, n)`
-/// (Algorithm 1), with memoisation. Returns the same optimum as
-/// [`optimal_chain_schedule`]; exposed separately so tests and benches can
-/// compare the formulations.
-///
-/// # Errors
-///
-/// Same as [`optimal_chain_schedule`].
-pub fn optimal_chain_value_memoized(instance: &ProblemInstance) -> Result<f64, ScheduleError> {
-    let order = properties::as_chain(instance.graph()).ok_or(ScheduleError::NotAChain)?;
-    let n = order.len();
-    let lambda = instance.lambda();
-    let downtime = instance.downtime();
-    let mut prefix = vec![0.0f64; n + 1];
-    for (k, &task) in order.iter().enumerate() {
-        prefix[k + 1] = prefix[k] + instance.weight(task);
-    }
-    let mut memo: Vec<Option<f64>> = vec![None; n + 1];
-
-    // Proposition 1 applied to positions x..=j (0-based), recovering with the
-    // checkpoint of position x-1 (or the initial state).
-    struct Ctx<'a> {
-        instance: &'a ProblemInstance,
-        order: &'a [ckpt_dag::TaskId],
-        prefix: &'a [f64],
-        lambda: f64,
-        downtime: f64,
-    }
-    impl Ctx<'_> {
-        fn segment(&self, x: usize, j: usize) -> f64 {
-            let recovery = if x == 0 {
-                self.instance.initial_recovery()
-            } else {
-                self.instance.recovery_cost(self.order[x - 1])
-            };
-            let work = self.prefix[j + 1] - self.prefix[x];
-            let params = ExecutionParams::new(
-                work,
-                self.instance.checkpoint_cost(self.order[j]),
-                self.downtime,
-                recovery,
-                self.lambda,
-            )
-            .expect("instance parameters were validated at construction");
-            expected_time(&params)
-        }
-    }
-    fn dp(x: usize, n: usize, ctx: &Ctx<'_>, memo: &mut Vec<Option<f64>>) -> f64 {
-        if x == n {
-            return 0.0;
-        }
-        if let Some(v) = memo[x] {
-            return v;
-        }
-        // The paper's `best` initialisation: execute everything remaining and
-        // checkpoint only after the last task.
-        let mut best = ctx.segment(x, n - 1);
-        // Try checkpointing first after position j, for j < n - 1.
-        for j in x..n - 1 {
-            let cur = ctx.segment(x, j) + dp(j + 1, n, ctx, memo);
-            if cur < best {
-                best = cur;
-            }
-        }
-        memo[x] = Some(best);
-        best
-    }
-
-    let ctx = Ctx { instance, order: &order, prefix: &prefix, lambda, downtime };
-    Ok(dp(0, n, &ctx, &mut memo))
-}
-
 #[cfg(test)]
 mod tests {
+    use super::oracle::*;
     use super::*;
     use crate::evaluate::expected_makespan;
     use ckpt_dag::generators;
+    use ckpt_expectation::exact::{expected_time, ExecutionParams};
     use ckpt_failure::{Pcg64, RandomSource};
     use proptest::prelude::*;
 
@@ -1506,6 +1138,11 @@ mod tests {
             .platform_lambda(lambda)
             .build()
             .unwrap()
+    }
+
+    /// The segment-cost table of a chain instance along its chain order.
+    fn table(instance: &ProblemInstance) -> SegmentCostTable {
+        chain_table(instance).unwrap().1
     }
 
     /// Exhaustive optimum over all checkpoint subsets (final forced) — the
@@ -1540,7 +1177,6 @@ mod tests {
             optimal_chain_schedule_divide_conquer(&inst),
             Err(ScheduleError::NotAChain)
         ));
-        assert!(matches!(optimal_chain_schedule_blocked(&inst), Err(ScheduleError::NotAChain)));
         assert!(matches!(optimal_chain_value_memoized(&inst), Err(ScheduleError::NotAChain)));
     }
 
@@ -1581,7 +1217,10 @@ mod tests {
                     "divide_conquer",
                     optimal_chain_schedule_divide_conquer(&inst).unwrap().expected_makespan,
                 ),
-                ("blocked", optimal_chain_schedule_blocked(&inst).unwrap().expected_makespan),
+                (
+                    "blocked",
+                    blocked_placement_with_block(&table(&inst), DP_BLOCK).expected_makespan,
+                ),
             ] {
                 assert!(
                     (value - brute).abs() / brute < 1e-10,
@@ -1622,21 +1261,27 @@ mod tests {
 
     #[test]
     fn saturated_instances_solve_through_the_fallback() {
-        // λ·total work ≈ 2000 ≫ 650: precomputed exponentials would overflow;
-        // every formulation must still agree. Costs are cheap and failures
-        // constant, so the optimum checkpoints after every task.
-        let inst = chain_instance(&[100.0; 200], 0.1, 0.1, 0.0, 0.1);
+        // λ·total work ≈ 11 000 ≫ 650: precomputed exponentials would
+        // overflow; every formulation must still agree, and the dispatch
+        // must send this table (above the blocked threshold) to the pruned
+        // DP. Costs are cheap and failures constant, so the optimum
+        // checkpoints after every task.
+        let inst = chain_instance(&[100.0; 1_100], 0.1, 0.1, 0.0, 0.1);
         let fast = optimal_chain_schedule(&inst).unwrap();
         let dc = optimal_chain_schedule_divide_conquer(&inst).unwrap();
-        let blocked = optimal_chain_schedule_blocked(&inst).unwrap();
+        let table = table(&inst);
+        assert!(table.is_saturated());
+        let dispatched =
+            scalable_placement_on_table_with_scratch(&table, &mut ChainDpScratch::new());
         let reference = optimal_chain_schedule_reference(&inst).unwrap();
         assert!(fast.expected_makespan.is_finite());
         let gap = (fast.expected_makespan - reference.expected_makespan).abs()
             / reference.expected_makespan;
         assert!(gap < 1e-10, "gap {gap}");
-        assert_eq!(fast.checkpoint_positions.len(), 200);
+        assert_eq!(fast.checkpoint_positions.len(), 1_100);
         assert_eq!(dc.checkpoint_positions, fast.checkpoint_positions);
-        assert_eq!(blocked.checkpoint_positions, fast.checkpoint_positions);
+        assert_eq!(dispatched.checkpoint_positions, fast.checkpoint_positions);
+        assert_eq!(dispatched.expected_makespan, fast.expected_makespan);
     }
 
     #[test]
@@ -1706,17 +1351,19 @@ mod tests {
 
     #[test]
     fn dp_scales_to_large_chains() {
-        // A 1 000-task chain must solve quickly and produce a valid schedule.
-        let weights: Vec<f64> = (0..1000).map(|i| 50.0 + (i % 17) as f64 * 10.0).collect();
+        // A 1 024-task chain (the blocked dispatch threshold) must solve
+        // quickly and produce a valid schedule.
+        let weights: Vec<f64> = (0..1024).map(|i| 50.0 + (i % 17) as f64 * 10.0).collect();
         let inst = chain_instance(&weights, 30.0, 30.0, 5.0, 1e-4);
         let sol = optimal_chain_schedule(&inst).unwrap();
-        assert_eq!(sol.schedule.len(), 1000);
+        assert_eq!(sol.schedule.len(), 1024);
         assert!(sol.expected_makespan > inst.total_weight());
-        // The O(n log n) solvers agree at this scale too.
+        // The O(n log n) formulations agree at this scale too.
         let dc = optimal_chain_schedule_divide_conquer(&inst).unwrap();
         let gap = (dc.expected_makespan - sol.expected_makespan).abs() / sol.expected_makespan;
         assert!(gap < 1e-10, "gap {gap}");
-        let blocked = optimal_chain_schedule_blocked(&inst).unwrap();
+        let blocked =
+            scalable_placement_on_table_with_scratch(&table(&inst), &mut ChainDpScratch::new());
         let gap = (blocked.expected_makespan - sol.expected_makespan).abs() / sol.expected_makespan;
         assert!(gap < 1e-10, "gap {gap}");
     }
@@ -1728,24 +1375,22 @@ mod tests {
         // regimes (few, some, many checkpoints in the optimum).
         for lambda in [1e-7, 1e-5, 1e-4] {
             let inst = random_heterogeneous_chain(5, 3_000, lambda);
-            let blocked = optimal_chain_schedule_blocked(&inst).unwrap();
+            let table = table(&inst);
+            let blocked =
+                scalable_placement_on_table_with_scratch(&table, &mut ChainDpScratch::new());
             let dc = optimal_chain_schedule_divide_conquer(&inst).unwrap();
             let gap =
                 (blocked.expected_makespan - dc.expected_makespan).abs() / dc.expected_makespan;
             assert!(gap < 1e-10, "λ {lambda}: gap {gap}");
             // The reported value matches the analytical evaluation of the
             // schedule the solver actually returned.
-            let eval = expected_makespan(&inst, &blocked.schedule).unwrap();
+            let order = properties::as_chain(inst.graph()).unwrap();
+            let schedule = Schedule::new(&inst, order, blocked.checkpoint_after()).unwrap();
+            let eval = expected_makespan(&inst, &schedule).unwrap();
             let eval_gap = (blocked.expected_makespan - eval).abs() / eval;
             assert!(eval_gap < 1e-10, "λ {lambda}: eval gap {eval_gap}");
-            // Above the size threshold the scalable dispatcher picks the
-            // blocked core.
-            let order = properties::as_chain(inst.graph()).unwrap();
-            let table = crate::evaluate::segment_cost_table(&inst, &order).unwrap();
-            assert_eq!(
-                scalable_placement_on_table(&table).checkpoint_positions,
-                blocked.checkpoint_positions
-            );
+            // Above the size threshold the dispatch picks the blocked core.
+            assert_eq!(blocked, blocked_placement_with_block(&table, DP_BLOCK));
         }
     }
 
@@ -1782,7 +1427,7 @@ mod tests {
 
         let mut dp = ResumableDp::new();
         let full = dp.solve(&table);
-        assert_eq!(full, optimal_placement_on_table(&table).expected_makespan);
+        assert_eq!(full, pruned_placement(&table, &mut ChainDpScratch::new()).expected_makespan);
 
         for boundary in [5usize, 20, 40] {
             // Perturb checkpoint costs strictly below the boundary (weights
@@ -1796,7 +1441,7 @@ mod tests {
                 SegmentCostTable::new(inst.lambda(), inst.downtime(), &weights, &ckpt, &recov)
                     .unwrap();
             let resumed = dp.try_prefix(&changed, boundary);
-            let fresh = optimal_placement_on_table(&changed);
+            let fresh = pruned_placement(&changed, &mut ChainDpScratch::new());
             assert_eq!(resumed, fresh.expected_makespan, "boundary {boundary}");
             dp.commit_trial();
             assert_eq!(dp.value(), fresh.expected_makespan);
@@ -1895,22 +1540,16 @@ mod tests {
         let mut scratch = ChainDpScratch::new();
         // Mix of sizes around the scalable threshold and regimes, reusing
         // one arena throughout.
-        for (seed, n, lambda) in [(1u64, 64usize, 1e-4), (2, 1500, 1e-5), (3, 700, 1e-3)] {
-            let inst = random_heterogeneous_chain(seed, n, lambda);
-            let order = properties::as_chain(inst.graph()).unwrap();
-            let table = crate::evaluate::segment_cost_table(&inst, &order).unwrap();
+        for (seed, n, lambda) in
+            [(1u64, 64usize, 1e-4), (2, 1500, 1e-5), (3, 700, 1e-3), (9, 2000, 1e-5)]
+        {
+            let table = table(&random_heterogeneous_chain(seed, n, lambda));
             let reused = scalable_placement_on_table_with_scratch(&table, &mut scratch);
-            let fresh = scalable_placement_on_table(&table);
+            let fresh =
+                scalable_placement_on_table_with_scratch(&table, &mut ChainDpScratch::new());
             assert_eq!(reused.expected_makespan, fresh.expected_makespan, "seed {seed}");
             assert_eq!(reused.checkpoint_positions, fresh.checkpoint_positions);
         }
-        // The chain-level scratch entry point agrees with the allocating one.
-        let inst = random_heterogeneous_chain(9, 2000, 1e-5);
-        let with_scratch =
-            optimal_chain_schedule_blocked_with_scratch(&inst, &mut scratch).unwrap();
-        let fresh = optimal_chain_schedule_blocked(&inst).unwrap();
-        assert_eq!(with_scratch.expected_makespan, fresh.expected_makespan);
-        assert_eq!(with_scratch.checkpoint_positions, fresh.checkpoint_positions);
     }
 
     #[test]
@@ -1918,7 +1557,7 @@ mod tests {
         let inst = chain_instance(&[400.0, 100.0, 900.0, 250.0], 60.0, 60.0, 30.0, 1e-4);
         let order = properties::as_chain(inst.graph()).unwrap();
         let table = crate::evaluate::segment_cost_table(&inst, &order).unwrap();
-        let placement = optimal_placement_on_table(&table);
+        let placement = pruned_placement(&table, &mut ChainDpScratch::new());
         let flags = placement.checkpoint_after();
         assert_eq!(flags.len(), 4);
         assert_eq!(flags.iter().filter(|&&f| f).count(), placement.checkpoint_count());
@@ -1972,13 +1611,12 @@ mod tests {
                 "divide-conquer {} vs reference {base}", dc.expected_makespan);
             prop_assert!((memoized - base).abs() / base < 1e-10,
                 "memoized {memoized} vs reference {base}");
-            // The blocked solver, at production block size and with a tiny
+            // The blocked kernel, at production block size and with a tiny
             // block size that forces deep recursion on these chain lengths.
-            let blocked = optimal_chain_schedule_blocked(&inst).unwrap();
+            let table = table(&inst);
+            let blocked = blocked_placement_with_block(&table, DP_BLOCK);
             prop_assert!((blocked.expected_makespan - base).abs() / base < 1e-10,
                 "blocked {} vs reference {base}", blocked.expected_makespan);
-            let order = properties::as_chain(inst.graph()).unwrap();
-            let table = crate::evaluate::segment_cost_table(&inst, &order).unwrap();
             let tiny = blocked_placement_with_block(&table, 4);
             prop_assert!((tiny.expected_makespan - base).abs() / base < 1e-10,
                 "blocked(4) {} vs reference {base}", tiny.expected_makespan);
@@ -2108,13 +1746,42 @@ mod tests {
         }
 
         #[test]
-        #[should_panic(expected = "no feasible levelled plan")]
         fn slotless_single_level_has_no_plan() {
             let inst = chain_instance(&[400.0, 100.0], 60.0, 60.0, 30.0, 1e-3);
             let levels =
                 StorageLevels::new(vec![StorageLevel::new(1.0, 1.0).unwrap().with_slots(0)])
                     .unwrap();
-            let _ = optimal_levelled_schedule(&inst, &levels);
+            assert_eq!(
+                optimal_levelled_schedule(&inst, &levels),
+                Err(ScheduleError::InvalidStorageLevels)
+            );
+        }
+
+        #[test]
+        fn infinite_optima_collapse_bitwise_and_never_spend_a_missing_slot() {
+            // Chains whose every plan costs +∞: an astronomic rate, λ·w ≈ 708
+            // per task (e^{λw} at the edge of the f64 range), and huge
+            // downtime or checkpoint costs. The levelled DP returns Algorithm
+            // 1's +∞ plan bit for bit, and on two levels its default choice
+            // spends no slot.
+            let cases = [
+                chain_instance(&[100.0, 200.0, 300.0], 10.0, 0.0, 5.0, 1e300),
+                chain_instance(&[100.0, 100.0, 100.0], 0.0, 0.0, 60.0, 7.08),
+                chain_instance(&[100.0, 200.0, 300.0], 10.0, 20.0, 1e308, 1e-2),
+                chain_instance(&[100.0, 200.0, 300.0], 1e308, 20.0, 5.0, 1e-3),
+            ];
+            for inst in &cases {
+                let flat = optimal_chain_schedule(inst).unwrap();
+                assert_eq!(flat.expected_makespan, f64::INFINITY);
+                let single = optimal_levelled_schedule(inst, &StorageLevels::single()).unwrap();
+                assert_eq!(single.expected_makespan.to_bits(), flat.expected_makespan.to_bits());
+                assert_eq!(single.schedule, flat.schedule);
+                for slots in [0usize, 1] {
+                    let two = optimal_levelled_schedule(inst, &two_level(slots)).unwrap();
+                    assert_eq!(two.expected_makespan, f64::INFINITY);
+                    assert_eq!(two.checkpoints, vec![(2, 1)]);
+                }
+            }
         }
 
         #[test]
@@ -2205,13 +1872,11 @@ mod tests {
                 let base = segment_cost_table(&inst, &order).unwrap();
                 let table =
                     levelled_cost_table(&inst, &order, StorageLevels::single()).unwrap();
-                let flat = optimal_placement_on_table(&base);
-                let levelled = optimal_levelled_placement_on_table(&table);
-                prop_assert_eq!(
-                    levelled.expected_makespan.to_bits(),
-                    flat.expected_makespan.to_bits()
-                );
-                prop_assert_eq!(levelled.checkpoint_positions(), flat.checkpoint_positions);
+                let flat = pruned_placement(&base, &mut ChainDpScratch::new());
+                let (value, checkpoints) = optimal_levelled_placement_on_table(&table);
+                prop_assert_eq!(value.to_bits(), flat.expected_makespan.to_bits());
+                let positions: Vec<usize> = checkpoints.iter().map(|&(j, _)| j).collect();
+                prop_assert_eq!(positions, flat.checkpoint_positions);
             }
         }
     }

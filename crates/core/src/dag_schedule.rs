@@ -13,7 +13,7 @@
 //!    **one** [`SegmentCostTable`] for the order from them, and place
 //!    checkpoints optimally for that order with the Algorithm 1 recurrence
 //!    run directly on the table
-//!    ([`chain_dp::scalable_placement_on_table`](crate::chain_dp::scalable_placement_on_table)).
+//!    ([`chain_dp::scalable_placement_on_table_with_scratch`](crate::chain_dp::scalable_placement_on_table_with_scratch)).
 //!
 //! The positional cost vectors are produced by **one incremental sweep** of
 //! the order ([`CheckpointCostModel::costs_along_order`]): the live set is
@@ -40,7 +40,7 @@
 use ckpt_dag::{linearize, LinearizationStrategy, TaskId};
 use ckpt_expectation::segment_cost::SegmentCostTable;
 
-use crate::chain_dp::scalable_placement_on_table;
+use crate::chain_dp::{scalable_placement_on_table_with_scratch, ChainDpScratch};
 use crate::cost_model::CheckpointCostModel;
 use crate::error::ScheduleError;
 use crate::instance::ProblemInstance;
@@ -154,7 +154,7 @@ pub fn optimal_checkpoints_for_order(
     model: CheckpointCostModel,
 ) -> Result<(Schedule, f64), ScheduleError> {
     let table = model_cost_table(instance, &order, model)?;
-    let placement = scalable_placement_on_table(&table);
+    let placement = scalable_placement_on_table_with_scratch(&table, &mut ChainDpScratch::new());
     let schedule = Schedule::new(instance, order, placement.checkpoint_after())?;
     Ok((schedule, placement.expected_makespan))
 }

@@ -69,8 +69,9 @@ pub enum ScheduleError {
         /// Human-readable reason.
         reason: &'static str,
     },
-    /// A storage hierarchy is malformed (more than one slot-bounded level —
-    /// the levelled DP threads a single slot budget through its state).
+    /// A storage hierarchy is malformed: more than one slot-bounded level
+    /// (the levelled DP threads a single slot budget through its state), or
+    /// a sole level without a slot for the mandatory final checkpoint.
     InvalidStorageLevels,
 }
 
@@ -78,7 +79,7 @@ impl fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScheduleError::NonPositiveParameter { name, value } => {
-                write!(f, "parameter `{name}` must be strictly positive, got {value}")
+                write!(f, "parameter `{name}` must be strictly positive and finite, got {value}")
             }
             ScheduleError::NegativeParameter { name, value } => {
                 write!(f, "parameter `{name}` must be non-negative, got {value}")
@@ -114,9 +115,10 @@ impl fmt::Display for ScheduleError {
             ScheduleError::InvalidThreePartition { reason } => {
                 write!(f, "invalid 3-PARTITION instance: {reason}")
             }
-            ScheduleError::InvalidStorageLevels => {
-                write!(f, "at most one storage level may carry a slot bound")
-            }
+            ScheduleError::InvalidStorageLevels => write!(
+                f,
+                "at most one storage level may carry a slot bound, and a sole level needs a slot"
+            ),
         }
     }
 }

@@ -68,8 +68,10 @@ pub fn segment_expected_time(
 /// * [`ScheduleError::EmptyInstance`] if `order` is empty;
 /// * [`ScheduleError::InvalidOrder`] if `order` is not a topological order of
 ///   the instance graph;
-/// * propagated validation errors (cannot occur for instances built through
-///   [`ProblemInstance::builder`]).
+/// * [`ScheduleError::NonPositiveParameter`] if the rate fails the order's
+///   check ([`LambdaSweep::check_rate`]): on an instance the builder
+///   accepted, only where an overflowing coefficient `e^{λR}(1/λ + D)`
+///   meets a prefix step whose `λ·w` underflows to 0.
 pub fn segment_cost_table(
     instance: &ProblemInstance,
     order: &[TaskId],
@@ -114,7 +116,7 @@ pub fn levelled_cost_table(
 
 /// Builds a [`LambdaSweep`] for `instance` along `order`: the λ-independent
 /// half of [`segment_cost_table`], shared across every failure rate a sweep
-/// evaluates (see [`crate::analysis::lambda_sweep`]).
+/// evaluates (see [`crate::analysis::lambda_sweep_with_threads`]).
 ///
 /// # Errors
 ///

@@ -11,7 +11,8 @@
 //!   chain's [`LambdaSweep`](ckpt_expectation::sweep::LambdaSweep) once,
 //!   instantiates a [`SegmentCostTable`](ckpt_expectation::segment_cost::SegmentCostTable)
 //!   at each surrogate rate and runs the Algorithm 1 recurrence directly on
-//!   the table ([`chain_dp::optimal_placement_on_table`]) — no surrogate
+//!   the table ([`chain_dp::scalable_placement_on_table_with_scratch`], one
+//!   arena for the whole batch) — no surrogate
 //!   instance is cloned and no Proposition-1 closed form is re-derived per
 //!   candidate segment, so planning the same chain across several platform
 //!   sizes ([`exponential_equivalent_schedules`]) shares all the
@@ -77,13 +78,15 @@ pub fn exponential_equivalent_schedules(
 ) -> Result<Vec<Schedule>, ScheduleError> {
     let order = properties::as_chain(instance.graph()).ok_or(ScheduleError::NotAChain)?;
     let sweep = lambda_sweep_for_order(instance, &order)?;
+    let mut scratch = chain_dp::ChainDpScratch::new();
     processor_counts
         .iter()
         .map(|&p| {
             let table = sweep
                 .table_for(surrogate_lambda(law, p))
                 .map_err(ScheduleError::from_expectation)?;
-            let placement = chain_dp::scalable_placement_on_table(&table);
+            let placement =
+                chain_dp::scalable_placement_on_table_with_scratch(&table, &mut scratch);
             Schedule::new(instance, order.clone(), placement.checkpoint_after())
         })
         .collect()

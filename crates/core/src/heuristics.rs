@@ -127,7 +127,7 @@ pub struct BaselineSweepPoint {
 /// the order's λ-independent precomputation
 /// (via [`LambdaSweep`](ckpt_expectation::sweep::LambdaSweep)) between the
 /// rates — the batched baseline curves experiment E9 plots against the
-/// re-optimised [`crate::analysis::lambda_sweep`].
+/// re-optimised [`crate::analysis::lambda_sweep_with_threads`].
 ///
 /// # Errors
 ///

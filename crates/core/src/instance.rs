@@ -1,8 +1,9 @@
 //! The scheduling problem instance (paper §2).
 
 use ckpt_dag::{TaskGraph, TaskId};
+use ckpt_expectation::exact::check_rate;
 
-use crate::error::{ensure_non_negative, ensure_positive, ScheduleError};
+use crate::error::{ensure_non_negative, ScheduleError};
 
 /// A complete instance of the checkpoint-scheduling problem:
 ///
@@ -105,9 +106,12 @@ impl ProblemInstance {
     ///
     /// # Errors
     ///
-    /// Returns an error if `lambda` is not strictly positive and finite.
+    /// Returns an error if `lambda` fails the shared rate check
+    /// ([`check_rate`]): it must be strictly positive with a finite `1/λ`.
     pub fn with_lambda(&self, lambda: f64) -> Result<ProblemInstance, ScheduleError> {
-        Ok(ProblemInstance { lambda: ensure_positive("lambda", lambda)?, ..self.clone() })
+        let lambda =
+            check_rate(lambda, self.total_weight()).map_err(ScheduleError::from_expectation)?;
+        Ok(ProblemInstance { lambda, ..self.clone() })
     }
 }
 
@@ -203,7 +207,18 @@ impl ProblemInstanceBuilder {
     ///   wrong length;
     /// * [`ScheduleError::NegativeParameter`] /
     ///   [`ScheduleError::NonPositiveParameter`] for invalid numeric values;
-    ///   checkpoint and recovery costs must be supplied (uniform or per-task).
+    ///   checkpoint and recovery costs must be supplied (uniform or per-task);
+    /// * [`ScheduleError::NonPositiveParameter`] when the rate or the total
+    ///   work fails the shared rate check ([`check_rate`]): `1/λ` or the
+    ///   total work is not finite.
+    ///
+    /// The check is order-independent. The one condition that depends on an
+    /// execution order — an overflowing coefficient `e^{λR}(1/λ + D)`
+    /// meeting a prefix step whose `λ·w` underflows to 0, as where a tiny
+    /// weight is absorbed by a huge prefix sum — is checked where an order's
+    /// segment-cost tables are built
+    /// ([`segment_cost_table`](crate::evaluate::segment_cost_table)), which
+    /// return the same typed error.
     pub fn build(&self) -> Result<ProblemInstance, ScheduleError> {
         let n = self.graph.task_count();
         if n == 0 {
@@ -259,7 +274,8 @@ impl ProblemInstanceBuilder {
             recovery_costs,
             initial_recovery: ensure_non_negative("initial recovery", self.initial_recovery)?,
             downtime: ensure_non_negative("downtime", self.downtime)?,
-            lambda: ensure_positive("lambda", self.lambda)?,
+            lambda: check_rate(self.lambda, self.graph.total_weight())
+                .map_err(ScheduleError::from_expectation)?,
         })
     }
 }
@@ -382,5 +398,32 @@ mod tests {
         assert_eq!(swept.lambda(), 1e-2);
         assert_eq!(swept.task_count(), 3);
         assert!(inst.with_lambda(-1.0).is_err());
+        assert!(inst.with_lambda(5e-324).is_err());
+    }
+
+    #[test]
+    fn rates_whose_closed_form_is_not_a_number_are_rejected() {
+        let build = |weights: &[f64], recovery: f64, lambda: f64| {
+            ProblemInstance::builder(generators::chain(weights).unwrap())
+                .uniform_checkpoint_cost(0.0)
+                .uniform_recovery_cost(recovery)
+                .platform_lambda(lambda)
+                .build()
+        };
+        // 1/λ overflows while λ·W underflows.
+        assert!(build(&[0.1, 0.1], 0.0, 5e-324).is_err());
+        // The total work overflows.
+        assert!(build(&[1e308, 1e308], 0.0, 1e-3).is_err());
+        // An infinite coefficient alone is a +∞ cost, not an error.
+        assert!(build(&[1.0, 1.0], 1e300, 1e-3).is_ok());
+        // An infinite coefficient meeting a prefix step whose λ·w underflows
+        // (a subnormal weight, or 1.0 absorbed by the prefix sum 1e300)
+        // depends on the order: the builder accepts the instance and the
+        // chain's segment-cost table rejects it, typed.
+        for weights in [[5e-324, 1.0], [1e300, 1.0]] {
+            let inst = build(&weights, 1e300, 1e-3).unwrap();
+            let order = ckpt_dag::properties::as_chain(inst.graph()).unwrap();
+            assert!(crate::evaluate::segment_cost_table(&inst, &order).is_err());
+        }
     }
 }

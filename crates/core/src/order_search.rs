@@ -41,7 +41,7 @@ use ckpt_dag::{linearize, properties, LinearizationStrategy, TaskId};
 use ckpt_expectation::segment_cost::SegmentCostTable;
 use ckpt_failure::{Pcg64, RandomSource};
 
-use crate::chain_dp::{scalable_placement_on_table, ResumableDp};
+use crate::chain_dp::{scalable_placement_on_table_with_scratch, ChainDpScratch, ResumableDp};
 use crate::cost_model::{CheckpointCostModel, LiveSetCostSweep};
 use crate::dag_schedule::DagSolution;
 use crate::error::ScheduleError;
@@ -485,7 +485,7 @@ fn local_search_run(
     // `schedule_dag_best_of` (model table + scalable placement), so start
     // orders score identically to the baseline and dominance is exact.
     let table = crate::dag_schedule::model_cost_table(instance, &state.order, model)?;
-    let placement = scalable_placement_on_table(&table);
+    let placement = scalable_placement_on_table_with_scratch(&table, &mut ChainDpScratch::new());
     Ok(RunResult {
         order: state.order,
         checkpoint_after: placement.checkpoint_after(),
@@ -944,7 +944,9 @@ mod tests {
             assert!(found.winning_start < found.starts);
             for order in &seed_orders {
                 let table = crate::dag_schedule::model_cost_table(&inst, order, model).unwrap();
-                let seed_value = scalable_placement_on_table(&table).expected_makespan;
+                let seed_value =
+                    scalable_placement_on_table_with_scratch(&table, &mut ChainDpScratch::new())
+                        .expected_makespan;
                 assert!(
                     found.value <= seed_value,
                     "{model}: seeded search {} worse than its start {seed_value}",

@@ -29,37 +29,11 @@ where
     G: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &I) -> T + Sync,
 {
-    chunked_map_with_states(items, threads, init, work).0
-}
-
-/// Like [`chunked_map_with`], but also hands back each worker's final state
-/// **in chunk order** (chunk 0's state first). This is the deterministic
-/// shard-merge channel used by the telemetry layer: give every worker a
-/// metrics-registry shard as its state, then fold the returned shards into
-/// the main registry in order — since shard merges are exact, the merged
-/// registry is bit-identical at any worker count, and since the states are
-/// scratch the mapped results are untouched.
-pub fn chunked_map_with_states<I, S, T, G, F>(
-    items: &[I],
-    threads: usize,
-    init: G,
-    work: F,
-) -> (Vec<T>, Vec<S>)
-where
-    I: Sync,
-    S: Send,
-    T: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &I) -> T + Sync,
-{
-    let (results, states) =
+    let (results, _) =
         scatter_trials_with(items.len(), effective_threads(threads), init, |index, state| {
             Ok::<T, Infallible>(work(state, index, &items[index]))
         });
-    (
-        results.into_iter().map(|result| result.unwrap_or_else(|never| match never {})).collect(),
-        states,
-    )
+    results.into_iter().map(|result| result.unwrap_or_else(|never| match never {})).collect()
 }
 
 #[cfg(test)]
@@ -108,27 +82,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(chunked_map_with(&empty, 8, || (), |_, _, &x: &u32| x).is_empty());
         assert_eq!(chunked_map_with(&[7u32], 8, || (), |_, _, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn states_come_back_in_chunk_order() {
-        let items: Vec<usize> = (0..20).collect();
-        for threads in [1usize, 2, 3, 8] {
-            let (results, states) = chunked_map_with_states(
-                &items,
-                threads,
-                Vec::new,
-                |seen: &mut Vec<usize>, index, &item| {
-                    seen.push(index);
-                    item * 2
-                },
-            );
-            assert_eq!(results, items.iter().map(|i| i * 2).collect::<Vec<_>>());
-            // Concatenating the per-chunk states in order recovers the full
-            // index sequence — the property deterministic shard merges need.
-            let concatenated: Vec<usize> = states.into_iter().flatten().collect();
-            assert_eq!(concatenated, items, "differs at {threads} workers");
-        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! numerically-careful variant for very small `λ(W+C)` products.
 
 use crate::error::{ensure_non_negative, ensure_positive, ExpectationError};
+use crate::segment_cost::OrderBounds;
 
 /// Parameters of one "work + checkpoint" attempt (Proposition 1).
 ///
@@ -45,7 +46,11 @@ impl ExecutionParams {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExpectationError`] if any argument violates the above.
+    /// Returns an [`ExpectationError`] if any argument violates the above,
+    /// or if the rate fails [`check_rate`] or lets an overflowing
+    /// coefficient `e^{λR}(1/λ + D)` meet a `λ·W` that underflows to 0:
+    /// exactly the rates a one-position
+    /// [`SegmentCostTable`](crate::segment_cost::SegmentCostTable) rejects.
     pub fn new(
         work: f64,
         checkpoint: f64,
@@ -53,13 +58,21 @@ impl ExecutionParams {
         recovery: f64,
         lambda: f64,
     ) -> Result<Self, ExpectationError> {
-        Ok(ExecutionParams {
-            work: ensure_positive("work", work)?,
-            checkpoint: ensure_non_negative("checkpoint", checkpoint)?,
-            downtime: ensure_non_negative("downtime", downtime)?,
-            recovery: ensure_non_negative("recovery", recovery)?,
-            lambda: ensure_positive("lambda", lambda)?,
-        })
+        let work = ensure_positive("work", work)?;
+        let checkpoint = ensure_non_negative("checkpoint", checkpoint)?;
+        let downtime = ensure_non_negative("downtime", downtime)?;
+        let recovery = ensure_non_negative("recovery", recovery)?;
+        // One segment is a one-position order: the same check, on the same
+        // bounds, as a one-position segment-cost table.
+        let segment = OrderBounds {
+            downtime,
+            total_work: work,
+            max_ckpt: checkpoint,
+            max_recovery: recovery,
+            min_step: work,
+        };
+        let lambda = segment.check_rate(lambda)?;
+        Ok(ExecutionParams { work, checkpoint, downtime, recovery, lambda })
     }
 
     /// The work duration `W`.
@@ -100,6 +113,37 @@ impl ExecutionParams {
     pub fn with_work(&self, work: f64) -> Result<Self, ExpectationError> {
         ExecutionParams::new(work, self.checkpoint, self.downtime, self.recovery, self.lambda)
     }
+}
+
+/// The order-independent half of the rate check every constructor that
+/// takes a failure rate shares ([`ExecutionParams::new`], the segment-cost
+/// tables and `ckpt-core`'s instance builder): `lambda` passes iff it is
+/// strictly positive and `1/λ` is finite (below `λ ≈ 5.6·10⁻³⁰⁹` every
+/// Proposition 1 coefficient `e^{λR}(1/λ + D)` is +∞ while `λ·W` underflows
+/// to 0: ∞·0 = NaN), and `total_work` is finite (prefix sums past
+/// `f64::MAX` turn segment works into ∞ − ∞). `O(1)`.
+///
+/// Where an execution order is known, its tables add one order-dependent
+/// condition on top: an overflowing coefficient must never meet a prefix
+/// step whose `λ·w` underflows to 0 (see
+/// [`LambdaSweep::check_rate`](crate::sweep::LambdaSweep::check_rate)). An
+/// infinite expected time is still a number: data whose optimum is +∞
+/// passes both.
+///
+/// # Errors
+///
+/// [`ExpectationError::NonPositiveParameter`] or
+/// [`ExpectationError::NonFiniteParameter`] naming the violated bound.
+pub fn check_rate(lambda: f64, total_work: f64) -> Result<f64, ExpectationError> {
+    let lambda = ensure_positive("lambda", lambda)?;
+    let scale = 1.0 / lambda;
+    if !scale.is_finite() {
+        return Err(ExpectationError::NonFiniteParameter { name: "1/lambda", value: scale });
+    }
+    if !total_work.is_finite() {
+        return Err(ExpectationError::NonFiniteParameter { name: "total work", value: total_work });
+    }
+    Ok(lambda)
 }
 
 /// Proposition 1 (Equation 6): the expected time to successfully execute `W`
@@ -181,6 +225,33 @@ mod tests {
         assert!(ExecutionParams::new(1.0, 0.0, 0.0, -1.0, 1.0).is_err());
         assert!(ExecutionParams::new(1.0, 0.0, 0.0, 0.0, 0.0).is_err());
         assert!(ExecutionParams::new(f64::NAN, 0.0, 0.0, 0.0, 1.0).is_err());
+    }
+
+    #[test]
+    fn rates_whose_closed_form_is_not_a_number_are_rejected() {
+        // 1/λ overflows while λ·W underflows: the closed form would be ∞·0.
+        assert!(ExecutionParams::new(0.1, 0.0, 0.0, 0.0, 5e-324).is_err());
+        assert!(ExecutionParams::new(0.1, 0.0, 0.0, 0.0, 1e-300).is_ok());
+        // An overflowing coefficient is fine while the exponent is positive…
+        let huge = params(0.1, 0.0, 0.0, 1e300, 1e-3);
+        assert_eq!(expected_time(&huge), f64::INFINITY);
+        // …but not once λ·W underflows to 0.
+        assert!(ExecutionParams::new(5e-324, 0.0, 0.0, 1e300, 1e-3).is_err());
+        assert!(check_rate(1e-3, f64::INFINITY).is_err());
+        assert!(check_rate(5e-324, 1.0).is_err());
+        assert_eq!(check_rate(1e-3, 1.0), Ok(1e-3));
+        // A segment accepts exactly what its one-position table accepts.
+        let edges = [0.0, 5e-324, 1e-300, 0.1, 1e300, f64::MAX];
+        for k in 0..edges.len().pow(5) {
+            let [w, c, d, r, lambda]: [f64; 5] =
+                std::array::from_fn(|i| edges[k / edges.len().pow(i as u32) % edges.len()]);
+            let table = crate::segment_cost::SegmentCostTable::new(lambda, d, &[w], &[c], &[r]);
+            assert_eq!(
+                ExecutionParams::new(w, c, d, r, lambda).is_ok(),
+                table.is_ok(),
+                "W={w} C={c} D={d} R={r} λ={lambda}"
+            );
+        }
     }
 
     #[test]

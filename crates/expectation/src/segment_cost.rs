@@ -38,6 +38,7 @@
 use std::sync::Arc;
 
 use crate::error::{ensure_non_negative, ensure_positive, ExpectationError};
+use crate::exact::check_rate;
 
 /// Below this exponent `λ(W+C)`, `e^a·e^b·e^c − 1` loses too many bits to
 /// cancellation and the table falls back to `exp_m1`. At the threshold the
@@ -118,9 +119,10 @@ impl SegmentCostTable {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExpectationError`] if `lambda` is not strictly positive,
-    /// `downtime` is negative, any weight is not strictly positive, or any
-    /// checkpoint/recovery cost is negative.
+    /// Returns an [`ExpectationError`] if `downtime` is negative, any weight
+    /// is not strictly positive, any checkpoint/recovery cost is negative,
+    /// or `lambda` fails the order's rate check
+    /// ([`LambdaSweep::check_rate`](crate::sweep::LambdaSweep::check_rate)).
     ///
     /// # Panics
     ///
@@ -133,16 +135,14 @@ impl SegmentCostTable {
         checkpoints: &[f64],
         recoveries: &[f64],
     ) -> Result<Self, ExpectationError> {
-        let lambda = ensure_positive("lambda", lambda)?;
-        let (downtime, prefix, max_ckpt) =
-            validate_order(downtime, weights, checkpoints, recoveries)?;
+        let (prefix, bounds) = validate_order(downtime, weights, checkpoints, recoveries)?;
         Ok(Self::from_validated_parts(
-            lambda,
-            downtime,
+            bounds.check_rate(lambda)?,
+            bounds.downtime,
             Arc::new(prefix),
             Arc::new(checkpoints.to_vec()),
             recoveries,
-            max_ckpt,
+            bounds.max_ckpt,
         ))
     }
 
@@ -416,10 +416,49 @@ impl SegmentCostTable {
     }
 }
 
+/// The λ-independent scalars of one validated execution order: what the
+/// tables need besides the per-position vectors, and the extremes the
+/// `O(1)` per-rate check reads. Built by [`validate_order`] for an order
+/// and by [`crate::exact::ExecutionParams::new`] for one segment, so every
+/// constructor that takes a rate makes the same decision on the same kind
+/// of input.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct OrderBounds {
+    pub(crate) downtime: f64,
+    pub(crate) total_work: f64,
+    pub(crate) max_ckpt: f64,
+    pub(crate) max_recovery: f64,
+    /// The smallest prefix step `prefix[k+1] − prefix[k]`: no attempt's
+    /// work falls below it (checkpoint costs only add to it), even where a
+    /// tiny weight is absorbed by a huge prefix sum.
+    pub(crate) min_step: f64,
+}
+
+impl OrderBounds {
+    /// [`check_rate`] of `lambda`, plus the order-dependent condition: the
+    /// largest coefficient `e^{λR}(1/λ + D)` is finite, or `λ` times the
+    /// smallest prefix step does not underflow to 0 (an overflowing
+    /// coefficient must never meet a vanishing exponent: ∞·0).
+    pub(crate) fn check_rate(&self, lambda: f64) -> Result<f64, ExpectationError> {
+        let lambda = check_rate(lambda, self.total_work)?;
+        if lambda * self.min_step == 0.0 {
+            let coefficient = (lambda * self.max_recovery).exp() * (1.0 / lambda + self.downtime);
+            if !coefficient.is_finite() {
+                return Err(ExpectationError::NonFiniteParameter {
+                    name: "segment coefficient",
+                    value: coefficient,
+                });
+            }
+        }
+        Ok(lambda)
+    }
+}
+
 /// Validates the λ-independent data of one execution order (shared by
-/// [`SegmentCostTable::new`] and [`crate::sweep::LambdaSweep::new`], so the
-/// two constructors can never diverge on what they accept) and returns the
-/// checked downtime, the work prefix sums and the largest checkpoint cost.
+/// [`SegmentCostTable::new`], [`crate::sweep::LambdaSweep::new`] and
+/// [`crate::storage::LevelledCostTable::new`], so the constructors can never
+/// diverge on what they accept) and returns the work prefix sums and the
+/// order's [`OrderBounds`].
 ///
 /// # Panics
 ///
@@ -430,7 +469,7 @@ pub(crate) fn validate_order(
     weights: &[f64],
     checkpoints: &[f64],
     recoveries: &[f64],
-) -> Result<(f64, Vec<f64>, f64), ExpectationError> {
+) -> Result<(Vec<f64>, OrderBounds), ExpectationError> {
     let n = weights.len();
     assert!(n > 0, "the execution order needs at least one position");
     assert_eq!(checkpoints.len(), n, "one checkpoint cost per position");
@@ -438,19 +477,25 @@ pub(crate) fn validate_order(
     let downtime = ensure_non_negative("downtime", downtime)?;
     let mut prefix = Vec::with_capacity(n + 1);
     prefix.push(0.0);
+    let mut min_step = f64::INFINITY;
     for &w in weights {
         ensure_positive("work", w)?;
-        prefix.push(prefix[prefix.len() - 1] + w);
+        let last = prefix[prefix.len() - 1];
+        prefix.push(last + w);
+        min_step = min_step.min(prefix[prefix.len() - 1] - last);
     }
     let mut max_ckpt = 0.0f64;
     for &c in checkpoints {
         ensure_non_negative("checkpoint", c)?;
         max_ckpt = max_ckpt.max(c);
     }
+    let mut max_recovery = 0.0f64;
     for &r in recoveries {
         ensure_non_negative("recovery", r)?;
+        max_recovery = max_recovery.max(r);
     }
-    Ok((downtime, prefix, max_ckpt))
+    let total_work = prefix[n];
+    Ok((prefix, OrderBounds { downtime, total_work, max_ckpt, max_recovery, min_step }))
 }
 
 #[cfg(test)]
@@ -475,6 +520,12 @@ mod tests {
         assert!(SegmentCostTable::new(1e-3, 0.0, &[1.0], &[-1.0], &[0.0]).is_err());
         assert!(SegmentCostTable::new(1e-3, 0.0, &[1.0], &[0.0], &[-1.0]).is_err());
         assert!(SegmentCostTable::new(1e-3, 0.0, &[1.0], &[0.0], &[0.0]).is_ok());
+        // The shared rate check: 1/λ overflows, the total work overflows, or
+        // an absorbed weight (zero prefix step) meets an infinite coefficient.
+        assert!(SegmentCostTable::new(5e-324, 0.0, &[0.1, 0.1], &[0.0; 2], &[0.0; 2]).is_err());
+        assert!(SegmentCostTable::new(1e-3, 0.0, &[1e308; 2], &[0.0; 2], &[0.0; 2]).is_err());
+        assert!(SegmentCostTable::new(1e-3, 0.0, &[1e300, 1.0], &[0.0; 2], &[0.0, 1e300]).is_err());
+        assert!(SegmentCostTable::new(1e-3, 0.0, &[1e300, 1.0], &[0.0; 2], &[0.0; 2]).is_ok());
     }
 
     #[test]

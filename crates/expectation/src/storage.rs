@@ -46,7 +46,7 @@
 use std::sync::Arc;
 
 use crate::error::{ensure_positive, ExpectationError};
-use crate::segment_cost::{validate_order, SegmentCostTable};
+use crate::segment_cost::{validate_order, OrderBounds, SegmentCostTable};
 
 /// One storage level: multiplicative write/read cost factors over the
 /// instance's per-position checkpoint/recovery costs, plus an optional slot
@@ -242,8 +242,7 @@ impl LevelledCostTable {
         recoveries: &[f64],
         levels: StorageLevels,
     ) -> Result<Self, ExpectationError> {
-        let lambda = ensure_positive("lambda", lambda)?;
-        let (downtime, prefix, _) = validate_order(downtime, weights, checkpoints, recoveries)?;
+        let (prefix, bounds) = validate_order(downtime, weights, checkpoints, recoveries)?;
         let prefix = Arc::new(prefix);
         let tables = levels
             .levels()
@@ -256,20 +255,21 @@ impl LevelledCostTable {
                 // The initial recovery protects position 0 before any
                 // checkpoint exists; it belongs to no level.
                 scaled_rec[0] = recoveries[0];
-                let mut max_ckpt = 0.0f64;
-                for &c in &scaled_ckpt {
-                    max_ckpt = max_ckpt.max(c);
-                }
-                SegmentCostTable::from_validated_parts(
-                    lambda,
-                    downtime,
+                let level_bounds = OrderBounds {
+                    max_ckpt: scaled_ckpt.iter().fold(0.0, |m: f64, &c| m.max(c)),
+                    max_recovery: scaled_rec.iter().fold(0.0, |m: f64, &r| m.max(r)),
+                    ..bounds
+                };
+                Ok(SegmentCostTable::from_validated_parts(
+                    level_bounds.check_rate(lambda)?,
+                    bounds.downtime,
                     Arc::clone(&prefix),
                     Arc::new(scaled_ckpt),
                     &scaled_rec,
-                    max_ckpt,
-                )
+                    level_bounds.max_ckpt,
+                ))
             })
-            .collect();
+            .collect::<Result<_, ExpectationError>>()?;
         Ok(LevelledCostTable { levels, tables })
     }
 

@@ -18,12 +18,12 @@
 //!
 //! Solvers that *optimise* per rate (the Algorithm 1 chain DP) live in
 //! `ckpt-core` and consume the per-rate tables directly; see
-//! `ckpt_core::analysis::lambda_sweep`.
+//! `ckpt_core::analysis::lambda_sweep_with_threads`.
 
 use std::sync::Arc;
 
 use crate::error::{ensure_positive, ExpectationError};
-use crate::segment_cost::SegmentCostTable;
+use crate::segment_cost::{validate_order, OrderBounds, SegmentCostTable};
 
 /// The λ-independent part of a [`SegmentCostTable`]: one fixed execution
 /// order (weights, checkpoint costs, protecting recoveries, downtime) with
@@ -55,14 +55,13 @@ use crate::segment_cost::SegmentCostTable;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LambdaSweep {
-    downtime: f64,
     /// `prefix[k] = w_0 + … + w_{k−1}`, shared (by `Arc`, not copied) with
     /// every per-rate table.
     prefix: Arc<Vec<f64>>,
     /// Checkpoint cost per position, shared like `prefix`.
     checkpoints: Arc<Vec<f64>>,
     recoveries: Vec<f64>,
-    max_ckpt: f64,
+    bounds: OrderBounds,
 }
 
 impl LambdaSweep {
@@ -84,14 +83,12 @@ impl LambdaSweep {
         checkpoints: &[f64],
         recoveries: &[f64],
     ) -> Result<Self, ExpectationError> {
-        let (downtime, prefix, max_ckpt) =
-            crate::segment_cost::validate_order(downtime, weights, checkpoints, recoveries)?;
+        let (prefix, bounds) = validate_order(downtime, weights, checkpoints, recoveries)?;
         Ok(LambdaSweep {
-            downtime,
             prefix: Arc::new(prefix),
             checkpoints: Arc::new(checkpoints.to_vec()),
             recoveries: recoveries.to_vec(),
-            max_ckpt,
+            bounds,
         })
     }
 
@@ -108,12 +105,12 @@ impl LambdaSweep {
 
     /// The downtime `D` shared by every per-rate table.
     pub fn downtime(&self) -> f64 {
-        self.downtime
+        self.bounds.downtime
     }
 
     /// The total work `w_0 + … + w_{n−1}` of the order.
     pub fn total_work(&self) -> f64 {
-        *self.prefix.last().expect("prefix always has n + 1 entries")
+        self.bounds.total_work
     }
 
     /// A 64-bit fingerprint of the validated order's defining data: the
@@ -126,7 +123,25 @@ impl LambdaSweep {
     /// hash, not an identity: colliding orders must still be told apart by
     /// comparing their defining vectors (which the service's cache does).
     pub fn fingerprint(&self) -> u64 {
-        order_fingerprint(self.downtime, &self.prefix, &self.checkpoints, &self.recoveries)
+        order_fingerprint(self.bounds.downtime, &self.prefix, &self.checkpoints, &self.recoveries)
+    }
+
+    /// Checks `lambda` against the order in `O(1)`, on its stored extremes —
+    /// exactly the check [`table_for`](LambdaSweep::table_for) and
+    /// [`total_costs`](LambdaSweep::total_costs) run, so a rate that passes
+    /// here always yields a table. It passes iff it passes
+    /// [`check_rate`](crate::exact::check_rate) (`1/λ` and the total work
+    /// are finite) and the largest Proposition 1 coefficient
+    /// `e^{λR}(1/λ + D)` is finite or `λ` times the smallest prefix step
+    /// does not underflow to 0: an overflowing coefficient must never meet
+    /// a vanishing exponent (∞·0 = NaN). Returns the rate.
+    ///
+    /// # Errors
+    ///
+    /// [`ExpectationError::NonPositiveParameter`] or
+    /// [`ExpectationError::NonFiniteParameter`] naming the violated bound.
+    pub fn check_rate(&self, lambda: f64) -> Result<f64, ExpectationError> {
+        self.bounds.check_rate(lambda)
     }
 
     /// Instantiates the order's [`SegmentCostTable`] at failure rate
@@ -136,17 +151,16 @@ impl LambdaSweep {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExpectationError`] if `lambda` is not strictly positive
-    /// and finite.
+    /// Returns an [`ExpectationError`] if `lambda` fails
+    /// [`check_rate`](LambdaSweep::check_rate).
     pub fn table_for(&self, lambda: f64) -> Result<SegmentCostTable, ExpectationError> {
-        let lambda = ensure_positive("lambda", lambda)?;
         Ok(SegmentCostTable::from_validated_parts(
-            lambda,
-            self.downtime,
+            self.check_rate(lambda)?,
+            self.bounds.downtime,
             Arc::clone(&self.prefix),
             Arc::clone(&self.checkpoints),
             &self.recoveries,
-            self.max_ckpt,
+            self.bounds.max_ckpt,
         ))
     }
 
@@ -166,8 +180,8 @@ impl LambdaSweep {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExpectationError`] if any rate is not strictly positive
-    /// and finite.
+    /// Returns an [`ExpectationError`] if any rate fails
+    /// [`check_rate`](LambdaSweep::check_rate).
     ///
     /// # Panics
     ///
@@ -191,8 +205,8 @@ impl LambdaSweep {
         lambdas
             .iter()
             .map(|&lambda| {
-                let lambda = ensure_positive("lambda", lambda)?;
-                let base = 1.0 / lambda + self.downtime;
+                let lambda = self.check_rate(lambda)?;
+                let base = 1.0 / lambda + self.bounds.downtime;
                 Ok(segments
                     .iter()
                     .map(|&(x, j)| {
@@ -413,6 +427,17 @@ mod tests {
         assert!(sweep.table_for(0.0).is_err());
         assert!(sweep.table_for(-1.0).is_err());
         assert!(sweep.table_for(f64::NAN).is_err());
+        assert!(sweep.table_for(5e-324).is_err());
+        assert!(sweep.total_costs(&[false, false, false, true], &[1e-4, 5e-324]).is_err());
+        // `check_rate` is the check `table_for` runs, rate for rate.
+        let absorbed = LambdaSweep::new(0.0, &[1e300, 1.0], &[0.0; 2], &[0.0, 1e300]).unwrap();
+        for lambda in [0.0, 5e-324, 1e-300, 1e-3, f64::INFINITY] {
+            for sweep in [&sweep, &absorbed] {
+                assert_eq!(sweep.check_rate(lambda).is_ok(), sweep.table_for(lambda).is_ok());
+            }
+        }
+        assert_eq!(absorbed.check_rate(1e-300), Ok(1e-300));
+        assert!(absorbed.check_rate(1e-3).is_err());
     }
 
     #[test]

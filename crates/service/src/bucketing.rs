@@ -27,6 +27,13 @@ pub enum RateBucketing {
     /// ([`nearest_rate_bucket`]); rates outside the grid clamp to its end
     /// buckets. Build one with [`RateBucketing::log_grid`] or
     /// [`RateBucketing::grid`].
+    ///
+    /// The planner never serves a grid rate that fails the request's order
+    /// ([`LambdaSweep::check_rate`](ckpt_expectation::sweep::LambdaSweep::check_rate):
+    /// on degenerate orders, whose overflowing coefficients meet vanishing
+    /// exponents at some rates). Such a request is planned at its own rate,
+    /// as under [`Exact`](RateBucketing::Exact), and its response's
+    /// `effective_lambda` says so.
     Grid(Vec<f64>),
 }
 

@@ -229,7 +229,9 @@ impl Planner {
     }
 
     /// Serves a batch of requests, returning one response per request in
-    /// request order. Infallible: requests are validated at construction.
+    /// request order. Infallible: requests are validated at construction,
+    /// and a grid rate the order cannot be planned at falls back to the
+    /// request's own rate (see [`RateBucketing::Grid`]).
     pub fn serve_batch(&mut self, requests: &[PlanRequest]) -> Vec<PlanResponse> {
         self.serve_batch_with_sink(requests, &mut NoopSink)
     }
@@ -252,7 +254,6 @@ impl Planner {
             .iter()
             .map(|request| {
                 let masked = request.instance().fingerprint() & self.fingerprint_mask;
-                let (bucket, effective_lambda) = self.bucketing.bucket(request.lambda());
                 let colliders = self.shards.entry(masked).or_default();
                 let (shard_index, is_new_order) = match colliders.iter().position(|candidate| {
                     Arc::ptr_eq(&candidate.sweep, request.instance().sweep())
@@ -269,6 +270,18 @@ impl Planner {
                     }
                 };
                 let shard = &colliders[shard_index];
+                let (bucket, effective_lambda) = match self.bucketing.bucket(request.lambda()) {
+                    // A grid rate at which this order's closed form is not a
+                    // number is never served: the request is planned at its
+                    // own rate, which construction checked against the same
+                    // order, exactly as under `Exact`. Its key, the rate's
+                    // bit pattern, exceeds 2⁴⁹ (`1/λ` is finite), far above
+                    // any grid index.
+                    (_, rate) if shard.sweep.check_rate(rate).is_err() => {
+                        RateBucketing::Exact.bucket(request.lambda())
+                    }
+                    quantised => quantised,
+                };
                 let resume_from = request.resume_from();
                 if resume_from == 0 {
                     if let Some(plan) = shard.plans.get(&bucket) {
@@ -318,7 +331,7 @@ impl Planner {
                     TableSource::Stamp(sweep) => Arc::new(
                         sweep
                             .table_for(item.effective_lambda)
-                            .expect("rates are validated at request construction"),
+                            .expect("admission checked the effective rate against this order"),
                     ),
                 };
                 let expected_makespan = if item.resume_from == 0 {
@@ -555,6 +568,38 @@ mod tests {
         assert_eq!(*responses[0].checkpoint_positions, reference.checkpoint_positions);
         assert_eq!(responses[0].expected_makespan.to_bits(), reference.expected_makespan.to_bits());
         assert_eq!(planner.cached_plans(), 1);
+    }
+
+    #[test]
+    fn grid_rates_an_order_cannot_take_fall_back_to_the_request_rate() {
+        // The weight 1.0 vanishes into the prefix sum 1e300 and the recovery
+        // 1e300 overflows the coefficient at every grid rate: only tiny rates
+        // can plan this order, so its requests skip the grid.
+        let absorbed =
+            PlanInstance::new(30.0, &[1e300, 1.0], &[0.0; 2], &[0.0, 1e300]).expect("valid order");
+        let bucketing = RateBucketing::grid(vec![1e-5, 1e-4, 1e-3]).expect("valid grid");
+        let mut planner = Planner::new(bucketing).with_threads(1);
+        let requests = [
+            PlanRequest::plan(1, absorbed.clone(), 1e-300).expect("valid"),
+            PlanRequest::plan(2, absorbed.clone(), 1e-300).expect("valid"),
+            PlanRequest::replan(3, absorbed, 1e-300, 1).expect("valid"),
+            PlanRequest::plan(4, instance(), 1e-300).expect("valid"),
+        ];
+        let responses = planner.serve_batch(&requests);
+        for response in &responses[..3] {
+            assert_eq!(response.effective_lambda, 1e-300);
+            assert!(!response.expected_makespan.is_nan());
+        }
+        // An ordinary order at the same rate still clamps onto the grid.
+        assert_eq!(responses[3].effective_lambda, 1e-5);
+        // The fallback serves what exact bucketing serves, bit for bit.
+        let reference = Planner::new(RateBucketing::Exact).serve_batch(&requests[..3]);
+        for (served, exact) in responses.iter().zip(&reference) {
+            assert_eq!(served.expected_makespan.to_bits(), exact.expected_makespan.to_bits());
+            assert_eq!(served.checkpoint_positions, exact.checkpoint_positions);
+        }
+        // The fallback bucket is cached like any other.
+        assert_eq!(planner.serve_batch(&requests[..1])[0].source, ResponseSource::CacheHit);
     }
 
     #[test]

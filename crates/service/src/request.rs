@@ -13,7 +13,6 @@ use ckpt_core::evaluate::lambda_sweep_for_order;
 use ckpt_core::ProblemInstance;
 use ckpt_dag::properties;
 use ckpt_expectation::sweep::LambdaSweep;
-use ckpt_expectation::ExpectationError;
 
 use crate::error::ServiceError;
 
@@ -116,10 +115,12 @@ impl PlanRequest {
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::Invalid`] if `lambda` is not strictly
-    /// positive and finite.
+    /// Returns [`ServiceError::Invalid`] if `lambda` fails the order's rate
+    /// check ([`LambdaSweep::check_rate`], `O(1)`): it must be strictly
+    /// positive with a finite `1/λ`, and must not let an overflowing
+    /// Proposition 1 coefficient meet a vanishing exponent.
     pub fn plan(id: u64, instance: PlanInstance, lambda: f64) -> Result<Self, ServiceError> {
-        ensure_rate(lambda)?;
+        instance.sweep.check_rate(lambda)?;
         Ok(PlanRequest { id, instance, lambda, resume_from: 0 })
     }
 
@@ -131,7 +132,8 @@ impl PlanRequest {
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::Invalid`] for an invalid rate, or
+    /// Returns [`ServiceError::Invalid`] for a rate that fails the order's
+    /// check (as [`PlanRequest::plan`]), or
     /// [`ServiceError::ResumeOutOfRange`] unless `1 ≤ resume_from < n`
     /// (use [`PlanRequest::plan`] for a fresh plan).
     pub fn replan(
@@ -140,7 +142,7 @@ impl PlanRequest {
         lambda: f64,
         resume_from: usize,
     ) -> Result<Self, ServiceError> {
-        ensure_rate(lambda)?;
+        instance.sweep.check_rate(lambda)?;
         if resume_from == 0 || resume_from >= instance.len() {
             return Err(ServiceError::ResumeOutOfRange { resume_from, len: instance.len() });
         }
@@ -166,16 +168,6 @@ impl PlanRequest {
     pub fn resume_from(&self) -> usize {
         self.resume_from
     }
-}
-
-fn ensure_rate(lambda: f64) -> Result<(), ServiceError> {
-    if !lambda.is_finite() {
-        return Err(ExpectationError::NonFiniteParameter { name: "lambda", value: lambda }.into());
-    }
-    if lambda <= 0.0 {
-        return Err(ExpectationError::NonPositiveParameter { name: "lambda", value: lambda }.into());
-    }
-    Ok(())
 }
 
 /// How the planner produced a response.
@@ -214,7 +206,8 @@ pub struct PlanResponse {
     pub lambda: f64,
     /// The rate the plan is exactly optimal for: `lambda` under
     /// [`RateBucketing::Exact`](crate::RateBucketing::Exact), the nearest
-    /// grid rate under a log grid.
+    /// grid rate under a grid (or `lambda` again where the order cannot be
+    /// planned at that grid rate).
     pub effective_lambda: f64,
     /// First position the plan covers (0 for a full plan).
     pub resume_from: usize,
@@ -262,6 +255,17 @@ mod tests {
         assert!(PlanRequest::plan(0, inst.clone(), 0.0).is_err());
         assert!(PlanRequest::plan(0, inst.clone(), f64::INFINITY).is_err());
         assert!(PlanRequest::plan(0, inst.clone(), 1e-4).is_ok());
+        // 1/λ overflows: the closed form would be ∞·0.
+        assert!(PlanRequest::plan(0, inst.clone(), 1e-310).is_err());
+        assert!(PlanRequest::replan(0, inst.clone(), 1e-310, 1).is_err());
+        // The weight 1.0 vanishes into the prefix sum 1e300 while the
+        // recovery 1e300 overflows the coefficient.
+        let absorbed = PlanInstance::new(30.0, &[1e300, 1.0], &[0.0; 2], &[0.0, 1e300]).unwrap();
+        assert!(matches!(
+            PlanRequest::plan(0, absorbed.clone(), 1e-4),
+            Err(ServiceError::Invalid(_))
+        ));
+        assert!(PlanRequest::plan(0, absorbed, 1e-300).is_ok());
         assert!(matches!(
             PlanRequest::replan(0, inst.clone(), 1e-4, 0),
             Err(ServiceError::ResumeOutOfRange { .. })

@@ -539,6 +539,25 @@ mod tests {
     }
 
     #[test]
+    fn states_come_back_in_chunk_order() {
+        let trials = 20usize;
+        for workers in [1usize, 2, 3, 8] {
+            let (results, states) =
+                scatter_trials_with(trials, workers, Vec::new, |trial, seen: &mut Vec<usize>| {
+                    seen.push(trial);
+                    Ok::<usize, ()>(trial * 2)
+                });
+            let results: Vec<usize> = results.into_iter().map(Result::unwrap).collect();
+            assert_eq!(results, (0..trials).map(|t| t * 2).collect::<Vec<_>>());
+            // Concatenating the per-chunk states in order recovers the full
+            // trial sequence — the property the cluster runner's metric
+            // shard merge needs to be bitwise identical at any worker count.
+            let concatenated: Vec<usize> = states.into_iter().flatten().collect();
+            assert_eq!(concatenated, (0..trials).collect::<Vec<_>>(), "at {workers} workers");
+        }
+    }
+
+    #[test]
     fn scenario_validation() {
         let scenario = SimulationScenario::exponential(0.001);
         assert!(matches!(scenario.try_run(&[]), Err(SimulationError::EmptySchedule)));

@@ -98,20 +98,26 @@ fn simulated_ranking_agrees_with_analytical_ranking() {
 fn memoized_and_bottom_up_formulations_agree_on_large_chains() {
     let inst = random_chain_instance(31337, 200, 1.0 / 8_000.0);
     let bottom_up = chain_dp::optimal_chain_schedule(&inst).unwrap().expected_makespan;
-    let memoized = chain_dp::optimal_chain_value_memoized(&inst).unwrap();
+    let memoized = chain_dp::oracle::optimal_chain_value_memoized(&inst).unwrap();
     assert!((bottom_up - memoized).abs() / bottom_up < 1e-12);
 }
 
 #[test]
 fn scaling_solvers_agree_on_multi_block_chains() {
-    // 5 000 tasks spans several of the blocked solver's cache-sized blocks;
-    // the two O(n log n) formulations and the pruned quadratic must agree in
-    // both a rare-failure and a frequent-failure regime.
+    // 5 000 tasks spans several of the blocked kernel's cache-sized blocks
+    // (the table dispatch runs it from 1 024 positions up); the two
+    // O(n log n) formulations and the pruned quadratic must agree in both a
+    // rare-failure and a frequent-failure regime.
     for lambda in [1e-7, 1e-4] {
         let inst = random_chain_instance(7, 5_000, lambda);
         let pruned = chain_dp::optimal_chain_schedule(&inst).unwrap();
-        let dc = chain_dp::optimal_chain_schedule_divide_conquer(&inst).unwrap();
-        let blocked = chain_dp::optimal_chain_schedule_blocked(&inst).unwrap();
+        let dc = chain_dp::oracle::optimal_chain_schedule_divide_conquer(&inst).unwrap();
+        let order = properties::as_chain(inst.graph()).unwrap();
+        let table = evaluate::segment_cost_table(&inst, &order).unwrap();
+        let blocked = chain_dp::scalable_placement_on_table_with_scratch(
+            &table,
+            &mut chain_dp::ChainDpScratch::new(),
+        );
         for (name, value) in
             [("divide_conquer", dc.expected_makespan), ("blocked", blocked.expected_makespan)]
         {
@@ -130,7 +136,7 @@ fn batched_lambda_sweep_agrees_with_per_rate_planning() {
     use ckpt_workflows::core::analysis;
 
     let inst = random_chain_instance(11, 40, 1e-4);
-    let sweep = analysis::lambda_sweep(&inst, 1e-6, 1e-3, 6).unwrap();
+    let sweep = analysis::lambda_sweep_with_threads(&inst, 1e-6, 1e-3, 6, 0).unwrap();
     for point in &sweep {
         let solo = chain_dp::optimal_chain_schedule(&inst.with_lambda(point.lambda).unwrap())
             .unwrap()

@@ -1,28 +1,34 @@
-//! Cross-solver differential property test (ISSUE 5 satellite): the online
-//! re-planning primitive [`ResumableDp::solve_suffix`] against the full
-//! table-level solvers on **blocked-scale** tables.
+//! Cross-solver differential property test: the online re-planning
+//! primitive [`ResumableDp::solve_suffix`] against the full table-level
+//! solvers on **blocked-scale** tables.
 //!
-//! The existing suffix-solve proptests stop below the
-//! `scalable_placement_on_table` dispatch threshold (1024 positions), so
-//! the blocked divide-and-conquer core was never cross-checked against the
-//! suffix solver. These tests build tables with n > 1024 positions:
+//! The unit-level suffix-solve proptests stop below the
+//! `scalable_placement_on_table_with_scratch` dispatch threshold (1024
+//! positions), where the blocked divide-and-conquer kernel takes over.
+//! These tests build tables with n > 1024 positions:
 //!
-//! * a full [`ResumableDp::solve`] must agree with
-//!   `scalable_placement_on_table` (which dispatches to the blocked solver
-//!   at this size) to 1e-10 relative;
+//! * a full [`ResumableDp::solve`] must agree with the table dispatch
+//!   (which runs the blocked kernel at this size) to 1e-10 relative;
 //! * a fresh `solve_suffix(table, from)` at a random suffix start must be
 //!   **bitwise** equal to the matching positions of the full pruned solve
 //!   (same recurrence, same span);
 //! * re-solving the suffix as a standalone sub-table (sliced positional
 //!   vectors — the protecting-recovery convention makes the slice exactly
-//!   the suffix problem) through `scalable_placement_on_table` must agree
+//!   the suffix problem) through the table dispatch must agree
 //!   to 1e-10 relative, including sub-tables that are themselves above the
 //!   blocked dispatch threshold.
 
-use ckpt_workflows::core::chain_dp::{scalable_placement_on_table, ResumableDp};
+use ckpt_workflows::core::chain_dp::{
+    scalable_placement_on_table_with_scratch, ChainDpScratch, ResumableDp, TablePlacement,
+};
 use ckpt_workflows::expectation::segment_cost::SegmentCostTable;
 use ckpt_workflows::failure::{Pcg64, RandomSource};
 use proptest::prelude::*;
+
+/// The production table dispatch with a fresh scratch arena.
+fn dispatch(table: &SegmentCostTable) -> TablePlacement {
+    scalable_placement_on_table_with_scratch(table, &mut ChainDpScratch::new())
+}
 
 /// A deterministic heterogeneous positional-cost table of `n` positions.
 fn random_table(seed: u64, n: usize, lambda: f64) -> SegmentCostTable {
@@ -54,14 +60,14 @@ proptest! {
         from_frac in 0.0f64..0.95,
         lambda_exp in -5.0f64..-3.6,
     ) {
-        // n > 1024 so `scalable_placement_on_table` dispatches to the
-        // blocked divide-and-conquer core.
+        // n > 1024 so the table dispatch runs the blocked
+        // divide-and-conquer kernel.
         let n = 1_100 + extra;
         let lambda = 10f64.powf(lambda_exp);
         let table = random_table(seed, n, lambda);
 
         // Full solves: blocked dispatch vs the pruned recurrence.
-        let blocked = scalable_placement_on_table(&table);
+        let blocked = dispatch(&table);
         let mut dp = ResumableDp::new();
         let pruned_value = dp.solve(&table);
         let gap = (blocked.expected_makespan - pruned_value).abs() / pruned_value;
@@ -84,7 +90,7 @@ proptest! {
         // The standalone sub-table of the suffix, solved through the
         // scalable dispatch, agrees with the suffix solve.
         let sub = suffix_table(seed, n, lambda, from);
-        let sub_solved = scalable_placement_on_table(&sub);
+        let sub_solved = dispatch(&sub);
         let gap = (sub_solved.expected_makespan - suffix_value).abs() / suffix_value.max(1.0);
         prop_assert!(gap < 1e-10,
             "sub-table at {}: {} vs suffix {}", from, sub_solved.expected_makespan, suffix_value);
@@ -102,7 +108,7 @@ fn suffix_above_dispatch_threshold_agrees_with_blocked_sub_table() {
     let suffix_value = dp.solve_suffix(&table, from);
     let sub = suffix_table(seed, n, lambda, from);
     assert!(sub.len() > 1024, "sub-table must cross the blocked dispatch threshold");
-    let sub_solved = scalable_placement_on_table(&sub);
+    let sub_solved = dispatch(&sub);
     let gap = (sub_solved.expected_makespan - suffix_value).abs() / suffix_value;
     assert!(gap < 1e-10, "blocked sub {} vs suffix {}", sub_solved.expected_makespan, suffix_value);
     // The placements agree position for position (offset by `from`).
