@@ -872,7 +872,7 @@ mod tests {
         assert_eq!(t0.checkpoint(), spec.instance().checkpoint_cost(TaskId(0)));
         assert!((spec.total_work() - spec.instance().total_weight()).abs() < 1e-12);
         let empty =
-            ProblemInstance::builder(ckpt_dag::TaskGraph::new()).platform_lambda(1e-3).build();
+            ProblemInstance::builder(ckpt_dag::TaskGraph::default()).platform_lambda(1e-3).build();
         // An empty graph cannot even build an instance, or is rejected here.
         if let Ok(instance) = empty {
             assert!(DagSpec::new(instance, CheckpointCostModel::PerLastTask).is_err());

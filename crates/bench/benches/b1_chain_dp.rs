@@ -18,12 +18,15 @@
 //! at `n = 10⁶`). Every `table_dispatch` row, in both groups, hands each
 //! solve a fresh `ChainDpScratch`; `table_dispatch_scratch_reuse` reuses one
 //! arena, isolating the allocator-traffic cost the arena removes.
+//! `end_to_end` starts from the raw weights: graph build, instance, chain
+//! detection, cost table and the blocked solve, the whole pipeline a 10⁶-task
+//! plan pays.
 
 use ckpt_bench::random_chain_instance;
 use ckpt_core::chain_dp::{self, oracle, scalable_placement_on_table_with_scratch, ChainDpScratch};
 use ckpt_core::evaluate::segment_cost_table;
 use ckpt_core::ProblemInstance;
-use ckpt_dag::properties;
+use ckpt_dag::{generators, properties};
 use ckpt_expectation::segment_cost::SegmentCostTable;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -128,6 +131,23 @@ fn bench_chain_dp_large(c: &mut Criterion) {
                 b.iter(|| scalable_placement_on_table_with_scratch(black_box(table), &mut scratch))
             },
         );
+        let weights = instance.graph().weights().to_vec();
+        group.bench_with_input(BenchmarkId::new("end_to_end", n), &weights, |b, weights| {
+            b.iter(|| {
+                let graph = generators::chain(black_box(weights)).unwrap();
+                let instance = ProblemInstance::builder(graph)
+                    .uniform_checkpoint_cost(60.0)
+                    .uniform_recovery_cost(90.0)
+                    .downtime(30.0)
+                    .platform_lambda(1e-7)
+                    .build()
+                    .unwrap();
+                scalable_placement_on_table_with_scratch(
+                    &chain_table(&instance),
+                    &mut ChainDpScratch::new(),
+                )
+            })
+        });
     }
     group.finish();
 }

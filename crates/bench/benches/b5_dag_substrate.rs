@@ -1,5 +1,11 @@
 //! B5 — DAG-substrate operations: generation, topological sorting,
 //! linearisation and transitive closure.
+//!
+//! The `dag_substrate_large` group runs the linear-time paths at scale:
+//! chain builds at 10⁵ and 10⁶ tasks, a 10⁵-branch fork-join build, and the
+//! heap-driven `topological_sort` and `HeaviestFirst` on 10⁵ independent
+//! tasks. A quadratic path in any of them would take minutes per entry,
+//! even in smoke mode.
 
 use ckpt_dag::{generators, linearize, topo, traversal, LinearizationStrategy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -36,5 +42,34 @@ fn bench_dag(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dag);
+fn bench_dag_large(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dag_substrate_large");
+    group.sample_size(3);
+    for &n in &[100_000usize, 1_000_000] {
+        group.bench_with_input(BenchmarkId::new("build_chain", n), &n, |b, &n| {
+            b.iter(|| generators::uniform_chain(black_box(n), 1.0).unwrap())
+        });
+    }
+    let n = 100_000usize;
+    let branch_weights = vec![1.0; n];
+    group.bench_with_input(BenchmarkId::new("build_fork_join", n), &branch_weights, |b, w| {
+        b.iter(|| generators::fork_join(n, black_box(w), 1.0, 1.0).unwrap())
+    });
+    // Distinct weights in a scrambled order, so the heavy-first heap works.
+    let weights: Vec<f64> = (0..n).map(|i| 1.0 + (i * 7_919 % n) as f64).collect();
+    let independent = generators::independent(&weights).unwrap();
+    group.bench_with_input(
+        BenchmarkId::new("topological_sort_independent", n),
+        &independent,
+        |b, g| b.iter(|| topo::topological_sort(black_box(g))),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("linearize_heaviest_first_independent", n),
+        &independent,
+        |b, g| b.iter(|| linearize::linearize(black_box(g), LinearizationStrategy::HeaviestFirst)),
+    );
+    group.finish();
+}
+
+criterion_group!(benches, bench_dag, bench_dag_large);
 criterion_main!(benches);

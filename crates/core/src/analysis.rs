@@ -14,9 +14,9 @@
 //!   grid point — no surrogate instance is cloned per rate. Each grid
 //!   point's table+DP is independent of every other point, so the points are
 //!   spread across worker threads in the Monte-Carlo engine's deterministic
-//!   contiguous-chunk pattern (one [`ChainDpScratch`] per worker, results
-//!   collected in grid order): the sweep is **bit-identical at any thread
-//!   count**;
+//!   contiguous-chunk pattern (one [`ChainDpScratch`] and one cost-table
+//!   buffer per worker, kept across calls; results collected in grid
+//!   order): the sweep is **bit-identical at any thread count**;
 //! * [`schedule_lambda_sweep`] evaluates one **fixed** schedule across a λ
 //!   vector through the same shared precomputation (the sensitivity curve of
 //!   a deployed policy, as opposed to the re-optimised curve above) — an
@@ -28,6 +28,7 @@
 //!   schedule exceeds a deadline.
 
 use ckpt_dag::properties;
+use ckpt_expectation::segment_cost::SegmentCostTable;
 use ckpt_expectation::sweep::log_lambda_grid;
 use ckpt_simulator::SimulationScenario;
 
@@ -37,7 +38,20 @@ use crate::chain_dp::{
 use crate::error::ScheduleError;
 use crate::evaluate::lambda_sweep_for_order;
 use crate::instance::ProblemInstance;
+use crate::parallel::ScratchPool;
 use crate::schedule::Schedule;
+
+/// What a [`lambda_sweep_with_threads`] worker keeps between calls: its DP
+/// arena and its last cost table, whose buffers the next table reuses.
+#[derive(Default)]
+struct SweepArena {
+    dp: ChainDpScratch,
+    table: Option<SegmentCostTable>,
+}
+
+/// The workers' arenas, kept between calls so repeated sweeps reuse buffers
+/// already grown and faulted in.
+static SWEEP_ARENAS: ScratchPool<SweepArena> = ScratchPool::new();
 
 /// One row of a λ sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,9 +72,10 @@ pub struct LambdaSweepPoint {
 /// [`LambdaSweep`](ckpt_expectation::sweep::LambdaSweep), on `threads`
 /// workers (`0` = one per available core). Grid points are independent (one
 /// table + one DP each), so they are spread across workers in contiguous
-/// chunks — each worker reuses one [`ChainDpScratch`] across its chunk — and
-/// collected in grid order: the result is **bit-identical for every thread
-/// count**.
+/// chunks — each worker reuses one [`ChainDpScratch`] and one cost-table
+/// buffer across its chunk, and keeps them for later calls (at most one set
+/// per core) — and collected in grid order: the result is **bit-identical
+/// for every thread count**.
 ///
 /// # Errors
 ///
@@ -81,21 +96,27 @@ pub fn lambda_sweep_with_threads(
     let sweep = lambda_sweep_for_order(instance, &order)?;
     let total_work = instance.total_weight();
 
-    // Each worker reuses one DP scratch arena across its whole chunk: the
-    // per-rate solves reuse the same Li Chao / envelope / DP buffers
-    // instead of reallocating them.
-    crate::parallel::chunked_map_with(&grid, threads, ChainDpScratch::new, |scratch, _, &lambda| {
-        let table = sweep.table_for(lambda).map_err(ScheduleError::from_expectation)?;
-        let placement = scalable_placement_on_table_with_scratch(&table, scratch);
-        Ok(LambdaSweepPoint {
-            lambda,
-            checkpoints: placement.checkpoint_count(),
-            expected_makespan: placement.expected_makespan,
-            slowdown: placement.expected_makespan / total_work,
+    // Each worker reuses one arena across its whole chunk, and the arenas
+    // outlive the call: the per-rate tables and solves reuse the same
+    // table / Li Chao / envelope / DP buffers instead of reallocating them.
+    SWEEP_ARENAS
+        .chunked_map_with(&grid, threads, SweepArena::default, |arena, _, &lambda| {
+            let table = match arena.table.take() {
+                Some(mut table) => sweep.table_into(lambda, &mut table).map(|()| table),
+                None => sweep.table_for(lambda),
+            }
+            .map_err(ScheduleError::from_expectation)?;
+            let table = arena.table.insert(table);
+            let placement = scalable_placement_on_table_with_scratch(table, &mut arena.dp);
+            Ok(LambdaSweepPoint {
+                lambda,
+                checkpoints: placement.checkpoint_count(),
+                expected_makespan: placement.expected_makespan,
+                slowdown: placement.expected_makespan / total_work,
+            })
         })
-    })
-    .into_iter()
-    .collect()
+        .into_iter()
+        .collect()
 }
 
 /// Evaluates one **fixed** schedule across the failure rates of `lambdas`,
@@ -272,6 +293,58 @@ mod tests {
         }
         let auto = lambda_sweep_with_threads(&inst, 1e-7, 1e-2, 25, 0).unwrap();
         assert_eq!(single, auto, "default sweep differs from single-threaded");
+    }
+
+    #[test]
+    fn kept_arenas_match_fresh_solves_across_chains_and_thread_counts() {
+        // Blocked-kernel sizes, alternated so every kept arena arrives
+        // holding a differently sized solve.
+        let chains: Vec<ProblemInstance> = [3_000usize, 1_500]
+            .iter()
+            .map(|&n| {
+                let weights: Vec<f64> = (0..n).map(|i| 100.0 + (i * 37 % 401) as f64).collect();
+                ProblemInstance::builder(generators::chain(&weights).unwrap())
+                    .uniform_checkpoint_cost(20.0)
+                    .uniform_recovery_cost(30.0)
+                    .downtime(5.0)
+                    .platform_lambda(1e-6)
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let fresh: Vec<Vec<LambdaSweepPoint>> = chains
+            .iter()
+            .map(|inst| {
+                let order = properties::as_chain(inst.graph()).unwrap();
+                let sweep = lambda_sweep_for_order(inst, &order).unwrap();
+                log_lambda_grid(3.0 / inst.total_weight(), 300.0 / inst.total_weight(), 3)
+                    .unwrap()
+                    .into_iter()
+                    .map(|lambda| {
+                        let table = sweep.table_for(lambda).unwrap();
+                        let placement = scalable_placement_on_table_with_scratch(
+                            &table,
+                            &mut ChainDpScratch::new(),
+                        );
+                        LambdaSweepPoint {
+                            lambda,
+                            checkpoints: placement.checkpoint_count(),
+                            expected_makespan: placement.expected_makespan,
+                            slowdown: placement.expected_makespan / inst.total_weight(),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        for threads in [1usize, 2, 3, 0] {
+            for k in [0usize, 1, 0, 1] {
+                let inst = &chains[k];
+                let total = inst.total_weight();
+                let kept = lambda_sweep_with_threads(inst, 3.0 / total, 300.0 / total, 3, threads)
+                    .unwrap();
+                assert_eq!(kept, fresh[k], "chain {k} at {threads} threads");
+            }
+        }
     }
 
     #[test]

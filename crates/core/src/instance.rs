@@ -360,7 +360,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_rejected() {
-        let graph = TaskGraph::new();
+        let graph = TaskGraph::default();
         assert!(matches!(
             ProblemInstance::builder(graph).uniform_checkpoint_cost(1.0).build(),
             Err(ScheduleError::EmptyInstance)

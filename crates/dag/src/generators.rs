@@ -7,9 +7,10 @@
 //! pipelines, distributed application workflows, …).
 
 use crate::error::GraphError;
-use crate::graph::{TaskGraph, TaskId};
+use crate::graph::{TaskGraph, TaskGraphBuilder, TaskId};
 
-/// Builds a linear chain `T1 → T2 → … → Tn` with the given weights.
+/// Builds a linear chain `T1 → T2 → … → Tn` with the given weights, in
+/// `O(n)`. Its tasks carry their default names.
 ///
 /// # Errors
 ///
@@ -19,19 +20,20 @@ pub fn chain(weights: &[f64]) -> Result<TaskGraph, GraphError> {
     if weights.is_empty() {
         return Err(GraphError::EmptyGraph);
     }
-    let mut g = TaskGraph::with_capacity(weights.len());
+    let mut g = TaskGraphBuilder::with_capacity(weights.len(), weights.len() - 1);
     let mut prev: Option<TaskId> = None;
-    for (i, &w) in weights.iter().enumerate() {
-        let id = g.add_task(format!("T{}", i + 1), w)?;
+    for &w in weights {
+        let id = g.add_task(w)?;
         if let Some(p) = prev {
             g.add_dependency(p, id)?;
         }
         prev = Some(id);
     }
-    Ok(g)
+    g.build()
 }
 
 /// Builds a set of independent tasks (no edges) with the given weights.
+/// Its tasks carry their default names.
 ///
 /// # Errors
 ///
@@ -41,11 +43,11 @@ pub fn independent(weights: &[f64]) -> Result<TaskGraph, GraphError> {
     if weights.is_empty() {
         return Err(GraphError::EmptyGraph);
     }
-    let mut g = TaskGraph::with_capacity(weights.len());
-    for (i, &w) in weights.iter().enumerate() {
-        g.add_task(format!("T{}", i + 1), w)?;
+    let mut g = TaskGraphBuilder::with_capacity(weights.len(), 0);
+    for &w in weights {
+        g.add_task(w)?;
     }
-    Ok(g)
+    g.build()
 }
 
 /// Builds a fork-join graph: one fork task, `branches` parallel branch tasks
@@ -70,19 +72,19 @@ pub fn fork_join(
         return Err(GraphError::EmptyGraph);
     }
     assert_eq!(branch_weights.len(), branches, "need one weight per branch");
-    let mut g = TaskGraph::with_capacity(branches + 2);
-    let fork = g.add_task("fork", fork_weight)?;
+    let mut g = TaskGraphBuilder::with_capacity(branches + 2, 2 * branches);
+    let fork = g.add_named_task("fork", fork_weight)?;
     let mut branch_ids = Vec::with_capacity(branches);
     for (i, &w) in branch_weights.iter().enumerate() {
-        let id = g.add_task(format!("branch{}", i + 1), w)?;
+        let id = g.add_named_task(format!("branch{}", i + 1), w)?;
         g.add_dependency(fork, id)?;
         branch_ids.push(id);
     }
-    let join = g.add_task("join", join_weight)?;
+    let join = g.add_named_task("join", join_weight)?;
     for id in branch_ids {
         g.add_dependency(id, join)?;
     }
-    Ok(g)
+    g.build()
 }
 
 /// Builds a diamond: `a → {b, c} → d` with the given four weights.
@@ -91,16 +93,16 @@ pub fn fork_join(
 ///
 /// Propagates weight validation errors.
 pub fn diamond(weights: [f64; 4]) -> Result<TaskGraph, GraphError> {
-    let mut g = TaskGraph::with_capacity(4);
-    let a = g.add_task("a", weights[0])?;
-    let b = g.add_task("b", weights[1])?;
-    let c = g.add_task("c", weights[2])?;
-    let d = g.add_task("d", weights[3])?;
+    let mut g = TaskGraphBuilder::with_capacity(4, 4);
+    let a = g.add_named_task("a", weights[0])?;
+    let b = g.add_named_task("b", weights[1])?;
+    let c = g.add_named_task("c", weights[2])?;
+    let d = g.add_named_task("d", weights[3])?;
     g.add_dependency(a, b)?;
     g.add_dependency(a, c)?;
     g.add_dependency(b, d)?;
     g.add_dependency(c, d)?;
-    Ok(g)
+    g.build()
 }
 
 /// Builds a complete out-tree of the given `depth` and `fanout`; every task
@@ -113,23 +115,21 @@ pub fn out_tree(depth: usize, fanout: usize, weight: f64) -> Result<TaskGraph, G
     if depth == 0 || fanout == 0 {
         return Err(GraphError::EmptyGraph);
     }
-    let mut g = TaskGraph::new();
-    let root = g.add_task("n0", weight)?;
+    let mut g = TaskGraphBuilder::new();
+    let root = g.add_named_task("n0", weight)?;
     let mut frontier = vec![root];
-    let mut counter = 1usize;
     for _ in 1..depth {
         let mut next = Vec::with_capacity(frontier.len() * fanout);
         for &parent in &frontier {
             for _ in 0..fanout {
-                let child = g.add_task(format!("n{counter}"), weight)?;
-                counter += 1;
+                let child = g.add_named_task(format!("n{}", g.task_count()), weight)?;
                 g.add_dependency(parent, child)?;
                 next.push(child);
             }
         }
         frontier = next;
     }
-    Ok(g)
+    g.build()
 }
 
 /// Builds a layered random DAG.
@@ -160,12 +160,12 @@ where
     if layers.is_empty() || layers.contains(&0) {
         return Err(GraphError::EmptyGraph);
     }
-    let mut g = TaskGraph::new();
+    let mut g = TaskGraphBuilder::new();
     let mut previous: Vec<TaskId> = Vec::new();
     for (level, &count) in layers.iter().enumerate() {
         let mut current = Vec::with_capacity(count);
         for idx in 0..count {
-            let id = g.add_task(format!("L{level}N{idx}"), weight(level, idx))?;
+            let id = g.add_named_task(format!("L{level}N{idx}"), weight(level, idx))?;
             current.push(id);
         }
         if level > 0 {
@@ -187,7 +187,7 @@ where
         }
         previous = current;
     }
-    Ok(g)
+    g.build()
 }
 
 /// Convenience: a chain of `n` tasks of equal weight `w`.
@@ -226,7 +226,7 @@ mod tests {
         assert_eq!(g.task_count(), 3);
         assert_eq!(g.edge_count(), 2);
         assert!(properties::is_chain(&g));
-        assert_eq!(g.task(TaskId(0)).name(), "T1");
+        assert_eq!(g.name(TaskId(0)), "T1");
         assert_eq!(g.weight(TaskId(2)), 3.0);
     }
 

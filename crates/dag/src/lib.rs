@@ -6,8 +6,10 @@
 //! `w_i` and whose edges are dependence constraints. This crate provides that
 //! substrate, built from scratch:
 //!
-//! * [`TaskGraph`] — a growable DAG container with eager cycle detection,
-//!   task weights and names;
+//! * [`TaskGraph`] — an immutable, compact DAG (task weights, optional names,
+//!   successor and predecessor lists in compressed sparse row form), built by
+//!   a [`TaskGraphBuilder`] whose `build` checks duplicates and acyclicity in
+//!   one `O(n + E)` pass;
 //! * [`topo`] — topological orders (single, random, exhaustive enumeration for
 //!   small graphs), needed because the paper's "full parallelism" assumption
 //!   turns scheduling into the choice of a linearisation (§2);
@@ -32,7 +34,7 @@
 //! # Example
 //!
 //! ```rust
-//! use ckpt_dag::{TaskGraph, generators, properties};
+//! use ckpt_dag::{TaskGraph, TaskGraphBuilder, generators, properties};
 //!
 //! // A 4-task linear chain T1 -> T2 -> T3 -> T4 with unit weights.
 //! let chain = generators::chain(&[1.0, 1.0, 1.0, 1.0])?;
@@ -40,11 +42,13 @@
 //! assert!(properties::as_chain(&chain).is_some());
 //!
 //! // A custom graph.
-//! let mut g = TaskGraph::new();
-//! let a = g.add_task("prepare", 10.0)?;
-//! let b = g.add_task("solve", 100.0)?;
-//! g.add_dependency(a, b)?;
+//! let mut builder = TaskGraphBuilder::new();
+//! let a = builder.add_named_task("prepare", 10.0)?;
+//! let b = builder.add_named_task("solve", 100.0)?;
+//! builder.add_dependency(a, b)?;
+//! let g: TaskGraph = builder.build()?;
 //! assert_eq!(g.total_weight(), 110.0);
+//! assert_eq!(g.name(b), "solve");
 //! # Ok::<(), ckpt_dag::GraphError>(())
 //! ```
 
@@ -64,5 +68,5 @@ pub mod topo;
 pub mod traversal;
 
 pub use error::GraphError;
-pub use graph::{Task, TaskGraph, TaskId};
+pub use graph::{TaskGraph, TaskGraphBuilder, TaskId};
 pub use linearize::LinearizationStrategy;

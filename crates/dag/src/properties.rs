@@ -149,6 +149,7 @@ pub fn summarize(graph: &TaskGraph) -> GraphSummary {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::TaskGraphBuilder;
 
     #[test]
     fn chain_detection_positive() {
@@ -168,7 +169,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_not_a_chain() {
-        let g = TaskGraph::new();
+        let g = TaskGraph::default();
         assert!(as_chain(&g).is_none());
         assert_eq!(depth(&g), 0);
         assert_eq!(width(&g), 0);
@@ -177,26 +178,26 @@ mod tests {
 
     #[test]
     fn chain_detection_negative_for_fork() {
-        let mut g = TaskGraph::new();
-        let a = g.add_task("a", 1.0).unwrap();
-        let b = g.add_task("b", 1.0).unwrap();
-        let c = g.add_task("c", 1.0).unwrap();
+        let mut g = TaskGraphBuilder::new();
+        let a = g.add_task(1.0).unwrap();
+        let b = g.add_task(1.0).unwrap();
+        let c = g.add_task(1.0).unwrap();
         g.add_dependency(a, b).unwrap();
         g.add_dependency(a, c).unwrap();
-        assert!(!is_chain(&g));
+        assert!(!is_chain(&g.build().unwrap()));
     }
 
     #[test]
     fn chain_detection_negative_for_disconnected_chains() {
         // Two 2-task chains: degrees are fine but edge count is n-2.
-        let mut g = TaskGraph::new();
-        let a = g.add_task("a", 1.0).unwrap();
-        let b = g.add_task("b", 1.0).unwrap();
-        let c = g.add_task("c", 1.0).unwrap();
-        let d = g.add_task("d", 1.0).unwrap();
+        let mut g = TaskGraphBuilder::new();
+        let a = g.add_task(1.0).unwrap();
+        let b = g.add_task(1.0).unwrap();
+        let c = g.add_task(1.0).unwrap();
+        let d = g.add_task(1.0).unwrap();
         g.add_dependency(a, b).unwrap();
         g.add_dependency(c, d).unwrap();
-        assert!(!is_chain(&g));
+        assert!(!is_chain(&g.build().unwrap()));
     }
 
     #[test]
@@ -225,15 +226,8 @@ mod tests {
     #[test]
     fn critical_path_picks_heavier_branch() {
         // a -> b(10) -> d, a -> c(1) -> d
-        let mut g = TaskGraph::new();
-        let a = g.add_task("a", 1.0).unwrap();
-        let b = g.add_task("b", 10.0).unwrap();
-        let c = g.add_task("c", 1.0).unwrap();
-        let d = g.add_task("d", 1.0).unwrap();
-        g.add_dependency(a, b).unwrap();
-        g.add_dependency(a, c).unwrap();
-        g.add_dependency(b, d).unwrap();
-        g.add_dependency(c, d).unwrap();
+        let g = generators::diamond([1.0, 10.0, 1.0, 1.0]).unwrap();
+        let [a, b, d] = [TaskId(0), TaskId(1), TaskId(3)];
         let (w, path) = critical_path(&g);
         assert_eq!(w, 12.0);
         assert_eq!(path, vec![a, b, d]);

@@ -18,7 +18,7 @@
 //! to keep saving. The `ckpt-adaptive` re-linearisation policies run their
 //! bounded-budget order search on this subgraph instead of the full graph.
 
-use crate::graph::{TaskGraph, TaskId};
+use crate::graph::{TaskGraph, TaskGraphBuilder, TaskId};
 use crate::topo::is_topological_order;
 
 /// The remaining graph of a partially executed linearisation (see
@@ -67,9 +67,9 @@ impl SuffixSubgraph {
 /// module docs). Runs in `O(n + E)`.
 ///
 /// `order` must be a topological order of `graph`; the suffix positions are
-/// then precedence-consistent among themselves, so the subgraph is built
-/// without any cycle checks and the identity order of the subgraph is a
-/// valid topological order of it.
+/// then precedence-consistent among themselves, so the identity order of the
+/// subgraph is a valid topological order of it. Each surviving task keeps
+/// its original [name](TaskGraph::name) and weight.
 ///
 /// # Panics
 ///
@@ -90,10 +90,9 @@ pub fn suffix_subgraph(graph: &TaskGraph, order: &[TaskId], start: usize) -> Suf
         sub_id[t.index()] = i;
     }
 
-    let mut sub = TaskGraph::with_capacity(tasks.len());
+    let mut sub = TaskGraphBuilder::with_capacity(tasks.len(), graph.edge_count());
     for &t in &tasks {
-        let task = graph.task(t);
-        sub.add_task(task.name(), task.weight())
+        sub.add_named_task(graph.name(t), graph.weight(t))
             .expect("weights of an existing graph are already validated");
     }
     for &t in &tasks {
@@ -104,9 +103,10 @@ pub fn suffix_subgraph(graph: &TaskGraph, order: &[TaskId], start: usize) -> Suf
             // order is topological), so `to` is always a valid sub id.
             debug_assert_ne!(to, usize::MAX, "successor of a surviving task in the frontier");
             sub.add_dependency(TaskId(from), TaskId(to))
-                .expect("induced edges of a DAG cannot close a cycle");
+                .expect("both endpoints of an induced edge survive");
         }
     }
+    let sub = sub.build().expect("the induced subgraph of a DAG is a DAG");
 
     // Frontier tasks with at least one surviving successor stay live for
     // the whole suffix-planning horizon.
@@ -128,16 +128,7 @@ mod tests {
     use crate::topo;
 
     fn diamond() -> TaskGraph {
-        let mut g = TaskGraph::new();
-        let a = g.add_task("a", 1.0).unwrap();
-        let b = g.add_task("b", 2.0).unwrap();
-        let c = g.add_task("c", 3.0).unwrap();
-        let d = g.add_task("d", 4.0).unwrap();
-        g.add_dependency(a, b).unwrap();
-        g.add_dependency(a, c).unwrap();
-        g.add_dependency(b, d).unwrap();
-        g.add_dependency(c, d).unwrap();
-        g
+        generators::diamond([1.0, 2.0, 3.0, 4.0]).unwrap()
     }
 
     #[test]
@@ -153,7 +144,7 @@ mod tests {
         for (i, &t) in order.iter().enumerate() {
             assert_eq!(sub.tasks[i], t);
             assert_eq!(sub.graph.weight(TaskId(i)), g.weight(t));
-            assert_eq!(sub.graph.task(TaskId(i)).name(), g.task(t).name());
+            assert_eq!(sub.graph.name(TaskId(i)), g.name(t));
         }
     }
 
@@ -192,6 +183,15 @@ mod tests {
         let sub = suffix_subgraph(&g, &order, 2);
         assert_eq!(sub.live_seed, vec![TaskId(1)]);
         assert_eq!(sub.graph.edge_count(), 1);
+    }
+
+    #[test]
+    fn surviving_tasks_keep_their_original_default_names() {
+        let g = generators::chain(&[1.0; 4]).unwrap();
+        let order: Vec<TaskId> = (0..4).map(TaskId).collect();
+        let sub = suffix_subgraph(&g, &order, 2);
+        assert_eq!(sub.graph.name(TaskId(0)), "T3");
+        assert_eq!(sub.graph.name(TaskId(1)), "T4");
     }
 
     #[test]

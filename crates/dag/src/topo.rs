@@ -8,34 +8,28 @@
 //! enumeration of all orders for the small instances used by brute-force
 //! optimality checks.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::graph::{TaskGraph, TaskId};
 
 /// Computes one topological order using Kahn's algorithm.
 ///
-/// Ties are broken by task id, so the result is deterministic.
-/// Returns an empty vector for an empty graph.
+/// Ties are broken by task id (the smallest ready id runs first), so the
+/// result is deterministic. Runs in `O((n + E) log n)`. Returns an empty
+/// vector for an empty graph.
 pub fn topological_sort(graph: &TaskGraph) -> Vec<TaskId> {
     let n = graph.task_count();
     let mut in_degree: Vec<usize> = (0..n).map(|i| graph.in_degree(TaskId(i))).collect();
-    // A sorted "ready" structure; we keep it as a min-ordered Vec for
-    // determinism (n is small enough that O(n²) is irrelevant here, and the
-    // priority-based linearisations live in `linearize`).
-    let mut ready: Vec<usize> = (0..n).filter(|&i| in_degree[i] == 0).collect();
+    let mut ready: BinaryHeap<Reverse<usize>> =
+        (0..n).filter(|&i| in_degree[i] == 0).map(Reverse).collect();
     let mut order = Vec::with_capacity(n);
-    while !ready.is_empty() {
-        // Take the smallest id for determinism.
-        let pos = ready
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &id)| id)
-            .map(|(pos, _)| pos)
-            .expect("ready is non-empty");
-        let node = ready.swap_remove(pos);
+    while let Some(Reverse(node)) = ready.pop() {
         order.push(TaskId(node));
         for &succ in graph.successors(TaskId(node)) {
             in_degree[succ.0] -= 1;
             if in_degree[succ.0] == 0 {
-                ready.push(succ.0);
+                ready.push(Reverse(succ.0));
             }
         }
     }
@@ -44,7 +38,8 @@ pub fn topological_sort(graph: &TaskGraph) -> Vec<TaskId> {
 }
 
 /// Checks whether `order` is a valid topological order of `graph`:
-/// it must contain every task exactly once and respect every edge.
+/// it must contain every task exactly once and respect every edge. Runs in
+/// `O(n + E)`, reading the edges in place.
 pub fn is_topological_order(graph: &TaskGraph, order: &[TaskId]) -> bool {
     let n = graph.task_count();
     if order.len() != n {
@@ -57,7 +52,9 @@ pub fn is_topological_order(graph: &TaskGraph, order: &[TaskId]) -> bool {
         }
         position[task.0] = pos;
     }
-    graph.edges().into_iter().all(|(from, to)| position[from.0] < position[to.0])
+    graph
+        .task_ids()
+        .all(|from| graph.successors(from).iter().all(|to| position[from.0] < position[to.0]))
 }
 
 /// Computes a random topological order, using the provided uniform variates.
@@ -178,16 +175,7 @@ mod tests {
 
     fn diamond() -> TaskGraph {
         // a -> b, a -> c, b -> d, c -> d
-        let mut g = TaskGraph::new();
-        let a = g.add_task("a", 1.0).unwrap();
-        let b = g.add_task("b", 1.0).unwrap();
-        let c = g.add_task("c", 1.0).unwrap();
-        let d = g.add_task("d", 1.0).unwrap();
-        g.add_dependency(a, b).unwrap();
-        g.add_dependency(a, c).unwrap();
-        g.add_dependency(b, d).unwrap();
-        g.add_dependency(c, d).unwrap();
-        g
+        generators::diamond([1.0; 4]).unwrap()
     }
 
     #[test]
@@ -222,7 +210,7 @@ mod tests {
 
     #[test]
     fn empty_graph_has_empty_order() {
-        let g = TaskGraph::new();
+        let g = TaskGraph::default();
         assert!(topological_sort(&g).is_empty());
         assert!(is_topological_order(&g, &[]));
         assert!(levels(&g).is_empty());

@@ -211,8 +211,9 @@ impl<'g> LiveSetSweep<'g> {
         F: FnMut(TaskId),
     {
         assert!(!self.completed[task.0], "task {task} completed twice");
+        let predecessors = self.graph.predecessors(task);
         assert!(
-            self.graph.predecessors(task).iter().all(|p| self.completed[p.0]),
+            predecessors.iter().all(|p| self.completed[p.0]),
             "task {task} completed before one of its predecessors"
         );
         self.completed[task.0] = true;
@@ -222,7 +223,7 @@ impl<'g> LiveSetSweep<'g> {
             self.live[task.0] = true;
             self.live_count += 1;
         }
-        for &pred in self.graph.predecessors(task) {
+        for &pred in predecessors {
             self.remaining_successors[pred.0] -= 1;
             if self.remaining_successors[pred.0] == 0 {
                 // `pred` is live (it had a successor — `task`), and `task`
@@ -269,16 +270,7 @@ mod tests {
     use crate::generators;
 
     fn diamond() -> TaskGraph {
-        let mut g = TaskGraph::new();
-        let a = g.add_task("a", 1.0).unwrap();
-        let b = g.add_task("b", 1.0).unwrap();
-        let c = g.add_task("c", 1.0).unwrap();
-        let d = g.add_task("d", 1.0).unwrap();
-        g.add_dependency(a, b).unwrap();
-        g.add_dependency(a, c).unwrap();
-        g.add_dependency(b, d).unwrap();
-        g.add_dependency(c, d).unwrap();
-        g
+        generators::diamond([1.0; 4]).unwrap()
     }
 
     #[test]
@@ -328,13 +320,14 @@ mod tests {
     #[test]
     fn reduction_removes_shortcut_edges() {
         // a -> b -> c plus a redundant a -> c shortcut.
-        let mut g = TaskGraph::new();
-        let a = g.add_task("a", 1.0).unwrap();
-        let b = g.add_task("b", 1.0).unwrap();
-        let c = g.add_task("c", 1.0).unwrap();
+        let mut g = crate::TaskGraphBuilder::new();
+        let a = g.add_task(1.0).unwrap();
+        let b = g.add_task(1.0).unwrap();
+        let c = g.add_task(1.0).unwrap();
         g.add_dependency(a, b).unwrap();
         g.add_dependency(b, c).unwrap();
         g.add_dependency(a, c).unwrap();
+        let g = g.build().unwrap();
         let reduced = transitive_reduction(&g);
         assert_eq!(reduced.len(), 2);
         assert!(reduced.contains(&(a, b)));

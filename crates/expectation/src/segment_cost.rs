@@ -160,44 +160,81 @@ impl SegmentCostTable {
         recoveries: &[f64],
         max_ckpt: f64,
     ) -> Self {
-        let n = checkpoints.len();
-        let base = 1.0 / lambda + downtime;
-        let coeff: Vec<f64> = recoveries.iter().map(|&r| (lambda * r).exp() * base).collect();
-
-        let saturated = lambda * (prefix[n] + max_ckpt) > MAX_SAFE_EXPONENT;
-        let (exp_prefix, inv_exp_prefix, exp_ckpt, min_slope_suffix) = if saturated {
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new())
-        } else {
-            let exp_prefix: Vec<f64> = prefix.iter().map(|&p| (lambda * p).exp()).collect();
-            let inv_exp_prefix: Vec<f64> = exp_prefix.iter().map(|&e| 1.0 / e).collect();
-            let exp_ckpt: Vec<f64> = checkpoints.iter().map(|&c| (lambda * c).exp()).collect();
-            let mut min_slope_suffix = vec![0.0f64; n];
-            let mut running = f64::INFINITY;
-            for j in (0..n).rev() {
-                running = running.min(exp_prefix[j + 1] * exp_ckpt[j]);
-                min_slope_suffix[j] = running;
-            }
-            (exp_prefix, inv_exp_prefix, exp_ckpt, min_slope_suffix)
-        };
-        let mut min_log_slope_suffix = vec![0.0f64; n];
-        let mut running = f64::INFINITY;
-        for j in (0..n).rev() {
-            running = running.min(lambda * (prefix[j + 1] + checkpoints[j]));
-            min_log_slope_suffix[j] = running;
-        }
-
-        SegmentCostTable {
+        let mut table = SegmentCostTable {
             lambda,
             prefix,
             ckpt: checkpoints,
-            exp_prefix,
-            inv_exp_prefix,
-            exp_ckpt,
-            coeff,
-            min_slope_suffix,
-            min_log_slope_suffix,
-            saturated,
+            exp_prefix: Vec::new(),
+            inv_exp_prefix: Vec::new(),
+            exp_ckpt: Vec::new(),
+            coeff: Vec::new(),
+            min_slope_suffix: Vec::new(),
+            min_log_slope_suffix: Vec::new(),
+            saturated: false,
+        };
+        table.refill(lambda, downtime, recoveries, max_ckpt);
+        table
+    }
+
+    /// [`from_validated_parts`](SegmentCostTable::from_validated_parts)
+    /// into this table: the order's vectors are replaced, and every
+    /// λ-dependent vector is recomputed in its existing buffer.
+    pub(crate) fn rebuild_from_validated_parts(
+        &mut self,
+        lambda: f64,
+        downtime: f64,
+        prefix: Arc<Vec<f64>>,
+        checkpoints: Arc<Vec<f64>>,
+        recoveries: &[f64],
+        max_ckpt: f64,
+    ) {
+        self.prefix = prefix;
+        self.ckpt = checkpoints;
+        self.refill(lambda, downtime, recoveries, max_ckpt);
+    }
+
+    /// Recomputes the λ-dependent vectors from `prefix` and `ckpt`.
+    fn refill(&mut self, lambda: f64, downtime: f64, recoveries: &[f64], max_ckpt: f64) {
+        fn refill(buffer: &mut Vec<f64>, values: impl Iterator<Item = f64>) {
+            buffer.clear();
+            buffer.extend(values);
         }
+        /// Fills `buffer` with the suffix minima of `values`: entry `j` is
+        /// the smallest of `values[j..]`.
+        fn suffix_minima(
+            buffer: &mut Vec<f64>,
+            values: impl DoubleEndedIterator<Item = f64> + ExactSizeIterator,
+        ) {
+            buffer.clear();
+            buffer.resize(values.len(), 0.0);
+            let mut running = f64::INFINITY;
+            for (slot, value) in buffer.iter_mut().zip(values).rev() {
+                running = running.min(value);
+                *slot = running;
+            }
+        }
+        let (prefix, checkpoints) = (&self.prefix, &self.ckpt);
+        let n = checkpoints.len();
+        let base = 1.0 / lambda + downtime;
+        self.lambda = lambda;
+        refill(&mut self.coeff, recoveries.iter().map(|&r| (lambda * r).exp() * base));
+
+        self.saturated = lambda * (prefix[n] + max_ckpt) > MAX_SAFE_EXPONENT;
+        if self.saturated {
+            self.exp_prefix.clear();
+            self.inv_exp_prefix.clear();
+            self.exp_ckpt.clear();
+            self.min_slope_suffix.clear();
+        } else {
+            refill(&mut self.exp_prefix, prefix.iter().map(|&p| (lambda * p).exp()));
+            refill(&mut self.inv_exp_prefix, self.exp_prefix.iter().map(|&e| 1.0 / e));
+            refill(&mut self.exp_ckpt, checkpoints.iter().map(|&c| (lambda * c).exp()));
+            let slopes = self.exp_prefix[1..].iter().zip(&self.exp_ckpt).map(|(&e, &c)| e * c);
+            suffix_minima(&mut self.min_slope_suffix, slopes);
+        }
+        let log_slopes =
+            prefix[1..].iter().zip(checkpoints.iter()).map(|(&p, &c)| lambda * (p + c));
+        suffix_minima(&mut self.min_log_slope_suffix, log_slopes);
     }
 
     /// The number of positions covered by the table.

@@ -164,6 +164,32 @@ impl LambdaSweep {
         ))
     }
 
+    /// [`table_for`](LambdaSweep::table_for), built into `table` (a table of
+    /// any order and size): its buffers are reused, so a caller that
+    /// instantiates table after table, such as a λ-sweep worker, stops
+    /// allocating once they have grown. The result is bitwise equal to
+    /// `table_for(lambda)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`ExpectationError`] if `lambda` fails
+    /// [`check_rate`](LambdaSweep::check_rate); `table` is then unchanged.
+    pub fn table_into(
+        &self,
+        lambda: f64,
+        table: &mut SegmentCostTable,
+    ) -> Result<(), ExpectationError> {
+        table.rebuild_from_validated_parts(
+            self.check_rate(lambda)?,
+            self.bounds.downtime,
+            Arc::clone(&self.prefix),
+            Arc::clone(&self.checkpoints),
+            &self.recoveries,
+            self.bounds.max_ckpt,
+        );
+        Ok(())
+    }
+
     /// Evaluates the fixed checkpoint placement `checkpoint_after` (one
     /// decision per position, final entry `true`) at every rate of `lambdas`,
     /// returning one expected makespan per rate — the batched form of
@@ -438,6 +464,22 @@ mod tests {
         }
         assert_eq!(absorbed.check_rate(1e-300), Ok(1e-300));
         assert!(absorbed.check_rate(1e-3).is_err());
+    }
+
+    #[test]
+    fn tables_built_into_reused_buffers_equal_fresh_tables() {
+        // Orders of different lengths, and rates on both sides of the
+        // saturation cut, so every buffer shrinks, grows and empties.
+        let long = LambdaSweep::new(10.0, &[400.0; 9], &[15.0; 9], &[25.0; 9]).unwrap();
+        let mut table = sample_sweep().table_for(1e-4).unwrap();
+        for (sweep, lambda) in [(&long, 1e-3), (&sample_sweep(), 0.9), (&long, 2e-5)] {
+            sweep.table_into(lambda, &mut table).unwrap();
+            assert_eq!(table, sweep.table_for(lambda).unwrap());
+            assert_eq!(table.is_saturated(), lambda == 0.9);
+        }
+        let before = table.clone();
+        assert!(long.table_into(-1.0, &mut table).is_err());
+        assert_eq!(table, before);
     }
 
     #[test]
