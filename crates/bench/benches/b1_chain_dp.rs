@@ -15,9 +15,11 @@
 //! blocked kernel: only the envelope formulations run there (the quadratic
 //! ones would take hours at `n = 10⁶`), on a λ chosen so the table stays
 //! out of its saturated fallback (`λ·total work ≈ 10` at `n = 10⁵`, `≈ 105`
-//! at `n = 10⁶`). Every `table_dispatch` row, in both groups, hands each
-//! solve a fresh `ChainDpScratch`; `table_dispatch_scratch_reuse` reuses one
-//! arena, isolating the allocator-traffic cost the arena removes.
+//! at `n = 10⁶`). `table_dispatch_dense` runs the kernel at
+//! `λ·total work = 300`, where the optimum checkpoints every few tasks.
+//! Every `table_dispatch` row, in both groups, hands each solve a fresh
+//! `ChainDpScratch`; `table_dispatch_scratch_reuse` reuses one arena,
+//! isolating the allocation and page-fault cost the arena removes.
 //! `end_to_end` starts from the raw weights: graph build, instance, chain
 //! detection, cost table and the blocked solve, the whole pipeline a 10⁶-task
 //! plan pays.
@@ -120,15 +122,42 @@ fn bench_chain_dp_large(c: &mut Criterion) {
                 )
             })
         });
-        // Caller-owned scratch arena: same kernel, no per-solve allocation of
-        // the block-local Li Chao buffers and envelope scratch (~1 000
-        // transient allocations per solve at n = 10⁶ otherwise).
+        // Caller-owned scratch arena: same kernel, no per-solve allocation
+        // (and page-faulting) of the ~70 bytes per position the kernel
+        // keeps in its arena.
         let mut scratch = ChainDpScratch::new();
         group.bench_with_input(
             BenchmarkId::new("table_dispatch_scratch_reuse", n),
             &table,
             |b, table| {
                 b.iter(|| scalable_placement_on_table_with_scratch(black_box(table), &mut scratch))
+            },
+        );
+        // The dense regime: same weights at λ·total work = 300, still below
+        // the saturation switch (≈ 650), so the kernel runs where the
+        // optimum checkpoints every few tasks.
+        let dense = random_chain_instance(
+            7,
+            n,
+            100.0,
+            2_000.0,
+            60.0,
+            90.0,
+            30.0,
+            300.0 / instance.total_weight(),
+        );
+        let dense_table = chain_table(&dense);
+        assert!(!dense_table.is_saturated());
+        group.bench_with_input(
+            BenchmarkId::new("table_dispatch_dense", n),
+            &dense_table,
+            |b, table| {
+                b.iter(|| {
+                    scalable_placement_on_table_with_scratch(
+                        black_box(table),
+                        &mut ChainDpScratch::new(),
+                    )
+                })
             },
         );
         let weights = instance.graph().weights().to_vec();

@@ -27,7 +27,9 @@
 //!   positions up it runs the **blocked kernel**: the line decomposition of
 //!   the [`oracle`] module's Li Chao solver organised as a divide and conquer
 //!   over index space, so `10⁵`–`10⁶`-position tables stream through
-//!   cache-sized working sets;
+//!   cache-sized working sets. It runs in `O(n log n)`: it sorts the
+//!   positions once per solve and derives every range's orders from that
+//!   sort by splits and merges;
 //! * [`optimal_levelled_schedule`] — the recurrence over `(position, level)`
 //!   checkpoints on a storage hierarchy, bitwise equal to
 //!   [`optimal_chain_schedule`] on [`StorageLevels::single`];
@@ -49,6 +51,8 @@ use crate::instance::ProblemInstance;
 use crate::schedule::Schedule;
 use crate::solver_stats;
 
+#[cfg(test)]
+mod kernel_walls;
 pub mod oracle;
 pub use oracle::optimal_chain_schedule_divide_conquer;
 
@@ -182,9 +186,24 @@ fn pruned_dp_span(
         value[x] = best;
         choice[x] = best_j;
     }
-    solver_stats::DP_POSITIONS.add((below - from) as u64);
-    solver_stats::DP_CANDIDATES.add(candidates);
-    solver_stats::DP_PRUNE_BREAKS.add(prune_breaks);
+    DpTally { positions: (below - from) as u64, candidates, prune_breaks }.flush();
+}
+
+/// The work of one DP solve, tallied in locals and flushed to
+/// [`solver_stats`] with one relaxed add per counter.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct DpTally {
+    positions: u64,
+    candidates: u64,
+    prune_breaks: u64,
+}
+
+impl DpTally {
+    fn flush(&self) {
+        solver_stats::DP_POSITIONS.add(self.positions);
+        solver_stats::DP_CANDIDATES.add(self.candidates);
+        solver_stats::DP_PRUNE_BREAKS.add(self.prune_breaks);
+    }
 }
 
 /// The pruned recurrence over the whole of `table`, in `scratch`'s DP
@@ -462,13 +481,24 @@ pub fn optimal_chain_schedule(instance: &ProblemInstance) -> Result<ChainSolutio
 }
 
 /// The levelled recurrence of [`optimal_levelled_schedule`] on a prebuilt
-/// [`LevelledCostTable`]: the DP value and the checkpoints as
-/// `(position, level)` pairs in increasing position order. With a single
-/// unbounded level the state space collapses to `(x)` and every
-/// floating-point operation replays the flat pruned DP's in order, so the
-/// result is **bitwise identical** — +∞ optima included. The caller rejects
-/// the one hierarchy without a plan, a sole level with no slot.
-fn optimal_levelled_placement_on_table(table: &LevelledCostTable) -> (f64, Vec<(usize, usize)>) {
+/// [`LevelledCostTable`]: the DP value, the checkpoints as
+/// `(position, level)` pairs in increasing position order, and the solve's
+/// work for the caller to flush. With a single unbounded level the state
+/// space collapses to `(x)` and every floating-point operation replays the
+/// flat pruned DP's in order, so the result is **bitwise identical** — +∞
+/// optima included. The caller rejects the one hierarchy without a plan, a
+/// sole level with no slot.
+///
+/// Each row `x` runs one scan over `j` for all of its `L·(S+1)` states
+/// `(p, s)`. The cross-level bound and the `L²` segment costs depend on
+/// `(x, j, p)` but not on `s`, so the scan computes each once per `j` and
+/// shares it. A state leaves the scan at the first `j` whose bound exceeds
+/// its incumbent, where a scan of its own would break; until then it sees
+/// the same candidates in the same order, so values, choices and counts are
+/// those of one scan per state.
+fn optimal_levelled_placement_on_table(
+    table: &LevelledCostTable,
+) -> (f64, Vec<(usize, usize)>, DpTally) {
     let n = table.len();
     let levels = table.level_count();
     let (bounded, budget) = match table.levels().bounded() {
@@ -488,32 +518,62 @@ fn optimal_levelled_placement_on_table(table: &LevelledCostTable) -> (f64, Vec<(
     let mut value = vec![0.0f64; (n + 1) * states];
     let mut choice_j = vec![0usize; n * states];
     let mut choice_level = vec![0usize; n * states];
-    let mut candidates = 0u64;
-    let mut prune_breaks = 0u64;
+    // The scan of one row: each state's incumbent and whether it still
+    // scans, and per protecting level its coefficient, its number of
+    // scanning states and its costs at the current `j`.
+    let mut best = vec![0.0f64; states];
+    let mut best_j = vec![0usize; states];
+    let mut best_level = vec![0usize; states];
+    let mut scanning = vec![false; states];
+    let mut coefficients = vec![0.0f64; levels];
+    let mut scanning_per_level = vec![0usize; levels];
+    let mut costs = vec![0.0f64; levels];
+    let mut tally = DpTally { positions: (n * states) as u64, ..DpTally::default() };
     for x in (0..n).rev() {
-        for p in 0..levels {
+        for (p, coefficient) in coefficients.iter_mut().enumerate() {
             // Level p's protecting coefficient e^{λR_x}(1/λ+D); at x = 0 it
             // is the level-independent initial recovery on every table.
-            let coefficient = table.table(p).coefficient(x);
-            for s in 0..slot_states {
-                let mut best = f64::INFINITY;
-                let mut best_j = n - 1;
-                let mut best_level = free_level;
-                for j in x..n {
-                    let mut bound =
-                        table.table(0).segment_lower_bound_with_coefficient(x, j, coefficient);
-                    for level in 1..levels {
-                        bound = bound.min(table.table(level).segment_lower_bound_with_coefficient(
-                            x,
-                            j,
-                            coefficient,
-                        ));
+            *coefficient = table.table(p).coefficient(x);
+        }
+        best.fill(f64::INFINITY);
+        best_j.fill(n - 1);
+        best_level.fill(free_level);
+        scanning.fill(true);
+        scanning_per_level.fill(slot_states);
+        let mut scanning_total = states;
+        for j in x..n {
+            for p in 0..levels {
+                if scanning_per_level[p] == 0 {
+                    continue;
+                }
+                let coefficient = coefficients[p];
+                let mut bound =
+                    table.table(0).segment_lower_bound_with_coefficient(x, j, coefficient);
+                for level in 1..levels {
+                    bound = bound.min(table.table(level).segment_lower_bound_with_coefficient(
+                        x,
+                        j,
+                        coefficient,
+                    ));
+                }
+                for (level, cost) in costs.iter_mut().enumerate() {
+                    *cost = table.table(level).cost_with_coefficient(x, j, coefficient);
+                }
+                for s in 0..slot_states {
+                    let state = p * slot_states + s;
+                    if !scanning[state] {
+                        continue;
                     }
-                    if bound > best {
-                        prune_breaks += 1;
-                        break;
+                    // The bound is valid for every j′ ≥ j and non-decreasing
+                    // in j: once it clears the incumbent, the state is done.
+                    if bound > best[state] {
+                        tally.prune_breaks += 1;
+                        scanning[state] = false;
+                        scanning_per_level[p] -= 1;
+                        scanning_total -= 1;
+                        continue;
                     }
-                    for level in 0..levels {
+                    for (level, &cost) in costs.iter().enumerate() {
                         let next_s = match bounded {
                             Some(b) if b == level => {
                                 if s == 0 {
@@ -525,25 +585,25 @@ fn optimal_levelled_placement_on_table(table: &LevelledCostTable) -> (f64, Vec<(
                             }
                             _ => s,
                         };
-                        candidates += 1;
-                        let cost = table.table(level).cost_with_coefficient(x, j, coefficient)
-                            + value[idx(j + 1, level, next_s)];
-                        if cost < best {
-                            best = cost;
-                            best_j = j;
-                            best_level = level;
+                        tally.candidates += 1;
+                        let cost = cost + value[idx(j + 1, level, next_s)];
+                        if cost < best[state] {
+                            best[state] = cost;
+                            best_j[state] = j;
+                            best_level[state] = level;
                         }
                     }
                 }
-                value[idx(x, p, s)] = best;
-                choice_j[idx(x, p, s)] = best_j;
-                choice_level[idx(x, p, s)] = best_level;
+            }
+            if scanning_total == 0 {
+                break;
             }
         }
+        let row = idx(x, 0, 0)..idx(x + 1, 0, 0);
+        value[row.clone()].copy_from_slice(&best);
+        choice_j[row.clone()].copy_from_slice(&best_j);
+        choice_level[row].copy_from_slice(&best_level);
     }
-    solver_stats::DP_POSITIONS.add((n * states) as u64);
-    solver_stats::DP_CANDIDATES.add(candidates);
-    solver_stats::DP_PRUNE_BREAKS.add(prune_breaks);
 
     let mut checkpoints = Vec::new();
     let (mut x, mut p, mut s) = (0usize, 0usize, budget);
@@ -558,7 +618,7 @@ fn optimal_levelled_placement_on_table(table: &LevelledCostTable) -> (f64, Vec<(
         p = level;
         x = j + 1;
     }
-    (value[idx(0, 0, budget)], checkpoints)
+    (value[idx(0, 0, budget)], checkpoints, tally)
 }
 
 /// The result of the levelled chain dynamic program
@@ -680,7 +740,8 @@ pub fn optimal_levelled_schedule(
     }
     let order = properties::as_chain(instance.graph()).ok_or(ScheduleError::NotAChain)?;
     let table = levelled_cost_table(instance, &order, levels.clone())?;
-    let (expected_makespan, checkpoints) = optimal_levelled_placement_on_table(&table);
+    let (expected_makespan, checkpoints, tally) = optimal_levelled_placement_on_table(&table);
+    tally.flush();
     let mut checkpoint_after = vec![false; order.len()];
     for &(j, _) in &checkpoints {
         checkpoint_after[j] = true;
@@ -708,15 +769,18 @@ fn resummed_value(table: &SegmentCostTable, positions: &[usize]) -> f64 {
 const DP_BLOCK: usize = 1024;
 
 /// Caller-owned scratch arena for [`scalable_placement_on_table_with_scratch`]:
-/// the blocked kernel's block-local Li Chao buffers and envelope scratch,
-/// and the DP state of both kernels.
+/// the DP state of both kernels, and the blocked kernel's position orders,
+/// block-local Li Chao buffers and envelope hull.
 ///
-/// One blocked solve at `n = 10⁶` otherwise performs ~1 000 transient
-/// allocations: a Li Chao node vector and a sorted query-point domain per
-/// trailing block, plus lines/hull/query buffers per cross-range envelope
-/// level. Batch consumers (λ sweeps, the order search, the §6 batch planner)
-/// reuse one arena across every solve; a fresh arena allocates nothing
-/// until its first solve.
+/// A blocked solve keeps about 70 bytes per position here: six `f64`/`usize`
+/// arrays (query points, slopes, DP values and choices, cross-range minima),
+/// two `u32` position orders and their spill half, and a hull of up to
+/// `n / 2` lines; the Li Chao domain, tree and ranks are block-sized. A solve
+/// without an arena allocates all of it afresh (tens of megabytes at
+/// `n = 10⁶`) and page-faults it in. Batch consumers (λ sweeps, the order
+/// search, the §6 batch planner) reuse one arena across every solve; a fresh
+/// arena allocates nothing until its first solve, and nothing after a solve
+/// of a table at least as long.
 ///
 /// # Example
 ///
@@ -744,11 +808,19 @@ pub struct ChainDpScratch {
     choice: Vec<usize>,
     cross_val: Vec<f64>,
     cross_id: Vec<usize>,
+    /// Every position, in ascending query-point order within each range the
+    /// recursion has reached (ties by position).
+    by_point: Vec<u32>,
+    /// Every position, in descending slope order within each range the
+    /// recursion has solved (ties by position).
+    by_slope: Vec<u32>,
+    /// Half a range, parked while its order is split or merged.
+    spill: Vec<u32>,
+    /// Each block position's index into the block's Li Chao domain.
+    rank: Vec<u32>,
     domain: Vec<f64>,
     tree: LiChaoTree,
-    lines: Vec<(f64, f64, usize)>,
     hull: Vec<(f64, f64, usize)>,
-    by_point: Vec<usize>,
 }
 
 impl ChainDpScratch {
@@ -772,17 +844,17 @@ const SCALABLE_THRESHOLD: usize = 1024;
 ///   (`λ·total work` ≳ 650, where the slope/query-point decomposition
 ///   overflows), the exact pruned DP;
 /// * otherwise the **blocked kernel**, a divide and conquer over index space
-///   so `10⁵`–`10⁶`-position tables stream through cache-sized working sets
-///   (worst case `O(n log² n)`, effectively `O(n log n)` when slopes and
-///   query points are near-monotone in position — uniform costs, the common
-///   case — because its sorts are adaptive). Trailing blocks of 1 024
-///   positions are solved with a block-local Li Chao sweep whose tree spans
-///   only the block's query points; once a suffix range is solved, its
-///   candidate lines are batched into a monotone lower envelope (lines
-///   sorted by slope, queries by point, one forward sweep over each) over
-///   the matching prefix range. Each position meets `O(log(n / 1024))`
-///   envelopes, each spanning one contiguous range; no quadratic state is
-///   materialised.
+///   so `10⁵`–`10⁶`-position tables stream through cache-sized working sets,
+///   in `O(n log n)` time: one sort orders the positions by query point, and
+///   every range of the recursion reads its positions in point and in slope
+///   order from a split of its parent's order and a merge of its halves'.
+///   Trailing blocks of 1 024 positions are solved with a block-local Li
+///   Chao sweep whose tree spans only the block's query points; once a
+///   suffix range is solved, its candidate lines are batched into a monotone
+///   lower envelope (one forward sweep over the lines in slope order, one
+///   over the queries in point order) over the matching prefix range. Each
+///   position meets `O(log(n / 1024))` envelopes, each spanning one
+///   contiguous range; no quadratic state is materialised.
 ///
 /// Both kernels return the optimum (cross-checked to `10⁻¹⁰` relative error
 /// against each other and the [`oracle`] yardsticks); checkpoint positions
@@ -808,6 +880,28 @@ fn blocked_placement_with_block(table: &SegmentCostTable, block: usize) -> Table
 }
 
 /// The blocked core, running entirely out of `scratch`'s buffers.
+///
+/// Each range of the recursion needs its positions in two orders: by query
+/// point (the queries of a cross-range envelope, and a block's Li Chao
+/// domain) and by slope (the lines of an envelope). Neither is sorted per
+/// range. The point order is sorted once per solve and split top-down: a
+/// stable partition of a range's slice into its `lo..mid` and `mid..hi`
+/// halves leaves both halves in point order. The slope order is sorted per
+/// block and merged bottom-up once both halves of a range are solved. Ties
+/// go by position in both, the order a stable per-range sort gives, so the
+/// envelopes see the same sequences, and the placement, its value and the
+/// Li Chao counts do not depend on how the orders were obtained. One
+/// `O(n log n)` sort, `O(n)` work per recursion level and `O(n log B)` in
+/// the blocks make the solve `O(n log n)`.
+///
+/// The Li Chao tree's tallies cover this solve only: they are cleared when
+/// it starts, flushed to [`solver_stats`] when it ends, and stay readable in
+/// `scratch` until the next solve.
+///
+/// # Panics
+///
+/// Panics if `block` is 0 or the table has more than `u32::MAX` positions
+/// (the position orders are `u32`).
 fn blocked_placement_with_block_into(
     table: &SegmentCostTable,
     block: usize,
@@ -816,6 +910,7 @@ fn blocked_placement_with_block_into(
     debug_assert!(!table.is_saturated(), "blocked solver needs slopes/query points");
     assert!(block > 0, "block size must be positive");
     let n = table.len();
+    let positions = u32::try_from(n).expect("the blocked kernel indexes positions as u32");
     scratch.points.clear();
     scratch.points.extend((0..n).map(|x| table.query_point(x)));
     scratch.slopes.clear();
@@ -828,6 +923,13 @@ fn blocked_placement_with_block_into(
     scratch.cross_val.resize(n, f64::INFINITY);
     scratch.cross_id.clear();
     scratch.cross_id.resize(n, usize::MAX);
+    let points = &scratch.points;
+    scratch.by_point.clear();
+    scratch.by_point.extend(0..positions);
+    scratch.by_point.sort_by(|&a, &b| points[a as usize].total_cmp(&points[b as usize]));
+    scratch.by_slope.clear();
+    scratch.by_slope.resize(n, 0);
+    scratch.tree.clear_counts();
 
     struct BlockedDp<'a> {
         table: &'a SegmentCostTable,
@@ -842,38 +944,95 @@ fn blocked_placement_with_block_into(
         /// accumulated over the envelopes of all solved suffix ranges.
         cross_val: &'a mut [f64],
         cross_id: &'a mut [usize],
+        by_point: &'a mut [u32],
+        by_slope: &'a mut [u32],
+        spill: &'a mut Vec<u32>,
+        rank: &'a mut Vec<u32>,
         domain: &'a mut Vec<f64>,
         tree: &'a mut LiChaoTree,
-        lines: &'a mut Vec<(f64, f64, usize)>,
         hull: &'a mut Vec<(f64, f64, usize)>,
-        by_point: &'a mut Vec<usize>,
     }
 
     impl BlockedDp<'_> {
-        /// Solves positions `lo..hi`, assuming `value[hi..]` is final and
-        /// `cross_*[lo..hi]` already accounts for every candidate `j ≥ hi`.
+        /// Solves positions `lo..hi`, assuming `value[hi..]` is final,
+        /// `cross_*[lo..hi]` already accounts for every candidate `j ≥ hi`
+        /// and `by_point[lo..hi]` holds `lo..hi` in point order. Leaves
+        /// `by_slope[lo..hi]` in slope order.
         fn solve(&mut self, lo: usize, hi: usize) {
             if hi - lo <= self.block {
                 self.solve_block(lo, hi);
                 return;
             }
             let mid = lo + (hi - lo) / 2;
+            self.split_points(lo, mid, hi);
             self.solve(mid, hi);
             self.apply_cross(lo, mid, hi);
             self.solve(lo, mid);
+            self.merge_slopes(lo, mid, hi);
+        }
+
+        /// Stably partitions `by_point[lo..hi]` into the positions below
+        /// `mid` and the rest, so both halves stay in point order.
+        fn split_points(&mut self, lo: usize, mid: usize, hi: usize) {
+            self.spill.clear();
+            let mut kept = lo;
+            for k in lo..hi {
+                let x = self.by_point[k];
+                if (x as usize) < mid {
+                    self.by_point[kept] = x;
+                    kept += 1;
+                } else {
+                    self.spill.push(x);
+                }
+            }
+            debug_assert_eq!(kept, mid);
+            self.by_point[mid..hi].copy_from_slice(self.spill.as_slice());
+        }
+
+        /// Merges the slope-ordered halves `by_slope[lo..mid]` and
+        /// `by_slope[mid..hi]`, the left half first among equal slopes (its
+        /// positions are the smaller).
+        fn merge_slopes(&mut self, lo: usize, mid: usize, hi: usize) {
+            self.spill.clear();
+            self.spill.extend_from_slice(&self.by_slope[lo..mid]);
+            let (mut right, mut out) = (mid, lo);
+            for &left in self.spill.iter() {
+                let left_slope = self.slopes[left as usize];
+                while right < hi
+                    && self.slopes[self.by_slope[right] as usize].total_cmp(&left_slope).is_gt()
+                {
+                    self.by_slope[out] = self.by_slope[right];
+                    right += 1;
+                    out += 1;
+                }
+                self.by_slope[out] = left;
+                out += 1;
+            }
+            // The rest of the right half is already in place.
         }
 
         /// One cache-sized block, solved with the Li Chao sweep of the
         /// divide-and-conquer formulation restricted to the block: the tree
         /// spans only the block's query points (L2-resident at [`DP_BLOCK`]),
         /// and candidates from outside the block enter through the
-        /// accumulated cross-range minima.
+        /// accumulated cross-range minima. The block's point order,
+        /// deduplicated, is the tree's domain, and each position's place in
+        /// it is the index its query reads. Once solved, the block's lines
+        /// are sorted into slope order for the merges above it.
         fn solve_block(&mut self, lo: usize, hi: usize) {
             self.domain.clear();
-            self.domain.extend_from_slice(&self.points[lo..hi]);
-            self.domain.sort_by(f64::total_cmp);
-            self.domain.dedup();
-            self.tree.reset(self.domain);
+            self.rank.clear();
+            self.rank.resize(hi - lo, 0);
+            let mut distinct = 0u32;
+            for &x in self.by_point[lo..hi].iter() {
+                let t = self.points[x as usize];
+                if self.domain.last() != Some(&t) {
+                    self.domain.push(t);
+                    distinct += 1;
+                }
+                self.rank[x as usize - lo] = distinct - 1;
+            }
+            self.tree.reset(self.domain.as_slice());
             for x in (lo..hi).rev() {
                 // Candidate "first checkpoint at j = x" becomes available
                 // exactly now: its intercept E(x+1) is final.
@@ -882,7 +1041,7 @@ fn blocked_placement_with_block_into(
                     intercept: self.value[x + 1],
                     id: x,
                 });
-                let (in_block, in_block_id) = self.tree.query(self.points[x]);
+                let (in_block, in_block_id) = self.tree.query(self.rank[x - lo] as usize);
                 let (mut best, mut best_j) = (in_block, in_block_id);
                 if self.cross_id[x] != usize::MAX && self.cross_val[x] < best {
                     best = self.cross_val[x];
@@ -891,27 +1050,41 @@ fn blocked_placement_with_block_into(
                 self.value[x] = best - self.table.coefficient(x);
                 self.choice[x] = best_j;
             }
+            let slopes = self.slopes;
+            let lines = &mut self.by_slope[lo..hi];
+            lines.copy_from_slice(&self.by_point[lo..hi]);
+            lines.sort_unstable_by(|&a, &b| {
+                slopes[b as usize].total_cmp(&slopes[a as usize]).then(a.cmp(&b))
+            });
         }
 
         /// Batches the lines of the solved range `mid..hi` into a monotone
-        /// lower envelope (convex-hull trick: lines sorted by slope, queries
-        /// sorted by point, one forward sweep over each) and folds the
+        /// lower envelope (convex-hull trick: lines in slope order, queries
+        /// in point order, one forward sweep over each) and folds the
         /// per-point minima into the cross-range candidates of `lo..mid`.
-        /// Everything is a sequential scan over contiguous arrays — no
-        /// tree, no random access.
+        /// Both orders are already at hand, so everything is a sequential
+        /// scan — no sort, no tree.
         fn apply_cross(&mut self, lo: usize, mid: usize, hi: usize) {
             // Envelope construction, slope-descending (the minimum's winner
             // as the query point grows moves towards smaller slopes).
-            self.lines.clear();
-            self.lines.extend((mid..hi).map(|j| (self.slopes[j], self.value[j + 1], j)));
-            self.lines.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.total_cmp(&b.1)));
             self.hull.clear();
-            for &line in self.lines.iter() {
-                if let Some(&(last_slope, ..)) = self.hull.last() {
-                    // Equal slopes: the sort put the lowest intercept first.
-                    if last_slope == line.0 {
-                        continue;
+            let lines = &self.by_slope[mid..hi];
+            let mut k = 0usize;
+            while k < lines.len() {
+                // A run of equal slopes offers one line: its lowest
+                // intercept, the first (lowest position) on ties.
+                let j = lines[k] as usize;
+                let mut line = (self.slopes[j], self.value[j + 1], j);
+                k += 1;
+                while let Some(&next) = lines.get(k) {
+                    let j = next as usize;
+                    if self.slopes[j] != line.0 {
+                        break;
                     }
+                    if self.value[j + 1].total_cmp(&line.1).is_lt() {
+                        line = (line.0, self.value[j + 1], j);
+                    }
+                    k += 1;
                 }
                 while self.hull.len() >= 2 {
                     let a = self.hull[self.hull.len() - 2];
@@ -933,11 +1106,9 @@ fn blocked_placement_with_block_into(
 
             // Queries in ascending point order: the winning hull index only
             // moves forward, so the whole batch costs one merge-like sweep.
-            self.by_point.clear();
-            self.by_point.extend(lo..mid);
-            self.by_point.sort_by(|&a, &b| self.points[a].total_cmp(&self.points[b]));
             let mut k = 0usize;
-            for &x in self.by_point.iter() {
+            for &x in self.by_point[lo..mid].iter() {
+                let x = x as usize;
                 let t = self.points[x];
                 while k + 1 < self.hull.len()
                     && self.hull[k + 1].0 * t + self.hull[k + 1].1
@@ -961,11 +1132,13 @@ fn blocked_placement_with_block_into(
         choice,
         cross_val,
         cross_id,
+        by_point,
+        by_slope,
+        spill,
+        rank,
         domain,
         tree,
-        lines,
         hull,
-        by_point,
     } = scratch;
     let mut dp = BlockedDp {
         table,
@@ -976,13 +1149,16 @@ fn blocked_placement_with_block_into(
         choice,
         cross_val,
         cross_id,
+        by_point,
+        by_slope,
+        spill,
+        rank,
         domain,
         tree,
-        lines,
         hull,
-        by_point,
     };
     dp.solve(0, n);
+    dp.tree.flush_counts();
 
     // Re-sum through the table, as the divide-and-conquer solver does.
     let positions = positions_from_choice(dp.choice);
@@ -1000,6 +1176,9 @@ struct LiChaoLine {
 }
 
 impl LiChaoLine {
+    /// Fills the tree nodes no line has reached yet.
+    const NONE: LiChaoLine = LiChaoLine { slope: 0.0, intercept: 0.0, id: usize::MAX };
+
     fn eval(&self, t: f64) -> f64 {
         self.slope * t + self.intercept
     }
@@ -1010,79 +1189,84 @@ impl LiChaoLine {
 /// the node's midpoint. Insert and query are `O(log n)`; the minimum returned
 /// at any stored point is exact (no convexity assumptions on insertion
 /// order).
+///
+/// The tree tallies the lines inserted and the nodes they visit, but never
+/// touches [`solver_stats`] itself: its owner (the blocked kernel, or the
+/// [`oracle`]'s global sweep) clears the tallies when a solve starts and
+/// flushes them when it ends, one relaxed add per counter and solve.
 #[derive(Debug, Clone, Default)]
 struct LiChaoTree {
     xs: Vec<f64>,
-    nodes: Vec<Option<LiChaoLine>>,
+    /// Node `k` (children `2k` and `2k + 1`) holds the line winning at its
+    /// midpoint, or [`LiChaoLine::NONE`]. A node is filled only once its
+    /// parent is, so below an empty node the whole subtree is empty.
+    nodes: Vec<LiChaoLine>,
+    /// Lines inserted since the last [`clear_counts`](LiChaoTree::clear_counts).
+    inserts: u64,
+    /// Tree nodes those insertions visited.
+    visits: u64,
 }
 
 impl LiChaoTree {
-    fn new(xs: Vec<f64>) -> Self {
-        let len = xs.len().max(1);
-        LiChaoTree { xs, nodes: vec![None; 4 * len] }
-    }
-
-    /// Re-spans the tree over a new sorted domain, keeping both buffers'
-    /// capacity (the [`ChainDpScratch`] reuse path).
+    /// Re-spans the tree over a new sorted, duplicate-free domain, keeping
+    /// both buffers' capacity (the [`ChainDpScratch`] reuse path). The
+    /// tallies carry on.
     fn reset(&mut self, xs: &[f64]) {
         self.xs.clear();
         self.xs.extend_from_slice(xs);
+        // Halving `len` points takes ⌈log₂ len⌉ levels, so node indices
+        // stay below 2·2^⌈log₂ len⌉.
         let len = self.xs.len().max(1);
         self.nodes.clear();
-        self.nodes.resize(4 * len, None);
+        self.nodes.resize(2 * len.next_power_of_two(), LiChaoLine::NONE);
     }
 
-    fn insert(&mut self, line: LiChaoLine) {
-        let hi = self.xs.len() - 1;
-        let visited = self.insert_in(1, 0, hi, line);
-        solver_stats::LI_CHAO_INSERTS.add(1);
-        solver_stats::LI_CHAO_NODE_VISITS.add(visited);
-    }
-
-    /// Returns the number of tree nodes visited (for the solver telemetry).
-    fn insert_in(&mut self, node: usize, lo: usize, hi: usize, mut line: LiChaoLine) -> u64 {
-        let mid = (lo + hi) / 2;
-        let mid_x = self.xs[mid];
-        match &mut self.nodes[node] {
-            slot @ None => {
-                *slot = Some(line);
-                1
+    fn insert(&mut self, mut line: LiChaoLine) {
+        let (mut node, mut lo, mut hi) = (1usize, 0usize, self.xs.len() - 1);
+        let mut visited = 1u64;
+        loop {
+            let current = &mut self.nodes[node];
+            if current.id == LiChaoLine::NONE.id {
+                *current = line;
+                break;
             }
-            Some(current) => {
-                if line.eval(mid_x) < current.eval(mid_x) {
-                    std::mem::swap(current, &mut line);
-                }
-                if lo == hi {
-                    return 1;
-                }
-                // `line` lost at the midpoint; two lines cross at most once,
-                // so it can only win on the side where it beats the winner at
-                // the boundary.
-                let lo_x = self.xs[lo];
-                if line.eval(lo_x) < current.eval(lo_x) {
-                    1 + self.insert_in(2 * node, lo, mid, line)
-                } else {
-                    1 + self.insert_in(2 * node + 1, mid + 1, hi, line)
-                }
+            let mid = (lo + hi) / 2;
+            let mid_x = self.xs[mid];
+            if line.eval(mid_x) < current.eval(mid_x) {
+                std::mem::swap(current, &mut line);
             }
+            if lo == hi {
+                break;
+            }
+            // `line` lost at the midpoint; two lines cross at most once, so
+            // it can only win on the side where it beats the winner at the
+            // boundary.
+            let lo_x = self.xs[lo];
+            if line.eval(lo_x) < current.eval(lo_x) {
+                (node, hi) = (2 * node, mid);
+            } else {
+                (node, lo) = (2 * node + 1, mid + 1);
+            }
+            visited += 1;
         }
+        self.inserts += 1;
+        self.visits += visited;
     }
 
-    /// The minimum over all inserted lines at query point `t` (which must be
-    /// one of the stored points), with the id of a minimising line.
-    fn query(&self, t: f64) -> (f64, usize) {
-        let index = self
-            .xs
-            .binary_search_by(|x| x.total_cmp(&t))
-            .expect("query points are part of the tree domain");
+    /// The minimum over all inserted lines at the domain's `index`-th point,
+    /// with the id of a minimising line.
+    fn query(&self, index: usize) -> (f64, usize) {
+        let t = self.xs[index];
         let (mut lo, mut hi, mut node) = (0usize, self.xs.len() - 1, 1usize);
         let mut best: Option<(f64, usize)> = None;
         loop {
-            if let Some(line) = &self.nodes[node] {
-                let candidate = line.eval(t);
-                if best.is_none_or(|(value, _)| candidate < value) {
-                    best = Some((candidate, line.id));
-                }
+            let line = &self.nodes[node];
+            if line.id == LiChaoLine::NONE.id {
+                break;
+            }
+            let candidate = line.eval(t);
+            if best.is_none_or(|(value, _)| candidate < value) {
+                best = Some((candidate, line.id));
             }
             if lo == hi {
                 break;
@@ -1097,6 +1281,19 @@ impl LiChaoTree {
             }
         }
         best.expect("query on an empty envelope")
+    }
+
+    /// Zeroes the tallies: a solve starts.
+    fn clear_counts(&mut self) {
+        self.inserts = 0;
+        self.visits = 0;
+    }
+
+    /// Adds the tallies to [`solver_stats`]: a solve ends. They stay
+    /// readable until the next [`clear_counts`](LiChaoTree::clear_counts).
+    fn flush_counts(&self) {
+        solver_stats::LI_CHAO_INSERTS.add(self.inserts);
+        solver_stats::LI_CHAO_NODE_VISITS.add(self.visits);
     }
 }
 
@@ -1539,16 +1736,25 @@ mod tests {
     fn scratch_reuse_matches_fresh_solves_across_tables() {
         let mut scratch = ChainDpScratch::new();
         // Mix of sizes around the scalable threshold and regimes, reusing
-        // one arena throughout.
-        for (seed, n, lambda) in
-            [(1u64, 64usize, 1e-4), (2, 1500, 1e-5), (3, 700, 1e-3), (9, 2000, 1e-5)]
-        {
+        // one arena throughout; a blocked solve leaves the Li Chao tallies
+        // of that solve alone, as a fresh arena's.
+        for (seed, n, lambda) in [
+            (1u64, 64usize, 1e-4),
+            (2, 1500, 1e-5),
+            (3, 700, 1e-3),
+            (9, 2000, 1e-5),
+            (4, 1100, 1e-4),
+        ] {
             let table = table(&random_heterogeneous_chain(seed, n, lambda));
             let reused = scalable_placement_on_table_with_scratch(&table, &mut scratch);
-            let fresh =
-                scalable_placement_on_table_with_scratch(&table, &mut ChainDpScratch::new());
+            let mut fresh_scratch = ChainDpScratch::new();
+            let fresh = scalable_placement_on_table_with_scratch(&table, &mut fresh_scratch);
             assert_eq!(reused.expected_makespan, fresh.expected_makespan, "seed {seed}");
             assert_eq!(reused.checkpoint_positions, fresh.checkpoint_positions);
+            if n >= SCALABLE_THRESHOLD {
+                let tallies = |s: &ChainDpScratch| (s.tree.inserts, s.tree.visits);
+                assert_eq!(tallies(&scratch), tallies(&fresh_scratch), "seed {seed}");
+            }
         }
     }
 
@@ -1873,7 +2079,7 @@ mod tests {
                 let table =
                     levelled_cost_table(&inst, &order, StorageLevels::single()).unwrap();
                 let flat = pruned_placement(&base, &mut ChainDpScratch::new());
-                let (value, checkpoints) = optimal_levelled_placement_on_table(&table);
+                let (value, checkpoints, _) = optimal_levelled_placement_on_table(&table);
                 prop_assert_eq!(value.to_bits(), flat.expected_makespan.to_bits());
                 let positions: Vec<usize> = checkpoints.iter().map(|&(j, _)| j).collect();
                 prop_assert_eq!(positions, flat.checkpoint_positions);

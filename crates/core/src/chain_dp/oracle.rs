@@ -63,7 +63,8 @@ pub fn optimal_chain_schedule_divide_conquer(
     let mut domain = points.clone();
     domain.sort_by(f64::total_cmp);
     domain.dedup();
-    let mut envelope = LiChaoTree::new(domain);
+    let mut envelope = LiChaoTree::default();
+    envelope.reset(&domain);
 
     let mut value = vec![0.0f64; n + 1];
     let mut choice = vec![0usize; n];
@@ -71,10 +72,14 @@ pub fn optimal_chain_schedule_divide_conquer(
         // Candidate "first checkpoint at j = x" becomes available exactly
         // now: its intercept E(x+1) was computed in the previous step.
         envelope.insert(LiChaoLine { slope: table.slope(x), intercept: value[x + 1], id: x });
-        let (best, id) = envelope.query(points[x]);
+        let index = domain
+            .binary_search_by(|t| t.total_cmp(&points[x]))
+            .expect("query points are part of the tree domain");
+        let (best, id) = envelope.query(index);
         value[x] = best - table.coefficient(x);
         choice[x] = id;
     }
+    envelope.flush_counts();
 
     // Re-sum the reconstructed segments through the table so the reported
     // value carries the summation order of the other solvers rather than the
