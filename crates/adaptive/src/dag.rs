@@ -1,21 +1,24 @@
 //! The DAG execution tier of the online subsystem: policies that
 //! re-linearise the remaining graph after failures.
 //!
-//! PR 4's chain policies re-plan checkpoint *placement* online but keep the
+//! The chain policies re-plan checkpoint *placement* online but keep the
 //! execution order frozen — for a chain there is nothing else to decide.
 //! General DAGs have a whole order space, and when the failure rate turns
 //! out misspecified, the stale order is wrong together with the stale
 //! placement: the tasks worth putting at segment boundaries (cheap
 //! checkpoints, small live sets) change with the checkpoint density. The
 //! policies here close that loop on top of
-//! [`ckpt_simulator::simulate_dag_policy`]:
+//! [`ckpt_simulator::simulate_dag_policy`], the same engine and
+//! [`Policy`] trait the chain policies run on:
 //!
-//! * [`DagStaticPlan`] — replay a fixed offline plan (order + placement);
-//!   solved at the *true* rate it is the clairvoyant regret reference;
+//! * [`StaticPlan::from_plan`] — replay a fixed offline plan's placement
+//!   over the plan's order; solved at the *true* rate it is the clairvoyant
+//!   regret reference;
 //! * [`DagAdaptiveResolve`] — after every observed failure, update the
 //!   Gamma-posterior rate estimate and re-solve the checkpoint placement of
 //!   the **remaining suffix on the current order**
-//!   ([`ResumableDp::solve_suffix`]); the order itself never changes;
+//!   ([`ResumableDp::solve_suffix`](ckpt_core::chain_dp::ResumableDp::solve_suffix));
+//!   the order itself never changes;
 //! * [`DagRelinearise`] — additionally extract the **remaining graph**
 //!   ([`ckpt_dag::subgraph::suffix_subgraph`]: surviving tasks, induced
 //!   edges, live-set seed) and run a bounded-budget
@@ -39,7 +42,6 @@
 
 use std::sync::Arc;
 
-use ckpt_core::chain_dp::ResumableDp;
 use ckpt_core::cost_model::CheckpointCostModel;
 use ckpt_core::order_search::{
     default_start_strategies, schedule_dag_search, search_from_starts, OrderSearchConfig,
@@ -49,11 +51,13 @@ use ckpt_core::ProblemInstance;
 use ckpt_dag::subgraph::{suffix_subgraph, SuffixSubgraph};
 use ckpt_dag::{linearize, topo, TaskId};
 use ckpt_expectation::sweep::LambdaSweep;
-use ckpt_simulator::{ChainTask, DagDecision, DagDecisionContext, DagPolicy, MonteCarloOutcome};
+use ckpt_simulator::{ChainTask, Decision, DecisionContext, Policy};
 
 use crate::error::AdaptiveError;
-use crate::harness::{EvaluationConfig, TruthModel};
-use crate::policies::{posterior_rate, DEFAULT_PRIOR_STRENGTH};
+use crate::harness::{
+    find_row, result_row, EvaluationConfig, PolicyResult, TruthModel, TruthRunner,
+};
+use crate::policies::{Replanner, StaticPlan};
 
 /// One DAG instance in both representations the online subsystem needs:
 /// the planner's [`ProblemInstance`] (graph, per-task costs, planning
@@ -65,7 +69,6 @@ pub struct DagSpec {
     instance: Arc<ProblemInstance>,
     model: CheckpointCostModel,
     tasks: Arc<Vec<ChainTask>>,
-    mean_checkpoint_cost: f64,
 }
 
 impl DagSpec {
@@ -95,14 +98,7 @@ impl DagSpec {
                 )
             })
             .collect::<Result<_, _>>()?;
-        let mean_checkpoint_cost =
-            instance.checkpoint_costs().iter().sum::<f64>() / instance.task_count() as f64;
-        Ok(DagSpec {
-            instance: Arc::new(instance),
-            model,
-            tasks: Arc::new(tasks),
-            mean_checkpoint_cost,
-        })
+        Ok(DagSpec { instance: Arc::new(instance), model, tasks: Arc::new(tasks) })
     }
 
     /// The planner view of the DAG.
@@ -145,11 +141,6 @@ impl DagSpec {
     pub fn total_work(&self) -> f64 {
         self.instance.total_weight()
     }
-
-    /// The mean per-task checkpoint cost (used for trace horizons).
-    pub fn mean_checkpoint_cost(&self) -> f64 {
-        self.mean_checkpoint_cost
-    }
 }
 
 /// An offline DAG plan: a linearisation plus its optimal checkpoint
@@ -175,7 +166,8 @@ impl DagPlan {
 /// Solves the offline plan of `spec` at `rate`: a full
 /// [`schedule_dag_search`] (the strongest offline planner of the workspace)
 /// on the instance re-rated to `rate`, under the spec's model. This is the
-/// plan [`DagStaticPlan`] replays and the adaptive DAG policies start from;
+/// plan [`StaticPlan::from_plan`] replays and the adaptive DAG policies
+/// start from;
 /// solved at the truth's rate it is the clairvoyant reference.
 ///
 /// # Errors
@@ -200,78 +192,31 @@ pub fn optimal_static_dag_plan(
 /// [`LambdaSweep`] over the order's positional cost vectors under the
 /// spec's model, so a policy can instantiate the order's cost table at any
 /// rate estimate in `O(n)`, plus the raw (unshifted) positional recovery
-/// costs the suffix re-linearisation reads its protecting recovery from.
-#[derive(Debug, Clone)]
-struct OrderPlanner {
-    sweep: LambdaSweep,
-    /// `raw_rec[j]` is the recovery cost of a checkpoint taken right after
-    /// position `j`, under the spec's model.
-    raw_rec: Vec<f64>,
-}
-
-impl OrderPlanner {
-    /// Builds the planner view of `order`, which must be a topological
-    /// order of the spec graph.
-    fn new(spec: &DagSpec, order: &[TaskId]) -> Result<Self, AdaptiveError> {
-        if !topo::is_topological_order(spec.instance().graph(), order) {
-            return Err(ckpt_core::ScheduleError::InvalidOrder.into());
-        }
-        let weights: Vec<f64> = order.iter().map(|&t| spec.instance().weight(t)).collect();
-        let (ckpt, raw_rec) = spec.model().costs_along_order(spec.instance(), order);
-        // Protecting-recovery convention of the cost tables: position 0 is
-        // protected by R₀, position x > 0 by the recovery of the checkpoint
-        // at position x − 1 (exactly `dag_schedule::model_cost_table`).
-        let mut protecting = Vec::with_capacity(order.len());
-        protecting.push(spec.initial_recovery());
-        protecting.extend(raw_rec.iter().take(raw_rec.len() - 1).copied());
-        let sweep = LambdaSweep::new(spec.downtime(), &weights, &ckpt, &protecting)?;
-        Ok(OrderPlanner { sweep, raw_rec })
+/// costs (`raw_rec[j]` recovers from a checkpoint taken right after
+/// position `j`) the suffix re-linearisation reads its protecting recovery
+/// from. `order` must be a topological order of the spec graph.
+fn order_sweep(spec: &DagSpec, order: &[TaskId]) -> Result<(LambdaSweep, Vec<f64>), AdaptiveError> {
+    if !topo::is_topological_order(spec.instance().graph(), order) {
+        return Err(ckpt_core::ScheduleError::InvalidOrder.into());
     }
-}
-
-/// Replays a fixed DAG plan: checkpoint flags by position, never reordering
-/// — the DAG twin of [`crate::StaticPlan`]. Replaying the plan solved at
-/// the truth's rate is the clairvoyant baseline of
-/// [`compare_dag_policies`].
-#[derive(Debug, Clone)]
-pub struct DagStaticPlan {
-    checkpoint_after: Vec<bool>,
-}
-
-impl DagStaticPlan {
-    /// A policy replaying per-position decisions (the engine forces the
-    /// final checkpoint regardless).
-    pub fn new(checkpoint_after: Vec<bool>) -> Self {
-        DagStaticPlan { checkpoint_after }
-    }
-
-    /// A policy replaying an offline [`DagPlan`]'s placement (the plan's
-    /// order is handed to the engine separately).
-    pub fn from_plan(plan: &DagPlan) -> Self {
-        DagStaticPlan { checkpoint_after: plan.checkpoint_after.clone() }
-    }
-}
-
-impl DagPolicy for DagStaticPlan {
-    fn decide(&mut self, ctx: &DagDecisionContext<'_>) -> DagDecision {
-        DagDecision::keep_order(self.checkpoint_after.get(ctx.position).copied().unwrap_or(false))
-    }
+    let weights: Vec<f64> = order.iter().map(|&t| spec.instance().weight(t)).collect();
+    let (ckpt, raw_rec) = spec.model().costs_along_order(spec.instance(), order);
+    // Protecting-recovery convention of the cost tables: position 0 is
+    // protected by R₀, position x > 0 by the recovery of the checkpoint at
+    // position x − 1 (exactly `dag_schedule::model_cost_table`).
+    let mut protecting = Vec::with_capacity(order.len());
+    protecting.push(spec.initial_recovery());
+    protecting.extend(raw_rec.iter().take(raw_rec.len() - 1).copied());
+    let sweep = LambdaSweep::new(spec.downtime(), &weights, &ckpt, &protecting)?;
+    Ok((sweep, raw_rec))
 }
 
 /// Re-solves the checkpoint placement of the remaining suffix **on the
 /// current order** after every observed failure, at the Gamma-posterior
-/// rate estimate — the DAG twin of [`crate::AdaptiveResolve`]. The
+/// rate estimate — [`crate::AdaptiveResolve`] over a DAG order. The
 /// execution order itself is never touched; [`DagRelinearise`] adds that.
 #[derive(Debug, Clone)]
-pub struct DagAdaptiveResolve {
-    planner: OrderPlanner,
-    dp: ResumableDp,
-    planning_rate: f64,
-    prior_strength: f64,
-    plan_rate: f64,
-    seen_failures: usize,
-    replans: usize,
-}
+pub struct DagAdaptiveResolve(Replanner);
 
 impl DagAdaptiveResolve {
     /// Arms the policy with `plan` (solved at `planning_rate`): builds the
@@ -284,65 +229,31 @@ impl DagAdaptiveResolve {
     /// topological order of the spec graph or the rate is not strictly
     /// positive.
     pub fn new(spec: &DagSpec, plan: &DagPlan, planning_rate: f64) -> Result<Self, AdaptiveError> {
-        let planner = OrderPlanner::new(spec, &plan.order)?;
-        let table = planner.sweep.table_for(planning_rate)?;
-        let mut dp = ResumableDp::new();
-        dp.solve(&table);
-        Ok(DagAdaptiveResolve {
-            planner,
-            dp,
-            planning_rate,
-            prior_strength: DEFAULT_PRIOR_STRENGTH,
-            plan_rate: planning_rate,
-            seen_failures: 0,
-            replans: 0,
-        })
+        let (sweep, _) = order_sweep(spec, &plan.order)?;
+        Replanner::new(sweep, planning_rate).map(DagAdaptiveResolve)
     }
 
     /// Overrides the prior strength `k₀` (builder style); see
     /// [`crate::AdaptiveResolve::with_prior_strength`].
-    pub fn with_prior_strength(mut self, prior_strength: f64) -> Self {
-        assert!(
-            prior_strength.is_finite() && prior_strength > 0.0,
-            "prior strength must be strictly positive"
-        );
-        self.prior_strength = prior_strength;
-        self
+    pub fn with_prior_strength(self, prior_strength: f64) -> Self {
+        DagAdaptiveResolve(self.0.with_prior_strength(prior_strength))
     }
 
     /// The rate the current committed plan was solved at.
     pub fn plan_rate(&self) -> f64 {
-        self.plan_rate
+        self.0.plan_rate()
     }
 
     /// Re-plans performed so far.
     pub fn replans(&self) -> usize {
-        self.replans
+        self.0.replans()
     }
 }
 
-impl DagPolicy for DagAdaptiveResolve {
-    fn decide(&mut self, ctx: &DagDecisionContext<'_>) -> DagDecision {
-        let start = ctx.resume_position();
-        if ctx.failure_times.len() > self.seen_failures {
-            self.seen_failures = ctx.failure_times.len();
-            let estimate = posterior_rate(
-                self.planning_rate,
-                self.prior_strength,
-                ctx.failure_times.len(),
-                ctx.clock,
-            );
-            if let Ok(table) = self.planner.sweep.table_for(estimate) {
-                self.dp.solve_suffix(&table, start);
-                self.plan_rate = estimate;
-                self.replans += 1;
-            }
-        }
-        // Same safety argument as the chain policy: re-plans happen at the
-        // first boundary after a failure (`position == start`), `<=` keeps
-        // the policy checkpointing at the earliest planned boundary even if
-        // that invariant is ever relaxed.
-        DagDecision::keep_order(self.dp.choice_at(start) <= ctx.position)
+impl Policy for DagAdaptiveResolve {
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
+        self.0.replan_on_failure(ctx);
+        Decision::keep_order(self.0.checkpoint(ctx))
     }
 }
 
@@ -359,13 +270,10 @@ pub struct DagRelinearise {
     /// The policy's view of the current execution order (kept in lockstep
     /// with the engine: every accepted reorder updates both).
     order: Vec<TaskId>,
-    planner: OrderPlanner,
-    dp: ResumableDp,
-    planning_rate: f64,
-    prior_strength: f64,
-    plan_rate: f64,
-    seen_failures: usize,
-    replans: usize,
+    /// The current order's raw positional recovery costs (see
+    /// [`order_sweep`]).
+    raw_rec: Vec<f64>,
+    plan: Replanner,
     reorders: usize,
     /// Budget of each suffix re-linearisation; `threads` is forced to 1
     /// (the search runs inside a Monte-Carlo trial).
@@ -388,20 +296,12 @@ impl DagRelinearise {
     ///
     /// Same contract as [`DagAdaptiveResolve::new`].
     pub fn new(spec: &DagSpec, plan: &DagPlan, planning_rate: f64) -> Result<Self, AdaptiveError> {
-        let planner = OrderPlanner::new(spec, &plan.order)?;
-        let table = planner.sweep.table_for(planning_rate)?;
-        let mut dp = ResumableDp::new();
-        dp.solve(&table);
+        let (sweep, raw_rec) = order_sweep(spec, &plan.order)?;
         Ok(DagRelinearise {
             spec: spec.clone(),
             order: plan.order.clone(),
-            planner,
-            dp,
-            planning_rate,
-            prior_strength: DEFAULT_PRIOR_STRENGTH,
-            plan_rate: planning_rate,
-            seen_failures: 0,
-            replans: 0,
+            raw_rec,
+            plan: Replanner::new(sweep, planning_rate)?,
             reorders: 0,
             search: default_replan_budget(),
         })
@@ -419,22 +319,18 @@ impl DagRelinearise {
 
     /// Overrides the prior strength `k₀` (builder style).
     pub fn with_prior_strength(mut self, prior_strength: f64) -> Self {
-        assert!(
-            prior_strength.is_finite() && prior_strength > 0.0,
-            "prior strength must be strictly positive"
-        );
-        self.prior_strength = prior_strength;
+        self.plan = self.plan.with_prior_strength(prior_strength);
         self
     }
 
     /// The rate the current committed plan was solved at.
     pub fn plan_rate(&self) -> f64 {
-        self.plan_rate
+        self.plan.plan_rate()
     }
 
     /// Re-plans performed so far.
     pub fn replans(&self) -> usize {
-        self.replans
+        self.plan.replans()
     }
 
     /// Suffix reorders actually taken so far.
@@ -461,7 +357,7 @@ impl DagRelinearise {
         // The suffix's first segment is protected by the checkpoint
         // candidate right before it (position suffix_start − 1 of the
         // current order) — the natural R₀ of the sub-problem.
-        let r0 = self.planner.raw_rec[suffix_start - 1];
+        let r0 = self.raw_rec[suffix_start - 1];
         let mut builder = ProblemInstance::builder(sub.graph.clone());
         builder
             .checkpoint_costs(ckpt)
@@ -493,22 +389,14 @@ impl DagRelinearise {
     }
 }
 
-impl DagPolicy for DagRelinearise {
-    fn decide(&mut self, ctx: &DagDecisionContext<'_>) -> DagDecision {
+impl Policy for DagRelinearise {
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
         debug_assert!(
             ctx.order.iter().zip(&self.order).all(|(&a, &b)| a == b.index()),
             "the policy's order drifted from the engine's"
         );
-        let start = ctx.resume_position();
         let mut reorder_suffix: Option<Vec<usize>> = None;
-        if ctx.failure_times.len() > self.seen_failures {
-            self.seen_failures = ctx.failure_times.len();
-            let estimate = posterior_rate(
-                self.planning_rate,
-                self.prior_strength,
-                ctx.failure_times.len(),
-                ctx.clock,
-            );
+        if let Some(estimate) = self.plan.posterior_on_failure(ctx) {
             // Re-linearise the unexecuted suffix (positions strictly after
             // the current boundary) when there are at least two tasks to
             // permute.
@@ -521,42 +409,20 @@ impl DagPolicy for DagRelinearise {
                     // the planner rebuild cannot fail; guarding keeps the
                     // policy's plan and the engine's order in lockstep even
                     // if it ever did.
-                    if let Ok(planner) = OrderPlanner::new(&self.spec, &candidate) {
+                    if let Ok((sweep, raw_rec)) = order_sweep(&self.spec, &candidate) {
                         self.order = candidate;
-                        self.planner = planner;
+                        self.plan.sweep = sweep;
+                        self.raw_rec = raw_rec;
                         reorder_suffix = Some(new_suffix.iter().map(|t| t.index()).collect());
                         self.reorders += 1;
                         crate::stats::DAG_RELINEARISATIONS.add(1);
                     }
                 }
             }
-            if let Ok(table) = self.planner.sweep.table_for(estimate) {
-                self.dp.solve_suffix(&table, start);
-                self.plan_rate = estimate;
-                self.replans += 1;
-            }
+            self.plan.resolve(ctx.resume_position(), estimate);
         }
-        DagDecision { checkpoint: self.dp.choice_at(start) <= ctx.position, reorder_suffix }
+        Decision { checkpoint: self.plan.checkpoint(ctx), reorder_suffix }
     }
-}
-
-/// One DAG policy's aggregate outcome in a comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DagPolicyResult {
-    /// Policy name (`clairvoyant`, `dag-static`, `dag-adaptive-resolve`,
-    /// `dag-relinearise`).
-    pub policy: &'static str,
-    /// Mean makespan across trials.
-    pub mean_makespan: f64,
-    /// Mean number of failures observed per trial.
-    pub mean_failures: f64,
-    /// Mean number of checkpoints taken per trial.
-    pub mean_checkpoints: f64,
-    /// Mean number of suffix reorders per trial (0 for the non-reordering
-    /// policies).
-    pub mean_reorders: f64,
-    /// `mean_makespan − clairvoyant mean makespan`.
-    pub regret: f64,
 }
 
 /// The outcome of [`compare_dag_policies`].
@@ -573,7 +439,7 @@ pub struct DagPolicyComparison {
     pub clairvoyant_plan: DagPlan,
     /// One row per policy, in a fixed order: `clairvoyant`, `dag-static`,
     /// `dag-adaptive-resolve`, `dag-relinearise`.
-    pub results: Vec<DagPolicyResult>,
+    pub results: Vec<PolicyResult>,
 }
 
 impl DagPolicyComparison {
@@ -582,11 +448,8 @@ impl DagPolicyComparison {
     /// # Panics
     ///
     /// Panics if the name is not one of the four fixed rows.
-    pub fn row(&self, policy: &str) -> &DagPolicyResult {
-        self.results
-            .iter()
-            .find(|r| r.policy == policy)
-            .unwrap_or_else(|| panic!("unknown policy row `{policy}`"))
+    pub fn row(&self, policy: &str) -> &PolicyResult {
+        find_row(&self.results, policy)
     }
 }
 
@@ -614,30 +477,26 @@ pub fn compare_dag_policies(
     let planned = optimal_static_dag_plan(spec, planning_rate, search)?;
     let clairvoyant = optimal_static_dag_plan(spec, truth.effective_rate(), search)?;
 
-    let clairvoyant_outcome = run_dag_policy(
-        spec,
-        truth,
-        config,
-        &clairvoyant.order_indices(),
-        &DagStaticPlan::from_plan(&clairvoyant),
-    )?;
+    let runner =
+        TruthRunner::new(truth, config, spec.tasks(), spec.initial_recovery(), spec.downtime())?;
+    let clairvoyant_outcome =
+        runner.run(&clairvoyant.order_indices(), &StaticPlan::from_plan(&clairvoyant))?;
     let clairvoyant_makespan = clairvoyant_outcome.makespan.mean;
+    let row = |policy, outcome| result_row(policy, outcome, clairvoyant_makespan);
 
-    let planned_order = planned.order_indices();
-    let mut results =
-        vec![dag_result_row("clairvoyant", &clairvoyant_outcome, clairvoyant_makespan)];
-
-    let static_outcome =
-        run_dag_policy(spec, truth, config, &planned_order, &DagStaticPlan::from_plan(&planned))?;
-    results.push(dag_result_row("dag-static", &static_outcome, clairvoyant_makespan));
-
-    let resolve_proto = DagAdaptiveResolve::new(spec, &planned, planning_rate)?;
-    let resolve_outcome = run_dag_policy(spec, truth, config, &planned_order, &resolve_proto)?;
-    results.push(dag_result_row("dag-adaptive-resolve", &resolve_outcome, clairvoyant_makespan));
-
-    let relin_proto = DagRelinearise::new(spec, &planned, planning_rate)?;
-    let relin_outcome = run_dag_policy(spec, truth, config, &planned_order, &relin_proto)?;
-    results.push(dag_result_row("dag-relinearise", &relin_outcome, clairvoyant_makespan));
+    let order = planned.order_indices();
+    let results = vec![
+        row("clairvoyant", &clairvoyant_outcome),
+        row("dag-static", &runner.run(&order, &StaticPlan::from_plan(&planned))?),
+        row(
+            "dag-adaptive-resolve",
+            &runner.run(&order, &DagAdaptiveResolve::new(spec, &planned, planning_rate)?)?,
+        ),
+        row(
+            "dag-relinearise",
+            &runner.run(&order, &DagRelinearise::new(spec, &planned, planning_rate)?)?,
+        ),
+    ];
 
     Ok(DagPolicyComparison {
         clairvoyant_makespan,
@@ -645,48 +504,6 @@ pub fn compare_dag_policies(
         clairvoyant_plan: clairvoyant,
         results,
     })
-}
-
-fn dag_result_row(
-    policy: &'static str,
-    outcome: &MonteCarloOutcome,
-    clairvoyant_makespan: f64,
-) -> DagPolicyResult {
-    DagPolicyResult {
-        policy,
-        mean_makespan: outcome.makespan.mean,
-        mean_failures: outcome.failures.mean,
-        mean_checkpoints: outcome.checkpoints.mean,
-        mean_reorders: outcome.reorders.mean,
-        regret: outcome.makespan.mean - clairvoyant_makespan,
-    }
-}
-
-/// Runs one DAG policy prototype (cloned per trial) under the truth — the
-/// DAG twin of the chain harness's `run_policy`, sharing the scenario seed
-/// so trial `i` sees the same failure stream whichever policy is running
-/// (and the chain harness's truth driver, so the two harnesses can never
-/// disagree on scenario construction or the trace-horizon guard).
-fn run_dag_policy<P>(
-    spec: &DagSpec,
-    truth: &TruthModel,
-    config: &EvaluationConfig,
-    order: &[usize],
-    prototype: &P,
-) -> Result<MonteCarloOutcome, AdaptiveError>
-where
-    P: DagPolicy + Clone + Sync,
-{
-    crate::harness::run_under_truth(
-        truth,
-        spec.downtime(),
-        config,
-        spec.total_work() + spec.len() as f64 * spec.mean_checkpoint_cost(),
-        |scenario| {
-            scenario
-                .run_dag_policy(spec.tasks(), order, spec.initial_recovery(), |_| prototype.clone())
-        },
-    )
 }
 
 #[cfg(test)]
@@ -728,7 +545,7 @@ mod tests {
     }
 
     /// Runs a DAG policy on a given stream, tracing into `sink`.
-    fn run_traced<P: DagPolicy + ?Sized>(
+    fn run_traced<P: Policy + ?Sized>(
         spec: &DagSpec,
         order: &[usize],
         policy: &mut P,
@@ -751,7 +568,7 @@ mod tests {
     fn static_plan_replays_its_placement() {
         let spec = layered_spec(1);
         let plan = optimal_static_dag_plan(&spec, 1e-4, &quick_search()).unwrap();
-        let mut policy = DagStaticPlan::from_plan(&plan);
+        let mut policy = StaticPlan::from_plan(&plan);
         let mut sink = RingBufferSink::new(1_024);
         let order = plan.order_indices();
         let outcome = run_traced(&spec, &order, &mut policy, &mut NoFailureStream, &mut sink);
@@ -767,12 +584,12 @@ mod tests {
             let spec = layered_spec(seed);
             let plan = optimal_static_dag_plan(&spec, 1e-4, &quick_search()).unwrap();
             let order = plan.order_indices();
-            let run = |policy: &mut dyn DagPolicy| {
+            let run = |policy: &mut dyn Policy| {
                 let mut sink = RingBufferSink::new(1_024);
                 let outcome = run_traced(&spec, &order, policy, &mut NoFailureStream, &mut sink);
                 (outcome, checkpoint_positions(&sink))
             };
-            let reference = run(&mut DagStaticPlan::from_plan(&plan));
+            let reference = run(&mut StaticPlan::from_plan(&plan));
             let mut resolve = DagAdaptiveResolve::new(&spec, &plan, 1e-4).unwrap();
             assert_eq!(run(&mut resolve), reference, "seed {seed}: resolve drifted");
             assert_eq!(resolve.replans(), 0);

@@ -17,11 +17,13 @@
 //!
 //! Everything is deterministic: trials derive their streams from the master
 //! seed and the trial index, and the engine's contiguous-chunk threading
-//! makes the outcome bit-identical at any thread count.
+//! makes the outcome bit-identical at any thread count. The DAG harness
+//! ([`crate::compare_dag_policies`]) reports the same [`PolicyResult`] rows
+//! through the same truth runner.
 
 use ckpt_failure::{TraceGenerator, TraceReplay, Weibull};
 use ckpt_simulator::stream::TraceStream;
-use ckpt_simulator::{MonteCarloOutcome, SimulationError, SimulationScenario};
+use ckpt_simulator::{ChainTask, MonteCarloOutcome, Policy, SimulationScenario};
 
 use crate::chain::ChainSpec;
 use crate::error::AdaptiveError;
@@ -122,11 +124,13 @@ impl Default for EvaluationConfig {
     }
 }
 
-/// One policy's aggregate outcome in a comparison.
+/// One policy's aggregate outcome in a comparison, chain or DAG.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyResult {
-    /// Policy name (`static-plan`, `periodic-young`, `adaptive-resolve`,
-    /// `rate-learning`, `clairvoyant`).
+    /// Policy name (chain rows: `clairvoyant`, `static-plan`,
+    /// `periodic-young`, `adaptive-resolve`, `rate-learning`; DAG rows:
+    /// `clairvoyant`, `dag-static`, `dag-adaptive-resolve`,
+    /// `dag-relinearise`).
     pub policy: &'static str,
     /// Mean makespan across trials.
     pub mean_makespan: f64,
@@ -134,6 +138,9 @@ pub struct PolicyResult {
     pub mean_failures: f64,
     /// Mean number of checkpoints taken per trial.
     pub mean_checkpoints: f64,
+    /// Mean number of suffix reorders per trial (0 on a chain and for the
+    /// policies that never reorder).
+    pub mean_reorders: f64,
     /// `mean_makespan − clairvoyant mean makespan` (0 for the clairvoyant
     /// row itself; negative values are possible only within Monte-Carlo
     /// noise, since the clairvoyant static plan is optimal in expectation
@@ -159,11 +166,16 @@ impl PolicyComparison {
     ///
     /// Panics if the name is not one of the five fixed rows.
     pub fn row(&self, policy: &str) -> &PolicyResult {
-        self.results
-            .iter()
-            .find(|r| r.policy == policy)
-            .unwrap_or_else(|| panic!("unknown policy row `{policy}`"))
+        find_row(&self.results, policy)
     }
+}
+
+/// The row of `policy` among `results`.
+pub(crate) fn find_row<'r>(results: &'r [PolicyResult], policy: &str) -> &'r PolicyResult {
+    results
+        .iter()
+        .find(|r| r.policy == policy)
+        .unwrap_or_else(|| panic!("unknown policy row `{policy}`"))
 }
 
 /// Horizon multiple (× the chain's failure-free makespan) generated for
@@ -200,23 +212,26 @@ pub fn compare_policies(
     let adaptive_proto = AdaptiveResolve::new(spec, planning_rate)?;
     let learning_proto = RateLearning::new(spec, planning_rate)?;
 
-    let clairvoyant_outcome = run_policy(spec, truth, config, &clairvoyant_proto)?;
+    // A chain executes in its identity order.
+    let runner =
+        TruthRunner::new(truth, config, spec.tasks(), spec.initial_recovery(), spec.downtime())?;
+    let order: Vec<usize> = (0..spec.len()).collect();
+    let clairvoyant_outcome = runner.run(&order, &clairvoyant_proto)?;
     let clairvoyant_makespan = clairvoyant_outcome.makespan.mean;
+    let row = |policy, outcome| result_row(policy, outcome, clairvoyant_makespan);
 
-    let mut results = vec![result_row("clairvoyant", &clairvoyant_outcome, clairvoyant_makespan)];
-    let static_outcome = run_policy(spec, truth, config, &static_proto)?;
-    results.push(result_row("static-plan", &static_outcome, clairvoyant_makespan));
-    let young_outcome = run_policy(spec, truth, config, &young_proto)?;
-    results.push(result_row("periodic-young", &young_outcome, clairvoyant_makespan));
-    let adaptive_outcome = run_policy(spec, truth, config, &adaptive_proto)?;
-    results.push(result_row("adaptive-resolve", &adaptive_outcome, clairvoyant_makespan));
-    let learning_outcome = run_policy(spec, truth, config, &learning_proto)?;
-    results.push(result_row("rate-learning", &learning_outcome, clairvoyant_makespan));
-
+    let results = vec![
+        row("clairvoyant", &clairvoyant_outcome),
+        row("static-plan", &runner.run(&order, &static_proto)?),
+        row("periodic-young", &runner.run(&order, &young_proto)?),
+        row("adaptive-resolve", &runner.run(&order, &adaptive_proto)?),
+        row("rate-learning", &runner.run(&order, &learning_proto)?),
+    ];
     Ok(PolicyComparison { clairvoyant_makespan, results })
 }
 
-fn result_row(
+/// The comparison row of `policy`'s Monte-Carlo `outcome`.
+pub(crate) fn result_row(
     policy: &'static str,
     outcome: &MonteCarloOutcome,
     clairvoyant_makespan: f64,
@@ -226,88 +241,94 @@ fn result_row(
         mean_makespan: outcome.makespan.mean,
         mean_failures: outcome.failures.mean,
         mean_checkpoints: outcome.checkpoints.mean,
+        mean_reorders: outcome.reorders.mean,
         regret: outcome.makespan.mean - clairvoyant_makespan,
     }
 }
 
-/// Runs one policy prototype (cloned per trial) under the truth. All
-/// policies of one comparison share the scenario seed, so trial `i` sees
-/// the same failure stream whichever policy is running — paired
-/// comparisons.
-fn run_policy<P>(
-    spec: &ChainSpec,
-    truth: &TruthModel,
-    config: &EvaluationConfig,
-    prototype: &P,
-) -> Result<MonteCarloOutcome, AdaptiveError>
-where
-    P: ckpt_simulator::Policy + Clone + Sync,
-{
-    run_under_truth(
-        truth,
-        spec.downtime(),
-        config,
-        spec.total_work() + spec.len() as f64 * spec.mean_checkpoint_cost(),
-        |scenario| {
-            scenario.run_policy(spec.tasks(), spec.initial_recovery(), |_| prototype.clone())
-        },
-    )
+/// The truth runner shared by the chain and the DAG harnesses: the
+/// Monte-Carlo scenario of one truth (downtime, trials, seed and threads
+/// applied uniformly) over one task set. Every policy a runner runs sees
+/// the same per-trial failure streams — paired comparisons.
+///
+/// A trace truth draws per-trial traces covering [`TRACE_HORIZON_FACTOR`]
+/// × the failure-free makespan from each trial's seed, and every outcome
+/// must pass the horizon guard: a makespan beyond the generated horizon
+/// means that trial's trace ran out and its tail executed spuriously
+/// failure-free, so the run is rejected instead of reported optimistically.
+pub(crate) struct TruthRunner<'a> {
+    scenario: SimulationScenario,
+    horizon: Option<f64>,
+    tasks: &'a [ChainTask],
+    initial_recovery: f64,
 }
 
-/// The truth-model driver shared by the chain and the DAG harnesses: builds
-/// the Monte-Carlo scenario of `truth` (downtime, trials, seed, threads
-/// applied uniformly) and hands it to `run`. A trace truth's scenario draws
-/// per-trial traces covering [`TRACE_HORIZON_FACTOR`] ×
-/// `failure_free_makespan` from each trial's seed, and its outcome must pass
-/// the horizon guard: a makespan beyond the generated horizon means that
-/// trial's trace ran out and its tail executed spuriously failure-free, so
-/// the run is rejected instead of reported optimistically.
-///
-/// Keeping the scenario construction, the Weibull platform derivation and
-/// the horizon formula in exactly one place is what keeps the two
-/// harnesses' notion of a valid trial from drifting apart.
-pub(crate) fn run_under_truth(
-    truth: &TruthModel,
-    downtime: f64,
-    config: &EvaluationConfig,
-    failure_free_makespan: f64,
-    run: impl Fn(SimulationScenario) -> Result<MonteCarloOutcome, SimulationError>,
-) -> Result<MonteCarloOutcome, AdaptiveError> {
-    let (scenario, horizon) = match *truth {
-        TruthModel::Exponential { lambda } => (SimulationScenario::exponential(lambda), None),
-        TruthModel::WeibullPlatform { processors, shape, platform_mtbf } => {
-            let law = Weibull::with_mean(shape, platform_mtbf * processors as f64)?;
-            (SimulationScenario::platform(processors, law), None)
-        }
-        TruthModel::WeibullTrace { processors, shape, platform_mtbf } => {
-            let law = Weibull::with_mean(shape, platform_mtbf * processors as f64)?;
-            let horizon = TRACE_HORIZON_FACTOR * failure_free_makespan;
-            // Every policy re-generates the same per-trial trace from the
-            // derived seed, keeping the comparison paired.
-            let scenario = SimulationScenario::from_streams(move |_trial, derived_seed| {
-                let generator = TraceGenerator::new(processors, derived_seed)
-                    .expect("processors validated before running");
-                TraceStream::new(TraceReplay::new(generator.generate(law, horizon)))
-            });
-            (scenario, Some(horizon))
-        }
-    };
-    let outcome = run(scenario
-        .with_downtime(downtime)
-        .with_trials(config.trials)
-        .with_seed(config.seed)
-        .with_threads(config.threads))?;
-    if let Some(horizon) = horizon {
-        let beyond = || outcome.samples.iter().filter(|&&m| m > horizon);
-        if let Some(&worst) = beyond().max_by(|a, b| a.total_cmp(b)) {
-            return Err(AdaptiveError::TraceHorizonExceeded {
-                horizon,
-                makespan: worst,
-                trials: beyond().count(),
-            });
-        }
+impl<'a> TruthRunner<'a> {
+    /// The runner of `tasks` under `truth`.
+    pub(crate) fn new(
+        truth: &TruthModel,
+        config: &EvaluationConfig,
+        tasks: &'a [ChainTask],
+        initial_recovery: f64,
+        downtime: f64,
+    ) -> Result<Self, AdaptiveError> {
+        let (scenario, horizon) = match *truth {
+            TruthModel::Exponential { lambda } => (SimulationScenario::exponential(lambda), None),
+            TruthModel::WeibullPlatform { processors, shape, platform_mtbf } => {
+                let law = Weibull::with_mean(shape, platform_mtbf * processors as f64)?;
+                (SimulationScenario::platform(processors, law), None)
+            }
+            TruthModel::WeibullTrace { processors, shape, platform_mtbf } => {
+                let law = Weibull::with_mean(shape, platform_mtbf * processors as f64)?;
+                // The failure-free makespan: all the work plus one mean
+                // checkpoint per task.
+                let n = tasks.len() as f64;
+                let work: f64 = tasks.iter().map(ChainTask::work).sum();
+                let checkpoints: f64 = tasks.iter().map(ChainTask::checkpoint).sum();
+                let horizon = TRACE_HORIZON_FACTOR * (work + n * (checkpoints / n));
+                // Every policy re-generates the same per-trial trace from
+                // the derived seed, keeping the comparison paired.
+                let scenario = SimulationScenario::from_streams(move |_trial, derived_seed| {
+                    let generator = TraceGenerator::new(processors, derived_seed)
+                        .expect("processors validated before running");
+                    TraceStream::new(TraceReplay::new(generator.generate(law, horizon)))
+                });
+                (scenario, Some(horizon))
+            }
+        };
+        let scenario = scenario
+            .with_downtime(downtime)
+            .with_trials(config.trials)
+            .with_seed(config.seed)
+            .with_threads(config.threads);
+        Ok(TruthRunner { scenario, horizon, tasks, initial_recovery })
     }
-    Ok(outcome)
+
+    /// Runs one policy prototype, cloned per trial, over the tasks in
+    /// `order`.
+    pub(crate) fn run<P>(
+        &self,
+        order: &[usize],
+        prototype: &P,
+    ) -> Result<MonteCarloOutcome, AdaptiveError>
+    where
+        P: Policy + Clone + Sync,
+    {
+        let outcome =
+            self.scenario
+                .run_dag_policy(self.tasks, order, self.initial_recovery, |_| prototype.clone())?;
+        if let Some(horizon) = self.horizon {
+            let beyond = || outcome.samples.iter().filter(|&&m| m > horizon);
+            if let Some(&worst) = beyond().max_by(|a, b| a.total_cmp(b)) {
+                return Err(AdaptiveError::TraceHorizonExceeded {
+                    horizon,
+                    makespan: worst,
+                    trials: beyond().count(),
+                });
+            }
+        }
+        Ok(outcome)
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! * a [`ChainSpec`] carries one linear chain in both the simulator's and
 //!   the planner's representation, so a policy can instantiate the chain's
 //!   exp-free cost table at **any** rate estimate in `O(n)`;
-//! * four [`policies`] implement the simulator's
+//! * four [`policies`] implement the simulator's one
 //!   [`Policy`](ckpt_simulator::Policy) trait — [`StaticPlan`] (replay the
 //!   offline optimum), [`PeriodicYoung`] (the §7 baseline),
 //!   [`AdaptiveResolve`] (Bayesian rate update + suffix-only Algorithm 1
@@ -17,11 +17,13 @@
 //! * the [`harness`] Monte-Carlo-compares all of them under misspecified
 //!   truths (wrong rate, Weibull platform, trace replay) against the
 //!   clairvoyant offline optimum, deterministically at any thread count;
-//! * the [`dag`] module is the **DAG execution tier**: policies over
-//!   linearised DAGs that may also **re-linearise the remaining graph**
-//!   after a failure ([`DagRelinearise`]: suffix-subgraph extraction +
-//!   bounded-budget seeded order search), with their own regret harness
-//!   ([`compare_dag_policies`]).
+//! * the [`dag`] module is the **DAG execution tier**: the same trait over
+//!   linearised DAGs, where a policy may also **re-linearise the remaining
+//!   graph** after a failure ([`DagRelinearise`]: suffix-subgraph
+//!   extraction + bounded-budget seeded order search). Its regret harness
+//!   ([`compare_dag_policies`]) reports the same [`PolicyResult`] rows
+//!   through the same truth runner, with [`StaticPlan::from_plan`] as the
+//!   clairvoyant replay.
 //!
 //! # Example
 //!
@@ -64,7 +66,7 @@ pub mod stats;
 pub use chain::ChainSpec;
 pub use dag::{
     compare_dag_policies, optimal_static_dag_plan, DagAdaptiveResolve, DagPlan,
-    DagPolicyComparison, DagPolicyResult, DagRelinearise, DagSpec, DagStaticPlan,
+    DagPolicyComparison, DagRelinearise, DagSpec,
 };
 pub use error::AdaptiveError;
 pub use harness::{compare_policies, EvaluationConfig, PolicyComparison, PolicyResult, TruthModel};

@@ -1,11 +1,12 @@
 //! The four online checkpoint policies.
 //!
 //! All four implement [`ckpt_simulator::Policy`] and are driven by the
-//! policy engine at every task boundary:
+//! policy engine at every task boundary of a chain (none of them reorders):
 //!
 //! * [`StaticPlan`] — replay a fixed offline placement (no adaptation; the
 //!   paper's model, used both as the planning-rate baseline and, solved at
-//!   the *true* rate, as the clairvoyant reference);
+//!   the *true* rate, as the clairvoyant reference; it replays a
+//!   [`DagPlan`]'s placement just as well);
 //! * [`PeriodicYoung`] — checkpoint whenever the accumulated uncheckpointed
 //!   work reaches the Young period `√(2·C̄/λ_plan)` (the §7 divisible-load
 //!   baseline transplanted to task boundaries);
@@ -23,6 +24,10 @@
 //!   from the rate the current plan was solved at (fewer re-plans, no
 //!   prior).
 //!
+//! The re-solving policies here and in [`crate::dag`] share one private
+//! re-planner: a committed suffix plan, the Gamma posterior and the
+//! bookkeeping of seen failures and re-plans.
+//!
 //! With **no observed failures**, `AdaptiveResolve` and `RateLearning`
 //! never re-plan and follow their initial full solve exactly — so on a
 //! failure-free stream they reproduce the offline DP optimum bit for bit
@@ -32,10 +37,12 @@ use ckpt_core::chain_dp::{
     scalable_placement_on_table_with_scratch, ChainDpScratch, ResumableDp, TablePlacement,
 };
 use ckpt_expectation::approximations::young_period;
+use ckpt_expectation::sweep::LambdaSweep;
 use ckpt_failure::fitting::OnlineExponentialMle;
-use ckpt_simulator::{DecisionContext, Policy};
+use ckpt_simulator::{Decision, DecisionContext, Policy};
 
 use crate::chain::ChainSpec;
+use crate::dag::DagPlan;
 use crate::error::AdaptiveError;
 
 /// Solves the offline Algorithm 1 optimum of `spec` at `rate` — the plan
@@ -50,9 +57,10 @@ pub fn optimal_static_plan(spec: &ChainSpec, rate: f64) -> Result<TablePlacement
 }
 
 /// Replays a fixed checkpoint placement, ignoring everything the execution
-/// observes. `StaticPlan` of the offline optimum is the paper's §5 policy;
-/// `StaticPlan` of the optimum **at the true rate** is the clairvoyant
-/// reference the evaluation harness measures regret against.
+/// observes and never reordering. `StaticPlan` of the offline optimum is the
+/// paper's §5 policy; `StaticPlan` of the optimum **at the true rate** is
+/// the clairvoyant reference the evaluation harnesses measure regret
+/// against, on chains and on DAGs alike.
 #[derive(Debug, Clone)]
 pub struct StaticPlan {
     checkpoint_after: Vec<bool>,
@@ -70,11 +78,17 @@ impl StaticPlan {
     pub fn from_placement(placement: &TablePlacement) -> Self {
         StaticPlan { checkpoint_after: placement.checkpoint_after() }
     }
+
+    /// A policy replaying an offline [`DagPlan`]'s placement (the plan's
+    /// order is handed to the engine separately).
+    pub fn from_plan(plan: &DagPlan) -> Self {
+        StaticPlan { checkpoint_after: plan.checkpoint_after.clone() }
+    }
 }
 
 impl Policy for StaticPlan {
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> bool {
-        self.checkpoint_after.get(ctx.position).copied().unwrap_or(false)
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
+        Decision::keep_order(self.checkpoint_after.get(ctx.position).copied().unwrap_or(false))
     }
 }
 
@@ -120,24 +134,10 @@ impl PeriodicYoung {
 }
 
 impl Policy for PeriodicYoung {
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> bool {
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
         let start = ctx.resume_position();
-        self.spec.work_between(start, ctx.position) >= self.period
+        Decision::keep_order(self.spec.work_between(start, ctx.position) >= self.period)
     }
-}
-
-/// Failures observed so far, folded into a rate estimate with a Gamma prior
-/// of `prior_strength` pseudo-failures centred on the planning rate: the
-/// posterior-mean rate after `failures` observed failures over `clock`
-/// seconds is `(k₀ + k) / (k₀/λ_plan + t)`. Shared by the chain policies
-/// here and the DAG policies in [`crate::dag`].
-pub(crate) fn posterior_rate(
-    planning_rate: f64,
-    prior_strength: f64,
-    failures: usize,
-    clock: f64,
-) -> f64 {
-    (prior_strength + failures as f64) / (prior_strength / planning_rate + clock)
 }
 
 /// Pseudo-failure weight of the planning-rate prior (the Gamma-conjugate
@@ -145,15 +145,19 @@ pub(crate) fn posterior_rate(
 /// exposure): one pseudo-failure keeps the very first observed failure from
 /// yanking the plan arbitrarily far, while a genuinely misspecified rate
 /// overtakes the prior within a handful of failures.
-pub(crate) const DEFAULT_PRIOR_STRENGTH: f64 = 1.0;
+const DEFAULT_PRIOR_STRENGTH: f64 = 1.0;
 
-/// Re-solves the remaining chain after **every** observed failure, at the
-/// posterior-mean rate estimate (see the module docs). Decision lookups and
-/// the plan walk are `O(1)`; each re-plan costs one `O(n)` table
-/// instantiation plus a suffix-only Algorithm 1 solve.
+/// The re-planner the re-solving policies are built on: a committed
+/// Algorithm 1 plan over one order's λ-batched cost tables, re-solved on the
+/// suffix the execution is in, plus the Gamma-posterior rate estimate and
+/// the bookkeeping of seen failures and re-plans. Decision lookups are
+/// `O(1)`; each re-plan costs one `O(n)` table instantiation plus a
+/// suffix-only solve.
 #[derive(Debug, Clone)]
-pub struct AdaptiveResolve {
-    spec: ChainSpec,
+pub(crate) struct Replanner {
+    /// The cost tables of the order the plan is over; a policy that
+    /// reorders the suffix swaps in the new order's tables.
+    pub(crate) sweep: LambdaSweep,
     dp: ResumableDp,
     planning_rate: f64,
     prior_strength: f64,
@@ -162,6 +166,107 @@ pub struct AdaptiveResolve {
     seen_failures: usize,
     replans: usize,
 }
+
+impl Replanner {
+    /// Solves the full plan of `sweep` at `planning_rate`, with the default
+    /// prior strength.
+    pub(crate) fn new(sweep: LambdaSweep, planning_rate: f64) -> Result<Self, AdaptiveError> {
+        let table = sweep.table_for(planning_rate)?;
+        let mut dp = ResumableDp::new();
+        dp.solve(&table);
+        Ok(Replanner {
+            sweep,
+            dp,
+            planning_rate,
+            prior_strength: DEFAULT_PRIOR_STRENGTH,
+            plan_rate: planning_rate,
+            seen_failures: 0,
+            replans: 0,
+        })
+    }
+
+    /// Overrides the prior strength `k₀`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prior_strength` is not strictly positive and finite.
+    pub(crate) fn with_prior_strength(mut self, prior_strength: f64) -> Self {
+        assert!(
+            prior_strength.is_finite() && prior_strength > 0.0,
+            "prior strength must be strictly positive"
+        );
+        self.prior_strength = prior_strength;
+        self
+    }
+
+    /// The failures `ctx` reports that were not seen at an earlier
+    /// decision; they count as seen from now on.
+    fn unseen_failures<'c>(&mut self, ctx: &DecisionContext<'c>) -> &'c [f64] {
+        let times = ctx.failure_times;
+        if times.len() <= self.seen_failures {
+            return &[];
+        }
+        let fresh = &times[self.seen_failures..];
+        self.seen_failures = times.len();
+        fresh
+    }
+
+    /// On a newly seen failure, the posterior-mean rate under the Gamma
+    /// prior: `(k₀ + k) / (k₀/λ_plan + t)` after `k` failures over `t`
+    /// seconds.
+    pub(crate) fn posterior_on_failure(&mut self, ctx: &DecisionContext<'_>) -> Option<f64> {
+        if self.unseen_failures(ctx).is_empty() {
+            return None;
+        }
+        let failures = ctx.failure_times.len() as f64;
+        Some(
+            (self.prior_strength + failures)
+                / (self.prior_strength / self.planning_rate + ctx.clock),
+        )
+    }
+
+    /// Re-solves the plan from position `start` at `rate`. Returns whether
+    /// it did: a rate the tables reject keeps the committed plan.
+    pub(crate) fn resolve(&mut self, start: usize, rate: f64) -> bool {
+        let Ok(table) = self.sweep.table_for(rate) else { return false };
+        self.dp.solve_suffix(&table, start);
+        self.plan_rate = rate;
+        self.replans += 1;
+        true
+    }
+
+    /// Re-solves the suffix after the last durable checkpoint at the
+    /// posterior estimate when `ctx` shows a new failure. Returns whether it
+    /// re-planned.
+    pub(crate) fn replan_on_failure(&mut self, ctx: &DecisionContext<'_>) -> bool {
+        self.posterior_on_failure(ctx).is_some_and(|rate| self.resolve(ctx.resume_position(), rate))
+    }
+
+    /// Whether the plan checkpoints at `ctx`'s boundary. `choice_at(start)`
+    /// is the plan's next checkpoint for the suffix the execution is in.
+    /// Re-plans only happen at the first boundary after a failure (where
+    /// `position == start`), so the planned position can never already be
+    /// behind us; `<=` keeps the policy safe (checkpoint at the earliest
+    /// boundary) even if that invariant is relaxed.
+    pub(crate) fn checkpoint(&self, ctx: &DecisionContext<'_>) -> bool {
+        self.dp.choice_at(ctx.resume_position()) <= ctx.position
+    }
+
+    /// The rate the committed plan was solved at.
+    pub(crate) fn plan_rate(&self) -> f64 {
+        self.plan_rate
+    }
+
+    /// Re-plans performed so far.
+    pub(crate) fn replans(&self) -> usize {
+        self.replans
+    }
+}
+
+/// Re-solves the remaining chain after **every** observed failure, at the
+/// posterior-mean rate estimate (see the module docs).
+#[derive(Debug, Clone)]
+pub struct AdaptiveResolve(Replanner);
 
 impl AdaptiveResolve {
     /// Plans `spec` at `planning_rate` (a full Algorithm 1 solve) and arms
@@ -172,68 +277,33 @@ impl AdaptiveResolve {
     /// Returns an [`AdaptiveError`] if `planning_rate` is not strictly
     /// positive.
     pub fn new(spec: &ChainSpec, planning_rate: f64) -> Result<Self, AdaptiveError> {
-        let table = spec.sweep().table_for(planning_rate)?;
-        let mut dp = ResumableDp::new();
-        dp.solve(&table);
-        Ok(AdaptiveResolve {
-            spec: spec.clone(),
-            dp,
-            planning_rate,
-            prior_strength: DEFAULT_PRIOR_STRENGTH,
-            plan_rate: planning_rate,
-            seen_failures: 0,
-            replans: 0,
-        })
+        Replanner::new(spec.sweep().clone(), planning_rate).map(AdaptiveResolve)
     }
 
     /// Overrides the prior strength `k₀` (builder style): larger values
     /// trust the planning rate longer, `0 < k₀ ≪ 1` makes the estimate
     /// almost purely empirical after the first failure.
-    pub fn with_prior_strength(mut self, prior_strength: f64) -> Self {
-        assert!(
-            prior_strength.is_finite() && prior_strength > 0.0,
-            "prior strength must be strictly positive"
-        );
-        self.prior_strength = prior_strength;
-        self
+    pub fn with_prior_strength(self, prior_strength: f64) -> Self {
+        AdaptiveResolve(self.0.with_prior_strength(prior_strength))
     }
 
     /// The rate the current committed plan was solved at.
     pub fn plan_rate(&self) -> f64 {
-        self.plan_rate
+        self.0.plan_rate()
     }
 
     /// Re-plans performed so far.
     pub fn replans(&self) -> usize {
-        self.replans
+        self.0.replans()
     }
 }
 
 impl Policy for AdaptiveResolve {
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> bool {
-        let start = ctx.resume_position();
-        if ctx.failure_times.len() > self.seen_failures {
-            self.seen_failures = ctx.failure_times.len();
-            let estimate = posterior_rate(
-                self.planning_rate,
-                self.prior_strength,
-                ctx.failure_times.len(),
-                ctx.clock,
-            );
-            if let Ok(table) = self.spec.sweep().table_for(estimate) {
-                self.dp.solve_suffix(&table, start);
-                self.plan_rate = estimate;
-                self.replans += 1;
-                crate::stats::ADAPTIVE_RESOLVE_REPLANS.add(1);
-            }
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
+        if self.0.replan_on_failure(ctx) {
+            crate::stats::ADAPTIVE_RESOLVE_REPLANS.add(1);
         }
-        // `choice_at(start)` is the plan's next checkpoint for the suffix
-        // the execution is in. Re-plans only happen at the first boundary
-        // after a failure (where `position == start`), so the planned
-        // position can never already be behind us; `<=` keeps the policy
-        // safe (checkpoint at the earliest boundary) even if that invariant
-        // is relaxed.
-        self.dp.choice_at(start) <= ctx.position
+        Decision::keep_order(self.0.checkpoint(ctx))
     }
 }
 
@@ -244,16 +314,12 @@ impl Policy for AdaptiveResolve {
 /// of observations before it trusts the estimate at all.
 #[derive(Debug, Clone)]
 pub struct RateLearning {
-    spec: ChainSpec,
-    dp: ResumableDp,
+    plan: Replanner,
     mle: OnlineExponentialMle,
     /// Absolute time of the last failure folded into the MLE.
     last_failure_time: f64,
-    plan_rate: f64,
     min_failures: u64,
     drift_factor: f64,
-    seen_failures: usize,
-    replans: usize,
 }
 
 /// Observations required before the MLE may override the planning rate.
@@ -270,19 +336,12 @@ impl RateLearning {
     /// Returns an [`AdaptiveError`] if `planning_rate` is not strictly
     /// positive.
     pub fn new(spec: &ChainSpec, planning_rate: f64) -> Result<Self, AdaptiveError> {
-        let table = spec.sweep().table_for(planning_rate)?;
-        let mut dp = ResumableDp::new();
-        dp.solve(&table);
         Ok(RateLearning {
-            spec: spec.clone(),
-            dp,
+            plan: Replanner::new(spec.sweep().clone(), planning_rate)?,
             mle: OnlineExponentialMle::new(),
             last_failure_time: 0.0,
-            plan_rate: planning_rate,
             min_failures: DEFAULT_MIN_FAILURES,
             drift_factor: DEFAULT_DRIFT_FACTOR,
-            seen_failures: 0,
-            replans: 0,
         })
     }
 
@@ -302,39 +361,33 @@ impl RateLearning {
 
     /// The rate the current committed plan was solved at.
     pub fn plan_rate(&self) -> f64 {
-        self.plan_rate
+        self.plan.plan_rate()
     }
 
     /// Re-plans performed so far.
     pub fn replans(&self) -> usize {
-        self.replans
+        self.plan.replans()
     }
 }
 
 impl Policy for RateLearning {
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> bool {
-        let start = ctx.resume_position();
-        if ctx.failure_times.len() > self.seen_failures {
-            for &t in &ctx.failure_times[self.seen_failures..] {
-                self.mle.observe(t - self.last_failure_time);
-                self.last_failure_time = t;
-            }
-            self.seen_failures = ctx.failure_times.len();
-            if self.mle.count() >= self.min_failures {
-                if let Some(estimate) = self.mle.rate() {
-                    let drift = (estimate / self.plan_rate).max(self.plan_rate / estimate);
-                    if drift >= self.drift_factor {
-                        if let Ok(table) = self.spec.sweep().table_for(estimate) {
-                            self.dp.solve_suffix(&table, start);
-                            self.plan_rate = estimate;
-                            self.replans += 1;
-                            crate::stats::RATE_LEARNING_REPLANS.add(1);
-                        }
-                    }
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
+        let fresh = self.plan.unseen_failures(ctx);
+        for &t in fresh {
+            self.mle.observe(t - self.last_failure_time);
+            self.last_failure_time = t;
+        }
+        if !fresh.is_empty() && self.mle.count() >= self.min_failures {
+            if let Some(estimate) = self.mle.rate() {
+                let plan_rate = self.plan.plan_rate();
+                let drift = (estimate / plan_rate).max(plan_rate / estimate);
+                if drift >= self.drift_factor && self.plan.resolve(ctx.resume_position(), estimate)
+                {
+                    crate::stats::RATE_LEARNING_REPLANS.add(1);
                 }
             }
         }
-        self.dp.choice_at(start) <= ctx.position
+        Decision::keep_order(self.plan.checkpoint(ctx))
     }
 }
 

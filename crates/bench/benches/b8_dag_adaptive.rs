@@ -4,7 +4,7 @@
 //! + bounded-budget order search).
 
 use ckpt_adaptive::{
-    optimal_static_dag_plan, DagAdaptiveResolve, DagRelinearise, DagSpec, DagStaticPlan,
+    optimal_static_dag_plan, DagAdaptiveResolve, DagRelinearise, DagSpec, StaticPlan,
 };
 use ckpt_bench::random_layered_instance;
 use ckpt_core::cost_model::CheckpointCostModel;
@@ -47,7 +47,7 @@ fn bench_dag_policy_monte_carlo(c: &mut Criterion) {
             .with_threads(1)
     };
 
-    let static_proto = DagStaticPlan::from_plan(&plan);
+    let static_proto = StaticPlan::from_plan(&plan);
     group.bench_function(BenchmarkId::new("dag_static", trials), |b| {
         b.iter(|| {
             scenario()

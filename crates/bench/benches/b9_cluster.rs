@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use ckpt_adaptive::ChainSpec;
 use ckpt_cluster::{
-    run_cluster_monte_carlo, run_cluster_monte_carlo_with_metrics, BaselinePolicy, ClusterConfig,
-    ClusterPolicy, ClusterRepair, ClusterScenario,
+    run_cluster_monte_carlo, BaselinePolicy, ClusterConfig, ClusterPolicy, ClusterRepair,
+    ClusterScenario,
 };
 use ckpt_failure::{
     ClusterFailureInjector, Exponential, FailureDistribution, Pcg64, RandomSource, ShockConfig,
@@ -117,18 +117,17 @@ fn bench_injector_queries(c: &mut Criterion) {
 }
 
 /// Per-trial makespan spread of the reference policy batch, reported via
-/// the metrics-recording Monte-Carlo runner: the `cluster_makespan`
-/// histogram's quantile API gives the p50/p99 (simulated time, not wall
-/// time) without re-sorting the sample vector.
+/// the outcome's recorded metrics: the `cluster_makespan` histogram's
+/// quantile API gives the p50/p99 (simulated time, not wall time) without
+/// re-sorting the sample vector.
 fn report_makespan_tail(_c: &mut Criterion) {
     let sc = scenario(6, 8);
-    let mut metrics = MetricsRegistry::new();
-    let outcome = run_cluster_monte_carlo_with_metrics(
-        black_box(&sc),
-        || Box::new(BaselinePolicy::AlwaysMigrate) as Box<dyn ClusterPolicy>,
-        &mut metrics,
-    )
+    let outcome = run_cluster_monte_carlo(black_box(&sc), || {
+        Box::new(BaselinePolicy::AlwaysMigrate) as Box<dyn ClusterPolicy>
+    })
     .expect("cluster run");
+    let mut metrics = MetricsRegistry::new();
+    outcome.record_into(&mut metrics);
     let makespans = metrics.histogram("cluster_makespan").expect("recorded histogram");
     let q = |p: f64| makespans.quantile(p).expect("non-empty makespan histogram");
     println!(

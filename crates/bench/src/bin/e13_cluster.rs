@@ -29,9 +29,8 @@ use std::sync::Arc;
 use ckpt_adaptive::{ChainSpec, StaticPlan};
 use ckpt_bench::{print_header, JsonSummary};
 use ckpt_cluster::{
-    compare_baselines, run_cluster, run_cluster_monte_carlo, run_cluster_traced, BaselinePolicy,
-    ClusterComparison, ClusterConfig, ClusterJob, ClusterRepair, ClusterScenario,
-    ExponentialMachineSource,
+    compare_baselines, run_cluster, run_cluster_monte_carlo, BaselinePolicy, ClusterComparison,
+    ClusterConfig, ClusterJob, ClusterRepair, ClusterScenario, ExponentialMachineSource,
 };
 use ckpt_failure::{Exponential, FailureDistribution, Pcg64, RandomSource, ShockConfig};
 use ckpt_simulator::{simulate_policy, ChainTask, ExponentialStream};
@@ -281,7 +280,8 @@ fn degenerate_chain_check() {
         let job = ClusterJob::new(tasks.clone(), 18.0, 5.0, plan.clone()).expect("valid job");
         let mut source = ExponentialMachineSource::new(1.0 / 400.0, &[seed]);
         let mut policy = BaselinePolicy::CheckpointOnly;
-        let out = run_cluster(&[job], 1, &mut source, &mut policy, &ClusterConfig::default())
+        let config = ClusterConfig::default();
+        let out = run_cluster(&[job], 1, &mut source, &mut policy, &config, &mut NoopSink)
             .expect("cluster run");
         assert_eq!(out.jobs[0].record, expected.record, "seed {seed}");
         assert_eq!(out.jobs[0].checkpoints, expected.checkpoints, "seed {seed}");
@@ -313,7 +313,7 @@ fn trace_dump_if_requested() {
         let mut jsonl = JsonlSink::new(std::io::BufWriter::new(file));
         let mut digest = DigestSink::new();
         let mut tee = TeeSink::new(&mut jsonl, &mut digest);
-        run_cluster_traced(&jobs, MACHINES, &mut injector, &mut policy, &config(), &mut tee)
+        run_cluster(&jobs, MACHINES, &mut injector, &mut policy, &config(), &mut tee)
             .expect("traced trial");
         use std::io::Write as _;
         let mut writer = jsonl.finish().expect("flush trace file");

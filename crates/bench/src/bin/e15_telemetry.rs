@@ -5,8 +5,8 @@
 //!    run — a planner-service batch stream, a cluster Monte-Carlo, an
 //!    adaptive-policy Monte-Carlo — is bitwise identical to its
 //!    uninstrumented twin, at 1, 2, 3 and 8 worker threads. Counters,
-//!    shard-merged histograms and trace sinks observe the computation; they
-//!    never participate in it.
+//!    histograms and trace sinks observe the computation; they never
+//!    participate in it.
 //! 2. **Observation is cheap.** A live trace sink (FNV-1a digest over the
 //!    serialised event stream — strictly more work than a ring buffer)
 //!    costs ≤ 5% over the untraced engine, and the default no-op sink is
@@ -27,8 +27,8 @@ use ckpt_adaptive::harness::{compare_policies, EvaluationConfig, TruthModel};
 use ckpt_adaptive::ChainSpec;
 use ckpt_bench::{print_header, testgen, JsonSummary};
 use ckpt_cluster::{
-    run_cluster, run_cluster_monte_carlo, run_cluster_monte_carlo_with_metrics, run_cluster_traced,
-    BaselinePolicy, ClusterConfig, ClusterPolicy, ClusterRepair, ClusterScenario,
+    run_cluster, run_cluster_monte_carlo, BaselinePolicy, ClusterConfig, ClusterPolicy,
+    ClusterRepair, ClusterScenario,
 };
 use ckpt_core::solver_stats;
 use ckpt_failure::{Exponential, FailureDistribution, Pcg64, RandomSource, ShockConfig};
@@ -252,26 +252,20 @@ fn main() {
     }
     println!("{:>44} {:>14}", "solver work census, 1/2/3/8 workers", "identical");
 
-    // --- Wall 1b: cluster Monte-Carlo, instrumented ≡ uninstrumented ------
+    // --- Wall 1b: cluster Monte-Carlo and its recorded metrics -----------
     let plain_mc =
         run_cluster_monte_carlo(&cluster_scenario(1), cluster_factory).expect("cluster run");
     let mut reference = MetricsRegistry::new();
-    let metered_mc =
-        run_cluster_monte_carlo_with_metrics(&cluster_scenario(1), cluster_factory, &mut reference)
-            .expect("cluster run");
-    assert_eq!(metered_mc.samples, plain_mc.samples, "metrics recording perturbed the trials");
+    plain_mc.record_into(&mut reference);
     for threads in [2usize, 3, 8] {
-        let mut merged = MetricsRegistry::new();
-        let outcome = run_cluster_monte_carlo_with_metrics(
-            &cluster_scenario(threads),
-            cluster_factory,
-            &mut merged,
-        )
-        .expect("cluster run");
+        let outcome = run_cluster_monte_carlo(&cluster_scenario(threads), cluster_factory)
+            .expect("cluster run");
+        let mut recorded = MetricsRegistry::new();
+        outcome.record_into(&mut recorded);
         assert_eq!(outcome.samples, plain_mc.samples, "cluster samples diverge at {threads}");
-        assert_eq!(merged, reference, "merged metric shards diverge at {threads} workers");
+        assert_eq!(recorded, reference, "recorded metrics diverge at {threads} workers");
     }
-    println!("{:>44} {:>14}", "cluster MC metered vs plain, 1/2/3/8", "bit-identical");
+    println!("{:>44} {:>14}", "cluster MC + recorded metrics, 1/2/3/8", "bit-identical");
 
     for key in ["cluster_failures_total", "cluster_migrations_total", "cluster_failovers_total"] {
         summary.count(key, reference.counter(key) as usize);
@@ -330,7 +324,7 @@ fn main() {
     let traced_trial = |sink: &mut dyn TelemetrySink| {
         let mut injector = sc.trial_injector(0).expect("trial injector");
         let mut policy = cluster_factory();
-        run_cluster_traced(&jobs, MACHINES, &mut injector, policy.as_mut(), sc.config(), sink)
+        run_cluster(&jobs, MACHINES, &mut injector, policy.as_mut(), sc.config(), sink)
             .expect("traced trial")
     };
     let mut digest_a = DigestSink::new();
@@ -340,9 +334,15 @@ fn main() {
     assert_eq!(digest_a.hex(), digest_b.hex(), "the sim-time trace digest is not reproducible");
     let mut untraced_injector = sc.trial_injector(0).expect("trial injector");
     let mut untraced_policy = cluster_factory();
-    let untraced =
-        run_cluster(&jobs, MACHINES, &mut untraced_injector, untraced_policy.as_mut(), sc.config())
-            .expect("untraced trial");
+    let untraced = run_cluster(
+        &jobs,
+        MACHINES,
+        &mut untraced_injector,
+        untraced_policy.as_mut(),
+        sc.config(),
+        &mut NoopSink,
+    )
+    .expect("untraced trial");
     assert_eq!(traced_outcome.makespan, untraced.makespan, "tracing changed the trial");
     println!("{:>44} {:>14}", "sim-time trace digest, two runs", "byte-equal");
     summary.text("sim_trace_digest", &digest_a.hex());
@@ -369,7 +369,7 @@ fn main() {
     println!(
         "\nAcceptance (asserted): service batches, cluster Monte-Carlo and the\n\
          adaptive-policy study are bitwise identical instrumented vs\n\
-         uninstrumented at 1/2/3/8 threads; shard-merged registries and the\n\
+         uninstrumented at 1/2/3/8 threads; the recorded registries and the\n\
          solver/replan counters are thread-invariant; the sim-time trace digest\n\
          is byte-stable across runs; a live digest sink costs ≤ {:.0}% over the\n\
          untraced engine (release builds).",
@@ -384,7 +384,10 @@ struct OverheadRatios {
 }
 
 /// Times the cluster engine three ways over the same trial — untraced,
-/// no-op sink, live digest sink — and returns the sink/untraced ratios.
+/// no-op sink, live digest sink — and returns the sink/untraced ratios. The
+/// engine has one entry, so the untraced run *is* the no-op-sink run: the
+/// `noop` ratio times the same code twice and reads the measurement's noise
+/// floor.
 ///
 /// The trial is [`overhead_scenario`]'s (long chains, so engine work
 /// dominates). Wall-clock ratios on shared CI hardware are noisy; each
@@ -399,43 +402,22 @@ fn measure_overhead() -> OverheadRatios {
     let jobs = sc.build_jobs(admission.as_mut()).expect("overhead job mix");
     drop(admission);
     let (sc, jobs) = (&sc, &jobs[..]);
+    let trial = |sink: &mut dyn TelemetrySink| {
+        let mut injector = sc.trial_injector(0).expect("trial injector");
+        let mut policy = cluster_factory();
+        let outcome =
+            run_cluster(jobs, MACHINES, &mut injector, policy.as_mut(), sc.config(), sink)
+                .expect("overhead trial");
+        std::hint::black_box(outcome.makespan);
+    };
     let mut ratios = OverheadRatios { noop: f64::NAN, live: f64::NAN };
     for attempt in 1..=OVERHEAD_ATTEMPTS {
-        let untraced = min_seconds(OVERHEAD_SAMPLES, OVERHEAD_RUNS, || {
-            let mut injector = sc.trial_injector(0).expect("trial injector");
-            let mut policy = cluster_factory();
-            let outcome = run_cluster(jobs, MACHINES, &mut injector, policy.as_mut(), sc.config())
-                .expect("untraced trial");
-            std::hint::black_box(outcome.makespan);
-        });
-        let noop = min_seconds(OVERHEAD_SAMPLES, OVERHEAD_RUNS, || {
-            let mut injector = sc.trial_injector(0).expect("trial injector");
-            let mut policy = cluster_factory();
-            let outcome = run_cluster_traced(
-                jobs,
-                MACHINES,
-                &mut injector,
-                policy.as_mut(),
-                sc.config(),
-                &mut NoopSink,
-            )
-            .expect("no-op traced trial");
-            std::hint::black_box(outcome.makespan);
-        });
+        let untraced = min_seconds(OVERHEAD_SAMPLES, OVERHEAD_RUNS, || trial(&mut NoopSink));
+        let noop = min_seconds(OVERHEAD_SAMPLES, OVERHEAD_RUNS, || trial(&mut NoopSink));
         let live = min_seconds(OVERHEAD_SAMPLES, OVERHEAD_RUNS, || {
-            let mut injector = sc.trial_injector(0).expect("trial injector");
-            let mut policy = cluster_factory();
             let mut digest = DigestSink::new();
-            let outcome = run_cluster_traced(
-                jobs,
-                MACHINES,
-                &mut injector,
-                policy.as_mut(),
-                sc.config(),
-                &mut digest,
-            )
-            .expect("live traced trial");
-            std::hint::black_box((outcome.makespan, digest.digest()));
+            trial(&mut digest);
+            std::hint::black_box(digest.digest());
         });
         ratios = OverheadRatios { noop: noop / untraced, live: live / untraced };
         let within = ratios.noop <= OVERHEAD_CEILING && ratios.live <= OVERHEAD_CEILING;

@@ -42,7 +42,7 @@ use ckpt_simulator::rollback::{
     absorb_recovery_failure, absorb_run_failure, commit_run, run_phase, PhaseOutcome,
 };
 use ckpt_simulator::{ExecutionRecord, TimeBreakdown};
-use ckpt_telemetry::{NoopSink, TelemetrySink, TraceEvent};
+use ckpt_telemetry::{TelemetrySink, TraceEvent};
 
 /// Cluster-level cost and robustness knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -297,6 +297,15 @@ enum AfterFailure {
 /// tie is broken deterministically, so a run is a pure function of its
 /// inputs.
 ///
+/// Every engine transition (job ready, dispatch, machine failure, repair,
+/// migration, failover, replica loss, queue-depth change, job completion,
+/// standby release) is recorded into `sink` as a **sim-domain**
+/// [`TraceEvent`], stamped with simulated time. Pass
+/// [`NoopSink`](ckpt_telemetry::NoopSink) to run untraced: every emission
+/// site guards on `sink.enabled()`, so a disabled sink builds no event. The
+/// outcome does not depend on the sink (instrumentation is observation-only),
+/// and the emitted event stream is itself a pure function of the inputs.
+///
 /// # Errors
 ///
 /// * [`ClusterError::EmptyCluster`] if `machines == 0`;
@@ -308,35 +317,6 @@ enum AfterFailure {
 /// * [`ClusterError::EventCapExceeded`] if the simulation fails to make
 ///   progress within the configured event cap.
 pub fn run_cluster<S, P>(
-    jobs: &[ClusterJob],
-    machines: usize,
-    source: &mut S,
-    policy: &mut P,
-    config: &ClusterConfig,
-) -> Result<ClusterOutcome, ClusterError>
-where
-    S: MachineFailureSource + ?Sized,
-    P: ClusterPolicy + ?Sized,
-{
-    run_cluster_traced(jobs, machines, source, policy, config, &mut NoopSink)
-}
-
-/// [`run_cluster`] with structured trace emission: every engine transition
-/// (job ready, dispatch, machine failure, repair, migration, failover,
-/// replica loss, queue-depth change, job completion, standby release) is
-/// recorded into `sink` as a **sim-domain** [`TraceEvent`], stamped with
-/// simulated time.
-///
-/// The trace is part of the deterministic output surface: the outcome and
-/// the emitted event stream are pure functions of the inputs, bitwise
-/// identical to the sink-less [`run_cluster`] (instrumentation is
-/// observation-only, and event construction is skipped entirely for
-/// disabled sinks such as [`ckpt_telemetry::NoopSink`]).
-///
-/// # Errors
-///
-/// Exactly the [`run_cluster`] error conditions.
-pub fn run_cluster_traced<S, P>(
     jobs: &[ClusterJob],
     machines: usize,
     source: &mut S,
@@ -381,51 +361,36 @@ where
     let mut peak_queue_depth = 0usize;
     let mut processed = 0u64;
 
-    while let Some(event) = events.pop() {
-        processed += 1;
-        if processed > config.event_cap {
-            return Err(ClusterError::EventCapExceeded { cap: config.event_cap });
-        }
-        match event.kind {
-            EventKind::JobReady(j) => {
-                ready.push(j);
-                if sink.enabled() {
-                    sink.record(&TraceEvent::sim("job_ready", event.time).with("job", j));
-                }
-            }
-            EventKind::MachineFreed(m) => {
-                idle[m] = true;
-                if sink.enabled() {
-                    sink.record(&TraceEvent::sim("machine_up", event.time).with("machine", m));
-                }
-            }
-        }
+    while let Some(first) = events.pop() {
+        let now = first.time;
         // Drain every event at this exact instant before dispatching, so
         // simultaneous arrivals contend (and are measured) together.
-        while events.peek_time() == Some(event.time) {
+        let mut next = Some(first);
+        while let Some(event) = next {
             processed += 1;
             if processed > config.event_cap {
                 return Err(ClusterError::EventCapExceeded { cap: config.event_cap });
             }
-            match events.pop().expect("peeked").kind {
+            match event.kind {
                 EventKind::JobReady(j) => {
                     ready.push(j);
                     if sink.enabled() {
-                        sink.record(&TraceEvent::sim("job_ready", event.time).with("job", j));
+                        sink.record(&TraceEvent::sim("job_ready", now).with("job", j));
                     }
                 }
                 EventKind::MachineFreed(m) => {
                     idle[m] = true;
                     if sink.enabled() {
-                        sink.record(&TraceEvent::sim("machine_up", event.time).with("machine", m));
+                        sink.record(&TraceEvent::sim("machine_up", now).with("machine", m));
                     }
                 }
             }
+            next = if events.peek_time() == Some(now) { events.pop() } else { None };
         }
         peak_queue_depth = peak_queue_depth.max(ready.len());
         if sink.enabled() {
             sink.record(
-                &TraceEvent::sim("queue_depth", event.time)
+                &TraceEvent::sim("queue_depth", now)
                     .with("depth", ready.len())
                     .with("idle_machines", idle.iter().filter(|&&free| free).count()),
             );
@@ -449,16 +414,16 @@ where
                 None
             };
             if sink.enabled() {
-                let mut dispatch = TraceEvent::sim("dispatch", event.time)
+                let mut dispatch = TraceEvent::sim("dispatch", now)
                     .with("job", j)
                     .with("machine", machine)
-                    .with("waited", event.time - states[j].ready_since);
+                    .with("waited", now - states[j].ready_since);
                 if let Some(b) = buddy {
                     dispatch = dispatch.with("replica", b);
                 }
                 sink.record(&dispatch);
             }
-            states[j].waiting += event.time - states[j].ready_since;
+            states[j].waiting += now - states[j].ready_since;
             run_episode(
                 jobs,
                 &mut states,
@@ -470,7 +435,7 @@ where
                 j,
                 machine,
                 buddy,
-                event.time,
+                now,
                 sink,
             );
         }
@@ -504,7 +469,7 @@ where
 
 /// One execution episode: job `j` runs on `machine` (with an optional standby
 /// `buddy`) from `start` until it completes or migrates away. Mirrors the
-/// chain engine's `policy_core` loop exactly on the restart path.
+/// simulator's policy engine loop exactly on the restart path.
 #[allow(clippy::too_many_arguments)] // flat engine state, one call site
 fn run_episode<S, P>(
     jobs: &[ClusterJob],
@@ -885,6 +850,7 @@ mod tests {
     use super::*;
     use crate::policy::BaselinePolicy;
     use ckpt_simulator::ChainTask;
+    use ckpt_telemetry::NoopSink;
 
     /// Scripted machine failures with fixed repair duration: machine `m`
     /// fails at each listed time (unless silenced by an earlier repair).
@@ -933,8 +899,15 @@ mod tests {
         let jobs = vec![job(&[100.0, 100.0], 10.0, 5.0, 0.0, 3.0, &[true, true])];
         let mut source = ScriptedSource::new(vec![vec![]], 0.0);
         let mut policy = BaselinePolicy::CheckpointOnly;
-        let out =
-            run_cluster(&jobs, 1, &mut source, &mut policy, &ClusterConfig::default()).unwrap();
+        let out = run_cluster(
+            &jobs,
+            1,
+            &mut source,
+            &mut policy,
+            &ClusterConfig::default(),
+            &mut NoopSink,
+        )
+        .unwrap();
         let rec = &out.jobs[0];
         assert_eq!(rec.record.makespan, 220.0);
         assert_eq!(rec.record.failures, 0);
@@ -956,8 +929,15 @@ mod tests {
         let jobs = vec![job(&[100.0], 10.0, 5.0, 5.0, 3.0, &[true])];
         let mut source = ScriptedSource::new(vec![vec![40.0]], 50.0);
         let mut policy = BaselinePolicy::CheckpointOnly;
-        let out =
-            run_cluster(&jobs, 1, &mut source, &mut policy, &ClusterConfig::default()).unwrap();
+        let out = run_cluster(
+            &jobs,
+            1,
+            &mut source,
+            &mut policy,
+            &ClusterConfig::default(),
+            &mut NoopSink,
+        )
+        .unwrap();
         let rec = &out.jobs[0];
         assert_eq!(rec.record.makespan, 205.0);
         assert_eq!(rec.record.failures, 1);
@@ -977,7 +957,7 @@ mod tests {
         let mut source = ScriptedSource::new(vec![vec![40.0], vec![]], 1000.0);
         let mut policy = BaselinePolicy::AlwaysMigrate;
         let config = ClusterConfig::default().with_migration_overhead(7.0).unwrap();
-        let out = run_cluster(&jobs, 2, &mut source, &mut policy, &config).unwrap();
+        let out = run_cluster(&jobs, 2, &mut source, &mut policy, &config, &mut NoopSink).unwrap();
         let rec = &out.jobs[0];
         assert_eq!(rec.record.makespan, 165.0);
         assert_eq!(rec.migrations, 1);
@@ -994,7 +974,7 @@ mod tests {
         let mut source = ScriptedSource::new(vec![vec![40.0], vec![]], 1000.0);
         let mut policy = BaselinePolicy::ReplicateTopK { k: 1 };
         let config = ClusterConfig::default().with_failover_overhead(2.0).unwrap();
-        let out = run_cluster(&jobs, 2, &mut source, &mut policy, &config).unwrap();
+        let out = run_cluster(&jobs, 2, &mut source, &mut policy, &config, &mut NoopSink).unwrap();
         let rec = &out.jobs[0];
         assert_eq!(rec.record.makespan, 160.0);
         assert_eq!(rec.failovers, 1);
@@ -1009,8 +989,15 @@ mod tests {
         let jobs = vec![job(&[100.0], 10.0, 5.0, 5.0, 3.0, &[true]).with_replica()];
         let mut source = ScriptedSource::new(vec![vec![40.0], vec![30.0], vec![]], 1000.0);
         let mut policy = BaselinePolicy::ReplicateTopK { k: 1 };
-        let out =
-            run_cluster(&jobs, 3, &mut source, &mut policy, &ClusterConfig::default()).unwrap();
+        let out = run_cluster(
+            &jobs,
+            3,
+            &mut source,
+            &mut policy,
+            &ClusterConfig::default(),
+            &mut NoopSink,
+        )
+        .unwrap();
         let rec = &out.jobs[0];
         assert_eq!(rec.failovers, 0);
         assert_eq!(rec.migrations, 1);
@@ -1024,7 +1011,7 @@ mod tests {
         let mut source = ScriptedSource::new(vec![vec![], vec![]], 0.0);
         let mut policy = BaselinePolicy::ReplicateTopK { k: 1 };
         let config = ClusterConfig::default().with_replication_checkpoint_factor(1.5).unwrap();
-        let out = run_cluster(&jobs, 2, &mut source, &mut policy, &config).unwrap();
+        let out = run_cluster(&jobs, 2, &mut source, &mut policy, &config, &mut NoopSink).unwrap();
         // 50 + 15 + 50 + 15 = 130 (checkpoints cost 10 × 1.5 each).
         assert_eq!(out.jobs[0].record.makespan, 130.0);
     }
@@ -1037,8 +1024,15 @@ mod tests {
         ];
         let mut source = ScriptedSource::new(vec![vec![]], 0.0);
         let mut policy = BaselinePolicy::CheckpointOnly;
-        let out =
-            run_cluster(&jobs, 1, &mut source, &mut policy, &ClusterConfig::default()).unwrap();
+        let out = run_cluster(
+            &jobs,
+            1,
+            &mut source,
+            &mut policy,
+            &ClusterConfig::default(),
+            &mut NoopSink,
+        )
+        .unwrap();
         // FIFO: job 0 runs 0..110, job 1 waits 110 then runs 110..220.
         assert_eq!(out.jobs[0].waiting, 0.0);
         assert_eq!(out.jobs[1].waiting, 110.0);
@@ -1057,7 +1051,7 @@ mod tests {
         let mut source = ScriptedSource::new(vec![vec![10.0], vec![31.0]], 6.0);
         let mut policy = BaselinePolicy::AlwaysMigrate;
         let config = ClusterConfig::default().with_retry_budget(1).with_backoff(8.0, 20.0).unwrap();
-        let out = run_cluster(&jobs, 2, &mut source, &mut policy, &config).unwrap();
+        let out = run_cluster(&jobs, 2, &mut source, &mut policy, &config, &mut NoopSink).unwrap();
         let rec = &out.jobs[0];
         assert_eq!(rec.migrations, 2);
         // Failure 1 (within budget): ready at 10 + 3 = 13; m0 is repairing,
@@ -1080,15 +1074,15 @@ mod tests {
         let mut policy = BaselinePolicy::CheckpointOnly;
         let config = ClusterConfig::default();
         assert!(matches!(
-            run_cluster(&jobs, 0, &mut source, &mut policy, &config),
+            run_cluster(&jobs, 0, &mut source, &mut policy, &config, &mut NoopSink),
             Err(ClusterError::EmptyCluster)
         ));
         assert!(matches!(
-            run_cluster(&[], 1, &mut source, &mut policy, &config),
+            run_cluster(&[], 1, &mut source, &mut policy, &config, &mut NoopSink),
             Err(ClusterError::NoJobs)
         ));
         assert!(matches!(
-            run_cluster(&jobs, 2, &mut source, &mut policy, &config),
+            run_cluster(&jobs, 2, &mut source, &mut policy, &config, &mut NoopSink),
             Err(ClusterError::MachineCountMismatch { .. })
         ));
     }
@@ -1122,8 +1116,7 @@ mod tests {
         ];
         let mut source = ScriptedSource::new(vec![vec![40.0], vec![30.0], vec![160.0]], 1000.0);
         let mut policy = BaselinePolicy::ReplicateTopK { k: 1 };
-        run_cluster_traced(&jobs, 3, &mut source, &mut policy, &ClusterConfig::default(), sink)
-            .unwrap()
+        run_cluster(&jobs, 3, &mut source, &mut policy, &ClusterConfig::default(), sink).unwrap()
     }
 
     #[test]
@@ -1134,8 +1127,15 @@ mod tests {
         ];
         let mut policy = BaselinePolicy::ReplicateTopK { k: 1 };
         let mut source = ScriptedSource::new(vec![vec![40.0], vec![30.0], vec![160.0]], 1000.0);
-        let untraced =
-            run_cluster(&jobs, 3, &mut source, &mut policy, &ClusterConfig::default()).unwrap();
+        let untraced = run_cluster(
+            &jobs,
+            3,
+            &mut source,
+            &mut policy,
+            &ClusterConfig::default(),
+            &mut NoopSink,
+        )
+        .unwrap();
 
         let mut sink = ckpt_telemetry::RingBufferSink::new(4096);
         let traced = eventful_run(&mut sink);

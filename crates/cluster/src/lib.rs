@@ -11,6 +11,14 @@
 //! migrating the checkpoint, or failing over to a warm replica; when every
 //! machine is down, jobs queue gracefully and finish after repairs.
 //!
+//! There is one entry per runner. [`run_cluster`] records every engine
+//! transition into the telemetry sink it is handed (pass
+//! [`NoopSink`](ckpt_telemetry::NoopSink) to run untraced), and
+//! [`run_cluster_monte_carlo`] scatters trials across threads, bitwise
+//! identical at any thread count;
+//! [`ClusterMonteCarloOutcome::record_into`] turns its outcome into
+//! counters, histograms and a gauge.
+//!
 //! The engine shares its §2 inner loop with the single-machine chain engine
 //! (the simulator's `rollback` helpers), so a degenerate one-machine cluster
 //! reproduces [`simulate_policy`](ckpt_simulator::simulate_policy)
@@ -57,13 +65,13 @@ mod montecarlo;
 mod policy;
 mod source;
 
-pub use engine::{run_cluster, run_cluster_traced, ClusterConfig, ClusterOutcome};
+pub use engine::{run_cluster, ClusterConfig, ClusterOutcome};
 pub use error::ClusterError;
 pub use job::{ClusterJob, JobRecord};
 pub use montecarlo::{
-    compare_baselines, compare_cluster_policies, run_cluster_monte_carlo,
-    run_cluster_monte_carlo_with_metrics, ClusterComparison, ClusterComparisonEntry,
-    ClusterMonteCarloOutcome, ClusterPolicyFactory, ClusterRepair, ClusterScenario,
+    compare_baselines, compare_cluster_policies, run_cluster_monte_carlo, ClusterComparison,
+    ClusterComparisonEntry, ClusterMonteCarloOutcome, ClusterPolicyFactory, ClusterRepair,
+    ClusterScenario,
 };
 pub use policy::{AdmissionContext, BaselinePolicy, ClusterPolicy, FailureAction, FailureContext};
 pub use source::{ExponentialMachineSource, MachineFailureSource};

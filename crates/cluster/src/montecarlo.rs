@@ -25,8 +25,8 @@ use ckpt_expectation::numeric::SampleStats;
 use ckpt_failure::{
     ClusterFailureInjector, FailureDistribution, Pcg64, RandomSource, RepairModel, ShockConfig,
 };
-use ckpt_simulator::{effective_threads, scatter_trials, scatter_trials_with};
-use ckpt_telemetry::MetricsRegistry;
+use ckpt_simulator::{effective_threads, scatter_trials};
+use ckpt_telemetry::{MetricsRegistry, NoopSink};
 
 /// Machine-repair model of a scenario — the clonable (per-trial) counterpart
 /// of the injector's [`RepairModel`].
@@ -263,9 +263,8 @@ impl ClusterScenario {
     }
 
     /// Builds the failure injector for one trial — the same streams the
-    /// Monte-Carlo runners drive, exposed so a single trial can be replayed
-    /// in isolation (e.g. traced through
-    /// [`run_cluster_traced`](crate::run_cluster_traced) for a JSONL event
+    /// Monte-Carlo runner drives, exposed so a single trial can be replayed
+    /// in isolation (e.g. traced through [`run_cluster`] into a JSONL event
     /// dump).
     ///
     /// # Errors
@@ -319,10 +318,47 @@ pub struct ClusterMonteCarloOutcome {
     /// Per-trial cluster makespans in trial order (for bitwise determinism
     /// checks and paired comparisons).
     pub samples: Vec<f64>,
+    /// Per-trial mean job makespan, total waiting and utilisation, in trial
+    /// order.
+    job_makespans: Vec<f64>,
+    waits: Vec<f64>,
+    utilisations: Vec<f64>,
+    /// Failures, migrations and failovers summed over every job of every
+    /// trial.
+    totals: [u64; 3],
+}
+
+impl ClusterMonteCarloOutcome {
+    /// Records the run's telemetry into `metrics`: the counters
+    /// `cluster_trials_total`, `cluster_failures_total`,
+    /// `cluster_migrations_total` and `cluster_failovers_total`, one
+    /// observation per trial (in trial order) into each of the histograms
+    /// `cluster_makespan`, `cluster_job_makespan`, `cluster_waiting` and
+    /// `cluster_utilisation`, and the gauge `cluster_max_queue_depth`.
+    ///
+    /// Histograms keep exact bucket counts, minimum and maximum and no
+    /// floating-point sum, so the registry is the same at any thread count
+    /// the outcome was computed with.
+    pub fn record_into(&self, metrics: &mut MetricsRegistry) {
+        let [failures, migrations, failovers] = self.totals;
+        metrics.counter_add("cluster_trials_total", self.trials as u64);
+        metrics.counter_add("cluster_failures_total", failures);
+        metrics.counter_add("cluster_migrations_total", migrations);
+        metrics.counter_add("cluster_failovers_total", failovers);
+        for trial in 0..self.trials {
+            metrics.observe("cluster_makespan", self.samples[trial]);
+            metrics.observe("cluster_job_makespan", self.job_makespans[trial]);
+            metrics.observe("cluster_waiting", self.waits[trial]);
+            metrics.observe("cluster_utilisation", self.utilisations[trial]);
+        }
+        metrics.gauge_set("cluster_max_queue_depth", self.max_queue_depth as f64);
+    }
 }
 
 /// Runs `scenario` under policies produced by `factory` (one fresh policy per
 /// trial; one more instance decides admissions when building the job mix).
+/// Trials run untraced; [`ClusterMonteCarloOutcome::record_into`] turns the
+/// outcome into telemetry.
 ///
 /// # Errors
 ///
@@ -342,90 +378,19 @@ where
         scatter_trials(scenario.trials(), effective_threads(scenario.threads), |trial| {
             let mut injector = scenario.injector(trial)?;
             let mut policy = factory();
-            run_cluster(&jobs, scenario.machines, &mut injector, &mut policy, &scenario.config)
-        });
-    aggregate_trials(results)
-}
-
-/// [`run_cluster_monte_carlo`] that additionally records per-trial telemetry
-/// into `metrics`.
-///
-/// Every trial observes its cluster makespan, mean job makespan, total
-/// waiting time and utilisation into per-worker [`MetricsRegistry`] shards
-/// (histograms `cluster_makespan`, `cluster_job_makespan`,
-/// `cluster_waiting`, `cluster_utilisation`) and bumps the
-/// `cluster_trials_total`, `cluster_failures_total`,
-/// `cluster_migrations_total` and `cluster_failovers_total` counters. Shards
-/// are merged into `metrics` **in chunk order** (worker 0 first), so the
-/// merged registry — like the outcome itself — is bit-identical at any
-/// thread count; `cluster_max_queue_depth` is set as a gauge from the
-/// aggregated outcome. The returned outcome (including the `samples`
-/// vector) is identical to the plain runner's: recording observes the
-/// trials, it never perturbs them.
-///
-/// # Errors
-///
-/// Propagates the first [`ClusterError`] from job building or any trial.
-pub fn run_cluster_monte_carlo_with_metrics<F>(
-    scenario: &ClusterScenario,
-    factory: F,
-    metrics: &mut MetricsRegistry,
-) -> Result<ClusterMonteCarloOutcome, ClusterError>
-where
-    F: Fn() -> Box<dyn ClusterPolicy> + Sync,
-{
-    let mut admission = factory();
-    let jobs = scenario.build_jobs(&mut admission)?;
-    drop(admission);
-
-    let (results, shards) = scatter_trials_with(
-        scenario.trials(),
-        effective_threads(scenario.threads),
-        MetricsRegistry::new,
-        |trial, shard: &mut MetricsRegistry| {
-            let mut injector = scenario.injector(trial)?;
-            let mut policy = factory();
-            let outcome = run_cluster(
+            run_cluster(
                 &jobs,
                 scenario.machines,
                 &mut injector,
                 &mut policy,
                 &scenario.config,
-            )?;
-            let jobs_n = outcome.jobs.len() as f64;
-            shard.counter_add("cluster_trials_total", 1);
-            shard.counter_add(
-                "cluster_failures_total",
-                outcome.jobs.iter().map(|j| j.record.failures).sum(),
-            );
-            shard.counter_add(
-                "cluster_migrations_total",
-                outcome.jobs.iter().map(|j| j.migrations).sum(),
-            );
-            shard.counter_add(
-                "cluster_failovers_total",
-                outcome.jobs.iter().map(|j| j.failovers).sum(),
-            );
-            shard.observe("cluster_makespan", outcome.makespan);
-            shard.observe(
-                "cluster_job_makespan",
-                outcome.jobs.iter().map(|j| j.record.makespan).sum::<f64>() / jobs_n,
-            );
-            shard.observe("cluster_waiting", outcome.jobs.iter().map(|j| j.waiting).sum::<f64>());
-            shard.observe("cluster_utilisation", outcome.utilisation);
-            Ok(outcome)
-        },
-    );
-    for shard in &shards {
-        metrics.merge_from(shard).map_err(|e| ClusterError::Planning(e.to_string()))?;
-    }
-    let outcome = aggregate_trials(results)?;
-    metrics.gauge_set("cluster_max_queue_depth", outcome.max_queue_depth as f64);
-    Ok(outcome)
+                &mut NoopSink,
+            )
+        });
+    aggregate_trials(results)
 }
 
-/// Trial-order aggregation shared by the plain and metrics-recording
-/// runners: one code path, so the two cannot drift apart numerically.
+/// Aggregates the trial outcomes in trial order.
 fn aggregate_trials(
     results: Vec<Result<ClusterOutcome, ClusterError>>,
 ) -> Result<ClusterMonteCarloOutcome, ClusterError> {
@@ -433,9 +398,7 @@ fn aggregate_trials(
     let mut job_makespans = Vec::with_capacity(results.len());
     let mut waits = Vec::with_capacity(results.len());
     let mut utilisations = Vec::with_capacity(results.len());
-    let mut failures = 0.0f64;
-    let mut migrations = 0.0f64;
-    let mut failovers = 0.0f64;
+    let mut totals = [0u64; 3];
     let mut max_queue_depth = 0usize;
     for result in results {
         let outcome = result?;
@@ -444,12 +407,17 @@ fn aggregate_trials(
         job_makespans.push(outcome.jobs.iter().map(|j| j.record.makespan).sum::<f64>() / jobs_n);
         waits.push(outcome.jobs.iter().map(|j| j.waiting).sum::<f64>());
         utilisations.push(outcome.utilisation);
-        failures += outcome.jobs.iter().map(|j| j.record.failures as f64).sum::<f64>();
-        migrations += outcome.jobs.iter().map(|j| j.migrations as f64).sum::<f64>();
-        failovers += outcome.jobs.iter().map(|j| j.failovers as f64).sum::<f64>();
+        for job in &outcome.jobs {
+            totals[0] += job.record.failures;
+            totals[1] += job.migrations;
+            totals[2] += job.failovers;
+        }
         max_queue_depth = max_queue_depth.max(outcome.peak_queue_depth);
     }
+    // Counts are exact in an `f64` far beyond any run's totals, so the means
+    // are the ones an `f64` running sum would give.
     let n = makespans.len() as f64;
+    let [failures, migrations, failovers] = totals.map(|total| total as f64);
     Ok(ClusterMonteCarloOutcome {
         trials: makespans.len(),
         makespan: SampleStats::from_values(&makespans),
@@ -461,6 +429,10 @@ fn aggregate_trials(
         mean_failovers: failovers / n,
         max_queue_depth,
         samples: makespans,
+        job_makespans,
+        waits,
+        utilisations,
+        totals,
     })
 }
 
@@ -625,37 +597,45 @@ mod tests {
         assert_eq!(cmp.entries[0].outcome.makespan.mean, cmp.entries[1].outcome.makespan.mean);
     }
 
+    /// `record_into` gives the registry of recording every trial of the
+    /// engine as it ends, in trial order, at any thread count.
     #[test]
-    fn metrics_runner_matches_plain_runner_and_merges_deterministically() {
+    fn recorded_metrics_match_per_trial_recording_at_any_thread_count() {
         let base = scenario(3, 24);
         let factory = || Box::new(BaselinePolicy::AlwaysMigrate) as Box<dyn ClusterPolicy>;
-        let plain = run_cluster_monte_carlo(&base.clone().with_threads(1), factory).unwrap();
-
+        let jobs = base.build_jobs(factory().as_mut()).unwrap();
         let mut reference = MetricsRegistry::new();
-        let with_metrics = run_cluster_monte_carlo_with_metrics(
-            &base.clone().with_threads(1),
-            factory,
-            &mut reference,
-        )
-        .unwrap();
-        // Recording observes trials without perturbing them.
-        assert_eq!(with_metrics.samples, plain.samples);
-        assert_eq!(with_metrics.makespan.mean, plain.makespan.mean);
-        assert_eq!(reference.counter("cluster_trials_total"), 24);
-        let makespans = reference.histogram("cluster_makespan").unwrap();
-        assert_eq!(makespans.count(), 24);
+        let mut peak = 0;
+        for trial in 0..base.trials() {
+            let mut injector = base.trial_injector(trial).unwrap();
+            let (machines, config) = (base.machines(), base.config());
+            let out =
+                run_cluster(&jobs, machines, &mut injector, &mut factory(), config, &mut NoopSink)
+                    .unwrap();
+            let jobs_n = out.jobs.len() as f64;
+            let total = |count: fn(&crate::JobRecord) -> u64| out.jobs.iter().map(count).sum();
+            reference.counter_add("cluster_trials_total", 1);
+            reference.counter_add("cluster_failures_total", total(|j| j.record.failures));
+            reference.counter_add("cluster_migrations_total", total(|j| j.migrations));
+            reference.counter_add("cluster_failovers_total", total(|j| j.failovers));
+            reference.observe("cluster_makespan", out.makespan);
+            let job_makespan = out.jobs.iter().map(|j| j.record.makespan).sum::<f64>() / jobs_n;
+            reference.observe("cluster_job_makespan", job_makespan);
+            reference.observe("cluster_waiting", out.jobs.iter().map(|j| j.waiting).sum::<f64>());
+            reference.observe("cluster_utilisation", out.utilisation);
+            peak = peak.max(out.peak_queue_depth);
+        }
+        reference.gauge_set("cluster_max_queue_depth", peak as f64);
+        assert!(reference.counter("cluster_migrations_total") > 0);
 
-        // Shard-merged registries are bitwise identical at any thread count.
-        for threads in [2usize, 3, 8] {
-            let mut merged = MetricsRegistry::new();
-            let outcome = run_cluster_monte_carlo_with_metrics(
-                &base.clone().with_threads(threads),
-                factory,
-                &mut merged,
-            )
-            .unwrap();
-            assert_eq!(outcome.samples, plain.samples, "threads={threads}");
-            assert_eq!(merged, reference, "threads={threads}");
+        for threads in [1usize, 2, 3, 8] {
+            let outcome =
+                run_cluster_monte_carlo(&base.clone().with_threads(threads), factory).unwrap();
+            let mut recorded = MetricsRegistry::new();
+            outcome.record_into(&mut recorded);
+            assert_eq!(recorded, reference, "threads={threads}");
+            let migrations = recorded.counter("cluster_migrations_total") as f64;
+            assert_eq!(migrations / 24.0, outcome.mean_migrations);
         }
     }
 

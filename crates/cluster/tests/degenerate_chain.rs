@@ -44,7 +44,8 @@ fn assert_degenerate(
     let job = ClusterJob::new(tasks.to_vec(), initial_recovery, downtime, plan.to_vec()).unwrap();
     let mut source = ExponentialMachineSource::new(lambda, &[seed]);
     let mut policy = BaselinePolicy::CheckpointOnly;
-    let out = run_cluster(&[job], 1, &mut source, &mut policy, &ClusterConfig::default()).unwrap();
+    let config = ClusterConfig::default();
+    let out = run_cluster(&[job], 1, &mut source, &mut policy, &config, &mut NoopSink).unwrap();
     let actual = &out.jobs[0];
 
     // Bitwise, not approximate: the two engines must have performed the

@@ -19,10 +19,11 @@
 //!
 //! Besides replaying **fixed** schedules, the simulator drives **online**
 //! checkpoint policies: [`policy::simulate_dag_policy`] executes tasks in an
-//! order and consults a [`DagPolicy`] at every boundary ("checkpoint now or
+//! order and consults a [`Policy`] at every boundary ("checkpoint now or
 //! keep going?", and optionally "re-order the remaining tasks"), and
-//! [`policy::simulate_policy`] runs a chain [`Policy`] on the same engine.
-//! Both emit their sim-domain events live into a `ckpt-telemetry` sink.
+//! [`policy::simulate_policy`] runs the same engine and trait over a chain's
+//! identity order. Both emit their sim-domain events live into a
+//! `ckpt-telemetry` sink.
 //! [`SimulationScenario`]'s `run_policy` and `run_dag_policy` are the
 //! matching Monte-Carlo drivers (bit-identical at any thread count). The
 //! concrete adaptive policies live in the `ckpt-adaptive` crate.
@@ -71,8 +72,8 @@ pub use montecarlo::{
     effective_threads, scatter_trials, scatter_trials_with, MonteCarloOutcome, SimulationScenario,
 };
 pub use policy::{
-    simulate_dag_policy, simulate_policy, ChainTask, DagDecision, DagDecisionContext, DagPolicy,
-    DecisionContext, Policy, PolicyExecutionRecord,
+    simulate_dag_policy, simulate_policy, ChainTask, Decision, DecisionContext, Policy,
+    PolicyExecutionRecord,
 };
 pub use segment::Segment;
 pub use stream::{ExponentialStream, FailureStream, PlatformStream, TraceStream};

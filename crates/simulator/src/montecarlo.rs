@@ -7,8 +7,8 @@
 //! count** at the same seed.
 //!
 //! The drivers — [`SimulationScenario::try_run`] (and [`run`]) for fixed
-//! schedules, [`run_policy`] for chain policies and [`run_dag_policy`] for
-//! DAG policies — sit over one private driver. It validates the scenario
+//! schedules, [`run_policy`] for a policy over a chain and [`run_dag_policy`]
+//! for a policy over a linearised DAG — sit over one private driver. It validates the scenario
 //! once, derives each trial's seed, builds the trial's failure stream from
 //! the scenario's source, scatters the trials across workers and aggregates
 //! them into one [`MonteCarloOutcome`].
@@ -26,7 +26,7 @@ use ckpt_telemetry::NoopSink;
 
 use crate::engine::{simulate, ExecutionRecord, TimeBreakdown};
 use crate::error::{ensure_positive, SimulationError};
-use crate::policy::{self, ChainPolicy, ChainTask, DagPolicy, Policy};
+use crate::policy::{self, ChainTask, Policy};
 use crate::segment::Segment;
 use crate::stream::{ExponentialStream, FailureStream, PlatformStream};
 
@@ -245,7 +245,10 @@ impl SimulationScenario {
     /// Runs a **policy-driven** Monte-Carlo experiment: each trial builds a
     /// fresh failure stream from the scenario's source and a fresh policy
     /// from `make_policy(trial)`, then executes the chain `tasks` under
-    /// [`crate::policy::simulate_policy`]'s engine.
+    /// [`crate::policy::simulate_policy`]'s engine — [`run_dag_policy`] over
+    /// the identity order.
+    ///
+    /// [`run_dag_policy`]: SimulationScenario::run_dag_policy
     ///
     /// # Errors
     ///
@@ -263,13 +266,11 @@ impl SimulationScenario {
         G: Fn(usize) -> P + Sync,
     {
         let order: Vec<usize> = (0..tasks.len()).collect();
-        self.run_dag_policy(tasks, &order, initial_recovery, |trial| {
-            ChainPolicy(make_policy(trial))
-        })
+        self.run_dag_policy(tasks, &order, initial_recovery, make_policy)
     }
 
     /// The **DAG** counterpart of [`SimulationScenario::run_policy`]: each
-    /// trial builds a fresh [`DagPolicy`] from `make_policy(trial)`, then
+    /// trial builds a fresh [`Policy`] from `make_policy(trial)`, then
     /// executes `tasks` in `order` under
     /// [`crate::policy::simulate_dag_policy`]'s engine.
     ///
@@ -287,7 +288,7 @@ impl SimulationScenario {
         make_policy: G,
     ) -> Result<MonteCarloOutcome, SimulationError>
     where
-        P: DagPolicy,
+        P: Policy,
         G: Fn(usize) -> P + Sync,
     {
         policy::validate(tasks, order, initial_recovery, self.downtime)?;
@@ -376,7 +377,7 @@ struct PolicyTrial<'a, G> {
 
 impl<P, G> Trial for PolicyTrial<'_, G>
 where
-    P: DagPolicy,
+    P: Policy,
     G: Fn(usize) -> P + Sync,
 {
     fn run<S: FailureStream + ?Sized>(
@@ -530,6 +531,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{Decision, DecisionContext};
     use crate::stream::ScriptedStream;
     use ckpt_expectation::exact::{expected_time, ExecutionParams};
     use ckpt_failure::{Exponential, Weibull};
@@ -785,15 +787,15 @@ mod tests {
         assert_eq!(SimulationScenario::exponential(1.0).with_trials(17).trials(), 17);
     }
 
-    /// A work-threshold policy with per-trial state, for the policy-runner
-    /// determinism tests.
+    /// A chain policy with per-trial state, checkpointing on alternating
+    /// boundaries, for the policy-runner determinism tests.
     struct EveryOther {
         toggle: bool,
     }
-    impl crate::policy::Policy for EveryOther {
-        fn decide(&mut self, _ctx: &crate::policy::DecisionContext<'_>) -> bool {
+    impl Policy for EveryOther {
+        fn decide(&mut self, _ctx: &DecisionContext<'_>) -> Decision {
             self.toggle = !self.toggle;
-            self.toggle
+            Decision::keep_order(self.toggle)
         }
     }
 
@@ -823,18 +825,15 @@ mod tests {
         assert_eq!(single, auto);
     }
 
-    /// A DAG policy that checkpoints on alternating boundaries and reverses
-    /// the suffix after the first observed failure — enough statefulness to
+    /// A policy that checkpoints on alternating boundaries and reverses the
+    /// suffix after the first observed failure — enough statefulness to
     /// catch any thread-order dependence in the driver.
     struct AlternateAndFlip {
         toggle: bool,
         flipped: bool,
     }
-    impl crate::policy::DagPolicy for AlternateAndFlip {
-        fn decide(
-            &mut self,
-            ctx: &crate::policy::DagDecisionContext<'_>,
-        ) -> crate::policy::DagDecision {
+    impl Policy for AlternateAndFlip {
+        fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
             self.toggle = !self.toggle;
             let reorder = if !self.flipped && !ctx.failure_times.is_empty() {
                 self.flipped = true;
@@ -844,7 +843,7 @@ mod tests {
             } else {
                 None
             };
-            crate::policy::DagDecision { checkpoint: self.toggle, reorder_suffix: reorder }
+            Decision { checkpoint: self.toggle, reorder_suffix: reorder }
         }
     }
 

@@ -12,15 +12,16 @@
 //! mid-execution (insert an extra checkpoint after a burst of failures,
 //! stretch segments when the platform turns out healthier than planned).
 //!
-//! There is one engine. [`simulate_dag_policy`] executes tasks in a
-//! caller-supplied order, and the [`DagPolicy`] consulted at every boundary
-//! may both toggle the next checkpoint *and* swap in a new order for the
-//! unexecuted suffix — the "re-linearise the remaining graph after a
-//! failure" primitive the `ckpt-adaptive` DAG policies build on.
-//! [`simulate_policy`] runs a chain [`Policy`] on the same engine, over the
-//! identity order. The concrete adaptive policies live in the
-//! `ckpt-adaptive` crate; the matching Monte-Carlo drivers are
-//! [`crate::montecarlo`]'s `run_policy` and `run_dag_policy`.
+//! There is one engine and one [`Policy`] trait. [`simulate_dag_policy`]
+//! executes tasks in a caller-supplied order, and the policy consulted at
+//! every boundary returns a [`Decision`]: it may both toggle the next
+//! checkpoint *and* swap in a new order for the unexecuted suffix — the
+//! "re-linearise the remaining graph after a failure" primitive the
+//! `ckpt-adaptive` DAG policies build on. A chain is a DAG whose order is
+//! forced: [`simulate_policy`] runs the same engine over the identity
+//! order, and a chain policy simply never reorders. The concrete adaptive
+//! policies live in the `ckpt-adaptive` crate; the matching Monte-Carlo
+//! drivers are [`crate::montecarlo`]'s `run_policy` and `run_dag_policy`.
 //!
 //! Semantics (the §2 model at task granularity):
 //!
@@ -119,59 +120,6 @@ impl ChainTask {
     }
 }
 
-/// What an online policy sees at a decision point (a just-completed task).
-#[derive(Debug, Clone, Copy)]
-pub struct DecisionContext<'a> {
-    /// Position (index into the task chain) of the task that just completed.
-    pub position: usize,
-    /// Current simulated time.
-    pub clock: f64,
-    /// Position of the last task whose checkpoint completed, or `None` if
-    /// nothing has been checkpointed yet.
-    pub last_checkpoint: Option<usize>,
-    /// Times of every failure observed so far (work, checkpoint and recovery
-    /// failures alike), in increasing order.
-    pub failure_times: &'a [f64],
-}
-
-impl DecisionContext<'_> {
-    /// The number of failures observed so far.
-    pub fn failures_observed(&self) -> usize {
-        self.failure_times.len()
-    }
-
-    /// The position execution would roll back to on a failure right now
-    /// (the task after the last checkpoint).
-    pub fn resume_position(&self) -> usize {
-        self.last_checkpoint.map_or(0, |k| k + 1)
-    }
-}
-
-/// An online checkpoint policy, consulted at every task boundary.
-///
-/// Implementations may carry arbitrary mutable state (a running failure-rate
-/// estimate, a re-solved plan); one policy value drives one execution. The
-/// Monte-Carlo driver constructs a fresh policy per trial through a factory,
-/// so trials stay independent and the threading deterministic.
-pub trait Policy {
-    /// Whether to checkpoint right after the just-completed task described
-    /// by `ctx`. Not consulted for the final task, whose checkpoint is
-    /// mandatory.
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> bool;
-}
-
-impl<P: Policy + ?Sized> Policy for &mut P {
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> bool {
-        (**self).decide(ctx)
-    }
-}
-
-impl<P: Policy + ?Sized> Policy for Box<P> {
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> bool {
-        (**self).decide(ctx)
-    }
-}
-
 /// The outcome of one policy-driven execution (chain or DAG).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyExecutionRecord {
@@ -219,34 +167,19 @@ where
 {
     let order: Vec<usize> = (0..tasks.len()).collect();
     validate(tasks, &order, initial_recovery, downtime)?;
-    execute(tasks, &order, initial_recovery, downtime, &mut ChainPolicy(policy), stream, sink)
+    execute(tasks, &order, initial_recovery, downtime, policy, stream, sink)
 }
 
-/// Runs a chain [`Policy`] on the DAG engine: it never reorders, and it sees
-/// the DAG context minus the order.
-pub(crate) struct ChainPolicy<P>(pub(crate) P);
-
-impl<P: Policy> DagPolicy for ChainPolicy<P> {
-    fn decide(&mut self, ctx: &DagDecisionContext<'_>) -> DagDecision {
-        DagDecision::keep_order(self.0.decide(&DecisionContext {
-            position: ctx.position,
-            clock: ctx.clock,
-            last_checkpoint: ctx.last_checkpoint,
-            failure_times: ctx.failure_times,
-        }))
-    }
-}
-
-/// What a DAG policy sees at a decision point (a just-completed task of the
+/// What a policy sees at a decision point (a just-completed task of the
 /// current execution order).
 ///
-/// Unlike the chain context ([`DecisionContext`]), the DAG context carries
-/// the **current order** itself: the policy may not only toggle the next
-/// checkpoint but also swap in a new order for the unexecuted suffix (a
-/// re-linearisation of the remaining graph), and it needs to see the order
-/// it would be amending.
+/// The context carries the **current order** itself: a policy may not only
+/// toggle the next checkpoint but also swap in a new order for the
+/// unexecuted suffix (a re-linearisation of the remaining graph), and it
+/// needs to see the order it would be amending. On a chain the order is the
+/// identity and `task == position`.
 #[derive(Debug, Clone, Copy)]
-pub struct DagDecisionContext<'a> {
+pub struct DecisionContext<'a> {
     /// Position (index into the current order) of the task that just
     /// completed.
     pub position: usize,
@@ -262,11 +195,11 @@ pub struct DagDecisionContext<'a> {
     pub failure_times: &'a [f64],
     /// The current execution order (task indices); positions
     /// `0..=position` are fixed history, positions `position + 1..` are the
-    /// unexecuted suffix a [`DagDecision::reorder_suffix`] may permute.
+    /// unexecuted suffix a [`Decision::reorder_suffix`] may permute.
     pub order: &'a [usize],
 }
 
-impl DagDecisionContext<'_> {
+impl DecisionContext<'_> {
     /// The number of failures observed so far.
     pub fn failures_observed(&self) -> usize {
         self.failure_times.len()
@@ -285,14 +218,14 @@ impl DagDecisionContext<'_> {
     }
 }
 
-/// What a [`DagPolicy`] decides at a task boundary.
+/// What a [`Policy`] decides at a task boundary.
 #[derive(Debug, Clone, Default)]
-pub struct DagDecision {
+pub struct Decision {
     /// Whether to checkpoint right after the just-completed task.
     pub checkpoint: bool,
     /// A replacement execution order for the **unexecuted suffix**
     /// (positions strictly after the current one), as task indices. Must be
-    /// a permutation of [`DagDecisionContext::suffix`] — the engine verifies
+    /// a permutation of [`DecisionContext::suffix`] — the engine verifies
     /// the permutation and rejects the run with
     /// [`SimulationError::InvalidTaskOrder`] otherwise. **Precedence
     /// validity is the policy's contract**: the engine has no knowledge of
@@ -302,35 +235,37 @@ pub struct DagDecision {
     pub reorder_suffix: Option<Vec<usize>>,
 }
 
-impl DagDecision {
-    /// A plain "checkpoint or not" decision leaving the order untouched.
+impl Decision {
+    /// A plain "checkpoint or not" decision leaving the order untouched —
+    /// the only kind a chain policy makes.
     pub fn keep_order(checkpoint: bool) -> Self {
-        DagDecision { checkpoint, reorder_suffix: None }
+        Decision { checkpoint, reorder_suffix: None }
     }
 }
 
-/// An online DAG policy, consulted at every task boundary of a linearised
-/// DAG execution.
+/// An online checkpoint policy, consulted at every non-final task boundary
+/// of a chain or a linearised DAG: "checkpoint now or keep going?", and
+/// optionally "re-order the remaining tasks" (see [`Decision`]).
 ///
-/// The contract extends [`Policy`]: besides the checkpoint toggle, a
-/// decision may re-linearise the unexecuted suffix of the order (see
-/// [`DagDecision`]). One policy value drives one execution; the Monte-Carlo
-/// driver builds a fresh policy per trial.
-pub trait DagPolicy {
+/// Implementations may carry arbitrary mutable state (a running failure-rate
+/// estimate, a re-solved plan); one policy value drives one execution. The
+/// Monte-Carlo drivers build a fresh policy per trial through a factory, so
+/// trials stay independent and the threading deterministic.
+pub trait Policy {
     /// The decision for the boundary described by `ctx`. Not consulted after
     /// the final task, whose checkpoint is mandatory and whose suffix is
     /// empty.
-    fn decide(&mut self, ctx: &DagDecisionContext<'_>) -> DagDecision;
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision;
 }
 
-impl<P: DagPolicy + ?Sized> DagPolicy for &mut P {
-    fn decide(&mut self, ctx: &DagDecisionContext<'_>) -> DagDecision {
+impl<P: Policy + ?Sized> Policy for &mut P {
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
         (**self).decide(ctx)
     }
 }
 
-impl<P: DagPolicy + ?Sized> DagPolicy for Box<P> {
-    fn decide(&mut self, ctx: &DagDecisionContext<'_>) -> DagDecision {
+impl<P: Policy + ?Sized> Policy for Box<P> {
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
         (**self).decide(ctx)
     }
 }
@@ -345,9 +280,9 @@ impl<P: DagPolicy + ?Sized> DagPolicy for Box<P> {
 /// checkpoint after position `p` durably commits positions `0..=p`, and a
 /// failure rolls back to the position after the last durable checkpoint.
 /// Decisions may both toggle the next checkpoint and swap in a new order
-/// for the unexecuted suffix (see [`DagDecision`]); the engine verifies
-/// each proposed suffix is a permutation of the current one. A chain
-/// executed with the identity order is exactly [`simulate_policy`].
+/// for the unexecuted suffix (see [`Decision`]); the engine verifies each
+/// proposed suffix is a permutation of the current one. A chain executed
+/// with the identity order is exactly [`simulate_policy`].
 ///
 /// # Errors
 ///
@@ -367,7 +302,7 @@ pub fn simulate_dag_policy<P, S>(
     sink: &mut dyn TelemetrySink,
 ) -> Result<PolicyExecutionRecord, SimulationError>
 where
-    P: DagPolicy + ?Sized,
+    P: Policy + ?Sized,
     S: FailureStream + ?Sized,
 {
     validate(tasks, order, initial_recovery, downtime)?;
@@ -408,7 +343,7 @@ pub(crate) fn execute<P, S>(
     sink: &mut dyn TelemetrySink,
 ) -> Result<PolicyExecutionRecord, SimulationError>
 where
-    P: DagPolicy + ?Sized,
+    P: Policy + ?Sized,
     S: FailureStream + ?Sized,
 {
     let n = tasks.len();
@@ -463,7 +398,7 @@ where
             true
         } else {
             decisions += 1;
-            let ctx = DagDecisionContext {
+            let ctx = DecisionContext {
                 position,
                 task: order[position],
                 clock,
@@ -614,11 +549,11 @@ mod tests {
             .collect()
     }
 
-    /// A policy replaying fixed per-position decisions.
+    /// A policy replaying fixed per-position decisions, never reordering.
     struct Flags(Vec<bool>);
     impl Policy for Flags {
-        fn decide(&mut self, ctx: &DecisionContext<'_>) -> bool {
-            self.0[ctx.position]
+        fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
+            Decision::keep_order(self.0[ctx.position])
         }
     }
 
@@ -626,8 +561,8 @@ mod tests {
     /// one).
     struct Never;
     impl Policy for Never {
-        fn decide(&mut self, _ctx: &DecisionContext<'_>) -> bool {
-            false
+        fn decide(&mut self, _ctx: &DecisionContext<'_>) -> Decision {
+            Decision::keep_order(false)
         }
     }
 
@@ -834,8 +769,8 @@ mod tests {
         // second pass over task 0 checkpoints where the first did not.
         struct AfterFirstFailure;
         impl Policy for AfterFirstFailure {
-            fn decide(&mut self, ctx: &DecisionContext<'_>) -> bool {
-                !ctx.failure_times.is_empty()
+            fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
+                Decision::keep_order(!ctx.failure_times.is_empty())
             }
         }
         let tasks = vec![task(100.0, 10.0, 0.0), task(100.0, 10.0, 0.0)];
@@ -853,16 +788,8 @@ mod tests {
         assert_eq!(out.checkpoints, 2);
     }
 
-    /// A DAG policy replaying fixed per-position decisions, never reordering.
-    struct DagFlags(Vec<bool>);
-    impl DagPolicy for DagFlags {
-        fn decide(&mut self, ctx: &DagDecisionContext<'_>) -> DagDecision {
-            DagDecision::keep_order(self.0[ctx.position])
-        }
-    }
-
     /// Runs `tasks` in `order` under `policy`, untraced.
-    fn run_dag<P: DagPolicy>(
+    fn run_dag<P: Policy>(
         tasks: &[ChainTask],
         order: &[usize],
         initial_recovery: f64,
@@ -897,8 +824,7 @@ mod tests {
             let mut policy = Flags(flags.clone());
             let chain =
                 simulate_policy(&tasks, 15.0, 25.0, &mut policy, &mut s1, &mut NoopSink).unwrap();
-            let dag =
-                run_dag(&tasks, &order, 15.0, 25.0, DagFlags(flags.clone()), &mut s2).unwrap();
+            let dag = run_dag(&tasks, &order, 15.0, 25.0, Flags(flags.clone()), &mut s2).unwrap();
             assert_eq!(chain, dag, "seed {seed}");
             assert_eq!(dag.reorders, 0);
             assert_eq!(dag.final_order, None);
@@ -909,7 +835,7 @@ mod tests {
     fn dag_engine_executes_through_the_order_indirection() {
         // Order [2, 0, 1]: position costs must come from the ordered tasks.
         let tasks = vec![task(100.0, 10.0, 5.0), task(200.0, 20.0, 6.0), task(300.0, 30.0, 7.0)];
-        let policy = DagFlags(vec![true, false, false]);
+        let policy = Flags(vec![true, false, false]);
         let out = run_dag(&tasks, &[2, 0, 1], 0.0, 0.0, policy, &mut NoFailureStream).unwrap();
         // 300 + 30 (ckpt after T2) + 100 + 200 + 20 (final ckpt = T1's).
         assert!((out.record.makespan - 650.0).abs() < 1e-9);
@@ -922,7 +848,7 @@ mod tests {
         // A failure during position 1's work must pay task 1's recovery.
         let tasks = vec![task(100.0, 0.0, 5.0), task(100.0, 10.0, 80.0)];
         let mut stream = ScriptedStream::new(vec![150.0]);
-        let policy = DagFlags(vec![true, false]);
+        let policy = Flags(vec![true, false]);
         let out = run_dag(&tasks, &[1, 0], 3.0, 7.0, policy, &mut stream).unwrap();
         // 100 + 10 (ckpt at 110); failure at 150 loses 40; downtime 7
         // (157), recovery 80 (237); re-run task 0 (100) -> 337; final ckpt
@@ -931,19 +857,19 @@ mod tests {
         assert!((out.record.breakdown.recovery - 80.0).abs() < 1e-9);
     }
 
-    /// A DAG policy that swaps the two tasks following the first boundary.
+    /// A policy that swaps the two tasks following the first boundary.
     struct SwapOnce {
         done: bool,
     }
-    impl DagPolicy for SwapOnce {
-        fn decide(&mut self, ctx: &DagDecisionContext<'_>) -> DagDecision {
+    impl Policy for SwapOnce {
+        fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
             if !self.done && ctx.suffix().len() >= 2 {
                 self.done = true;
                 let mut suffix = ctx.suffix().to_vec();
                 suffix.swap(0, 1);
-                return DagDecision { checkpoint: true, reorder_suffix: Some(suffix) };
+                return Decision { checkpoint: true, reorder_suffix: Some(suffix) };
             }
-            DagDecision::keep_order(false)
+            Decision::keep_order(false)
         }
     }
 
@@ -958,21 +884,18 @@ mod tests {
         assert!((out.record.makespan - 603.0).abs() < 1e-9);
     }
 
-    /// A DAG policy proposing a suffix that is not a permutation.
+    /// A policy proposing a suffix that is not a permutation.
     struct BadReorder;
-    impl DagPolicy for BadReorder {
-        fn decide(&mut self, ctx: &DagDecisionContext<'_>) -> DagDecision {
-            DagDecision {
-                checkpoint: false,
-                reorder_suffix: Some(vec![ctx.task; ctx.suffix().len()]),
-            }
+    impl Policy for BadReorder {
+        fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
+            Decision { checkpoint: false, reorder_suffix: Some(vec![ctx.task; ctx.suffix().len()]) }
         }
     }
 
     #[test]
     fn dag_engine_validates_orders_and_reorders() {
         let tasks = vec![task(1.0, 0.0, 0.0), task(1.0, 0.0, 0.0)];
-        let never = || DagFlags(vec![false, false]);
+        let never = || Flags(vec![false, false]);
         // Wrong length, out-of-range and duplicate initial orders.
         for bad in [vec![0usize], vec![0, 2], vec![0, 0]] {
             assert!(matches!(
@@ -997,7 +920,7 @@ mod tests {
         for seed in 0..10u64 {
             let mut s1 = ExponentialStream::new(1.0 / 600.0, seed);
             let mut s2 = ExponentialStream::new(1.0 / 600.0, seed);
-            let flags = || DagFlags(vec![true, false, true]);
+            let flags = || Flags(vec![true, false, true]);
             let plain = run_dag(&tasks, &order, 20.0, 12.0, flags(), &mut s1).unwrap();
             let mut sink = RingBufferSink::new(1024);
             let traced =

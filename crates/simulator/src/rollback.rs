@@ -1,8 +1,9 @@
 //! Shared §2 rollback primitives.
 //!
-//! The chain policy engine ([`crate::policy::simulate_policy`]), the DAG
-//! policy engine and the multi-machine cluster engine (`ckpt-cluster`) all
-//! execute the same failure semantics: an interruptible *phase* (work,
+//! The policy engine (chains through [`crate::policy::simulate_policy`],
+//! linearised DAGs through [`crate::policy::simulate_dag_policy`]) and the
+//! multi-machine cluster engine (`ckpt-cluster`) execute the same failure
+//! semantics: an interruptible *phase* (work,
 //! checkpoint or recovery) either completes or is cut short by the first
 //! failure of a [`FailureStream`]; a failure during work or checkpointing
 //! loses the run back to the last durable checkpoint, costs a failure-free

@@ -20,7 +20,7 @@
 use ckpt_bench::testgen::random_layered_instance;
 use ckpt_workflows::adaptive::{
     optimal_static_dag_plan, optimal_static_plan, AdaptiveResolve, ChainSpec, DagAdaptiveResolve,
-    DagRelinearise, DagSpec, DagStaticPlan, PeriodicYoung, RateLearning, StaticPlan,
+    DagRelinearise, DagSpec, PeriodicYoung, RateLearning, StaticPlan,
 };
 use ckpt_workflows::core::cost_model::CheckpointCostModel;
 use ckpt_workflows::core::order_search::OrderSearchConfig;
@@ -28,8 +28,8 @@ use ckpt_workflows::expectation::numeric::SampleStats;
 use ckpt_workflows::failure::{Pcg64, RandomSource, TraceGenerator, TraceReplay, Weibull};
 use ckpt_workflows::simulator::stream::{ExponentialStream, ScriptedStream, TraceStream};
 use ckpt_workflows::simulator::{
-    simulate_dag_policy, simulate_policy, ChainTask, DagDecision, DagDecisionContext, DagPolicy,
-    ExecutionRecord, FailureStream, Policy, Segment, SimulationScenario, TimeBreakdown,
+    simulate_dag_policy, simulate_policy, ChainTask, Decision, DecisionContext, ExecutionRecord,
+    FailureStream, Policy, Segment, SimulationScenario, TimeBreakdown,
 };
 use ckpt_workflows::telemetry::{DigestSink, NoopSink, TelemetrySink, TraceEvent};
 
@@ -172,7 +172,7 @@ fn chain_digest<P: Policy>(spec: &ChainSpec, make_policy: impl Fn() -> P) -> Str
 }
 
 /// One traced and one untraced DAG run per stream, folded in order.
-fn dag_digest<P: DagPolicy>(
+fn dag_digest<P: Policy>(
     tasks: &[ChainTask],
     order: &[usize],
     initial_recovery: f64,
@@ -220,12 +220,12 @@ struct RotateEveryBoundary {
     toggle: bool,
 }
 
-impl DagPolicy for RotateEveryBoundary {
-    fn decide(&mut self, ctx: &DagDecisionContext<'_>) -> DagDecision {
+impl Policy for RotateEveryBoundary {
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
         self.toggle = !self.toggle;
         let mut suffix = ctx.suffix().to_vec();
         suffix.rotate_left(1);
-        DagDecision { checkpoint: self.toggle, reorder_suffix: Some(suffix) }
+        Decision { checkpoint: self.toggle, reorder_suffix: Some(suffix) }
     }
 }
 
@@ -305,7 +305,7 @@ fn dag_policies_digests() {
     let (r0, d) = (spec.initial_recovery(), spec.downtime());
     let tasks = spec.tasks();
     let digests = [
-        dag_digest(tasks, &order, r0, d, || DagStaticPlan::from_plan(&plan)),
+        dag_digest(tasks, &order, r0, d, || StaticPlan::from_plan(&plan)),
         dag_digest(tasks, &order, r0, d, || {
             DagAdaptiveResolve::new(&spec, &plan, PLANNING_RATE).unwrap()
         }),

@@ -1,9 +1,9 @@
-//! Differential tests backing the online DAG tier (ISSUE 5 satellite):
+//! Differential tests backing the online DAG tier:
 //!
 //! 1. with **no failures**, `DagRelinearise` never re-plans and replays the
 //!    offline `schedule_dag_search` plan **bitwise** (same order, same
 //!    checkpoint positions, same execution record);
-//! 2. `DagStaticPlan` through the policy-driven DAG engine reproduces the
+//! 2. `StaticPlan::from_plan` through the policy-driven DAG engine reproduces the
 //!    **fixed-schedule** evaluation seed for seed (same failure streams ⇒
 //!    same failure counts, makespans and time breakdowns);
 //! 3. the DAG policy Monte-Carlo comparison is **bit-identical at any
@@ -13,8 +13,8 @@
 
 use ckpt_bench::testgen::random_layered_instance;
 use ckpt_workflows::adaptive::{
-    compare_dag_policies, optimal_static_dag_plan, DagPlan, DagRelinearise, DagSpec, DagStaticPlan,
-    EvaluationConfig, TruthModel,
+    compare_dag_policies, optimal_static_dag_plan, DagPlan, DagRelinearise, DagSpec,
+    EvaluationConfig, StaticPlan, TruthModel,
 };
 use ckpt_workflows::core::cost_model::CheckpointCostModel;
 use ckpt_workflows::core::order_search::{schedule_dag_search, OrderSearchConfig};
@@ -128,7 +128,7 @@ proptest! {
         prop_assert_eq!(&taken, &planned);
 
         // And the record equals replaying the plan statically, bitwise.
-        let mut static_policy = DagStaticPlan::from_plan(&plan);
+        let mut static_policy = StaticPlan::from_plan(&plan);
         let reference = simulate_dag_policy(
             spec.tasks(),
             &plan.order_indices(),
@@ -142,7 +142,7 @@ proptest! {
         prop_assert_eq!(outcome.record, reference.record);
     }
 
-    /// Satellite property 2: `DagStaticPlan` replay through the DAG policy
+    /// Satellite property 2: `StaticPlan::from_plan` replay through the DAG policy
     /// engine reproduces the fixed-schedule evaluation of the same plan
     /// seed for seed.
     #[test]
@@ -166,7 +166,7 @@ proptest! {
             let fixed = simulate(&segments, spec.downtime(), &mut fixed_stream).unwrap();
 
             let mut policy_stream = ExponentialStream::new(rate, s);
-            let mut policy = DagStaticPlan::from_plan(&plan);
+            let mut policy = StaticPlan::from_plan(&plan);
             let online = simulate_dag_policy(
                 spec.tasks(),
                 &plan.order_indices(),
