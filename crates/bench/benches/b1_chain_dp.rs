@@ -71,24 +71,26 @@ fn bench_chain_dp(c: &mut Criterion) {
         }
     }
 
-    // A failure-heavy regime: many checkpoints in the optimum, so the pruning
-    // bound truncates the inner loop aggressively.
-    let frequent = random_chain_instance(11, 4096, 100.0, 2_000.0, 60.0, 90.0, 30.0, 1.0 / 1_000.0);
+    // λ = 10⁻³ on 4 096 tasks puts λ·total work ≈ 4 300 past the table's
+    // saturation switch (≈ 650): these rows time the saturated fallback,
+    // where every candidate of the pruned DP pays an `exp_m1` and neither
+    // the Li Chao yardstick nor the dispatch leaves the pruned DP.
+    let saturated =
+        random_chain_instance(11, 4096, 100.0, 2_000.0, 60.0, 90.0, 30.0, 1.0 / 1_000.0);
+    group.bench_with_input(BenchmarkId::new("pruned_saturated", 4096), &saturated, |b, inst| {
+        b.iter(|| chain_dp::optimal_chain_schedule(black_box(inst)).unwrap())
+    });
     group.bench_with_input(
-        BenchmarkId::new("pruned_frequent_failures", 4096),
-        &frequent,
-        |b, inst| b.iter(|| chain_dp::optimal_chain_schedule(black_box(inst)).unwrap()),
-    );
-    group.bench_with_input(
-        BenchmarkId::new("divide_conquer_frequent_failures", 4096),
-        &frequent,
+        BenchmarkId::new("divide_conquer_saturated", 4096),
+        &saturated,
         |b, inst| {
             b.iter(|| oracle::optimal_chain_schedule_divide_conquer(black_box(inst)).unwrap())
         },
     );
-    let table = chain_table(&frequent);
+    let table = chain_table(&saturated);
+    assert!(table.is_saturated());
     group.bench_with_input(
-        BenchmarkId::new("table_dispatch_frequent_failures", 4096),
+        BenchmarkId::new("table_dispatch_saturated", 4096),
         &table,
         |b, table| {
             b.iter(|| {
@@ -99,6 +101,22 @@ fn bench_chain_dp(c: &mut Criterion) {
             })
         },
     );
+    // The same weights at λ·total work = 3, the regime of perfbench's flat
+    // plan-mixed class: rows run long, so the pruned DP spends its time in
+    // the product-form tail of each row, past the `exp_m1` head.
+    let sparse = random_chain_instance(
+        11,
+        4096,
+        100.0,
+        2_000.0,
+        60.0,
+        90.0,
+        30.0,
+        3.0 / saturated.total_weight(),
+    );
+    group.bench_with_input(BenchmarkId::new("pruned_sparse", 4096), &sparse, |b, inst| {
+        b.iter(|| chain_dp::optimal_chain_schedule(black_box(inst)).unwrap())
+    });
     group.finish();
 }
 

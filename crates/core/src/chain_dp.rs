@@ -17,8 +17,11 @@
 //! * [`optimal_chain_schedule`] — the exact pruned DP on a chain instance:
 //!   `O(n²)` bottom-up, the inner loop cut by the table's monotone segment
 //!   lower bound (for uniform checkpoint costs, the moment the segment term
-//!   alone exceeds the incumbent). Every bitwise contract of the workspace
-//!   rests on it;
+//!   alone exceeds the incumbent). Each row is one
+//!   [`SegmentCostTable::pruned_row`] scan: the table splits off the row's
+//!   `exp_m1` head once and streams the rest over slices, with the values,
+//!   choices and counts of a per-candidate scan. Every bitwise contract of
+//!   the workspace rests on it;
 //! * [`scalable_placement_on_table_with_scratch`] — the recurrence on a
 //!   prebuilt table, for callers that own their execution order (`dag_schedule`
 //!   per linearisation under any §6 cost model, `order_search`,
@@ -142,7 +145,7 @@ fn solution_from_positions(
     Ok(ChainSolution { schedule, expected_makespan, checkpoint_positions })
 }
 
-/// The pruned Algorithm 1 inner recurrence restricted to positions
+/// The pruned Algorithm 1 recurrence restricted to positions
 /// `from ≤ x < below`, given final values for `value[below..]`: `value[x]`
 /// becomes the optimal expected time for positions `x..n`, `choice[x]` the
 /// first checkpoint position of an optimal solution for that suffix
@@ -151,42 +154,30 @@ fn solution_from_positions(
 /// be solved independently of the prefix before it — which is what both the
 /// order search ([`ResumableDp::try_prefix`], `from = 0`) and the online
 /// re-planning policies ([`ResumableDp::solve_suffix`], `below = n`) exploit.
+///
+/// Each row is one [`SegmentCostTable::pruned_row`] scan, which keeps the
+/// cost formula, its regimes and the prune break in the table's module.
+/// Returns the span's work for the caller to keep and flush.
 fn pruned_dp_span(
     table: &SegmentCostTable,
     value: &mut [f64],
     choice: &mut [usize],
     from: usize,
     below: usize,
-) {
+) -> DpTally {
     let n = table.len();
     debug_assert_eq!(value.len(), n + 1);
     debug_assert_eq!(choice.len(), n);
     debug_assert!(from <= below && below <= n);
-    // Telemetry is accumulated in locals (register-resident) and flushed
-    // with one relaxed add per span, keeping the inner loop untouched.
-    let mut candidates = 0u64;
-    let mut prune_breaks = 0u64;
+    let mut tally = DpTally { positions: (below - from) as u64, ..DpTally::default() };
     for x in (from..below).rev() {
-        let mut best = f64::INFINITY;
-        let mut best_j = n - 1;
-        for j in x..n {
-            // The bound is valid for every j′ ≥ j and non-decreasing in j:
-            // once it clears the incumbent, no later split can win.
-            if table.segment_lower_bound(x, j) > best {
-                prune_breaks += 1;
-                break;
-            }
-            candidates += 1;
-            let cost = table.cost(x, j) + value[j + 1];
-            if cost < best {
-                best = cost;
-                best_j = j;
-            }
-        }
-        value[x] = best;
-        choice[x] = best_j;
+        let row = table.pruned_row(x, &value[x + 1..]);
+        value[x] = row.value;
+        choice[x] = row.choice;
+        tally.candidates += row.candidates;
+        tally.prune_breaks += row.prune_breaks;
     }
-    DpTally { positions: (below - from) as u64, candidates, prune_breaks }.flush();
+    tally
 }
 
 /// The work of one DP solve, tallied in locals and flushed to
@@ -216,7 +207,7 @@ fn pruned_placement(table: &SegmentCostTable, scratch: &mut ChainDpScratch) -> T
     scratch.value.resize(n + 1, 0.0);
     scratch.choice.clear();
     scratch.choice.resize(n, 0);
-    pruned_dp_span(table, &mut scratch.value, &mut scratch.choice, 0, n);
+    pruned_dp_span(table, &mut scratch.value, &mut scratch.choice, 0, n).flush();
     TablePlacement {
         expected_makespan: scratch.value[0],
         checkpoint_positions: positions_from_choice(&scratch.choice),
@@ -268,6 +259,9 @@ pub struct ResumableDp {
     /// Whether the trial buffers hold an uncommitted `try_prefix` result.
     trial_pending: bool,
     len: usize,
+    /// The work of the last span solved (by `solve`, `try_prefix` or
+    /// `solve_suffix`), kept as it is flushed to [`solver_stats`].
+    tally: DpTally,
 }
 
 impl ResumableDp {
@@ -286,7 +280,8 @@ impl ResumableDp {
         self.choice.clear();
         self.choice.resize(n, 0);
         solver_stats::FULL_SOLVES.add(1);
-        pruned_dp_span(table, &mut self.value, &mut self.choice, 0, n);
+        self.tally = pruned_dp_span(table, &mut self.value, &mut self.choice, 0, n);
+        self.tally.flush();
         self.trial_pending = false;
         self.value[0]
     }
@@ -312,7 +307,8 @@ impl ResumableDp {
         self.trial_choice.extend_from_slice(&self.choice);
         solver_stats::PREFIX_TRIALS.add(1);
         solver_stats::SUFFIX_REUSED_POSITIONS.add((n - below) as u64);
-        pruned_dp_span(table, &mut self.trial_value, &mut self.trial_choice, 0, below);
+        self.tally = pruned_dp_span(table, &mut self.trial_value, &mut self.trial_choice, 0, below);
+        self.tally.flush();
         self.trial_pending = true;
         self.trial_value[0]
     }
@@ -366,7 +362,8 @@ impl ResumableDp {
         let from = from.min(n);
         solver_stats::SUFFIX_SOLVES.add(1);
         solver_stats::SUFFIX_REUSED_POSITIONS.add(from as u64);
-        pruned_dp_span(table, &mut self.value, &mut self.choice, from, n);
+        self.tally = pruned_dp_span(table, &mut self.value, &mut self.choice, from, n);
+        self.tally.flush();
         self.trial_pending = false;
         self.value[from]
     }

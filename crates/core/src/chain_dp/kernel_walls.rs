@@ -4,13 +4,14 @@
 //! [`reference`] holds the code of the blocked kernel that sorted each
 //! range of its recursion afresh (lines by slope and queries by point at
 //! every node, a sorted domain per block, a binary search per Li Chao
-//! query) and of the levelled DP that scanned `j` once per state
-//! `(x, p, s)`, as it was, most comments trimmed. The one edit is that they
-//! tally their work in locals instead of the process-wide solver counters,
-//! so the walls compare counts without racing the tests that run beside
-//! them. The production kernels keep their own tallies (the Li Chao
-//! tree's, the levelled DP's [`DpTally`]) and the walls read those, not the
-//! counters.
+//! query), of the levelled DP that scanned `j` once per state `(x, p, s)`,
+//! and of the pruned DP that called `segment_lower_bound` and then `cost`
+//! for each candidate, as they were, most comments trimmed. The one edit is
+//! that they tally their work in locals instead of the process-wide solver
+//! counters, so the walls compare counts without racing the tests that run
+//! beside them. The production kernels keep their own tallies (the Li Chao
+//! tree's, the levelled DP's and [`ResumableDp`]'s [`DpTally`]) and the
+//! walls read those, not the counters.
 //!
 //! Each wall asserts bitwise equality: DP values (every position, as bits),
 //! choices, placements, and the work counts — Li Chao inserts and node
@@ -20,16 +21,22 @@
 //! (coinciding lines and query points), and a rate so small that every
 //! slope and query point rounds to the same value. Swapping any tie rule
 //! of the kernel (the merge's, the hull's, the block sort's, the domain's)
-//! makes them fail.
+//! makes them fail. The pruned DP's wall also aims at the row split of
+//! [`SegmentCostTable::pruned_row`]: rows that are all `exp_m1` head, rows
+//! split mid-row, rows without a head, saturated tables, and rows where
+//! `λ·work` lands exactly on the `10⁻²` switch or one ulp to either side.
 
+use ckpt_dag::generators;
 use ckpt_expectation::segment_cost::SegmentCostTable;
 use ckpt_expectation::storage::{LevelledCostTable, StorageLevel, StorageLevels};
 use ckpt_failure::{Pcg64, RandomSource};
 
 use super::{
-    blocked_placement_with_block_into, optimal_levelled_placement_on_table, ChainDpScratch,
-    DpTally, DP_BLOCK,
+    blocked_placement_with_block_into, optimal_chain_schedule, optimal_levelled_placement_on_table,
+    positions_from_choice, scalable_placement_on_table_with_scratch, ChainDpScratch, DpTally,
+    ResumableDp, DP_BLOCK, SCALABLE_THRESHOLD,
 };
+use crate::instance::ProblemInstance;
 
 /// The replaced kernels, kept as they were.
 mod reference {
@@ -298,6 +305,39 @@ mod reference {
         }
     }
 
+    /// The pruned recurrence over positions `from..below`, scanning each
+    /// row candidate by candidate: the bound, then the cost.
+    pub(super) fn pruned_dp_span(
+        table: &SegmentCostTable,
+        value: &mut [f64],
+        choice: &mut [usize],
+        from: usize,
+        below: usize,
+    ) -> DpTally {
+        let n = table.len();
+        let mut candidates = 0u64;
+        let mut prune_breaks = 0u64;
+        for x in (from..below).rev() {
+            let mut best = f64::INFINITY;
+            let mut best_j = n - 1;
+            for j in x..n {
+                if table.segment_lower_bound(x, j) > best {
+                    prune_breaks += 1;
+                    break;
+                }
+                candidates += 1;
+                let cost = table.cost(x, j) + value[j + 1];
+                if cost < best {
+                    best = cost;
+                    best_j = j;
+                }
+            }
+            value[x] = best;
+            choice[x] = best_j;
+        }
+        DpTally { positions: (below - from) as u64, candidates, prune_breaks }
+    }
+
     /// The levelled DP scanning `j` once per state `(x, p, s)`.
     pub(super) fn optimal_levelled_placement_on_table(
         table: &LevelledCostTable,
@@ -401,11 +441,19 @@ enum Shape {
     /// (equal slopes and equal intercepts). Only the tie rules decide
     /// which of them an envelope keeps.
     Absorbed,
+    /// Weights and recovery costs drawn independently, every checkpoint
+    /// free: a segment's exponent is `λ·work` alone, so a pruned row's
+    /// split falls exactly where `cost` switches from `exp_m1` to the
+    /// product form.
+    FreeCheckpoints,
 }
 
-/// An order of `n` positions of `shape`: weights, checkpoint costs,
-/// protecting recoveries (entry 0 the initial recovery) and downtime.
-fn order(shape: Shape, seed: u64, n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, f64) {
+/// An order's weights, checkpoint costs, protecting recoveries (entry 0 the
+/// initial recovery) and downtime.
+type Order = (Vec<f64>, Vec<f64>, Vec<f64>, f64);
+
+/// An order of `n` positions of `shape`.
+fn order(shape: Shape, seed: u64, n: usize) -> Order {
     let mut rng = Pcg64::seed_from_u64(seed);
     match shape {
         Shape::Heterogeneous => {
@@ -423,6 +471,11 @@ fn order(shape: Shape, seed: u64, n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, f6
         Shape::Absorbed => {
             let weights = (0..n).map(|k| [100.0, 1e-300][k % 2]).collect();
             (weights, vec![60.0; n], vec![90.0; n], 30.0)
+        }
+        Shape::FreeCheckpoints => {
+            let weights = (0..n).map(|_| 10.0 + rng.next_f64() * 1_990.0).collect();
+            let rec = (0..n).map(|_| rng.next_f64() * 250.0).collect();
+            (weights, vec![0.0; n], rec, rng.next_f64() * 60.0)
         }
     }
 }
@@ -571,4 +624,209 @@ fn levelled_row_scan_matches_the_per_state_scan() {
                 .unwrap();
         assert_levelled_dps_agree(&table, &format!("case {case} {shape:?} n {n} λW {lambda_w}"));
     }
+}
+
+/// The per-row candidate counts of a pruned solve, sorted by where the row
+/// meets the `exp_m1`/product split of
+/// [`SegmentCostTable::pruned_row`].
+#[derive(Debug, Default)]
+struct RowCoverage {
+    /// Rows whose every candidate has `λ·work < 10⁻²`.
+    all_head: usize,
+    /// Rows split mid-row whose scan reached past the split.
+    split_crossed: usize,
+    /// Rows whose first candidate already has `λ·work ≥ 10⁻²`.
+    product_only: usize,
+    /// Rows of saturated tables (the per-candidate scan throughout).
+    saturated: usize,
+}
+
+impl RowCoverage {
+    fn add(&mut self, table: &SegmentCostTable, row_candidates: &[u64]) {
+        let n = table.len();
+        for (x, &scanned) in row_candidates.iter().enumerate() {
+            if table.is_saturated() {
+                self.saturated += 1;
+                continue;
+            }
+            let head = (x..n).take_while(|&j| table.lambda() * table.work(x, j) < 1e-2).count();
+            if head == n - x {
+                self.all_head += 1;
+            } else if head == 0 {
+                self.product_only += 1;
+            } else if scanned as usize > head {
+                self.split_crossed += 1;
+            }
+        }
+    }
+}
+
+/// Solves `order` at `lambda` through every entry that runs the pruned
+/// recurrence and asserts each agrees with [`reference::pruned_dp_span`]
+/// bit for bit: [`ResumableDp::solve`], [`ResumableDp::try_prefix`] at
+/// `split` (on a table whose recoveries differ below `split`) and
+/// [`ResumableDp::solve_suffix`] from `split` in values, choices and the
+/// state's tally; [`optimal_chain_schedule`] on the order as a chain
+/// instance, and the dispatch where it runs the pruned DP, in values and
+/// placements. Returns the table and each row's candidate count.
+fn assert_pruned_entries_agree(
+    order: &Order,
+    lambda: f64,
+    split: usize,
+    label: &str,
+) -> (SegmentCostTable, Vec<u64>) {
+    let (weights, ckpt, rec, downtime) = order;
+    let n = weights.len();
+    let table = SegmentCostTable::new(lambda, *downtime, weights, ckpt, rec).unwrap();
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+    // The reference, one row at a time, so that each row's work is known.
+    let mut value = vec![0.0f64; n + 1];
+    let mut choice = vec![0usize; n];
+    let mut rows = vec![DpTally::default(); n];
+    for x in (0..n).rev() {
+        rows[x] = reference::pruned_dp_span(&table, &mut value, &mut choice, x, x + 1);
+    }
+    let span = |from: usize| DpTally {
+        positions: (n - from) as u64,
+        candidates: rows[from..].iter().map(|row| row.candidates).sum(),
+        prune_breaks: rows[from..].iter().map(|row| row.prune_breaks).sum(),
+    };
+
+    let mut dp = ResumableDp::new();
+    assert_eq!(dp.solve(&table).to_bits(), value[0].to_bits(), "{label}: solve");
+    assert_eq!(bits(&dp.value), bits(&value), "{label}: solve values");
+    assert_eq!(dp.choice, choice, "{label}: solve choices");
+    assert_eq!(dp.tally, span(0), "{label}: solve work");
+
+    let mut changed_rec = rec.clone();
+    for r in &mut changed_rec[..split] {
+        *r = 0.5 * *r + 7.0;
+    }
+    let changed = SegmentCostTable::new(lambda, *downtime, weights, ckpt, &changed_rec).unwrap();
+    let (mut trial_value, mut trial_choice) = (value.clone(), choice.clone());
+    let trial = reference::pruned_dp_span(&changed, &mut trial_value, &mut trial_choice, 0, split);
+    let resumed = dp.try_prefix(&changed, split);
+    assert_eq!(resumed.to_bits(), trial_value[0].to_bits(), "{label}: try_prefix");
+    assert_eq!(bits(&dp.trial_value), bits(&trial_value), "{label}: try_prefix values");
+    assert_eq!(dp.trial_choice, trial_choice, "{label}: try_prefix choices");
+    assert_eq!(dp.tally, trial, "{label}: try_prefix work");
+
+    let mut suffix = ResumableDp::new();
+    let suffix_value = suffix.solve_suffix(&table, split);
+    assert_eq!(suffix_value.to_bits(), value[split].to_bits(), "{label}: solve_suffix");
+    assert_eq!(bits(&suffix.value[split..]), bits(&value[split..]), "{label}: suffix values");
+    assert_eq!(suffix.choice[split..], choice[split..], "{label}: suffix choices");
+    assert_eq!(suffix.tally, span(split), "{label}: solve_suffix work");
+
+    // The chain instance whose table is `table`: position x > 0 is
+    // protected by task x − 1's recovery, and the last task's protects
+    // nothing.
+    let mut task_rec = rec[1..].to_vec();
+    task_rec.push(0.0);
+    let instance = ProblemInstance::builder(generators::chain(weights).unwrap())
+        .checkpoint_costs(ckpt.clone())
+        .recovery_costs(task_rec)
+        .initial_recovery(rec[0])
+        .downtime(*downtime)
+        .platform_lambda(lambda)
+        .build()
+        .unwrap();
+    let solution = optimal_chain_schedule(&instance).unwrap();
+    let positions = positions_from_choice(&choice);
+    assert_eq!(solution.expected_makespan.to_bits(), value[0].to_bits(), "{label}: chain");
+    assert_eq!(solution.checkpoint_positions, positions, "{label}: chain positions");
+
+    if n < SCALABLE_THRESHOLD || table.is_saturated() {
+        let mut scratch = ChainDpScratch::new();
+        let placement = scalable_placement_on_table_with_scratch(&table, &mut scratch);
+        assert_eq!(placement.expected_makespan.to_bits(), value[0].to_bits(), "{label}: dispatch");
+        assert_eq!(placement.checkpoint_positions, positions, "{label}: dispatch positions");
+        assert_eq!(bits(&scratch.value), bits(&value), "{label}: dispatch values");
+        assert_eq!(scratch.choice, choice, "{label}: dispatch choices");
+    }
+    (table, rows.iter().map(|row| row.candidates).collect())
+}
+
+#[test]
+fn pruned_row_matches_the_per_candidate_scan() {
+    let mut coverage = RowCoverage::default();
+    for shape in [Shape::Heterogeneous, Shape::Absorbed, Shape::FreeCheckpoints, Shape::Uniform] {
+        // From rows that are all head (λ·W = 10⁻¹⁷) through rows split
+        // mid-row to rows without a head (λ·W ≥ 300), and saturated
+        // tables (λ·W = 1 000).
+        let rates = [1e-17, 1e-4, 0.03, 0.3, 3.0, 30.0, 300.0, 640.0, 1_000.0];
+        for (seed, lambda_w) in rates.into_iter().enumerate() {
+            for n in [1usize, 2, 5, 37, 300] {
+                let order = order(shape, seed as u64, n);
+                let lambda = lambda_w / order.0.iter().sum::<f64>();
+                let label = format!("{shape:?} seed {seed} λW {lambda_w} n {n}");
+                let (weights, ckpt, rec, downtime) = &order;
+                if SegmentCostTable::new(lambda, *downtime, weights, ckpt, rec).is_err() {
+                    // A weight absorbed by the prefix sum (a zero step)
+                    // next to a coefficient e^{λR}(1/λ + D) that
+                    // overflows: the rate check rejects the order.
+                    assert!(matches!(shape, Shape::Absorbed) && lambda_w >= 1_000.0, "{label}");
+                    continue;
+                }
+                let (table, rows) = assert_pruned_entries_agree(&order, lambda, n / 2, &label);
+                coverage.add(&table, &rows);
+            }
+        }
+    }
+    assert!(coverage.all_head > 0, "{coverage:?}");
+    assert!(coverage.split_crossed > 0, "{coverage:?}");
+    assert!(coverage.product_only > 0, "{coverage:?}");
+    assert!(coverage.saturated > 0, "{coverage:?}");
+
+    // Integer weights keep every prefix sum, and so every segment's work,
+    // exact; λ = target / 64 is exact too, so each scanned segment of 64 s
+    // of work has λ·work equal to the target bit for bit.
+    for target in [1e-2f64.next_down(), 1e-2, 1e-2f64.next_up()] {
+        for free in [true, false] {
+            let n = 300;
+            let mut rng = Pcg64::seed_from_u64(target.to_bits() ^ u64::from(free));
+            let mut integer = |high: f64| (rng.next_f64() * high).floor();
+            let weights: Vec<f64> = (0..n).map(|_| 1.0 + integer(16.0)).collect();
+            let ckpt = (0..n).map(|_| if free { 0.0 } else { integer(8.0) }).collect();
+            let rec = (0..n).map(|_| integer(32.0)).collect();
+            let order = (weights, ckpt, rec, 10.0);
+            let label = format!("λ·64 = {target:e}, free checkpoints {free}");
+            let (table, rows) = assert_pruned_entries_agree(&order, target / 64.0, n / 2, &label);
+            let on_target = (0..n)
+                .filter(|&x| {
+                    (x..x + rows[x] as usize).any(|j| table.lambda() * table.work(x, j) == target)
+                })
+                .count();
+            assert!(on_target > 0, "{label}: no scanned segment lands on the target");
+        }
+    }
+}
+
+/// The production-size twin: plan-mixed's flat class (2 650 tasks at
+/// λ = 10⁻⁶, costs drawn from perfbench's ranges), and 10⁴ positions at
+/// λ·W = 0.05, where the split moves across the rows.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn pruned_row_matches_the_per_candidate_scan_at_production_size() {
+    let n = 2_650;
+    let mut rng = Pcg64::seed_from_u64(2_650);
+    let mut draw = |low: f64, high: f64| low + rng.next_f64() * (high - low);
+    let weights = (0..n).map(|_| draw(100.0, 2_000.0)).collect();
+    let ckpt = (0..n).map(|_| draw(10.0, 300.0)).collect();
+    let mut rec: Vec<f64> = (0..n).map(|_| draw(10.0, 600.0)).collect();
+    rec[0] = 20.0;
+    let flat = (weights, ckpt, rec, 30.0);
+    let mut coverage = RowCoverage::default();
+    let (table, rows) = assert_pruned_entries_agree(&flat, 1e-6, n / 2, "plan-mixed flat class");
+    coverage.add(&table, &rows);
+    assert!(coverage.split_crossed > n / 2, "{coverage:?}");
+
+    let n = 10_000;
+    let long = order(Shape::Heterogeneous, 7, n);
+    let lambda = 0.05 / long.0.iter().sum::<f64>();
+    let mut coverage = RowCoverage::default();
+    let (table, rows) = assert_pruned_entries_agree(&long, lambda, n / 2, "10⁴ positions");
+    coverage.add(&table, &rows);
+    assert!(coverage.all_head > 0 && coverage.split_crossed > 0, "{coverage:?}");
 }

@@ -1,16 +1,18 @@
 //! Precomputed Proposition-1 segment costs over a fixed execution order.
 //!
-//! Every hot path of the workspace — the Algorithm 1 chain DP, exhaustive
-//! search, the heuristics' local search — evaluates the Proposition 1 closed
-//! form
+//! The Algorithm 1 solvers, exhaustive search and the heuristics' local
+//! search all evaluate the Proposition 1 closed form
 //!
 //! ```text
 //! T(x, j) = e^{λR_x} (1/λ + D) (e^{λ(w_x + … + w_j + C_j)} − 1)
 //! ```
 //!
-//! for *many* `(x, j)` position pairs of one fixed execution order. Evaluating
-//! it naively costs two `exp` calls per pair. The exponent, however, is a sum
-//! that factors over prefix sums:
+//! for *many* `(x, j)` position pairs of one fixed execution order: pair by
+//! pair through [`SegmentCostTable::cost`], or, for the pruned Algorithm 1
+//! recurrence, one whole row `x` at a time through
+//! [`SegmentCostTable::pruned_row`]. Evaluating it naively costs two `exp`
+//! calls per pair. The exponent, however, is a sum that factors over prefix
+//! sums:
 //!
 //! ```text
 //! e^{λ(prefix[j+1] − prefix[x] + C_j)} = e^{λ·prefix[j+1]} · e^{−λ·prefix[x]} · e^{λ·C_j}
@@ -34,6 +36,20 @@
 //! bound for pruning its inner loop, and exposes the slope/query-point
 //! decomposition `T(x, j) = slope(j)·query_point(x) − coefficient(x)` used by
 //! the `O(n log n)` divide-and-conquer solver.
+//!
+//! A row of the pruned recurrence meets the tiny-exponent fallback only in
+//! its head. Prefix sums never decrease (weights are positive and rounding
+//! is monotone), so the computed `λ·(prefix[j+1] − prefix[x])` never
+//! decreases in `j`, and once it reaches `10⁻²`, the computed
+//! `z = λ·(work + C_j)` does too (`C_j ≥ 0`, and each rounding is again
+//! monotone). [`SegmentCostTable::pruned_row`] therefore finds the first
+//! such `j` once per row, by an exponential search from `x` (the head is
+//! short next to the row, and often empty) closed by a binary search. It
+//! evaluates the positions before it exactly as [`SegmentCostTable::cost`]
+//! does, and scans the rest over slices cut once per row, in the product
+//! form alone, with no per-candidate regime test. Both parts use `cost`'s
+//! and `segment_lower_bound`'s expressions in the same association, so the
+//! row's value, choice and counts equal a per-candidate scan's bit for bit.
 
 use std::sync::Arc;
 
@@ -417,6 +433,91 @@ impl SegmentCostTable {
         }
     }
 
+    /// Row `x` of the pruned Algorithm 1 recurrence: the minimum of
+    /// [`cost`]`(x, j) + next[j − x]` over `j = x, x+1, …`, where `next`
+    /// holds the next row values `E(x+1), …, E(n)` (`n − x` entries, the
+    /// last one 0 for the empty suffix).
+    ///
+    /// The scan stops before the first `j` whose
+    /// [`segment_lower_bound`]`(x, j)` exceeds the incumbent (a strict
+    /// comparison): the bound holds for every later `j` and never
+    /// decreases, so no later `j` can win. Every `j` before it is a
+    /// candidate. The result is that
+    /// of evaluating `segment_lower_bound` and then `cost` candidate by
+    /// candidate, bit for bit, counts included; see the [module
+    /// docs](self) for how the row splits into an `exp_m1` head and a
+    /// product-form tail. Saturated tables run the per-candidate scan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not a position of the table or `next` does not hold
+    /// `n − x` values.
+    ///
+    /// [`cost`]: SegmentCostTable::cost
+    /// [`segment_lower_bound`]: SegmentCostTable::segment_lower_bound
+    pub fn pruned_row(&self, x: usize, next: &[f64]) -> PrunedRow {
+        let n = self.len();
+        assert!(x < n, "row {x} out of range (len {n})");
+        assert_eq!(next.len(), n - x, "row {x} needs one next value per later position");
+        let mut row =
+            PrunedRow { value: f64::INFINITY, choice: n - 1, candidates: 0, prune_breaks: 0 };
+        // The first `j` with λ·work(x, j) ≥ 10⁻²: from it on, `cost` takes
+        // the product form. Heads are short next to their rows, and often
+        // empty, so an exponential search from `x` brackets the split and
+        // a binary search finds it inside the bracket.
+        let head_end = if self.saturated {
+            n
+        } else {
+            let start = self.prefix[x];
+            let in_head = |end: &f64| self.lambda * (end - start) < SMALL_EXPONENT;
+            let ends = &self.prefix[x + 1..];
+            let mut bound = 1;
+            while bound <= ends.len() && in_head(&ends[bound - 1]) {
+                bound *= 2;
+            }
+            // `ends[..bound / 2]` lie in the head; `ends[bound - 1]`, if
+            // there is one, does not.
+            let low = bound / 2;
+            x + low + ends[low..(bound - 1).min(ends.len())].partition_point(in_head)
+        };
+        for j in x..head_end {
+            if self.segment_lower_bound(x, j) > row.value {
+                row.prune_breaks = 1;
+                return row;
+            }
+            row.candidates += 1;
+            let cost = self.cost(x, j) + next[j - x];
+            if cost < row.value {
+                row.value = cost;
+                row.choice = j;
+            }
+        }
+        if head_end == n {
+            return row;
+        }
+        // `segment_lower_bound` and `cost` of the product regime, each in
+        // its association: a reordered product rounds differently.
+        let (coefficient, inv_start) = (self.coeff[x], self.inv_exp_prefix[x]);
+        let tail = self.min_slope_suffix[head_end..]
+            .iter()
+            .zip(&self.exp_prefix[head_end + 1..])
+            .zip(&self.exp_ckpt[head_end..])
+            .zip(&next[head_end - x..]);
+        for (j, (((&min_slope, &exp_end), &exp_ckpt), &next_value)) in (head_end..).zip(tail) {
+            if coefficient * (min_slope * inv_start - 1.0) > row.value {
+                row.prune_breaks = 1;
+                return row;
+            }
+            row.candidates += 1;
+            let cost = coefficient * (exp_end * inv_start * exp_ckpt - 1.0) + next_value;
+            if cost < row.value {
+                row.value = cost;
+                row.choice = j;
+            }
+        }
+        row
+    }
+
     /// The total-cost change from **adding** a checkpoint at `pos` inside a
     /// segment currently spanning `start..=next` (whose end checkpoint sits
     /// at `next`): the segment splits into `start..=pos` and `pos+1..=next`.
@@ -451,6 +552,22 @@ impl SegmentCostTable {
         }
         total
     }
+}
+
+/// One row of the pruned Algorithm 1 recurrence
+/// ([`SegmentCostTable::pruned_row`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PrunedRow {
+    /// The row's optimum `E(x)`: the smallest candidate `cost(x, j) + E(j+1)`
+    /// (+∞ if no candidate is finite).
+    pub value: f64,
+    /// The first candidate `j` that attains [`value`](PrunedRow::value), or
+    /// the last position if none beats +∞.
+    pub choice: usize,
+    /// The candidates evaluated.
+    pub candidates: u64,
+    /// 1 if the scan stopped at the lower bound, 0 if it ran to the end.
+    pub prune_breaks: u64,
 }
 
 /// The λ-independent scalars of one validated execution order: what the
@@ -598,6 +715,13 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "one next value per later position")]
+    fn pruned_row_rejects_a_next_row_of_the_wrong_length() {
+        let table = SegmentCostTable::new(1e-4, 2.0, &[100.0; 3], &[10.0; 3], &[5.0; 3]).unwrap();
+        let _ = table.pruned_row(1, &[0.0]);
     }
 
     #[test]
