@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use ckpt_core::ProblemInstance;
-use ckpt_dag::properties;
 use ckpt_expectation::sweep::LambdaSweep;
 use ckpt_simulator::ChainTask;
 
@@ -23,9 +21,8 @@ use crate::error::AdaptiveError;
 ///   failure-rate estimate** without re-validating or re-copying the
 ///   λ-independent data — that is what makes mid-execution re-plans cheap.
 ///
-/// Built once per chain ([`ChainSpec::from_instance`] or
-/// [`ChainSpec::new`]) and shared by every policy and every Monte-Carlo
-/// trial (cloning shares the heavy vectors by `Arc`).
+/// Built once per chain ([`ChainSpec::new`]) and shared by every policy and
+/// every Monte-Carlo trial (cloning shares the heavy vectors by `Arc`).
 #[derive(Debug, Clone)]
 pub struct ChainSpec {
     tasks: Arc<Vec<ChainTask>>,
@@ -98,28 +95,6 @@ impl ChainSpec {
         })
     }
 
-    /// Builds the spec from a chain-shaped [`ProblemInstance`] (the offline
-    /// planners' input type), so online policies plan against exactly the
-    /// same costs as `ckpt_core::chain_dp`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaptiveError::NotAChain`] if the instance graph is not a
-    /// linear chain.
-    pub fn from_instance(instance: &ProblemInstance) -> Result<Self, AdaptiveError> {
-        let order = properties::as_chain(instance.graph()).ok_or(AdaptiveError::NotAChain)?;
-        let weights: Vec<f64> = order.iter().map(|&t| instance.weight(t)).collect();
-        let checkpoints: Vec<f64> = order.iter().map(|&t| instance.checkpoint_cost(t)).collect();
-        let recoveries: Vec<f64> = order.iter().map(|&t| instance.recovery_cost(t)).collect();
-        ChainSpec::new(
-            &weights,
-            &checkpoints,
-            &recoveries,
-            instance.initial_recovery(),
-            instance.downtime(),
-        )
-    }
-
     /// The number of tasks in the chain.
     pub fn len(&self) -> usize {
         self.tasks.len()
@@ -172,7 +147,8 @@ impl ChainSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ckpt_dag::generators;
+    use ckpt_core::ProblemInstance;
+    use ckpt_dag::{generators, properties};
 
     fn instance() -> ProblemInstance {
         let graph = generators::chain(&[400.0, 100.0, 900.0, 250.0]).unwrap();
@@ -187,8 +163,15 @@ mod tests {
     }
 
     #[test]
-    fn from_instance_carries_both_views() {
-        let spec = ChainSpec::from_instance(&instance()).unwrap();
+    fn spec_carries_both_views() {
+        let spec = ChainSpec::new(
+            &[400.0, 100.0, 900.0, 250.0],
+            &[60.0, 10.0, 45.0, 30.0],
+            &[15.0, 60.0, 20.0, 10.0],
+            25.0,
+            30.0,
+        )
+        .unwrap();
         assert_eq!(spec.len(), 4);
         assert!(!spec.is_empty());
         assert_eq!(spec.tasks()[2].work(), 900.0);
@@ -212,14 +195,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_non_chain_instances_and_bad_parameters() {
-        let graph = generators::independent(&[1.0, 2.0]).unwrap();
-        let inst = ProblemInstance::builder(graph)
-            .uniform_checkpoint_cost(1.0)
-            .platform_lambda(1e-3)
-            .build()
-            .unwrap();
-        assert!(matches!(ChainSpec::from_instance(&inst), Err(AdaptiveError::NotAChain)));
+    fn rejects_bad_parameters() {
         assert!(ChainSpec::new(&[1.0], &[0.0], &[0.0], -1.0, 0.0).is_err());
         assert!(ChainSpec::new(&[0.0], &[0.0], &[0.0], 0.0, 0.0).is_err());
         assert!(ChainSpec::new(&[1.0], &[0.0], &[0.0], 0.0, -1.0).is_err());

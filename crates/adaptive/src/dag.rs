@@ -275,22 +275,20 @@ pub struct DagRelinearise {
     raw_rec: Vec<f64>,
     plan: Replanner,
     reorders: usize,
-    /// Budget of each suffix re-linearisation; `threads` is forced to 1
-    /// (the search runs inside a Monte-Carlo trial).
-    search: OrderSearchConfig,
 }
 
-/// Default re-linearisation budget: a handful of random restarts on top of
-/// the deterministic strategies and the incumbent, with a short move
-/// budget. Re-plans run once per observed failure, so the budget is paid
-/// `O(failures)` times per trial.
+/// The re-linearisation budget: a handful of random restarts on top of the
+/// deterministic strategies and the incumbent, with a short move budget, on
+/// one thread (the search runs inside a Monte-Carlo trial). Re-plans run once
+/// per observed failure, so the budget is paid `O(failures)` times per
+/// trial.
 fn default_replan_budget() -> OrderSearchConfig {
     OrderSearchConfig { restarts: 2, steps: 48, threads: 1, ..Default::default() }
 }
 
 impl DagRelinearise {
     /// Arms the policy with `plan` (solved at `planning_rate`) and the
-    /// default re-linearisation budget.
+    /// re-linearisation budget of `default_replan_budget`.
     ///
     /// # Errors
     ///
@@ -303,18 +301,7 @@ impl DagRelinearise {
             raw_rec,
             plan: Replanner::new(sweep, planning_rate)?,
             reorders: 0,
-            search: default_replan_budget(),
         })
-    }
-
-    /// Overrides the suffix re-linearisation budget (builder style):
-    /// `restarts` seeded random starts on top of the deterministic
-    /// strategies and the incumbent suffix, `steps` move proposals per
-    /// start.
-    pub fn with_search_budget(mut self, restarts: u64, steps: usize) -> Self {
-        self.search.restarts = restarts;
-        self.search.steps = steps;
-        self
     }
 
     /// Overrides the prior strength `k₀` (builder style).
@@ -371,15 +358,16 @@ impl DagRelinearise {
         // the identity order IS the incumbent) plus exactly the strategy
         // set `schedule_dag_search` would try on the subgraph (shared
         // through `default_start_strategies`, so the two can never drift).
+        let search = default_replan_budget();
         let mut starts: Vec<Vec<TaskId>> = vec![(0..sub.len()).map(TaskId).collect()];
         starts.extend(
-            default_start_strategies(self.search.restarts)
+            default_start_strategies(search.restarts)
                 .into_iter()
                 .map(|s| linearize::linearize(&sub.graph, s)),
         );
 
         let found: SeededSearchOutcome =
-            search_from_starts(&sub_instance, self.spec.model(), &self.search, &starts).ok()?;
+            search_from_starts(&sub_instance, self.spec.model(), &search, &starts).ok()?;
         let new_suffix = sub.to_original_order(&found.order);
         if new_suffix == self.order[suffix_start..] {
             None

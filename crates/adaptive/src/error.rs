@@ -11,8 +11,6 @@ use ckpt_simulator::SimulationError;
 /// Error returned by policy construction and the evaluation harness.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdaptiveError {
-    /// Online policies execute linear chains; the instance graph is not one.
-    NotAChain,
     /// A numeric parameter must be strictly positive and finite.
     NonPositiveParameter {
         /// Name of the offending parameter.
@@ -48,9 +46,6 @@ pub enum AdaptiveError {
 impl fmt::Display for AdaptiveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AdaptiveError::NotAChain => {
-                write!(f, "online policies execute linear chains; the instance graph is not one")
-            }
             AdaptiveError::NonPositiveParameter { name, value } => {
                 write!(f, "parameter `{name}` must be strictly positive, got {value}")
             }
@@ -99,7 +94,6 @@ mod tests {
 
     #[test]
     fn displays_are_informative() {
-        assert!(AdaptiveError::NotAChain.to_string().contains("chain"));
         let e = AdaptiveError::NonPositiveParameter { name: "lambda", value: 0.0 };
         assert!(e.to_string().contains("lambda"));
         let wrapped: AdaptiveError = ScheduleError::EmptyInstance.into();

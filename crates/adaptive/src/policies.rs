@@ -94,8 +94,8 @@ impl Policy for StaticPlan {
 
 /// Young-periodic checkpointing at task granularity: checkpoint after the
 /// first task that pushes the uncheckpointed work to the period or beyond
-/// (the same walk as `ckpt_core::heuristics::checkpoint_by_period`, applied
-/// online so it also re-triggers during re-execution).
+/// (the same walk as `ckpt_core::heuristics::young_periodic_schedule`,
+/// applied online so it also re-triggers during re-execution).
 #[derive(Debug, Clone)]
 pub struct PeriodicYoung {
     spec: ChainSpec,
@@ -109,27 +109,14 @@ impl PeriodicYoung {
     /// # Errors
     ///
     /// Returns an [`AdaptiveError`] if the mean checkpoint cost is zero or
-    /// the rate not strictly positive (the period is then undefined).
+    /// the rate not strictly positive (the period is then undefined), or if
+    /// the period overflows.
     pub fn new(spec: &ChainSpec, planning_rate: f64) -> Result<Self, AdaptiveError> {
         let period = young_period(spec.mean_checkpoint_cost(), planning_rate)?;
-        PeriodicYoung::with_period(spec, period)
-    }
-
-    /// A fixed explicit period.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`AdaptiveError`] if `period` is not strictly positive.
-    pub fn with_period(spec: &ChainSpec, period: f64) -> Result<Self, AdaptiveError> {
         if !period.is_finite() || period <= 0.0 {
             return Err(AdaptiveError::NonPositiveParameter { name: "period", value: period });
         }
         Ok(PeriodicYoung { spec: spec.clone(), period })
-    }
-
-    /// The period the policy checkpoints at.
-    pub fn period(&self) -> f64 {
-        self.period
     }
 }
 
@@ -318,8 +305,6 @@ pub struct RateLearning {
     mle: OnlineExponentialMle,
     /// Absolute time of the last failure folded into the MLE.
     last_failure_time: f64,
-    min_failures: u64,
-    drift_factor: f64,
 }
 
 /// Observations required before the MLE may override the planning rate.
@@ -328,8 +313,10 @@ const DEFAULT_MIN_FAILURES: u64 = 3;
 const DEFAULT_DRIFT_FACTOR: f64 = 1.5;
 
 impl RateLearning {
-    /// Plans `spec` at `planning_rate` and arms the estimator with the
-    /// default thresholds (3 observed failures, 1.5× drift).
+    /// Plans `spec` at `planning_rate` and arms the estimator. The policy
+    /// re-plans once at least 3 inter-failure times are observed **and** the
+    /// MLE is at least 1.5× away (in either direction) from the current
+    /// plan's rate.
     ///
     /// # Errors
     ///
@@ -340,23 +327,7 @@ impl RateLearning {
             plan: Replanner::new(spec.sweep().clone(), planning_rate)?,
             mle: OnlineExponentialMle::new(),
             last_failure_time: 0.0,
-            min_failures: DEFAULT_MIN_FAILURES,
-            drift_factor: DEFAULT_DRIFT_FACTOR,
         })
-    }
-
-    /// Overrides the re-plan thresholds (builder style): re-plan once at
-    /// least `min_failures` inter-failure times are observed **and** the MLE
-    /// is at least `drift_factor` away (in either direction) from the
-    /// current plan's rate.
-    pub fn with_thresholds(mut self, min_failures: u64, drift_factor: f64) -> Self {
-        assert!(
-            drift_factor.is_finite() && drift_factor >= 1.0,
-            "the drift factor is a ratio and must be >= 1"
-        );
-        self.min_failures = min_failures.max(1);
-        self.drift_factor = drift_factor;
-        self
     }
 
     /// The rate the current committed plan was solved at.
@@ -377,11 +348,12 @@ impl Policy for RateLearning {
             self.mle.observe(t - self.last_failure_time);
             self.last_failure_time = t;
         }
-        if !fresh.is_empty() && self.mle.count() >= self.min_failures {
+        if !fresh.is_empty() && self.mle.count() >= DEFAULT_MIN_FAILURES {
             if let Some(estimate) = self.mle.rate() {
                 let plan_rate = self.plan.plan_rate();
                 let drift = (estimate / plan_rate).max(plan_rate / estimate);
-                if drift >= self.drift_factor && self.plan.resolve(ctx.resume_position(), estimate)
+                if drift >= DEFAULT_DRIFT_FACTOR
+                    && self.plan.resolve(ctx.resume_position(), estimate)
                 {
                     crate::stats::RATE_LEARNING_REPLANS.add(1);
                 }
@@ -442,14 +414,15 @@ mod tests {
     #[test]
     fn periodic_young_triggers_on_accumulated_work() {
         let spec = spec();
-        let mut policy = PeriodicYoung::with_period(&spec, 1_000.0).unwrap();
-        assert_eq!(policy.period(), 1_000.0);
+        // Young period √(2·60/1.2e-4) = 1000 s.
+        let mut policy = PeriodicYoung::new(&spec, 1.2e-4).unwrap();
+        assert!((policy.period - 1_000.0).abs() < 1e-9);
         let mut stream = NoFailureStream;
         let taken = checkpoints_taken(&spec, &mut policy, &mut stream);
         // Work prefix: 400, 500, 1400 (>= 1000 -> ckpt), 250, 900, 1200
         // (>= 1000 -> ckpt); final forced.
         assert_eq!(taken, vec![2, 5]);
-        assert!(PeriodicYoung::with_period(&spec, 0.0).is_err());
+        assert!(PeriodicYoung::new(&spec, 0.0).is_err());
         // Zero mean checkpoint cost has no Young period.
         let free = ChainSpec::new(&[100.0; 3], &[0.0; 3], &[0.0; 3], 0.0, 0.0).unwrap();
         assert!(PeriodicYoung::new(&free, 1e-4).is_err());
@@ -494,11 +467,12 @@ mod tests {
     #[test]
     fn rate_learning_replans_only_past_the_drift_threshold() {
         let spec = spec();
-        let mut policy = RateLearning::new(&spec, 1e-3).unwrap().with_thresholds(2, 1.5);
-        // Two failures 200 s apart: the MLE jumps to 2/400 = 5e-3, a 5×
+        let mut policy = RateLearning::new(&spec, 1e-3).unwrap();
+        // Three failures 200 s apart: the MLE jumps to 3/600 = 5e-3, a 5×
         // drift above the planning rate — past the 1.5× threshold, so the
-        // policy re-plans (once: both gaps arrive before the next decision).
-        let mut stream = ScriptedStream::new(vec![200.0, 400.0]);
+        // policy re-plans (once: all three gaps arrive before the next
+        // decision).
+        let mut stream = ScriptedStream::new(vec![200.0, 400.0, 600.0]);
         let _ = simulate_policy(
             spec.tasks(),
             spec.initial_recovery(),
@@ -515,7 +489,8 @@ mod tests {
     #[test]
     fn rate_learning_below_min_failures_keeps_the_plan() {
         let spec = spec();
-        let mut policy = RateLearning::new(&spec, 1e-4).unwrap().with_thresholds(5, 1.1);
+        let mut policy = RateLearning::new(&spec, 1e-4).unwrap();
+        // Two observed gaps, one short of the three the MLE needs.
         let mut stream = ScriptedStream::new(vec![300.0, 900.0]);
         let _ = simulate_policy(
             spec.tasks(),

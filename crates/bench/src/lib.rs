@@ -27,11 +27,6 @@ pub fn print_header(columns: &[(&str, usize)]) {
     println!("{}", "-".repeat(line.len()));
 }
 
-/// Formats one table cell right-aligned to `width`.
-pub fn cell(value: impl std::fmt::Display, width: usize) -> String {
-    format!("{value:>width$} ")
-}
-
 /// Formats seconds with a thousands-friendly precision for tables.
 pub fn secs(x: f64) -> String {
     if x >= 100_000.0 {
@@ -55,6 +50,5 @@ mod tests {
         assert_eq!(secs(12.34), "12.3");
         assert!(secs(1.0e7).contains('e'));
         assert_eq!(pct(0.1234), "12.34%");
-        assert_eq!(cell(42, 5), "   42 ");
     }
 }

@@ -44,6 +44,10 @@ use ckpt_simulator::rollback::{
 use ckpt_simulator::{ExecutionRecord, TimeBreakdown};
 use ckpt_telemetry::{TelemetrySink, TraceEvent};
 
+/// Safety cap on the events one [`run_cluster`] call processes — a livelock
+/// guard, not a tuning knob.
+const EVENT_CAP: u64 = 1_000_000;
+
 /// Cluster-level cost and robustness knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
@@ -53,7 +57,6 @@ pub struct ClusterConfig {
     retry_budget: u64,
     backoff_base: f64,
     backoff_cap: f64,
-    event_cap: u64,
 }
 
 impl Default for ClusterConfig {
@@ -65,7 +68,6 @@ impl Default for ClusterConfig {
             retry_budget: 8,
             backoff_base: 0.0,
             backoff_cap: 0.0,
-            event_cap: 1_000_000,
         }
     }
 }
@@ -128,26 +130,9 @@ impl ClusterConfig {
         Ok(self)
     }
 
-    /// Safety cap on processed events (builder style) — a livelock guard, not
-    /// a tuning knob.
-    pub fn with_event_cap(mut self, cap: u64) -> Self {
-        self.event_cap = cap;
-        self
-    }
-
     /// The default migration overhead.
     pub fn migration_overhead(&self) -> f64 {
         self.migration_overhead
-    }
-
-    /// The failover overhead.
-    pub fn failover_overhead(&self) -> f64 {
-        self.failover_overhead
-    }
-
-    /// The checkpoint inflation factor while a replica is attached.
-    pub fn replication_checkpoint_factor(&self) -> f64 {
-        self.replication_checkpoint_factor
     }
 }
 
@@ -255,7 +240,7 @@ struct JobState {
 }
 
 impl JobState {
-    fn new(arrival: f64) -> Self {
+    fn new() -> Self {
         JobState {
             position: 0,
             last_checkpoint: None,
@@ -270,7 +255,7 @@ impl JobState {
             failovers: 0,
             pending_overhead: 0.0,
             needs_recovery: false,
-            ready_since: arrival,
+            ready_since: 0.0,
             completed_at: None,
         }
     }
@@ -350,11 +335,11 @@ where
         }
     }
 
-    let mut states: Vec<JobState> = jobs.iter().map(|job| JobState::new(job.arrival())).collect();
+    let mut states: Vec<JobState> = jobs.iter().map(|_| JobState::new()).collect();
     let mut idle = vec![true; machines];
     let mut events = EventQueue::new();
-    for (j, job) in jobs.iter().enumerate() {
-        events.push(job.arrival(), EventKind::JobReady(j));
+    for j in 0..jobs.len() {
+        events.push(0.0, EventKind::JobReady(j));
     }
 
     let mut ready: Vec<usize> = Vec::new();
@@ -364,12 +349,12 @@ where
     while let Some(first) = events.pop() {
         let now = first.time;
         // Drain every event at this exact instant before dispatching, so
-        // simultaneous arrivals contend (and are measured) together.
+        // simultaneous ready jobs contend (and are measured) together.
         let mut next = Some(first);
         while let Some(event) = next {
             processed += 1;
-            if processed > config.event_cap {
-                return Err(ClusterError::EventCapExceeded { cap: config.event_cap });
+            if processed > EVENT_CAP {
+                return Err(ClusterError::EventCapExceeded { cap: EVENT_CAP });
             }
             match event.kind {
                 EventKind::JobReady(j) => {
@@ -444,14 +429,14 @@ where
     let mut records = Vec::with_capacity(jobs.len());
     let mut makespan = 0.0f64;
     let mut useful = 0.0f64;
-    for (j, state) in states.iter().enumerate() {
+    for state in &states {
         let completed_at =
-            state.completed_at.ok_or(ClusterError::EventCapExceeded { cap: config.event_cap })?;
+            state.completed_at.ok_or(ClusterError::EventCapExceeded { cap: EVENT_CAP })?;
         makespan = makespan.max(completed_at);
         useful += state.breakdown.useful;
         records.push(JobRecord {
             record: ExecutionRecord {
-                makespan: completed_at - jobs[j].arrival(),
+                makespan: completed_at,
                 failures: state.failure_times.len() as u64,
                 breakdown: state.breakdown,
             },
@@ -1101,8 +1086,8 @@ mod tests {
             .with_replication_checkpoint_factor(1.25)
             .unwrap();
         assert_eq!(cfg.migration_overhead(), 1.0);
-        assert_eq!(cfg.failover_overhead(), 2.0);
-        assert_eq!(cfg.replication_checkpoint_factor(), 1.25);
+        assert_eq!(cfg.failover_overhead, 2.0);
+        assert_eq!(cfg.replication_checkpoint_factor, 1.25);
     }
 
     /// One eventful scenario reused by the tracing tests: replication with a
@@ -1168,7 +1153,7 @@ mod tests {
             assert!(names.contains(&expected), "missing event {expected} in {names:?}");
         }
         // Every engine event carries simulated time, and the trace opens at
-        // the first arrival (time 0).
+        // the jobs' common arrival (time 0).
         assert!(sink.events().all(|e| e.domain() == ckpt_telemetry::TimeDomain::Sim));
         assert_eq!(sink.events().next().unwrap().time(), 0.0);
     }

@@ -1,4 +1,4 @@
-//! Cluster jobs: a checkpointed chain plus its static plan and arrival time.
+//! Cluster jobs: a checkpointed chain plus its static plan.
 
 use crate::error::{ensure_non_negative, ClusterError};
 use ckpt_simulator::{ChainTask, ExecutionRecord};
@@ -15,7 +15,6 @@ pub struct ClusterJob {
     initial_recovery: f64,
     downtime: f64,
     plan: Vec<bool>,
-    arrival: f64,
     replica_requested: bool,
 }
 
@@ -47,19 +46,8 @@ impl ClusterJob {
             initial_recovery: ensure_non_negative("initial_recovery", initial_recovery)?,
             downtime: ensure_non_negative("downtime", downtime)?,
             plan,
-            arrival: 0.0,
             replica_requested: false,
         })
-    }
-
-    /// Sets the arrival time (builder style).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ClusterError`] if `arrival` is negative or non-finite.
-    pub fn with_arrival(mut self, arrival: f64) -> Result<Self, ClusterError> {
-        self.arrival = ensure_non_negative("arrival", arrival)?;
-        Ok(self)
     }
 
     /// Requests a warm replica for this job (builder style): at dispatch the
@@ -90,11 +78,6 @@ impl ClusterJob {
         &self.plan
     }
 
-    /// The arrival time of the job.
-    pub fn arrival(&self) -> f64 {
-        self.arrival
-    }
-
     /// Whether the job asked for a warm replica.
     pub fn replica_requested(&self) -> bool {
         self.replica_requested
@@ -109,7 +92,8 @@ impl ClusterJob {
 
 /// The outcome of one job's execution on the cluster.
 ///
-/// `record.makespan` is `completed_at − arrival` and decomposes as
+/// Every job arrives at time 0, so `record.makespan` is its completion time;
+/// it decomposes as
 /// `useful + lost + downtime + recovery + waiting`: the four
 /// [`TimeBreakdown`](ckpt_simulator::TimeBreakdown) buckets cover the time
 /// the job *held a machine* (migration, failover and repair waits are booked
@@ -124,8 +108,8 @@ pub struct JobRecord {
     /// Plan consultations (one per non-final task boundary reached,
     /// re-executions included) — mirrors the chain engine's counter.
     pub decisions: u64,
-    /// Time spent in the ready queue (arrival wait, migration re-admission,
-    /// retry backoff).
+    /// Time spent in the ready queue (the wait for a first machine,
+    /// migration re-admission, retry backoff).
     pub waiting: f64,
     /// Migrations performed (checkpoint restored on a different machine).
     pub migrations: u64,
@@ -158,13 +142,9 @@ mod tests {
     fn builders_set_metadata() {
         let job = ClusterJob::new(vec![task(), task()], 5.0, 3.0, vec![false, true])
             .unwrap()
-            .with_arrival(42.0)
-            .unwrap()
             .with_replica();
-        assert_eq!(job.arrival(), 42.0);
         assert!(job.replica_requested());
         assert_eq!(job.total_work(), 200.0);
         assert_eq!(job.plan(), &[false, true]);
-        assert!(job.with_arrival(-1.0).is_err());
     }
 }

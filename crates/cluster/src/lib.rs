@@ -69,9 +69,8 @@ pub use engine::{run_cluster, ClusterConfig, ClusterOutcome};
 pub use error::ClusterError;
 pub use job::{ClusterJob, JobRecord};
 pub use montecarlo::{
-    compare_baselines, compare_cluster_policies, run_cluster_monte_carlo, ClusterComparison,
-    ClusterComparisonEntry, ClusterMonteCarloOutcome, ClusterPolicyFactory, ClusterRepair,
-    ClusterScenario,
+    compare_baselines, run_cluster_monte_carlo, ClusterComparison, ClusterComparisonEntry,
+    ClusterMonteCarloOutcome, ClusterRepair, ClusterScenario,
 };
 pub use policy::{AdmissionContext, BaselinePolicy, ClusterPolicy, FailureAction, FailureContext};
 pub use source::{ExponentialMachineSource, MachineFailureSource};

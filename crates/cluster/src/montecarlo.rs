@@ -61,7 +61,6 @@ pub struct ClusterScenario {
     repair: ClusterRepair,
     config: ClusterConfig,
     specs: Vec<ChainSpec>,
-    arrivals: Vec<f64>,
     trials: usize,
     seed: u64,
     threads: usize,
@@ -69,8 +68,8 @@ pub struct ClusterScenario {
 
 impl ClusterScenario {
     /// Builds a scenario with default knobs: no shocks, immediate repair,
-    /// default [`ClusterConfig`], all jobs arriving at time 0, 1000 trials,
-    /// seed `0x5EED`, auto thread count.
+    /// default [`ClusterConfig`], 1000 trials, seed `0x5EED`, auto thread
+    /// count. Every job arrives at time 0.
     ///
     /// `planning_rate` is the failure rate the chain DP plans checkpoints
     /// for; `law` drives the per-machine failure processes.
@@ -97,7 +96,6 @@ impl ClusterScenario {
                 value: planning_rate,
             });
         }
-        let arrivals = vec![0.0; specs.len()];
         Ok(ClusterScenario {
             machines,
             law,
@@ -106,7 +104,6 @@ impl ClusterScenario {
             repair: ClusterRepair::Immediate,
             config: ClusterConfig::default(),
             specs,
-            arrivals,
             trials: 1000,
             seed: 0x5EED,
             threads: 0,
@@ -136,27 +133,6 @@ impl ClusterScenario {
     pub fn with_config(mut self, config: ClusterConfig) -> Self {
         self.config = config;
         self
-    }
-
-    /// Sets per-job arrival times (builder style).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ClusterError`] if the length does not match the job mix or
-    /// an arrival is negative.
-    pub fn with_arrivals(mut self, arrivals: Vec<f64>) -> Result<Self, ClusterError> {
-        if arrivals.len() != self.specs.len() {
-            return Err(ClusterError::PlanLengthMismatch {
-                job: 0,
-                plan: arrivals.len(),
-                tasks: self.specs.len(),
-            });
-        }
-        for &a in &arrivals {
-            ensure_non_negative("arrival", a)?;
-        }
-        self.arrivals = arrivals;
-        Ok(self)
     }
 
     /// Sets the trial count (builder style).
@@ -252,8 +228,7 @@ impl ClusterScenario {
                 spec.initial_recovery(),
                 spec.downtime(),
                 plan,
-            )?
-            .with_arrival(self.arrivals[j])?;
+            )?;
             if replicate {
                 job = job.with_replica();
             }
@@ -448,7 +423,7 @@ pub struct ClusterComparisonEntry {
     pub regret: f64,
 }
 
-/// The outcome of [`compare_cluster_policies`].
+/// The outcome of [`compare_baselines`].
 #[derive(Debug, Clone)]
 pub struct ClusterComparison {
     /// One entry per compared policy, in input order.
@@ -457,31 +432,26 @@ pub struct ClusterComparison {
     pub best: usize,
 }
 
-/// A thread-safe factory producing one fresh [`ClusterPolicy`] instance per
-/// Monte-Carlo trial (borrowed form, as [`compare_cluster_policies`] takes
-/// it).
-pub type ClusterPolicyFactory<'a> = &'a (dyn Fn() -> Box<dyn ClusterPolicy> + Sync);
-
-/// The owning form of [`ClusterPolicyFactory`].
-type BoxedPolicyFactory = Box<dyn Fn() -> Box<dyn ClusterPolicy> + Sync>;
-
-/// Runs every policy on the **same** per-trial failure streams and reports
-/// mean-makespan regret against the best.
+/// Runs every [`BaselinePolicy`] of `entries` on the **same** per-trial
+/// failure streams and reports mean-makespan regret against the best — the
+/// form the e13 experiment uses.
 ///
 /// # Errors
 ///
-/// Propagates the first [`ClusterError`] from any policy's run.
-pub fn compare_cluster_policies(
+/// Returns [`ClusterError::NoJobs`] if `entries` is empty, and propagates the
+/// first [`ClusterError`] from any policy's run.
+pub fn compare_baselines(
     scenario: &ClusterScenario,
-    entries: &[(&str, ClusterPolicyFactory<'_>)],
+    entries: &[(&str, BaselinePolicy)],
 ) -> Result<ClusterComparison, ClusterError> {
     if entries.is_empty() {
         return Err(ClusterError::NoJobs);
     }
     let mut rows = Vec::with_capacity(entries.len());
-    for (name, factory) in entries {
-        let outcome = run_cluster_monte_carlo(scenario, factory)?;
-        rows.push(ClusterComparisonEntry { name: (*name).to_string(), outcome, regret: 0.0 });
+    for &(name, policy) in entries {
+        let outcome =
+            run_cluster_monte_carlo(scenario, move || Box::new(policy) as Box<dyn ClusterPolicy>)?;
+        rows.push(ClusterComparisonEntry { name: name.to_string(), outcome, regret: 0.0 });
     }
     let best = rows
         .iter()
@@ -494,29 +464,6 @@ pub fn compare_cluster_policies(
         row.regret = row.outcome.makespan.mean - best_mean;
     }
     Ok(ClusterComparison { entries: rows, best })
-}
-
-/// [`compare_cluster_policies`] specialised to the [`BaselinePolicy`]
-/// reference set — the form the e13 experiment uses.
-///
-/// # Errors
-///
-/// Propagates the first [`ClusterError`] from any policy's run.
-pub fn compare_baselines(
-    scenario: &ClusterScenario,
-    entries: &[(&str, BaselinePolicy)],
-) -> Result<ClusterComparison, ClusterError> {
-    let factories: Vec<(&str, BoxedPolicyFactory)> = entries
-        .iter()
-        .map(|&(name, policy)| {
-            let factory: BoxedPolicyFactory =
-                Box::new(move || Box::new(policy) as Box<dyn ClusterPolicy>);
-            (name, factory)
-        })
-        .collect();
-    let refs: Vec<(&str, ClusterPolicyFactory<'_>)> =
-        factories.iter().map(|(name, f)| (*name, f.as_ref())).collect();
-    compare_cluster_policies(scenario, &refs)
 }
 
 #[cfg(test)]
@@ -647,8 +594,6 @@ mod tests {
         assert!(ClusterScenario::new(1, Arc::clone(&law), 0.01, vec![]).is_err());
         assert!(ClusterScenario::new(1, Arc::clone(&law), -1.0, vec![spec(&[1.0])]).is_err());
         let sc = ClusterScenario::new(1, law, 0.01, vec![spec(&[1.0])]).unwrap();
-        assert!(sc.clone().with_arrivals(vec![1.0, 2.0]).is_err());
-        assert!(sc.clone().with_arrivals(vec![-1.0]).is_err());
         assert!(sc.with_repair(ClusterRepair::Fixed(-2.0)).is_err());
     }
 }

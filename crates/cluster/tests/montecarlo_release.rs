@@ -1,9 +1,6 @@
-//! Release-gated cluster Monte-Carlo suite: claims that need enough trials
-//! to be stable, far too slow under a debug build — they run in CI's
-//! `cargo test --release` pass (where `debug_assertions` is off and the gate
-//! evaporates). The two structural walls also have debug-sized twins (fewer
-//! trials, the same seed and assertions) that run in tier-1; the mobility
-//! inequality is a statistical claim and stays release-only.
+//! Cluster Monte-Carlo walls at full trial counts: claims that need enough
+//! trials to be stable. The whole file takes well under a second in a debug
+//! build, so every wall runs in tier-1 as well as in CI's release passes.
 
 use std::sync::Arc;
 
@@ -38,7 +35,6 @@ fn config() -> ClusterConfig {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "statistical suite, release-only (see CI)")]
 fn mobility_beats_waiting_out_long_repairs() {
     // Long repairs and partial shocks: policies that can leave a broken
     // machine must strictly beat checkpoint-only on mean makespan.
@@ -69,7 +65,9 @@ fn mobility_beats_waiting_out_long_repairs() {
 /// Every shock strikes every machine at the same instant, and repairs are
 /// drawn from a heavy-tailed law: the harshest degradation regime the
 /// injector can express. Jobs must still complete every trial.
-fn assert_full_pool_outages_queue(trials: usize) {
+#[test]
+fn full_pool_outages_queue_without_errors_under_random_repair() {
+    let trials = 400;
     let repair_law: Arc<dyn FailureDistribution + Send + Sync> =
         Arc::new(LogNormal::with_mean(700.0, 1.2).expect("valid law"));
     let scenario = ClusterScenario::new(3, law(25_000.0), 1.0 / 1_200.0, job_mix())
@@ -89,32 +87,17 @@ fn assert_full_pool_outages_queue(trials: usize) {
     assert!(outcome.max_queue_depth > 1, "whole-pool outages must stack the ready queue");
 }
 
-#[test]
-#[cfg_attr(debug_assertions, ignore = "statistical suite, release-only (see CI)")]
-fn full_pool_outages_queue_without_errors_under_random_repair() {
-    assert_full_pool_outages_queue(400);
-}
-
-/// The debug-sized twin of
-/// `full_pool_outages_queue_without_errors_under_random_repair`.
-#[test]
-fn full_pool_outages_queue_without_errors_under_random_repair_small() {
-    assert_full_pool_outages_queue(TWIN_TRIALS);
-}
-
-/// Trials of the debug-sized twins.
-const TWIN_TRIALS: usize = 40;
-
 /// Four policies on the same streams, at 1 thread and at 2, 3 and 8: every
 /// policy's per-trial samples are bitwise equal.
-fn assert_comparison_is_bitwise_deterministic(trials: usize) {
+#[test]
+fn comparison_is_bitwise_deterministic_across_thread_counts() {
     let base = ClusterScenario::new(5, law(10_000.0), 1.0 / 1_200.0, job_mix())
         .expect("valid scenario")
         .with_shocks(ShockConfig::new(1.0 / 1_100.0, 0.7, 250.0).expect("valid shocks"))
         .with_repair(ClusterRepair::Fixed(800.0))
         .expect("valid repair")
         .with_config(config())
-        .with_trials(trials)
+        .with_trials(300)
         .with_seed(0xC3);
     let entries = [
         ("checkpoint-only", BaselinePolicy::CheckpointOnly),
@@ -135,17 +118,4 @@ fn assert_comparison_is_bitwise_deterministic(trials: usize) {
             );
         }
     }
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "statistical suite, release-only (see CI)")]
-fn comparison_is_bitwise_deterministic_across_thread_counts() {
-    assert_comparison_is_bitwise_deterministic(300);
-}
-
-/// The debug-sized twin of
-/// `comparison_is_bitwise_deterministic_across_thread_counts`.
-#[test]
-fn comparison_is_bitwise_deterministic_across_thread_counts_small() {
-    assert_comparison_is_bitwise_deterministic(TWIN_TRIALS);
 }

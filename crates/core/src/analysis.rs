@@ -1,9 +1,8 @@
-//! Sensitivity and risk analysis on top of the chain DP.
+//! Sensitivity analysis on top of the chain DP.
 //!
 //! Once Algorithm 1 gives the optimal placement for one failure rate, the
-//! natural operational questions are: *how does the optimal policy change as
-//! the platform degrades?* and *what is the risk of missing a deadline even
-//! under the optimal policy?* This module answers both:
+//! natural operational question is: *how does the optimal policy change as
+//! the platform degrades?* This module answers it:
 //!
 //! * [`lambda_sweep_with_threads`] re-solves the chain DP across a λ grid
 //!   and reports the optimal checkpoint count and expected makespan at each
@@ -20,21 +19,13 @@
 //! * [`schedule_lambda_sweep`] evaluates one **fixed** schedule across a λ
 //!   vector through the same shared precomputation (the sensitivity curve of
 //!   a deployed policy, as opposed to the re-optimised curve above) — an
-//!   `O(segments)` closed form per rate;
-//! * [`checkpoint_crossover_lambda`] finds, by bisection, the failure rate at
-//!   which the optimal policy starts taking more than a given number of
-//!   checkpoints — the "crossover" points the experiment harness plots;
-//! * [`deadline_risk`] estimates, by simulation, the probability that a
-//!   schedule exceeds a deadline.
+//!   `O(segments)` closed form per rate.
 
 use ckpt_dag::properties;
 use ckpt_expectation::segment_cost::SegmentCostTable;
 use ckpt_expectation::sweep::log_lambda_grid;
-use ckpt_simulator::SimulationScenario;
 
-use crate::chain_dp::{
-    optimal_chain_schedule, scalable_placement_on_table_with_scratch, ChainDpScratch,
-};
+use crate::chain_dp::{scalable_placement_on_table_with_scratch, ChainDpScratch};
 use crate::error::ScheduleError;
 use crate::evaluate::lambda_sweep_for_order;
 use crate::instance::ProblemInstance;
@@ -142,89 +133,10 @@ pub fn schedule_lambda_sweep(
         .map_err(ScheduleError::from_expectation)
 }
 
-/// Finds the smallest failure rate at which the optimal policy takes **more
-/// than** `checkpoints` checkpoints, by bisection over `[lambda_lo, lambda_hi]`.
-///
-/// Returns `None` if even at `lambda_hi` the optimal policy does not exceed
-/// `checkpoints` checkpoints.
-///
-/// # Errors
-///
-/// * [`ScheduleError::NotAChain`] if the instance is not a chain;
-/// * [`ScheduleError::NonPositiveParameter`] for an invalid λ bracket.
-pub fn checkpoint_crossover_lambda(
-    instance: &ProblemInstance,
-    checkpoints: usize,
-    lambda_lo: f64,
-    lambda_hi: f64,
-) -> Result<Option<f64>, ScheduleError> {
-    if !(lambda_lo.is_finite() && lambda_lo > 0.0 && lambda_hi.is_finite() && lambda_hi > lambda_lo)
-    {
-        return Err(ScheduleError::NonPositiveParameter {
-            name: "lambda bracket",
-            value: lambda_lo,
-        });
-    }
-    let count_at = |lambda: f64| -> Result<usize, ScheduleError> {
-        Ok(optimal_chain_schedule(&instance.with_lambda(lambda)?)?.schedule.checkpoint_count())
-    };
-    if count_at(lambda_hi)? <= checkpoints {
-        return Ok(None);
-    }
-    if count_at(lambda_lo)? > checkpoints {
-        return Ok(Some(lambda_lo));
-    }
-    let (mut lo, mut hi) = (lambda_lo, lambda_hi);
-    for _ in 0..64 {
-        let mid = (lo * hi).sqrt();
-        if count_at(mid)? > checkpoints {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Ok(Some(hi))
-}
-
-/// The estimated probability (with a 95% confidence half-width) that the
-/// schedule's makespan exceeds `deadline`, by Monte-Carlo simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeadlineRisk {
-    /// The deadline that was tested.
-    pub deadline: f64,
-    /// Estimated probability of exceeding the deadline.
-    pub probability: f64,
-    /// Half-width of the 95% confidence interval of the estimate.
-    pub ci95_half_width: f64,
-}
-
-/// Estimates the probability that executing `schedule` takes longer than
-/// `deadline`, over `trials` Monte-Carlo trials.
-///
-/// # Errors
-///
-/// Propagates segment-conversion errors (cannot occur for valid instances).
-pub fn deadline_risk(
-    instance: &ProblemInstance,
-    schedule: &Schedule,
-    deadline: f64,
-    trials: usize,
-    seed: u64,
-) -> Result<DeadlineRisk, ScheduleError> {
-    let segments = schedule.to_segments(instance).map_err(|_| ScheduleError::EmptyInstance)?;
-    let outcome = SimulationScenario::exponential(instance.lambda())
-        .with_downtime(instance.downtime())
-        .with_trials(trials)
-        .with_seed(seed)
-        .run(&segments);
-    let p = outcome.exceedance_probability(deadline);
-    let half_width = 1.96 * (p * (1.0 - p) / trials as f64).sqrt();
-    Ok(DeadlineRisk { deadline, probability: p, ci95_half_width: half_width })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain_dp::optimal_chain_schedule;
     use ckpt_dag::generators;
 
     fn chain_instance(lambda: f64) -> ProblemInstance {
@@ -365,47 +277,5 @@ mod tests {
         assert!(lambda_sweep_with_threads(&inst, 0.0, 1.0, 5, 0).is_err());
         assert!(lambda_sweep_with_threads(&inst, 1e-3, 1e-4, 5, 0).is_err());
         assert!(lambda_sweep_with_threads(&inst, 1e-5, 1e-3, 1, 0).is_err());
-    }
-
-    #[test]
-    fn crossover_is_bracketed_and_consistent() {
-        let inst = chain_instance(1e-4);
-        // Find where the optimum starts using more than 1 checkpoint.
-        let crossover = checkpoint_crossover_lambda(&inst, 1, 1e-8, 1e-1)
-            .unwrap()
-            .expect("at 0.1 failures/s every task is checkpointed");
-        // Just below the crossover: at most 1 checkpoint; at it: more than 1.
-        let below = optimal_chain_schedule(&inst.with_lambda(crossover * 0.8).unwrap())
-            .unwrap()
-            .schedule
-            .checkpoint_count();
-        let at = optimal_chain_schedule(&inst.with_lambda(crossover).unwrap())
-            .unwrap()
-            .schedule
-            .checkpoint_count();
-        assert!(below <= 1, "below = {below}");
-        assert!(at > 1, "at = {at}");
-    }
-
-    #[test]
-    fn crossover_returns_none_when_never_exceeded() {
-        let inst = chain_instance(1e-4);
-        // The policy can never take more than 12 checkpoints on 12 tasks.
-        assert!(checkpoint_crossover_lambda(&inst, 12, 1e-8, 1e-1).unwrap().is_none());
-        assert!(checkpoint_crossover_lambda(&inst, 1, 1e-1, 1e-8).is_err());
-    }
-
-    #[test]
-    fn deadline_risk_behaves_at_the_extremes() {
-        let inst = chain_instance(1e-4);
-        let solution = optimal_chain_schedule(&inst).unwrap();
-        let generous = deadline_risk(&inst, &solution.schedule, 1e9, 2_000, 1).unwrap();
-        assert_eq!(generous.probability, 0.0);
-        let impossible = deadline_risk(&inst, &solution.schedule, 1.0, 2_000, 1).unwrap();
-        assert_eq!(impossible.probability, 1.0);
-        let moderate =
-            deadline_risk(&inst, &solution.schedule, solution.expected_makespan, 2_000, 1).unwrap();
-        assert!(moderate.probability > 0.05 && moderate.probability < 0.95);
-        assert!(moderate.ci95_half_width > 0.0);
     }
 }

@@ -40,7 +40,7 @@ pub struct BruteForceSolution {
 ///
 /// `n!·2^{n−1}` candidates grow extremely fast; 9 tasks already means
 /// 92 897 280 evaluations in the worst (independent) case.
-pub const MAX_BRUTE_FORCE_TASKS: usize = 9;
+const MAX_BRUTE_FORCE_TASKS: usize = 9;
 
 /// The best checkpoint subset found by one Gray-code walk over an order.
 #[derive(Debug, Clone)]
@@ -110,7 +110,7 @@ fn scan_order_gray(
 /// # Errors
 ///
 /// * [`ScheduleError::TooLargeForBruteForce`] if the instance has more than
-///   [`MAX_BRUTE_FORCE_TASKS`] tasks;
+///   9 tasks;
 /// * [`ScheduleError::EmptyInstance`] if it has none.
 pub fn optimal_schedule(instance: &ProblemInstance) -> Result<BruteForceSolution, ScheduleError> {
     let n = instance.task_count();
@@ -203,7 +203,7 @@ pub struct LevelledBruteForceSolution {
 /// # Errors
 ///
 /// * [`ScheduleError::TooLargeForBruteForce`] if the instance has more than
-///   [`MAX_BRUTE_FORCE_TASKS`] tasks (the position × level product grows as
+///   9 tasks (the position × level product grows as
 ///   `(2L)^n`);
 /// * [`ScheduleError::InvalidOrder`] if `order` is not a topological order;
 /// * [`ScheduleError::EmptyInstance`] if the instance has no tasks.

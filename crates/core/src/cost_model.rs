@@ -10,8 +10,9 @@
 //!
 //! Two evaluation paths are provided:
 //!
-//! * [`CheckpointCostModel::cost_after_prefix`] re-derives the live set of
-//!   one prefix from scratch — the reference formulation, `O(n·degree)` per
+//! * [`CheckpointCostModel::checkpoint_cost`] and
+//!   [`CheckpointCostModel::recovery_cost`] re-derive the live set of one
+//!   prefix from scratch — the reference formulation, `O(n·degree)` per
 //!   query;
 //! * [`CheckpointCostModel::costs_along_order`] sweeps a whole order once
 //!   with [`LiveSetSweep`], maintaining
@@ -62,7 +63,7 @@ impl CheckpointCostModel {
     /// # Panics
     ///
     /// Panics if `position` is out of bounds of `order`.
-    pub fn cost_after_prefix<F>(
+    fn cost_after_prefix<F>(
         &self,
         graph: &TaskGraph,
         order: &[TaskId],

@@ -40,7 +40,7 @@ pub fn expected_makespan(
 /// # Errors
 ///
 /// Returns [`ScheduleError::NonPositiveParameter`] if `work ≤ 0`.
-pub fn segment_expected_time(
+fn segment_expected_time(
     instance: &ProblemInstance,
     work: f64,
     checkpoint: f64,

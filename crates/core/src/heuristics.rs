@@ -9,7 +9,7 @@
 //!   every `k` tasks, or whenever the accumulated work exceeds a *period*
 //!   (Young/Daly-style periodic checkpointing transplanted to task
 //!   boundaries);
-//! * order heuristics for independent tasks (LPT / SPT);
+//! * the LPT order heuristic for independent tasks;
 //! * a local-search improver that perturbs checkpoint decisions and adjacent
 //!   task pairs.
 
@@ -57,7 +57,7 @@ pub fn checkpoint_every_k(
 ///
 /// * [`ScheduleError::NonPositiveParameter`] if `period ≤ 0`;
 /// * [`ScheduleError::InvalidOrder`] if `order` is not a topological order.
-pub fn checkpoint_by_period(
+fn checkpoint_by_period(
     instance: &ProblemInstance,
     order: Vec<TaskId>,
     period: f64,
@@ -76,8 +76,9 @@ pub fn checkpoint_by_period(
 ///
 /// # Errors
 ///
-/// Propagates errors from [`checkpoint_by_period`] (e.g. all-zero checkpoint
-/// costs make the Young period undefined).
+/// Returns [`ScheduleError::NonPositiveParameter`] if the Young period is
+/// undefined (e.g. all-zero checkpoint costs), and
+/// [`ScheduleError::InvalidOrder`] if `order` is not a topological order.
 pub fn young_periodic_schedule(
     instance: &ProblemInstance,
     order: Vec<TaskId>,
@@ -193,18 +194,6 @@ pub fn lpt_order(instance: &ProblemInstance) -> Result<Vec<TaskId>, ScheduleErro
     Ok(linearize::linearize(instance.graph(), LinearizationStrategy::HeaviestFirst))
 }
 
-/// Shortest-Processing-Time-first order for independent tasks.
-///
-/// # Errors
-///
-/// Returns [`ScheduleError::NotIndependent`] if the instance has dependences.
-pub fn spt_order(instance: &ProblemInstance) -> Result<Vec<TaskId>, ScheduleError> {
-    if instance.graph().edge_count() != 0 {
-        return Err(ScheduleError::NotIndependent);
-    }
-    Ok(linearize::linearize(instance.graph(), LinearizationStrategy::LightestFirst))
-}
-
 /// Result of the local-search improver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalSearchResult {
@@ -252,7 +241,7 @@ fn toggle_delta(table: &SegmentCostTable, checkpoints: &[bool], pos: usize) -> f
 /// # Errors
 ///
 /// Propagates evaluation errors (cannot occur for valid instances).
-pub fn local_search(
+fn local_search(
     instance: &ProblemInstance,
     start: Schedule,
     max_passes: usize,
@@ -430,10 +419,9 @@ mod tests {
     }
 
     #[test]
-    fn lpt_and_spt_orders() {
+    fn lpt_order_is_heaviest_first_and_needs_independence() {
         let inst = independent_instance(&[5.0, 9.0, 1.0, 7.0], 1.0, 1e-3);
         assert_eq!(lpt_order(&inst).unwrap(), vec![TaskId(1), TaskId(3), TaskId(0), TaskId(2)]);
-        assert_eq!(spt_order(&inst).unwrap(), vec![TaskId(2), TaskId(0), TaskId(3), TaskId(1)]);
         let chain_graph = generators::chain(&[1.0, 2.0]).unwrap();
         let chain_inst = ProblemInstance::builder(chain_graph)
             .uniform_checkpoint_cost(1.0)
@@ -441,7 +429,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(lpt_order(&chain_inst), Err(ScheduleError::NotIndependent)));
-        assert!(matches!(spt_order(&chain_inst), Err(ScheduleError::NotIndependent)));
     }
 
     #[test]

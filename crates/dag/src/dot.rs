@@ -1,32 +1,10 @@
-//! Graphviz DOT export and a simple text round-trip format.
+//! A simple text round-trip format for task graphs.
 //!
-//! Workflow DAGs are easiest to debug visually; [`to_dot`] renders a
-//! [`TaskGraph`] in Graphviz syntax (with weights as labels), and the
-//! edge-list format of [`to_edge_list`] / [`from_edge_list`] gives a
+//! The edge-list format of [`to_edge_list`] / [`from_edge_list`] gives a
 //! dependency-free way to persist graphs in tests and experiment configs.
 
 use crate::error::GraphError;
 use crate::graph::{TaskGraph, TaskGraphBuilder, TaskId};
-
-/// Renders the graph in Graphviz DOT syntax.
-///
-/// Node labels show the task name and weight; edges are unlabelled.
-pub fn to_dot(graph: &TaskGraph) -> String {
-    let mut out = String::from("digraph workflow {\n  rankdir=LR;\n");
-    for id in graph.task_ids() {
-        out.push_str(&format!(
-            "  t{} [label=\"{} ({:.1})\"];\n",
-            id.index(),
-            graph.name(id),
-            graph.weight(id)
-        ));
-    }
-    for (from, to) in graph.edges() {
-        out.push_str(&format!("  t{} -> t{};\n", from.index(), to.index()));
-    }
-    out.push_str("}\n");
-    out
-}
 
 /// Serialises the graph in a line-oriented edge-list format:
 ///
@@ -93,17 +71,6 @@ pub fn from_edge_list(text: &str) -> Result<TaskGraph, GraphError> {
 mod tests {
     use super::*;
     use crate::generators;
-
-    #[test]
-    fn dot_output_contains_every_task_and_edge() {
-        let g = generators::chain(&[1.0, 2.0, 3.0]).unwrap();
-        let dot = to_dot(&g);
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("t0 [label=\"T1 (1.0)\"]"));
-        assert!(dot.contains("t0 -> t1;"));
-        assert!(dot.contains("t1 -> t2;"));
-        assert!(dot.trim_end().ends_with('}'));
-    }
 
     #[test]
     fn edge_list_round_trip_preserves_structure() {

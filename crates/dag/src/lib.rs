@@ -13,9 +13,9 @@
 //! * [`topo`] — topological orders (single, random, exhaustive enumeration for
 //!   small graphs), needed because the paper's "full parallelism" assumption
 //!   turns scheduling into the choice of a linearisation (§2);
-//! * [`traversal`] — ancestors/descendants/transitive closure and reduction,
-//!   plus the incremental [`traversal::LiveSetSweep`] used by the general
-//!   checkpoint-cost extension of §6 (the "live" task set);
+//! * [`traversal`] — the transitive closure and the incremental
+//!   [`traversal::LiveSetSweep`] used by the general checkpoint-cost extension
+//!   of §6 (the "live" task set);
 //! * [`neighborhood`] — precedence-preserving moves between topological
 //!   orders (adjacent swaps, window rotations), the building blocks of
 //!   `ckpt-core`'s order search;

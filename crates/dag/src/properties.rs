@@ -109,42 +109,6 @@ pub fn width(graph: &TaskGraph) -> usize {
     levels(graph).iter().map(|l| l.len()).max().unwrap_or(0)
 }
 
-/// Summary statistics of a task graph, as reported by the experiment harness.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphSummary {
-    /// Number of tasks.
-    pub tasks: usize,
-    /// Number of dependence edges.
-    pub edges: usize,
-    /// Sum of all task weights.
-    pub total_weight: f64,
-    /// Weight of the critical path.
-    pub critical_path_weight: f64,
-    /// Number of precedence levels.
-    pub depth: usize,
-    /// Size of the largest precedence level.
-    pub width: usize,
-    /// Whether the graph is a linear chain.
-    pub is_chain: bool,
-    /// Whether the tasks are independent.
-    pub is_independent: bool,
-}
-
-/// Computes a [`GraphSummary`] for `graph`.
-pub fn summarize(graph: &TaskGraph) -> GraphSummary {
-    let (critical_path_weight, _) = critical_path(graph);
-    GraphSummary {
-        tasks: graph.task_count(),
-        edges: graph.edge_count(),
-        total_weight: graph.total_weight(),
-        critical_path_weight,
-        depth: depth(graph),
-        width: width(graph),
-        is_chain: is_chain(graph),
-        is_independent: is_independent(graph),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,19 +208,5 @@ mod tests {
         let ind = generators::independent(&[1.0; 7]).unwrap();
         assert_eq!(depth(&ind), 1);
         assert_eq!(width(&ind), 7);
-    }
-
-    #[test]
-    fn summary_is_consistent() {
-        let g = generators::chain(&[1.0, 2.0]).unwrap();
-        let s = summarize(&g);
-        assert_eq!(s.tasks, 2);
-        assert_eq!(s.edges, 1);
-        assert_eq!(s.total_weight, 3.0);
-        assert_eq!(s.critical_path_weight, 3.0);
-        assert!(s.is_chain);
-        assert!(!s.is_independent);
-        assert_eq!(s.depth, 2);
-        assert_eq!(s.width, 1);
     }
 }

@@ -95,8 +95,8 @@ where
 ///
 /// # Panics
 ///
-/// Panics if the graph has more than `max_tasks_for_enumeration()` tasks, to
-/// protect against accidental combinatorial explosions.
+/// Panics if the graph has more than 12 tasks, to protect against accidental
+/// combinatorial explosions.
 pub fn all_topological_orders(graph: &TaskGraph) -> Vec<Vec<TaskId>> {
     assert!(
         graph.task_count() <= max_tasks_for_enumeration(),
@@ -113,7 +113,7 @@ pub fn all_topological_orders(graph: &TaskGraph) -> Vec<Vec<TaskId>> {
 }
 
 /// The largest graph size accepted by [`all_topological_orders`].
-pub fn max_tasks_for_enumeration() -> usize {
+fn max_tasks_for_enumeration() -> usize {
     12
 }
 

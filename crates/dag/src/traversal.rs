@@ -1,56 +1,14 @@
-//! Reachability-based queries: ancestors, descendants, transitive closure and
-//! transitive reduction.
+//! Reachability and live-set queries: the transitive closure, and the set of
+//! completed tasks that still have an unexecuted successor.
 //!
 //! The general checkpoint-cost extension of §6 needs, for any prefix of an
-//! execution, the set of completed tasks that still have an unexecuted
-//! successor (the "live" set whose data a checkpoint must save). The queries
-//! here are the building blocks of that computation.
+//! execution, that "live" set: the tasks whose data a checkpoint must save.
+//! [`live_tasks`] recomputes it from scratch and [`LiveSetSweep`] maintains
+//! it incrementally along an order.
 
 use std::collections::BTreeSet;
 
 use crate::graph::{TaskGraph, TaskId};
-
-/// The set of proper ancestors of `task` (tasks from which `task` is
-/// reachable, excluding `task` itself), in increasing id order.
-///
-/// # Panics
-///
-/// Panics if `task` does not belong to `graph`.
-pub fn ancestors(graph: &TaskGraph, task: TaskId) -> Vec<TaskId> {
-    assert!(task.0 < graph.task_count(), "unknown task {task}");
-    let mut seen = vec![false; graph.task_count()];
-    let mut stack = vec![task];
-    while let Some(node) = stack.pop() {
-        for &pred in graph.predecessors(node) {
-            if !seen[pred.0] {
-                seen[pred.0] = true;
-                stack.push(pred);
-            }
-        }
-    }
-    seen.iter().enumerate().filter_map(|(i, &s)| if s { Some(TaskId(i)) } else { None }).collect()
-}
-
-/// The set of proper descendants of `task` (tasks reachable from `task`,
-/// excluding `task` itself), in increasing id order.
-///
-/// # Panics
-///
-/// Panics if `task` does not belong to `graph`.
-pub fn descendants(graph: &TaskGraph, task: TaskId) -> Vec<TaskId> {
-    assert!(task.0 < graph.task_count(), "unknown task {task}");
-    let mut seen = vec![false; graph.task_count()];
-    let mut stack = vec![task];
-    while let Some(node) = stack.pop() {
-        for &succ in graph.successors(node) {
-            if !seen[succ.0] {
-                seen[succ.0] = true;
-                stack.push(succ);
-            }
-        }
-    }
-    seen.iter().enumerate().filter_map(|(i, &s)| if s { Some(TaskId(i)) } else { None }).collect()
-}
 
 /// The full transitive closure as a boolean reachability matrix:
 /// `closure[i][j]` is true iff `TaskId(j)` is reachable from `TaskId(i)`
@@ -79,24 +37,6 @@ pub fn transitive_closure(graph: &TaskGraph) -> Vec<Vec<bool>> {
         }
     }
     closure
-}
-
-/// The transitive reduction of the graph: the minimal set of edges with the
-/// same reachability relation.
-///
-/// Returns the reduced edge list; the input graph is not modified.
-pub fn transitive_reduction(graph: &TaskGraph) -> Vec<(TaskId, TaskId)> {
-    let closure = transitive_closure(graph);
-    let mut reduced = Vec::new();
-    for (from, to) in graph.edges() {
-        // The edge from->to is redundant if some other successor s of `from`
-        // reaches `to`.
-        let redundant = graph.successors(from).iter().any(|&s| s != to && closure[s.0][to.0]);
-        if !redundant {
-            reduced.push((from, to));
-        }
-    }
-    reduced
 }
 
 /// Given the set of `completed` tasks (which must be closed under
@@ -165,7 +105,6 @@ pub struct LiveSetSweep<'g> {
     completed: Vec<bool>,
     live: Vec<bool>,
     live_count: usize,
-    completed_count: usize,
 }
 
 impl<'g> LiveSetSweep<'g> {
@@ -179,7 +118,6 @@ impl<'g> LiveSetSweep<'g> {
             completed: vec![false; n],
             live: vec![false; n],
             live_count: 0,
-            completed_count: 0,
         }
     }
 
@@ -191,7 +129,6 @@ impl<'g> LiveSetSweep<'g> {
         self.completed.fill(false);
         self.live.fill(false);
         self.live_count = 0;
-        self.completed_count = 0;
     }
 
     /// Advances the sweep by completing `task` (the next task of the order).
@@ -217,7 +154,6 @@ impl<'g> LiveSetSweep<'g> {
             "task {task} completed before one of its predecessors"
         );
         self.completed[task.0] = true;
-        self.completed_count += 1;
         let entered = self.graph.out_degree(task) > 0;
         if entered {
             self.live[task.0] = true;
@@ -247,11 +183,6 @@ impl<'g> LiveSetSweep<'g> {
         self.live_count
     }
 
-    /// How many tasks have been completed so far.
-    pub fn completed_count(&self) -> usize {
-        self.completed_count
-    }
-
     /// The current live set in increasing id order — the same value
     /// [`live_tasks`] returns for the completed prefix (materialises a
     /// vector; the hot paths use the incremental callbacks instead).
@@ -271,24 +202,6 @@ mod tests {
 
     fn diamond() -> TaskGraph {
         generators::diamond([1.0; 4]).unwrap()
-    }
-
-    #[test]
-    fn ancestors_and_descendants_on_diamond() {
-        let g = diamond();
-        assert_eq!(ancestors(&g, TaskId(0)), vec![]);
-        assert_eq!(ancestors(&g, TaskId(3)), vec![TaskId(0), TaskId(1), TaskId(2)]);
-        assert_eq!(descendants(&g, TaskId(0)), vec![TaskId(1), TaskId(2), TaskId(3)]);
-        assert_eq!(descendants(&g, TaskId(3)), vec![]);
-        assert_eq!(ancestors(&g, TaskId(1)), vec![TaskId(0)]);
-        assert_eq!(descendants(&g, TaskId(1)), vec![TaskId(3)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown task")]
-    fn ancestors_rejects_unknown_task() {
-        let g = diamond();
-        let _ = ancestors(&g, TaskId(17));
     }
 
     #[test]
@@ -315,31 +228,6 @@ mod tests {
                 assert_eq!(reachable, j >= i);
             }
         }
-    }
-
-    #[test]
-    fn reduction_removes_shortcut_edges() {
-        // a -> b -> c plus a redundant a -> c shortcut.
-        let mut g = crate::TaskGraphBuilder::new();
-        let a = g.add_task(1.0).unwrap();
-        let b = g.add_task(1.0).unwrap();
-        let c = g.add_task(1.0).unwrap();
-        g.add_dependency(a, b).unwrap();
-        g.add_dependency(b, c).unwrap();
-        g.add_dependency(a, c).unwrap();
-        let g = g.build().unwrap();
-        let reduced = transitive_reduction(&g);
-        assert_eq!(reduced.len(), 2);
-        assert!(reduced.contains(&(a, b)));
-        assert!(reduced.contains(&(b, c)));
-        assert!(!reduced.contains(&(a, c)));
-    }
-
-    #[test]
-    fn reduction_of_diamond_keeps_all_edges() {
-        let g = diamond();
-        let reduced = transitive_reduction(&g);
-        assert_eq!(reduced.len(), 4);
     }
 
     #[test]
@@ -381,7 +269,7 @@ mod tests {
             assert_eq!(sweep.live_tasks(), live_tasks(&g, &completed));
             assert_eq!(sweep.live_count(), live_tasks(&g, &completed).len());
         }
-        assert_eq!(sweep.completed_count(), order.len());
+        assert!(sweep.completed.iter().all(|&done| done));
     }
 
     #[test]
@@ -414,7 +302,7 @@ mod tests {
         }
         sweep.reset();
         assert_eq!(sweep.live_count(), 0);
-        assert_eq!(sweep.completed_count(), 0);
+        assert!(!sweep.completed.contains(&true));
         // The other topological order of the diamond.
         let mut completed = BTreeSet::new();
         for &t in &[TaskId(0), TaskId(2), TaskId(1), TaskId(3)] {

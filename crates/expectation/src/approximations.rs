@@ -86,13 +86,6 @@ pub fn bouguerra_expected_time(params: &ExecutionParams) -> f64 {
         * (lambda * (params.recovery() + params.attempt_duration())).exp_m1()
 }
 
-/// The absolute bias of the Bouguerra formula relative to Proposition 1:
-/// `(1/λ + D)(e^{λR} − 1)`, which is positive whenever `R > 0`.
-pub fn bouguerra_bias(params: &ExecutionParams) -> f64 {
-    let lambda = params.lambda();
-    (1.0 / lambda + params.downtime()) * (lambda * params.recovery()).exp_m1()
-}
-
 /// Expected makespan of a divisible job of total work `w_total` checkpointed
 /// every `period` seconds (the classical periodic-checkpointing estimate used
 /// with Young/Daly periods), evaluated with the exact Proposition 1 formula
@@ -185,14 +178,15 @@ mod tests {
         let exact = expected_time(&p);
         let boug = bouguerra_expected_time(&p);
         assert!(boug > exact);
-        assert!((boug - exact - bouguerra_bias(&p)).abs() < 1e-6);
+        // The bias is (1/λ + D)(e^{λR} − 1).
+        let bias = (1.0 / p.lambda() + p.downtime()) * (p.lambda() * p.recovery()).exp_m1();
+        assert!((boug - exact - bias).abs() < 1e-6);
     }
 
     #[test]
     fn bouguerra_matches_exact_when_recovery_is_zero() {
         let p = params(3600.0, 300.0, 60.0, 0.0, 1.0 / 86_400.0);
         assert!((bouguerra_expected_time(&p) - expected_time(&p)).abs() < 1e-9);
-        assert_eq!(bouguerra_bias(&p), 0.0);
     }
 
     #[test]

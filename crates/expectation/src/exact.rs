@@ -104,15 +104,6 @@ impl ExecutionParams {
     pub fn attempt_duration(&self) -> f64 {
         self.work + self.checkpoint
     }
-
-    /// Returns a copy with a different work duration.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `work ≤ 0`.
-    pub fn with_work(&self, work: f64) -> Result<Self, ExpectationError> {
-        ExecutionParams::new(work, self.checkpoint, self.downtime, self.recovery, self.lambda)
-    }
 }
 
 /// The order-independent half of the rate check every constructor that
@@ -186,25 +177,12 @@ pub fn expected_time_via_recursion(params: &ExecutionParams) -> f64 {
     attempt + (lambda * attempt).exp_m1() * (expected_lost(params) + expected_recovery(params))
 }
 
-/// The probability that a single attempt (work + checkpoint) completes without
-/// a failure: `e^{−λ(W+C)}`.
-pub fn attempt_success_probability(params: &ExecutionParams) -> f64 {
-    (-params.lambda * params.attempt_duration()).exp()
-}
-
 /// The expected number of failures incurred before the attempt finally
 /// succeeds: `e^{λ(W+C)} − 1` failures on average for the work/checkpoint
 /// phase alone (each failed attempt also restarts recovery, whose own failures
 /// are accounted for inside `E[T_rec]`).
 pub fn expected_failure_count(params: &ExecutionParams) -> f64 {
     (params.lambda * params.attempt_duration()).exp_m1()
-}
-
-/// The *waste* of an attempt: the ratio between the expected time and the
-/// failure-free time `W + C`, minus one. Zero waste means failures cost
-/// nothing; the experiment harness reports this as a normalised overhead.
-pub fn waste(params: &ExecutionParams) -> f64 {
-    expected_time(params) / params.attempt_duration() - 1.0
 }
 
 #[cfg(test)]
@@ -263,9 +241,6 @@ mod tests {
         assert_eq!(p.recovery(), 4.0);
         assert_eq!(p.lambda(), 0.5);
         assert_eq!(p.attempt_duration(), 12.0);
-        let q = p.with_work(20.0).unwrap();
-        assert_eq!(q.work(), 20.0);
-        assert_eq!(q.checkpoint(), 2.0);
     }
 
     #[test]
@@ -348,18 +323,11 @@ mod tests {
     #[test]
     fn success_probability_and_failure_count_are_consistent() {
         let p = params(100.0, 10.0, 0.0, 0.0, 0.01);
-        let ps = attempt_success_probability(&p);
+        // Each attempt succeeds with probability e^{−λ(W+C)}.
+        let ps = (-p.lambda() * p.attempt_duration()).exp();
         let failures = expected_failure_count(&p);
         // E[#failures] = (1 - p)/p for a geometric number of failed attempts.
         assert!((failures - (1.0 - ps) / ps).abs() < 1e-9);
-    }
-
-    #[test]
-    fn waste_is_positive_and_grows_with_lambda() {
-        let small = params(1000.0, 60.0, 0.0, 60.0, 1e-6);
-        let large = params(1000.0, 60.0, 0.0, 60.0, 1e-3);
-        assert!(waste(&small) > 0.0);
-        assert!(waste(&large) > waste(&small));
     }
 
     #[test]

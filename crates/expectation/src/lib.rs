@@ -21,10 +21,10 @@
 //!   ([`approximations`]);
 //! * the optimal divisible-load checkpoint period under Exponential failures
 //!   ([`optimal_period`]), the related-work baseline the paper contrasts with
-//!   its non-divisible task model;
+//!   its non-divisible task model, found by golden-section search
+//!   ([`numeric`], which also holds the Monte-Carlo sample statistics);
 //! * the §3 scaling scenarios: workload models `W(p)` ([`workload`]) and
-//!   checkpoint-overhead models `C(p)` ([`overhead`]);
-//! * small, dependency-free numerical utilities ([`numeric`]).
+//!   checkpoint-overhead models `C(p)` ([`overhead`]).
 //!
 //! For solvers that evaluate Proposition 1 over many segments of one fixed
 //! execution order, [`segment_cost::SegmentCostTable`] precomputes the
@@ -59,7 +59,6 @@ pub mod overhead;
 pub mod segment_cost;
 pub mod storage;
 pub mod sweep;
-pub mod waste;
 pub mod workload;
 
 pub use error::ExpectationError;

@@ -1,9 +1,6 @@
-//! Small, dependency-free numerical utilities.
-//!
-//! These back the optimal-period computation ([`crate::optimal_period`]) and
-//! the convexity checks used in tests of the NP-completeness reduction (the
-//! proof of Proposition 2 relies on the strict convexity of
-//! `g(m) = m(e^{λ(nT/m + C)} − 1)`).
+//! The golden-section search behind the optimal-period computation
+//! ([`crate::optimal_period`]) and the sample statistics the Monte-Carlo
+//! drivers report.
 
 /// Minimises a unimodal function on `[lo, hi]` by golden-section search.
 ///
@@ -45,70 +42,6 @@ where
     }
     let x = 0.5 * (a + b);
     (x, f(x))
-}
-
-/// Finds a root of `f` on `[lo, hi]` by bisection, assuming `f(lo)` and
-/// `f(hi)` have opposite signs.
-///
-/// Returns `None` if the signs do not bracket a root.
-///
-/// # Panics
-///
-/// Panics if `lo >= hi` or either bound is not finite.
-pub fn bisect_root<F>(mut f: F, lo: f64, hi: f64, tol: f64) -> Option<f64>
-where
-    F: FnMut(f64) -> f64,
-{
-    assert!(lo.is_finite() && hi.is_finite(), "bounds must be finite");
-    assert!(lo < hi, "lo must be < hi");
-    let mut a = lo;
-    let mut b = hi;
-    let mut fa = f(a);
-    let fb = f(b);
-    if fa == 0.0 {
-        return Some(a);
-    }
-    if fb == 0.0 {
-        return Some(b);
-    }
-    if fa.signum() == fb.signum() {
-        return None;
-    }
-    for _ in 0..200 {
-        let mid = 0.5 * (a + b);
-        let fm = f(mid);
-        if fm == 0.0 || (b - a) < tol {
-            return Some(mid);
-        }
-        if fm.signum() == fa.signum() {
-            a = mid;
-            fa = fm;
-        } else {
-            b = mid;
-        }
-    }
-    Some(0.5 * (a + b))
-}
-
-/// Central-difference numerical derivative of `f` at `x` with step `h`.
-pub fn derivative<F>(mut f: F, x: f64, h: f64) -> f64
-where
-    F: FnMut(f64) -> f64,
-{
-    (f(x + h) - f(x - h)) / (2.0 * h)
-}
-
-/// Checks that `f` is (discretely) convex on `[lo, hi]`: for `samples`
-/// equally spaced points, every midpoint value must not exceed the average of
-/// its neighbours (up to `tol`).
-pub fn is_convex_on<F>(mut f: F, lo: f64, hi: f64, samples: usize, tol: f64) -> bool
-where
-    F: FnMut(f64) -> f64,
-{
-    assert!(samples >= 3, "need at least three samples");
-    let step = (hi - lo) / (samples - 1) as f64;
-    let values: Vec<f64> = (0..samples).map(|i| f(lo + step * i as f64)).collect();
-    values.windows(3).all(|w| w[1] <= 0.5 * (w[0] + w[2]) + tol)
 }
 
 /// Summary statistics of a sample: mean, variance (unbiased), standard
@@ -167,11 +100,6 @@ impl SampleStats {
         assert!(reference != 0.0, "reference must be non-zero");
         (self.mean - reference).abs() / reference.abs()
     }
-
-    /// Whether `reference` lies within the 95% confidence interval of the mean.
-    pub fn ci95_contains(&self, reference: f64) -> bool {
-        (self.mean - reference).abs() <= self.ci95_half_width
-    }
 }
 
 #[cfg(test)]
@@ -198,44 +126,12 @@ mod tests {
     }
 
     #[test]
-    fn bisect_finds_sqrt_two() {
-        let root = bisect_root(|x| x * x - 2.0, 0.0, 2.0, 1e-12).unwrap();
-        assert!((root - std::f64::consts::SQRT_2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bisect_returns_none_without_sign_change() {
-        assert!(bisect_root(|x| x * x + 1.0, -1.0, 1.0, 1e-9).is_none());
-    }
-
-    #[test]
-    fn bisect_returns_endpoint_roots() {
-        assert_eq!(bisect_root(|x| x, 0.0, 1.0, 1e-9), Some(0.0));
-    }
-
-    #[test]
-    fn derivative_of_square_is_two_x() {
-        let d = derivative(|x| x * x, 3.0, 1e-6);
-        assert!((d - 6.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn convexity_check() {
-        assert!(is_convex_on(|x| x * x, -5.0, 5.0, 101, 1e-12));
-        assert!(is_convex_on(|x| x.exp(), 0.0, 3.0, 101, 1e-12));
-        assert!(!is_convex_on(|x| -x * x, -5.0, 5.0, 101, 1e-12));
-        assert!(!is_convex_on(|x| x.sin(), 0.0, 6.0, 101, 1e-12));
-    }
-
-    #[test]
     fn sample_stats_of_constant_sample() {
         let stats = SampleStats::from_values(&[5.0; 10]);
         assert_eq!(stats.count, 10);
         assert_eq!(stats.mean, 5.0);
         assert_eq!(stats.variance, 0.0);
         assert_eq!(stats.ci95_half_width, 0.0);
-        assert!(stats.ci95_contains(5.0));
-        assert!(!stats.ci95_contains(5.1));
         assert_eq!(stats.relative_error(5.0), 0.0);
     }
 

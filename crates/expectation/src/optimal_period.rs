@@ -4,12 +4,11 @@
 //! be cut into arbitrary chunks, each followed by a checkpoint. For
 //! Exponential failures the optimal policy is periodic (equal chunks); this
 //! module computes the optimal chunk size exactly (by minimising the
-//! Proposition 1 cost per unit of work) and the resulting makespan, so that
-//! the experiments can compare the paper's *task-level* checkpoint placement
-//! against the divisible-load ideal and against the Young/Daly approximate
-//! periods.
+//! Proposition 1 cost per unit of work), so that the experiments can compare
+//! the paper's *task-level* checkpoint placement against the divisible-load
+//! ideal and against the Young/Daly approximate periods.
 
-use crate::approximations::{daly_period, periodic_divisible_makespan, young_period};
+use crate::approximations::young_period;
 use crate::error::{ensure_non_negative, ensure_positive, ExpectationError};
 use crate::exact::{expected_time, ExecutionParams};
 use crate::numeric::golden_section_min;
@@ -60,81 +59,10 @@ pub fn optimal_period(
     Ok(OptimalPeriod { period, cost_per_work_unit })
 }
 
-/// Expected makespan of a divisible job of `w_total` seconds of work using the
-/// exact optimal period.
-///
-/// # Errors
-///
-/// Propagates parameter-validation errors.
-pub fn optimal_divisible_makespan(
-    w_total: f64,
-    checkpoint: f64,
-    downtime: f64,
-    recovery: f64,
-    lambda: f64,
-) -> Result<f64, ExpectationError> {
-    let w_total = ensure_positive("w_total", w_total)?;
-    let opt = optimal_period(checkpoint, downtime, recovery, lambda)?;
-    periodic_divisible_makespan(w_total, opt.period, checkpoint, downtime, recovery, lambda)
-}
-
-/// Side-by-side comparison of the optimal, Young and Daly periods for a given
-/// configuration — one row of experiment E1's period table.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PeriodComparison {
-    /// The exact optimal period.
-    pub optimal: f64,
-    /// Young's first-order period.
-    pub young: f64,
-    /// Daly's higher-order period.
-    pub daly: f64,
-    /// Expected makespan (for `w_total`) at the optimal period.
-    pub makespan_optimal: f64,
-    /// Expected makespan at the Young period.
-    pub makespan_young: f64,
-    /// Expected makespan at the Daly period.
-    pub makespan_daly: f64,
-}
-
-/// Computes a [`PeriodComparison`] for the given configuration.
-///
-/// # Errors
-///
-/// Propagates parameter-validation errors.
-pub fn compare_periods(
-    w_total: f64,
-    checkpoint: f64,
-    downtime: f64,
-    recovery: f64,
-    lambda: f64,
-) -> Result<PeriodComparison, ExpectationError> {
-    let optimal = optimal_period(checkpoint, downtime, recovery, lambda)?;
-    let young = young_period(checkpoint, lambda)?;
-    let daly = daly_period(checkpoint, lambda)?;
-    Ok(PeriodComparison {
-        optimal: optimal.period,
-        young,
-        daly,
-        makespan_optimal: periodic_divisible_makespan(
-            w_total,
-            optimal.period,
-            checkpoint,
-            downtime,
-            recovery,
-            lambda,
-        )?,
-        makespan_young: periodic_divisible_makespan(
-            w_total, young, checkpoint, downtime, recovery, lambda,
-        )?,
-        makespan_daly: periodic_divisible_makespan(
-            w_total, daly, checkpoint, downtime, recovery, lambda,
-        )?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::approximations::{daly_period, periodic_divisible_makespan};
 
     #[test]
     fn optimal_period_is_interior_minimum() {
@@ -190,25 +118,18 @@ mod tests {
             assert!(opt.cost_per_work_unit <= cost(young) * (1.0 + 1e-9));
             assert!(opt.cost_per_work_unit <= cost(daly) * (1.0 + 1e-9));
 
-            let cmp = compare_periods(1_000_000.0, 300.0, 30.0, 300.0, lambda).unwrap();
-            assert!(cmp.makespan_optimal <= cmp.makespan_young * 1.01);
-            assert!(cmp.makespan_optimal <= cmp.makespan_daly * 1.01);
+            let makespan = |period| {
+                periodic_divisible_makespan(1_000_000.0, period, 300.0, 30.0, 300.0, lambda)
+                    .unwrap()
+            };
+            assert!(makespan(opt.period) <= makespan(young) * 1.01);
+            assert!(makespan(opt.period) <= makespan(daly) * 1.01);
         }
-    }
-
-    #[test]
-    fn optimal_divisible_makespan_is_consistent() {
-        let lambda = 1e-5;
-        let total = optimal_divisible_makespan(500_000.0, 120.0, 0.0, 60.0, lambda).unwrap();
-        // Must exceed the failure-free time and be finite.
-        assert!(total > 500_000.0);
-        assert!(total.is_finite());
     }
 
     #[test]
     fn validation_errors_propagate() {
         assert!(optimal_period(0.0, 0.0, 0.0, 1.0).is_err());
         assert!(optimal_period(1.0, -1.0, 0.0, 1.0).is_err());
-        assert!(optimal_divisible_makespan(0.0, 1.0, 0.0, 0.0, 1.0).is_err());
     }
 }

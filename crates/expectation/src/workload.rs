@@ -82,15 +82,6 @@ impl WorkloadModel {
     pub fn speedup(&self, w_total: f64, p: u32) -> Result<f64, ExpectationError> {
         Ok(self.time(w_total, 1)? / self.time(w_total, p)?)
     }
-
-    /// The parallel efficiency `speedup / p`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `w_total ≤ 0` or `p == 0`.
-    pub fn efficiency(&self, w_total: f64, p: u32) -> Result<f64, ExpectationError> {
-        Ok(self.speedup(w_total, p)? / f64::from(p))
-    }
 }
 
 impl std::fmt::Display for WorkloadModel {
@@ -116,7 +107,6 @@ mod tests {
         assert_eq!(m.time(1000.0, 1).unwrap(), 1000.0);
         assert_eq!(m.time(1000.0, 10).unwrap(), 100.0);
         assert!((m.speedup(1000.0, 10).unwrap() - 10.0).abs() < 1e-12);
-        assert!((m.efficiency(1000.0, 10).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -200,7 +190,7 @@ mod tests {
             p in 1u32..4096,
         ) {
             let m = WorkloadModel::amdahl(gamma).unwrap();
-            prop_assert!(m.efficiency(w, p).unwrap() <= 1.0 + 1e-9);
+            prop_assert!(m.speedup(w, p).unwrap() / f64::from(p) <= 1.0 + 1e-9);
         }
     }
 }

@@ -9,8 +9,8 @@
 //! instantly rejuvenated). [`ClusterFailureInjector`] supplies both:
 //!
 //! * each machine owns a [`PlatformFailureProcess`] — so all the per-processor
-//!   heterogeneity and the [`Mixture`](crate::Mixture)/[`Shifted`](crate::Shifted)
-//!   law compositions of this crate carry over unchanged;
+//!   heterogeneity and the [`Shifted`](crate::Shifted) law composition of
+//!   this crate carry over unchanged;
 //! * an optional shared **shock process** ([`ShockConfig`]) injects correlated
 //!   bursts: shocks arrive as a Poisson process, each shock independently
 //!   strikes each machine with probability `fan_out`, and a struck machine
@@ -70,11 +70,6 @@ impl ShockConfig {
     /// Poisson arrival rate of shocks.
     pub fn rate(&self) -> f64 {
         self.rate
-    }
-
-    /// Probability that a shock strikes a given machine.
-    pub fn fan_out(&self) -> f64 {
-        self.fan_out
     }
 
     /// Width of the burst window over which struck machines fail.
@@ -246,24 +241,6 @@ impl ClusterFailureInjector {
         self.machines.len()
     }
 
-    /// The aggregate time-zero hazard rate of machine `machine`'s own failure
-    /// process (shocks excluded) — the rate per-job checkpoint plans are
-    /// computed against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `machine` is out of range.
-    pub fn machine_rate(&self, machine: usize) -> f64 {
-        self.machines[machine].platform.aggregate_rate()
-    }
-
-    /// Effective machine-level failure rate including the shock contribution
-    /// (`fan_out × shock rate`), for memoryless machine processes.
-    pub fn effective_machine_rate(&self, machine: usize) -> f64 {
-        let shock = self.shocks.as_ref().map_or(0.0, |s| s.config.rate * s.config.fan_out);
-        self.machine_rate(machine) + shock
-    }
-
     /// First failure of `machine` strictly after `after`, merging the
     /// machine's own process with materialised shock hits.
     ///
@@ -365,8 +342,8 @@ impl ClusterFailureInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mixture::Shifted;
     use crate::weibull::Weibull;
+    use crate::Shifted;
 
     fn law(mtbf: f64) -> Exponential {
         Exponential::from_mtbf(mtbf).unwrap()
@@ -391,7 +368,7 @@ mod tests {
         assert!(ShockConfig::new(1.0, 1.1, 1.0).is_err());
         assert!(ShockConfig::new(1.0, 0.5, -1.0).is_err());
         let cfg = ShockConfig::new(0.25, 0.5, 2.0).unwrap();
-        assert_eq!((cfg.rate(), cfg.fan_out(), cfg.burst_width()), (0.25, 0.5, 2.0));
+        assert_eq!((cfg.rate(), cfg.fan_out, cfg.burst_width()), (0.25, 0.5, 2.0));
     }
 
     #[test]
@@ -527,20 +504,12 @@ mod tests {
         ];
         let mut inj = ClusterFailureInjector::heterogeneous(machine_laws, 17).unwrap();
         assert_eq!(inj.machine_count(), 3);
-        assert!((inj.machine_rate(0) - (1.0 / 100.0 + 1.0 / 200.0)).abs() < 1e-12);
+        let rate = inj.machines[0].platform.aggregate_rate();
+        assert!((rate - (1.0 / 100.0 + 1.0 / 200.0)).abs() < 1e-12);
         for m in 0..3 {
             let f = inj.next_failure_after(m, 0.0);
             assert!(f > 0.0);
         }
-    }
-
-    #[test]
-    fn effective_rate_adds_the_shock_contribution() {
-        let inj = ClusterFailureInjector::homogeneous(2, law(100.0), 1)
-            .unwrap()
-            .with_shocks(ShockConfig::new(0.02, 0.5, 1.0).unwrap());
-        assert!((inj.machine_rate(0) - 0.01).abs() < 1e-12);
-        assert!((inj.effective_machine_rate(0) - 0.02).abs() < 1e-12);
     }
 
     #[test]

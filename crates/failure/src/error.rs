@@ -34,10 +34,6 @@ pub enum FailureModelError {
     },
     /// A platform must have at least one processor.
     EmptyPlatform,
-    /// A mixture distribution needs at least one component.
-    EmptyMixture,
-    /// Mixture weights must sum to a strictly positive value.
-    InvalidMixtureWeights,
     /// A failure trace must have non-decreasing timestamps.
     NonMonotoneTrace {
         /// Index of the first out-of-order event.
@@ -66,12 +62,6 @@ impl fmt::Display for FailureModelError {
             }
             FailureModelError::EmptyPlatform => {
                 write!(f, "a platform must contain at least one processor")
-            }
-            FailureModelError::EmptyMixture => {
-                write!(f, "a mixture distribution needs at least one component")
-            }
-            FailureModelError::InvalidMixtureWeights => {
-                write!(f, "mixture weights must be non-negative and sum to a positive value")
             }
             FailureModelError::NonMonotoneTrace { index } => {
                 write!(

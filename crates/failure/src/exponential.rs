@@ -51,19 +51,6 @@ impl Exponential {
     pub fn rate(&self) -> f64 {
         self.rate
     }
-
-    /// The law of the superposition of `p` independent copies of this law:
-    /// `Exp(p·λ)`.
-    ///
-    /// This is exactly the platform-level failure law of §2.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is zero.
-    pub fn superposed(&self, p: u32) -> Exponential {
-        assert!(p > 0, "a platform needs at least one processor");
-        Exponential { rate: self.rate * f64::from(p) }
-    }
 }
 
 impl FailureDistribution for Exponential {
@@ -191,19 +178,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| exp.sample(&mut rng)).sum();
         let mean = sum / n as f64;
         assert!((mean - 100.0).abs() < 1.5, "sample mean = {mean}");
-    }
-
-    #[test]
-    fn superposition_multiplies_rate() {
-        let exp = Exponential::new(0.001).unwrap();
-        let plat = exp.superposed(64);
-        assert!((plat.rate() - 0.064).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one processor")]
-    fn superposition_rejects_zero_processors() {
-        let _ = Exponential::new(1.0).unwrap().superposed(0);
     }
 
     #[test]

@@ -1,132 +1,28 @@
-//! Fitting failure laws to observed inter-arrival samples.
+//! Online estimation of a failure rate from observed inter-arrival times.
 //!
-//! The §6 extension (and the trace-driven experiments) need to go from a
-//! failure log to a distribution: given the platform-level or per-processor
-//! inter-arrival times of a [`crate::trace::FailureTrace`], estimate the
-//! parameters of an Exponential, Weibull or log-normal law. The estimators
-//! here are the standard closed-form / method-of-moments ones — adequate for
-//! synthetic traces and for the qualitative comparisons of experiment E7.
-
-use crate::error::FailureModelError;
-use crate::exponential::Exponential;
-use crate::lognormal::LogNormal;
-use crate::math::gamma;
-use crate::trace::FailureTrace;
-use crate::weibull::Weibull;
-
-/// Inter-arrival times (platform level) extracted from a trace.
-///
-/// Returns an empty vector for traces with fewer than two events.
-pub fn platform_interarrivals(trace: &FailureTrace) -> Vec<f64> {
-    trace.events().windows(2).map(|w| w[1].time - w[0].time).collect()
-}
-
-/// Maximum-likelihood Exponential fit: `λ = 1 / mean`.
-///
-/// # Errors
-///
-/// Returns an error if `samples` is empty or the sample mean is not strictly
-/// positive.
-pub fn fit_exponential(samples: &[f64]) -> Result<Exponential, FailureModelError> {
-    let mean = positive_mean(samples)?;
-    Exponential::from_mtbf(mean)
-}
-
-/// Method-of-moments Weibull fit.
-///
-/// The coefficient of variation `cv = σ/μ` of a Weibull law is a strictly
-/// decreasing function of its shape `k`; we invert it by bisection on
-/// `k ∈ [0.05, 50]` and then set the scale from the mean.
-///
-/// # Errors
-///
-/// Returns an error if `samples` has fewer than two elements, has a
-/// non-positive mean, or zero variance (a degenerate sample cannot be fitted).
-pub fn fit_weibull(samples: &[f64]) -> Result<Weibull, FailureModelError> {
-    if samples.len() < 2 {
-        return Err(FailureModelError::NonPositiveParameter {
-            name: "sample size",
-            value: samples.len() as f64,
-        });
-    }
-    let mean = positive_mean(samples)?;
-    let variance =
-        samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (samples.len() - 1) as f64;
-    if variance <= 0.0 {
-        return Err(FailureModelError::NonPositiveParameter {
-            name: "sample variance",
-            value: variance,
-        });
-    }
-    let target_cv = variance.sqrt() / mean;
-
-    // cv(k) for a Weibull law.
-    let cv_of_shape = |k: f64| -> f64 {
-        let g1 = gamma(1.0 + 1.0 / k);
-        let g2 = gamma(1.0 + 2.0 / k);
-        ((g2 - g1 * g1).max(0.0)).sqrt() / g1
-    };
-    let (mut lo, mut hi) = (0.05f64, 50.0f64);
-    // cv is decreasing in k: cv(0.05) is huge, cv(50) is tiny.
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if cv_of_shape(mid) > target_cv {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let shape = 0.5 * (lo + hi);
-    Weibull::with_mean(shape, mean)
-}
-
-/// Log-normal fit from the moments of `ln(x)`.
-///
-/// # Errors
-///
-/// Returns an error if `samples` has fewer than two elements or contains a
-/// non-positive value.
-pub fn fit_lognormal(samples: &[f64]) -> Result<LogNormal, FailureModelError> {
-    if samples.len() < 2 {
-        return Err(FailureModelError::NonPositiveParameter {
-            name: "sample size",
-            value: samples.len() as f64,
-        });
-    }
-    if samples.iter().any(|&x| x <= 0.0 || !x.is_finite()) {
-        return Err(FailureModelError::NonPositiveParameter { name: "sample", value: -1.0 });
-    }
-    let logs: Vec<f64> = samples.iter().map(|x| x.ln()).collect();
-    let mu = logs.iter().sum::<f64>() / logs.len() as f64;
-    let var = logs.iter().map(|l| (l - mu).powi(2)).sum::<f64>() / (logs.len() - 1) as f64;
-    let sigma = var.sqrt().max(1e-9);
-    LogNormal::new(mu, sigma)
-}
+//! An executing policy that learns the platform's rate (the §6 setting where
+//! the failure law is known only through the failures it produces) updates
+//! an Exponential maximum-likelihood estimate at every failure it sees.
 
 /// Incremental maximum-likelihood Exponential rate estimation from observed
-/// inter-failure times — the online counterpart of [`fit_exponential`],
-/// maintained in `O(1)` per observation so an executing policy can update
-/// its estimate at every failure.
+/// inter-failure times, maintained in `O(1)` per observation so an executing
+/// policy can update its estimate at every failure.
 ///
 /// The MLE of an Exponential rate after `k` observed inter-arrival times
-/// summing to `t` is `λ̂ = k / t`; [`rate`](OnlineExponentialMle::rate)
-/// returns exactly the rate [`fit_exponential`] would fit to the same
-/// samples (up to floating-point summation order).
+/// summing to `t` is `λ̂ = k / t`, the reciprocal of the sample mean.
 ///
 /// # Example
 ///
 /// ```
-/// use ckpt_failure::fitting::{fit_exponential, OnlineExponentialMle};
+/// use ckpt_failure::fitting::OnlineExponentialMle;
 ///
 /// let samples = [120.0, 340.0, 80.0, 200.0];
 /// let mut online = OnlineExponentialMle::new();
 /// for &s in &samples {
 ///     online.observe(s);
 /// }
-/// let batch = fit_exponential(&samples)?;
 /// let rate = online.rate().expect("four observations");
-/// assert!((rate - batch.rate()).abs() / batch.rate() < 1e-12);
-/// # Ok::<(), ckpt_failure::FailureModelError>(())
+/// assert!((rate - 4.0 / 740.0).abs() < 1e-15);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineExponentialMle {
@@ -155,139 +51,33 @@ impl OnlineExponentialMle {
         self.count
     }
 
-    /// The summed observation time of the recorded inter-failure times.
-    pub fn total_time(&self) -> f64 {
-        self.total
-    }
-
     /// The maximum-likelihood rate `k / t`, or `None` before the first
     /// observation (or while the accumulated time is still zero).
     pub fn rate(&self) -> Option<f64> {
         (self.count > 0 && self.total > 0.0).then(|| self.count as f64 / self.total)
     }
-
-    /// The maximum-likelihood mean time between failures `t / k`, or `None`
-    /// before the first observation.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0 && self.total > 0.0).then(|| self.total / self.count as f64)
-    }
-}
-
-/// A goodness-of-fit summary: the Kolmogorov–Smirnov statistic of `samples`
-/// against a candidate CDF.
-pub fn ks_statistic<F>(samples: &[f64], cdf: F) -> f64
-where
-    F: Fn(f64) -> f64,
-{
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must not contain NaN"));
-    let n = sorted.len() as f64;
-    sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| {
-            let model = cdf(x);
-            let below = i as f64 / n;
-            let above = (i + 1) as f64 / n;
-            (model - below).abs().max((above - model).abs())
-        })
-        .fold(0.0, f64::max)
-}
-
-fn positive_mean(samples: &[f64]) -> Result<f64, FailureModelError> {
-    if samples.is_empty() {
-        return Err(FailureModelError::NonPositiveParameter { name: "sample size", value: 0.0 });
-    }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    if !mean.is_finite() || mean <= 0.0 {
-        return Err(FailureModelError::NonPositiveParameter { name: "sample mean", value: mean });
-    }
-    Ok(mean)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distribution::FailureDistribution;
+    use crate::exponential::Exponential;
     use crate::rng::Pcg64;
-    use crate::trace::TraceGenerator;
-
-    fn samples_from<D: FailureDistribution>(law: &D, n: usize, seed: u64) -> Vec<f64> {
-        let mut rng = Pcg64::seed_from_u64(seed);
-        (0..n).map(|_| law.sample(&mut rng)).collect()
-    }
-
-    #[test]
-    fn exponential_fit_recovers_rate() {
-        let law = Exponential::from_mtbf(1_234.0).unwrap();
-        let samples = samples_from(&law, 50_000, 1);
-        let fit = fit_exponential(&samples).unwrap();
-        assert!((fit.mean() - 1_234.0).abs() / 1_234.0 < 0.03);
-        assert!(fit_exponential(&[]).is_err());
-    }
-
-    #[test]
-    fn weibull_fit_recovers_shape_and_mean() {
-        for &shape in &[0.6, 1.0, 1.8] {
-            let law = Weibull::with_mean(shape, 5_000.0).unwrap();
-            let samples = samples_from(&law, 80_000, 7);
-            let fit = fit_weibull(&samples).unwrap();
-            assert!((fit.shape() - shape).abs() < 0.1, "shape {shape}: fitted {}", fit.shape());
-            assert!((fit.mean() - 5_000.0).abs() / 5_000.0 < 0.05);
-        }
-    }
-
-    #[test]
-    fn weibull_fit_rejects_degenerate_samples() {
-        assert!(fit_weibull(&[1.0]).is_err());
-        assert!(fit_weibull(&[5.0, 5.0, 5.0]).is_err());
-    }
-
-    #[test]
-    fn lognormal_fit_recovers_parameters() {
-        let law = LogNormal::new(7.0, 0.8).unwrap();
-        let samples = samples_from(&law, 60_000, 3);
-        let fit = fit_lognormal(&samples).unwrap();
-        assert!((fit.mu() - 7.0).abs() < 0.05);
-        assert!((fit.sigma() - 0.8).abs() < 0.05);
-        assert!(fit_lognormal(&[1.0]).is_err());
-        assert!(fit_lognormal(&[1.0, -2.0, 3.0]).is_err());
-    }
-
-    #[test]
-    fn ks_statistic_prefers_the_true_family() {
-        let law = Weibull::with_mean(0.6, 2_000.0).unwrap();
-        let samples = samples_from(&law, 20_000, 11);
-        let weibull_fit = fit_weibull(&samples).unwrap();
-        let expo_fit = fit_exponential(&samples).unwrap();
-        let ks_weibull = ks_statistic(&samples, |x| weibull_fit.cdf(x));
-        let ks_expo = ks_statistic(&samples, |x| expo_fit.cdf(x));
-        assert!(
-            ks_weibull < ks_expo,
-            "weibull KS {ks_weibull} should beat exponential KS {ks_expo}"
-        );
-    }
-
-    #[test]
-    fn ks_statistic_of_empty_sample_is_zero() {
-        assert_eq!(ks_statistic(&[], |_| 0.5), 0.0);
-    }
 
     #[test]
     fn online_mle_matches_batch_fit() {
         let law = Exponential::from_mtbf(640.0).unwrap();
-        let samples = samples_from(&law, 5_000, 21);
+        let mut rng = Pcg64::seed_from_u64(21);
+        let samples: Vec<f64> = (0..5_000).map(|_| law.sample(&mut rng)).collect();
         let mut online = OnlineExponentialMle::new();
         for &s in &samples {
             online.observe(s);
         }
-        let batch = fit_exponential(&samples).unwrap();
+        // The batch MLE is the reciprocal of the sample mean.
+        let batch = samples.len() as f64 / samples.iter().sum::<f64>();
         let rate = online.rate().unwrap();
-        assert!((rate - batch.rate()).abs() / batch.rate() < 1e-12);
-        assert!((online.mean().unwrap() - batch.mean()).abs() / batch.mean() < 1e-12);
+        assert!((rate - batch).abs() / batch < 1e-12);
         assert_eq!(online.count(), samples.len() as u64);
     }
 
@@ -295,7 +85,6 @@ mod tests {
     fn online_mle_guards_degenerate_inputs() {
         let mut online = OnlineExponentialMle::new();
         assert_eq!(online.rate(), None);
-        assert_eq!(online.mean(), None);
         online.observe(f64::NAN);
         online.observe(-5.0);
         online.observe(f64::INFINITY);
@@ -306,23 +95,5 @@ mod tests {
         assert_eq!(online.rate(), None);
         online.observe(100.0);
         assert!((online.rate().unwrap() - 2.0 / 100.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn trace_interarrivals_feed_the_fitters() {
-        let gen = TraceGenerator::new(8, 5).unwrap();
-        let law = Exponential::from_mtbf(1_000.0).unwrap();
-        let trace = gen.generate(law, 2_000_000.0);
-        let inter = platform_interarrivals(&trace);
-        assert_eq!(inter.len(), trace.len() - 1);
-        // Platform of 8 processors with 1 000 s MTBF each → 125 s platform MTBF.
-        let fit = fit_exponential(&inter).unwrap();
-        assert!((fit.mean() - 125.0).abs() / 125.0 < 0.05, "fitted mean {}", fit.mean());
-    }
-
-    #[test]
-    fn interarrivals_of_tiny_trace_is_empty() {
-        let trace = FailureTrace::new(2, vec![]).unwrap();
-        assert!(platform_interarrivals(&trace).is_empty());
     }
 }

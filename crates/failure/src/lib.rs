@@ -4,13 +4,13 @@
 //! about *when processors fail*:
 //!
 //! * a small, fully deterministic pseudo-random number generator
-//!   ([`rng::Pcg64`], [`rng::SplitMix64`]) so that the whole library is
-//!   reproducible and does not depend on external RNG crates;
+//!   ([`rng::Pcg64`]) so that the whole library is reproducible and does not
+//!   depend on external RNG crates;
 //! * the [`FailureDistribution`] trait together with the three inter-arrival
 //!   laws discussed in the paper and its extensions: [`Exponential`]
 //!   (the paper's main model), [`Weibull`] and [`LogNormal`]
-//!   (the §6 extension to non-memoryless failures), plus composition helpers
-//!   ([`Shifted`], [`Mixture`]);
+//!   (the §6 extension to non-memoryless failures), plus a composition helper
+//!   ([`Shifted`]);
 //! * the superposition of `p` independent per-processor failure processes into
 //!   a single platform-level process ([`platform::PlatformFailureProcess`]),
 //!   which for Exponential laws collapses to `Exp(p·λ_proc)` exactly as §2 of
@@ -44,9 +44,9 @@ pub mod exponential;
 pub mod fitting;
 pub mod lognormal;
 pub mod math;
-pub mod mixture;
 pub mod platform;
 pub mod rng;
+mod shifted;
 pub mod stats;
 pub mod trace;
 pub mod weibull;
@@ -56,8 +56,8 @@ pub use distribution::{DistributionKind, FailureDistribution};
 pub use error::FailureModelError;
 pub use exponential::Exponential;
 pub use lognormal::LogNormal;
-pub use mixture::{Mixture, Shifted};
-pub use platform::{PlatformFailure, PlatformFailureProcess, ProcessorId, RejuvenationPolicy};
-pub use rng::{Pcg64, RandomSource, SplitMix64};
+pub use platform::{PlatformFailure, PlatformFailureProcess, ProcessorId};
+pub use rng::{Pcg64, RandomSource};
+pub use shifted::Shifted;
 pub use trace::{FailureEvent, FailureTrace, TraceGenerator, TraceReplay};
 pub use weibull::Weibull;

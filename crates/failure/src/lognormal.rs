@@ -53,16 +53,6 @@ impl LogNormal {
         LogNormal::new(mean.ln() - sigma * sigma / 2.0, sigma)
     }
 
-    /// The location parameter `μ` of the underlying normal.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// The scale parameter `σ` of the underlying normal.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// The median `e^μ`.
     pub fn median(&self) -> f64 {
         self.mu.exp()

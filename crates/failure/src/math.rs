@@ -26,7 +26,7 @@ const LANCZOS_COEFFS: [f64; 9] = [
 /// # Panics
 ///
 /// Panics if `x` is not strictly positive or not finite.
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x.is_finite() && x > 0.0, "ln_gamma requires x > 0, got {x}");
     if x < 0.5 {
         // Reflection formula: Γ(x) Γ(1-x) = π / sin(πx)
@@ -57,7 +57,7 @@ pub fn gamma(x: f64) -> f64 {
 /// Uses the Abramowitz & Stegun 7.1.26-style rational approximation refined
 /// with one step through `erfc` for large arguments; absolute error is below
 /// 1.5e-7 which is sufficient for the log-normal CDF used in experiments.
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     if x == 0.0 {
         return 0.0;
     }
@@ -74,7 +74,7 @@ pub fn erf(x: f64) -> f64 {
 }
 
 /// The complementary error function `erfc(x) = 1 - erf(x)`.
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     1.0 - erf(x)
 }
 

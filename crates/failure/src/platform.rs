@@ -7,9 +7,8 @@
 //! [`PlatformFailureProcess`] here realises it event by event, which is what
 //! the §6 extension needs (and what experiment E7 quantifies).
 
-use crate::distribution::{DistributionKind, FailureDistribution};
+use crate::distribution::FailureDistribution;
 use crate::error::FailureModelError;
-use crate::exponential::Exponential;
 use crate::rng::Pcg64;
 
 /// Index of a processor inside a platform (`0..p`).
@@ -20,24 +19,6 @@ impl std::fmt::Display for ProcessorId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "P{}", self.0)
     }
-}
-
-/// What happens to processor clocks when a failure is handled.
-///
-/// * [`RejuvenationPolicy::FailedOnly`] — only the failed processor restarts
-///   its lifetime distribution; the others keep ageing. This is the realistic
-///   model the authors argue for in their companion SC'11 paper.
-/// * [`RejuvenationPolicy::AllProcessors`] — every processor is rejuvenated on
-///   each failure (and each checkpoint). This is the *unstated* assumption
-///   behind the Bouguerra et al. formula that §3 calls inaccurate; we keep it
-///   as a switchable policy so experiments can expose the difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RejuvenationPolicy {
-    /// Only the processor that failed restarts its clock.
-    #[default]
-    FailedOnly,
-    /// All processors restart their clocks after every failure.
-    AllProcessors,
 }
 
 /// A next platform-level failure.
@@ -71,18 +52,14 @@ pub struct PlatformFailure {
 pub struct PlatformFailureProcess {
     laws: Vec<Box<dyn FailureDistribution>>,
     rngs: Vec<Pcg64>,
-    /// Absolute time at which each processor's current lifetime started.
-    birth: Vec<f64>,
     /// Absolute time of each processor's next failure.
     next: Vec<f64>,
-    policy: RejuvenationPolicy,
 }
 
 impl std::fmt::Debug for PlatformFailureProcess {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlatformFailureProcess")
             .field("processors", &self.laws.len())
-            .field("policy", &self.policy)
             .field("next", &self.next)
             .finish()
     }
@@ -123,29 +100,12 @@ impl PlatformFailureProcess {
         let mut rngs: Vec<Pcg64> = (0..laws.len()).map(|i| root.derive(i as u64)).collect();
         let next: Vec<f64> =
             laws.iter().zip(rngs.iter_mut()).map(|(law, rng)| law.sample(rng)).collect();
-        Ok(PlatformFailureProcess {
-            birth: vec![0.0; laws.len()],
-            laws,
-            rngs,
-            next,
-            policy: RejuvenationPolicy::FailedOnly,
-        })
-    }
-
-    /// Sets the rejuvenation policy (builder style).
-    pub fn with_policy(mut self, policy: RejuvenationPolicy) -> Self {
-        self.policy = policy;
-        self
+        Ok(PlatformFailureProcess { laws, rngs, next })
     }
 
     /// The number of processors in the platform.
     pub fn processor_count(&self) -> usize {
         self.laws.len()
-    }
-
-    /// The rejuvenation policy in force.
-    pub fn policy(&self) -> RejuvenationPolicy {
-        self.policy
     }
 
     /// Returns (without consuming it) the next platform-level failure.
@@ -164,17 +124,7 @@ impl PlatformFailureProcess {
     /// registered later with [`record_repair`](Self::record_repair)).
     pub fn next_failure(&mut self) -> PlatformFailure {
         let failure = self.peek_failure();
-        let idx = failure.processor.0;
-        match self.policy {
-            RejuvenationPolicy::FailedOnly => {
-                self.restart_processor(idx, failure.time);
-            }
-            RejuvenationPolicy::AllProcessors => {
-                for i in 0..self.laws.len() {
-                    self.restart_processor(i, failure.time);
-                }
-            }
-        }
+        self.restart_processor(failure.processor.0, failure.time);
         failure
     }
 
@@ -205,30 +155,13 @@ impl PlatformFailureProcess {
         }
     }
 
-    /// True when every per-processor law is Exponential, in which case the
-    /// platform process is itself Exponential with the summed rate.
-    pub fn is_memoryless(&self) -> bool {
-        self.laws.iter().all(|l| l.kind() == DistributionKind::Exponential)
-    }
-
     /// The total hazard rate at time 0; for an all-Exponential platform this
     /// is the platform rate `λ = Σ λ_i = p·λ_proc`.
     pub fn aggregate_rate(&self) -> f64 {
         self.laws.iter().map(|l| l.hazard(0.0)).sum()
     }
 
-    /// The equivalent platform-level Exponential law, if the platform is
-    /// memoryless.
-    pub fn equivalent_exponential(&self) -> Option<Exponential> {
-        if self.is_memoryless() {
-            Exponential::new(self.aggregate_rate()).ok()
-        } else {
-            None
-        }
-    }
-
     fn restart_processor(&mut self, idx: usize, now: f64) {
-        self.birth[idx] = now;
         let lifetime = self.laws[idx].sample(&mut self.rngs[idx]);
         self.next[idx] = now + lifetime;
     }
@@ -237,6 +170,7 @@ impl PlatformFailureProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exponential::Exponential;
     use crate::weibull::Weibull;
 
     #[test]
@@ -278,18 +212,7 @@ mod tests {
     fn exponential_platform_is_memoryless_with_summed_rate() {
         let law = Exponential::new(0.002).unwrap();
         let plat = PlatformFailureProcess::homogeneous(10, law, 11).unwrap();
-        assert!(plat.is_memoryless());
         assert!((plat.aggregate_rate() - 0.02).abs() < 1e-12);
-        let equiv = plat.equivalent_exponential().unwrap();
-        assert!((equiv.rate() - 0.02).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weibull_platform_is_not_memoryless() {
-        let law = Weibull::new(0.7, 1000.0).unwrap();
-        let plat = PlatformFailureProcess::homogeneous(4, law, 11).unwrap();
-        assert!(!plat.is_memoryless());
-        assert!(plat.equivalent_exponential().is_none());
     }
 
     #[test]
@@ -335,30 +258,6 @@ mod tests {
         let mut plat = PlatformFailureProcess::homogeneous(4, law, 9).unwrap();
         let f = plat.next_failure_after(1000.0);
         assert!(f.time > 1000.0);
-    }
-
-    #[test]
-    fn all_processor_rejuvenation_restarts_everyone() {
-        let law = Weibull::new(0.5, 100.0).unwrap();
-        let mut plat = PlatformFailureProcess::homogeneous(3, law, 21)
-            .unwrap()
-            .with_policy(RejuvenationPolicy::AllProcessors);
-        assert_eq!(plat.policy(), RejuvenationPolicy::AllProcessors);
-        let before: Vec<f64> = plat.next.clone();
-        let f = plat.next_failure();
-        // Every processor's next-failure candidate is now at or after the failure time.
-        for (i, &t) in plat.next.iter().enumerate() {
-            assert!(t >= f.time, "processor {i} kept a stale candidate ({t} < {})", f.time);
-        }
-        // And at least one non-failed processor changed its candidate.
-        let changed = plat
-            .next
-            .iter()
-            .zip(before.iter())
-            .enumerate()
-            .filter(|(i, _)| *i != f.processor.0)
-            .any(|(_, (a, b))| (a - b).abs() > 1e-12);
-        assert!(changed);
     }
 
     #[test]
@@ -466,7 +365,7 @@ mod tests {
             }
 
             #[test]
-            fn prop_equivalent_exponential_agrees_with_aggregate_rate(
+            fn prop_aggregate_rate_sums_exponential_rates(
                 r1 in 1e-6f64..1e2,
                 r2 in 1e-6f64..1e2,
                 r3 in 1e-6f64..1e2,
@@ -479,23 +378,9 @@ mod tests {
                         as Box<dyn crate::FailureDistribution>)
                     .collect();
                 let plat = PlatformFailureProcess::heterogeneous(laws, 1).unwrap();
-                prop_assert!(plat.is_memoryless());
                 let total: f64 = rates.iter().sum();
                 let aggregate = plat.aggregate_rate();
                 prop_assert!((aggregate - total).abs() <= 1e-9 * total.max(1.0));
-                let equiv = plat.equivalent_exponential().expect("memoryless platform");
-                prop_assert_eq!(equiv.rate(), aggregate);
-            }
-
-            #[test]
-            fn prop_non_memoryless_platforms_have_no_equivalent_exponential(
-                mtbf in 1.0f64..1e4,
-                p in 1usize..6,
-            ) {
-                let law = Weibull::new(0.7, mtbf).unwrap();
-                let plat = PlatformFailureProcess::homogeneous(p, law, 3).unwrap();
-                prop_assert!(!plat.is_memoryless());
-                prop_assert!(plat.equivalent_exponential().is_none());
             }
         }
     }

@@ -3,12 +3,11 @@
 //! The library deliberately ships its own small generators instead of pulling
 //! in an external RNG crate: every Monte-Carlo experiment in the reproduction
 //! must be bit-for-bit reproducible from a seed, and the generators used here
-//! ([`SplitMix64`] for seeding, [`Pcg64`] — the PCG XSL RR 128/64 variant —
-//! for the stream) are well studied, tiny and fast.
+//! (SplitMix64 for seeding, [`Pcg64`] — the PCG XSL RR 128/64 variant — for
+//! the stream) are well studied, tiny and fast.
 //!
 //! All sampling code in this workspace is written against the
-//! [`RandomSource`] trait, so alternative generators (including recorded
-//! streams for tests) can be substituted.
+//! [`RandomSource`] trait, so alternative generators can be substituted.
 
 /// A source of uniformly distributed random numbers.
 ///
@@ -87,18 +86,16 @@ pub trait RandomSource {
     }
 }
 
-/// SplitMix64 generator.
-///
-/// Primarily used to expand a single `u64` seed into the larger state of
-/// [`Pcg64`], but usable as a (statistically weaker) generator on its own.
+/// SplitMix64 generator, used to expand a single `u64` seed into the larger
+/// state of [`Pcg64`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SplitMix64 {
+struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// Creates a new generator from a 64-bit seed.
-    pub fn seed_from_u64(seed: u64) -> Self {
+    fn seed_from_u64(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 }
@@ -142,7 +139,7 @@ impl Pcg64 {
     }
 
     /// Creates a generator from a single 64-bit seed, expanding it with
-    /// [`SplitMix64`].
+    /// SplitMix64.
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut sm = SplitMix64::seed_from_u64(seed);
         let a = sm.next_u64() as u128;
@@ -190,48 +187,6 @@ impl RandomSource for Pcg64 {
         let xored = ((self.state >> 64) as u64) ^ (self.state as u64);
         let rot = (self.state >> 122) as u32;
         xored.rotate_right(rot)
-    }
-}
-
-/// A [`RandomSource`] that replays a recorded sequence of `f64` values.
-///
-/// Intended for unit tests that need full control over "randomness"; once the
-/// recorded values are exhausted the source cycles back to the beginning.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordedSource {
-    values: Vec<f64>,
-    cursor: usize,
-}
-
-impl RecordedSource {
-    /// Creates a replay source from explicit uniform variates in `[0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty or contains a value outside `[0, 1)`.
-    pub fn new(values: Vec<f64>) -> Self {
-        assert!(!values.is_empty(), "recorded source needs at least one value");
-        assert!(
-            values.iter().all(|v| (0.0..1.0).contains(v)),
-            "recorded values must lie in [0, 1)"
-        );
-        RecordedSource { values, cursor: 0 }
-    }
-}
-
-impl RandomSource for RecordedSource {
-    fn next_u64(&mut self) -> u64 {
-        // Invert the `next_f64` mapping so that `next_f64` returns the
-        // recorded value exactly (up to 2^-53 resolution).
-        let v = self.values[self.cursor];
-        self.cursor = (self.cursor + 1) % self.values.len();
-        ((v * (1u64 << 53) as f64) as u64) << 11
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        let v = self.values[self.cursor];
-        self.cursor = (self.cursor + 1) % self.values.len();
-        v
     }
 }
 
@@ -353,16 +308,6 @@ mod tests {
         let xs: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
         let ys: Vec<u64> = (0..32).map(|_| b.next_u64()).collect();
         assert_ne!(xs, ys);
-    }
-
-    #[test]
-    fn recorded_source_replays_values() {
-        let mut src = RecordedSource::new(vec![0.25, 0.5, 0.75]);
-        assert_eq!(src.next_f64(), 0.25);
-        assert_eq!(src.next_f64(), 0.5);
-        assert_eq!(src.next_f64(), 0.75);
-        // cycles
-        assert_eq!(src.next_f64(), 0.25);
     }
 
     #[test]

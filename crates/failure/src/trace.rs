@@ -3,9 +3,8 @@
 //! The paper's §6 extension (and its companion papers) evaluate checkpointing
 //! heuristics against *failure logs of production clusters* from the Failure
 //! Trace Archive. Those logs are not redistributable, so this module provides
-//! the substitution documented in `DESIGN.md`: a [`TraceGenerator`] that
-//! produces synthetic logs from any [`FailureDistribution`] (including
-//! Weibull/log-normal mixtures fitted to published parameters), and a
+//! a substitute: a [`TraceGenerator`] that produces synthetic logs from any
+//! [`FailureDistribution`] (including the Weibull and log-normal laws), and a
 //! [`FailureTrace`] container that can be replayed deterministically by the
 //! simulator exactly as a real log would be.
 
@@ -82,7 +81,7 @@ impl FailureTrace {
     }
 
     /// Iterates over the events strictly after `time`.
-    pub fn events_after(&self, time: f64) -> impl Iterator<Item = &FailureEvent> {
+    fn events_after(&self, time: f64) -> impl Iterator<Item = &FailureEvent> {
         let start = self.events.partition_point(|e| e.time <= time);
         self.events[start..].iter()
     }
@@ -101,15 +100,6 @@ impl FailureTrace {
         }
         let span = self.events.last().unwrap().time - self.events.first().unwrap().time;
         Some(span / (self.events.len() - 1) as f64)
-    }
-
-    /// Per-processor failure counts.
-    pub fn per_processor_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.processors];
-        for ev in &self.events {
-            counts[ev.processor.0] += 1;
-        }
-        counts
     }
 
     /// Merges two traces over the same platform, preserving time order.
@@ -138,12 +128,6 @@ impl FailureTrace {
         events.extend_from_slice(&self.events[i..]);
         events.extend_from_slice(&other.events[j..]);
         FailureTrace::new(self.processors, events)
-    }
-
-    /// Restricts the trace to events in `[0, horizon]`.
-    pub fn truncated(&self, horizon: f64) -> FailureTrace {
-        let events = self.events.iter().copied().take_while(|e| e.time <= horizon).collect();
-        FailureTrace { processors: self.processors, events }
     }
 }
 
@@ -175,32 +159,6 @@ impl TraceGenerator {
         D: FailureDistribution + Clone + 'static,
     {
         let mut platform = PlatformFailureProcess::homogeneous(self.processors, law, self.seed)
-            .expect("processors > 0 was validated at construction");
-        let mut events = Vec::new();
-        loop {
-            let f = platform.peek_failure();
-            if f.time > horizon {
-                break;
-            }
-            let f = platform.next_failure();
-            events.push(FailureEvent { time: f.time, processor: f.processor });
-        }
-        FailureTrace { processors: self.processors, events }
-    }
-
-    /// Generates a trace where each processor draws inter-arrival times from
-    /// its own law in `laws` (length must equal the processor count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `laws.len()` differs from the processor count.
-    pub fn generate_heterogeneous(
-        &self,
-        laws: Vec<Box<dyn FailureDistribution>>,
-        horizon: f64,
-    ) -> FailureTrace {
-        assert_eq!(laws.len(), self.processors, "need exactly one law per processor");
-        let mut platform = PlatformFailureProcess::heterogeneous(laws, self.seed)
             .expect("processors > 0 was validated at construction");
         let mut events = Vec::new();
         loop {
@@ -246,11 +204,6 @@ impl TraceReplay {
         None
     }
 
-    /// Resets the cursor to the beginning of the trace.
-    pub fn rewind(&mut self) {
-        self.cursor = 0;
-    }
-
     /// The underlying trace.
     pub fn trace(&self) -> &FailureTrace {
         &self.trace
@@ -261,7 +214,6 @@ impl TraceReplay {
 mod tests {
     use super::*;
     use crate::exponential::Exponential;
-    use crate::weibull::Weibull;
 
     fn ev(time: f64, p: usize) -> FailureEvent {
         FailureEvent { time, processor: ProcessorId(p) }
@@ -298,7 +250,6 @@ mod tests {
     fn mean_interarrival_and_counts() {
         let t = FailureTrace::new(2, vec![ev(0.0, 0), ev(10.0, 1), ev(30.0, 1)]).unwrap();
         assert!((t.mean_interarrival().unwrap() - 15.0).abs() < 1e-12);
-        assert_eq!(t.per_processor_counts(), vec![1, 2]);
     }
 
     #[test]
@@ -315,14 +266,6 @@ mod tests {
         let a = FailureTrace::new(2, vec![]).unwrap();
         let b = FailureTrace::new(3, vec![]).unwrap();
         assert!(a.merge(&b).is_err());
-    }
-
-    #[test]
-    fn truncated_drops_late_events() {
-        let t = FailureTrace::new(1, vec![ev(1.0, 0), ev(2.0, 0), ev(3.0, 0)]).unwrap();
-        let cut = t.truncated(2.0);
-        assert_eq!(cut.len(), 2);
-        assert_eq!(cut.horizon(), 2.0);
     }
 
     #[test]
@@ -357,36 +300,13 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_generation_mixes_laws() {
-        let gen = TraceGenerator::new(2, 55).unwrap();
-        let laws: Vec<Box<dyn FailureDistribution>> = vec![
-            Box::new(Exponential::from_mtbf(100.0).unwrap()),
-            Box::new(Weibull::with_mean(0.7, 100.0).unwrap()),
-        ];
-        let trace = gen.generate_heterogeneous(laws, 100_000.0);
-        let counts = trace.per_processor_counts();
-        assert!(counts[0] > 0 && counts[1] > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one law per processor")]
-    fn heterogeneous_generation_checks_arity() {
-        let gen = TraceGenerator::new(3, 55).unwrap();
-        let laws: Vec<Box<dyn FailureDistribution>> =
-            vec![Box::new(Exponential::new(1.0).unwrap())];
-        let _ = gen.generate_heterogeneous(laws, 10.0);
-    }
-
-    #[test]
-    fn replay_consumes_in_order_and_rewinds() {
+    fn replay_consumes_in_order() {
         let t = FailureTrace::new(1, vec![ev(1.0, 0), ev(2.0, 0), ev(5.0, 0)]).unwrap();
         let mut replay = TraceReplay::new(t);
         assert_eq!(replay.next_after(0.0).unwrap().time, 1.0);
         assert_eq!(replay.next_after(1.5).unwrap().time, 2.0);
         assert_eq!(replay.next_after(2.0).unwrap().time, 5.0);
         assert!(replay.next_after(5.0).is_none());
-        replay.rewind();
-        assert_eq!(replay.next_after(4.0).unwrap().time, 5.0);
         assert_eq!(replay.trace().len(), 3);
     }
 }

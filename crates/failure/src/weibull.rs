@@ -59,11 +59,6 @@ impl Weibull {
         Weibull::new(shape, scale)
     }
 
-    /// The shape parameter `k`.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
     /// The scale parameter `η`.
     pub fn scale(&self) -> f64 {
         self.scale

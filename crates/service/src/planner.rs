@@ -109,7 +109,6 @@ pub struct Planner {
     fingerprint_mask: u64,
     shards: HashMap<u64, Vec<OrderShard>>,
     metrics: MetricsRegistry,
-    pending: Vec<PlanRequest>,
 }
 
 /// Where a work item's per-rate table comes from.
@@ -159,7 +158,6 @@ impl Planner {
             fingerprint_mask: u64::MAX,
             shards: HashMap::new(),
             metrics: MetricsRegistry::new(),
-            pending: Vec::new(),
         }
     }
 
@@ -199,7 +197,7 @@ impl Planner {
     /// (`service_admission_us` / `service_solve_us` / `service_commit_us` /
     /// `service_batch_us`). Wall-time values are in the non-deterministic
     /// domain; the counters are deterministic for a deterministic request
-    /// stream. Export with [`ckpt_telemetry::export::prometheus_text`] or
+    /// stream. Export with [`ckpt_telemetry::prometheus_text`] or
     /// [`MetricsRegistry::to_json`].
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -213,19 +211,6 @@ impl Planner {
     /// Full plans currently cached, over all orders and rate buckets.
     pub fn cached_plans(&self) -> usize {
         self.shards.values().flatten().map(|shard| shard.plans.len()).sum()
-    }
-
-    /// Queues a request for the next [`flush`](Planner::flush); returns the
-    /// queue's new length.
-    pub fn enqueue(&mut self, request: PlanRequest) -> usize {
-        self.pending.push(request);
-        self.pending.len()
-    }
-
-    /// Serves every queued request as one batch (in enqueue order).
-    pub fn flush(&mut self) -> Vec<PlanResponse> {
-        let batch = std::mem::take(&mut self.pending);
-        self.serve_batch(&batch)
     }
 
     /// Serves a batch of requests, returning one response per request in
@@ -633,25 +618,5 @@ mod tests {
         }
         // Distinct chains got distinct optima (the values differ).
         assert!(cold[0].expected_makespan != cold[4].expected_makespan);
-    }
-
-    #[test]
-    fn enqueue_flush_equals_one_batch() {
-        let inst = instance();
-        let requests: Vec<PlanRequest> = (0..6)
-            .map(|id| {
-                let rate = 1e-4 * (id % 3 + 1) as f64;
-                PlanRequest::plan(id, inst.clone(), rate).expect("valid")
-            })
-            .collect();
-        let mut direct = Planner::new(RateBucketing::Exact).with_threads(2);
-        let expected = direct.serve_batch(&requests);
-        let mut queued = Planner::new(RateBucketing::Exact).with_threads(2);
-        for request in &requests {
-            queued.enqueue(request.clone());
-        }
-        let got = queued.flush();
-        assert_eq!(got, expected);
-        assert!(queued.flush().is_empty());
     }
 }

@@ -121,7 +121,6 @@ fn batch_split_does_not_change_plans() {
 /// The Monte-Carlo-sized version of the determinism wall: thousands of
 /// requests over larger chains, every worker count, plus a shuffle pass.
 #[test]
-#[cfg_attr(debug_assertions, ignore = "release-sized determinism sweep; run with --release")]
 fn release_sized_stream_is_deterministic() {
     let stream = build_stream(2024, 24, 512, 4000);
     assert_thread_count_invariance(&stream, 256);

@@ -200,11 +200,6 @@ pub struct DecisionContext<'a> {
 }
 
 impl DecisionContext<'_> {
-    /// The number of failures observed so far.
-    pub fn failures_observed(&self) -> usize {
-        self.failure_times.len()
-    }
-
     /// The position execution would roll back to on a failure right now
     /// (the position after the last checkpoint).
     pub fn resume_position(&self) -> usize {

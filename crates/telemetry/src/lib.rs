@@ -14,14 +14,14 @@
 //!   atomics for hot solver paths (DP candidate pruning, Li Chao tree
 //!   activity, suffix reuse) where threading a registry through the call
 //!   graph would contaminate signatures. Observation-only, commutative adds.
-//! * **Tracing** ([`TraceEvent`], [`Span`], [`TelemetrySink`]): structured
+//! * **Tracing** ([`TraceEvent`], [`TelemetrySink`]): structured
 //!   events with an explicit [`TimeDomain`] — engine events stamp
 //!   *simulated* time and are part of the deterministic output surface
 //!   (digestable via [`DigestSink`]); service-tier events stamp wall time in
 //!   a clearly separated non-deterministic domain. Sinks are pluggable
 //!   ([`NoopSink`], [`RingBufferSink`], [`JsonlSink`], [`TeeSink`]) and the
 //!   no-op default costs a single branch.
-//! * **Exposition** ([`export::prometheus_text`],
+//! * **Exposition** ([`prometheus_text`],
 //!   [`MetricsRegistry::to_json`]): Prometheus-style text and flat JSON,
 //!   byte-deterministic for deterministic registry state.
 //!
@@ -57,7 +57,7 @@
 #![forbid(unsafe_code)]
 
 pub mod counters;
-pub mod export;
+mod export;
 pub mod json;
 pub mod metrics;
 pub mod trace;
@@ -66,6 +66,6 @@ pub use counters::StaticCounter;
 pub use export::prometheus_text;
 pub use metrics::{HistogramSpec, LogHistogram, MetricView, MetricsRegistry, TelemetryError};
 pub use trace::{
-    wall_seconds, DigestSink, FieldValue, JsonlSink, NoopSink, RingBufferSink, Span, TeeSink,
+    wall_seconds, DigestSink, FieldValue, JsonlSink, NoopSink, RingBufferSink, TeeSink,
     TelemetrySink, TimeDomain, TraceEvent,
 };

@@ -1,4 +1,4 @@
-//! Structured event tracing: spans, events, time domains and pluggable sinks.
+//! Structured event tracing: events, time domains and pluggable sinks.
 //!
 //! Every [`TraceEvent`] carries an explicit [`TimeDomain`]:
 //!
@@ -172,7 +172,7 @@ impl TraceEvent {
     /// Streams [`TraceEvent::to_json`]'s byte-identical output into `out`
     /// without intermediate allocations — the form the live sinks use so a
     /// recording sink costs formatting, not heap churn.
-    pub fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         out.write_str("{\"domain\":")?;
         write_json_string(out, self.domain.label())?;
         out.write_str(",\"time\":")?;
@@ -186,51 +186,6 @@ impl TraceEvent {
             value.write_into(out)?;
         }
         out.write_char('}')
-    }
-}
-
-/// An open span: emit the closing event with [`Span::end_at`], which reports
-/// `start`, `end` and `duration` fields on one event named after the span.
-#[derive(Debug, Clone)]
-pub struct Span {
-    domain: TimeDomain,
-    name: Cow<'static, str>,
-    start: f64,
-}
-
-impl Span {
-    /// Opens a sim-time span at `start`.
-    pub fn sim(name: impl Into<Cow<'static, str>>, start: f64) -> Self {
-        Span { domain: TimeDomain::Sim, name: name.into(), start }
-    }
-
-    /// Opens a wall-time span starting now (see [`wall_seconds`]).
-    pub fn wall(name: impl Into<Cow<'static, str>>) -> Self {
-        Span { domain: TimeDomain::Wall, name: name.into(), start: wall_seconds() }
-    }
-
-    /// The span's start stamp.
-    pub fn start(&self) -> f64 {
-        self.start
-    }
-
-    /// Closes the span at `end`, emitting one event into `sink`.
-    pub fn end_at(self, end: f64, sink: &mut dyn TelemetrySink) {
-        if !sink.enabled() {
-            return;
-        }
-        let duration = end - self.start;
-        let event = match self.domain {
-            TimeDomain::Sim => TraceEvent::sim(self.name, end),
-            TimeDomain::Wall => TraceEvent::wall(self.name, end),
-        };
-        sink.record(&event.with("start", self.start).with("duration", duration));
-    }
-
-    /// Closes a wall-time span at the current wall clock.
-    pub fn end_wall(self, sink: &mut dyn TelemetrySink) {
-        let end = wall_seconds();
-        self.end_at(end, sink);
     }
 }
 
@@ -389,7 +344,6 @@ impl<W: io::Write> TelemetrySink for JsonlSink<W> {
 pub struct DigestSink {
     hash: u64,
     sim_events: u64,
-    wall_events_skipped: u64,
 }
 
 impl Default for DigestSink {
@@ -404,7 +358,7 @@ impl DigestSink {
 
     /// An empty digest.
     pub fn new() -> Self {
-        DigestSink { hash: Self::FNV_OFFSET, sim_events: 0, wall_events_skipped: 0 }
+        DigestSink { hash: Self::FNV_OFFSET, sim_events: 0 }
     }
 
     /// The FNV-1a digest over all sim-domain event lines so far.
@@ -420,11 +374,6 @@ impl DigestSink {
     /// Sim-domain events folded into the digest.
     pub fn sim_events(&self) -> u64 {
         self.sim_events
-    }
-
-    /// Wall-domain events seen and skipped.
-    pub fn wall_events_skipped(&self) -> u64 {
-        self.wall_events_skipped
     }
 }
 
@@ -447,7 +396,6 @@ impl fmt::Write for FnvWriter<'_> {
 impl TelemetrySink for DigestSink {
     fn record(&mut self, event: &TraceEvent) {
         if event.domain() == TimeDomain::Wall {
-            self.wall_events_skipped += 1;
             return;
         }
         let mut writer = FnvWriter { hash: &mut self.hash };
@@ -550,18 +498,7 @@ mod tests {
         b.record(&TraceEvent::wall("noise", 789.0));
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.sim_events(), 1);
-        assert_eq!(a.wall_events_skipped(), 1);
         assert_eq!(a.hex().len(), 16);
-    }
-
-    #[test]
-    fn span_emits_duration_event() {
-        let mut sink = RingBufferSink::new(4);
-        Span::sim("phase", 10.0).end_at(14.5, &mut sink);
-        let event = sink.events().next().unwrap();
-        assert_eq!(event.name(), "phase");
-        assert_eq!(event.time(), 14.5);
-        assert_eq!(event.fields()[1], (Cow::Borrowed("duration"), FieldValue::F64(4.5)));
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //!    **fixed-schedule** evaluation seed for seed (same failure streams ⇒
 //!    same failure counts, makespans and time breakdowns);
 //! 3. the DAG policy Monte-Carlo comparison is **bit-identical at any
-//!    thread count** (1 vs 2/3/8) on random layered DAGs — at full size in
-//!    the `--release` CI pass (too slow in debug), and debug-sized in
-//!    tier-1.
+//!    thread count** (1 vs 2/3/8) on random layered DAGs, at full size.
 
 use ckpt_bench::testgen::random_layered_instance;
 use ckpt_workflows::adaptive::{
@@ -52,27 +50,6 @@ fn checkpoint_positions(sink: &RingBufferSink) -> Vec<usize> {
             ref other => panic!("expected the segment field, got {other:?}"),
         })
         .collect()
-}
-
-/// Satellite property 3's assertion: the DAG policy comparison (all four
-/// rows, re-linearisation included) is bit-identical at 1 vs 2/3/8 worker
-/// threads.
-fn assert_comparison_is_thread_count_invariant(
-    seed: u64,
-    trials: usize,
-    search: &OrderSearchConfig,
-) -> Result<(), TestCaseError> {
-    let spec = layered_spec(seed);
-    let planning = 1.0 / 20_000.0;
-    let truth = TruthModel::Exponential { lambda: 1.0 / 4_000.0 };
-    let base = EvaluationConfig { trials, seed, threads: 1 };
-    let single = compare_dag_policies(&spec, planning, &truth, &base, search).unwrap();
-    for threads in [2usize, 3, 8] {
-        let config = EvaluationConfig { threads, ..base };
-        let multi = compare_dag_policies(&spec, planning, &truth, &config, search).unwrap();
-        prop_assert_eq!(&single, &multi);
-    }
-    Ok(())
 }
 
 proptest! {
@@ -195,24 +172,22 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Satellite property 3 at full size: 48 Monte-Carlo trials per policy
-    /// and thread count, with order searches inside. Runs in the
-    /// `--release` CI pass only; its debug-sized twin below runs in tier-1.
+    /// Satellite property 3: the DAG policy comparison (all four rows,
+    /// re-linearisation included) is bit-identical at 1 vs 2/3/8 worker
+    /// threads — 48 Monte-Carlo trials per policy and thread count, with
+    /// order searches inside.
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "DAG Monte-Carlo: run with --release (see CI)")]
     fn prop_dag_comparison_is_thread_count_invariant(seed in any::<u64>()) {
-        assert_comparison_is_thread_count_invariant(seed, 48, &quick_search())?;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// The debug-sized twin of `prop_dag_comparison_is_thread_count_invariant`:
-    /// fewer cases, trials and search steps, the same assertions.
-    #[test]
-    fn prop_dag_comparison_is_thread_count_invariant_small(seed in any::<u64>()) {
-        let search = OrderSearchConfig { restarts: 1, steps: 32, threads: 1, ..Default::default() };
-        assert_comparison_is_thread_count_invariant(seed, 12, &search)?;
+        let spec = layered_spec(seed);
+        let planning = 1.0 / 20_000.0;
+        let truth = TruthModel::Exponential { lambda: 1.0 / 4_000.0 };
+        let search = quick_search();
+        let base = EvaluationConfig { trials: 48, seed, threads: 1 };
+        let single = compare_dag_policies(&spec, planning, &truth, &base, &search).unwrap();
+        for threads in [2usize, 3, 8] {
+            let config = EvaluationConfig { threads, ..base };
+            let multi = compare_dag_policies(&spec, planning, &truth, &config, &search).unwrap();
+            prop_assert_eq!(&single, &multi);
+        }
     }
 }
