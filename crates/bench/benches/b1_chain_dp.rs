@@ -9,7 +9,9 @@
 //! `scalable_placement_on_table_with_scratch`: the pruned DP below 1 024
 //! positions, the blocked kernel from there up) and the paper's memoised
 //! recursion. The 4096-task configuration is the acceptance benchmark: the
-//! pruned DP must beat the reference by ≥ 5×.
+//! pruned DP must beat the reference by ≥ 5×. `levelled/445` times the
+//! two-level storage DP (`optimal_levelled_schedule`) on perfbench's
+//! levelled plan-mixed shape.
 //!
 //! The `chain_dp_large` group is the `n ≫ 10⁵` scaling acceptance of the
 //! blocked kernel: only the envelope formulations run there (the quadratic
@@ -25,11 +27,13 @@
 //! plan pays.
 
 use ckpt_bench::random_chain_instance;
+use ckpt_bench::testgen::heterogeneous_chain_instance;
 use ckpt_core::chain_dp::{self, oracle, scalable_placement_on_table_with_scratch, ChainDpScratch};
 use ckpt_core::evaluate::segment_cost_table;
 use ckpt_core::ProblemInstance;
 use ckpt_dag::{generators, properties};
 use ckpt_expectation::segment_cost::SegmentCostTable;
+use ckpt_expectation::storage::{StorageLevel, StorageLevels};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -116,6 +120,19 @@ fn bench_chain_dp(c: &mut Criterion) {
     );
     group.bench_with_input(BenchmarkId::new("pruned_sparse", 4096), &sparse, |b, inst| {
         b.iter(|| chain_dp::optimal_chain_schedule(black_box(inst)).unwrap())
+    });
+    // perfbench's levelled plan-mixed class: 445 heterogeneous tasks at
+    // λ·W ≈ 4.7 on two levels, a fast tier of 8 slots (4× cheaper writes,
+    // 5× cheaper reads) over the paper's medium.
+    let total = heterogeneous_chain_instance(5, 445, 1e-6).total_weight();
+    let levelled = heterogeneous_chain_instance(5, 445, 4.7 / total);
+    let levels = StorageLevels::two_level(
+        StorageLevel::new(0.25, 0.2).unwrap().with_slots(8),
+        StorageLevel::new(1.0, 1.0).unwrap(),
+    )
+    .unwrap();
+    group.bench_with_input(BenchmarkId::new("levelled", 445), &levelled, |b, inst| {
+        b.iter(|| chain_dp::optimal_levelled_schedule(black_box(inst), &levels).unwrap())
     });
     group.finish();
 }

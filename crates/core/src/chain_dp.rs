@@ -15,13 +15,18 @@
 //! [`SegmentCostTable`] (no `exp` in any inner loop):
 //!
 //! * [`optimal_chain_schedule`] — the exact pruned DP on a chain instance:
-//!   `O(n²)` bottom-up, the inner loop cut by the table's monotone segment
-//!   lower bound (for uniform checkpoint costs, the moment the segment term
-//!   alone exceeds the incumbent). Each row is one
+//!   `O(n²)` bottom-up, the inner loop cut by two lower bounds, each valid
+//!   for every later candidate: the table's monotone segment bound (for
+//!   uniform checkpoint costs, the moment the segment term alone exceeds
+//!   the incumbent) and the work-conservation suffix bound (the moment the
+//!   first segment's overhead alone exceeds the whole suffix's, since
+//!   every later segment costs at least its work). Each row is one
 //!   [`SegmentCostTable::pruned_row`] scan: the table splits off the row's
-//!   `exp_m1` head once and streams the rest over slices, with the values,
-//!   choices and counts of a per-candidate scan. Every bitwise contract of
-//!   the workspace rests on it;
+//!   `exp_m1` head once, streams the rest over slices, and past the tail's
+//!   first 32 candidates finds the suffix bound's cut-off once by a binary
+//!   search. Values and choices are those of a per-candidate scan with the
+//!   segment bound alone, bit for bit; only the candidate count falls.
+//!   Every bitwise contract of the workspace rests on it;
 //! * [`scalable_placement_on_table_with_scratch`] — the recurrence on a
 //!   prebuilt table, for callers that own their execution order (`dag_schedule`
 //!   per linearisation under any §6 cost model, `order_search`,
@@ -435,8 +440,8 @@ impl ResumableDp {
 /// Computes the optimal checkpoint placement for a linear-chain instance,
 /// bottom-up, in `O(n²)` time and `O(n)` space — with the per-cell
 /// Proposition-1 evaluation reduced to a few multiplies by a precomputed
-/// [`SegmentCostTable`], and the inner loop pruned with the table's monotone
-/// segment lower bound.
+/// [`SegmentCostTable`], and the inner loop pruned with the table's
+/// segment and suffix lower bounds ([`SegmentCostTable::pruned_row`]).
 ///
 /// # Example
 ///
@@ -481,18 +486,28 @@ pub fn optimal_chain_schedule(instance: &ProblemInstance) -> Result<ChainSolutio
 /// [`LevelledCostTable`]: the DP value, the checkpoints as
 /// `(position, level)` pairs in increasing position order, and the solve's
 /// work for the caller to flush. With a single unbounded level the state
-/// space collapses to `(x)` and every floating-point operation replays the
-/// flat pruned DP's in order, so the result is **bitwise identical** — +∞
-/// optima included. The caller rejects the one hierarchy without a plan, a
-/// sole level with no slot.
+/// space collapses to `(x)` and every candidate it evaluates replays the
+/// flat pruned DP's floating-point operations in order; the candidates
+/// either bound skips cost strictly more than the incumbent, so the result
+/// is **bitwise identical** — +∞ optima included. The caller rejects the
+/// one hierarchy without a plan, a sole level with no slot.
 ///
 /// Each row `x` runs one scan over `j` for all of its `L·(S+1)` states
-/// `(p, s)`. The cross-level bound and the `L²` segment costs depend on
-/// `(x, j, p)` but not on `s`, so the scan computes each once per `j` and
-/// shares it. A state leaves the scan at the first `j` whose bound exceeds
-/// its incumbent, where a scan of its own would break; until then it sees
-/// the same candidates in the same order, so values, choices and counts are
-/// those of one scan per state.
+/// `(p, s)`. The bound and the `L²` segment costs depend on `(x, j, p)` but
+/// not on `s`, so the scan computes each once per `j` and shares it. The
+/// bound is the larger of two, each valid for every later `j`: the
+/// cross-level first-segment bound (the minimum over written levels of
+/// [`SegmentCostTable::segment_lower_bound_with_coefficient`]) and the
+/// work-conservation bound
+/// [`SegmentCostTable::suffix_lower_bound_with_coefficient`] with level
+/// `p`'s coefficient, which holds for every state of `p` because every
+/// level's segments cost at least their work. A state leaves the scan at
+/// the first `j` whose bound exceeds its incumbent, where a scan of its own
+/// would break; until then it sees the same candidates in the same order,
+/// so values, choices and counts are those of one scan per state. Every
+/// candidate the bound skips costs strictly more than the incumbent, so
+/// values and choices are also those of a scan with the first-segment bound
+/// alone.
 fn optimal_levelled_placement_on_table(
     table: &LevelledCostTable,
 ) -> (f64, Vec<(usize, usize)>, DpTally) {
@@ -553,6 +568,13 @@ fn optimal_levelled_placement_on_table(
                         coefficient,
                     ));
                 }
+                // Every level's table shares the prefix sums and λ, so any
+                // of them gives the suffix bound of protecting level p.
+                bound = bound.max(table.table(0).suffix_lower_bound_with_coefficient(
+                    x,
+                    j,
+                    coefficient,
+                ));
                 for (level, cost) in costs.iter_mut().enumerate() {
                     *cost = table.table(level).cost_with_coefficient(x, j, coefficient);
                 }
@@ -683,12 +705,16 @@ impl LevelledSolution {
 /// for the lifetime of the run), which makes the reachable plan set — and
 /// hence the optimum — monotone in the slot budget. The inner loop keeps
 /// the flat solver's pruning: the cross-level bound is the minimum of the
-/// per-level monotone bounds. `O(n² · L · (L + S))` time for `L` levels and
-/// a budget of `S` slots, `O(n · L · S)` space.
+/// per-level monotone bounds, raised to the work-conservation suffix bound
+/// of the protecting level where that is larger. `O(n² · L · (L + S))`
+/// time for `L` levels and a budget of `S` slots, `O(n · L · S)` space.
 ///
 /// With `StorageLevels::single()` this is **bitwise identical** to
 /// [`optimal_chain_schedule`] — same expected makespan to the last bit
-/// (+∞ included), same positions (differential-tested).
+/// (+∞ included), same positions (differential-tested). The work differs:
+/// this DP tests the suffix bound at every candidate, the flat DP only
+/// past a row's first 32 product-form candidates, so the single-level
+/// solve evaluates at most as many candidates as the flat one.
 ///
 /// # Example
 ///

@@ -6,12 +6,24 @@
 //! every node, a sorted domain per block, a binary search per Li Chao
 //! query), of the levelled DP that scanned `j` once per state `(x, p, s)`,
 //! and of the pruned DP that called `segment_lower_bound` and then `cost`
-//! for each candidate, as they were, most comments trimmed. The one edit is
-//! that they tally their work in locals instead of the process-wide solver
-//! counters, so the walls compare counts without racing the tests that run
-//! beside them. The production kernels keep their own tallies (the Li Chao
-//! tree's, the levelled DP's and [`ResumableDp`]'s [`DpTally`]) and the
-//! walls read those, not the counters.
+//! for each candidate, as they were, most comments trimmed. They tally their
+//! work in locals instead of the process-wide solver counters, so the walls
+//! compare counts without racing the tests that run beside them. The
+//! production kernels keep their own tallies (the Li Chao tree's, the
+//! levelled DP's and [`ResumableDp`]'s [`DpTally`]) and the walls read
+//! those, not the counters.
+//!
+//! The production pruned and levelled DPs also stop their rows at a second,
+//! suffix bound (work conservation: every suffix costs at least its work),
+//! so the two references take a [`reference::Rule`]:
+//! [`reference::Rule::Segment`] runs them as they were, with the
+//! first-segment bound alone, and is the answer oracle;
+//! [`reference::Rule::Suffix`] adds the suffix bound candidate by candidate
+//! where the kernels apply it, and is the work oracle. The walls
+//! assert that every entry's values, choices and levels equal the answer
+//! oracle's bit for bit, that its work counts equal the work oracle's
+//! exactly, and that it never evaluates more candidates than the answer
+//! oracle.
 //!
 //! Each wall asserts bitwise equality: DP values (every position, as bits),
 //! choices, placements, and the work counts — Li Chao inserts and node
@@ -23,13 +35,15 @@
 //! of the kernel (the merge's, the hull's, the block sort's, the domain's)
 //! makes them fail. The pruned DP's wall also aims at the row split of
 //! [`SegmentCostTable::pruned_row`]: rows that are all `exp_m1` head, rows
-//! split mid-row, rows without a head, saturated tables, and rows where
-//! `λ·work` lands exactly on the `10⁻²` switch or one ulp to either side.
+//! split mid-row, rows without a head, saturated tables, rows where
+//! `λ·work` lands exactly on the `10⁻²` switch or one ulp to either side,
+//! and rows the suffix bound cuts short.
 
 use ckpt_dag::generators;
 use ckpt_expectation::segment_cost::SegmentCostTable;
 use ckpt_expectation::storage::{LevelledCostTable, StorageLevel, StorageLevels};
 use ckpt_failure::{Pcg64, RandomSource};
+use proptest::prelude::*;
 
 use super::{
     blocked_placement_with_block_into, optimal_chain_schedule, optimal_levelled_placement_on_table,
@@ -37,11 +51,28 @@ use super::{
     ResumableDp, DP_BLOCK, SCALABLE_THRESHOLD,
 };
 use crate::instance::ProblemInstance;
+use reference::Rule;
 
-/// The replaced kernels, kept as they were.
+/// The replaced kernels, kept as they were; the pruned and levelled DPs
+/// also run the suffix bound under [`Rule::Suffix`].
 mod reference {
     use super::super::{positions_from_choice, resummed_value, TablePlacement};
     use super::{DpTally, LevelledCostTable, SegmentCostTable};
+    use ckpt_expectation::segment_cost::STREAMED_BEFORE_CUTOFF;
+
+    /// The bounds a reference scan stops its rows at.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Rule {
+        /// The first-segment bound alone, as the kernels had it before the
+        /// suffix bound: the answer oracle.
+        Segment,
+        /// The first-segment bound, and the suffix bound where the kernels
+        /// apply it: the pruned DP from the [`STREAMED_BEFORE_CUTOFF`]-th
+        /// product-form candidate of a row on, against the incumbent at
+        /// that point; the levelled DP at every candidate, against the
+        /// state's incumbent.
+        Suffix,
+    }
 
     /// The replaced kernel's arena.
     #[derive(Debug, Clone, Default)]
@@ -306,13 +337,14 @@ mod reference {
     }
 
     /// The pruned recurrence over positions `from..below`, scanning each
-    /// row candidate by candidate: the bound, then the cost.
+    /// row candidate by candidate: the bounds, then the cost.
     pub(super) fn pruned_dp_span(
         table: &SegmentCostTable,
         value: &mut [f64],
         choice: &mut [usize],
         from: usize,
         below: usize,
+        rule: Rule,
     ) -> DpTally {
         let n = table.len();
         let mut candidates = 0u64;
@@ -320,10 +352,27 @@ mod reference {
         for x in (from..below).rev() {
             let mut best = f64::INFINITY;
             let mut best_j = n - 1;
+            // Product-form candidates evaluated, and the incumbent the
+            // suffix bound is held against once there are enough of them.
+            let mut streamed = 0usize;
+            let mut cutoff_incumbent = None;
             for j in x..n {
                 if table.segment_lower_bound(x, j) > best {
                     prune_breaks += 1;
                     break;
+                }
+                let product_form =
+                    !table.is_saturated() && table.lambda() * table.work(x, j) >= 1e-2;
+                if rule == Rule::Suffix && product_form && streamed == STREAMED_BEFORE_CUTOFF {
+                    let incumbent = *cutoff_incumbent.get_or_insert(best);
+                    let bound =
+                        table.suffix_lower_bound_with_coefficient(x, j, table.coefficient(x));
+                    if bound > incumbent {
+                        prune_breaks += 1;
+                        break;
+                    }
+                } else if product_form {
+                    streamed += 1;
                 }
                 candidates += 1;
                 let cost = table.cost(x, j) + value[j + 1];
@@ -341,6 +390,7 @@ mod reference {
     /// The levelled DP scanning `j` once per state `(x, p, s)`.
     pub(super) fn optimal_levelled_placement_on_table(
         table: &LevelledCostTable,
+        rule: Rule,
     ) -> (f64, Vec<(usize, usize)>, DpTally) {
         let n = table.len();
         let levels = table.level_count();
@@ -374,6 +424,13 @@ mod reference {
                                     j,
                                     coefficient,
                                 ));
+                        }
+                        if rule == Rule::Suffix {
+                            bound = bound.max(table.table(0).suffix_lower_bound_with_coefficient(
+                                x,
+                                j,
+                                coefficient,
+                            ));
                         }
                         if bound > best {
                             prune_breaks += 1;
@@ -590,20 +647,31 @@ fn random_levels(rng: &mut Pcg64) -> StorageLevels {
     StorageLevels::new(levels).unwrap()
 }
 
-/// Solves `table` with both levelled DPs and asserts they agree bit for
-/// bit, counts included.
-fn assert_levelled_dps_agree(table: &LevelledCostTable, label: &str) {
+/// Solves `table` with the levelled DP and asserts that its value and
+/// checkpoints equal the per-state scan's under [`Rule::Segment`] bit for
+/// bit, that its work equals the per-state scan's under [`Rule::Suffix`],
+/// and that it evaluates no more candidates than the former. Returns the
+/// candidates of both rules.
+fn assert_levelled_dps_agree(table: &LevelledCostTable, label: &str) -> (u64, u64) {
     let (value, checkpoints, tally) = optimal_levelled_placement_on_table(table);
-    let (expected_value, expected_checkpoints, expected_tally) =
-        reference::optimal_levelled_placement_on_table(table);
+    let (expected_value, expected_checkpoints, answer_tally) =
+        reference::optimal_levelled_placement_on_table(table, Rule::Segment);
+    let (suffix_value, suffix_checkpoints, expected_tally) =
+        reference::optimal_levelled_placement_on_table(table, Rule::Suffix);
     assert_eq!(value.to_bits(), expected_value.to_bits(), "{label}: {value} vs {expected_value}");
     assert_eq!(checkpoints, expected_checkpoints, "{label}");
+    assert_eq!(suffix_value.to_bits(), expected_value.to_bits(), "{label}: suffix rule value");
+    assert_eq!(suffix_checkpoints, expected_checkpoints, "{label}: suffix rule checkpoints");
     assert_eq!(tally, expected_tally, "{label}");
+    assert_eq!(tally.positions, answer_tally.positions, "{label}");
+    assert!(tally.candidates <= answer_tally.candidates, "{label}: {tally:?} vs {answer_tally:?}");
+    (answer_tally.candidates, tally.candidates)
 }
 
 #[test]
 fn levelled_row_scan_matches_the_per_state_scan() {
     let mut rng = Pcg64::seed_from_u64(0x1e7e_11ed);
+    let mut cut_short = 0usize;
     for case in 0..160u64 {
         let shape = [Shape::Heterogeneous, Shape::Uniform, Shape::Periodic, Shape::Absorbed]
             [case as usize % 4];
@@ -622,13 +690,19 @@ fn levelled_row_scan_matches_the_per_state_scan() {
         let table =
             LevelledCostTable::new(lambda_w / total, downtime, &weights, &ckpt, &rec, levels)
                 .unwrap();
-        assert_levelled_dps_agree(&table, &format!("case {case} {shape:?} n {n} λW {lambda_w}"));
+        let (answer, suffix) = assert_levelled_dps_agree(
+            &table,
+            &format!("case {case} {shape:?} n {n} λW {lambda_w}"),
+        );
+        cut_short += usize::from(suffix < answer);
     }
+    assert!(cut_short > 0, "the suffix bound never cut a levelled scan short");
 }
 
 /// The per-row candidate counts of a pruned solve, sorted by where the row
 /// meets the `exp_m1`/product split of
-/// [`SegmentCostTable::pruned_row`].
+/// [`SegmentCostTable::pruned_row`], and by whether the suffix bound cut it
+/// short.
 #[derive(Debug, Default)]
 struct RowCoverage {
     /// Rows whose every candidate has `λ·work < 10⁻²`.
@@ -639,12 +713,15 @@ struct RowCoverage {
     product_only: usize,
     /// Rows of saturated tables (the per-candidate scan throughout).
     saturated: usize,
+    /// Rows that evaluated fewer candidates than under [`Rule::Segment`].
+    cut_short: usize,
 }
 
 impl RowCoverage {
-    fn add(&mut self, table: &SegmentCostTable, row_candidates: &[u64]) {
+    fn add(&mut self, table: &SegmentCostTable, rows: &PrunedRows) {
         let n = table.len();
-        for (x, &scanned) in row_candidates.iter().enumerate() {
+        for (x, (answer, scanned)) in rows.segment.iter().zip(&rows.suffix).enumerate() {
+            self.cut_short += usize::from(scanned.candidates < answer.candidates);
             if table.is_saturated() {
                 self.saturated += 1;
                 continue;
@@ -654,70 +731,127 @@ impl RowCoverage {
                 self.all_head += 1;
             } else if head == 0 {
                 self.product_only += 1;
-            } else if scanned as usize > head {
+            } else if scanned.candidates as usize > head {
                 self.split_crossed += 1;
             }
         }
     }
 }
 
+/// The reference's work on each row of one solve, under each rule.
+struct PrunedRows {
+    segment: Vec<DpTally>,
+    suffix: Vec<DpTally>,
+}
+
+impl PrunedRows {
+    /// The work of the rows `from..` under [`Rule::Suffix`], checked to be
+    /// no more than under [`Rule::Segment`].
+    fn span(&self, from: usize, label: &str) -> DpTally {
+        let sum = |rows: &[DpTally]| DpTally {
+            positions: rows.len() as u64,
+            candidates: rows.iter().map(|row| row.candidates).sum(),
+            prune_breaks: rows.iter().map(|row| row.prune_breaks).sum(),
+        };
+        let (answer, work) = (sum(&self.segment[from..]), sum(&self.suffix[from..]));
+        assert!(work.candidates <= answer.candidates, "{label}: {work:?} vs {answer:?}");
+        work
+    }
+}
+
+/// Runs [`reference::pruned_dp_span`] over `from..below` under both rules
+/// from the same `value` and `choice`, asserts that they agree on every
+/// value and choice bit for bit, and returns the results with each row's
+/// work under each rule.
+fn reference_rows(
+    table: &SegmentCostTable,
+    value: &[f64],
+    choice: &[usize],
+    from: usize,
+    below: usize,
+    label: &str,
+) -> (Vec<f64>, Vec<usize>, PrunedRows) {
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let solve = |rule| {
+        let (mut value, mut choice) = (value.to_vec(), choice.to_vec());
+        let mut rows = vec![DpTally::default(); below - from];
+        for x in (from..below).rev() {
+            rows[x - from] =
+                reference::pruned_dp_span(table, &mut value, &mut choice, x, x + 1, rule);
+        }
+        (value, choice, rows)
+    };
+    let (value, choice, segment) = solve(Rule::Segment);
+    let (suffix_value, suffix_choice, suffix) = solve(Rule::Suffix);
+    assert_eq!(bits(&suffix_value), bits(&value), "{label}: suffix rule values");
+    assert_eq!(suffix_choice, choice, "{label}: suffix rule choices");
+    (value, choice, PrunedRows { segment, suffix })
+}
+
 /// Solves `order` at `lambda` through every entry that runs the pruned
-/// recurrence and asserts each agrees with [`reference::pruned_dp_span`]
-/// bit for bit: [`ResumableDp::solve`], [`ResumableDp::try_prefix`] at
-/// `split` (on a table whose recoveries differ below `split`) and
-/// [`ResumableDp::solve_suffix`] from `split` in values, choices and the
-/// state's tally; [`optimal_chain_schedule`] on the order as a chain
-/// instance, and the dispatch where it runs the pruned DP, in values and
-/// placements. Returns the table and each row's candidate count.
+/// recurrence and asserts each agrees with [`reference::pruned_dp_span`]:
+/// in values and choices bit for bit with [`Rule::Segment`], in work
+/// exactly with [`Rule::Suffix`]. The entries are [`ResumableDp::solve`],
+/// [`ResumableDp::try_prefix`] at `split` (on a table whose recoveries
+/// differ below `split`, and on one whose weights below `split` are
+/// reversed, so that its prefix sums past `split` differ in the last bits,
+/// as the order search's do), and [`ResumableDp::solve_suffix`] from
+/// `split`, checked in values, choices and the state's tally;
+/// [`optimal_chain_schedule`] on the order as a chain instance, and the
+/// dispatch where it runs the pruned DP, in values and placements. Returns
+/// the table and its rows' work.
 fn assert_pruned_entries_agree(
     order: &Order,
     lambda: f64,
     split: usize,
     label: &str,
-) -> (SegmentCostTable, Vec<u64>) {
+) -> (SegmentCostTable, PrunedRows) {
     let (weights, ckpt, rec, downtime) = order;
     let n = weights.len();
     let table = SegmentCostTable::new(lambda, *downtime, weights, ckpt, rec).unwrap();
     let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
-    // The reference, one row at a time, so that each row's work is known.
-    let mut value = vec![0.0f64; n + 1];
-    let mut choice = vec![0usize; n];
-    let mut rows = vec![DpTally::default(); n];
-    for x in (0..n).rev() {
-        rows[x] = reference::pruned_dp_span(&table, &mut value, &mut choice, x, x + 1);
-    }
-    let span = |from: usize| DpTally {
-        positions: (n - from) as u64,
-        candidates: rows[from..].iter().map(|row| row.candidates).sum(),
-        prune_breaks: rows[from..].iter().map(|row| row.prune_breaks).sum(),
-    };
+    let (value, choice, rows) = reference_rows(&table, &vec![0.0; n + 1], &vec![0; n], 0, n, label);
 
     let mut dp = ResumableDp::new();
     assert_eq!(dp.solve(&table).to_bits(), value[0].to_bits(), "{label}: solve");
     assert_eq!(bits(&dp.value), bits(&value), "{label}: solve values");
     assert_eq!(dp.choice, choice, "{label}: solve choices");
-    assert_eq!(dp.tally, span(0), "{label}: solve work");
+    assert_eq!(dp.tally, rows.span(0, label), "{label}: solve work");
 
     let mut changed_rec = rec.clone();
     for r in &mut changed_rec[..split] {
         *r = 0.5 * *r + 7.0;
     }
-    let changed = SegmentCostTable::new(lambda, *downtime, weights, ckpt, &changed_rec).unwrap();
-    let (mut trial_value, mut trial_choice) = (value.clone(), choice.clone());
-    let trial = reference::pruned_dp_span(&changed, &mut trial_value, &mut trial_choice, 0, split);
-    let resumed = dp.try_prefix(&changed, split);
-    assert_eq!(resumed.to_bits(), trial_value[0].to_bits(), "{label}: try_prefix");
-    assert_eq!(bits(&dp.trial_value), bits(&trial_value), "{label}: try_prefix values");
-    assert_eq!(dp.trial_choice, trial_choice, "{label}: try_prefix choices");
-    assert_eq!(dp.tally, trial, "{label}: try_prefix work");
+    let mut reversed = weights.clone();
+    reversed[..split].reverse();
+    let trials = [
+        SegmentCostTable::new(lambda, *downtime, weights, ckpt, &changed_rec),
+        SegmentCostTable::new(lambda, *downtime, &reversed, ckpt, rec),
+    ];
+    for (trial, changed) in ["recoveries", "reversed weights"].into_iter().zip(trials) {
+        let Ok(changed) = changed else {
+            // Reversing moves an absorbed weight next to a large prefix sum
+            // where it no longer vanishes, or the other way round, and the
+            // rate check rejects the new order; the original passed it.
+            continue;
+        };
+        let label = format!("{label}: try_prefix on {trial}");
+        let (trial_value, trial_choice, trial_rows) =
+            reference_rows(&changed, &value, &choice, 0, split, &label);
+        let resumed = dp.try_prefix(&changed, split);
+        assert_eq!(resumed.to_bits(), trial_value[0].to_bits(), "{label}");
+        assert_eq!(bits(&dp.trial_value), bits(&trial_value), "{label}: values");
+        assert_eq!(dp.trial_choice, trial_choice, "{label}: choices");
+        assert_eq!(dp.tally, trial_rows.span(0, &label), "{label}: work");
+    }
 
     let mut suffix = ResumableDp::new();
     let suffix_value = suffix.solve_suffix(&table, split);
     assert_eq!(suffix_value.to_bits(), value[split].to_bits(), "{label}: solve_suffix");
     assert_eq!(bits(&suffix.value[split..]), bits(&value[split..]), "{label}: suffix values");
     assert_eq!(suffix.choice[split..], choice[split..], "{label}: suffix choices");
-    assert_eq!(suffix.tally, span(split), "{label}: solve_suffix work");
+    assert_eq!(suffix.tally, rows.span(split, label), "{label}: solve_suffix work");
 
     // The chain instance whose table is `table`: position x > 0 is
     // protected by task x − 1's recovery, and the last task's protects
@@ -745,7 +879,7 @@ fn assert_pruned_entries_agree(
         assert_eq!(bits(&scratch.value), bits(&value), "{label}: dispatch values");
         assert_eq!(scratch.choice, choice, "{label}: dispatch choices");
     }
-    (table, rows.iter().map(|row| row.candidates).collect())
+    (table, rows)
 }
 
 #[test]
@@ -778,6 +912,16 @@ fn pruned_row_matches_the_per_candidate_scan() {
     assert!(coverage.split_crossed > 0, "{coverage:?}");
     assert!(coverage.product_only > 0, "{coverage:?}");
     assert!(coverage.saturated > 0, "{coverage:?}");
+    assert!(coverage.cut_short > 0, "{coverage:?}");
+
+    // The reversed-weights trial of `assert_pruned_entries_agree` reaches
+    // prefix sums that differ past the window in their last bits.
+    let (weights, ckpt, rec, downtime) = order(Shape::Heterogeneous, 3, 300);
+    let mut reversed = weights.clone();
+    reversed[..150].reverse();
+    let table = SegmentCostTable::new(1e-6, downtime, &weights, &ckpt, &rec).unwrap();
+    let trial = SegmentCostTable::new(1e-6, downtime, &reversed, &ckpt, &rec).unwrap();
+    assert!((150..300).any(|j| table.work(0, j) != trial.work(0, j)));
 
     // Integer weights keep every prefix sum, and so every segment's work,
     // exact; λ = target / 64 is exact too, so each scanned segment of 64 s
@@ -795,7 +939,8 @@ fn pruned_row_matches_the_per_candidate_scan() {
             let (table, rows) = assert_pruned_entries_agree(&order, target / 64.0, n / 2, &label);
             let on_target = (0..n)
                 .filter(|&x| {
-                    (x..x + rows[x] as usize).any(|j| table.lambda() * table.work(x, j) == target)
+                    let scanned = rows.suffix[x].candidates as usize;
+                    (x..x + scanned).any(|j| table.lambda() * table.work(x, j) == target)
                 })
                 .count();
             assert!(on_target > 0, "{label}: no scanned segment lands on the target");
@@ -821,6 +966,7 @@ fn pruned_row_matches_the_per_candidate_scan_at_production_size() {
     let (table, rows) = assert_pruned_entries_agree(&flat, 1e-6, n / 2, "plan-mixed flat class");
     coverage.add(&table, &rows);
     assert!(coverage.split_crossed > n / 2, "{coverage:?}");
+    assert!(coverage.cut_short > n / 2, "{coverage:?}");
 
     let n = 10_000;
     let long = order(Shape::Heterogeneous, 7, n);
@@ -829,4 +975,63 @@ fn pruned_row_matches_the_per_candidate_scan_at_production_size() {
     let (table, rows) = assert_pruned_entries_agree(&long, lambda, n / 2, "10⁴ positions");
     coverage.add(&table, &rows);
     assert!(coverage.all_head > 0 && coverage.split_crossed > 0, "{coverage:?}");
+}
+
+/// The suffix bound fires where rows run long: in the regime of b1's
+/// `pruned_sparse` row (4 096 weights drawn from `[100, 2 000]`, `C = 60`,
+/// `R = 90`, `D = 30`, `λ·W = 3`), the production solve evaluates at most a
+/// quarter of the candidates the first-segment bound alone lets through,
+/// with the same values and choices.
+#[test]
+fn suffix_bound_cuts_long_rows_to_a_quarter() {
+    let n = 4_096;
+    let mut rng = Pcg64::seed_from_u64(11);
+    let weights: Vec<f64> = (0..n).map(|_| rng.next_range(100.0, 2_000.0)).collect();
+    let lambda = 3.0 / weights.iter().sum::<f64>();
+    let table =
+        SegmentCostTable::new(lambda, 30.0, &weights, &[60.0; 4_096], &[90.0; 4_096]).unwrap();
+    let (mut value, mut choice) = (vec![0.0; n + 1], vec![0; n]);
+    let answer = reference::pruned_dp_span(&table, &mut value, &mut choice, 0, n, Rule::Segment);
+    let mut dp = ResumableDp::new();
+    assert_eq!(dp.solve(&table).to_bits(), value[0].to_bits());
+    assert_eq!(dp.choice, choice);
+    assert!(4 * dp.tally.candidates <= answer.candidates, "{:?} vs {answer:?}", dp.tally);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random orders of up to 300 positions at `λ·W` from `10⁻¹⁷` to 1 000,
+    /// with free, heterogeneous and absorbed costs: every pruned entry
+    /// (prefix re-solves on tables whose prefix sums differ past the
+    /// window included) and the levelled DP on two levels with 0–8 fast
+    /// slots keep the answer oracle's values, choices and levels bit for
+    /// bit, with the work oracle's counts.
+    #[test]
+    fn prop_suffix_bound_keeps_every_answer(
+        seed in any::<u64>(),
+        n in 1usize..301,
+        log_lambda_w in -17.0f64..3.0,
+        shape in 0usize..3,
+        split in 0.0f64..1.0,
+        slots in 0usize..9,
+    ) {
+        let shape = [Shape::FreeCheckpoints, Shape::Heterogeneous, Shape::Absorbed][shape];
+        let order = order(shape, seed, n);
+        let (weights, ckpt, rec, downtime) = &order;
+        let lambda = 10f64.powf(log_lambda_w) / weights.iter().sum::<f64>();
+        let label = format!("{shape:?} seed {seed} n {n} λW 1e{log_lambda_w}");
+        if SegmentCostTable::new(lambda, *downtime, weights, ckpt, rec).is_ok() {
+            let split = (split * n as f64) as usize;
+            assert_pruned_entries_agree(&order, lambda, split, &label);
+        }
+        let levels = StorageLevels::two_level(
+            StorageLevel::new(0.25, 0.2).unwrap().with_slots(slots),
+            StorageLevel::new(1.0, 1.0).unwrap(),
+        )
+        .unwrap();
+        if let Ok(table) = LevelledCostTable::new(lambda, *downtime, weights, ckpt, rec, levels) {
+            assert_levelled_dps_agree(&table, &format!("{label} slots {slots}"));
+        }
+    }
 }

@@ -1,4 +1,4 @@
-//! A simple text round-trip format for task graphs.
+//! The edge-list text format: a simple round-trip format for task graphs.
 //!
 //! The edge-list format of [`to_edge_list`] / [`from_edge_list`] gives a
 //! dependency-free way to persist graphs in tests and experiment configs.

@@ -56,7 +56,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod dot;
+pub mod edge_list;
 pub mod error;
 pub mod generators;
 pub mod graph;

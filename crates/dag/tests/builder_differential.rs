@@ -10,7 +10,7 @@
 //! Every generator, and the edge-list parser, must give the reference's
 //! graph too.
 
-use ckpt_dag::{dot, generators, topo, GraphError, TaskGraph, TaskGraphBuilder, TaskId};
+use ckpt_dag::{edge_list, generators, topo, GraphError, TaskGraph, TaskGraphBuilder, TaskId};
 use proptest::prelude::*;
 
 /// The eager graph the builder replaced.
@@ -299,7 +299,7 @@ fn check(graph: &TaskGraph, reference: &Reference) {
     same_graph(graph, reference).unwrap();
     // The edge-list format round-trips through the parser as through the
     // reference fed the same lines.
-    let text = dot::to_edge_list(graph);
+    let text = edge_list::to_edge_list(graph);
     let mut parsed = Reference::default();
     for line in text.lines() {
         let parts: Vec<&str> = line.split_whitespace().collect();
@@ -313,7 +313,7 @@ fn check(graph: &TaskGraph, reference: &Reference) {
                 .unwrap(),
         }
     }
-    same_graph(&dot::from_edge_list(&text).unwrap(), &parsed).unwrap();
+    same_graph(&edge_list::from_edge_list(&text).unwrap(), &parsed).unwrap();
 }
 
 #[test]

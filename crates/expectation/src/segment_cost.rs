@@ -31,11 +31,22 @@
 //!   answers every query through `exp_m1` (these instances have astronomically
 //!   large expected times anyway).
 //!
-//! The table additionally precomputes the suffix minima of the segment-term
-//! "slopes" `e^{λ(prefix[j+1]+C_j)}`, which give the chain DP a monotone lower
-//! bound for pruning its inner loop, and exposes the slope/query-point
-//! decomposition `T(x, j) = slope(j)·query_point(x) − coefficient(x)` used by
-//! the `O(n log n)` divide-and-conquer solver.
+//! The pruned Algorithm 1 recurrence stops a row at two lower bounds, each
+//! valid for every later checkpoint position:
+//!
+//! * [`SegmentCostTable::segment_lower_bound`], the first segment alone: the
+//!   table precomputes the suffix minima of the segment-term "slopes"
+//!   `e^{λ(prefix[j+1]+C_j)}`, so the bound clears a row's incumbent once
+//!   the first segment costs more than the row's whole optimum;
+//! * [`SegmentCostTable::suffix_lower_bound_with_coefficient`], the first
+//!   segment plus the rest of the chain: every segment costs at least its
+//!   work (work conservation), so the bound clears the incumbent once the
+//!   first segment's overhead alone exceeds the overhead of the whole
+//!   suffix. Its doc comment proves it, rounding included.
+//!
+//! The table also exposes the slope/query-point decomposition
+//! `T(x, j) = slope(j)·query_point(x) − coefficient(x)` used by the
+//! `O(n log n)` divide-and-conquer solver.
 //!
 //! A row of the pruned recurrence meets the tiny-exponent fallback only in
 //! its head. Prefix sums never decrease (weights are positive and rounding
@@ -46,10 +57,16 @@
 //! such `j` once per row, by an exponential search from `x` (the head is
 //! short next to the row, and often empty) closed by a binary search. It
 //! evaluates the positions before it exactly as [`SegmentCostTable::cost`]
-//! does, and scans the rest over slices cut once per row, in the product
-//! form alone, with no per-candidate regime test. Both parts use `cost`'s
-//! and `segment_lower_bound`'s expressions in the same association, so the
-//! row's value, choice and counts equal a per-candidate scan's bit for bit.
+//! does, and scans the rest over slices, in the product form alone, with
+//! no per-candidate regime test. Both parts use `cost`'s and
+//! `segment_lower_bound`'s expressions in the same association, so the
+//! row's value and choice equal a per-candidate scan's bit for bit. A row
+//! whose product-form tail outlasts its first [`STREAMED_BEFORE_CUTOFF`]
+//! candidates then finds, once, the first `j` at which the suffix bound
+//! clears its incumbent, by a binary search, and streams the tail only up
+//! to there: every candidate it skips costs strictly more than the
+//! incumbent, so the value and choice stay those of the full scan, and only
+//! the candidate count falls.
 
 use std::sync::Arc;
 
@@ -65,6 +82,28 @@ const SMALL_EXPONENT: f64 = 1e-2;
 /// comfortably stays inside the `f64` range (`e^{709}` overflows). Beyond it
 /// the table runs in the saturated (per-call `exp_m1`) mode.
 const MAX_SAFE_EXPONENT: f64 = 650.0;
+
+/// The product-form tail candidates a [`SegmentCostTable::pruned_row`] scan
+/// streams before it looks for its suffix-bound cut-off. The cut-off search
+/// costs about `log₂(n)` bound evaluations, each a few flops on loads from
+/// scattered positions, or some 15–40 streamed candidates at the row
+/// lengths the pruned DP meets (up to a few thousand positions). Searching
+/// only after a row has streamed about that many candidates is the
+/// rent-or-buy rule: a row that ends within them pays nothing, and one
+/// that outlasts them pays at most as much again for the search as it
+/// already spent, while long rows save most of their tail.
+pub const STREAMED_BEFORE_CUTOFF: usize = 32;
+
+/// The rounding margin `δ` of
+/// [`SegmentCostTable::suffix_lower_bound_with_coefficient`] on a table of
+/// `n` positions: `(2¹⁹ + 8n)·ε`. Its doc comment derives it: `2¹⁹·ε`
+/// covers three times the relative error of one computed segment cost
+/// (below `2¹⁷·ε`), and `8n·ε` the rounding of sums of up to `n` terms,
+/// which a fixed margin stops covering on long enough chains (about 10⁶
+/// positions for `10⁻⁹`).
+fn work_margin(n: usize) -> f64 {
+    (524_288.0 + 8.0 * n as f64) * f64::EPSILON
+}
 
 /// Precomputed Proposition-1 costs for all contiguous segments of one
 /// execution order.
@@ -412,7 +451,9 @@ impl SegmentCostTable {
     /// A lower bound on [`cost`]`(x, j′)` valid for **every** `j′ ≥ j`, and
     /// non-decreasing in `j`: once it exceeds a DP's incumbent best, no later
     /// checkpoint position can improve on the incumbent and the inner loop
-    /// may stop.
+    /// may stop. It sees the first segment only: a row's scan runs on until
+    /// that segment alone costs more than the row's whole optimum.
+    /// [`suffix_lower_bound_with_coefficient`] adds the rest of the chain.
     ///
     /// The bound replaces the segment slope by its suffix minimum
     /// `min_{k ≥ j} e^{λ(prefix[k+1]+C_k)}`; for uniform checkpoint costs it
@@ -424,6 +465,7 @@ impl SegmentCostTable {
     /// comparable relative error.
     ///
     /// [`cost`]: SegmentCostTable::cost
+    /// [`suffix_lower_bound_with_coefficient`]: SegmentCostTable::suffix_lower_bound_with_coefficient
     pub fn segment_lower_bound(&self, x: usize, j: usize) -> f64 {
         debug_assert!(x <= j && j < self.len());
         if self.saturated {
@@ -431,6 +473,96 @@ impl SegmentCostTable {
         } else {
             self.coeff[x] * (self.min_slope_suffix[j] * self.inv_exp_prefix[x] - 1.0)
         }
+    }
+
+    /// A lower bound on `cost_with_coefficient(x, j′, coefficient) + E(j′+1)`
+    /// for **every** `j′ ≥ j`, where `E(k)` is any value the pruned
+    /// recurrence computes for the suffix from position `k` (`E(n) = 0`): a
+    /// flat row value (fresh, or reused by a prefix re-solve), or a
+    /// levelled state value `E(k, ℓ, s)`. With `c = coefficient`,
+    /// `w = work(x, j)` and `W_k = prefix[n] − prefix[k]`, the work left from
+    /// position `k`, it is
+    ///
+    /// ```text
+    /// B(x, j) = (1 − δ)·c·(e^{λw} − 1) + W_{j+1} − δ·prefix[n],   δ = (2¹⁹ + 8n)·ε
+    /// ```
+    ///
+    /// evaluated in that association, with `e^{λw} − 1` as in [`cost`]
+    /// (`exp_m1` where `λw < 10⁻²` or the table is saturated, the product of
+    /// the precomputed exponentials otherwise). Once it clears a row's
+    /// incumbent, every later candidate costs strictly more than the
+    /// incumbent, so a scan may stop without changing its value or choice.
+    /// `c` must be a coefficient `e^{λR}(1/λ + D)` of this table's `λ` (any
+    /// `R, D ≥ 0`, so every storage level's qualifies).
+    ///
+    /// **Why it holds (exact arithmetic).** Let `A(u) = c·(e^{λu} − 1)`.
+    /// 1. Every segment costs at least its work: `c ≥ 1/λ`, `e^z − 1 ≥ z`
+    ///    and `C ≥ 0` give `c·(e^{λ(u + C)} − 1) ≥ λc·(u + C) ≥ u`. The
+    ///    works of a plan's segments telescope over the prefix sums, so
+    ///    `E(k) ≥ W_k` for every plan of the suffix from `k`, +∞ states
+    ///    included (at any level: each level's coefficient is also at least
+    ///    `1/λ`, and each written level's `C` is at least 0).
+    /// 2. Dropping `C_{j′} ≥ 0` gives `cost(x, j′) ≥ A(w′)`, `w′ = work(x, j′)`.
+    /// 3. `u ↦ A(u) − u` never decreases (its slope `λc·e^{λu} − 1 ≥ 0`),
+    ///    and `w′ ≥ w`, so
+    ///    `cost(x, j′) + E(j′+1) ≥ A(w′) − w′ + W_x ≥ A(w) − w + W_x = A(w) + W_{j+1}`.
+    ///
+    /// **Rounding.** Let `u₀ = ε/2` be the unit roundoff, `P = prefix[n]`,
+    /// and let `A` use the table's computed coefficient.
+    /// * (a) A computed coefficient is at least `fl(1/λ) ≥ (1 − u₀)/λ`:
+    ///   `e^{λR}` rounds to at least 1 and `D ≥ 0`.
+    /// * (b) A computed segment cost is at least `(1 − η)·A(w′)`, with
+    ///   `η = 2¹⁷·ε`: its exact value `c·(e^z − 1)`, `z = λ(w′ + C)`, is at
+    ///   least `A(w′)`. In the product form (`z ≥ 10⁻²`) each of the three
+    ///   exponents `λ·prefix[j′+1]`, `λ·prefix[x]`, `λ·C ≤ 650` rounds by at
+    ///   most `650·u₀`, so `e^z` (three `exp`s, a reciprocal, two products)
+    ///   carries a relative error below `1 960·u₀`, which subtracting 1
+    ///   amplifies at most `1/(1 − e^{−0.01}) < 101` times: below
+    ///   `99 000·ε` in all. The `exp_m1` form loses at most `3u₀·(2 + z)`
+    ///   with `z < 710` (beyond it the cost is +∞, which only helps).
+    /// * (c) A computed `E(k)` is a sum of at most `n` rounded costs, each at
+    ///   least `(1 − η)(1 − u₀)` times its work, so `E(k) ≥ W_k − (η + n·ε)·P`.
+    ///   A prefix re-solve reuses values from a table whose prefix sums
+    ///   past its window hold the same weights summed in another order;
+    ///   each sum lies within `(n/2)·ε·P` of the exact one, so the reused
+    ///   `W′_k ≥ W_k − 2n·ε·P`, and `E(k) ≥ W_k − (2η + 5n·ε)·P` for every
+    ///   value a scan reads.
+    /// * (d) With `(1 − η − u₀)·A` in place of `A`, the slope in step 3 is
+    ///   at least `−(η + ε)`, which costs at most `(η + ε)·P` over the row.
+    ///   A candidate, its sum rounded once more, is therefore at least
+    ///   `(1 − η − u₀)·A(w) + W_{j+1} − (3η + (5n + 2)·ε)·P`.
+    /// * (e) Evaluating `B` errs by at most `η` relative on its first term
+    ///   (the product form at `λw ≥ 10⁻²` as in (b), or `exp_m1`; then two
+    ///   products) and by `4u₀·P` on the rest. So `B` stays at or below the
+    ///   candidate bound of (d) whenever `δ ≥ 3η + (5n + 4)·ε`, which
+    ///   `δ = (2¹⁹ + 8n)·ε` satisfies (`3·2¹⁷ < 2¹⁹`). The factor `1 − δ`
+    ///   is applied to `c` before the product, so a first term that
+    ///   overflows to +∞ forces every later cost to +∞ as well.
+    ///
+    /// **Non-finite values.** A +∞ cost or state value only raises a
+    /// candidate, and a +∞ incumbent is never cleared. A +∞ coefficient
+    /// makes `B` +∞ where `λw > 0` (every later cost is then +∞ too) and
+    /// NaN where `λw = 0`, which clears nothing.
+    ///
+    /// `B` is non-decreasing in `j` in exact arithmetic. The computed value
+    /// can only break that by rounding noise between positions whose work
+    /// differs by a few ulps; a scan that relies on monotonicity to find
+    /// its cut-off by bisection then stops at some `j` where `B` clears the
+    /// incumbent, never early, so its value and choice are unaffected.
+    ///
+    /// [`cost`]: SegmentCostTable::cost
+    #[inline]
+    pub fn suffix_lower_bound_with_coefficient(&self, x: usize, j: usize, coefficient: f64) -> f64 {
+        debug_assert!(x <= j && j < self.len());
+        let z = self.lambda * self.work(x, j);
+        let growth = if self.saturated || z < SMALL_EXPONENT {
+            z.exp_m1()
+        } else {
+            self.exp_prefix[j + 1] * self.inv_exp_prefix[x] - 1.0
+        };
+        let (n, delta) = (self.len(), work_margin(self.len()));
+        (1.0 - delta) * coefficient * growth
+            + ((self.prefix[n] - self.prefix[j + 1]) - delta * self.prefix[n])
     }
 
     /// Row `x` of the pruned Algorithm 1 recurrence: the minimum of
@@ -441,12 +573,19 @@ impl SegmentCostTable {
     /// The scan stops before the first `j` whose
     /// [`segment_lower_bound`]`(x, j)` exceeds the incumbent (a strict
     /// comparison): the bound holds for every later `j` and never
-    /// decreases, so no later `j` can win. Every `j` before it is a
-    /// candidate. The result is that
-    /// of evaluating `segment_lower_bound` and then `cost` candidate by
-    /// candidate, bit for bit, counts included; see the [module
-    /// docs](self) for how the row splits into an `exp_m1` head and a
-    /// product-form tail. Saturated tables run the per-candidate scan.
+    /// decreases, so no later `j` can win. A row whose product-form tail
+    /// outlasts its first [`STREAMED_BEFORE_CUTOFF`] candidates also stops
+    /// at the first later `j` whose
+    /// [`suffix_lower_bound_with_coefficient`]`(x, j, coefficient(x))`
+    /// exceeds the incumbent those candidates left, found once by a binary
+    /// search. Every `j` before the stop is a candidate. The value and
+    /// choice are those of evaluating `segment_lower_bound` and then `cost`
+    /// over every candidate up to the first bound's stop, bit for bit: a
+    /// candidate the suffix bound skips costs strictly more than the
+    /// incumbent. See the [module docs](self) for how the row splits into
+    /// an `exp_m1` head and a product-form tail. The head, and every row of
+    /// a saturated table, runs the per-candidate scan with the first bound
+    /// alone.
     ///
     /// # Panics
     ///
@@ -455,6 +594,7 @@ impl SegmentCostTable {
     ///
     /// [`cost`]: SegmentCostTable::cost
     /// [`segment_lower_bound`]: SegmentCostTable::segment_lower_bound
+    /// [`suffix_lower_bound_with_coefficient`]: SegmentCostTable::suffix_lower_bound_with_coefficient
     pub fn pruned_row(&self, x: usize, next: &[f64]) -> PrunedRow {
         let n = self.len();
         assert!(x < n, "row {x} out of range (len {n})");
@@ -495,18 +635,51 @@ impl SegmentCostTable {
         if head_end == n {
             return row;
         }
+        let streamed = (head_end + STREAMED_BEFORE_CUTOFF).min(n);
+        if self.stream_tail(x, next, head_end, streamed, &mut row) || streamed == n {
+            return row;
+        }
+        // The first `j ≥ streamed` whose suffix bound clears the incumbent.
+        let (mut cutoff, mut end) = (streamed, n);
+        while cutoff < end {
+            let mid = cutoff + (end - cutoff) / 2;
+            if self.suffix_lower_bound_with_coefficient(x, mid, self.coeff[x]) > row.value {
+                end = mid;
+            } else {
+                cutoff = mid + 1;
+            }
+        }
+        if !self.stream_tail(x, next, streamed, cutoff, &mut row) && cutoff < n {
+            row.prune_breaks = 1;
+        }
+        row
+    }
+
+    /// Scans candidates `from..to` of product-form row `x` into `row`, the
+    /// way [`pruned_row`](SegmentCostTable::pruned_row) scans the tail.
+    /// Returns whether [`segment_lower_bound`](SegmentCostTable::segment_lower_bound)
+    /// stopped the scan.
+    #[inline]
+    fn stream_tail(
+        &self,
+        x: usize,
+        next: &[f64],
+        from: usize,
+        to: usize,
+        row: &mut PrunedRow,
+    ) -> bool {
         // `segment_lower_bound` and `cost` of the product regime, each in
         // its association: a reordered product rounds differently.
         let (coefficient, inv_start) = (self.coeff[x], self.inv_exp_prefix[x]);
-        let tail = self.min_slope_suffix[head_end..]
+        let tail = self.min_slope_suffix[from..to]
             .iter()
-            .zip(&self.exp_prefix[head_end + 1..])
-            .zip(&self.exp_ckpt[head_end..])
-            .zip(&next[head_end - x..]);
-        for (j, (((&min_slope, &exp_end), &exp_ckpt), &next_value)) in (head_end..).zip(tail) {
+            .zip(&self.exp_prefix[from + 1..])
+            .zip(&self.exp_ckpt[from..])
+            .zip(&next[from - x..]);
+        for (j, (((&min_slope, &exp_end), &exp_ckpt), &next_value)) in (from..).zip(tail) {
             if coefficient * (min_slope * inv_start - 1.0) > row.value {
                 row.prune_breaks = 1;
-                return row;
+                return true;
             }
             row.candidates += 1;
             let cost = coefficient * (exp_end * inv_start * exp_ckpt - 1.0) + next_value;
@@ -515,7 +688,7 @@ impl SegmentCostTable {
                 row.choice = j;
             }
         }
-        row
+        false
     }
 
     /// The total-cost change from **adding** a checkpoint at `pos` inside a
@@ -566,7 +739,7 @@ pub struct PrunedRow {
     pub choice: usize,
     /// The candidates evaluated.
     pub candidates: u64,
-    /// 1 if the scan stopped at the lower bound, 0 if it ran to the end.
+    /// 1 if the scan stopped at a lower bound, 0 if it ran to the end.
     pub prune_breaks: u64,
 }
 

@@ -73,15 +73,6 @@ impl WorkloadModel {
             }
         })
     }
-
-    /// The parallel speed-up `W(1) / W(p)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `w_total ≤ 0` or `p == 0`.
-    pub fn speedup(&self, w_total: f64, p: u32) -> Result<f64, ExpectationError> {
-        Ok(self.time(w_total, 1)? / self.time(w_total, p)?)
-    }
 }
 
 impl std::fmt::Display for WorkloadModel {
@@ -106,7 +97,6 @@ mod tests {
         let m = WorkloadModel::PerfectlyParallel;
         assert_eq!(m.time(1000.0, 1).unwrap(), 1000.0);
         assert_eq!(m.time(1000.0, 10).unwrap(), 100.0);
-        assert!((m.speedup(1000.0, 10).unwrap() - 10.0).abs() < 1e-12);
     }
 
     #[test]
@@ -117,7 +107,7 @@ mod tests {
         let t_huge = m.time(1000.0, 1_000_000).unwrap();
         assert!((t_huge - 100.0).abs() < 1.0);
         // Speed-up bounded by 1/γ.
-        assert!(m.speedup(1000.0, 1_000_000).unwrap() < 10.0 + 1e-6);
+        assert!(t1 / t_huge < 10.0 + 1e-6);
     }
 
     #[test]
@@ -190,7 +180,8 @@ mod tests {
             p in 1u32..4096,
         ) {
             let m = WorkloadModel::amdahl(gamma).unwrap();
-            prop_assert!(m.speedup(w, p).unwrap() / f64::from(p) <= 1.0 + 1e-9);
+            let speedup = m.time(w, 1).unwrap() / m.time(w, p).unwrap();
+            prop_assert!(speedup / f64::from(p) <= 1.0 + 1e-9);
         }
     }
 }

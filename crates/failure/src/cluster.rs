@@ -71,11 +71,6 @@ impl ShockConfig {
     pub fn rate(&self) -> f64 {
         self.rate
     }
-
-    /// Width of the burst window over which struck machines fail.
-    pub fn burst_width(&self) -> f64 {
-        self.burst_width
-    }
 }
 
 /// How long a failed machine stays unavailable before it can run jobs again.
@@ -368,7 +363,7 @@ mod tests {
         assert!(ShockConfig::new(1.0, 1.1, 1.0).is_err());
         assert!(ShockConfig::new(1.0, 0.5, -1.0).is_err());
         let cfg = ShockConfig::new(0.25, 0.5, 2.0).unwrap();
-        assert_eq!((cfg.rate(), cfg.fan_out, cfg.burst_width()), (0.25, 0.5, 2.0));
+        assert_eq!((cfg.rate(), cfg.fan_out, cfg.burst_width), (0.25, 0.5, 2.0));
     }
 
     #[test]

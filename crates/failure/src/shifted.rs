@@ -21,11 +21,6 @@ impl<D: FailureDistribution> Shifted<D> {
     pub fn new(inner: D, shift: f64) -> Result<Self, FailureModelError> {
         Ok(Shifted { inner, shift: ensure_non_negative("shift", shift)? })
     }
-
-    /// The shift added to every sample.
-    pub fn shift(&self) -> f64 {
-        self.shift
-    }
 }
 
 impl<D: FailureDistribution> FailureDistribution for Shifted<D> {

@@ -101,34 +101,6 @@ impl FailureTrace {
         let span = self.events.last().unwrap().time - self.events.first().unwrap().time;
         Some(span / (self.events.len() - 1) as f64)
     }
-
-    /// Merges two traces over the same platform, preserving time order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the platforms have different sizes.
-    pub fn merge(&self, other: &FailureTrace) -> Result<FailureTrace, FailureModelError> {
-        if self.processors != other.processors {
-            return Err(FailureModelError::UnknownProcessor {
-                processor: other.processors,
-                platform_size: self.processors,
-            });
-        }
-        let mut events = Vec::with_capacity(self.events.len() + other.events.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.events.len() && j < other.events.len() {
-            if self.events[i].time <= other.events[j].time {
-                events.push(self.events[i]);
-                i += 1;
-            } else {
-                events.push(other.events[j]);
-                j += 1;
-            }
-        }
-        events.extend_from_slice(&self.events[i..]);
-        events.extend_from_slice(&other.events[j..]);
-        FailureTrace::new(self.processors, events)
-    }
 }
 
 /// Generates synthetic failure traces from per-processor failure laws.
@@ -250,22 +222,6 @@ mod tests {
     fn mean_interarrival_and_counts() {
         let t = FailureTrace::new(2, vec![ev(0.0, 0), ev(10.0, 1), ev(30.0, 1)]).unwrap();
         assert!((t.mean_interarrival().unwrap() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_interleaves_in_time_order() {
-        let a = FailureTrace::new(2, vec![ev(1.0, 0), ev(5.0, 0)]).unwrap();
-        let b = FailureTrace::new(2, vec![ev(2.0, 1), ev(6.0, 1)]).unwrap();
-        let m = a.merge(&b).unwrap();
-        let times: Vec<f64> = m.events().iter().map(|e| e.time).collect();
-        assert_eq!(times, vec![1.0, 2.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_platforms() {
-        let a = FailureTrace::new(2, vec![]).unwrap();
-        let b = FailureTrace::new(3, vec![]).unwrap();
-        assert!(a.merge(&b).is_err());
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub enum TimeDomain {
 
 impl TimeDomain {
     /// The lowercase label used in JSONL output.
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             TimeDomain::Sim => "sim",
             TimeDomain::Wall => "wall",

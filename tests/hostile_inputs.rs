@@ -11,6 +11,12 @@
 //! The planner service meets the same inputs: a request either fails to
 //! build with a typed error or is served a makespan that is not NaN, under
 //! exact and grid rate bucketing alike.
+//!
+//! Longer chains reach the pruned DP's work-conservation cut-off (rows past
+//! 32 product-form candidates) and the levelled DP's suffix bound with
+//! overflowing (+∞) coefficients, weights absorbed by the prefix sums,
+//! `λ·W` at the 650 edge and recoveries near `709/λ`: every entry returns
+//! a typed error or a finite or +∞ value, never a NaN, and never panics.
 
 use ckpt_workflows::core::analysis::lambda_sweep_with_threads;
 use ckpt_workflows::core::chain_dp::{
@@ -18,6 +24,7 @@ use ckpt_workflows::core::chain_dp::{
 };
 use ckpt_workflows::core::{evaluate, ProblemInstance, Schedule};
 use ckpt_workflows::dag::{generators, properties};
+use ckpt_workflows::expectation::segment_cost::SegmentCostTable;
 use ckpt_workflows::expectation::storage::{StorageLevel, StorageLevels};
 use ckpt_workflows::failure::{Pcg64, RandomSource};
 use ckpt_workflows::service::{PlanInstance, PlanRequest, Planner, RateBucketing};
@@ -246,5 +253,91 @@ proptest! {
         let weights = hostile_weights(seed, n);
         let picks = [lambda_pick, downtime_pick, checkpoint_pick, recovery_pick];
         check_service(&weights, picks, pick(lambda_pick, 1e-3))?;
+    }
+}
+
+/// A finite or +∞ makespan: never NaN, never negative.
+fn finite_or_infinite(entry: &str, value: f64) -> Result<(), TestCaseError> {
+    prop_assert!(value >= 0.0, "{} returned {}", entry, value);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn prop_hostile_inputs_reach_the_suffix_bound(
+        seed in any::<u64>(),
+        n in 40usize..160,
+        regime in 0usize..4,
+        nudge in -1e-3f64..1e-3,
+        downtime_pick in 3usize..12,
+        checkpoint_pick in 3usize..12,
+        slots in 0usize..3,
+    ) {
+        // Ordinary weights over three decades; regime 1 puts a 10¹⁸ weight
+        // first, so the ordinary ones after it vanish from the prefix sums.
+        let mut rng = Pcg64::seed_from_u64(seed);
+        let mut weights: Vec<f64> =
+            (0..n).map(|_| 10f64.powf(rng.next_range(0.0, 3.0))).collect();
+        if regime == 1 {
+            weights[0] = 1e18;
+        }
+        let total: f64 = weights.iter().sum();
+        // 0: rows run long (λ·W = 3); 1: absorbed weights at λ·W = 3;
+        // 2: λ·W at the table's 650 switch; 3: recoveries near 709/λ, so
+        // every coefficient but the first overflows to +∞.
+        let lambda = (match regime {
+            2 => 650.0 + nudge,
+            _ => 3.0,
+        }) / total;
+        let recovery = if regime == 3 { (709.0 + nudge) / lambda } else { 20.0 };
+        let Ok(graph) = generators::chain(&weights) else {
+            return Ok(());
+        };
+        let Ok(instance) = ProblemInstance::builder(graph)
+            .downtime(pick(downtime_pick, 30.0))
+            .uniform_checkpoint_cost(pick(checkpoint_pick, 60.0))
+            .uniform_recovery_cost(recovery)
+            .initial_recovery(20.0)
+            .platform_lambda(lambda)
+            .build()
+        else {
+            return Ok(());
+        };
+        if let Ok(flat) = chain_dp::optimal_chain_schedule(&instance) {
+            finite_or_infinite("optimal_chain_schedule", flat.expected_makespan)?;
+        }
+        for levels in [StorageLevels::single(), two_level(slots)] {
+            if let Ok(levelled) = chain_dp::optimal_levelled_schedule(&instance, &levels) {
+                finite_or_infinite("optimal_levelled_schedule", levelled.expected_makespan)?;
+            }
+        }
+        let order = properties::as_chain(instance.graph()).unwrap();
+        let Ok(table) = evaluate::segment_cost_table(&instance, &order) else {
+            return Ok(());
+        };
+        let mut dp = ResumableDp::new();
+        finite_or_infinite("ResumableDp::solve", dp.solve(&table))?;
+        finite_or_infinite("ResumableDp::solve_suffix", dp.solve_suffix(&table, n / 3))?;
+        dp.solve(&table);
+        // The order search's case: a window reordered, so the prefix sums
+        // past it differ in their last bits.
+        let mut reordered = weights.clone();
+        reordered[1..n / 2].reverse();
+        let checkpoints = vec![pick(checkpoint_pick, 60.0); n];
+        let mut recoveries = vec![recovery; n];
+        recoveries[0] = 20.0;
+        if let Ok(trial) = SegmentCostTable::new(
+            lambda,
+            pick(downtime_pick, 30.0),
+            &reordered,
+            &checkpoints,
+            &recoveries,
+        ) {
+            finite_or_infinite("ResumableDp::try_prefix", dp.try_prefix(&trial, n / 2))?;
+        }
+        let placement = scalable_placement_on_table_with_scratch(&table, &mut ChainDpScratch::new());
+        finite_or_infinite("scalable_placement_on_table_with_scratch", placement.expected_makespan)?;
     }
 }
