@@ -304,8 +304,10 @@ fn e15_json_summary_schema_and_determinism() {
         "sim_trace_digest",
         "sim_trace_events",
         "prometheus_lines",
+        "overhead_trace_bytes",
         "timing_noop_overhead_ratio",
         "timing_live_overhead_ratio",
+        "timing_live_hash_ratio",
     ]
     .iter()
     .map(ToString::to_string)

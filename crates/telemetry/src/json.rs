@@ -43,17 +43,27 @@ pub fn json_string(value: &str) -> String {
 /// allocating — the hot-path form used by the trace sinks.
 pub fn write_json_string<W: Write>(out: &mut W, value: &str) -> fmt::Result {
     out.write_char('"')?;
-    for c in value.chars() {
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => out.write_char(c)?,
+    // Every escaped character is ASCII, so scanning bytes finds them, and
+    // the runs between them (multi-byte UTF-8 included) are written whole.
+    let mut run = 0;
+    for (at, byte) in value.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.write_str(&value[run..at])?;
+        match escape {
+            Some(escape) => out.write_str(escape)?,
+            None => write!(out, "\\u{byte:04x}")?,
         }
+        run = at + 1;
     }
+    out.write_str(&value[run..])?;
     out.write_char('"')
 }
 
@@ -76,5 +86,6 @@ mod tests {
             "\"line\\nbreak\\\\slash\\\"q\\\"\\u0001\""
         );
         assert_eq!(json_string("plain"), "\"plain\"");
+        assert_eq!(json_string("λ→\u{1f}\u{7f}é\"ü"), "\"λ→\\u001f\u{7f}é\\\"ü\"");
     }
 }
