@@ -253,7 +253,7 @@ impl DagAdaptiveResolve {
 impl Policy for DagAdaptiveResolve {
     fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
         self.0.replan_on_failure(ctx);
-        Decision::keep_order(self.0.checkpoint(ctx))
+        Decision::keep_order(self.0.through(ctx))
     }
 }
 
@@ -328,23 +328,20 @@ impl DagRelinearise {
     /// Runs the bounded-budget order search on the remaining graph of
     /// `self.order[suffix_start..]` at `rate` and returns the winning
     /// suffix (original task ids), or `None` when the incumbent suffix
-    /// wins (no reorder worth taking) or the search fails.
+    /// wins (no reorder worth taking) or the search fails. `r0` recovers the
+    /// state the suffix starts from.
     ///
     /// The incumbent suffix is always among the starts, and
     /// [`search_from_starts`] never returns a worse value than any start —
     /// so under the planning model at `rate`, reordering is never a
     /// planned-value regression over [`DagAdaptiveResolve`]'s keep-the-
     /// order behaviour.
-    fn relinearised_suffix(&self, suffix_start: usize, rate: f64) -> Option<Vec<TaskId>> {
+    fn relinearised_suffix(&self, suffix_start: usize, r0: f64, rate: f64) -> Option<Vec<TaskId>> {
         let sub: SuffixSubgraph =
             suffix_subgraph(self.spec.instance().graph(), &self.order, suffix_start);
         let instance = self.spec.instance();
         let ckpt: Vec<f64> = sub.tasks.iter().map(|&t| instance.checkpoint_cost(t)).collect();
         let rec: Vec<f64> = sub.tasks.iter().map(|&t| instance.recovery_cost(t)).collect();
-        // The suffix's first segment is protected by the checkpoint
-        // candidate right before it (position suffix_start − 1 of the
-        // current order) — the natural R₀ of the sub-problem.
-        let r0 = self.raw_rec[suffix_start - 1];
         let mut builder = ProblemInstance::builder(sub.graph.clone());
         builder
             .checkpoint_costs(ckpt)
@@ -385,12 +382,18 @@ impl Policy for DagRelinearise {
         );
         let mut reorder_suffix: Option<Vec<usize>> = None;
         if let Some(estimate) = self.plan.posterior_on_failure(ctx) {
-            // Re-linearise the unexecuted suffix (positions strictly after
-            // the current boundary) when there are at least two tasks to
-            // permute.
-            let suffix_start = ctx.position + 1;
-            if self.spec.len().saturating_sub(suffix_start) >= 2 {
-                if let Some(new_suffix) = self.relinearised_suffix(suffix_start, estimate) {
+            // Re-linearise the unexecuted suffix (positions from the one to
+            // run on) when there are at least two tasks to permute. Its
+            // first segment is protected by the last durable checkpoint (the
+            // position before it), or by R₀ at the start — the natural R₀
+            // of the sub-problem.
+            let suffix_start = ctx.position;
+            let r0 = match suffix_start {
+                0 => self.spec.initial_recovery(),
+                p => self.raw_rec[p - 1],
+            };
+            if self.spec.len() - suffix_start >= 2 {
+                if let Some(new_suffix) = self.relinearised_suffix(suffix_start, r0, estimate) {
                     let mut candidate = self.order.clone();
                     candidate[suffix_start..].copy_from_slice(&new_suffix);
                     // The spliced order is topological by construction, so
@@ -407,9 +410,9 @@ impl Policy for DagRelinearise {
                     }
                 }
             }
-            self.plan.resolve(ctx.resume_position(), estimate);
+            self.plan.resolve(ctx.position, estimate);
         }
-        Decision { checkpoint: self.plan.checkpoint(ctx), reorder_suffix }
+        Decision { through: self.plan.through(ctx), reorder_suffix }
     }
 }
 

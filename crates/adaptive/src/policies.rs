@@ -1,20 +1,20 @@
 //! The four online checkpoint policies.
 //!
-//! All four implement [`ckpt_simulator::Policy`] and are driven by the
-//! policy engine at every task boundary of a chain (none of them reorders):
+//! All four implement [`ckpt_simulator::Policy`]: the engine consults them
+//! whenever an attempt of a chain is about to start, and each names the
+//! position the attempt checkpoints after (none of them reorders):
 //!
 //! * [`StaticPlan`] — replay a fixed offline placement (no adaptation; the
 //!   paper's model, used both as the planning-rate baseline and, solved at
 //!   the *true* rate, as the clairvoyant reference; it replays a
 //!   [`DagPlan`]'s placement just as well);
-//! * [`PeriodicYoung`] — checkpoint whenever the accumulated uncheckpointed
-//!   work reaches the Young period `√(2·C̄/λ_plan)` (the §7 divisible-load
+//! * [`PeriodicYoung`] — end each attempt at the first task that brings its
+//!   work to the Young period `√(2·C̄/λ_plan)` (the §7 divisible-load
 //!   baseline transplanted to task boundaries);
 //! * [`AdaptiveResolve`] — after **every** observed failure, update a
 //!   Bayesian rate estimate (Gamma prior centred on the planning rate) and
-//!   re-solve the remaining chain with Algorithm 1 on a fresh
-//!   [`SegmentCostTable`](ckpt_expectation::segment_cost::SegmentCostTable)
-//!   at the new estimate — a **suffix-only**
+//!   re-solve the remaining chain with Algorithm 1 on a
+//!   [`SegmentCostTable`] refilled at the new estimate — a **suffix-only**
 //!   [`ResumableDp::solve_suffix`] solve, since everything before the last
 //!   durable checkpoint is already executed;
 //! * [`RateLearning`] — maintain the pure maximum-likelihood rate from
@@ -37,9 +37,10 @@ use ckpt_core::chain_dp::{
     scalable_placement_on_table_with_scratch, ChainDpScratch, ResumableDp, TablePlacement,
 };
 use ckpt_expectation::approximations::young_period;
+use ckpt_expectation::segment_cost::SegmentCostTable;
 use ckpt_expectation::sweep::LambdaSweep;
 use ckpt_failure::fitting::OnlineExponentialMle;
-use ckpt_simulator::{Decision, DecisionContext, Policy};
+use ckpt_simulator::{next_checkpoint, Decision, DecisionContext, Policy};
 
 use crate::chain::ChainSpec;
 use crate::dag::DagPlan;
@@ -68,8 +69,8 @@ pub struct StaticPlan {
 
 impl StaticPlan {
     /// A policy replaying per-position decisions (`checkpoint_after[i]` is
-    /// whether to checkpoint right after position `i`; the engine forces the
-    /// final checkpoint regardless).
+    /// whether to checkpoint right after position `i`; the last position is
+    /// checkpointed regardless).
     pub fn new(checkpoint_after: Vec<bool>) -> Self {
         StaticPlan { checkpoint_after }
     }
@@ -87,15 +88,17 @@ impl StaticPlan {
 }
 
 impl Policy for StaticPlan {
+    /// Runs through the next flagged position, or to the end
+    /// ([`next_checkpoint`]).
     fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
-        Decision::keep_order(self.checkpoint_after.get(ctx.position).copied().unwrap_or(false))
+        Decision::keep_order(next_checkpoint(&self.checkpoint_after, ctx.position, ctx.order.len()))
     }
 }
 
-/// Young-periodic checkpointing at task granularity: checkpoint after the
-/// first task that pushes the uncheckpointed work to the period or beyond
-/// (the same walk as `ckpt_core::heuristics::young_periodic_schedule`,
-/// applied online so it also re-triggers during re-execution).
+/// Young-periodic checkpointing at task granularity: each attempt ends at
+/// the first task that pushes its work to the period or beyond (the same
+/// walk as `ckpt_core::heuristics::young_periodic_schedule`, applied online
+/// so it also re-triggers during re-execution).
 #[derive(Debug, Clone)]
 pub struct PeriodicYoung {
     spec: ChainSpec,
@@ -121,9 +124,13 @@ impl PeriodicYoung {
 }
 
 impl Policy for PeriodicYoung {
+    /// Runs through the first `j` with `work(position..=j) ≥ period`, or to
+    /// the end.
     fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
-        let start = ctx.resume_position();
-        Decision::keep_order(self.spec.work_between(start, ctx.position) >= self.period)
+        let last = ctx.order.len() - 1;
+        let start = ctx.position;
+        let through = (start..last).find(|&j| self.spec.work_between(start, j) >= self.period);
+        Decision::keep_order(through.unwrap_or(last))
     }
 }
 
@@ -145,6 +152,9 @@ pub(crate) struct Replanner {
     /// The cost tables of the order the plan is over; a policy that
     /// reorders the suffix swaps in the new order's tables.
     pub(crate) sweep: LambdaSweep,
+    /// The table of the last re-plan, refilled by the next one; built on
+    /// the first, so a policy cloned per trial copies no table.
+    table: Option<SegmentCostTable>,
     dp: ResumableDp,
     planning_rate: f64,
     prior_strength: f64,
@@ -163,6 +173,7 @@ impl Replanner {
         dp.solve(&table);
         Ok(Replanner {
             sweep,
+            table: None,
             dp,
             planning_rate,
             prior_strength: DEFAULT_PRIOR_STRENGTH,
@@ -215,28 +226,35 @@ impl Replanner {
     /// Re-solves the plan from position `start` at `rate`. Returns whether
     /// it did: a rate the tables reject keeps the committed plan.
     pub(crate) fn resolve(&mut self, start: usize, rate: f64) -> bool {
-        let Ok(table) = self.sweep.table_for(rate) else { return false };
-        self.dp.solve_suffix(&table, start);
+        let table = match &mut self.table {
+            Some(table) => match self.sweep.table_into(rate, table) {
+                Ok(()) => table,
+                Err(_) => return false,
+            },
+            None => match self.sweep.table_for(rate) {
+                Ok(table) => self.table.insert(table),
+                Err(_) => return false,
+            },
+        };
+        self.dp.solve_suffix(table, start);
         self.plan_rate = rate;
         self.replans += 1;
         true
     }
 
-    /// Re-solves the suffix after the last durable checkpoint at the
-    /// posterior estimate when `ctx` shows a new failure. Returns whether it
+    /// Re-solves the suffix from the position to run at the posterior
+    /// estimate when `ctx` shows a new failure. Returns whether it
     /// re-planned.
     pub(crate) fn replan_on_failure(&mut self, ctx: &DecisionContext<'_>) -> bool {
-        self.posterior_on_failure(ctx).is_some_and(|rate| self.resolve(ctx.resume_position(), rate))
+        self.posterior_on_failure(ctx).is_some_and(|rate| self.resolve(ctx.position, rate))
     }
 
-    /// Whether the plan checkpoints at `ctx`'s boundary. `choice_at(start)`
-    /// is the plan's next checkpoint for the suffix the execution is in.
-    /// Re-plans only happen at the first boundary after a failure (where
-    /// `position == start`), so the planned position can never already be
-    /// behind us; `<=` keeps the policy safe (checkpoint at the earliest
-    /// boundary) even if that invariant is relaxed.
-    pub(crate) fn checkpoint(&self, ctx: &DecisionContext<'_>) -> bool {
-        self.dp.choice_at(ctx.resume_position()) <= ctx.position
+    /// The committed plan's next checkpoint from `ctx`'s position: the
+    /// attempt the plan runs next. Every re-plan solves the suffix from the
+    /// position it is made at, and positions only move forward until the
+    /// next one, so the plan always covers the position asked about.
+    pub(crate) fn through(&self, ctx: &DecisionContext<'_>) -> usize {
+        self.dp.choice_at(ctx.position)
     }
 
     /// The rate the committed plan was solved at.
@@ -290,7 +308,7 @@ impl Policy for AdaptiveResolve {
         if self.0.replan_on_failure(ctx) {
             crate::stats::ADAPTIVE_RESOLVE_REPLANS.add(1);
         }
-        Decision::keep_order(self.0.checkpoint(ctx))
+        Decision::keep_order(self.0.through(ctx))
     }
 }
 
@@ -352,14 +370,12 @@ impl Policy for RateLearning {
             if let Some(estimate) = self.mle.rate() {
                 let plan_rate = self.plan.plan_rate();
                 let drift = (estimate / plan_rate).max(plan_rate / estimate);
-                if drift >= DEFAULT_DRIFT_FACTOR
-                    && self.plan.resolve(ctx.resume_position(), estimate)
-                {
+                if drift >= DEFAULT_DRIFT_FACTOR && self.plan.resolve(ctx.position, estimate) {
                     crate::stats::RATE_LEARNING_REPLANS.add(1);
                 }
             }
         }
-        Decision::keep_order(self.plan.checkpoint(ctx))
+        Decision::keep_order(self.plan.through(ctx))
     }
 }
 

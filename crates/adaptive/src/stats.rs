@@ -81,16 +81,35 @@ mod tests {
 
     #[test]
     fn snapshot_diff_and_registry_export() {
-        let before = snapshot();
-        ADAPTIVE_RESOLVE_REPLANS.add(2);
-        RATE_LEARNING_REPLANS.add(1);
-        let delta = snapshot().since(&before);
+        // The counters are process-wide and the crate's other tests re-plan
+        // concurrently, so exact deltas are checked on fixed snapshots and
+        // the live counters only for their own increments
+        // (`tests/stats_counters.rs` reads them exactly, in a process of its
+        // own).
+        let before = AdaptiveStatsSnapshot {
+            adaptive_resolve_replans: 5,
+            rate_learning_replans: 7,
+            dag_relinearisations: 3,
+        };
+        let after = AdaptiveStatsSnapshot {
+            adaptive_resolve_replans: 7,
+            rate_learning_replans: 8,
+            ..before
+        };
+        let delta = after.since(&before);
         assert_eq!(delta.adaptive_resolve_replans, 2);
         assert_eq!(delta.rate_learning_replans, 1);
         assert_eq!(delta.dag_relinearisations, 0);
+        assert_eq!(before.since(&after), AdaptiveStatsSnapshot::default(), "deltas saturate");
         let mut metrics = MetricsRegistry::new();
         delta.record_into(&mut metrics);
         assert_eq!(metrics.counter("policy_adaptive_resolve_replans_total"), 2);
         assert_eq!(metrics.counter("policy_rate_learning_replans_total"), 1);
+
+        let live = snapshot();
+        ADAPTIVE_RESOLVE_REPLANS.add(2);
+        RATE_LEARNING_REPLANS.add(1);
+        let grown = snapshot().since(&live);
+        assert!(grown.adaptive_resolve_replans >= 2 && grown.rate_learning_replans >= 1);
     }
 }

@@ -1,6 +1,7 @@
-//! B7 — the online-policy subsystem: policy-driven execution overhead
-//! against the fixed-schedule engine, adaptive policies against the static
-//! replay, and the suffix-only re-plan against a full Algorithm 1 solve.
+//! B7 — the online-policy subsystem: a static plan replayed by `StaticPlan`
+//! against the same plan's segments through `try_run` (one engine, so the
+//! gap is the policy layer), adaptive policies against the static replay,
+//! and the suffix-only re-plan against a full Algorithm 1 solve.
 
 use ckpt_adaptive::{optimal_static_plan, AdaptiveResolve, RateLearning, StaticPlan};
 use ckpt_core::chain_dp::ResumableDp;
@@ -20,9 +21,9 @@ fn spec(n: usize) -> ckpt_adaptive::ChainSpec {
     ckpt_adaptive::ChainSpec::new(&weights, &ckpt, &rec, 30.0, 10.0).unwrap()
 }
 
-/// Monte-Carlo throughput: the fixed-schedule engine on the static plan's
-/// segments vs the policy engine replaying the same plan vs the adaptive
-/// policies (which pay estimate updates and re-solves on top).
+/// Monte-Carlo throughput: `try_run` on the static plan's segments vs
+/// `run_policy` replaying the same plan vs the adaptive policies (which pay
+/// estimate updates and re-solves on top).
 fn bench_policy_monte_carlo(c: &mut Criterion) {
     let mut group = c.benchmark_group("policy_monte_carlo");
     group.sample_size(10);
@@ -37,7 +38,7 @@ fn bench_policy_monte_carlo(c: &mut Criterion) {
     };
     let placement = optimal_static_plan(&spec, PLANNING_RATE).unwrap();
 
-    // Fixed-schedule engine baseline: the same plan as segments.
+    // The same plan as segments, through `try_run`.
     let flags = placement.checkpoint_after();
     let mut segments = Vec::new();
     let mut start = 0usize;

@@ -2,10 +2,12 @@
 //!
 //! A pool of machines executes many chain jobs concurrently. Each dispatched
 //! job is simulated **synchronously** on its machine with the exact §2
-//! semantics of the single-machine chain engine — the same
-//! [`run_phase`]/[`absorb_run_failure`]/[`absorb_recovery_failure`]/
-//! [`commit_run`] helpers, called in the same order — so a single-machine,
-//! no-migration, no-replica cluster run is **bitwise identical** to
+//! semantics of the single-machine chain engine: the job's static plan names
+//! each attempt, which runs its tasks' work and the checkpoint after the
+//! last one as one phase, through the same
+//! [`attempt_duration`]/[`run_phase`]/[`absorb_failure`] helpers called in
+//! the same order. A single-machine, no-migration, no-replica cluster run is
+//! therefore **bitwise identical** to
 //! [`simulate_policy`](ckpt_simulator::simulate_policy). Synchronous
 //! run-ahead is sound because machines own disjoint failure streams and a
 //! running job cannot be preempted: cross-machine interaction happens only
@@ -38,10 +40,8 @@ use crate::error::{ensure_non_negative, ClusterError};
 use crate::job::{ClusterJob, JobRecord};
 use crate::policy::{ClusterPolicy, FailureAction, FailureContext};
 use crate::source::{MachineFailureSource, MachineStream};
-use ckpt_simulator::rollback::{
-    absorb_recovery_failure, absorb_run_failure, commit_run, run_phase, PhaseOutcome,
-};
-use ckpt_simulator::{ExecutionRecord, TimeBreakdown};
+use ckpt_simulator::rollback::{absorb_failure, attempt_duration, run_phase, PhaseOutcome};
+use ckpt_simulator::{next_checkpoint, ExecutionRecord, TimeBreakdown};
 use ckpt_telemetry::{TelemetrySink, TraceEvent};
 
 /// Safety cap on the events one [`run_cluster`] call processes — a livelock
@@ -219,11 +219,11 @@ impl EventQueue {
 /// metadata), persisted across migrations.
 #[derive(Debug)]
 struct JobState {
+    /// The next position to run: the position after the last durable
+    /// checkpoint, since every attempt ends in one.
     position: usize,
-    last_checkpoint: Option<usize>,
-    failure_times: Vec<f64>,
+    failures: u64,
     breakdown: TimeBreakdown,
-    run_start: f64,
     checkpoints: u64,
     decisions: u64,
     retries: u64,
@@ -243,10 +243,8 @@ impl JobState {
     fn new() -> Self {
         JobState {
             position: 0,
-            last_checkpoint: None,
-            failure_times: Vec::new(),
+            failures: 0,
             breakdown: TimeBreakdown::default(),
-            run_start: 0.0,
             checkpoints: 0,
             decisions: 0,
             retries: 0,
@@ -258,10 +256,6 @@ impl JobState {
             ready_since: 0.0,
             completed_at: None,
         }
-    }
-
-    fn resume_position(&self) -> usize {
-        self.last_checkpoint.map_or(0, |k| k + 1)
     }
 }
 
@@ -437,7 +431,7 @@ where
         records.push(JobRecord {
             record: ExecutionRecord {
                 makespan: completed_at,
-                failures: state.failure_times.len() as u64,
+                failures: state.failures,
                 breakdown: state.breakdown,
             },
             checkpoints: state.checkpoints,
@@ -454,7 +448,7 @@ where
 
 /// One execution episode: job `j` runs on `machine` (with an optional standby
 /// `buddy`) from `start` until it completes or migrates away. Mirrors the
-/// simulator's policy engine loop exactly on the restart path.
+/// simulator's engine loop exactly on the restart path.
 #[allow(clippy::too_many_arguments)] // flat engine state, one call site
 fn run_episode<S, P>(
     jobs: &[ClusterJob],
@@ -474,23 +468,30 @@ fn run_episode<S, P>(
     P: ClusterPolicy + ?Sized,
 {
     let job = &jobs[j];
-    let n = job.tasks().len();
+    let tasks = job.tasks();
+    let n = tasks.len();
     let downtime = job.downtime();
     let mut clock = start;
     // When the buddy started standing by — its failure stream is inspected
     // from here on failover attempts.
     let watch_from = start;
 
-    // Outcome of one failure: mutates everything through the passed-in state.
+    // Handles a failure at `$at` that struck a phase whose elapsed time goes
+    // to `$wasted`; leaves the episode if the job migrates away.
     macro_rules! on_failure {
-        ($at:expr) => {
-            failure_decision(
+        ($at:expr, $wasted:ident) => {{
+            let st = &mut states[j];
+            st.failures += 1;
+            st.needs_recovery = true;
+            let b = &mut st.breakdown;
+            absorb_failure($at, downtime, &mut clock, &mut b.$wasted, &mut b.downtime);
+            let after = failure_decision(
                 source,
                 policy,
                 config,
                 idle,
                 events,
-                &mut states[j],
+                st,
                 job,
                 j,
                 &mut machine,
@@ -499,11 +500,15 @@ fn run_episode<S, P>(
                 &mut clock,
                 $at,
                 sink,
-            )
-        };
+            );
+            if let AfterFailure::Leave { ready_at } = after {
+                leave(states, events, j, clock, ready_at);
+                return;
+            }
+        }};
     }
 
-    'episode: loop {
+    loop {
         // Entry overhead: migration cost carried from the previous episode,
         // booked as downtime (the §2 bucket for failure-induced waiting).
         if states[j].pending_overhead > 0.0 {
@@ -512,134 +517,55 @@ fn run_episode<S, P>(
             states[j].pending_overhead = 0.0;
         }
 
+        let position = states[j].position;
         if states[j].needs_recovery {
-            let recovery = states[j]
-                .last_checkpoint
-                .map_or(job.initial_recovery(), |k| job.tasks()[k].recovery());
+            let recovery = match position {
+                0 => job.initial_recovery(),
+                p => tasks[p - 1].recovery(),
+            };
             if recovery > 0.0 {
-                loop {
-                    let outcome =
-                        run_phase(&mut MachineStream::new(source, machine), &mut clock, recovery);
-                    match outcome {
-                        PhaseOutcome::Failed { at } => {
-                            let st = &mut states[j];
-                            absorb_recovery_failure(
-                                at,
-                                downtime,
-                                &mut clock,
-                                &mut st.failure_times,
-                                &mut st.breakdown,
-                            );
-                            match on_failure!(at) {
-                                AfterFailure::Resume => continue,
-                                AfterFailure::Leave { ready_at } => {
-                                    leave(states, events, j, clock, ready_at);
-                                    return;
-                                }
-                            }
-                        }
-                        PhaseOutcome::Completed => {
-                            states[j].breakdown.recovery += recovery;
-                            break;
-                        }
-                    }
+                let stream = &mut MachineStream::new(source, machine);
+                if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, recovery) {
+                    on_failure!(at, recovery);
+                    continue;
                 }
+                states[j].breakdown.recovery += recovery;
             }
             states[j].needs_recovery = false;
         }
-        states[j].run_start = clock;
-
-        while states[j].position < n {
-            let position = states[j].position;
-
-            // Work phase.
-            let work = job.tasks()[position].work();
-            if let PhaseOutcome::Failed { at } =
-                run_phase(&mut MachineStream::new(source, machine), &mut clock, work)
-            {
-                let st = &mut states[j];
-                absorb_run_failure(
-                    at,
-                    downtime,
-                    &mut clock,
-                    st.run_start,
-                    &mut st.failure_times,
-                    &mut st.breakdown,
-                );
-                st.position = st.resume_position();
-                st.needs_recovery = true;
-                match on_failure!(at) {
-                    AfterFailure::Resume => continue 'episode,
-                    AfterFailure::Leave { ready_at } => {
-                        leave(states, events, j, clock, ready_at);
-                        return;
-                    }
-                }
-            }
-
-            // Decision point: final checkpoint mandatory, otherwise the
-            // job's static plan decides (counted exactly like the chain
-            // engine's policy consultations).
-            let take = if position + 1 == n {
-                true
-            } else {
-                states[j].decisions += 1;
-                job.plan()[position]
-            };
-
-            if take {
-                let base = job.tasks()[position].checkpoint();
-                // Shipping state to an attached replica inflates the
-                // checkpoint.
-                let ckpt = if buddy.is_some() {
-                    base * config.replication_checkpoint_factor
-                } else {
-                    base
-                };
-                if ckpt > 0.0 {
-                    if let PhaseOutcome::Failed { at } =
-                        run_phase(&mut MachineStream::new(source, machine), &mut clock, ckpt)
-                    {
-                        let st = &mut states[j];
-                        absorb_run_failure(
-                            at,
-                            downtime,
-                            &mut clock,
-                            st.run_start,
-                            &mut st.failure_times,
-                            &mut st.breakdown,
-                        );
-                        st.position = st.resume_position();
-                        st.needs_recovery = true;
-                        match on_failure!(at) {
-                            AfterFailure::Resume => continue 'episode,
-                            AfterFailure::Leave { ready_at } => {
-                                leave(states, events, j, clock, ready_at);
-                                return;
-                            }
-                        }
-                    }
-                }
-                let st = &mut states[j];
-                commit_run(clock, &mut st.run_start, &mut st.breakdown);
-                st.last_checkpoint = Some(position);
-                st.checkpoints += 1;
-            }
-            states[j].position += 1;
+        if position == n {
+            break;
         }
 
-        // Chain complete.
-        states[j].completed_at = Some(clock);
-        if sink.enabled() {
-            sink.record(
-                &TraceEvent::sim("job_complete", clock).with("job", j).with("machine", machine),
-            );
+        // The static plan names the attempt, by `StaticPlan`'s rule (counted
+        // like the chain engine's policy consultations).
+        let through = next_checkpoint(job.plan(), position, n);
+        states[j].decisions += 1;
+        // Shipping state to an attached replica inflates the checkpoint.
+        let base = tasks[through].checkpoint();
+        let ckpt = if buddy.is_some() { base * config.replication_checkpoint_factor } else { base };
+        let attempt = attempt_duration(tasks[position..=through].iter().map(|t| t.work()), ckpt);
+        let stream = &mut MachineStream::new(source, machine);
+        if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, attempt) {
+            on_failure!(at, lost);
+            continue;
         }
-        events.push(clock, EventKind::MachineFreed(machine));
-        if let Some(b) = buddy {
-            release_standby(source, events, b, watch_from, clock, sink);
-        }
-        return;
+        let st = &mut states[j];
+        st.breakdown.useful += attempt;
+        st.checkpoints += 1;
+        st.position = through + 1;
+    }
+
+    // Chain complete.
+    states[j].completed_at = Some(clock);
+    if sink.enabled() {
+        sink.record(
+            &TraceEvent::sim("job_complete", clock).with("job", j).with("machine", machine),
+        );
+    }
+    events.push(clock, EventKind::MachineFreed(machine));
+    if let Some(b) = buddy {
+        release_standby(source, events, b, watch_from, clock, sink);
     }
 }
 
@@ -689,7 +615,7 @@ fn release_standby<S: MachineFailureSource + ?Sized>(
 /// Handle a machine failure at `at`: repair the machine, consult the policy
 /// and apply the chosen action. The §2 downtime has already been absorbed
 /// (the clock sits at `at + D`).
-#[allow(clippy::too_many_arguments)] // flat engine state, called from three phases
+#[allow(clippy::too_many_arguments)] // flat engine state, called from two phases
 fn failure_decision<S, P>(
     source: &mut S,
     policy: &mut P,
@@ -718,7 +644,7 @@ where
                 .with("machine", *machine)
                 .with("job", j)
                 .with("retries", st.retries)
-                .with("resume_position", st.resume_position())
+                .with("resume_position", st.position)
                 .with("repair_done", repair_done),
         );
     }
@@ -746,7 +672,7 @@ where
         }
     }
 
-    let resume = st.resume_position();
+    let resume = st.position;
     let remaining_work: f64 = job.tasks()[resume..].iter().map(|t| t.work()).sum();
     let ctx = FailureContext {
         job: j,
@@ -822,7 +748,7 @@ where
                     &TraceEvent::sim("restart", *clock)
                         .with("job", j)
                         .with("machine", *machine)
-                        .with("resume_position", st.resume_position()),
+                        .with("resume_position", st.position),
                 );
             }
             AfterFailure::Resume
@@ -897,7 +823,8 @@ mod tests {
         assert_eq!(rec.record.makespan, 220.0);
         assert_eq!(rec.record.failures, 0);
         assert_eq!(rec.checkpoints, 2);
-        assert_eq!(rec.decisions, 1);
+        // One plan consultation per attempt.
+        assert_eq!(rec.decisions, 2);
         assert_eq!(rec.waiting, 0.0);
         assert_eq!(out.makespan, 220.0);
         assert_eq!(out.peak_queue_depth, 1);

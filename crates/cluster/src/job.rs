@@ -7,8 +7,11 @@ use ckpt_simulator::{ChainTask, ExecutionRecord};
 /// checkpoint plan it executes under, and cluster-level metadata.
 ///
 /// The plan is a `checkpoint_after` flag per task, exactly as produced by the
-/// chain DP's `TablePlacement::checkpoint_after`; the engine forces the final
-/// flag (the model's mandatory final checkpoint) regardless of its value.
+/// chain DP's `TablePlacement::checkpoint_after`; each attempt runs through
+/// the next flagged task, and the last task is checkpointed regardless of
+/// its flag (the model's mandatory final checkpoint) —
+/// [`next_checkpoint`](ckpt_simulator::next_checkpoint), the rule
+/// `StaticPlan` replays by.
 #[derive(Debug, Clone)]
 pub struct ClusterJob {
     tasks: Vec<ChainTask>,
@@ -105,8 +108,8 @@ pub struct JobRecord {
     pub record: ExecutionRecord,
     /// Checkpoints taken, the mandatory final one included.
     pub checkpoints: u64,
-    /// Plan consultations (one per non-final task boundary reached,
-    /// re-executions included) — mirrors the chain engine's counter.
+    /// Plan consultations (one per attempt, re-executions included) —
+    /// mirrors the chain engine's counter.
     pub decisions: u64,
     /// Time spent in the ready queue (the wait for a first machine,
     /// migration re-admission, retry backoff).

@@ -9,14 +9,10 @@
 //! * **starts** — every deterministic strategy plus seeded random
 //!   linearisations (the exact candidate set `schedule_dag_best_of` would
 //!   evaluate, so the search result can never be worse);
-//! * **moves** — precedence-preserving adjacent swaps and window rotations
-//!   ([`ckpt_dag::neighborhood`]), proposed by a seeded RNG and accepted on
-//!   strict improvement (first-improvement hill climbing) or, under
-//!   [`AcceptanceRule::SimulatedAnnealing`], by the Metropolis rule with
-//!   geometric cooling (degrading moves accepted with probability
-//!   `exp(−Δ/T)`, `Δ` the relative degradation; per-restart derived RNG
-//!   streams keep the runs deterministic, and the best order seen — not the
-//!   final wander position — is what a run reports);
+//! * **moves** — precedence-preserving adjacent swaps and rotations of
+//!   windows of up to 12 positions ([`ckpt_dag::neighborhood`]), proposed by
+//!   a seeded RNG (one derived stream per run) and accepted on strict
+//!   improvement (first-improvement hill climbing);
 //! * **evaluation** — each candidate order is costed under the requested
 //!   [`CheckpointCostModel`] with one incremental live-set sweep
 //!   ([`CheckpointCostModel::costs_along_order`], `O(n + E)`), one
@@ -48,28 +44,8 @@ use crate::error::ScheduleError;
 use crate::instance::ProblemInstance;
 use crate::schedule::Schedule;
 
-/// How candidate moves are accepted during a run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AcceptanceRule {
-    /// Accept strictly improving moves only (first-improvement hill
-    /// climbing, the default). Deterministically identical to the behaviour
-    /// before this enum existed.
-    HillClimb,
-    /// Metropolis acceptance with geometric cooling: a move degrading the
-    /// incumbent by a relative `Δ > 0` is accepted with probability
-    /// `exp(−Δ/T)`, and after every evaluated candidate the temperature is
-    /// multiplied by `cooling`. Escapes the plateaus pure hill climbing
-    /// stalls on (large windows, heterogeneous checkpoint costs); the run
-    /// still reports the **best** order it visited, so the search never
-    /// returns worse than its starts.
-    SimulatedAnnealing {
-        /// Initial temperature, in units of relative degradation — `0.02`
-        /// accepts a 2 % degradation with probability `e⁻¹` at the start.
-        initial_temperature: f64,
-        /// Geometric cooling factor per evaluated candidate, in `(0, 1]`.
-        cooling: f64,
-    },
-}
+/// Largest window span (in positions, inclusive) a rotation may cover.
+const MAX_WINDOW: usize = 12;
 
 /// Tuning knobs of [`schedule_dag_search`].
 #[derive(Debug, Clone)]
@@ -81,28 +57,16 @@ pub struct OrderSearchConfig {
     pub restarts: u64,
     /// Move proposals per start order; `0` picks `min(4n + 64, 2048)`.
     pub steps: usize,
-    /// Largest window span (in positions, inclusive) a rotation may cover;
-    /// values below 2 are treated as 2 (adjacent swaps only).
-    pub max_window: usize,
     /// Worker threads runs are spread across; `0` means one per available
     /// core. The result is identical for every thread count.
     pub threads: usize,
     /// Master seed; each run derives its own RNG stream from it.
     pub seed: u64,
-    /// Move-acceptance rule; [`AcceptanceRule::HillClimb`] by default.
-    pub acceptance: AcceptanceRule,
 }
 
 impl Default for OrderSearchConfig {
     fn default() -> Self {
-        OrderSearchConfig {
-            restarts: 8,
-            steps: 0,
-            max_window: 12,
-            threads: 0,
-            seed: 0x02DE2,
-            acceptance: AcceptanceRule::HillClimb,
-        }
+        OrderSearchConfig { restarts: 8, steps: 0, threads: 0, seed: 0x02DE2 }
     }
 }
 
@@ -118,11 +82,6 @@ pub struct OrderSearchOutcome {
     pub starts: usize,
     /// Moves accepted across all runs.
     pub accepted_moves: usize,
-    /// Accepted moves that **strictly degraded** the incumbent — the
-    /// Metropolis uphill acceptances under simulated annealing (sideways
-    /// drift within the acceptance margin is not counted). Always 0 under
-    /// [`AcceptanceRule::HillClimb`].
-    pub degrading_moves: usize,
     /// Moves proposed across all runs (valid or not).
     pub proposed_moves: usize,
 }
@@ -181,7 +140,6 @@ pub fn schedule_dag_search(
     model: CheckpointCostModel,
     config: &OrderSearchConfig,
 ) -> Result<OrderSearchOutcome, ScheduleError> {
-    validate_acceptance(config)?;
     let strategies = default_start_strategies(config.restarts);
 
     // Materialise distinct start orders (on chains all strategies coincide —
@@ -213,7 +171,6 @@ pub fn schedule_dag_search(
         solution,
         starts: starts.len(),
         accepted_moves: runs.iter().map(|r| r.accepted).sum(),
-        degrading_moves: runs.iter().map(|r| r.degrading).sum(),
         proposed_moves: runs.iter().map(|r| r.proposed).sum(),
     })
 }
@@ -275,15 +232,13 @@ pub struct SeededSearchOutcome {
 ///
 /// * [`ScheduleError::EmptyInstance`] if `starts` is empty;
 /// * [`ScheduleError::InvalidOrder`] if any start is not a topological
-///   order of the instance graph;
-/// * the [`AcceptanceRule`] validation errors of [`schedule_dag_search`].
+///   order of the instance graph.
 pub fn search_from_starts(
     instance: &ProblemInstance,
     model: CheckpointCostModel,
     config: &OrderSearchConfig,
     starts: &[Vec<TaskId>],
 ) -> Result<SeededSearchOutcome, ScheduleError> {
-    validate_acceptance(config)?;
     if starts.is_empty() {
         return Err(ScheduleError::EmptyInstance);
     }
@@ -313,22 +268,6 @@ pub fn search_from_starts(
     })
 }
 
-/// Validates the acceptance-rule parameters of a config.
-fn validate_acceptance(config: &OrderSearchConfig) -> Result<(), ScheduleError> {
-    if let AcceptanceRule::SimulatedAnnealing { initial_temperature, cooling } = config.acceptance {
-        if !initial_temperature.is_finite() || initial_temperature <= 0.0 {
-            return Err(ScheduleError::NonPositiveParameter {
-                name: "initial_temperature",
-                value: initial_temperature,
-            });
-        }
-        if !cooling.is_finite() || cooling <= 0.0 || cooling > 1.0 {
-            return Err(ScheduleError::NonPositiveParameter { name: "cooling", value: cooling });
-        }
-    }
-    Ok(())
-}
-
 /// Deterministic winner selection: smallest value, ties broken by run index.
 fn winning_run(runs: &[RunResult]) -> usize {
     runs.iter()
@@ -346,7 +285,6 @@ struct RunResult {
     /// table-and-DP pipeline `schedule_dag_best_of` uses.
     value: f64,
     accepted: usize,
-    degrading: usize,
     proposed: usize,
 }
 
@@ -390,7 +328,6 @@ fn local_search_run(
     let n = start_order.len();
     let mut state = OrderState::new(instance, model, start_order.to_vec());
     let mut accepted = 0usize;
-    let mut degrading = 0usize;
     let mut proposed = 0usize;
 
     // On a chain the topological order is unique: no move can be valid, so
@@ -398,20 +335,10 @@ fn local_search_run(
     let searchable = n >= 2 && !properties::is_chain(instance.graph());
     if searchable {
         let steps = if config.steps == 0 { (4 * n + 64).min(2048) } else { config.steps };
-        let max_window = config.max_window.max(2).min(n);
+        let max_window = MAX_WINDOW.min(n);
         let mut rng = Pcg64::seed_from_u64(config.seed).derive(run_index as u64);
         let mut dp = ResumableDp::new();
         let mut incumbent = dp.solve(&state.table()?);
-
-        // Annealing state: under the Metropolis rule the walk may wander
-        // uphill, so the best order *seen* is tracked separately and
-        // restored at the end (`None` = the start order is still the best).
-        let mut temperature = match config.acceptance {
-            AcceptanceRule::HillClimb => 0.0,
-            AcceptanceRule::SimulatedAnnealing { initial_temperature, .. } => initial_temperature,
-        };
-        let mut best_value = incumbent;
-        let mut best_order: Option<Vec<TaskId>> = None;
 
         for _ in 0..steps {
             proposed += 1;
@@ -424,60 +351,14 @@ fn local_search_run(
             state.refresh_candidate_vectors(mv.window());
             let candidate_table = state.candidate_table()?;
             let value = dp.try_prefix(&candidate_table, hi + 2);
-            let improving = value < incumbent * (1.0 - ACCEPT_MARGIN);
-            let accept = improving
-                || match config.acceptance {
-                    AcceptanceRule::HillClimb => false,
-                    AcceptanceRule::SimulatedAnnealing { .. } => {
-                        // Metropolis on the relative degradation: sideways
-                        // and (sub-margin) downhill moves always pass,
-                        // uphill moves pass with probability exp(−Δ/T) —
-                        // explicitly 0 once the temperature underflows, so
-                        // a frozen walk is greedy rather than NaN-driven.
-                        // The draw comes from the run's derived stream, so
-                        // the walk stays deterministic per (seed, run
-                        // index).
-                        let delta = (value - incumbent) / incumbent;
-                        let probability = if delta <= 0.0 {
-                            1.0
-                        } else if temperature > 0.0 {
-                            (-delta / temperature).exp()
-                        } else {
-                            0.0
-                        };
-                        rng.next_f64() < probability
-                    }
-                };
-            if accept {
+            if value < incumbent * (1.0 - ACCEPT_MARGIN) {
                 state.commit_candidate();
                 dp.commit_trial();
-                if value > incumbent {
-                    // A strict degradation of the incumbent (Metropolis
-                    // uphill acceptance) — sideways drift within the margin
-                    // is not counted.
-                    degrading += 1;
-                }
                 incumbent = value;
                 accepted += 1;
-                if value < best_value * (1.0 - ACCEPT_MARGIN) {
-                    best_value = value;
-                    if !matches!(config.acceptance, AcceptanceRule::HillClimb) {
-                        best_order = Some(state.order.clone());
-                    }
-                }
             } else {
                 apply_move(&mut state.order, &mv.inverse());
             }
-            if let AcceptanceRule::SimulatedAnnealing { cooling, .. } = config.acceptance {
-                temperature *= cooling;
-            }
-        }
-
-        // Hill climbing is monotone: the current order IS the best seen.
-        // Under annealing, fall back to the best recorded order (or the
-        // start order if nothing ever improved on it).
-        if !matches!(config.acceptance, AcceptanceRule::HillClimb) {
-            state.order = best_order.unwrap_or_else(|| start_order.to_vec());
         }
     }
 
@@ -491,7 +372,6 @@ fn local_search_run(
         checkpoint_after: placement.checkpoint_after(),
         value: placement.expected_makespan,
         accepted,
-        degrading,
         proposed,
     })
 }
@@ -818,13 +698,7 @@ mod tests {
             #[test]
             fn prop_search_dominates_best_of(seed in any::<u64>()) {
                 let inst = layered_instance(seed);
-                let config = OrderSearchConfig {
-                    restarts: 3,
-                    steps: 60,
-                    threads: 1,
-                    seed,
-                    ..Default::default()
-                };
+                let config = OrderSearchConfig { restarts: 3, steps: 60, threads: 1, seed };
                 for model in MODELS {
                     let found = schedule_dag_search(&inst, model, &config).unwrap();
                     let baseline = schedule_dag_best_of(&inst, model, config.restarts).unwrap();
@@ -838,91 +712,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    /// The annealing configuration the tests exercise: hot enough to accept
-    /// degrading moves early, cooling to effectively greedy behaviour.
-    fn annealing() -> AcceptanceRule {
-        AcceptanceRule::SimulatedAnnealing { initial_temperature: 0.05, cooling: 0.99 }
-    }
-
-    #[test]
-    fn annealing_accepts_degrading_moves_but_never_returns_worse() {
-        let config = OrderSearchConfig {
-            restarts: 4,
-            steps: 400,
-            threads: 1,
-            acceptance: annealing(),
-            ..Default::default()
-        };
-        for inst in [fork_join_instance(), layered_instance(1), layered_instance(4)] {
-            for model in MODELS {
-                let found = schedule_dag_search(&inst, model, &config).unwrap();
-                let baseline = schedule_dag_best_of(&inst, model, config.restarts).unwrap();
-                assert!(
-                    found.expected_makespan_under_model() <= baseline.expected_makespan_under_model,
-                    "{model}: annealed search {} vs best-of {}",
-                    found.expected_makespan_under_model(),
-                    baseline.expected_makespan_under_model
-                );
-            }
-        }
-        // At this temperature some uphill moves must be taken on the
-        // heterogeneous layered instance.
-        let found =
-            schedule_dag_search(&layered_instance(1), CheckpointCostModel::LiveSetSum, &config)
-                .unwrap();
-        assert!(found.degrading_moves > 0, "no degrading move was ever accepted");
-        assert!(found.accepted_moves >= found.degrading_moves);
-    }
-
-    #[test]
-    fn hill_climbing_never_accepts_degrading_moves() {
-        let config =
-            OrderSearchConfig { restarts: 4, steps: 300, threads: 1, ..Default::default() };
-        let found =
-            schedule_dag_search(&layered_instance(1), CheckpointCostModel::LiveSetSum, &config)
-                .unwrap();
-        assert_eq!(found.degrading_moves, 0);
-    }
-
-    #[test]
-    fn annealing_outcome_is_identical_for_any_thread_count() {
-        let inst = layered_instance(5);
-        let base = OrderSearchConfig {
-            restarts: 6,
-            steps: 200,
-            threads: 1,
-            acceptance: annealing(),
-            ..Default::default()
-        };
-        let single = schedule_dag_search(&inst, CheckpointCostModel::LiveSetSum, &base).unwrap();
-        for threads in [2usize, 3, 8] {
-            let config = OrderSearchConfig { threads, ..base.clone() };
-            let multi =
-                schedule_dag_search(&inst, CheckpointCostModel::LiveSetSum, &config).unwrap();
-            assert_eq!(single.solution, multi.solution, "differs at {threads} threads");
-            assert_eq!(single.accepted_moves, multi.accepted_moves);
-            assert_eq!(single.degrading_moves, multi.degrading_moves);
-        }
-    }
-
-    #[test]
-    fn annealing_validates_its_parameters() {
-        let inst = fork_join_instance();
-        for (t, c) in [(0.0, 0.9), (-1.0, 0.9), (f64::NAN, 0.9), (0.1, 0.0), (0.1, 1.5)] {
-            let config = OrderSearchConfig {
-                acceptance: AcceptanceRule::SimulatedAnnealing {
-                    initial_temperature: t,
-                    cooling: c,
-                },
-                ..Default::default()
-            };
-            assert!(
-                schedule_dag_search(&inst, CheckpointCostModel::PerLastTask, &config).is_err(),
-                "temperature {t}, cooling {c} should be rejected"
-            );
         }
     }
 

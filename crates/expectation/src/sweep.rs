@@ -182,8 +182,8 @@ impl LambdaSweep {
         table.rebuild_from_validated_parts(
             self.check_rate(lambda)?,
             self.bounds.downtime,
-            Arc::clone(&self.prefix),
-            Arc::clone(&self.checkpoints),
+            &self.prefix,
+            &self.checkpoints,
             &self.recoveries,
             self.bounds.max_ckpt,
         );

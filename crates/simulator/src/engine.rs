@@ -1,7 +1,10 @@
-//! The execution engine: plays a sequence of segments against a failure
-//! stream, applying the §2 rollback-recovery semantics.
+//! Fixed schedules: a sequence of segments played against a failure stream
+//! on the one §2 engine, and the records every execution returns.
+
+use ckpt_telemetry::NoopSink;
 
 use crate::error::SimulationError;
+use crate::policy::{execute, validate, ChainTask, Decision, DecisionContext, Policy};
 use crate::segment::Segment;
 use crate::stream::FailureStream;
 
@@ -56,10 +59,15 @@ pub struct ExecutionRecord {
 ///    time plus another downtime, until a recovery completes;
 /// 4. after a successful recovery the whole segment is re-attempted.
 ///
+/// The segments run on the one §2 engine ([`crate::policy`]) as tasks with a
+/// checkpoint after every one: segment `i` becomes task `i`, whose recovery
+/// is the one protecting segment `i + 1`.
+///
 /// # Errors
 ///
 /// * [`SimulationError::EmptySchedule`] if `segments` is empty;
-/// * [`SimulationError::NegativeParameter`] if `downtime` is negative;
+/// * [`SimulationError::NegativeParameter`] if `downtime` is negative or
+///   not finite;
 /// * [`SimulationError::TraceExhausted`] is **not** returned — an exhausted
 ///   stream means no more failures, so the execution simply completes.
 pub fn simulate<S: FailureStream + ?Sized>(
@@ -67,82 +75,46 @@ pub fn simulate<S: FailureStream + ?Sized>(
     downtime: f64,
     stream: &mut S,
 ) -> Result<ExecutionRecord, SimulationError> {
-    if segments.is_empty() {
-        return Err(SimulationError::EmptySchedule);
-    }
-    if !downtime.is_finite() || downtime < 0.0 {
-        return Err(SimulationError::NegativeParameter { name: "downtime", value: downtime });
-    }
-
-    let mut clock = 0.0f64;
-    let mut failures = 0u64;
-    let mut breakdown = TimeBreakdown::default();
-
-    for segment in segments {
-        let attempt = segment.attempt_duration();
-        loop {
-            // Attempt the segment's work + checkpoint.
-            match stream.next_failure_after(clock) {
-                Some(failure_time) if failure_time < clock + attempt => {
-                    // Failure during work or checkpoint.
-                    failures += 1;
-                    breakdown.lost += failure_time - clock;
-                    clock = failure_time;
-                    // Downtime: failure-free by definition.
-                    breakdown.downtime += downtime;
-                    clock += downtime;
-                    // Recovery: may itself be interrupted.
-                    perform_recovery(
-                        segment.recovery(),
-                        downtime,
-                        stream,
-                        &mut clock,
-                        &mut failures,
-                        &mut breakdown,
-                    );
-                    // Re-attempt the whole segment.
-                }
-                _ => {
-                    // No failure before the attempt completes (or stream
-                    // exhausted): the segment succeeds.
-                    breakdown.useful += attempt;
-                    clock += attempt;
-                    break;
-                }
-            }
-        }
-    }
-
-    Ok(ExecutionRecord { makespan: clock, failures, breakdown })
+    let (tasks, initial_recovery) = segment_tasks(segments)?;
+    let order: Vec<usize> = (0..tasks.len()).collect();
+    validate(&tasks, &order, initial_recovery, downtime)?;
+    let run = execute(
+        &tasks,
+        &order,
+        initial_recovery,
+        downtime,
+        &mut EveryTask,
+        stream,
+        &mut Vec::new(),
+        &mut NoopSink,
+    )?;
+    Ok(run.record)
 }
 
-/// Performs (possibly repeatedly interrupted) recovery of cost `recovery`.
-fn perform_recovery<S: FailureStream + ?Sized>(
-    recovery: f64,
-    downtime: f64,
-    stream: &mut S,
-    clock: &mut f64,
-    failures: &mut u64,
-    breakdown: &mut TimeBreakdown,
-) {
-    if recovery == 0.0 {
-        return;
-    }
-    loop {
-        match stream.next_failure_after(*clock) {
-            Some(failure_time) if failure_time < *clock + recovery => {
-                *failures += 1;
-                breakdown.recovery += failure_time - *clock;
-                *clock = failure_time;
-                breakdown.downtime += downtime;
-                *clock += downtime;
-            }
-            _ => {
-                breakdown.recovery += recovery;
-                *clock += recovery;
-                return;
-            }
-        }
+/// The task view of a fixed schedule: segment `i` becomes task `i`, whose
+/// recovery protects segment `i + 1`, and segment 0's recovery becomes the
+/// initial recovery `R₀`.
+pub(crate) fn segment_tasks(
+    segments: &[Segment],
+) -> Result<(Vec<ChainTask>, f64), SimulationError> {
+    let first = segments.first().ok_or(SimulationError::EmptySchedule)?;
+    let tasks = segments
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let recovery = segments.get(i + 1).map_or(0.0, Segment::recovery);
+            ChainTask::new(s.work(), s.checkpoint(), recovery)
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((tasks, first.recovery()))
+}
+
+/// A fixed schedule's policy: every attempt is one segment.
+pub(crate) struct EveryTask;
+
+impl Policy for EveryTask {
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
+        Decision::keep_order(ctx.position)
     }
 }
 
@@ -188,11 +160,11 @@ mod tests {
         let mut stream = ScriptedStream::new(vec![30.0]);
         let record = simulate(&[seg(100.0, 10.0, 20.0)], 5.0, &mut stream).unwrap();
         assert_eq!(record.failures, 1);
-        assert!((record.makespan - 165.0).abs() < 1e-12);
-        assert!((record.breakdown.lost - 30.0).abs() < 1e-12);
-        assert!((record.breakdown.downtime - 5.0).abs() < 1e-12);
-        assert!((record.breakdown.recovery - 20.0).abs() < 1e-12);
-        assert!((record.breakdown.useful - 110.0).abs() < 1e-12);
+        assert_eq!(record.makespan, 165.0);
+        assert_eq!(record.breakdown.lost, 30.0);
+        assert_eq!(record.breakdown.downtime, 5.0);
+        assert_eq!(record.breakdown.recovery, 20.0);
+        assert_eq!(record.breakdown.useful, 110.0);
     }
 
     #[test]
@@ -202,7 +174,7 @@ mod tests {
         let record = simulate(&[seg(100.0, 10.0, 0.0)], 0.0, &mut stream).unwrap();
         // 105 lost + 110 useful.
         assert_eq!(record.failures, 1);
-        assert!((record.makespan - 215.0).abs() < 1e-12);
+        assert_eq!(record.makespan, 215.0);
     }
 
     #[test]
@@ -215,11 +187,11 @@ mod tests {
         let mut stream = ScriptedStream::new(vec![20.0, 60.0]);
         let record = simulate(&[seg(100.0, 0.0, 50.0)], 10.0, &mut stream).unwrap();
         assert_eq!(record.failures, 2);
-        assert!((record.makespan - 220.0).abs() < 1e-12);
-        assert!((record.breakdown.recovery - 80.0).abs() < 1e-12);
-        assert!((record.breakdown.downtime - 20.0).abs() < 1e-12);
-        assert!((record.breakdown.lost - 20.0).abs() < 1e-12);
-        assert!((record.breakdown.useful - 100.0).abs() < 1e-12);
+        assert_eq!(record.makespan, 220.0);
+        assert_eq!(record.breakdown.recovery, 80.0);
+        assert_eq!(record.breakdown.downtime, 20.0);
+        assert_eq!(record.breakdown.lost, 20.0);
+        assert_eq!(record.breakdown.useful, 100.0);
     }
 
     #[test]
@@ -228,7 +200,7 @@ mod tests {
         let mut stream = ScriptedStream::new(vec![110.0]);
         let record = simulate(&[seg(100.0, 10.0, 0.0)], 0.0, &mut stream).unwrap();
         assert_eq!(record.failures, 0);
-        assert!((record.makespan - 110.0).abs() < 1e-12);
+        assert_eq!(record.makespan, 110.0);
     }
 
     #[test]
@@ -241,7 +213,7 @@ mod tests {
         let mut stream = ScriptedStream::new(vec![10.0, 50.0]);
         let record = simulate(&[seg(20.0, 0.0, 0.0)], 100.0, &mut stream).unwrap();
         assert_eq!(record.failures, 1);
-        assert!((record.makespan - 130.0).abs() < 1e-12);
+        assert_eq!(record.makespan, 130.0);
     }
 
     #[test]
@@ -249,7 +221,7 @@ mod tests {
         let mut stream = ScriptedStream::new(vec![30.0, 60.0, 200.0, 500.0]);
         let segments = vec![seg(100.0, 10.0, 20.0), seg(150.0, 15.0, 25.0)];
         let record = simulate(&segments, 7.5, &mut stream).unwrap();
-        assert!((record.breakdown.total() - record.makespan).abs() < 1e-9);
+        assert_eq!(record.breakdown.total(), record.makespan);
     }
 
     #[test]
@@ -261,8 +233,8 @@ mod tests {
         let segments = vec![seg(100.0, 0.0, 0.0), seg(100.0, 0.0, 0.0)];
         let record = simulate(&segments, 0.0, &mut stream).unwrap();
         assert_eq!(record.failures, 1);
-        assert!((record.makespan - 250.0).abs() < 1e-12);
-        assert!((record.breakdown.lost - 50.0).abs() < 1e-12);
+        assert_eq!(record.makespan, 250.0);
+        assert_eq!(record.breakdown.lost, 50.0);
     }
 
     #[test]

@@ -27,6 +27,16 @@ pub enum SimulationError {
     /// A DAG execution order (or a policy's proposed suffix reorder) is not
     /// a permutation of the task set it must cover.
     InvalidTaskOrder,
+    /// A policy named an attempt that does not start at the position to run:
+    /// `through` must lie in `position..tasks`.
+    InvalidDecision {
+        /// The position the attempt starts at.
+        position: usize,
+        /// The last position the policy named.
+        through: usize,
+        /// The number of tasks in the order.
+        tasks: usize,
+    },
     /// The failure trace ended before the execution completed.
     TraceExhausted {
         /// Simulated time at which the trace ran out.
@@ -48,6 +58,11 @@ impl fmt::Display for SimulationError {
             SimulationError::InvalidTaskOrder => {
                 write!(f, "the execution order is not a permutation of the tasks it must cover")
             }
+            SimulationError::InvalidDecision { position, through, tasks } => write!(
+                f,
+                "a decision at position {position} named through = {through}, outside \
+                 {position}..{tasks}"
+            ),
             SimulationError::TraceExhausted { at_time } => {
                 write!(f, "failure trace exhausted at simulated time {at_time}")
             }

@@ -3,30 +3,33 @@
 //!
 //! The simulator realises the execution model of the paper's §2 exactly:
 //!
-//! * the workflow is executed as a sequence of **segments**, each consisting of
-//!   some work followed by an (optional) checkpoint;
-//! * when a failure strikes during work, checkpointing or recovery, the
-//!   platform first incurs a **downtime** `D` (during which failures cannot
-//!   strike), then a **recovery** of the last checkpointed state (during which
-//!   failures *can* strike), and then re-executes the interrupted segment from
-//!   its beginning;
-//! * the first segment recovers to the initial state with its own recovery
+//! * the workflow is executed as a sequence of **attempts**, each one atomic
+//!   block of some tasks' work followed by a checkpoint after the last one;
+//! * when a failure strikes during an attempt or a recovery, the platform
+//!   first incurs a **downtime** `D` (during which failures cannot strike),
+//!   then a **recovery** of the last checkpointed state (during which
+//!   failures *can* strike), and then re-executes the interrupted attempt
+//!   from its beginning;
+//! * the first attempt recovers to the initial state with its own recovery
 //!   cost `R₀` (re-reading inputs).
 //!
 //! Failures are supplied by a [`FailureStream`]: a platform-level Exponential
 //! stream (the paper's model), the superposition of per-processor streams of
 //! any law from `ckpt-failure`, or a recorded synthetic trace.
 //!
-//! Besides replaying **fixed** schedules, the simulator drives **online**
-//! checkpoint policies: [`policy::simulate_dag_policy`] executes tasks in an
-//! order and consults a [`Policy`] at every boundary ("checkpoint now or
-//! keep going?", and optionally "re-order the remaining tasks"), and
-//! [`policy::simulate_policy`] runs the same engine and trait over a chain's
-//! identity order. Both emit their sim-domain events live into a
-//! `ckpt-telemetry` sink.
-//! [`SimulationScenario`]'s `run_policy` and `run_dag_policy` are the
-//! matching Monte-Carlo drivers (bit-identical at any thread count). The
-//! concrete adaptive policies live in the `ckpt-adaptive` crate.
+//! There is one engine ([`policy`]). Whenever an attempt is about to start —
+//! at the start, after a durable checkpoint, after a completed recovery — a
+//! [`Policy`] names the attempt's last position (and may re-order the
+//! remaining tasks), and the engine runs it with one failure-stream query.
+//! [`policy::simulate_dag_policy`] executes tasks in an order,
+//! [`policy::simulate_policy`] runs a chain's identity order, and
+//! [`simulate`] replays a **fixed** schedule's segments as tasks with a
+//! checkpoint after every one. The policy entries emit their sim-domain
+//! events live into a `ckpt-telemetry` sink.
+//! [`SimulationScenario`]'s `try_run`, `run_policy` and `run_dag_policy`
+//! are the matching Monte-Carlo drivers, one driver underneath
+//! (bit-identical at any thread count). The concrete adaptive policies live
+//! in the `ckpt-adaptive` crate.
 //!
 //! The headline use is experiment E1: simulating a single segment and checking
 //! the sample mean against the closed form of Proposition 1.
@@ -72,8 +75,8 @@ pub use montecarlo::{
     effective_threads, scatter_trials, scatter_trials_with, MonteCarloOutcome, SimulationScenario,
 };
 pub use policy::{
-    simulate_dag_policy, simulate_policy, ChainTask, Decision, DecisionContext, Policy,
-    PolicyExecutionRecord,
+    next_checkpoint, simulate_dag_policy, simulate_policy, ChainTask, Decision, DecisionContext,
+    Policy, PolicyExecutionRecord,
 };
 pub use segment::Segment;
 pub use stream::{ExponentialStream, FailureStream, PlatformStream, TraceStream};

@@ -8,10 +8,13 @@
 //!
 //! The drivers — [`SimulationScenario::try_run`] (and [`run`]) for fixed
 //! schedules, [`run_policy`] for a policy over a chain and [`run_dag_policy`]
-//! for a policy over a linearised DAG — sit over one private driver. It validates the scenario
-//! once, derives each trial's seed, builds the trial's failure stream from
-//! the scenario's source, scatters the trials across workers and aggregates
-//! them into one [`MonteCarloOutcome`].
+//! for a policy over a linearised DAG — are one driver on the one §2
+//! engine: a fixed schedule runs as a policy that checkpoints after every
+//! segment, and a chain as the identity order. The driver validates the
+//! scenario once, derives each trial's seed, builds the trial's failure
+//! stream from the scenario's source, scatters the trials across workers
+//! (each with one failure-time buffer it reuses) and aggregates them into
+//! one [`MonteCarloOutcome`].
 //!
 //! [`run`]: SimulationScenario::run
 //! [`run_policy`]: SimulationScenario::run_policy
@@ -24,7 +27,7 @@ use ckpt_expectation::numeric::SampleStats;
 use ckpt_failure::{FailureDistribution, Pcg64, PlatformFailureProcess, RandomSource};
 use ckpt_telemetry::NoopSink;
 
-use crate::engine::{simulate, ExecutionRecord, TimeBreakdown};
+use crate::engine::{segment_tasks, EveryTask, ExecutionRecord, TimeBreakdown};
 use crate::error::{ensure_positive, SimulationError};
 use crate::policy::{self, ChainTask, Policy};
 use crate::segment::Segment;
@@ -216,9 +219,9 @@ impl SimulationScenario {
         self.try_run(segments).expect("invalid simulation scenario")
     }
 
-    /// Runs the scenario on the fixed-schedule engine
-    /// ([`crate::engine::simulate`]), returning configuration errors instead
-    /// of panicking.
+    /// Runs the scenario on a fixed schedule: each trial replays `segments`
+    /// as [`crate::engine::simulate`] does, on the one §2 engine, returning
+    /// configuration errors instead of panicking.
     ///
     /// # Errors
     ///
@@ -226,12 +229,12 @@ impl SimulationScenario {
     /// * [`SimulationError::ZeroTrials`] if the scenario has zero trials;
     /// * [`SimulationError::NonPositiveParameter`] for an invalid failure
     ///   rate or a platform without processors;
-    /// * [`SimulationError::NegativeParameter`] for a negative downtime.
+    /// * [`SimulationError::NegativeParameter`] for a negative or
+    ///   non-finite downtime.
     pub fn try_run(&self, segments: &[Segment]) -> Result<MonteCarloOutcome, SimulationError> {
-        if segments.is_empty() {
-            return Err(SimulationError::EmptySchedule);
-        }
-        self.drive(&FixedTrial { segments, downtime: self.downtime })
+        let (tasks, initial_recovery) = segment_tasks(segments)?;
+        let order: Vec<usize> = (0..tasks.len()).collect();
+        self.run_dag_policy(&tasks, &order, initial_recovery, |_| EveryTask)
     }
 
     /// Runs a **policy-driven** Monte-Carlo experiment: each trial builds a
@@ -244,8 +247,8 @@ impl SimulationScenario {
     ///
     /// # Errors
     ///
-    /// * the [`crate::policy::simulate_policy`] validation errors (empty
-    ///   task set, negative downtime or initial recovery);
+    /// * the [`crate::policy::simulate_policy`] errors (empty task set,
+    ///   negative downtime or initial recovery, an invalid decision);
     /// * the scenario errors of [`SimulationScenario::try_run`].
     pub fn run_policy<P, G>(
         &self,
@@ -261,15 +264,19 @@ impl SimulationScenario {
         self.run_dag_policy(tasks, &order, initial_recovery, make_policy)
     }
 
-    /// The **DAG** counterpart of [`SimulationScenario::run_policy`]: each
-    /// trial builds a fresh [`Policy`] from `make_policy(trial)`, then
-    /// executes `tasks` in `order` under
-    /// [`crate::policy::simulate_dag_policy`]'s engine.
+    /// The one Monte-Carlo driver, and the **DAG** counterpart of
+    /// [`SimulationScenario::run_policy`]: validates the inputs and the
+    /// scenario once, then runs every trial on its own failure stream —
+    /// seeded `hash(seed, trial)` — with a fresh [`Policy`] from
+    /// `make_policy(trial)`, executing `tasks` in `order` under
+    /// [`crate::policy::simulate_dag_policy`]'s engine across the worker
+    /// threads, and aggregates the records in trial order. Each worker keeps
+    /// one failure-time buffer for all its trials.
     ///
     /// # Errors
     ///
-    /// * the [`crate::policy::simulate_dag_policy`] validation errors (empty
-    ///   task set, invalid order or suffix reorder, negative
+    /// * the [`crate::policy::simulate_dag_policy`] errors (empty task set,
+    ///   invalid order or suffix reorder, invalid decision, negative
     ///   downtime/recovery);
     /// * the scenario errors of [`SimulationScenario::try_run`].
     pub fn run_dag_policy<P, G>(
@@ -284,43 +291,55 @@ impl SimulationScenario {
         G: Fn(usize) -> P + Sync,
     {
         policy::validate(tasks, order, initial_recovery, self.downtime)?;
-        self.drive(&PolicyTrial {
-            tasks,
-            order,
-            initial_recovery,
-            downtime: self.downtime,
-            make_policy,
-        })
-    }
-
-    /// The one Monte-Carlo driver: validates the scenario, then runs every
-    /// trial on its own failure stream — seeded `hash(seed, trial)` — across
-    /// the worker threads and aggregates the records in trial order.
-    fn drive<T: Trial>(&self, trial: &T) -> Result<MonteCarloOutcome, SimulationError> {
         if self.trials == 0 {
             return Err(SimulationError::ZeroTrials);
         }
         self.source.validate()?;
         let root = Pcg64::seed_from_u64(self.seed);
-        let records = scatter_trials(self.trials, effective_threads(self.threads), |index| {
-            let seed = root.derive(index as u64).next_u64();
-            // The source is picked once per trial, so each engine runs
-            // monomorphised on its concrete stream type.
-            match &self.source {
-                FailureSource::Exponential { lambda } => {
-                    trial.run(index, &mut ExponentialStream::new(*lambda, seed))
+        let (records, _) = scatter_trials_with(
+            self.trials,
+            effective_threads(self.threads),
+            Vec::new,
+            |index, failure_times: &mut Vec<f64>| {
+                let seed = root.derive(index as u64).next_u64();
+                let mut policy = make_policy(index);
+                // The source is picked once per trial, so the engine runs
+                // monomorphised on each concrete stream type.
+                macro_rules! trial {
+                    ($stream:expr) => {
+                        policy::execute(
+                            tasks,
+                            order,
+                            initial_recovery,
+                            self.downtime,
+                            &mut policy,
+                            $stream,
+                            failure_times,
+                            &mut NoopSink,
+                        )
+                        .map(|out| TrialRecord {
+                            record: out.record,
+                            checkpoints: out.checkpoints,
+                            reorders: out.reorders,
+                        })
+                    };
                 }
-                FailureSource::Platform { processors, law } => {
-                    let process =
-                        PlatformFailureProcess::homogeneous(*processors, Arc::clone(law), seed)
-                            .expect("the processor count was validated");
-                    trial.run(index, &mut PlatformStream::new(process))
+                match &self.source {
+                    FailureSource::Exponential { lambda } => {
+                        trial!(&mut ExponentialStream::new(*lambda, seed))
+                    }
+                    FailureSource::Platform { processors, law } => {
+                        let process =
+                            PlatformFailureProcess::homogeneous(*processors, Arc::clone(law), seed)
+                                .expect("the processor count was validated");
+                        trial!(&mut PlatformStream::new(process))
+                    }
+                    FailureSource::Streams(make_stream) => {
+                        trial!(make_stream(index, seed).as_mut())
+                    }
                 }
-                FailureSource::Streams(make_stream) => {
-                    trial.run(index, make_stream(index, seed).as_mut())
-                }
-            }
-        });
+            },
+        );
         aggregate(records)
     }
 }
@@ -330,65 +349,6 @@ struct TrialRecord {
     record: ExecutionRecord,
     checkpoints: u64,
     reorders: u64,
-}
-
-/// One trial's execution, generic over the failure stream.
-trait Trial: Sync {
-    fn run<S: FailureStream + ?Sized>(
-        &self,
-        trial: usize,
-        stream: &mut S,
-    ) -> Result<TrialRecord, SimulationError>;
-}
-
-/// A fixed schedule on the fixed-schedule engine.
-struct FixedTrial<'a> {
-    segments: &'a [Segment],
-    downtime: f64,
-}
-
-impl Trial for FixedTrial<'_> {
-    fn run<S: FailureStream + ?Sized>(
-        &self,
-        _trial: usize,
-        stream: &mut S,
-    ) -> Result<TrialRecord, SimulationError> {
-        let record = simulate(self.segments, self.downtime, stream)?;
-        Ok(TrialRecord { record, checkpoints: self.segments.len() as u64, reorders: 0 })
-    }
-}
-
-/// A fresh policy per trial on the policy engine, over a validated order.
-struct PolicyTrial<'a, G> {
-    tasks: &'a [ChainTask],
-    order: &'a [usize],
-    initial_recovery: f64,
-    downtime: f64,
-    make_policy: G,
-}
-
-impl<P, G> Trial for PolicyTrial<'_, G>
-where
-    P: Policy,
-    G: Fn(usize) -> P + Sync,
-{
-    fn run<S: FailureStream + ?Sized>(
-        &self,
-        trial: usize,
-        stream: &mut S,
-    ) -> Result<TrialRecord, SimulationError> {
-        let mut policy = (self.make_policy)(trial);
-        let out = policy::execute(
-            self.tasks,
-            self.order,
-            self.initial_recovery,
-            self.downtime,
-            &mut policy,
-            stream,
-            &mut NoopSink,
-        )?;
-        Ok(TrialRecord { record: out.record, checkpoints: out.checkpoints, reorders: out.reorders })
-    }
 }
 
 /// Aggregates the trial records strictly in trial order: the summation
@@ -777,15 +737,25 @@ mod tests {
         assert_eq!(SimulationScenario::exponential(1.0).with_trials(17).trials(), 17);
     }
 
-    /// A chain policy with per-trial state, checkpointing on alternating
-    /// boundaries, for the policy-runner determinism tests.
+    /// The next attempt's end when `toggle` alternates between one- and
+    /// two-task attempts.
+    fn alternate(toggle: &mut bool, ctx: &DecisionContext<'_>) -> usize {
+        *toggle = !*toggle;
+        if *toggle {
+            ctx.position
+        } else {
+            (ctx.position + 1).min(ctx.order.len() - 1)
+        }
+    }
+
+    /// A chain policy with per-trial state, alternating one- and two-task
+    /// attempts, for the policy-runner determinism tests.
     struct EveryOther {
         toggle: bool,
     }
     impl Policy for EveryOther {
-        fn decide(&mut self, _ctx: &DecisionContext<'_>) -> Decision {
-            self.toggle = !self.toggle;
-            Decision::keep_order(self.toggle)
+        fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
+            Decision::keep_order(alternate(&mut self.toggle, ctx))
         }
     }
 
@@ -815,7 +785,7 @@ mod tests {
         assert_eq!(single, auto);
     }
 
-    /// A policy that checkpoints on alternating boundaries and reverses the
+    /// A policy that alternates one- and two-task attempts and reverses the
     /// suffix after the first observed failure — enough statefulness to
     /// catch any thread-order dependence in the driver.
     struct AlternateAndFlip {
@@ -824,7 +794,6 @@ mod tests {
     }
     impl Policy for AlternateAndFlip {
         fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
-            self.toggle = !self.toggle;
             let reorder = if !self.flipped && !ctx.failure_times.is_empty() {
                 self.flipped = true;
                 let mut suffix = ctx.suffix().to_vec();
@@ -833,7 +802,7 @@ mod tests {
             } else {
                 None
             };
-            Decision { checkpoint: self.toggle, reorder_suffix: reorder }
+            Decision { through: alternate(&mut self.toggle, ctx), reorder_suffix: reorder }
         }
     }
 

@@ -1,54 +1,58 @@
-//! Policy-driven simulation: online checkpoint decisions at task boundaries.
+//! The §2 engine: a workflow runs as attempts, and a policy names each one.
 //!
-//! The fixed-schedule engine ([`crate::engine::simulate`]) replays a
-//! partition of the workflow into segments that was decided *offline*. This
-//! module closes the loop: execution proceeds **task by task**, and after
-//! each completed task an online policy is asked the paper's §2 question
-//! — *"checkpoint now or keep going?"* — with full visibility of what the
-//! execution has observed so far (the clock, the failure times, the last
-//! checkpointed position). Failures roll the execution back to the last
-//! checkpoint exactly as in the offline model, but the policy is consulted
-//! again at every boundary of the re-execution, so it can re-plan
-//! mid-execution (insert an extra checkpoint after a burst of failures,
-//! stretch segments when the platform turns out healthier than planned).
+//! In the paper's §2 model a workflow runs as segments, each one atomic
+//! `work + checkpoint` attempt. This module holds the one engine that
+//! executes them. Whenever an attempt is about to start — at the start, after
+//! a durable checkpoint, or after a completed recovery — the engine asks a
+//! [`Policy`] where the attempt ends: the [`Decision`] names its last
+//! position `through`, and the engine runs the work of positions
+//! `position..=through` and the checkpoint after `through` as one phase,
+//! with one failure-stream query. Every attempt therefore ends in a durable
+//! checkpoint, and a failure rolls back to the attempt's own start.
 //!
-//! There is one engine and one [`Policy`] trait. [`simulate_dag_policy`]
-//! executes tasks in a caller-supplied order, and the policy consulted at
-//! every boundary returns a [`Decision`]: it may both toggle the next
-//! checkpoint *and* swap in a new order for the unexecuted suffix — the
+//! Consulting the policy only at attempt starts loses nothing. Between two
+//! failures an execution is deterministic: a consultation that does not
+//! checkpoint shows the policy no new failure, and the clock only advances
+//! by the known work. Any plan that would decide "keep going" task by task
+//! can be written as one attempt with a later `through`, and it sees the
+//! same failures on renewal streams.
+//!
+//! [`simulate_dag_policy`] executes tasks in a caller-supplied order, and a
+//! decision may also swap in a new order for the unexecuted suffix — the
 //! "re-linearise the remaining graph after a failure" primitive the
 //! `ckpt-adaptive` DAG policies build on. A chain is a DAG whose order is
-//! forced: [`simulate_policy`] runs the same engine over the identity
-//! order, and a chain policy simply never reorders. The concrete adaptive
-//! policies live in the `ckpt-adaptive` crate; the matching Monte-Carlo
-//! drivers are [`crate::montecarlo`]'s `run_policy` and `run_dag_policy`.
+//! forced: [`simulate_policy`] runs the same engine over the identity order.
+//! A fixed schedule is a policy too: [`crate::engine::simulate`] replays its
+//! segments as tasks with a checkpoint after every one. The concrete
+//! adaptive policies live in the `ckpt-adaptive` crate; the matching
+//! Monte-Carlo drivers are [`crate::montecarlo`]'s `try_run`, `run_policy`
+//! and `run_dag_policy`.
 //!
-//! Semantics (the §2 model at task granularity):
+//! Semantics:
 //!
-//! 1. tasks execute in order; work accumulates since the last checkpoint;
-//! 2. after a task's work completes, the policy decides whether to
-//!    checkpoint (the decision after the **final** task is forced to
-//!    "checkpoint", matching the model's mandatory final checkpoint);
-//! 3. a failure during work or checkpointing loses everything back to the
-//!    last completed checkpoint, then costs a failure-free downtime `D` and
-//!    an interruptible recovery (the recovery cost of the last checkpointed
-//!    task, or `R₀` before the first checkpoint), after which execution
-//!    resumes at the task following the last checkpoint.
+//! 1. an attempt runs `work(position..=through) + C_through`, the work
+//!    summed left to right ([`attempt_duration`]);
+//! 2. on success the attempt is booked as useful time, and execution
+//!    resumes at `through + 1`;
+//! 3. a failure during the attempt loses the time elapsed in it, then costs a
+//!    failure-free downtime `D` and an interruptible recovery (the recovery
+//!    cost of the task at `position − 1`, or `R₀` at position 0), after which
+//!    the policy is consulted again at the same position.
 //!
 //! Both entry points emit the execution's sim-domain events **live** into a
 //! [`TelemetrySink`], in chronological order. Pass
 //! [`NoopSink`](ckpt_telemetry::NoopSink) to run untraced: the sink's
 //! `enabled()` is read once per run, and a disabled sink builds no event.
-//! Every event carries the order position it concerns as `segment`:
+//! Every event carries an order position as `segment`:
 //!
-//! | event | extra fields | emitted when |
-//! |---|---|---|
-//! | `attempt_started` | | a task's work starts |
-//! | `failure` | `wasted` | a failure strikes work, checkpoint or recovery; `wasted` is the time lost since the run (or the recovery) started |
-//! | `downtime_completed` | | the downtime after a failure ends |
-//! | `recovery_completed` | | a recovery completes |
-//! | `policy_decision` | `checkpoint` | the policy answered at a non-final boundary |
-//! | `segment_completed` | | a checkpoint became durable |
+//! | event | `segment` | extra fields | emitted when |
+//! |---|---|---|---|
+//! | `policy_decision` | `position` | `through` | the policy named the next attempt |
+//! | `attempt_started` | `position` | | the attempt's work starts |
+//! | `failure` | `position` | `wasted` | a failure strikes an attempt or a recovery; `wasted` is the time lost since the attempt (or the recovery) started |
+//! | `downtime_completed` | `position` | | the downtime after a failure ends |
+//! | `recovery_completed` | `position` | | a recovery completes |
+//! | `segment_completed` | `through` | | the attempt's checkpoint became durable |
 
 use std::borrow::Cow;
 
@@ -56,13 +60,11 @@ use ckpt_telemetry::{TelemetrySink, TraceEvent};
 
 use crate::engine::{ExecutionRecord, TimeBreakdown};
 use crate::error::{ensure_non_negative, SimulationError};
-use crate::rollback::{
-    absorb_recovery_failure, absorb_run_failure, commit_run, run_phase, PhaseOutcome,
-};
+use crate::rollback::{absorb_failure, attempt_duration, run_phase, PhaseOutcome};
 use crate::stream::FailureStream;
 
 /// Records one sim-domain event into the run's sink, if it is traced. Every
-/// event carries the order position as `segment`, then its extra fields.
+/// event carries an order position as `segment`, then its extra fields.
 macro_rules! emit {
     ($trace:expr, $name:literal, $time:expr, $position:expr $(, $key:literal => $value:expr)*) => {
         if let Some(sink) = $trace.as_deref_mut() {
@@ -88,7 +90,7 @@ pub struct ChainTask {
 impl ChainTask {
     /// Creates a task: `work` seconds of computation (> 0), the cost of
     /// checkpointing right after it (≥ 0) and the cost of recovering from
-    /// that checkpoint (≥ 0).
+    /// that checkpoint (≥ 0). Every value must be finite.
     ///
     /// # Errors
     ///
@@ -123,14 +125,13 @@ impl ChainTask {
 /// The outcome of one policy-driven execution (chain or DAG).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyExecutionRecord {
-    /// Makespan, failure count and time breakdown (the same buckets as the
-    /// fixed-schedule engine: `useful + lost + downtime + recovery`
-    /// partitions the makespan).
+    /// Makespan, failure count and time breakdown (`useful + lost +
+    /// downtime + recovery` partitions the makespan).
     pub record: ExecutionRecord,
-    /// Checkpoints taken, the mandatory final one included.
+    /// Checkpoints taken: one per successful attempt, the final one
+    /// included.
     pub checkpoints: u64,
-    /// Policy consultations (one per non-final task boundary reached,
-    /// re-executions included).
+    /// Policy consultations: one per attempt, re-executions included.
     pub decisions: u64,
     /// Decisions that swapped in a new suffix order (always 0 on a chain).
     pub reorders: u64,
@@ -152,7 +153,9 @@ pub struct PolicyExecutionRecord {
 ///
 /// * [`SimulationError::EmptySchedule`] if `tasks` is empty;
 /// * [`SimulationError::NegativeParameter`] if `downtime` or
-///   `initial_recovery` is negative.
+///   `initial_recovery` is negative or not finite;
+/// * [`SimulationError::InvalidDecision`] if a decision names a `through`
+///   outside `position..tasks.len()`.
 pub fn simulate_policy<P, S>(
     tasks: &[ChainTask],
     initial_recovery: f64,
@@ -166,90 +169,90 @@ where
     S: FailureStream + ?Sized,
 {
     let order: Vec<usize> = (0..tasks.len()).collect();
-    validate(tasks, &order, initial_recovery, downtime)?;
-    execute(tasks, &order, initial_recovery, downtime, policy, stream, sink)
+    simulate_dag_policy(tasks, &order, initial_recovery, downtime, policy, stream, sink)
 }
 
-/// What a policy sees at a decision point (a just-completed task of the
-/// current execution order).
+/// What a policy sees when an attempt is about to start.
 ///
 /// The context carries the **current order** itself: a policy may not only
-/// toggle the next checkpoint but also swap in a new order for the
-/// unexecuted suffix (a re-linearisation of the remaining graph), and it
-/// needs to see the order it would be amending. On a chain the order is the
-/// identity and `task == position`.
+/// name the attempt's end but also swap in a new order for the unexecuted
+/// suffix (a re-linearisation of the remaining graph), and it needs to see
+/// the order it would be amending. On a chain the order is the identity.
 #[derive(Debug, Clone, Copy)]
 pub struct DecisionContext<'a> {
-    /// Position (index into the current order) of the task that just
-    /// completed.
+    /// The next position to run (an index into the current order). It is
+    /// always the resume position: 0 before the first checkpoint, the
+    /// position after the last durable checkpoint otherwise.
     pub position: usize,
-    /// The task (index into the task slice) that just completed —
-    /// `order[position]`.
-    pub task: usize,
     /// Current simulated time.
     pub clock: f64,
-    /// Position of the last task whose checkpoint completed, or `None` if
-    /// nothing has been checkpointed yet.
-    pub last_checkpoint: Option<usize>,
     /// Times of every failure observed so far, in increasing order.
     pub failure_times: &'a [f64],
     /// The current execution order (task indices); positions
-    /// `0..=position` are fixed history, positions `position + 1..` are the
+    /// `0..position` are durable history, positions `position..` are the
     /// unexecuted suffix a [`Decision::reorder_suffix`] may permute.
     pub order: &'a [usize],
 }
 
 impl DecisionContext<'_> {
-    /// The position execution would roll back to on a failure right now
-    /// (the position after the last checkpoint).
-    pub fn resume_position(&self) -> usize {
-        self.last_checkpoint.map_or(0, |k| k + 1)
-    }
-
-    /// The unexecuted suffix of the current order (positions strictly after
-    /// the current one) — the only part a decision may reorder.
+    /// The unexecuted suffix of the current order (positions `position..`)
+    /// — the only part a decision may reorder.
     pub fn suffix(&self) -> &[usize] {
-        &self.order[self.position + 1..]
+        &self.order[self.position..]
     }
 }
 
-/// What a [`Policy`] decides at a task boundary.
-#[derive(Debug, Clone, Default)]
+/// What a [`Policy`] decides when an attempt is about to start.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decision {
-    /// Whether to checkpoint right after the just-completed task.
-    pub checkpoint: bool,
+    /// The last position of the attempt: the engine runs the work of
+    /// positions `position..=through` and checkpoints after `through`. Must
+    /// lie in `position..n`; any other value fails the run with
+    /// [`SimulationError::InvalidDecision`]. With a reorder it indexes the
+    /// new order.
+    pub through: usize,
     /// A replacement execution order for the **unexecuted suffix**
-    /// (positions strictly after the current one), as task indices. Must be
-    /// a permutation of [`DecisionContext::suffix`] — the engine verifies
-    /// the permutation and rejects the run with
-    /// [`SimulationError::InvalidTaskOrder`] otherwise. **Precedence
-    /// validity is the policy's contract**: the engine has no knowledge of
-    /// the task graph, so policies must only propose suffixes that keep the
-    /// whole order topological (the `ckpt-adaptive` DAG policies derive
-    /// theirs from `ckpt_dag` re-linearisations, which guarantee it).
+    /// (positions `position..`), as task indices. Must be a permutation of
+    /// [`DecisionContext::suffix`] — the engine verifies the permutation
+    /// and rejects the run with [`SimulationError::InvalidTaskOrder`]
+    /// otherwise. **Precedence validity is the policy's contract**: the
+    /// engine has no knowledge of the task graph, so policies must only
+    /// propose suffixes that keep the whole order topological (the
+    /// `ckpt-adaptive` DAG policies derive theirs from `ckpt_dag`
+    /// re-linearisations, which guarantee it).
     pub reorder_suffix: Option<Vec<usize>>,
 }
 
 impl Decision {
-    /// A plain "checkpoint or not" decision leaving the order untouched —
-    /// the only kind a chain policy makes.
-    pub fn keep_order(checkpoint: bool) -> Self {
-        Decision { checkpoint, reorder_suffix: None }
+    /// An attempt through `through` that leaves the order untouched — the
+    /// only kind a chain policy makes.
+    pub fn keep_order(through: usize) -> Self {
+        Decision { through, reorder_suffix: None }
     }
 }
 
-/// An online checkpoint policy, consulted at every non-final task boundary
-/// of a chain or a linearised DAG: "checkpoint now or keep going?", and
-/// optionally "re-order the remaining tasks" (see [`Decision`]).
+/// The last position of the attempt that a fixed checkpoint placement
+/// starts at `position`, out of `n > 0` positions: the first position in
+/// `position..n − 1` that `checkpoint_after` flags, or `n − 1`, which is
+/// always checkpointed. Flags at or past `n − 1` are ignored, and positions
+/// past the end of a short `checkpoint_after` read as unflagged.
+pub fn next_checkpoint(checkpoint_after: &[bool], position: usize, n: usize) -> usize {
+    let last = n - 1;
+    let flagged = checkpoint_after.iter().take(last).skip(position).position(|&c| c);
+    flagged.map_or(last, |k| position + k)
+}
+
+/// An online checkpoint policy, consulted whenever an attempt of a chain or
+/// a linearised DAG is about to start: "which position does the next
+/// checkpoint follow?", and optionally "re-order the remaining tasks" (see
+/// [`Decision`]).
 ///
 /// Implementations may carry arbitrary mutable state (a running failure-rate
 /// estimate, a re-solved plan); one policy value drives one execution. The
 /// Monte-Carlo drivers build a fresh policy per trial through a factory, so
 /// trials stay independent and the threading deterministic.
 pub trait Policy {
-    /// The decision for the boundary described by `ctx`. Not consulted after
-    /// the final task, whose checkpoint is mandatory and whose suffix is
-    /// empty.
+    /// The next attempt, given the execution state in `ctx`.
     fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision;
 }
 
@@ -268,16 +271,15 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
 /// Simulates one policy-driven execution of a linearised DAG: the tasks of
 /// `tasks` are executed in the order given by `order` (task indices), with
 /// the §2 rollback semantics at the granularity of order positions, and
-/// `policy` consulted at every non-final boundary. Events go to `sink` (see
-/// the module docs).
+/// `policy` consulted before every attempt. Events go to `sink` (see the
+/// module docs).
 ///
-/// The execution tracks the **completed-and-checkpointed frontier**: a
-/// checkpoint after position `p` durably commits positions `0..=p`, and a
-/// failure rolls back to the position after the last durable checkpoint.
-/// Decisions may both toggle the next checkpoint and swap in a new order
-/// for the unexecuted suffix (see [`Decision`]); the engine verifies each
-/// proposed suffix is a permutation of the current one. A chain executed
-/// with the identity order is exactly [`simulate_policy`].
+/// A successful attempt through position `p` durably commits positions
+/// `0..=p`, and a failure rolls back to the attempt's start. Decisions may
+/// also swap in a new order for the unexecuted suffix (see [`Decision`]);
+/// the engine verifies each proposed suffix is a permutation of the current
+/// one. A chain executed with the identity order is exactly
+/// [`simulate_policy`].
 ///
 /// # Errors
 ///
@@ -285,8 +287,10 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
 /// * [`SimulationError::InvalidTaskOrder`] if `order` is not a permutation
 ///   of `0..tasks.len()`, or a decision proposes a suffix that is not a
 ///   permutation of the unexecuted suffix;
+/// * [`SimulationError::InvalidDecision`] if a decision names a `through`
+///   outside `position..tasks.len()`;
 /// * [`SimulationError::NegativeParameter`] if `downtime` or
-///   `initial_recovery` is negative.
+///   `initial_recovery` is negative or not finite.
 pub fn simulate_dag_policy<P, S>(
     tasks: &[ChainTask],
     order: &[usize],
@@ -301,7 +305,8 @@ where
     S: FailureStream + ?Sized,
 {
     validate(tasks, order, initial_recovery, downtime)?;
-    execute(tasks, order, initial_recovery, downtime, policy, stream, sink)
+    let mut failure_times = Vec::new();
+    execute(tasks, order, initial_recovery, downtime, policy, stream, &mut failure_times, sink)
 }
 
 /// Checks the inputs [`execute`] relies on: a non-empty task set, an order
@@ -326,20 +331,26 @@ pub(crate) fn validate(
     Ok(())
 }
 
-/// The policy engine: the one task-level §2 rollback loop. The inputs must
-/// have passed [`validate`].
-pub(crate) fn execute<P, S>(
+/// The engine: the one §2 attempt loop. The inputs must have passed
+/// [`validate`]. `failure_times` is the caller's buffer (the Monte-Carlo
+/// drivers keep one per worker); it is cleared first and holds the run's
+/// failure times on return. The sink is generic so that the untraced
+/// drivers, which pass `NoopSink` itself, compile every event away.
+#[allow(clippy::too_many_arguments)] // the engine's inputs, one call site per driver
+pub(crate) fn execute<P, S, T>(
     tasks: &[ChainTask],
     order: &[usize],
     initial_recovery: f64,
     downtime: f64,
     policy: &mut P,
     stream: &mut S,
-    sink: &mut dyn TelemetrySink,
+    failure_times: &mut Vec<f64>,
+    sink: &mut T,
 ) -> Result<PolicyExecutionRecord, SimulationError>
 where
     P: Policy + ?Sized,
     S: FailureStream + ?Sized,
+    T: TelemetrySink + ?Sized,
 {
     let n = tasks.len();
     let mut trace = if sink.enabled() { Some(sink) } else { None };
@@ -347,107 +358,77 @@ where
     // permutation bitmap is allocated on that first reorder too.
     let mut order = Cow::Borrowed(order);
     let mut seen: Vec<bool> = Vec::new();
+    failure_times.clear();
     let mut clock = 0.0f64;
     let mut breakdown = TimeBreakdown::default();
-    let mut failure_times: Vec<f64> = Vec::new();
-    let mut last_checkpoint: Option<usize> = None;
-    // Start of the current uncheckpointed run: everything executed since is
-    // lost on failure, committed as useful when a checkpoint completes.
-    let mut run_start = 0.0f64;
-    let mut checkpoints = 0u64;
-    let mut decisions = 0u64;
-    let mut reorders = 0u64;
+    let (mut checkpoints, mut decisions, mut reorders) = (0u64, 0u64, 0u64);
     let mut position = 0usize;
 
-    // Recovery cost of the last durable state, through the current order.
-    macro_rules! protecting_recovery {
-        () => {
-            last_checkpoint.map_or(initial_recovery, |k| tasks[order[k]].recovery)
-        };
-    }
-
     while position < n {
+        let decision =
+            policy.decide(&DecisionContext { position, clock, failure_times, order: &order });
+        decisions += 1;
+        if let Some(suffix) = decision.reorder_suffix {
+            if seen.is_empty() {
+                seen = vec![false; n];
+            }
+            if !is_permutation_of(&order[position..], &suffix, &mut seen) {
+                return Err(SimulationError::InvalidTaskOrder);
+            }
+            order.to_mut()[position..].copy_from_slice(&suffix);
+            reorders += 1;
+        }
+        let through = decision.through;
+        if !(position..n).contains(&through) {
+            return Err(SimulationError::InvalidDecision { position, through, tasks: n });
+        }
+        emit!(trace, "policy_decision", clock, position, "through" => through);
         emit!(trace, "attempt_started", clock, position);
 
-        let work = tasks[order[position]].work;
-        if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, work) {
-            position = handle_failure(
-                protecting_recovery!(),
-                downtime,
-                at,
-                position,
-                last_checkpoint,
-                stream,
-                &mut clock,
-                &mut run_start,
-                &mut failure_times,
-                &mut breakdown,
-                &mut trace,
-            );
+        let attempt = attempt_duration(
+            order[position..=through].iter().map(|&t| tasks[t].work),
+            tasks[order[through]].checkpoint,
+        );
+        let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, attempt) else {
+            breakdown.useful += attempt;
+            checkpoints += 1;
+            emit!(trace, "segment_completed", clock, through);
+            position = through + 1;
             continue;
-        }
-
-        // Decision point: the final boundary forces the checkpoint and has
-        // no suffix to reorder; every other boundary asks the policy.
-        let take = if position + 1 == n {
-            true
-        } else {
-            decisions += 1;
-            let ctx = DecisionContext {
-                position,
-                task: order[position],
-                clock,
-                last_checkpoint,
-                failure_times: &failure_times,
-                order: &order,
-            };
-            let decision = policy.decide(&ctx);
-            emit!(trace, "policy_decision", clock, position, "checkpoint" => decision.checkpoint);
-            if let Some(suffix) = decision.reorder_suffix {
-                if seen.is_empty() {
-                    seen = vec![false; n];
-                }
-                if !is_permutation_of(&order[position + 1..], &suffix, &mut seen) {
-                    return Err(SimulationError::InvalidTaskOrder);
-                }
-                order.to_mut()[position + 1..].copy_from_slice(&suffix);
-                reorders += 1;
-            }
-            decision.checkpoint
         };
 
-        if take {
-            let ckpt = tasks[order[position]].checkpoint;
-            if ckpt > 0.0 {
-                if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, ckpt) {
-                    position = handle_failure(
-                        protecting_recovery!(),
-                        downtime,
-                        at,
-                        position,
-                        last_checkpoint,
-                        stream,
-                        &mut clock,
-                        &mut run_start,
-                        &mut failure_times,
-                        &mut breakdown,
-                        &mut trace,
-                    );
-                    continue;
-                }
+        // Roll back to the attempt's start: downtime, then an interruptible
+        // recovery of the last durable state.
+        emit!(trace, "failure", at, position, "wasted" => at - clock);
+        failure_times.push(at);
+        absorb_failure(at, downtime, &mut clock, &mut breakdown.lost, &mut breakdown.downtime);
+        emit!(trace, "downtime_completed", clock, position);
+        let recovery =
+            if position == 0 { initial_recovery } else { tasks[order[position - 1]].recovery };
+        if recovery > 0.0 {
+            while let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, recovery) {
+                emit!(trace, "failure", at, position, "wasted" => at - clock);
+                failure_times.push(at);
+                absorb_failure(
+                    at,
+                    downtime,
+                    &mut clock,
+                    &mut breakdown.recovery,
+                    &mut breakdown.downtime,
+                );
+                emit!(trace, "downtime_completed", clock, position);
             }
-            // The checkpoint is durable: commit the run as useful time.
-            commit_run(clock, &mut run_start, &mut breakdown);
-            last_checkpoint = Some(position);
-            checkpoints += 1;
-            emit!(trace, "segment_completed", clock, position);
+            breakdown.recovery += recovery;
+            emit!(trace, "recovery_completed", clock, position);
         }
-        position += 1;
     }
 
-    let failures = failure_times.len() as u64;
     Ok(PolicyExecutionRecord {
-        record: ExecutionRecord { makespan: clock, failures, breakdown },
+        record: ExecutionRecord {
+            makespan: clock,
+            failures: failure_times.len() as u64,
+            breakdown,
+        },
         checkpoints,
         decisions,
         reorders,
@@ -456,49 +437,6 @@ where
             Cow::Borrowed(_) => None,
         },
     })
-}
-
-/// Failure at `failure_time` while executing work or checkpoint of the task
-/// at `position`: lose the run back to the last checkpoint, pay the
-/// failure-free downtime, recover (interruptibly — recovery failures pay
-/// another downtime and restart the recovery), and return the position
-/// execution resumes at. `recovery` is the cost of restoring the last
-/// durable state (the last checkpointed task's recovery, or `R₀`).
-#[allow(clippy::too_many_arguments)] // the engine's flat state
-fn handle_failure<S: FailureStream + ?Sized>(
-    recovery: f64,
-    downtime: f64,
-    failure_time: f64,
-    position: usize,
-    last_checkpoint: Option<usize>,
-    stream: &mut S,
-    clock: &mut f64,
-    run_start: &mut f64,
-    failure_times: &mut Vec<f64>,
-    breakdown: &mut TimeBreakdown,
-    trace: &mut Option<&mut dyn TelemetrySink>,
-) -> usize {
-    emit!(trace, "failure", failure_time, position, "wasted" => failure_time - *run_start);
-    absorb_run_failure(failure_time, downtime, clock, *run_start, failure_times, breakdown);
-    emit!(trace, "downtime_completed", *clock, position);
-    if recovery > 0.0 {
-        loop {
-            match run_phase(stream, clock, recovery) {
-                PhaseOutcome::Failed { at } => {
-                    emit!(trace, "failure", at, position, "wasted" => at - *clock);
-                    absorb_recovery_failure(at, downtime, clock, failure_times, breakdown);
-                    emit!(trace, "downtime_completed", *clock, position);
-                }
-                PhaseOutcome::Completed => {
-                    breakdown.recovery += recovery;
-                    emit!(trace, "recovery_completed", *clock, position);
-                    break;
-                }
-            }
-        }
-    }
-    *run_start = *clock;
-    last_checkpoint.map_or(0, |k| k + 1)
 }
 
 /// Verifies that `proposed` is a permutation of `current`, using `seen` as a
@@ -544,21 +482,36 @@ mod tests {
             .collect()
     }
 
-    /// A policy replaying fixed per-position decisions, never reordering.
+    /// A policy replaying per-position checkpoint flags, never reordering:
+    /// each attempt runs through the next flagged position, or to the end.
     struct Flags(Vec<bool>);
     impl Policy for Flags {
         fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
-            Decision::keep_order(self.0[ctx.position])
+            Decision::keep_order(next_checkpoint(&self.0, ctx.position, ctx.order.len()))
         }
     }
 
-    /// A policy that never checkpoints (the engine still forces the final
-    /// one).
+    /// A policy that only checkpoints at the end.
     struct Never;
     impl Policy for Never {
-        fn decide(&mut self, _ctx: &DecisionContext<'_>) -> Decision {
-            Decision::keep_order(false)
+        fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
+            Decision::keep_order(ctx.order.len() - 1)
         }
+    }
+
+    #[test]
+    fn next_checkpoint_runs_through_the_next_flag_or_the_last_position() {
+        let flags = [false, true, false, true, true];
+        assert_eq!(next_checkpoint(&flags, 0, 5), 1);
+        assert_eq!(next_checkpoint(&flags, 1, 5), 1);
+        assert_eq!(next_checkpoint(&flags, 2, 5), 3);
+        assert_eq!(next_checkpoint(&flags, 4, 5), 4);
+        // Flags at or past n − 1 are ignored; a short vector is unflagged
+        // past its end.
+        assert_eq!(next_checkpoint(&flags, 0, 2), 1);
+        assert_eq!(next_checkpoint(&[true, true], 0, 1), 0);
+        assert_eq!(next_checkpoint(&[], 0, 3), 2);
+        assert_eq!(next_checkpoint(&[true], 1, 3), 2);
     }
 
     #[test]
@@ -582,7 +535,7 @@ mod tests {
         let mut stream = NoFailureStream;
         let out =
             simulate_policy(&tasks, 0.0, 30.0, &mut Never, &mut stream, &mut NoopSink).unwrap();
-        // No intermediate checkpoint, but the final one is mandatory.
+        // One attempt through the last task: its checkpoint is the only one.
         assert_eq!(out.checkpoints, 1);
         assert_eq!(out.decisions, 1);
         assert_eq!(out.record.makespan, 320.0);
@@ -593,9 +546,9 @@ mod tests {
 
     #[test]
     fn static_flags_match_the_fixed_schedule_engine() {
-        // The same plan, played through the policy engine and through the
-        // fixed-schedule engine on the equivalent segments, must agree on
-        // identical failure streams.
+        // The same plan, played through the policy engine and through
+        // `simulate` on the equivalent segments, must agree bit for bit on
+        // identical failure streams: both run one attempt per segment.
         let tasks = vec![
             task(500.0, 60.0, 30.0),
             task(900.0, 45.0, 60.0),
@@ -626,14 +579,16 @@ mod tests {
             )
             .unwrap();
             assert_eq!(fixed.failures, online.record.failures, "seed {seed}");
-            assert!(
-                (fixed.makespan - online.record.makespan).abs() < 1e-9,
-                "seed {seed}: {} vs {}",
-                fixed.makespan,
-                online.record.makespan
-            );
-            assert!((fixed.breakdown.useful - online.record.breakdown.useful).abs() < 1e-9);
-            assert!((fixed.breakdown.lost - online.record.breakdown.lost).abs() < 1e-9);
+            assert_eq!(fixed.makespan.to_bits(), online.record.makespan.to_bits(), "seed {seed}");
+            let (f, o) = (fixed.breakdown, online.record.breakdown);
+            for (a, b) in [
+                (f.useful, o.useful),
+                (f.lost, o.lost),
+                (f.downtime, o.downtime),
+                (f.recovery, o.recovery),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}");
+            }
             assert_eq!(online.checkpoints, 3);
         }
     }
@@ -645,16 +600,19 @@ mod tests {
         let mut policy = Flags(vec![true; 3]);
         let out =
             simulate_policy(&tasks, 12.0, 7.5, &mut policy, &mut stream, &mut NoopSink).unwrap();
-        assert!((out.record.breakdown.total() - out.record.makespan).abs() < 1e-9);
+        // Every duration is a short dyadic fraction, so the partition is
+        // exact.
+        assert_eq!(out.record.breakdown.total(), out.record.makespan);
         // 30 and 60 strike task 0's attempts, 200 task 1's work and 390 task
         // 1's checkpoint.
         assert_eq!(out.record.failures, 4);
+        assert_eq!(out.record.makespan, 667.5);
     }
 
     #[test]
     fn scripted_failure_emits_the_sim_vocabulary() {
         // One task: failure at t = 30, downtime 5, recovery 20, then a
-        // clean re-attempt and the mandatory final checkpoint.
+        // clean re-attempt through the task and its checkpoint.
         let mut stream = ScriptedStream::new(vec![30.0]);
         let mut sink = RingBufferSink::new(64);
         let out = simulate_policy(
@@ -667,22 +625,24 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.record.failures, 1);
-        assert!((out.record.makespan - 165.0).abs() < 1e-12);
+        assert_eq!(out.record.makespan, 165.0);
         assert_eq!(
             events(&sink),
             vec![
+                ("policy_decision", 0),
                 ("attempt_started", 0),
                 ("failure", 0),
                 ("downtime_completed", 0),
                 ("recovery_completed", 0),
+                ("policy_decision", 0),
                 ("attempt_started", 0),
                 ("segment_completed", 0),
             ]
         );
         let times: Vec<f64> = sink.events().map(|e| e.time()).collect();
-        assert_eq!(times, vec![0.0, 30.0, 35.0, 55.0, 55.0, 165.0]);
+        assert_eq!(times, vec![0.0, 0.0, 30.0, 35.0, 55.0, 55.0, 55.0, 165.0]);
         assert!(sink.events().all(|e| e.domain() == TimeDomain::Sim));
-        let failure = sink.events().nth(1).unwrap();
+        let failure = sink.events().nth(2).unwrap();
         assert_eq!(failure.fields()[1], ("wasted".into(), FieldValue::F64(30.0)));
     }
 
@@ -710,35 +670,64 @@ mod tests {
     #[test]
     fn rollback_resumes_after_the_last_checkpoint() {
         // Tasks of 100 s each; checkpoint after task 0 (cost 10, recovery
-        // 20). Failure at t = 250, i.e. 140 s into the run following the
-        // checkpoint (tasks 1 and part of 2): roll back to task 1, not 0.
+        // 20). Failure at t = 250, i.e. 140 s into the attempt through tasks
+        // 1 and 2: roll back to task 1, not 0.
         let tasks = vec![task(100.0, 10.0, 20.0), task(100.0, 0.0, 0.0), task(100.0, 0.0, 0.0)];
         let mut stream = ScriptedStream::new(vec![250.0]);
         let mut policy = Flags(vec![true, false, false]);
         let mut sink = RingBufferSink::new(64);
         let out = simulate_policy(&tasks, 5.0, 8.0, &mut policy, &mut stream, &mut sink).unwrap();
         // Timeline: ckpt done at 110; failure at 250 loses 140; downtime 8
-        // (258), recovery 20 (278); re-run tasks 1..2 (200) -> 478; no
-        // checkpoint cost at the end (task 2's C = 0). Final checkpoint
-        // completes at 478.
-        assert!((out.record.makespan - 478.0).abs() < 1e-9);
-        assert!((out.record.breakdown.lost - 140.0).abs() < 1e-9);
+        // (258), recovery 20 (278); re-run tasks 1..2 (200) -> 478, whose
+        // final checkpoint costs 0.
+        assert_eq!(out.record.makespan, 478.0);
+        assert_eq!(out.record.breakdown.lost, 140.0);
         assert_eq!(out.record.failures, 1);
-        // Task 0 is attempted once; tasks 1 and 2 twice.
+        // Position 0 is attempted once, the attempt from position 1 twice,
+        // and position 2 never starts an attempt of its own.
         let attempts =
             |p: usize| events(&sink).iter().filter(|&&e| e == ("attempt_started", p)).count();
-        assert_eq!(attempts(0), 1);
-        assert_eq!(attempts(1), 2);
-        assert_eq!(attempts(2), 2);
+        assert_eq!((attempts(0), attempts(1), attempts(2)), (1, 2, 0));
+        let completed: Vec<usize> = events(&sink)
+            .into_iter()
+            .filter_map(|(name, p)| (name == "segment_completed").then_some(p))
+            .collect();
+        assert_eq!(completed, vec![0, 2]);
     }
 
-    /// The `(segment, checkpoint)` of every `policy_decision` event.
-    fn decisions(sink: &RingBufferSink) -> Vec<(usize, bool)> {
+    /// Counts the queries it forwards to the wrapped stream.
+    struct Counting<S>(S, u64);
+    impl<S: FailureStream> FailureStream for Counting<S> {
+        fn next_failure_after(&mut self, after: f64) -> Option<f64> {
+            self.1 += 1;
+            self.0.next_failure_after(after)
+        }
+    }
+
+    #[test]
+    fn one_stream_query_per_attempt() {
+        // Recovery is free, so every query is an attempt's: one per
+        // decision, however many tasks the attempt fuses.
+        let tasks = vec![task(100.0, 10.0, 0.0), task(50.0, 5.0, 0.0), task(70.0, 7.0, 0.0)];
+        let script = vec![30.0, 150.0, 190.0, 400.0];
+        for flags in [vec![false, false, false], vec![true, false, false], vec![true, true, true]] {
+            let mut stream = Counting(ScriptedStream::new(script.clone()), 0);
+            let out =
+                simulate_policy(&tasks, 0.0, 2.0, &mut Flags(flags), &mut stream, &mut NoopSink)
+                    .unwrap();
+            assert!(out.record.failures > 0);
+            assert_eq!(stream.1, out.decisions);
+            assert_eq!(out.decisions, out.checkpoints + out.record.failures);
+        }
+    }
+
+    /// The `(segment, through)` of every `policy_decision` event.
+    fn decisions(sink: &RingBufferSink) -> Vec<(usize, usize)> {
         sink.events()
             .filter(|e| e.name() == "policy_decision")
             .map(|e| match e.fields() {
-                [(_, FieldValue::U64(segment)), (_, FieldValue::Bool(checkpoint))] => {
-                    (*segment as usize, *checkpoint)
+                [(_, FieldValue::U64(segment)), (_, FieldValue::U64(through))] => {
+                    (*segment as usize, *through as usize)
                 }
                 other => panic!("unexpected decision fields {other:?}"),
             })
@@ -752,34 +741,35 @@ mod tests {
         let mut policy = Flags(vec![false, true, false]);
         let mut sink = RingBufferSink::new(64);
         let out = simulate_policy(&tasks, 0.0, 0.0, &mut policy, &mut stream, &mut sink).unwrap();
-        // The final boundary is mandatory, not a decision.
-        assert_eq!(decisions(&sink), vec![(0, false), (1, true)]);
+        // One decision per attempt: through task 1, then through the end.
+        assert_eq!(decisions(&sink), vec![(0, 1), (2, 2)]);
         assert_eq!(out.decisions, 2);
         assert_eq!(out.checkpoints, 2);
+        assert_eq!(out.record.makespan, 32.0);
     }
 
     #[test]
     fn policy_can_adapt_to_observed_failures() {
-        // A policy that checkpoints only once it has seen a failure: the
-        // second pass over task 0 checkpoints where the first did not.
+        // A policy that checkpoints after every task only once it has seen a
+        // failure: the attempt after the recovery is shorter than the one
+        // the failure struck.
         struct AfterFirstFailure;
         impl Policy for AfterFirstFailure {
             fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
-                Decision::keep_order(!ctx.failure_times.is_empty())
+                let last = ctx.order.len() - 1;
+                Decision::keep_order(if ctx.failure_times.is_empty() { last } else { ctx.position })
             }
         }
         let tasks = vec![task(100.0, 10.0, 0.0), task(100.0, 10.0, 0.0)];
-        // Failure at t = 150: inside task 1's work (no checkpoint was taken
-        // after task 0 on the first pass).
+        // Failure at t = 150: inside the first attempt (both tasks).
         let mut stream = ScriptedStream::new(vec![150.0]);
         let mut sink = RingBufferSink::new(64);
         let out = simulate_policy(&tasks, 0.0, 0.0, &mut AfterFirstFailure, &mut stream, &mut sink)
             .unwrap();
-        let taken: Vec<bool> = decisions(&sink).into_iter().map(|(_, c)| c).collect();
-        assert_eq!(taken, vec![false, true], "re-execution decision must flip");
+        assert_eq!(decisions(&sink), vec![(0, 1), (0, 0), (1, 1)], "the re-attempt must shrink");
         // Timeline: 150 lost, rollback to 0; re-run task 0 (100) + ckpt
-        // (10) at 260, task 1 (100) + final ckpt (10) at 370.
-        assert!((out.record.makespan - 370.0).abs() < 1e-9);
+        // (10) at 260, task 1 (100) + ckpt (10) at 370.
+        assert_eq!(out.record.makespan, 370.0);
         assert_eq!(out.checkpoints, 2);
     }
 
@@ -833,7 +823,7 @@ mod tests {
         let policy = Flags(vec![true, false, false]);
         let out = run_dag(&tasks, &[2, 0, 1], 0.0, 0.0, policy, &mut NoFailureStream).unwrap();
         // 300 + 30 (ckpt after T2) + 100 + 200 + 20 (final ckpt = T1's).
-        assert!((out.record.makespan - 650.0).abs() < 1e-9);
+        assert_eq!(out.record.makespan, 650.0);
         assert_eq!(out.checkpoints, 2);
     }
 
@@ -848,23 +838,24 @@ mod tests {
         // 100 + 10 (ckpt at 110); failure at 150 loses 40; downtime 7
         // (157), recovery 80 (237); re-run task 0 (100) -> 337; final ckpt
         // costs 0.
-        assert!((out.record.makespan - 337.0).abs() < 1e-9, "makespan {}", out.record.makespan);
-        assert!((out.record.breakdown.recovery - 80.0).abs() < 1e-9);
+        assert_eq!(out.record.makespan, 337.0);
+        assert_eq!(out.record.breakdown.recovery, 80.0);
     }
 
-    /// A policy that swaps the two tasks following the first boundary.
+    /// A policy that checkpoints after position 0, then swaps the next two
+    /// tasks once and runs to the end.
     struct SwapOnce {
         done: bool,
     }
     impl Policy for SwapOnce {
         fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
-            if !self.done && ctx.suffix().len() >= 2 {
+            if !self.done && ctx.position > 0 && ctx.suffix().len() >= 2 {
                 self.done = true;
                 let mut suffix = ctx.suffix().to_vec();
                 suffix.swap(0, 1);
-                return Decision { checkpoint: true, reorder_suffix: Some(suffix) };
+                return Decision { through: ctx.order.len() - 1, reorder_suffix: Some(suffix) };
             }
-            Decision::keep_order(false)
+            Decision::keep_order(ctx.position)
         }
     }
 
@@ -876,14 +867,23 @@ mod tests {
         assert_eq!(out.reorders, 1);
         assert_eq!(out.final_order, Some(vec![0, 2, 1]));
         // 100 + 1 (ckpt) + 300 + 200 + 2 (final ckpt = task 1's).
-        assert!((out.record.makespan - 603.0).abs() < 1e-9);
+        assert_eq!(out.record.makespan, 603.0);
     }
 
     /// A policy proposing a suffix that is not a permutation.
     struct BadReorder;
     impl Policy for BadReorder {
         fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
-            Decision { checkpoint: false, reorder_suffix: Some(vec![ctx.task; ctx.suffix().len()]) }
+            let suffix = vec![ctx.suffix()[0]; ctx.suffix().len()];
+            Decision { through: ctx.position, reorder_suffix: Some(suffix) }
+        }
+    }
+
+    /// A policy naming a fixed `through`, whatever the position.
+    struct Through(usize);
+    impl Policy for Through {
+        fn decide(&mut self, _ctx: &DecisionContext<'_>) -> Decision {
+            Decision::keep_order(self.0)
         }
     }
 
@@ -906,6 +906,16 @@ mod tests {
             run_dag(&[], &[], 0.0, 0.0, never(), &mut NoFailureStream),
             Err(SimulationError::EmptySchedule)
         ));
+        // `through` past the last task, and behind the position once the
+        // first attempt committed position 0 (and 1 would be next).
+        assert_eq!(
+            run_dag(&tasks, &[0, 1], 0.0, 0.0, Through(2), &mut NoFailureStream),
+            Err(SimulationError::InvalidDecision { position: 0, through: 2, tasks: 2 })
+        );
+        assert_eq!(
+            run_dag(&tasks, &[0, 1], 0.0, 0.0, Through(0), &mut NoFailureStream),
+            Err(SimulationError::InvalidDecision { position: 1, through: 0, tasks: 2 })
+        );
     }
 
     #[test]
@@ -941,6 +951,8 @@ mod tests {
             assert_eq!(plain, traced, "seed {seed}");
             let failures = sink.events().filter(|e| e.name() == "failure").count() as u64;
             assert_eq!(traced.record.failures, failures, "seed {seed}");
+            let attempts = sink.events().filter(|e| e.name() == "attempt_started").count() as u64;
+            assert_eq!(traced.decisions, attempts, "seed {seed}");
         }
     }
 }

@@ -1,14 +1,15 @@
 //! Shared §2 rollback primitives.
 //!
-//! The policy engine (chains through [`crate::policy::simulate_policy`],
-//! linearised DAGs through [`crate::policy::simulate_dag_policy`]) and the
+//! The simulator's one engine ([`crate::policy`], under every entry from
+//! [`crate::engine::simulate`] to the Monte-Carlo drivers) and the
 //! multi-machine cluster engine (`ckpt-cluster`) execute the same failure
-//! semantics: an interruptible *phase* (work,
-//! checkpoint or recovery) either completes or is cut short by the first
-//! failure of a [`FailureStream`]; a failure during work or checkpointing
-//! loses the run back to the last durable checkpoint, costs a failure-free
-//! downtime `D` and an interruptible recovery; a durable checkpoint commits
-//! the run as useful time.
+//! semantics. An *attempt* runs the work of a run of tasks and the
+//! checkpoint after its last one as one atomic phase, and every attempt
+//! ends in a durable checkpoint. A phase (an attempt or a recovery) either
+//! completes or is cut short by the first failure of a [`FailureStream`].
+//! A failure loses the phase's elapsed time, costs a failure-free downtime
+//! `D`, and is followed by an interruptible recovery of the last durable
+//! state.
 //!
 //! These helpers keep the *exact* sequence of stream queries and
 //! floating-point operations in one place, so independently written engines
@@ -18,7 +19,6 @@
 //!
 //! [`simulate_policy`]: crate::policy::simulate_policy
 
-use crate::engine::TimeBreakdown;
 use crate::stream::FailureStream;
 
 /// The outcome of one interruptible phase attempt (see [`run_phase`]).
@@ -34,13 +34,20 @@ pub enum PhaseOutcome {
     },
 }
 
+/// The duration of one attempt: the work of its tasks, summed left to
+/// right, plus the checkpoint after the last one. Every engine prices its
+/// attempts through this sum, so equal task runs take bitwise-equal time.
+pub fn attempt_duration(works: impl IntoIterator<Item = f64>, checkpoint: f64) -> f64 {
+    works.into_iter().sum::<f64>() + checkpoint
+}
+
 /// Attempts one failure-prone phase of `duration` seconds starting at
 /// `*clock`: queries the stream for the first failure strictly after the
 /// current clock and compares it against the phase end.
 ///
 /// On success the clock advances by `duration`; on failure it is left
-/// untouched — callers account the failure with [`absorb_run_failure`] or
-/// [`absorb_recovery_failure`], which set the post-downtime clock.
+/// untouched — callers account the failure with [`absorb_failure`], which
+/// sets the post-downtime clock.
 ///
 /// This is the single stream-consumption pattern of the §2 engines: one
 /// query per attempt, `f < clock + duration` deciding the outcome.
@@ -58,51 +65,27 @@ pub fn run_phase<S: FailureStream + ?Sized>(
     }
 }
 
-/// Accounts a failure at `at` during **work or checkpointing**: everything
-/// since `run_start` is lost, the failure is recorded, and the clock jumps
-/// to the end of the failure-free downtime (`at + downtime`).
-pub fn absorb_run_failure(
+/// Accounts a failure at `at` that interrupted a phase started at `*clock`:
+/// the phase's elapsed time goes to `wasted` (the `lost` bucket for an
+/// attempt, the `recovery` bucket for a recovery), the failure-free
+/// downtime to `downtime_total`, and the clock jumps to `at + downtime`.
+/// Callers record the failure itself.
+pub fn absorb_failure(
     at: f64,
     downtime: f64,
     clock: &mut f64,
-    run_start: f64,
-    failure_times: &mut Vec<f64>,
-    breakdown: &mut TimeBreakdown,
+    wasted: &mut f64,
+    downtime_total: &mut f64,
 ) {
-    breakdown.lost += at - run_start;
-    failure_times.push(at);
+    *wasted += at - *clock;
     *clock = at + downtime;
-    breakdown.downtime += downtime;
-}
-
-/// Accounts a failure at `at` during an **interruptible recovery**: the
-/// partial recovery time is booked in the recovery bucket (nothing new was
-/// lost — the run was already rolled back), the failure is recorded, and the
-/// clock jumps to the end of the downtime, after which the recovery restarts
-/// from scratch.
-pub fn absorb_recovery_failure(
-    at: f64,
-    downtime: f64,
-    clock: &mut f64,
-    failure_times: &mut Vec<f64>,
-    breakdown: &mut TimeBreakdown,
-) {
-    breakdown.recovery += at - *clock;
-    failure_times.push(at);
-    *clock = at + downtime;
-    breakdown.downtime += downtime;
-}
-
-/// Commits the run ending at `clock` as useful time: a checkpoint became
-/// durable, so everything since `*run_start` can no longer be lost.
-pub fn commit_run(clock: f64, run_start: &mut f64, breakdown: &mut TimeBreakdown) {
-    breakdown.useful += clock - *run_start;
-    *run_start = clock;
+    *downtime_total += downtime;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::TimeBreakdown;
     use crate::stream::{NoFailureStream, ScriptedStream};
 
     #[test]
@@ -125,20 +108,16 @@ mod tests {
 
     #[test]
     fn failure_bookkeeping_matches_the_model() {
-        let mut breakdown = TimeBreakdown::default();
-        let mut failures = Vec::new();
-        let mut clock = 0.0;
-        absorb_run_failure(40.0, 5.0, &mut clock, 10.0, &mut failures, &mut breakdown);
-        assert_eq!(breakdown.lost, 30.0);
-        assert_eq!(breakdown.downtime, 5.0);
+        let mut b = TimeBreakdown::default();
+        let mut clock = 10.0;
+        absorb_failure(40.0, 5.0, &mut clock, &mut b.lost, &mut b.downtime);
+        assert_eq!(b.lost, 30.0);
+        assert_eq!(b.downtime, 5.0);
         assert_eq!(clock, 45.0);
-        absorb_recovery_failure(52.0, 5.0, &mut clock, &mut failures, &mut breakdown);
-        assert_eq!(breakdown.recovery, 7.0);
+        absorb_failure(52.0, 5.0, &mut clock, &mut b.recovery, &mut b.downtime);
+        assert_eq!(b.recovery, 7.0);
+        assert_eq!(b.downtime, 10.0);
         assert_eq!(clock, 57.0);
-        assert_eq!(failures, vec![40.0, 52.0]);
-        let mut run_start = 45.0;
-        commit_run(60.0, &mut run_start, &mut breakdown);
-        assert_eq!(breakdown.useful, 15.0);
-        assert_eq!(run_start, 60.0);
+        assert_eq!(attempt_duration([1.0, 2.0, 3.0], 0.5), 6.5);
     }
 }

@@ -11,11 +11,13 @@
 //! The corpus:
 //! * e11's 40-task chain under the four adaptive chain policies;
 //! * e12's 18-task layered DAG under the three DAG policies;
-//! * a synthetic policy that reorders the suffix at every boundary;
+//! * a synthetic policy that reorders the suffix at every decision;
 //! * scripted streams that strike exactly on a task boundary, exactly at
 //!   the end of a downtime and inside recovery;
 //! * the Monte-Carlo drivers (`try_run`, `run_policy`, `run_dag_policy`)
-//!   on generated and on per-trial factory streams, at 1 and 3 workers.
+//!   on generated and on per-trial factory streams, at 1 and 3 workers;
+//!   `try_run` has a digest of its own, pinned by the fixed-schedule loop
+//!   the one engine replaced.
 
 use ckpt_bench::testgen::random_layered_instance;
 use ckpt_workflows::adaptive::{
@@ -65,8 +67,8 @@ fn e12_dag() -> (DagSpec, ckpt_workflows::adaptive::DagPlan) {
 }
 
 /// Failure times placed against the failure-free timeline of `works`: one
-/// exactly on the first task boundary (a phase starting there must not see
-/// it), one inside task 3, one exactly at the end of the downtime that
+/// exactly on the first task boundary (an attempt ending or starting there
+/// does not see it), one inside task 3, one exactly at the end of the downtime that
 /// follows it, one inside the recovery, one inside the restarted recovery
 /// and one late in the run.
 fn boundary_script(works: &[f64], downtime: f64, shift: f64) -> Vec<f64> {
@@ -213,8 +215,8 @@ fn dag_digest<P: Policy>(
     digest.hex()
 }
 
-/// Rotates the unexecuted suffix left by one at every boundary and
-/// checkpoints on every other one.
+/// Rotates the unexecuted suffix left by one at every decision and
+/// alternates one- and two-task attempts.
 #[derive(Clone, Default)]
 struct RotateEveryBoundary {
     toggle: bool,
@@ -225,7 +227,8 @@ impl Policy for RotateEveryBoundary {
         self.toggle = !self.toggle;
         let mut suffix = ctx.suffix().to_vec();
         suffix.rotate_left(1);
-        Decision { checkpoint: self.toggle, reorder_suffix: Some(suffix) }
+        let through = if self.toggle { ctx.position } else { ctx.position + 1 };
+        Decision { through: through.min(ctx.order.len() - 1), reorder_suffix: Some(suffix) }
     }
 }
 
@@ -294,7 +297,7 @@ fn chain_policies_digests() {
     ];
     assert_eq!(
         digests,
-        ["6f06a53d898481b4", "7241076e4666f652", "a0df9c71be68b5a3", "2a589771f8bf339e"]
+        ["9127a0b14427f59f", "14df0e60f73ee753", "284f8313999ff95b", "9ee5ccf232ecc1f9"]
     );
 }
 
@@ -313,7 +316,7 @@ fn dag_policies_digests() {
             DagRelinearise::new(&spec, &plan, PLANNING_RATE).unwrap()
         }),
     ];
-    assert_eq!(digests, ["840eafaaab42ba1a", "15997f3a1508d98a", "7c917fa09254c1d0"]);
+    assert_eq!(digests, ["fae5675b4783c9ed", "960b090fc210838e", "b6ed3ec21d0152d2"]);
 }
 
 #[test]
@@ -327,14 +330,54 @@ fn reorder_every_boundary_digest() {
         spec.downtime(),
         RotateEveryBoundary::default,
     );
-    assert_eq!(digest, "ab06ddcba683af9d");
+    assert_eq!(digest, "e3f2e7419b6294b0");
+}
+
+/// `try_run` on generated and on per-trial scripted streams, pinned apart
+/// from the policy drivers: replaying segments on the one §2 engine must
+/// leave this digest where the fixed-schedule loop put it.
+#[test]
+fn try_run_digests() {
+    let spec = e11_chain();
+    let placement = optimal_static_plan(&spec, PLANNING_RATE).unwrap();
+    let segments = segments_of(&spec, &placement.checkpoint_after());
+    let works: Vec<f64> = spec.tasks().iter().map(ChainTask::work).collect();
+
+    let mut hexes = Vec::new();
+    for threads in [1usize, 3] {
+        let mut digest = DigestSink::new();
+        let scripted = {
+            let works = works.clone();
+            move |trial: usize, _seed: u64| {
+                ScriptedStream::new(boundary_script(&works, 10.0, 7.0 * (trial % 5) as f64))
+            }
+        };
+        for out in [
+            scenario(threads, 300).try_run(&segments),
+            weibull_scenario(threads, 200).try_run(&segments),
+            factory_scenario(threads, 30, scripted).try_run(&segments),
+        ] {
+            let out = out.unwrap();
+            fold_outcome(
+                &mut digest,
+                &out.makespan,
+                &out.failures,
+                &out.mean_breakdown,
+                &out.samples,
+                &[],
+            );
+        }
+        assert!(digest.sim_events() > 0);
+        hexes.push(digest.hex());
+    }
+    assert_eq!(hexes[0], hexes[1], "try_run outcomes differ between 1 and 3 workers");
+    assert_eq!(hexes[0], "4e3ad6d0db7e8b6a");
 }
 
 #[test]
 fn monte_carlo_digests() {
     let spec = e11_chain();
     let placement = optimal_static_plan(&spec, PLANNING_RATE).unwrap();
-    let segments = segments_of(&spec, &placement.checkpoint_after());
     let static_plan = StaticPlan::from_placement(&placement);
     let adaptive = AdaptiveResolve::new(&spec, PLANNING_RATE).unwrap();
     let (dag_spec, dag_plan) = e12_dag();
@@ -348,21 +391,6 @@ fn monte_carlo_digests() {
     let mut hexes = Vec::new();
     for threads in [1usize, 3] {
         let mut digest = DigestSink::new();
-
-        // The fixed engine on generated streams.
-        for out in [
-            scenario(threads, 300).try_run(&segments).unwrap(),
-            weibull_scenario(threads, 200).try_run(&segments).unwrap(),
-        ] {
-            fold_outcome(
-                &mut digest,
-                &out.makespan,
-                &out.failures,
-                &out.mean_breakdown,
-                &out.samples,
-                &[],
-            );
-        }
 
         // The chain policy engine on generated streams.
         for out in [
@@ -411,15 +439,6 @@ fn monte_carlo_digests() {
             }
         };
         let traces = move |_trial: usize, seed: u64| trace_stream(seed, horizon);
-        let out = factory_scenario(threads, 30, scripted.clone()).try_run(&segments).unwrap();
-        fold_outcome(
-            &mut digest,
-            &out.makespan,
-            &out.failures,
-            &out.mean_breakdown,
-            &out.samples,
-            &[],
-        );
         for out in [
             factory_scenario(threads, 30, scripted.clone())
                 .run_policy(spec.tasks(), 30.0, |_| static_plan.clone()),
@@ -464,5 +483,5 @@ fn monte_carlo_digests() {
         hexes.push(digest.hex());
     }
     assert_eq!(hexes[0], hexes[1], "Monte-Carlo outcomes differ between 1 and 3 workers");
-    assert_eq!(hexes[0], "64f248389fb2420e");
+    assert_eq!(hexes[0], "945acec94bfbfb18");
 }

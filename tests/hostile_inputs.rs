@@ -12,6 +12,14 @@
 //! build with a typed error or is served a makespan that is not NaN, under
 //! exact and grid rate bucketing alike.
 //!
+//! The simulator meets the same values: `ChainTask::new` and `Segment::new`
+//! reject exactly the invalid ones (NaN, ±∞, negative, and zero work), the
+//! downtime and the initial recovery are rejected by every entry that takes
+//! them, and the valid extremes (subnormal, 10⁻³⁰⁰, 10³⁰⁰, `f64::MAX`) run
+//! to a makespan that is not NaN. A policy whose decision names a `through`
+//! outside `position..n`, or a suffix reorder that is not a permutation,
+//! gets a typed error from the single-run and the Monte-Carlo entries alike.
+//!
 //! Longer chains reach the pruned DP's work-conservation cut-off (rows past
 //! 32 product-form candidates) and the levelled DP's suffix bound with
 //! overflowing (+∞) coefficients, weights absorbed by the prefix sums,
@@ -28,6 +36,12 @@ use ckpt_workflows::expectation::segment_cost::SegmentCostTable;
 use ckpt_workflows::expectation::storage::{StorageLevel, StorageLevels};
 use ckpt_workflows::failure::{Pcg64, RandomSource};
 use ckpt_workflows::service::{PlanInstance, PlanRequest, Planner, RateBucketing};
+use ckpt_workflows::simulator::stream::ScriptedStream;
+use ckpt_workflows::simulator::{
+    simulate, simulate_dag_policy, simulate_policy, ChainTask, Decision, DecisionContext, Policy,
+    Segment, SimulationError, SimulationScenario,
+};
+use ckpt_workflows::telemetry::NoopSink;
 use proptest::prelude::*;
 
 /// The hostile value at `index`, `ordinary` standing in at index 7; any
@@ -339,5 +353,183 @@ proptest! {
         }
         let placement = scalable_placement_on_table_with_scratch(&table, &mut ChainDpScratch::new());
         finite_or_infinite("scalable_placement_on_table_with_scratch", placement.expected_makespan)?;
+    }
+}
+
+/// Whether `value` is a valid non-negative duration (finite, ≥ 0).
+fn non_negative(value: f64) -> bool {
+    value.is_finite() && value >= 0.0
+}
+
+/// A short script: a few failures, then none, so every run ends whatever
+/// the durations (a run of `f64::MAX` work is struck until the script runs
+/// out, then completes at +∞).
+fn short_script() -> ScriptedStream {
+    ScriptedStream::new(vec![50.0, 50.5, 120.0, 1e6])
+}
+
+/// Checkpoint after every task.
+struct EveryTask;
+impl Policy for EveryTask {
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
+        Decision::keep_order(ctx.position)
+    }
+}
+
+/// `Ok` only when the inputs are `valid`, and then a makespan that is not
+/// NaN; otherwise a parameter error.
+fn typed(
+    entry: &str,
+    valid: bool,
+    result: Result<f64, SimulationError>,
+) -> Result<(), TestCaseError> {
+    match result {
+        Ok(makespan) => {
+            prop_assert!(valid, "{} accepted invalid inputs", entry);
+            not_nan(entry, makespan)
+        }
+        Err(SimulationError::NegativeParameter { .. }) => {
+            prop_assert!(!valid, "{} rejected valid inputs", entry);
+            Ok(())
+        }
+        Err(other) => Err(TestCaseError(format!("{entry}: unexpected error {other}"))),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn prop_hostile_inputs_at_the_simulator(
+        n in 1usize..5,
+        work_pick in 0usize..14,
+        checkpoint_pick in 0usize..14,
+        recovery_pick in 0usize..14,
+        downtime_pick in 0usize..14,
+        initial_pick in 0usize..14,
+    ) {
+        let (w, c, r) =
+            (pick(work_pick, 100.0), pick(checkpoint_pick, 10.0), pick(recovery_pick, 20.0));
+        let (d, r0) = (pick(downtime_pick, 5.0), pick(initial_pick, 15.0));
+        let valid = w.is_finite() && w > 0.0 && non_negative(c) && non_negative(r);
+        let task = ChainTask::new(w, c, r);
+        let segment = Segment::new(w, c, r);
+        prop_assert_eq!(task.is_ok(), valid);
+        prop_assert_eq!(segment.is_ok(), valid);
+        if let (Ok(task), Ok(segment)) = (task, segment) {
+            let (tasks, segments) = (vec![task; n], vec![segment; n]);
+            let scenario = SimulationScenario::from_streams(|_, _| short_script())
+                .with_downtime(d)
+                .with_trials(4)
+                .with_threads(1);
+            let run_policy = |p: &mut dyn Policy| {
+                simulate_policy(&tasks, r0, d, p, &mut short_script(), &mut NoopSink)
+            };
+            typed(
+                "simulate",
+                non_negative(d),
+                simulate(&segments, d, &mut short_script()).map(|r| r.makespan),
+            )?;
+            typed(
+                "try_run",
+                non_negative(d),
+                scenario.try_run(&segments).map(|o| o.makespan.mean),
+            )?;
+            let both = non_negative(d) && non_negative(r0);
+            typed("simulate_policy", both, run_policy(&mut EveryTask).map(|r| r.record.makespan))?;
+            typed(
+                "run_policy",
+                both,
+                scenario.run_policy(&tasks, r0, |_| EveryTask).map(|o| o.makespan.mean),
+            )?;
+        }
+    }
+}
+
+/// A policy that answers `valid_before` decisions validly (one task per
+/// attempt), then returns one hostile decision: a `through` of the given
+/// kind and, optionally, a suffix of the given kind.
+struct HostileDecision {
+    valid_before: usize,
+    through_kind: usize,
+    reorder_kind: usize,
+}
+
+impl Policy for HostileDecision {
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
+        if self.valid_before > 0 {
+            self.valid_before -= 1;
+            return Decision::keep_order(ctx.position);
+        }
+        let n = ctx.order.len();
+        let through = match self.through_kind {
+            0 => ctx.position.wrapping_sub(1),
+            1 => n,
+            2 => usize::MAX,
+            _ => ctx.position,
+        };
+        let suffix = ctx.suffix();
+        let reorder_suffix = match self.reorder_kind {
+            0 => None,
+            1 => Some(suffix[1..].to_vec()),
+            2 => Some(vec![suffix[0]; suffix.len().max(2)]),
+            3 => Some(suffix.iter().map(|_| usize::MAX).collect()),
+            4 => Some(suffix.iter().chain(&[n]).copied().collect()),
+            _ => Some(suffix.iter().rev().copied().collect()),
+        };
+        Decision { through, reorder_suffix }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn prop_hostile_decisions_give_typed_errors(
+        seed in any::<u64>(),
+        n in 1usize..7,
+        valid_before in 0usize..8,
+        through_kind in 0usize..4,
+        reorder_kind in 0usize..6,
+    ) {
+        let mut rng = Pcg64::seed_from_u64(seed);
+        let tasks: Vec<ChainTask> = (0..n)
+            .map(|_| ChainTask::new(10.0 + 90.0 * rng.next_f64(), 5.0, 8.0).unwrap())
+            .collect();
+        let order: Vec<usize> = (0..n).rev().collect();
+        let policy =
+            || HostileDecision { valid_before, through_kind, reorder_kind };
+        let single = simulate_dag_policy(
+            &tasks,
+            &order,
+            3.0,
+            2.0,
+            &mut policy(),
+            &mut short_script(),
+            &mut NoopSink,
+        );
+        let monte_carlo = SimulationScenario::from_streams(|_, _| short_script())
+            .with_downtime(2.0)
+            .with_trials(3)
+            .with_threads(1)
+            .run_dag_policy(&tasks, &order, 3.0, |_| policy());
+        // The hostile decision is reached once the valid ones have not yet
+        // finished the run: each commits one position, failures aside.
+        let bad_reorder = (1..=4).contains(&reorder_kind);
+        let bad_through = through_kind < 3;
+        for result in [single.map(|r| r.record.makespan), monte_carlo.map(|o| o.makespan.mean)] {
+            match result {
+                Ok(makespan) => {
+                    prop_assert!(!bad_reorder && !bad_through || valid_before >= n);
+                    not_nan("engine", makespan)?;
+                }
+                Err(SimulationError::InvalidTaskOrder) => prop_assert!(bad_reorder),
+                Err(SimulationError::InvalidDecision { position, through, tasks }) => {
+                    prop_assert!(!bad_reorder && bad_through);
+                    prop_assert!(through < position || through >= tasks);
+                }
+                Err(other) => prop_assert!(false, "unexpected error {}", other),
+            }
+        }
     }
 }

@@ -3,9 +3,10 @@
 //! 1. with **no failures**, `DagRelinearise` never re-plans and replays the
 //!    offline `schedule_dag_search` plan **bitwise** (same order, same
 //!    checkpoint positions, same execution record);
-//! 2. `StaticPlan::from_plan` through the policy-driven DAG engine reproduces the
-//!    **fixed-schedule** evaluation seed for seed (same failure streams ⇒
-//!    same failure counts, makespans and time breakdowns);
+//! 2. `StaticPlan::from_plan` through the policy-driven DAG engine reproduces
+//!    `simulate` of the plan's segments seed for seed and **bit for bit**
+//!    (same failure streams ⇒ same failure counts, makespans and time
+//!    breakdowns);
 //! 3. the DAG policy Monte-Carlo comparison is **bit-identical at any
 //!    thread count** (1 vs 2/3/8) on random layered DAGs, at full size.
 
@@ -119,9 +120,9 @@ proptest! {
         prop_assert_eq!(outcome.record, reference.record);
     }
 
-    /// Satellite property 2: `StaticPlan::from_plan` replay through the DAG policy
-    /// engine reproduces the fixed-schedule evaluation of the same plan
-    /// seed for seed.
+    /// Satellite property 2: `StaticPlan::from_plan` replay through the DAG
+    /// policy engine reproduces `simulate` of the same plan's segments seed
+    /// for seed, bit for bit.
     #[test]
     fn prop_static_replay_matches_fixed_schedule_engine(
         seed in any::<u64>(),
@@ -155,16 +156,22 @@ proptest! {
             )
             .unwrap();
 
+            // Bit for bit: both engines run one attempt per segment, its
+            // work summed left to right.
             prop_assert_eq!(fixed.failures, online.record.failures);
             prop_assert!(
-                (fixed.makespan - online.record.makespan).abs() < 1e-9,
+                fixed.makespan.to_bits() == online.record.makespan.to_bits(),
                 "seed {}: fixed {} vs online {}", s, fixed.makespan, online.record.makespan
             );
-            prop_assert!((fixed.breakdown.useful - online.record.breakdown.useful).abs() < 1e-9);
-            prop_assert!((fixed.breakdown.lost - online.record.breakdown.lost).abs() < 1e-9);
-            prop_assert!(
-                (fixed.breakdown.recovery - online.record.breakdown.recovery).abs() < 1e-9
-            );
+            let (f, o) = (fixed.breakdown, online.record.breakdown);
+            for (a, b) in [
+                (f.useful, o.useful),
+                (f.lost, o.lost),
+                (f.downtime, o.downtime),
+                (f.recovery, o.recovery),
+            ] {
+                prop_assert!(a.to_bits() == b.to_bits(), "seed {}: {} vs {}", s, a, b);
+            }
         }
     }
 }
