@@ -124,14 +124,14 @@ impl TablePlacement {
 /// Walks a `choice[x]` table (first checkpoint position of an optimal
 /// solution for suffix `x..n`) into the increasing checkpoint positions.
 fn positions_from_choice(choice: &[usize]) -> Vec<usize> {
-    let n = choice.len();
-    let mut positions = Vec::new();
-    let mut x = 0usize;
-    while x < n {
-        let j = choice[x];
-        positions.push(j);
-        x = j + 1;
-    }
+    let starts = || {
+        std::iter::successors(Some(0usize), |&x| choice.get(x).map(|&j| j + 1))
+            .take_while(|&x| x < choice.len())
+    };
+    // Sized by a first walk, so a placement allocates once whatever its
+    // checkpoint count.
+    let mut positions = Vec::with_capacity(starts().count());
+    positions.extend(starts().map(|x| choice[x]));
     positions
 }
 
@@ -253,7 +253,7 @@ fn pruned_placement(table: &SegmentCostTable, scratch: &mut ChainDpScratch) -> T
 /// assert_eq!(resumed, fresh.solve(&changed));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ResumableDp {
     /// Committed `value[x]` (optimal expected time for positions `x..n`);
     /// `len + 1` entries, `value[len] = 0`.
@@ -261,12 +261,31 @@ pub struct ResumableDp {
     choice: Vec<usize>,
     trial_value: Vec<f64>,
     trial_choice: Vec<usize>,
+    /// The trial buffers equal the committed ones at every position from
+    /// here on (`usize::MAX`: nowhere known), so a trial copies only the
+    /// stretch the last one overwrote.
+    trial_stale: usize,
     /// Whether the trial buffers hold an uncommitted `try_prefix` result.
     trial_pending: bool,
     len: usize,
     /// The work of the last span solved (by `solve`, `try_prefix` or
     /// `solve_suffix`), kept as it is flushed to [`solver_stats`].
     tally: DpTally,
+}
+
+impl Default for ResumableDp {
+    fn default() -> Self {
+        ResumableDp {
+            value: Vec::new(),
+            choice: Vec::new(),
+            trial_value: Vec::new(),
+            trial_choice: Vec::new(),
+            trial_stale: usize::MAX,
+            trial_pending: false,
+            len: 0,
+            tally: DpTally::default(),
+        }
+    }
 }
 
 impl ResumableDp {
@@ -288,6 +307,7 @@ impl ResumableDp {
         self.tally = pruned_dp_span(table, &mut self.value, &mut self.choice, 0, n);
         self.tally.flush();
         self.trial_pending = false;
+        self.trial_stale = usize::MAX;
         self.value[0]
     }
 
@@ -298,6 +318,11 @@ impl ResumableDp {
     /// expected makespan; the committed state is untouched until
     /// [`commit_trial`](ResumableDp::commit_trial).
     ///
+    /// The trial buffers are kept between trials: they differ from the
+    /// committed state only at the positions the last trial overwrote (a
+    /// commit swaps the two, which keeps that true), so a trial copies back
+    /// only the part of that stretch it does not overwrite itself.
+    ///
     /// # Panics
     ///
     /// Panics if no solve was committed or `table` has a different length.
@@ -306,10 +331,17 @@ impl ResumableDp {
         assert!(n > 0, "try_prefix before the first solve");
         assert_eq!(table.len(), n, "table length changed between solves");
         let below = first_unchanged.min(n);
-        self.trial_value.clear();
-        self.trial_value.extend_from_slice(&self.value);
-        self.trial_choice.clear();
-        self.trial_choice.extend_from_slice(&self.choice);
+        if self.trial_value.len() == n + 1 {
+            let stale = self.trial_stale.min(n);
+            if stale > below {
+                self.trial_value[below..stale].copy_from_slice(&self.value[below..stale]);
+                self.trial_choice[below..stale].copy_from_slice(&self.choice[below..stale]);
+            }
+        } else {
+            self.trial_value.clone_from(&self.value);
+            self.trial_choice.clone_from(&self.choice);
+        }
+        self.trial_stale = below;
         solver_stats::PREFIX_TRIALS.add(1);
         solver_stats::SUFFIX_REUSED_POSITIONS.add((n - below) as u64);
         self.tally = pruned_dp_span(table, &mut self.trial_value, &mut self.trial_choice, 0, below);
@@ -370,6 +402,7 @@ impl ResumableDp {
         self.tally = pruned_dp_span(table, &mut self.value, &mut self.choice, from, n);
         self.tally.flush();
         self.trial_pending = false;
+        self.trial_stale = usize::MAX;
         self.value[from]
     }
 
@@ -1794,6 +1827,160 @@ mod tests {
         let solution = optimal_chain_schedule(&inst).unwrap();
         assert_eq!(placement.checkpoint_positions, solution.checkpoint_positions);
         assert_eq!(placement.expected_makespan, solution.expected_makespan);
+    }
+
+    /// The inputs of one random table for the `ResumableDp` walks: `λ·W`
+    /// log-uniform in 10⁻³…10³, across the saturation edge.
+    #[derive(Clone)]
+    struct TableInputs {
+        lambda: f64,
+        weights: Vec<f64>,
+        checkpoints: Vec<f64>,
+        recoveries: Vec<f64>,
+    }
+
+    impl TableInputs {
+        fn random(rng: &mut Pcg64, n: usize) -> Self {
+            let weights: Vec<f64> = (0..n).map(|_| 1.0 + rng.next_f64() * 2_000.0).collect();
+            let total: f64 = weights.iter().sum();
+            TableInputs {
+                lambda: 10f64.powf(-3.0 + 6.0 * rng.next_f64()) / total,
+                checkpoints: (0..n).map(|_| rng.next_f64() * 200.0).collect(),
+                recoveries: (0..n).map(|_| rng.next_f64() * 200.0).collect(),
+                weights,
+            }
+        }
+
+        fn table(&self) -> SegmentCostTable {
+            SegmentCostTable::new(
+                self.lambda,
+                10.0,
+                &self.weights,
+                &self.checkpoints,
+                &self.recoveries,
+            )
+            .unwrap()
+        }
+    }
+
+    /// The checkpoint positions of a choice walk from 0, or `None` where a
+    /// choice points backwards (positions no solve has reached yet).
+    fn choice_walk(choice: &[usize]) -> Option<Vec<usize>> {
+        let mut positions = Vec::new();
+        let mut x = 0;
+        while x < choice.len() {
+            let j = choice[x];
+            if j < x {
+                return None;
+            }
+            positions.push(j);
+            x = j + 1;
+        }
+        Some(positions)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random interleavings of `solve`, `try_prefix` (random
+        /// `first_unchanged`, random tables), `commit_trial` and
+        /// `solve_suffix` leave `ResumableDp` bit for bit where fresh
+        /// solves of the same spans put it: a model state copies the whole
+        /// committed state into each trial, as `try_prefix` did before it
+        /// kept its trial buffers, and solves every span with a fresh
+        /// `pruned_dp_span`. A trial whose table keeps the committed
+        /// table's data from `first_unchanged` on also equals a fresh full
+        /// solve of its table. `value`, `suffix_value`, `choice_at` and
+        /// `placement` are compared after every step.
+        #[test]
+        fn prop_resumable_dp_matches_fresh_solves(seed in any::<u64>()) {
+            let mut rng = Pcg64::seed_from_u64(seed);
+            let lengths = [1 + (rng.next_u64() % 40) as usize, 1 + (rng.next_u64() % 40) as usize];
+            let mut dp = ResumableDp::new();
+            // The model: committed `(value, choice)`, the pending trial and
+            // the inputs of the table the committed state fully solves.
+            let mut committed: Option<(Vec<f64>, Vec<usize>)> = None;
+            let mut trial: Option<(Vec<f64>, Vec<usize>, Option<TableInputs>)> = None;
+            let mut solved: Option<TableInputs> = None;
+            for step in 0..40 {
+                let n = committed.as_ref().map_or(0, |(_, choice)| choice.len());
+                match rng.next_u64() % 6 {
+                    0 => {
+                        let inputs = TableInputs::random(&mut rng, lengths[step % 2]);
+                        let value = dp.solve(&inputs.table());
+                        let mut fresh = ResumableDp::new();
+                        prop_assert_eq!(value.to_bits(), fresh.solve(&inputs.table()).to_bits());
+                        committed = Some((fresh.value, fresh.choice));
+                        trial = None;
+                        solved = Some(inputs);
+                    }
+                    1 | 2 if n > 0 => {
+                        let first_unchanged = (rng.next_u64() % (n as u64 + 3)) as usize;
+                        // Half the trials keep the committed table's data
+                        // from `first_unchanged` on; the rest are random.
+                        let kept = match (&solved, rng.next_u64() % 2) {
+                            (Some(base), 0) => {
+                                let mut inputs = base.clone();
+                                for x in 0..first_unchanged.min(n) {
+                                    inputs.checkpoints[x] *= 0.5 + rng.next_f64();
+                                    inputs.recoveries[x] *= 0.5 + rng.next_f64();
+                                }
+                                Some(inputs)
+                            }
+                            _ => None,
+                        };
+                        let inputs = kept.clone().unwrap_or_else(|| TableInputs::random(&mut rng, n));
+                        let table = inputs.table();
+                        let got = dp.try_prefix(&table, first_unchanged);
+                        let (mut value, mut choice) = committed.clone().unwrap();
+                        pruned_dp_span(&table, &mut value, &mut choice, 0, first_unchanged.min(n));
+                        prop_assert!(got.to_bits() == value[0].to_bits(), "step {}", step);
+                        if kept.is_some() {
+                            let mut fresh = ResumableDp::new();
+                            prop_assert_eq!(got.to_bits(), fresh.solve(&table).to_bits());
+                            prop_assert_eq!(&choice, &fresh.choice);
+                        }
+                        trial = Some((value, choice, kept));
+                    }
+                    3 if trial.is_some() => {
+                        dp.commit_trial();
+                        let (value, choice, kept) = trial.take().unwrap();
+                        committed = Some((value, choice));
+                        solved = kept;
+                    }
+                    4 | 5 => {
+                        let m = lengths[(rng.next_u64() % 2) as usize];
+                        let from = (rng.next_u64() % (m as u64 + 2)) as usize;
+                        let inputs = TableInputs::random(&mut rng, m);
+                        let table = inputs.table();
+                        let got = dp.solve_suffix(&table, from);
+                        let (mut value, mut choice) = match committed.take() {
+                            Some(state) if state.1.len() == m => state,
+                            _ => (vec![0.0; m + 1], vec![0; m]),
+                        };
+                        pruned_dp_span(&table, &mut value, &mut choice, from.min(m), m);
+                        prop_assert_eq!(got.to_bits(), value[from.min(m)].to_bits());
+                        committed = Some((value, choice));
+                        trial = None;
+                        solved = if from == 0 { Some(inputs) } else { None };
+                    }
+                    _ => continue,
+                }
+                let (value, choice) = committed.as_ref().unwrap();
+                prop_assert!(dp.value().to_bits() == value[0].to_bits(), "step {}", step);
+                for (x, v) in value.iter().enumerate() {
+                    prop_assert!(dp.suffix_value(x).to_bits() == v.to_bits(), "step {} x {}", step, x);
+                }
+                for (x, &c) in choice.iter().enumerate() {
+                    prop_assert!(dp.choice_at(x) == c, "step {} x {}", step, x);
+                }
+                if let Some(positions) = choice_walk(choice) {
+                    let placement = dp.placement();
+                    prop_assert_eq!(placement.checkpoint_positions, positions);
+                    prop_assert_eq!(placement.expected_makespan.to_bits(), value[0].to_bits());
+                }
+            }
+        }
     }
 
     proptest! {

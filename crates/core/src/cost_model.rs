@@ -8,7 +8,7 @@
 //! paper's per-task model is fully general there (§6); for wider DAGs the two
 //! models differ and this module makes the difference explicit.
 //!
-//! Two evaluation paths are provided:
+//! Three evaluation paths are provided:
 //!
 //! * [`CheckpointCostModel::checkpoint_cost`] and
 //!   [`CheckpointCostModel::recovery_cost`] re-derive the live set of one
@@ -18,11 +18,18 @@
 //!   with [`LiveSetSweep`], maintaining
 //!   the live-set aggregates incrementally, and emits **both** positional
 //!   cost vectors (checkpoint and recovery) in `O(n + E)` — the path every
-//!   table build ([`crate::dag_schedule::model_cost_table`]) and the order
-//!   search take. The two paths are cross-checked by property tests.
+//!   table build ([`crate::dag_schedule::model_cost_table`]) takes;
+//! * [`LiveSetCostSweep::apply_move`] keeps a [`CostedOrder`] (an order
+//!   with its costs and its sweep state) up to date under window moves,
+//!   recomputing only around the window — the order search's path, bit for
+//!   bit equal to a fresh sweep of the moved order.
+//!
+//! The paths are cross-checked by property tests.
 
 use std::collections::{BTreeSet, BinaryHeap};
+use std::ops::Range;
 
+use ckpt_dag::neighborhood::{self, is_valid_move, OrderMove};
 use ckpt_dag::{traversal, traversal::LiveSetSweep, TaskGraph, TaskId};
 
 use crate::instance::ProblemInstance;
@@ -184,26 +191,39 @@ impl CheckpointCostModel {
 /// Reusable working state for repeated [`costs_along_order`] sweeps over
 /// orders of **one graph**: the live-set delta structure and the
 /// [`LiveSetMax`] lazy max-heaps are cleared and refilled instead of being
-/// reallocated per order. This is what the order search's proposal loop
-/// holds — evaluating thousands of candidate orders allocates nothing.
+/// reallocated per order, and every buffer is sized from the graph up
+/// front.
+///
+/// It also keeps an order's costs up to date under window moves
+/// ([`apply_move`](LiveSetCostSweep::apply_move) on a [`CostedOrder`]),
+/// which is what the order search's proposal loop does: evaluating
+/// thousands of candidate orders allocates nothing.
 ///
 /// [`costs_along_order`]: CheckpointCostModel::costs_along_order
 /// [`LiveSetMax`]: CheckpointCostModel::LiveSetMax
 #[derive(Debug, Clone)]
 pub struct LiveSetCostSweep<'g> {
+    graph: &'g TaskGraph,
     sweep: LiveSetSweep<'g>,
     ckpt_heap: BinaryHeap<MaxCostEntry>,
     rec_heap: BinaryHeap<MaxCostEntry>,
+    /// A [`LiveSetMax`](CheckpointCostModel::LiveSetMax) window update's
+    /// tasks that may be live inside the window, with the position of
+    /// their last successor.
+    window_live: Vec<(TaskId, usize)>,
 }
 
 impl<'g> LiveSetCostSweep<'g> {
     /// Working state sized for `graph` (which must be the graph every
     /// subsequent order belongs to).
     pub fn new(graph: &'g TaskGraph) -> Self {
+        let n = graph.task_count();
         LiveSetCostSweep {
+            graph,
             sweep: LiveSetSweep::new(graph),
-            ckpt_heap: BinaryHeap::new(),
-            rec_heap: BinaryHeap::new(),
+            ckpt_heap: BinaryHeap::with_capacity(n),
+            rec_heap: BinaryHeap::with_capacity(n),
+            window_live: Vec::with_capacity(n),
         }
     }
 
@@ -228,10 +248,70 @@ impl<'g> LiveSetCostSweep<'g> {
     ) {
         ckpt_out.clear();
         rec_out.clear();
+        self.sweep_order(model, instance, order, |ckpt, rec, _, _| {
+            ckpt_out.push(ckpt);
+            rec_out.push(rec);
+        });
+    }
+
+    /// `order` with its costs under `model`: the vectors of
+    /// [`costs_into`](LiveSetCostSweep::costs_into), from the same sweep,
+    /// plus the weights and the state a window move updates.
+    ///
+    /// # Panics
+    ///
+    /// As [`costs_into`](LiveSetCostSweep::costs_into).
+    pub fn cost_order(
+        &mut self,
+        model: CheckpointCostModel,
+        instance: &ProblemInstance,
+        order: Vec<TaskId>,
+    ) -> CostedOrder {
+        let n = order.len();
+        let mut costed = CostedOrder {
+            model,
+            order: Vec::new(),
+            position: vec![0; self.graph.task_count()],
+            weights: Vec::with_capacity(n),
+            checkpoints: Vec::with_capacity(n),
+            recoveries: Vec::with_capacity(n + 1),
+            live: Vec::with_capacity(n),
+            sums: Vec::with_capacity(n),
+        };
+        for (p, &task) in order.iter().enumerate() {
+            costed.position[task.0] = p;
+            costed.weights.push(instance.weight(task));
+        }
+        costed.recoveries.push(instance.initial_recovery());
+        self.sweep_order(model, instance, &order, |ckpt, rec, live, sums| {
+            costed.checkpoints.push(ckpt);
+            costed.recoveries.push(rec);
+            costed.live.push(live);
+            costed.sums.push(sums);
+        });
+        costed.order = order;
+        costed
+    }
+
+    /// The one sweep behind [`costs_into`](LiveSetCostSweep::costs_into) and
+    /// [`cost_order`](LiveSetCostSweep::cost_order): for each position in
+    /// turn, `emit(checkpoint, recovery, live, sums)` receives its two
+    /// costs, the size of its live set (0 under the per-last-task model),
+    /// and the live-set-sum running sums (`(0, 0)` under the other models).
+    fn sweep_order(
+        &mut self,
+        model: CheckpointCostModel,
+        instance: &ProblemInstance,
+        order: &[TaskId],
+        mut emit: impl FnMut(f64, f64, usize, (f64, f64)),
+    ) {
+        let own_costs = |task| (instance.checkpoint_cost(task), instance.recovery_cost(task));
         match model {
             CheckpointCostModel::PerLastTask => {
-                ckpt_out.extend(order.iter().map(|&t| instance.checkpoint_cost(t)));
-                rec_out.extend(order.iter().map(|&t| instance.recovery_cost(t)));
+                for &task in order {
+                    let (ckpt, rec) = own_costs(task);
+                    emit(ckpt, rec, 0, (0.0, 0.0));
+                }
             }
             CheckpointCostModel::LiveSetSum => {
                 self.sweep.reset();
@@ -245,16 +325,12 @@ impl<'g> LiveSetCostSweep<'g> {
                         ckpt_sum += instance.checkpoint_cost(task);
                         rec_sum += instance.recovery_cost(task);
                     }
-                    if self.sweep.live_count() == 0 {
-                        // Empty live set (end of the order, or between
-                        // independent components): the state to save is by
-                        // convention the last task's output.
-                        ckpt_out.push(instance.checkpoint_cost(task));
-                        rec_out.push(instance.recovery_cost(task));
-                    } else {
-                        ckpt_out.push(ckpt_sum);
-                        rec_out.push(rec_sum);
-                    }
+                    let live = self.sweep.live_count();
+                    // Empty live set (end of the order, or between
+                    // independent components): the state to save is by
+                    // convention the last task's output.
+                    let (ckpt, rec) = if live == 0 { own_costs(task) } else { (ckpt_sum, rec_sum) };
+                    emit(ckpt, rec, live, (ckpt_sum, rec_sum));
                 }
             }
             CheckpointCostModel::LiveSetMax => {
@@ -269,16 +345,280 @@ impl<'g> LiveSetCostSweep<'g> {
                         self.rec_heap
                             .push(MaxCostEntry { cost: instance.recovery_cost(task), task });
                     }
-                    if self.sweep.live_count() == 0 {
-                        ckpt_out.push(instance.checkpoint_cost(task));
-                        rec_out.push(instance.recovery_cost(task));
+                    let live = self.sweep.live_count();
+                    let (ckpt, rec) = if live == 0 {
+                        own_costs(task)
                     } else {
-                        ckpt_out.push(live_max(&mut self.ckpt_heap, &self.sweep));
-                        rec_out.push(live_max(&mut self.rec_heap, &self.sweep));
-                    }
+                        (
+                            live_max(&mut self.ckpt_heap, &self.sweep),
+                            live_max(&mut self.rec_heap, &self.sweep),
+                        )
+                    };
+                    emit(ckpt, rec, live, (0.0, 0.0));
                 }
             }
         }
+    }
+
+    /// Applies the window move `mv` to `costed`'s order and updates its
+    /// costs in place, bit for bit to what
+    /// [`cost_order`](LiveSetCostSweep::cost_order) returns for the new
+    /// order. Returns the positions whose data changed: `lo..end`, where
+    /// `(lo, hi)` is the move's window and `end > hi`.
+    ///
+    /// Outside the window the live sets are those of the old order (the
+    /// window permutes the same tasks), so only costs that are not a pure
+    /// function of the live set can change past it:
+    ///
+    /// * [`PerLastTask`](CheckpointCostModel::PerLastTask) patches the
+    ///   window (`end = hi + 1`);
+    /// * [`LiveSetMax`](CheckpointCostModel::LiveSetMax) recomputes the
+    ///   window from the tasks that can be live in it (`end = hi + 1`): a
+    ///   maximum does not depend on the order its operands arrive in;
+    /// * [`LiveSetSum`](CheckpointCostModel::LiveSetSum) resumes the
+    ///   running sums from position `lo − 1` and applies the sweep's
+    ///   operations in the sweep's order: at each position, the
+    ///   retirements in predecessor order, then the task that enters.
+    ///   Floating-point sums drift past the window (the same terms arrive
+    ///   in another order), so it runs on to the first position past `hi`
+    ///   whose two running sums equal the old ones bit for bit; every later
+    ///   position is then unchanged, and that position is `end`.
+    ///
+    /// # Panics
+    ///
+    /// `mv` must be a valid move of the order ([`is_valid_move`]), which
+    /// debug builds assert, and `costed` an order of this sweep's graph.
+    pub fn apply_move(
+        &mut self,
+        instance: &ProblemInstance,
+        costed: &mut CostedOrder,
+        mv: &OrderMove,
+    ) -> Range<usize> {
+        debug_assert!(is_valid_move(self.graph, &costed.order, mv), "{mv:?} is not a valid move");
+        let (lo, hi) = mv.window();
+        neighborhood::apply_move(&mut costed.order, mv);
+        for p in lo..=hi {
+            let task = costed.order[p];
+            costed.position[task.0] = p;
+            costed.weights[p] = instance.weight(task);
+        }
+        let end = match costed.model {
+            CheckpointCostModel::PerLastTask => {
+                for p in lo..=hi {
+                    let task = costed.order[p];
+                    costed.checkpoints[p] = instance.checkpoint_cost(task);
+                    costed.recoveries[p + 1] = instance.recovery_cost(task);
+                }
+                hi + 1
+            }
+            CheckpointCostModel::LiveSetSum => self.resume_sums(instance, costed, lo, hi),
+            CheckpointCostModel::LiveSetMax => {
+                self.window_maxima(instance, costed, lo, hi);
+                hi + 1
+            }
+        };
+        lo..end
+    }
+
+    /// The [`LiveSetSum`](CheckpointCostModel::LiveSetSum) update of
+    /// [`apply_move`](LiveSetCostSweep::apply_move); returns `end`.
+    fn resume_sums(
+        &self,
+        instance: &ProblemInstance,
+        costed: &mut CostedOrder,
+        lo: usize,
+        hi: usize,
+    ) -> usize {
+        let graph = self.graph;
+        let (mut sums, mut live) = if lo == 0 {
+            ((0.0f64, 0.0f64), 0)
+        } else {
+            (costed.sums[lo - 1], costed.live[lo - 1])
+        };
+        for p in lo..costed.order.len() {
+            let task = costed.order[p];
+            for &pred in graph.predecessors(task) {
+                // `task` retires `pred` iff it is the last of `pred`'s
+                // successors to run.
+                if graph.successors(pred).iter().all(|s| costed.position[s.0] <= p) {
+                    sums.0 -= instance.checkpoint_cost(pred);
+                    sums.1 -= instance.recovery_cost(pred);
+                    live -= 1;
+                }
+            }
+            if graph.out_degree(task) > 0 {
+                sums.0 += instance.checkpoint_cost(task);
+                sums.1 += instance.recovery_cost(task);
+                live += 1;
+            }
+            let old = costed.sums[p];
+            if p > hi && sums.0.to_bits() == old.0.to_bits() && sums.1.to_bits() == old.1.to_bits()
+            {
+                return p;
+            }
+            costed.sums[p] = sums;
+            costed.live[p] = live;
+            let (ckpt, rec) = if live == 0 {
+                (instance.checkpoint_cost(task), instance.recovery_cost(task))
+            } else {
+                sums
+            };
+            costed.checkpoints[p] = ckpt;
+            costed.recoveries[p + 1] = rec;
+        }
+        costed.order.len()
+    }
+
+    /// The [`LiveSetMax`](CheckpointCostModel::LiveSetMax) update of
+    /// [`apply_move`](LiveSetCostSweep::apply_move): a task is live after
+    /// position `p` iff it runs at or before `p` and its last successor
+    /// after it. Inside the window that can only be a task of the live set
+    /// before it (the `live[lo − 1]` tasks before `lo` whose last successor
+    /// runs at or after `lo`, found scanning back from `lo − 1`) or a task
+    /// of the window itself.
+    fn window_maxima(
+        &mut self,
+        instance: &ProblemInstance,
+        costed: &mut CostedOrder,
+        lo: usize,
+        hi: usize,
+    ) {
+        let (graph, position) = (self.graph, &costed.position);
+        let last_successor =
+            |task: TaskId| graph.successors(task).iter().map(|s| position[s.0]).max();
+        self.window_live.clear();
+        let mut wanted = if lo == 0 { 0 } else { costed.live[lo - 1] };
+        let mut q = lo;
+        while wanted > 0 {
+            q -= 1;
+            let task = costed.order[q];
+            if let Some(last) = last_successor(task).filter(|&last| last >= lo) {
+                self.window_live.push((task, last));
+                wanted -= 1;
+            }
+        }
+        for &task in &costed.order[lo..=hi] {
+            if let Some(last) = last_successor(task) {
+                self.window_live.push((task, last));
+            }
+        }
+        for p in lo..=hi {
+            let task = costed.order[p];
+            let mut live = 0;
+            let mut max = (instance.checkpoint_cost(task), instance.recovery_cost(task));
+            for &(candidate, last) in &self.window_live {
+                if position[candidate.0] <= p && last > p {
+                    let costs =
+                        (instance.checkpoint_cost(candidate), instance.recovery_cost(candidate));
+                    max = if live == 0 {
+                        costs
+                    } else {
+                        (total_max(max.0, costs.0), total_max(max.1, costs.1))
+                    };
+                    live += 1;
+                }
+            }
+            costed.live[p] = live;
+            costed.checkpoints[p] = max.0;
+            costed.recoveries[p + 1] = max.1;
+        }
+    }
+}
+
+/// The larger of two costs in [`f64::total_cmp`]'s order, the order the
+/// [`LiveSetMax`](CheckpointCostModel::LiveSetMax) sweep's heaps keep.
+fn total_max(a: f64, b: f64) -> f64 {
+    if b.total_cmp(&a).is_gt() {
+        b
+    } else {
+        a
+    }
+}
+
+/// An execution order with its positional costs under one model: the three
+/// vectors a [`SegmentCostTable`] is built from, plus the sweep state that
+/// lets [`LiveSetCostSweep::apply_move`] update them in place after a
+/// window move instead of sweeping the whole order again. Built by
+/// [`LiveSetCostSweep::cost_order`].
+///
+/// [`SegmentCostTable`]: ckpt_expectation::segment_cost::SegmentCostTable
+#[derive(Debug, Clone, PartialEq)]
+pub struct CostedOrder {
+    model: CheckpointCostModel,
+    order: Vec<TaskId>,
+    /// `position[t]`: where task `t` runs in `order`.
+    position: Vec<usize>,
+    weights: Vec<f64>,
+    checkpoints: Vec<f64>,
+    /// `R₀`, then the recovery cost of the checkpoint after each position
+    /// (`n + 1` entries): entry `x` protects a segment starting at `x`.
+    recoveries: Vec<f64>,
+    /// The size of the live set after each position (0 under the
+    /// per-last-task model).
+    live: Vec<usize>,
+    /// The live-set-sum sweep's running checkpoint and recovery sums after
+    /// each position, before the empty-live-set convention (`(0, 0)` under
+    /// the other models).
+    sums: Vec<(f64, f64)>,
+}
+
+impl CostedOrder {
+    /// The order.
+    pub fn order(&self) -> &[TaskId] {
+        &self.order
+    }
+
+    /// The work of the task at each position.
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// The cost of a checkpoint right after each position
+    /// ([`CheckpointCostModel::checkpoint_cost`]).
+    pub fn checkpoints(&self) -> &[f64] {
+        &self.checkpoints
+    }
+
+    /// The recovery cost of a checkpoint right after each position
+    /// ([`CheckpointCostModel::recovery_cost`]).
+    pub fn recoveries(&self) -> &[f64] {
+        &self.recoveries[1..]
+    }
+
+    /// The recovery protecting a segment that starts at each position: the
+    /// instance's initial recovery `R₀`, then
+    /// [`recoveries`](CostedOrder::recoveries) shifted by one. With
+    /// [`weights`](CostedOrder::weights) and
+    /// [`checkpoints`](CostedOrder::checkpoints), the arguments of the
+    /// order's [`SegmentCostTable`].
+    ///
+    /// [`SegmentCostTable`]: ckpt_expectation::segment_cost::SegmentCostTable
+    pub fn protecting_recoveries(&self) -> &[f64] {
+        &self.recoveries[..self.order.len()]
+    }
+
+    /// Makes this order equal to `other` when the two differ only at the
+    /// positions `range`: the range [`LiveSetCostSweep::apply_move`]
+    /// returned when it made one from the other. An order search keeps a
+    /// committed and a candidate copy, and settles each move by copying the
+    /// range one way (accept) or the other (reject).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the order, or (in debug builds) if
+    /// the two orders were costed under different models.
+    pub fn copy_range_from(&mut self, other: &CostedOrder, range: Range<usize>) {
+        debug_assert_eq!(self.model, other.model);
+        let (lo, end) = (range.start, range.end);
+        self.order[lo..end].copy_from_slice(&other.order[lo..end]);
+        for p in lo..end {
+            self.position[self.order[p].0] = p;
+        }
+        self.weights[lo..end].copy_from_slice(&other.weights[lo..end]);
+        self.checkpoints[lo..end].copy_from_slice(&other.checkpoints[lo..end]);
+        self.recoveries[lo + 1..end + 1].copy_from_slice(&other.recoveries[lo + 1..end + 1]);
+        self.live[lo..end].copy_from_slice(&other.live[lo..end]);
+        self.sums[lo..end].copy_from_slice(&other.sums[lo..end]);
     }
 }
 

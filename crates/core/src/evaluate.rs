@@ -27,9 +27,8 @@ pub fn expected_makespan(
     schedule: &Schedule,
 ) -> Result<f64, ScheduleError> {
     let mut total = 0.0;
-    for segment in schedule.segments(instance) {
-        total +=
-            segment_expected_time(instance, segment.work, segment.checkpoint, segment.recovery)?;
+    for (_, work, checkpoint, recovery) in schedule.segment_costs(instance) {
+        total += segment_expected_time(instance, work, checkpoint, recovery)?;
     }
     Ok(total)
 }

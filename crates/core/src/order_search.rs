@@ -13,13 +13,18 @@
 //!   windows of up to 12 positions ([`ckpt_dag::neighborhood`]), proposed by
 //!   a seeded RNG (one derived stream per run) and accepted on strict
 //!   improvement (first-improvement hill climbing);
-//! * **evaluation** — each candidate order is costed under the requested
-//!   [`CheckpointCostModel`] with one incremental live-set sweep
-//!   ([`CheckpointCostModel::costs_along_order`], `O(n + E)`), one
-//!   [`SegmentCostTable`] build, and a **suffix-reusing** Algorithm 1 solve
-//!   ([`ResumableDp`]): a move inside the window `[i, j]` leaves every table
-//!   position `≥ j + 2` unchanged, so only the prefix of the recurrence is
-//!   recomputed;
+//! * **evaluation** — a trial costs what its move changes. The candidate
+//!   order's costs under the requested [`CheckpointCostModel`] are updated
+//!   in place around the move's window
+//!   ([`LiveSetCostSweep::apply_move`]), one kept [`SegmentCostTable`] is
+//!   refilled ([`SegmentCostTable::refill`], which calls `exp` only where
+//!   an input's bits changed), and the order is scored by a
+//!   **suffix-reusing** Algorithm 1 solve ([`ResumableDp::try_prefix`]): a
+//!   move inside the window `[i, j]` leaves every table position `≥ j + 2`
+//!   unchanged in exact arithmetic, so only the prefix of the recurrence is
+//!   recomputed. Accepting or rejecting a move copies back only the
+//!   positions it changed, and every buffer is sized when a run starts: the
+//!   proposal loop allocates nothing;
 //! * **parallelism** — independent runs (one per start order) are spread
 //!   across threads with the same deterministic contiguous-chunk pattern as
 //!   the Monte-Carlo engine: per-run RNG streams are derived from the master
@@ -32,17 +37,22 @@
 //!
 //! [`SegmentCostTable`]: ckpt_expectation::segment_cost::SegmentCostTable
 
-use ckpt_dag::neighborhood::{apply_move, is_valid_move, OrderMove};
+use std::ops::Range;
+
+use ckpt_dag::neighborhood::{is_valid_move, OrderMove};
 use ckpt_dag::{linearize, properties, LinearizationStrategy, TaskId};
 use ckpt_expectation::segment_cost::SegmentCostTable;
 use ckpt_failure::{Pcg64, RandomSource};
 
 use crate::chain_dp::{scalable_placement_on_table_with_scratch, ChainDpScratch, ResumableDp};
-use crate::cost_model::{CheckpointCostModel, LiveSetCostSweep};
+use crate::cost_model::{CheckpointCostModel, CostedOrder, LiveSetCostSweep};
 use crate::dag_schedule::DagSolution;
 use crate::error::ScheduleError;
 use crate::instance::ProblemInstance;
 use crate::schedule::Schedule;
+
+#[cfg(test)]
+mod search_walls;
 
 /// Largest window span (in positions, inclusive) a rotation may cover.
 const MAX_WINDOW: usize = 12;
@@ -140,6 +150,16 @@ pub fn schedule_dag_search(
     model: CheckpointCostModel,
     config: &OrderSearchConfig,
 ) -> Result<OrderSearchOutcome, ScheduleError> {
+    schedule_dag_search_with(instance, model, config, local_search_run)
+}
+
+/// [`schedule_dag_search`] with each start searched by `run`.
+fn schedule_dag_search_with(
+    instance: &ProblemInstance,
+    model: CheckpointCostModel,
+    config: &OrderSearchConfig,
+    run: SearchRun,
+) -> Result<OrderSearchOutcome, ScheduleError> {
     let strategies = default_start_strategies(config.restarts);
 
     // Materialise distinct start orders (on chains all strategies coincide —
@@ -155,7 +175,7 @@ pub fn schedule_dag_search(
         }
     }
 
-    let runs = run_all(instance, model, config, &starts)?;
+    let runs = run_all(instance, model, config, &starts, run)?;
     let winner = winning_run(&runs);
     let best = &runs[winner];
 
@@ -239,6 +259,17 @@ pub fn search_from_starts(
     config: &OrderSearchConfig,
     starts: &[Vec<TaskId>],
 ) -> Result<SeededSearchOutcome, ScheduleError> {
+    search_from_starts_with(instance, model, config, starts, local_search_run)
+}
+
+/// [`search_from_starts`] with each start searched by `run`.
+fn search_from_starts_with(
+    instance: &ProblemInstance,
+    model: CheckpointCostModel,
+    config: &OrderSearchConfig,
+    starts: &[Vec<TaskId>],
+    run: SearchRun,
+) -> Result<SeededSearchOutcome, ScheduleError> {
     if starts.is_empty() {
         return Err(ScheduleError::EmptyInstance);
     }
@@ -252,7 +283,7 @@ pub fn search_from_starts(
         }
     }
 
-    let runs = run_all(instance, model, config, &deduped)?;
+    let runs = run_all(instance, model, config, &deduped, run)?;
     let winner = winning_run(&runs);
     let accepted_moves = runs.iter().map(|r| r.accepted).sum();
     let proposed_moves = runs.iter().map(|r| r.proposed).sum();
@@ -288,6 +319,16 @@ struct RunResult {
     proposed: usize,
 }
 
+/// One start order's local search: [`local_search_run`] (the test reference
+/// runs the trial evaluation it replaced).
+type SearchRun = fn(
+    &ProblemInstance,
+    CheckpointCostModel,
+    &OrderSearchConfig,
+    &[TaskId],
+    usize,
+) -> Result<RunResult, ScheduleError>;
+
 /// Runs every start's local search, spreading runs across worker threads in
 /// contiguous chunks (the Monte-Carlo engine's deterministic pattern: run
 /// `k`'s result always lands in slot `k`, whatever the thread count).
@@ -296,12 +337,13 @@ fn run_all(
     model: CheckpointCostModel,
     config: &OrderSearchConfig,
     starts: &[Vec<TaskId>],
+    run: SearchRun,
 ) -> Result<Vec<RunResult>, ScheduleError> {
     crate::parallel::chunked_map_with(
         starts,
         config.threads,
         || (),
-        |_, run_index, start| local_search_run(instance, model, config, start, run_index),
+        |_, run_index, start| run(instance, model, config, start, run_index),
     )
     .into_iter()
     .collect()
@@ -314,10 +356,11 @@ fn run_all(
 const ACCEPT_MARGIN: f64 = 1e-10;
 
 /// Hill-climbs from one start order. Proposes `steps` seeded random moves,
-/// evaluates each with a window-local vector update plus a suffix-reusing DP
-/// resolve, and accepts strict improvements. The returned value is a final
-/// from-scratch evaluation of the best order through the same
-/// table-and-placement pipeline `schedule_dag_best_of` uses.
+/// evaluates each with a window-local cost update, an in-place table refill
+/// and a suffix-reusing DP resolve, and accepts strict improvements. The
+/// returned value is a final from-scratch evaluation of the best order
+/// through the same table-and-placement pipeline `schedule_dag_best_of`
+/// uses.
 fn local_search_run(
     instance: &ProblemInstance,
     model: CheckpointCostModel,
@@ -337,27 +380,26 @@ fn local_search_run(
         let steps = if config.steps == 0 { (4 * n + 64).min(2048) } else { config.steps };
         let max_window = MAX_WINDOW.min(n);
         let mut rng = Pcg64::seed_from_u64(config.seed).derive(run_index as u64);
+        let mut table = state.table()?;
         let mut dp = ResumableDp::new();
-        let mut incumbent = dp.solve(&state.table()?);
+        let mut incumbent = dp.solve(&table);
 
         for _ in 0..steps {
             proposed += 1;
             let mv = propose_move(&mut rng, n, max_window);
-            if !is_valid_move(instance.graph(), &state.order, &mv) {
+            if !is_valid_move(instance.graph(), state.order(), &mv) {
                 continue;
             }
             let (_, hi) = mv.window();
-            apply_move(&mut state.order, &mv);
-            state.refresh_candidate_vectors(mv.window());
-            let candidate_table = state.candidate_table()?;
-            let value = dp.try_prefix(&candidate_table, hi + 2);
+            state.try_move(&mv, &mut table)?;
+            let value = dp.try_prefix(&table, hi + 2);
             if value < incumbent * (1.0 - ACCEPT_MARGIN) {
-                state.commit_candidate();
+                state.accept();
                 dp.commit_trial();
                 incumbent = value;
                 accepted += 1;
             } else {
-                apply_move(&mut state.order, &mv.inverse());
+                state.reject();
             }
         }
     }
@@ -365,10 +407,11 @@ fn local_search_run(
     // Final from-scratch evaluation: bitwise the same pipeline as
     // `schedule_dag_best_of` (model table + scalable placement), so start
     // orders score identically to the baseline and dominance is exact.
-    let table = crate::dag_schedule::model_cost_table(instance, &state.order, model)?;
+    let order = state.into_order();
+    let table = crate::dag_schedule::model_cost_table(instance, &order, model)?;
     let placement = scalable_placement_on_table_with_scratch(&table, &mut ChainDpScratch::new());
     Ok(RunResult {
-        order: state.order,
+        order,
         checkpoint_after: placement.checkpoint_after(),
         value: placement.expected_makespan,
         accepted,
@@ -395,137 +438,77 @@ fn propose_move(rng: &mut Pcg64, n: usize, max_window: usize) -> OrderMove {
     }
 }
 
-/// The committed positional data of the current order plus a candidate
-/// buffer, so rejected moves never have to rebuild the committed vectors.
-/// All working memory (candidate vectors, the live-set sweep state and its
-/// lazy max-heaps) is held here and reused: the proposal loop allocates
-/// nothing.
+/// The committed order with its costs, and a candidate copy that the
+/// pending move is applied to. The two differ only at the positions the
+/// move changed, which accepting or rejecting it copies one way or the
+/// other; all working memory (both copies, the live-set sweep state and its
+/// scratch) is sized when the state is built, so the proposal loop
+/// allocates nothing.
 struct OrderState<'a> {
     instance: &'a ProblemInstance,
-    model: CheckpointCostModel,
-    order: Vec<TaskId>,
     cost_sweep: LiveSetCostSweep<'a>,
-    /// Committed positional vectors of `order` *before* the pending move.
-    weights: Vec<f64>,
-    ckpt: Vec<f64>,
-    recoveries: Vec<f64>,
-    /// Candidate vectors for the move currently applied to `order`.
-    cand_weights: Vec<f64>,
-    cand_ckpt: Vec<f64>,
-    cand_recoveries: Vec<f64>,
-    /// Scratch for the raw (unshifted) per-position recovery costs.
-    raw_rec: Vec<f64>,
+    committed: CostedOrder,
+    candidate: CostedOrder,
+    /// The positions at which `candidate` differs from `committed`.
+    changed: Range<usize>,
 }
 
 impl<'a> OrderState<'a> {
     fn new(instance: &'a ProblemInstance, model: CheckpointCostModel, order: Vec<TaskId>) -> Self {
-        let mut state = OrderState {
-            instance,
-            model,
-            order,
-            cost_sweep: LiveSetCostSweep::new(instance.graph()),
-            weights: Vec::new(),
-            ckpt: Vec::new(),
-            recoveries: Vec::new(),
-            cand_weights: Vec::new(),
-            cand_ckpt: Vec::new(),
-            cand_recoveries: Vec::new(),
-            raw_rec: Vec::new(),
-        };
-        state.rebuild_committed();
-        state
+        let mut cost_sweep = LiveSetCostSweep::new(instance.graph());
+        let committed = cost_sweep.cost_order(model, instance, order);
+        OrderState { instance, cost_sweep, candidate: committed.clone(), committed, changed: 0..0 }
     }
 
-    /// Rebuilds the committed vectors from scratch for the current order.
-    fn rebuild_committed(&mut self) {
-        self.weights.clear();
-        self.weights.extend(self.order.iter().map(|&t| self.instance.weight(t)));
-        self.cost_sweep.costs_into(
-            self.model,
-            self.instance,
-            &self.order,
-            &mut self.ckpt,
-            &mut self.raw_rec,
-        );
-        shift_recoveries(self.instance.initial_recovery(), &self.raw_rec, &mut self.recoveries);
+    /// The committed order.
+    fn order(&self) -> &[TaskId] {
+        self.committed.order()
     }
 
-    /// Fills the candidate vectors for the move just applied to `order`,
-    /// whose position window is `(lo, hi)`. Weights are patched inside the
-    /// window only; under the live-set models the cost vectors are re-swept
-    /// (one `O(n + E)` pass through the reused sweep state — the live set of
-    /// prefixes inside the window genuinely changes), under the
-    /// per-last-task model they are patched in `O(hi − lo)` too.
-    fn refresh_candidate_vectors(&mut self, (lo, hi): (usize, usize)) {
-        let n = self.order.len();
-        self.cand_weights.clone_from(&self.weights);
-        for p in lo..=hi {
-            self.cand_weights[p] = self.instance.weight(self.order[p]);
-        }
-        match self.model {
-            CheckpointCostModel::PerLastTask => {
-                self.cand_ckpt.clone_from(&self.ckpt);
-                self.cand_recoveries.clone_from(&self.recoveries);
-                for p in lo..=hi {
-                    self.cand_ckpt[p] = self.instance.checkpoint_cost(self.order[p]);
-                    if p + 1 < n {
-                        self.cand_recoveries[p + 1] = self.instance.recovery_cost(self.order[p]);
-                    }
-                }
-            }
-            CheckpointCostModel::LiveSetSum | CheckpointCostModel::LiveSetMax => {
-                self.cost_sweep.costs_into(
-                    self.model,
-                    self.instance,
-                    &self.order,
-                    &mut self.cand_ckpt,
-                    &mut self.raw_rec,
-                );
-                shift_recoveries(
-                    self.instance.initial_recovery(),
-                    &self.raw_rec,
-                    &mut self.cand_recoveries,
-                );
-            }
-        }
+    fn into_order(self) -> Vec<TaskId> {
+        self.committed.order().to_vec()
     }
 
-    /// Promotes the candidate vectors to committed (the move was accepted).
-    fn commit_candidate(&mut self) {
-        std::mem::swap(&mut self.weights, &mut self.cand_weights);
-        std::mem::swap(&mut self.ckpt, &mut self.cand_ckpt);
-        std::mem::swap(&mut self.recoveries, &mut self.cand_recoveries);
-    }
-
+    /// The cost table of the committed order.
     fn table(&self) -> Result<SegmentCostTable, ScheduleError> {
         SegmentCostTable::new(
             self.instance.lambda(),
             self.instance.downtime(),
-            &self.weights,
-            &self.ckpt,
-            &self.recoveries,
+            self.committed.weights(),
+            self.committed.checkpoints(),
+            self.committed.protecting_recoveries(),
         )
         .map_err(ScheduleError::from_expectation)
     }
 
-    fn candidate_table(&self) -> Result<SegmentCostTable, ScheduleError> {
-        SegmentCostTable::new(
-            self.instance.lambda(),
-            self.instance.downtime(),
-            &self.cand_weights,
-            &self.cand_ckpt,
-            &self.cand_recoveries,
-        )
-        .map_err(ScheduleError::from_expectation)
+    /// Applies the valid move `mv` to the candidate and refills `table`
+    /// with the candidate's costs.
+    fn try_move(
+        &mut self,
+        mv: &OrderMove,
+        table: &mut SegmentCostTable,
+    ) -> Result<(), ScheduleError> {
+        self.changed = self.cost_sweep.apply_move(self.instance, &mut self.candidate, mv);
+        table
+            .refill(
+                self.instance.lambda(),
+                self.instance.downtime(),
+                self.candidate.weights(),
+                self.candidate.checkpoints(),
+                self.candidate.protecting_recoveries(),
+            )
+            .map_err(ScheduleError::from_expectation)
     }
-}
 
-/// Turns raw per-position recovery costs into the protecting-recovery vector
-/// (`out[0] = R₀`, `out[x] = raw[x − 1]`), reusing `out`'s capacity.
-fn shift_recoveries(initial: f64, raw: &[f64], out: &mut Vec<f64>) {
-    out.clear();
-    out.push(initial);
-    out.extend(raw.iter().take(raw.len() - 1).copied());
+    /// Commits the pending move.
+    fn accept(&mut self) {
+        self.committed.copy_range_from(&self.candidate, self.changed.clone());
+    }
+
+    /// Undoes the pending move.
+    fn reject(&mut self) {
+        self.candidate.copy_range_from(&self.committed, self.changed.clone());
+    }
 }
 
 #[cfg(test)]
@@ -534,6 +517,7 @@ mod tests {
     use crate::chain_dp;
     use crate::dag_schedule::schedule_dag_best_of;
     use ckpt_dag::generators;
+    use ckpt_dag::neighborhood::apply_move;
 
     fn fork_join_instance() -> ProblemInstance {
         let graph =

@@ -1,6 +1,8 @@
 //! Schedules: an execution order plus checkpoint decisions (the solution
 //! space of the paper's §2 problem statement).
 
+use std::ops::Range;
+
 use ckpt_dag::{topo, TaskId};
 use ckpt_simulator::Segment;
 
@@ -133,25 +135,34 @@ impl Schedule {
     /// the checkpoint cost of its last task and the recovery cost of the task
     /// whose checkpoint protects it (`R₀` for the first segment).
     pub fn segments(&self, instance: &ProblemInstance) -> Vec<ScheduleSegment> {
-        let mut segments = Vec::new();
-        let mut start = 0usize;
-        let mut recovery = instance.initial_recovery();
-        for (pos, &task) in self.order.iter().enumerate() {
-            if self.checkpoint_after[pos] {
-                let tasks: Vec<TaskId> = self.order[start..=pos].to_vec();
-                let work = tasks.iter().map(|&t| instance.weight(t)).sum();
-                segments.push(ScheduleSegment {
-                    positions: start..pos + 1,
-                    tasks,
-                    work,
-                    checkpoint: instance.checkpoint_cost(task),
-                    recovery,
-                });
-                recovery = instance.recovery_cost(task);
-                start = pos + 1;
-            }
-        }
-        segments
+        self.segment_costs(instance)
+            .map(|(positions, work, checkpoint, recovery)| ScheduleSegment {
+                tasks: self.order[positions.clone()].to_vec(),
+                positions,
+                work,
+                checkpoint,
+                recovery,
+            })
+            .collect()
+    }
+
+    /// [`segments`](Schedule::segments) without the task lists, allocating
+    /// nothing: each segment's positions, work, checkpoint cost and
+    /// protecting recovery, in that order.
+    pub(crate) fn segment_costs<'s>(
+        &'s self,
+        instance: &'s ProblemInstance,
+    ) -> impl Iterator<Item = (Range<usize>, f64, f64, f64)> + 's {
+        let (mut start, mut recovery) = (0usize, instance.initial_recovery());
+        let ends = self.order.iter().enumerate().filter(|&(pos, _)| self.checkpoint_after[pos]);
+        ends.map(move |(pos, &task)| {
+            let positions = start..pos + 1;
+            let work = self.order[positions.clone()].iter().map(|&t| instance.weight(t)).sum();
+            let segment = (positions, work, instance.checkpoint_cost(task), recovery);
+            recovery = instance.recovery_cost(task);
+            start = pos + 1;
+            segment
+        })
     }
 
     /// Converts the schedule into simulator [`Segment`]s, ready to be fed to

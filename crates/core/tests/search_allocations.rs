@@ -1,0 +1,143 @@
+//! The allocation wall of the order search: its proposal loop allocates
+//! nothing. On a 72-task layered DAG (plan-mixed's 8 × 9 search shape),
+//! `schedule_dag_search` and `search_from_starts` make exactly as many heap
+//! allocations with 640 move proposals per start as with 64, under all
+//! three cost models, so every allocation they make belongs to the set-up
+//! or the final evaluation.
+//!
+//! A counting global allocator tallies the allocations of the calling
+//! thread only (the searches run with `threads = 1`, on the test's own
+//! thread), so the tests of this binary can run side by side. The binary
+//! holds nothing else: the allocator serves every test in it. Implementing
+//! `GlobalAlloc` takes the one `unsafe impl` of the workspace; the library
+//! crates forbid unsafe code.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ckpt_core::cost_model::CheckpointCostModel;
+use ckpt_core::order_search::{schedule_dag_search, search_from_starts, OrderSearchConfig};
+use ckpt_core::ProblemInstance;
+use ckpt_dag::{generators, linearize, LinearizationStrategy};
+use ckpt_failure::{Pcg64, RandomSource};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each allocation and reallocation on the
+/// thread that asks for it.
+struct CountingAllocator;
+
+fn count() {
+    ALLOCATIONS.with(|allocations| allocations.set(allocations.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments; the
+// counter is a const-initialised thread-local `Cell`, which neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// The allocations `run` makes on this thread.
+fn allocations_of(run: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    run();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+const MODELS: [CheckpointCostModel; 3] = [
+    CheckpointCostModel::PerLastTask,
+    CheckpointCostModel::LiveSetSum,
+    CheckpointCostModel::LiveSetMax,
+];
+
+/// Plan-mixed's search shape: 8 × 9 layered, edge density 0.3.
+fn plan_mixed_instance(seed: u64) -> ProblemInstance {
+    let mut rng = Pcg64::seed_from_u64(seed);
+    let mut weights = rng.derive(1);
+    let mut coins = rng.derive(2);
+    let graph = generators::layered_random(
+        &[8; 9],
+        |_, _| 200.0 + weights.next_f64() * 1_200.0,
+        0.3,
+        move || coins.next_f64(),
+    )
+    .unwrap();
+    let n = graph.task_count();
+    ProblemInstance::builder(graph)
+        .checkpoint_costs((0..n).map(|_| 5.0 + rng.next_f64() * 55.0).collect())
+        .recovery_costs((0..n).map(|_| 5.0 + rng.next_f64() * 115.0).collect())
+        .platform_lambda(1e-4)
+        .build()
+        .unwrap()
+}
+
+fn config(steps: usize) -> OrderSearchConfig {
+    OrderSearchConfig { restarts: 2, steps, threads: 1, seed: 0xA110C }
+}
+
+/// One search of each model first, so that any set-up done once per
+/// process is not counted against the first measured search.
+fn warm_up(instance: &ProblemInstance) {
+    for model in MODELS {
+        schedule_dag_search(instance, model, &config(8)).unwrap();
+    }
+}
+
+#[test]
+fn schedule_dag_search_allocates_nothing_per_proposal() {
+    let instance = plan_mixed_instance(1);
+    assert_eq!(instance.task_count(), 72);
+    warm_up(&instance);
+    for model in MODELS {
+        let mut accepted = [0; 2];
+        let counts = [64, 640].map(|steps| {
+            allocations_of(|| {
+                let found = schedule_dag_search(&instance, model, &config(steps)).unwrap();
+                accepted[usize::from(steps == 640)] = found.accepted_moves;
+            })
+        });
+        assert_eq!(counts[0], counts[1], "{model}: allocations at 64 and 640 steps");
+        assert!(accepted[1] > accepted[0], "{model}: the longer search accepted no more moves");
+    }
+}
+
+#[test]
+fn search_from_starts_allocates_nothing_per_proposal() {
+    let instance = plan_mixed_instance(2);
+    let starts: Vec<_> = [LinearizationStrategy::IdOrder, LinearizationStrategy::Random(5)]
+        .into_iter()
+        .map(|strategy| linearize::linearize(instance.graph(), strategy))
+        .collect();
+    warm_up(&instance);
+    for model in MODELS {
+        let counts = [64, 640].map(|steps| {
+            allocations_of(|| {
+                search_from_starts(&instance, model, &config(steps), &starts).unwrap();
+            })
+        });
+        assert_eq!(counts[0], counts[1], "{model}: allocations at 64 and 640 steps");
+    }
+}

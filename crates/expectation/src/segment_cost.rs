@@ -31,6 +31,12 @@
 //!   answers every query through `exp_m1` (these instances have astronomically
 //!   large expected times anyway).
 //!
+//! Every table is built by [`SegmentCostTable::refill`] (`new` refills an
+//! empty one): it diffs its arguments against the inputs the table holds
+//! and recomputes only the entries whose inputs changed bits, so a caller
+//! that re-costs one order after small changes, like the order search after
+//! each window move, keeps one table and pays for what changed.
+//!
 //! The pruned Algorithm 1 recurrence stops a row at two lower bounds, each
 //! valid for every later checkpoint position:
 //!
@@ -147,12 +153,18 @@ fn work_margin(n: usize) -> f64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentCostTable {
     lambda: f64,
+    /// The downtime `D` of the coefficients `e^{λR_x}(1/λ + D)`.
+    downtime: f64,
     /// `prefix[k] = w_0 + … + w_{k−1}` (raw work prefix sums, `n + 1`
     /// values). Shared, not copied, between the per-rate tables of one
     /// [`LambdaSweep`](crate::sweep::LambdaSweep).
     prefix: Arc<Vec<f64>>,
     /// Checkpoint cost `C_j` per position (shared like `prefix`).
     ckpt: Arc<Vec<f64>>,
+    /// Protecting recovery `R_x` per position (shared like `prefix`), kept
+    /// so that [`refill`](SegmentCostTable::refill) can tell which
+    /// coefficients changed.
+    recoveries: Arc<Vec<f64>>,
     /// `e^{λ·prefix[k]}` (empty in saturated mode).
     exp_prefix: Vec<f64>,
     /// `e^{−λ·prefix[k]}` (empty in saturated mode).
@@ -177,6 +189,9 @@ impl SegmentCostTable {
     /// (the initial recovery `R₀` for `i = 0`, the recovery of position
     /// `i − 1`'s checkpoint otherwise).
     ///
+    /// This is [`refill`](SegmentCostTable::refill) applied to a table of
+    /// no positions.
+    ///
     /// # Errors
     ///
     /// Returns an [`ExpectationError`] if `downtime` is negative, any weight
@@ -195,15 +210,178 @@ impl SegmentCostTable {
         checkpoints: &[f64],
         recoveries: &[f64],
     ) -> Result<Self, ExpectationError> {
-        let (prefix, bounds) = validate_order(downtime, weights, checkpoints, recoveries)?;
-        Ok(Self::from_validated_parts(
-            bounds.check_rate(lambda)?,
-            bounds.downtime,
-            Arc::new(prefix),
-            Arc::new(checkpoints.to_vec()),
-            recoveries,
-            bounds.max_ckpt,
-        ))
+        let mut table = SegmentCostTable::empty();
+        table.refill(lambda, downtime, weights, checkpoints, recoveries)?;
+        Ok(table)
+    }
+
+    /// A table of no positions: every refill of it rebuilds in full.
+    fn empty() -> Self {
+        SegmentCostTable {
+            lambda: f64::NAN,
+            downtime: f64::NAN,
+            prefix: Arc::new(Vec::new()),
+            ckpt: Arc::new(Vec::new()),
+            recoveries: Arc::new(Vec::new()),
+            exp_prefix: Vec::new(),
+            inv_exp_prefix: Vec::new(),
+            exp_ckpt: Vec::new(),
+            coeff: Vec::new(),
+            min_slope_suffix: Vec::new(),
+            min_log_slope_suffix: Vec::new(),
+            saturated: false,
+        }
+    }
+
+    /// Rebuilds the table in place for new arguments: afterwards it is bit
+    /// for bit the table [`new`](SegmentCostTable::new) builds from them,
+    /// and this is the only code that builds one from raw inputs.
+    ///
+    /// The table diffs the arguments against the inputs it holds, bit for
+    /// bit, and redoes only what changed:
+    ///
+    /// * it re-sums the prefix left to right, as `new` does, and calls
+    ///   `exp` only at the prefix sums, checkpoint costs and recoveries
+    ///   whose bits changed;
+    /// * it recomputes the two suffix-minimum vectors from the highest
+    ///   changed slope down, and stops at or below the lowest one as soon
+    ///   as an entry equals its old value again (every entry below it then
+    ///   does too);
+    /// * a change of `λ`, `D`, the length or the saturation mode rebuilds
+    ///   everything.
+    ///
+    /// Vectors the table shares with another (the per-rate tables of a
+    /// [`LambdaSweep`](crate::sweep::LambdaSweep) share theirs) are copied
+    /// before they are written. An order search that re-costs the order
+    /// after every window move refills one table: a move changes the bits
+    /// of a few dozen entries, so most of a fresh build's `exp` calls are
+    /// skipped.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`new`](SegmentCostTable::new)'s (the same variant and
+    /// value), decided before anything is written: a failed refill leaves
+    /// the table as it was.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](SegmentCostTable::new).
+    pub fn refill(
+        &mut self,
+        lambda: f64,
+        downtime: f64,
+        weights: &[f64],
+        checkpoints: &[f64],
+        recoveries: &[f64],
+    ) -> Result<(), ExpectationError> {
+        let n = weights.len();
+        let downtime = validate_positions(downtime, weights, checkpoints, recoveries)?;
+        // The new prefix sums' total and the stretch `first..=last` of them
+        // whose bits change, read off the stored prefix.
+        let (total_work, mut changed) = if n == self.len() {
+            self.resum(weights)
+        } else {
+            (sum_weights(weights, |_| {}).0, Some((1, n)))
+        };
+        let max_ckpt = largest(checkpoints);
+        let lambda = check_order_rate(lambda, downtime, total_work, largest(recoveries), || {
+            sum_weights(weights, |_| {}).1
+        })?;
+        let saturated = is_saturated(lambda, total_work, max_ckpt);
+        let full = n != self.len()
+            || lambda.to_bits() != self.lambda.to_bits()
+            || downtime.to_bits() != self.downtime.to_bits()
+            || saturated != self.saturated;
+        if full {
+            for (stored, len) in
+                [(&mut self.prefix, n + 1), (&mut self.ckpt, n), (&mut self.recoveries, n)]
+            {
+                match Arc::get_mut(stored) {
+                    Some(buffer) => zeroed(buffer, len),
+                    None => *stored = Arc::new(vec![0.0; len]),
+                }
+            }
+            self.lambda = lambda;
+            self.downtime = downtime;
+            self.saturated = saturated;
+            self.size_derived(n);
+            changed = Some((1, n));
+        }
+        // Slopes `lo..=hi` (`e^{λ(prefix[j+1] + C_j)}`) changed.
+        let (mut lo, mut hi) = if full { (0, n - 1) } else { (n, 0) };
+        if let Some((first, last)) = changed {
+            let prefix = Arc::make_mut(&mut self.prefix);
+            for k in first..=last {
+                // `prefix[k − 1]` holds the new sum already, written or kept.
+                let sum = prefix[k - 1] + weights[k - 1];
+                if full || sum.to_bits() != prefix[k].to_bits() {
+                    prefix[k] = sum;
+                    if !saturated {
+                        (self.exp_prefix[k], self.inv_exp_prefix[k]) =
+                            prefix_exponentials(lambda, sum);
+                    }
+                    (lo, hi) = (lo.min(k - 1), hi.max(k - 1));
+                }
+            }
+        }
+        let ckpt = Arc::make_mut(&mut self.ckpt);
+        for (j, &cost) in checkpoints.iter().enumerate() {
+            if full || cost.to_bits() != ckpt[j].to_bits() {
+                ckpt[j] = cost;
+                if !saturated {
+                    self.exp_ckpt[j] = checkpoint_exponential(lambda, cost);
+                }
+                (lo, hi) = (lo.min(j), hi.max(j));
+            }
+        }
+        let base = 1.0 / lambda + downtime;
+        let stored = Arc::make_mut(&mut self.recoveries);
+        for (x, &recovery) in recoveries.iter().enumerate() {
+            if full || recovery.to_bits() != stored[x].to_bits() {
+                stored[x] = recovery;
+                self.coeff[x] = coefficient(lambda, base, recovery);
+            }
+        }
+        if lo <= hi {
+            self.refresh_suffix_minima(lo, hi);
+        }
+        Ok(())
+    }
+
+    /// The work prefix sums of `weights` (as many as the table's positions)
+    /// against the stored ones: their total, and the first and last index
+    /// `k` whose sum `prefix[k]` changes bits (`None` if none does). Each
+    /// sum is the previous one plus the next weight, left to right, as
+    /// `new` sums them; while the previous sum is the stored one, the next
+    /// is the stored sum plus the weight, so the stretches that do not
+    /// change never wait on an addition.
+    fn resum(&self, weights: &[f64]) -> (f64, Option<(usize, usize)>) {
+        let (stored, n) = (&self.prefix, weights.len());
+        let mut changed: Option<(usize, usize)> = None;
+        let mut k = 0;
+        while k < n {
+            let mut sum = stored[k] + weights[k];
+            k += 1;
+            if sum.to_bits() == stored[k].to_bits() {
+                continue;
+            }
+            // `sum` is the new `prefix[k]`, off the stored one: add on
+            // until the two meet again, or the order ends.
+            let first = changed.map_or(k, |(first, _)| first);
+            while k < n {
+                let next = sum + weights[k];
+                if next.to_bits() == stored[k + 1].to_bits() {
+                    break;
+                }
+                (sum, k) = (next, k + 1);
+            }
+            changed = Some((first, k));
+            if k == n {
+                return (sum, changed);
+            }
+            k += 1;
+        }
+        (stored[n], changed)
     }
 
     /// Builds the table from already-validated data: `prefix` are the work
@@ -215,24 +393,20 @@ impl SegmentCostTable {
     pub(crate) fn from_validated_parts(
         lambda: f64,
         downtime: f64,
-        prefix: Arc<Vec<f64>>,
-        checkpoints: Arc<Vec<f64>>,
-        recoveries: &[f64],
+        prefix: &Arc<Vec<f64>>,
+        checkpoints: &Arc<Vec<f64>>,
+        recoveries: &Arc<Vec<f64>>,
         max_ckpt: f64,
     ) -> Self {
-        let mut table = SegmentCostTable {
+        let mut table = SegmentCostTable::empty();
+        table.rebuild_from_validated_parts(
             lambda,
+            downtime,
             prefix,
-            ckpt: checkpoints,
-            exp_prefix: Vec::new(),
-            inv_exp_prefix: Vec::new(),
-            exp_ckpt: Vec::new(),
-            coeff: Vec::new(),
-            min_slope_suffix: Vec::new(),
-            min_log_slope_suffix: Vec::new(),
-            saturated: false,
-        };
-        table.refill(lambda, downtime, recoveries, max_ckpt);
+            checkpoints,
+            recoveries,
+            max_ckpt,
+        );
         table
     }
 
@@ -240,67 +414,75 @@ impl SegmentCostTable {
     /// into this table: the order's vectors are replaced unless the table
     /// already shares them (refilling a table at a new rate then touches no
     /// reference count, which every worker's tables of one sweep share),
-    /// and every λ-dependent vector is recomputed in its existing buffer.
+    /// and every λ-dependent entry is recomputed in its existing buffer,
+    /// with [`refill`](SegmentCostTable::refill)'s formulas.
     pub(crate) fn rebuild_from_validated_parts(
         &mut self,
         lambda: f64,
         downtime: f64,
         prefix: &Arc<Vec<f64>>,
         checkpoints: &Arc<Vec<f64>>,
-        recoveries: &[f64],
+        recoveries: &Arc<Vec<f64>>,
         max_ckpt: f64,
     ) {
-        if !Arc::ptr_eq(&self.prefix, prefix) {
-            self.prefix = Arc::clone(prefix);
-        }
-        if !Arc::ptr_eq(&self.ckpt, checkpoints) {
-            self.ckpt = Arc::clone(checkpoints);
-        }
-        self.refill(lambda, downtime, recoveries, max_ckpt);
-    }
-
-    /// Recomputes the λ-dependent vectors from `prefix` and `ckpt`.
-    fn refill(&mut self, lambda: f64, downtime: f64, recoveries: &[f64], max_ckpt: f64) {
-        fn refill(buffer: &mut Vec<f64>, values: impl Iterator<Item = f64>) {
-            buffer.clear();
-            buffer.extend(values);
-        }
-        /// Fills `buffer` with the suffix minima of `values`: entry `j` is
-        /// the smallest of `values[j..]`.
-        fn suffix_minima(
-            buffer: &mut Vec<f64>,
-            values: impl DoubleEndedIterator<Item = f64> + ExactSizeIterator,
-        ) {
-            buffer.clear();
-            buffer.resize(values.len(), 0.0);
-            let mut running = f64::INFINITY;
-            for (slot, value) in buffer.iter_mut().zip(values).rev() {
-                running = running.min(value);
-                *slot = running;
+        for (stored, shared) in [
+            (&mut self.prefix, prefix),
+            (&mut self.ckpt, checkpoints),
+            (&mut self.recoveries, recoveries),
+        ] {
+            if !Arc::ptr_eq(stored, shared) {
+                *stored = Arc::clone(shared);
             }
         }
-        let (prefix, checkpoints) = (&self.prefix, &self.ckpt);
         let n = checkpoints.len();
-        let base = 1.0 / lambda + downtime;
         self.lambda = lambda;
-        refill(&mut self.coeff, recoveries.iter().map(|&r| (lambda * r).exp() * base));
-
-        self.saturated = lambda * (prefix[n] + max_ckpt) > MAX_SAFE_EXPONENT;
-        if self.saturated {
-            self.exp_prefix.clear();
-            self.inv_exp_prefix.clear();
-            self.exp_ckpt.clear();
-            self.min_slope_suffix.clear();
-        } else {
-            refill(&mut self.exp_prefix, prefix.iter().map(|&p| (lambda * p).exp()));
-            refill(&mut self.inv_exp_prefix, self.exp_prefix.iter().map(|&e| 1.0 / e));
-            refill(&mut self.exp_ckpt, checkpoints.iter().map(|&c| (lambda * c).exp()));
-            let slopes = self.exp_prefix[1..].iter().zip(&self.exp_ckpt).map(|(&e, &c)| e * c);
-            suffix_minima(&mut self.min_slope_suffix, slopes);
+        self.downtime = downtime;
+        self.saturated = is_saturated(lambda, prefix[n], max_ckpt);
+        self.size_derived(n);
+        let base = 1.0 / lambda + downtime;
+        for (slot, &recovery) in self.coeff.iter_mut().zip(recoveries.iter()) {
+            *slot = coefficient(lambda, base, recovery);
         }
-        let log_slopes =
-            prefix[1..].iter().zip(checkpoints.iter()).map(|(&p, &c)| lambda * (p + c));
-        suffix_minima(&mut self.min_log_slope_suffix, log_slopes);
+        if !self.saturated {
+            for (k, &sum) in prefix.iter().enumerate() {
+                (self.exp_prefix[k], self.inv_exp_prefix[k]) = prefix_exponentials(lambda, sum);
+            }
+            for (slot, &cost) in self.exp_ckpt.iter_mut().zip(checkpoints.iter()) {
+                *slot = checkpoint_exponential(lambda, cost);
+            }
+        }
+        self.refresh_suffix_minima(0, n - 1);
+    }
+
+    /// Sizes the λ-dependent vectors for `n` positions in the current
+    /// saturation mode (the precomputed exponentials are empty when
+    /// saturated), with `e^{±λ·prefix[0]}` in place.
+    fn size_derived(&mut self, n: usize) {
+        let exponentials = if self.saturated { 0 } else { n };
+        zeroed(&mut self.coeff, n);
+        zeroed(&mut self.min_log_slope_suffix, n);
+        zeroed(&mut self.exp_ckpt, exponentials);
+        zeroed(&mut self.min_slope_suffix, exponentials);
+        zeroed(&mut self.exp_prefix, exponentials + usize::from(!self.saturated));
+        zeroed(&mut self.inv_exp_prefix, exponentials + usize::from(!self.saturated));
+        if !self.saturated {
+            (self.exp_prefix[0], self.inv_exp_prefix[0]) = prefix_exponentials(self.lambda, 0.0);
+        }
+    }
+
+    /// Restores the two suffix-minimum vectors after the slopes `lo..=hi`
+    /// changed (see [`refresh_suffix_minima`]).
+    fn refresh_suffix_minima(&mut self, lo: usize, hi: usize) {
+        let (lambda, prefix, ckpt) = (self.lambda, &self.prefix, &self.ckpt);
+        if !self.saturated {
+            let (exp_prefix, exp_ckpt) = (&self.exp_prefix, &self.exp_ckpt);
+            refresh_suffix_minima(&mut self.min_slope_suffix, lo, hi, |j| {
+                exp_prefix[j + 1] * exp_ckpt[j]
+            });
+        }
+        refresh_suffix_minima(&mut self.min_log_slope_suffix, lo, hi, |j| {
+            lambda * (prefix[j + 1] + ckpt[j])
+        });
     }
 
     /// The number of positions covered by the table.
@@ -781,25 +963,39 @@ impl OrderBounds {
     /// smallest prefix step does not underflow to 0 (an overflowing
     /// coefficient must never meet a vanishing exponent: ∞·0).
     pub(crate) fn check_rate(&self, lambda: f64) -> Result<f64, ExpectationError> {
-        let lambda = check_rate(lambda, self.total_work)?;
-        if lambda * self.min_step == 0.0 {
-            let coefficient = (lambda * self.max_recovery).exp() * (1.0 / lambda + self.downtime);
-            if !coefficient.is_finite() {
-                return Err(ExpectationError::NonFiniteParameter {
-                    name: "segment coefficient",
-                    value: coefficient,
-                });
-            }
-        }
-        Ok(lambda)
+        check_order_rate(lambda, self.downtime, self.total_work, self.max_recovery, || {
+            self.min_step
+        })
     }
 }
 
-/// Validates the λ-independent data of one execution order (shared by
-/// [`SegmentCostTable::new`], [`crate::sweep::LambdaSweep::new`] and
-/// [`crate::storage::LevelledCostTable::new`], so the constructors can never
-/// diverge on what they accept) and returns the work prefix sums and the
-/// order's [`OrderBounds`].
+/// [`OrderBounds::check_rate`] on an order's scalars, asking for the
+/// smallest prefix step only when the largest coefficient overflows, the
+/// one case in which the check reads it.
+fn check_order_rate(
+    lambda: f64,
+    downtime: f64,
+    total_work: f64,
+    max_recovery: f64,
+    min_step: impl FnOnce() -> f64,
+) -> Result<f64, ExpectationError> {
+    let lambda = check_rate(lambda, total_work)?;
+    let coefficient = (lambda * max_recovery).exp() * (1.0 / lambda + downtime);
+    if !coefficient.is_finite() && lambda * min_step() == 0.0 {
+        return Err(ExpectationError::NonFiniteParameter {
+            name: "segment coefficient",
+            value: coefficient,
+        });
+    }
+    Ok(lambda)
+}
+
+/// Validates the λ-independent data of one execution order for
+/// [`crate::sweep::LambdaSweep::new`] and
+/// [`crate::storage::LevelledCostTable::new`], through the
+/// [`validate_positions`] that [`SegmentCostTable::refill`] runs too, so the
+/// constructors can never diverge on what they accept, and returns the work
+/// prefix sums and the order's [`OrderBounds`].
 ///
 /// # Panics
 ///
@@ -811,32 +1007,150 @@ pub(crate) fn validate_order(
     checkpoints: &[f64],
     recoveries: &[f64],
 ) -> Result<(Vec<f64>, OrderBounds), ExpectationError> {
+    let downtime = validate_positions(downtime, weights, checkpoints, recoveries)?;
+    let mut prefix = Vec::with_capacity(weights.len() + 1);
+    prefix.push(0.0);
+    let (total_work, min_step) = sum_weights(weights, |sum| prefix.push(sum));
+    let bounds = OrderBounds {
+        downtime,
+        total_work,
+        max_ckpt: largest(checkpoints),
+        max_recovery: largest(recoveries),
+        min_step,
+    };
+    Ok((prefix, bounds))
+}
+
+/// Checks the downtime, then every weight, checkpoint cost and recovery in
+/// order, and returns the first violation, or the downtime.
+///
+/// # Panics
+///
+/// Panics if the three slices differ in length or are empty.
+fn validate_positions(
+    downtime: f64,
+    weights: &[f64],
+    checkpoints: &[f64],
+    recoveries: &[f64],
+) -> Result<f64, ExpectationError> {
     let n = weights.len();
     assert!(n > 0, "the execution order needs at least one position");
     assert_eq!(checkpoints.len(), n, "one checkpoint cost per position");
     assert_eq!(recoveries.len(), n, "one protecting recovery per position");
     let downtime = ensure_non_negative("downtime", downtime)?;
-    let mut prefix = Vec::with_capacity(n + 1);
-    prefix.push(0.0);
-    let mut min_step = f64::INFINITY;
+    // Branch-free checks first; the ordered scan only names the violation.
+    let all = |values: &[f64], valid: fn(f64) -> bool| {
+        values.iter().fold(true, |all, &value| all & valid(value))
+    };
+    if all(weights, is_positive_finite)
+        && all(checkpoints, is_non_negative_finite)
+        && all(recoveries, is_non_negative_finite)
+    {
+        return Ok(downtime);
+    }
+    let violation = weights.iter().find_map(|&w| ensure_positive("work", w).err());
+    let violation = violation
+        .or_else(|| checkpoints.iter().find_map(|&c| ensure_non_negative("checkpoint", c).err()))
+        .or_else(|| recoveries.iter().find_map(|&r| ensure_non_negative("recovery", r).err()));
+    Err(violation.expect("a failed check names its value"))
+}
+
+/// The bits of `+∞`: the finite non-negative `f64`s other than `−0` are
+/// exactly those whose bits, read as an integer, lie below it.
+const INFINITY_BITS: u64 = 0x7FF0_0000_0000_0000;
+
+/// What [`ensure_positive`] accepts (finite and above 0), on the bits, so
+/// that a check of a whole vector compiles to integer compares.
+fn is_positive_finite(value: f64) -> bool {
+    value.to_bits().wrapping_sub(1) < INFINITY_BITS - 1
+}
+
+/// What [`ensure_non_negative`] accepts (finite and not below 0, `−0`
+/// included), on the bits.
+fn is_non_negative_finite(value: f64) -> bool {
+    let bits = value.to_bits();
+    (bits < INFINITY_BITS) | (bits == (-0.0f64).to_bits())
+}
+
+/// Sums `weights` left to right, handing each prefix sum to `on_sum`;
+/// returns the total and the smallest step `prefix[k+1] − prefix[k]` (no
+/// attempt's work falls below it, even where a tiny weight is absorbed).
+fn sum_weights(weights: &[f64], mut on_sum: impl FnMut(f64)) -> (f64, f64) {
+    let (mut sum, mut min_step) = (0.0f64, f64::INFINITY);
     for &w in weights {
-        ensure_positive("work", w)?;
-        let last = prefix[prefix.len() - 1];
-        prefix.push(last + w);
-        min_step = min_step.min(prefix[prefix.len() - 1] - last);
+        let next = sum + w;
+        // `f64::min` but for NaN, which a step is only once the sum has
+        // overflowed, and the rate check then fails on the total first.
+        let step = next - sum;
+        min_step = if step < min_step { step } else { min_step };
+        sum = next;
+        on_sum(sum);
     }
-    let mut max_ckpt = 0.0f64;
-    for &c in checkpoints {
-        ensure_non_negative("checkpoint", c)?;
-        max_ckpt = max_ckpt.max(c);
+    (sum, min_step)
+}
+
+/// The largest of `values` (none NaN), or 0 if larger: four running maxima,
+/// so the comparisons do not wait on each other.
+fn largest(values: &[f64]) -> f64 {
+    let larger = |max: f64, value: f64| if value > max { value } else { max };
+    let mut lanes = [0.0f64; 4];
+    let mut chunks = values.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (lane, &value) in lanes.iter_mut().zip(chunk) {
+            *lane = larger(*lane, value);
+        }
     }
-    let mut max_recovery = 0.0f64;
-    for &r in recoveries {
-        ensure_non_negative("recovery", r)?;
-        max_recovery = max_recovery.max(r);
+    for &value in chunks.remainder() {
+        lanes[0] = larger(lanes[0], value);
     }
-    let total_work = prefix[n];
-    Ok((prefix, OrderBounds { downtime, total_work, max_ckpt, max_recovery, min_step }))
+    lanes.into_iter().fold(0.0, larger)
+}
+
+/// Whether a table of total work `total_work` and largest checkpoint cost
+/// `max_ckpt` runs in the saturated mode at rate `lambda`.
+fn is_saturated(lambda: f64, total_work: f64, max_ckpt: f64) -> bool {
+    lambda * (total_work + max_ckpt) > MAX_SAFE_EXPONENT
+}
+
+/// `e^{λ·sum}` of a prefix sum, and its reciprocal.
+fn prefix_exponentials(lambda: f64, sum: f64) -> (f64, f64) {
+    let exp = (lambda * sum).exp();
+    (exp, 1.0 / exp)
+}
+
+/// `e^{λ·C}` of a checkpoint cost.
+fn checkpoint_exponential(lambda: f64, cost: f64) -> f64 {
+    (lambda * cost).exp()
+}
+
+/// The coefficient `e^{λR}(1/λ + D)` of a recovery, `base = 1/λ + D`.
+fn coefficient(lambda: f64, base: f64, recovery: f64) -> f64 {
+    (lambda * recovery).exp() * base
+}
+
+/// `buffer` cleared and refilled with `len` zeros, in its own allocation.
+fn zeroed(buffer: &mut Vec<f64>, len: usize) {
+    buffer.clear();
+    buffer.resize(len, 0.0);
+}
+
+/// Restores `minima[j] = min(slope(j), slope(j + 1), …)` after the slopes
+/// `lo..=hi` changed, given that it held before. Entries above `hi` keep
+/// their values. From `hi` down the running minimum is recomputed, as a
+/// full right-to-left pass computes it, until an entry at or below `lo`
+/// equals its old value bit for bit: every slope below it is unchanged, so
+/// every entry below it equals its old value too.
+fn refresh_suffix_minima(minima: &mut [f64], lo: usize, hi: usize, slope: impl Fn(usize) -> f64) {
+    let mut running = minima.get(hi + 1).copied().unwrap_or(f64::INFINITY);
+    for j in (0..=hi).rev() {
+        // `running.min(slope)` on slopes, which are never NaN.
+        let slope = slope(j);
+        running = if slope < running { slope } else { running };
+        if j <= lo && running.to_bits() == minima[j].to_bits() {
+            return;
+        }
+        minima[j] = running;
+    }
 }
 
 #[cfg(test)]
@@ -898,6 +1212,35 @@ mod tests {
         assert!(SegmentCostTable::new(1e-3, 0.0, &[1e308; 2], &[0.0; 2], &[0.0; 2]).is_err());
         assert!(SegmentCostTable::new(1e-3, 0.0, &[1e300, 1.0], &[0.0; 2], &[0.0, 1e300]).is_err());
         assert!(SegmentCostTable::new(1e-3, 0.0, &[1e300, 1.0], &[0.0; 2], &[0.0; 2]).is_ok());
+    }
+
+    #[test]
+    fn bitwise_checks_accept_what_the_validators_accept() {
+        let values = [
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0001),
+            f64::from_bits(0xFFF8_0000_0000_0001),
+        ];
+        for value in values {
+            assert_eq!(is_positive_finite(value), ensure_positive("x", value).is_ok(), "{value:e}");
+            assert_eq!(
+                is_non_negative_finite(value),
+                ensure_non_negative("x", value).is_ok(),
+                "{value:e}"
+            );
+        }
     }
 
     #[test]
@@ -1097,6 +1440,182 @@ mod tests {
                     // by up to ~n·ε·total/work before any exponential is
                     // taken.
                     prop_assert!(gap < 1e-9, "gap {gap} at ({x}, {j}), λ={lambda}");
+                }
+            }
+        }
+    }
+
+    /// Bit-for-bit equality of two tables: `Debug` prints every `f64` with
+    /// the shortest digits that round-trip it, so two tables print alike
+    /// only if every value has the same bits (NaN payloads aside).
+    fn same_bits(a: &SegmentCostTable, b: &SegmentCostTable) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    /// A 64-bit LCG for the refill walks.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn unit(&mut self) -> f64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, bound: usize) -> usize {
+            (self.unit() * bound as f64) as usize % bound
+        }
+    }
+
+    /// The arguments of one table.
+    #[derive(Clone)]
+    struct Inputs {
+        lambda: f64,
+        downtime: f64,
+        weights: Vec<f64>,
+        checkpoints: Vec<f64>,
+        recoveries: Vec<f64>,
+    }
+
+    impl Inputs {
+        fn random(rng: &mut Lcg, n: usize) -> Self {
+            let weights: Vec<f64> = (0..n).map(|_| 1.0 + rng.unit() * 2_000.0).collect();
+            let mut inputs = Inputs {
+                lambda: 0.0,
+                downtime: rng.unit() * 60.0,
+                checkpoints: (0..n).map(|_| rng.unit() * 200.0).collect(),
+                recoveries: (0..n).map(|_| rng.unit() * 200.0).collect(),
+                weights,
+            };
+            inputs.random_rate(rng);
+            inputs
+        }
+
+        /// `λ·W` log-uniform in 10⁻⁴…10³, across the saturation edge.
+        fn random_rate(&mut self, rng: &mut Lcg) {
+            let total: f64 = self.weights.iter().sum();
+            self.lambda = 10f64.powf(-4.0 + 7.0 * rng.unit()) / total;
+        }
+
+        fn new_table(&self) -> Result<SegmentCostTable, ExpectationError> {
+            SegmentCostTable::new(
+                self.lambda,
+                self.downtime,
+                &self.weights,
+                &self.checkpoints,
+                &self.recoveries,
+            )
+        }
+
+        fn refill(&self, table: &mut SegmentCostTable) -> Result<(), ExpectationError> {
+            table.refill(
+                self.lambda,
+                self.downtime,
+                &self.weights,
+                &self.checkpoints,
+                &self.recoveries,
+            )
+        }
+    }
+
+    #[test]
+    fn refill_never_writes_through_a_shared_vector() {
+        let sweep = crate::sweep::LambdaSweep::new(
+            30.0,
+            &[400.0, 100.0, 900.0, 250.0],
+            &[60.0, 10.0, 45.0, 30.0],
+            &[15.0, 60.0, 20.0, 10.0],
+        )
+        .unwrap();
+        let shared = sweep.table_for(1e-4).unwrap();
+        // The same rate and downtime (a diffing refill), then another length
+        // (a full one): each writes vectors the sweep's tables share.
+        for (weights, checkpoints, recoveries) in [
+            (vec![100.0, 400.0, 900.0, 250.0], vec![10.0, 60.0, 45.0, 30.0], vec![15.0; 4]),
+            (vec![300.0; 3], vec![5.0; 3], vec![7.0; 3]),
+        ] {
+            let mut refilled = shared.clone();
+            refilled.refill(1e-4, 30.0, &weights, &checkpoints, &recoveries).unwrap();
+            let fresh =
+                SegmentCostTable::new(1e-4, 30.0, &weights, &checkpoints, &recoveries).unwrap();
+            assert!(same_bits(&refilled, &fresh));
+            assert!(same_bits(&shared, &sweep.table_for(1e-4).unwrap()));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One table refilled along a random walk of inputs equals, after
+        /// every step, the table `new` builds from the same inputs, bit for
+        /// bit, and fails with `new`'s error where `new` does. The steps
+        /// are the order search's (a window of up to 12 positions permuted,
+        /// so prefix sums drift past it), rescaled entries, new rates
+        /// across the saturation edge, weights that move the order across
+        /// it at an unchanged rate, new downtimes and new lengths.
+        #[test]
+        fn prop_refill_equals_new(seed in any::<u64>()) {
+            let mut rng = Lcg(seed);
+            let n = 1 + rng.below(80);
+            let mut inputs = Inputs::random(&mut rng, n);
+            let mut table = inputs.new_table().unwrap();
+            for step in 0..48 {
+                let n = inputs.weights.len();
+                match rng.below(11) {
+                    0..=3 if n > 1 => {
+                        let lo = rng.below(n - 1);
+                        let hi = (lo + 1 + rng.below(11)).min(n - 1);
+                        let shift = 1 + rng.below(hi - lo);
+                        inputs.weights[lo..=hi].rotate_left(shift);
+                        inputs.checkpoints[lo..=hi].rotate_right(shift);
+                        inputs.recoveries[lo..=(hi + 1).min(n - 1)].rotate_left(1);
+                    }
+                    4 => {
+                        for _ in 0..1 + rng.below(3) {
+                            let at = rng.below(n);
+                            inputs.weights[at] *= 0.5 + rng.unit();
+                            inputs.checkpoints[rng.below(n)] *= 0.5 + rng.unit();
+                            inputs.recoveries[rng.below(n)] *= 0.5 + rng.unit();
+                        }
+                    }
+                    5 => inputs.random_rate(&mut rng),
+                    6 => inputs.downtime = rng.unit() * 60.0,
+                    7 => inputs.recoveries[rng.below(n)] = -1.0,
+                    // Half a unit below the saturation edge, then a weight
+                    // moved by one unit of `λ·W` either way: the mode flips
+                    // at an unchanged rate.
+                    8 => {
+                        let max_ckpt = inputs.checkpoints.iter().fold(0.0f64, |m, &c| m.max(c));
+                        let total: f64 = inputs.weights.iter().sum();
+                        inputs.lambda = (MAX_SAFE_EXPONENT - 0.5) / (total + max_ckpt);
+                    }
+                    9 => {
+                        let at = rng.below(n);
+                        let shift = if rng.below(2) == 0 { 1.0 } else { -1.0 } / inputs.lambda;
+                        inputs.weights[at] = (inputs.weights[at] + shift).max(1.0);
+                    }
+                    _ => {
+                        let lambda_w = inputs.lambda * inputs.weights.iter().sum::<f64>();
+                        let n = 1 + rng.below(80);
+                        inputs = Inputs::random(&mut rng, n);
+                        let total: f64 = inputs.weights.iter().sum();
+                        inputs.lambda = lambda_w / total;
+                    }
+                }
+                let before = table.clone();
+                match (inputs.new_table(), inputs.refill(&mut table)) {
+                    (Ok(fresh), Ok(())) => {
+                        prop_assert!(same_bits(&table, &fresh), "step {}", step);
+                        prop_assert!(table == fresh);
+                    }
+                    (Err(expected), Err(got)) => {
+                        prop_assert_eq!(got, expected);
+                        prop_assert!(same_bits(&table, &before), "step {}", step);
+                        // Undo the hostile value so the walk goes on.
+                        inputs.recoveries.iter_mut().for_each(|r| *r = r.abs());
+                    }
+                    (fresh, refilled) => {
+                        prop_assert!(false, "step {}: new {:?}, refill {:?}", step, fresh, refilled);
+                    }
                 }
             }
         }

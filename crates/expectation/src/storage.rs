@@ -263,9 +263,9 @@ impl LevelledCostTable {
                 Ok(SegmentCostTable::from_validated_parts(
                     level_bounds.check_rate(lambda)?,
                     bounds.downtime,
-                    Arc::clone(&prefix),
-                    Arc::new(scaled_ckpt),
-                    &scaled_rec,
+                    &prefix,
+                    &Arc::new(scaled_ckpt),
+                    &Arc::new(scaled_rec),
                     level_bounds.max_ckpt,
                 ))
             })

@@ -60,7 +60,8 @@ pub struct LambdaSweep {
     prefix: Arc<Vec<f64>>,
     /// Checkpoint cost per position, shared like `prefix`.
     checkpoints: Arc<Vec<f64>>,
-    recoveries: Vec<f64>,
+    /// Protecting recovery per position, shared like `prefix`.
+    recoveries: Arc<Vec<f64>>,
     bounds: OrderBounds,
 }
 
@@ -87,7 +88,7 @@ impl LambdaSweep {
         Ok(LambdaSweep {
             prefix: Arc::new(prefix),
             checkpoints: Arc::new(checkpoints.to_vec()),
-            recoveries: recoveries.to_vec(),
+            recoveries: Arc::new(recoveries.to_vec()),
             bounds,
         })
     }
@@ -146,8 +147,9 @@ impl LambdaSweep {
 
     /// Instantiates the order's [`SegmentCostTable`] at failure rate
     /// `lambda`, redoing only the λ-dependent precomputation (the `O(n)`
-    /// exponentials); validation, prefix sums and checkpoint costs are
-    /// shared with the table by reference (`Arc`), not copied.
+    /// exponentials); validation, prefix sums, checkpoint costs and
+    /// recoveries are shared with the table by reference (`Arc`), not
+    /// copied.
     ///
     /// # Errors
     ///
@@ -157,8 +159,8 @@ impl LambdaSweep {
         Ok(SegmentCostTable::from_validated_parts(
             self.check_rate(lambda)?,
             self.bounds.downtime,
-            Arc::clone(&self.prefix),
-            Arc::clone(&self.checkpoints),
+            &self.prefix,
+            &self.checkpoints,
             &self.recoveries,
             self.bounds.max_ckpt,
         ))

@@ -20,6 +20,14 @@
 //! outside `position..n`, or a suffix reorder that is not a permutation,
 //! gets a typed error from the single-run and the Monte-Carlo entries alike.
 //!
+//! The order search's in-place table refill meets them too: a table
+//! refilled with NaN, ±∞, zero, negative and subnormal weights, negative
+//! and infinite costs, a negative downtime, rates that fail the rate check,
+//! and rates on either side of the `λ·(W + max C) = 650` saturation edge
+//! returns exactly `SegmentCostTable::new`'s error (the same variant and
+//! value) or becomes bit for bit `new`'s table; a failed refill leaves the
+//! table as it was, so the next one is again bit for bit `new`'s.
+//!
 //! Longer chains reach the pruned DP's work-conservation cut-off (rows past
 //! 32 product-form candidates) and the levelled DP's suffix bound with
 //! overflowing (+∞) coefficients, weights absorbed by the prefix sums,
@@ -34,6 +42,7 @@ use ckpt_workflows::core::{evaluate, ProblemInstance, Schedule};
 use ckpt_workflows::dag::{generators, properties};
 use ckpt_workflows::expectation::segment_cost::SegmentCostTable;
 use ckpt_workflows::expectation::storage::{StorageLevel, StorageLevels};
+use ckpt_workflows::expectation::ExpectationError;
 use ckpt_workflows::failure::{Pcg64, RandomSource};
 use ckpt_workflows::service::{PlanInstance, PlanRequest, Planner, RateBucketing};
 use ckpt_workflows::simulator::stream::ScriptedStream;
@@ -353,6 +362,120 @@ proptest! {
         }
         let placement = scalable_placement_on_table_with_scratch(&table, &mut ChainDpScratch::new());
         finite_or_infinite("scalable_placement_on_table_with_scratch", placement.expected_makespan)?;
+    }
+}
+
+/// `Debug` prints every `f64` with the shortest digits that round-trip it
+/// (and NaN as `NaN`), so equal prints mean the same variant, the same name
+/// and the same value bits (NaN payloads aside), which `==` cannot say of a
+/// NaN.
+fn same_print(a: &impl std::fmt::Debug, b: &impl std::fmt::Debug) -> bool {
+    format!("{a:?}") == format!("{b:?}")
+}
+
+/// The arguments of one refill.
+struct RefillInputs {
+    lambda: f64,
+    downtime: f64,
+    weights: Vec<f64>,
+    checkpoints: Vec<f64>,
+    recoveries: Vec<f64>,
+}
+
+impl RefillInputs {
+    fn ordinary(rng: &mut Pcg64, n: usize) -> Self {
+        RefillInputs {
+            lambda: 1e-4,
+            downtime: 30.0,
+            weights: (0..n).map(|_| rng.next_range(100.0, 2_000.0)).collect(),
+            checkpoints: (0..n).map(|_| rng.next_range(0.0, 200.0)).collect(),
+            recoveries: (0..n).map(|_| rng.next_range(0.0, 200.0)).collect(),
+        }
+    }
+
+    /// The rate that puts `λ·(W + max C)` at `650 + nudge`.
+    fn at_the_saturation_edge(&mut self, nudge: f64) {
+        let total: f64 = self.weights.iter().sum();
+        let max_ckpt = self.checkpoints.iter().fold(0.0f64, |m, &c| m.max(c));
+        self.lambda = (650.0 + nudge) / (total + max_ckpt);
+    }
+
+    fn new_table(&self) -> Result<SegmentCostTable, ExpectationError> {
+        SegmentCostTable::new(
+            self.lambda,
+            self.downtime,
+            &self.weights,
+            &self.checkpoints,
+            &self.recoveries,
+        )
+    }
+
+    fn refill(&self, table: &mut SegmentCostTable) -> Result<(), ExpectationError> {
+        table.refill(self.lambda, self.downtime, &self.weights, &self.checkpoints, &self.recoveries)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// One table refilled through a walk of hostile and ordinary inputs:
+    /// each refill fails with `new`'s error, leaving the table unchanged,
+    /// or yields `new`'s table bit for bit. Ordinary steps permute a window
+    /// of the last inputs, so they refill by diffing against whatever the
+    /// failed refills before them left.
+    #[test]
+    fn prop_hostile_inputs_reach_the_refill(seed in any::<u64>(), n in 1usize..24) {
+        let mut rng = Pcg64::seed_from_u64(seed);
+        let mut inputs = RefillInputs::ordinary(&mut rng, n);
+        let mut table = inputs.new_table().unwrap();
+        for step in 0..32 {
+            let mut trial = RefillInputs::ordinary(&mut rng, n);
+            trial.weights.clone_from(&inputs.weights);
+            trial.checkpoints.clone_from(&inputs.checkpoints);
+            trial.recoveries.clone_from(&inputs.recoveries);
+            if n > 1 {
+                let lo = rng.next_bounded(n as u64 - 1) as usize;
+                trial.weights[lo..].rotate_left(1);
+                trial.checkpoints[lo..].rotate_right(1);
+            }
+            match rng.next_bounded(6) {
+                0 => {
+                    trial.lambda = pick(rng.next_bounded(12) as usize, 1e-4);
+                    trial.downtime = pick(rng.next_bounded(12) as usize, 30.0);
+                }
+                1 => trial.weights = hostile_weights(rng.next_u64(), n),
+                2 => {
+                    let at = rng.next_bounded(n as u64) as usize;
+                    trial.checkpoints[at] = pick(rng.next_bounded(12) as usize, 60.0);
+                    let at = rng.next_bounded(n as u64) as usize;
+                    trial.recoveries[at] = pick(rng.next_bounded(12) as usize, 20.0);
+                }
+                // Either side of the saturation edge, alternately.
+                3 | 4 => trial.at_the_saturation_edge(if step % 2 == 0 { 1e-3 } else { -1e-3 }),
+                // A weight the prefix sums absorb next to a recovery whose
+                // coefficient overflows: the rate check's ∞·0 guard.
+                _ => {
+                    trial.weights[0] = 1e300;
+                    trial.recoveries[n - 1] = 1e300;
+                    trial.lambda = if rng.next_bounded(2) == 0 { 1e-3 } else { 1e-300 };
+                }
+            }
+            let before = format!("{table:?}");
+            match (trial.new_table(), trial.refill(&mut table)) {
+                (Ok(fresh), Ok(())) => {
+                    prop_assert!(same_print(&table, &fresh), "step {}: tables differ", step);
+                    prop_assert!(table == fresh);
+                    inputs = trial;
+                }
+                (Err(expected), Err(got)) => {
+                    prop_assert!(same_print(&got, &expected), "step {}: {:?} vs {:?}", step, got, expected);
+                    prop_assert!(format!("{table:?}") == before, "step {}: a failed refill wrote", step);
+                }
+                (fresh, refilled) => {
+                    prop_assert!(false, "step {}: new {:?}, refill {:?}", step, fresh.err(), refilled);
+                }
+            }
+        }
     }
 }
 

@@ -3,6 +3,11 @@
 //! must match the recomputing reference path position by position on random
 //! layered DAGs.
 //!
+//! The window updates are held to the same sweep: after a precedence-
+//! preserving move, [`LiveSetCostSweep::apply_move`] must leave a
+//! [`CostedOrder`] bit for bit what a fresh sweep of the new order gives,
+//! under every model, and change nothing outside the range it reports.
+//!
 //! Migrated from `ckpt-core`'s `cost_model::sweep_properties` unit tests
 //! when the random-instance generator moved to the shared
 //! [`ckpt_bench::testgen`] module (a unit test inside `ckpt-core` cannot
@@ -10,7 +15,11 @@
 //! its own crate).
 
 use ckpt_bench::testgen::random_layered_proptest_case as random_dag_case;
-use ckpt_workflows::core::cost_model::CheckpointCostModel;
+use ckpt_workflows::core::cost_model::{CheckpointCostModel, CostedOrder, LiveSetCostSweep};
+use ckpt_workflows::core::ProblemInstance;
+use ckpt_workflows::dag::neighborhood::{is_valid_move, OrderMove};
+use ckpt_workflows::dag::{generators, linearize, LinearizationStrategy, TaskId};
+use ckpt_workflows::failure::{Pcg64, RandomSource};
 use proptest::prelude::*;
 
 const ALL_MODELS: [CheckpointCostModel; 3] = [
@@ -52,4 +61,126 @@ proptest! {
             }
         }
     }
+}
+
+/// A layered DAG of plan-mixed's search shape (`layers` of tasks, edge
+/// density 0.3) with heterogeneous costs, and a random order of it.
+fn plan_mixed_case(seed: u64, layers: &[usize]) -> (ProblemInstance, Vec<TaskId>) {
+    let mut rng = Pcg64::seed_from_u64(seed);
+    let mut weights = rng.derive(1);
+    let mut coins = rng.derive(2);
+    let graph = generators::layered_random(
+        layers,
+        |_, _| 200.0 + weights.next_f64() * 1_200.0,
+        0.3,
+        move || coins.next_f64(),
+    )
+    .unwrap();
+    let n = graph.task_count();
+    let order = linearize::linearize(&graph, LinearizationStrategy::Random(seed));
+    let instance = ProblemInstance::builder(graph)
+        .checkpoint_costs((0..n).map(|_| 5.0 + rng.next_f64() * 55.0).collect())
+        .recovery_costs((0..n).map(|_| 5.0 + rng.next_f64() * 115.0).collect())
+        .platform_lambda(1e-4)
+        .build()
+        .unwrap();
+    (instance, order)
+}
+
+/// A swap or a rotation of a window of up to 12 positions.
+fn random_move(rng: &mut Pcg64, n: usize) -> OrderMove {
+    let i = (rng.next_u64() % (n as u64 - 1)) as usize;
+    let j = (i + 1 + (rng.next_u64() % 11) as usize).min(n - 1);
+    match rng.next_u64() % 3 {
+        0 => OrderMove::SwapAdjacent { i },
+        1 => OrderMove::RotateLeft { i, j },
+        _ => OrderMove::RotateRight { i, j },
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Bit-for-bit equality: `Debug` prints every `f64` with the shortest
+/// digits that round-trip it.
+fn same_bits(a: &CostedOrder, b: &CostedOrder) -> bool {
+    a == b && format!("{a:?}") == format!("{b:?}")
+}
+
+/// Applies up to 80 random valid moves to `order` under `model`, checking
+/// each update against fresh sweeps, and undoing half of them with
+/// `copy_range_from`. Returns how many updates ran past their window.
+fn walk_moves(
+    instance: &ProblemInstance,
+    order: &[TaskId],
+    model: CheckpointCostModel,
+    seed: u64,
+) -> Result<usize, TestCaseError> {
+    let n = order.len();
+    let mut rng = Pcg64::seed_from_u64(seed);
+    let mut sweep = LiveSetCostSweep::new(instance.graph());
+    let mut costed = sweep.cost_order(model, instance, order.to_vec());
+    let (mut fresh_ckpt, mut fresh_rec) = (Vec::new(), Vec::new());
+    let mut drifted = 0;
+    for step in 0..80 {
+        let mv = random_move(&mut rng, n);
+        if !is_valid_move(instance.graph(), costed.order(), &mv) {
+            continue;
+        }
+        let before = costed.clone();
+        let changed = sweep.apply_move(instance, &mut costed, &mv);
+        let (lo, hi) = mv.window();
+        prop_assert!(changed.start == lo && changed.end > hi && changed.end <= n);
+        drifted += usize::from(changed.end > hi + 1);
+        let fresh = sweep.cost_order(model, instance, costed.order().to_vec());
+        prop_assert!(same_bits(&costed, &fresh), "{} step {}: {:?}", model, step, mv);
+        sweep.costs_into(model, instance, costed.order(), &mut fresh_ckpt, &mut fresh_rec);
+        prop_assert!(bits(costed.checkpoints()) == bits(&fresh_ckpt), "{} step {}", model, step);
+        prop_assert!(bits(costed.recoveries()) == bits(&fresh_rec), "{} step {}", model, step);
+        for p in (0..lo).chain(changed.end..n) {
+            prop_assert!(costed.checkpoints()[p].to_bits() == before.checkpoints()[p].to_bits());
+            prop_assert!(costed.recoveries()[p].to_bits() == before.recoveries()[p].to_bits());
+        }
+        if rng.next_u64().is_multiple_of(2) {
+            costed.copy_range_from(&before, changed);
+            prop_assert!(same_bits(&costed, &before), "{} step {}: undo", model, step);
+        }
+    }
+    Ok(drifted)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// After every precedence-preserving window move, the in-place update
+    /// equals a fresh sweep of the new order bit for bit (costs, live-set
+    /// sizes, running sums, positions), under all three models, and
+    /// nothing outside its reported range changed; copying the range back
+    /// restores the old order exactly.
+    #[test]
+    fn prop_window_moves_match_fresh_sweeps(seed in any::<u64>()) {
+        let (instance, order) = if seed.is_multiple_of(2) {
+            random_dag_case(seed)
+        } else {
+            plan_mixed_case(seed, &[8; 9])
+        };
+        if order.len() >= 2 {
+            for model in ALL_MODELS {
+                walk_moves(&instance, &order, model, seed)?;
+            }
+        }
+    }
+}
+
+/// The live-set sums do drift past the window on plan-mixed's shape: the
+/// same terms, summed in another order, round differently. The update must
+/// (and does) follow the drift to where the sums meet their old bits.
+#[test]
+fn live_set_sums_drift_past_the_window() {
+    let (instance, order) = plan_mixed_case(7, &[8; 9]);
+    let drifted: usize = (0..8)
+        .map(|seed| walk_moves(&instance, &order, CheckpointCostModel::LiveSetSum, seed).unwrap())
+        .sum();
+    assert!(drifted > 0, "no update ran past its window");
 }
