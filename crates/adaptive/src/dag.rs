@@ -42,7 +42,7 @@
 
 use std::sync::Arc;
 
-use ckpt_core::cost_model::CheckpointCostModel;
+use ckpt_core::cost_model::{CheckpointCostModel, LiveSetCostSweep};
 use ckpt_core::order_search::{
     default_start_strategies, schedule_dag_search, search_from_starts, OrderSearchConfig,
     SeededSearchOutcome,
@@ -191,24 +191,22 @@ pub fn optimal_static_dag_plan(
 /// The λ-batched planner view of one fixed order of a spec: a
 /// [`LambdaSweep`] over the order's positional cost vectors under the
 /// spec's model, so a policy can instantiate the order's cost table at any
-/// rate estimate in `O(n)`, plus the raw (unshifted) positional recovery
-/// costs (`raw_rec[j]` recovers from a checkpoint taken right after
-/// position `j`) the suffix re-linearisation reads its protecting recovery
-/// from. `order` must be a topological order of the spec graph.
+/// rate estimate in `O(n)`, plus the protecting recoveries
+/// (`protecting[x]` protects a segment that starts at position `x`) the
+/// suffix re-linearisation reads its initial recovery from. Both come from
+/// one [`CostedOrder`](ckpt_core::cost_model::CostedOrder). `order` must be
+/// a topological order of the spec graph.
 fn order_sweep(spec: &DagSpec, order: &[TaskId]) -> Result<(LambdaSweep, Vec<f64>), AdaptiveError> {
-    if !topo::is_topological_order(spec.instance().graph(), order) {
+    let instance = spec.instance();
+    if !topo::is_topological_order(instance.graph(), order) {
         return Err(ckpt_core::ScheduleError::InvalidOrder.into());
     }
-    let weights: Vec<f64> = order.iter().map(|&t| spec.instance().weight(t)).collect();
-    let (ckpt, raw_rec) = spec.model().costs_along_order(spec.instance(), order);
-    // Protecting-recovery convention of the cost tables: position 0 is
-    // protected by R₀, position x > 0 by the recovery of the checkpoint at
-    // position x − 1 (exactly `dag_schedule::model_cost_table`).
-    let mut protecting = Vec::with_capacity(order.len());
-    protecting.push(spec.initial_recovery());
-    protecting.extend(raw_rec.iter().take(raw_rec.len() - 1).copied());
-    let sweep = LambdaSweep::new(spec.downtime(), &weights, &ckpt, &protecting)?;
-    Ok((sweep, raw_rec))
+    let costed =
+        LiveSetCostSweep::new(instance.graph()).cost_order(spec.model(), instance, order.to_vec());
+    let protecting = costed.protecting_recoveries();
+    let sweep =
+        LambdaSweep::new(spec.downtime(), costed.weights(), costed.checkpoints(), protecting)?;
+    Ok((sweep, protecting.to_vec()))
 }
 
 /// Re-solves the checkpoint placement of the remaining suffix **on the
@@ -270,9 +268,8 @@ pub struct DagRelinearise {
     /// The policy's view of the current execution order (kept in lockstep
     /// with the engine: every accepted reorder updates both).
     order: Vec<TaskId>,
-    /// The current order's raw positional recovery costs (see
-    /// [`order_sweep`]).
-    raw_rec: Vec<f64>,
+    /// The current order's protecting recoveries (see [`order_sweep`]).
+    protecting: Vec<f64>,
     plan: Replanner,
     reorders: usize,
 }
@@ -294,11 +291,11 @@ impl DagRelinearise {
     ///
     /// Same contract as [`DagAdaptiveResolve::new`].
     pub fn new(spec: &DagSpec, plan: &DagPlan, planning_rate: f64) -> Result<Self, AdaptiveError> {
-        let (sweep, raw_rec) = order_sweep(spec, &plan.order)?;
+        let (sweep, protecting) = order_sweep(spec, &plan.order)?;
         Ok(DagRelinearise {
             spec: spec.clone(),
             order: plan.order.clone(),
-            raw_rec,
+            protecting,
             plan: Replanner::new(sweep, planning_rate)?,
             reorders: 0,
         })
@@ -388,10 +385,7 @@ impl Policy for DagRelinearise {
             // position before it), or by R₀ at the start — the natural R₀
             // of the sub-problem.
             let suffix_start = ctx.position;
-            let r0 = match suffix_start {
-                0 => self.spec.initial_recovery(),
-                p => self.raw_rec[p - 1],
-            };
+            let r0 = self.protecting[suffix_start];
             if self.spec.len() - suffix_start >= 2 {
                 if let Some(new_suffix) = self.relinearised_suffix(suffix_start, r0, estimate) {
                     let mut candidate = self.order.clone();
@@ -400,10 +394,10 @@ impl Policy for DagRelinearise {
                     // the planner rebuild cannot fail; guarding keeps the
                     // policy's plan and the engine's order in lockstep even
                     // if it ever did.
-                    if let Ok((sweep, raw_rec)) = order_sweep(&self.spec, &candidate) {
+                    if let Ok((sweep, protecting)) = order_sweep(&self.spec, &candidate) {
                         self.order = candidate;
                         self.plan.sweep = sweep;
-                        self.raw_rec = raw_rec;
+                        self.protecting = protecting;
                         reorder_suffix = Some(new_suffix.iter().map(|t| t.index()).collect());
                         self.reorders += 1;
                         crate::stats::DAG_RELINEARISATIONS.add(1);

@@ -8,21 +8,23 @@
 //! paper's per-task model is fully general there (§6); for wider DAGs the two
 //! models differ and this module makes the difference explicit.
 //!
-//! Three evaluation paths are provided:
+//! Two evaluation paths are provided:
 //!
 //! * [`CheckpointCostModel::checkpoint_cost`] and
 //!   [`CheckpointCostModel::recovery_cost`] re-derive the live set of one
 //!   prefix from scratch — the reference formulation, `O(n·degree)` per
 //!   query;
-//! * [`CheckpointCostModel::costs_along_order`] sweeps a whole order once
-//!   with [`LiveSetSweep`], maintaining
-//!   the live-set aggregates incrementally, and emits **both** positional
-//!   cost vectors (checkpoint and recovery) in `O(n + E)` — the path every
-//!   table build ([`crate::dag_schedule::model_cost_table`]) takes;
-//! * [`LiveSetCostSweep::apply_move`] keeps a [`CostedOrder`] (an order
-//!   with its costs and its sweep state) up to date under window moves,
-//!   recomputing only around the window — the order search's path, bit for
-//!   bit equal to a fresh sweep of the moved order.
+//! * [`LiveSetCostSweep::cost_order`] sweeps a whole order once with
+//!   [`LiveSetSweep`], maintaining the live-set aggregates incrementally, and
+//!   returns a [`CostedOrder`]: the order with the three positional vectors
+//!   of its cost table (work, checkpoint costs, protecting recoveries), in
+//!   `O(n + E)`. It is the only code that turns an order into positional
+//!   costs: every table build ([`crate::dag_schedule::model_cost_table`],
+//!   [`crate::evaluate::segment_cost_table`], the λ-sweep and levelled
+//!   tables) takes it, and [`LiveSetCostSweep::apply_move`] keeps a
+//!   [`CostedOrder`] up to date under window moves, recomputing only around
+//!   the window — the order search's path, bit for bit equal to a fresh
+//!   sweep of the moved order.
 //!
 //! The paths are cross-checked by property tests.
 
@@ -30,8 +32,10 @@ use std::collections::{BTreeSet, BinaryHeap};
 use std::ops::Range;
 
 use ckpt_dag::neighborhood::{self, is_valid_move, OrderMove};
-use ckpt_dag::{traversal, traversal::LiveSetSweep, TaskGraph, TaskId};
+use ckpt_dag::{topo, traversal, traversal::LiveSetSweep, TaskGraph, TaskId};
+use ckpt_expectation::segment_cost::SegmentCostTable;
 
+use crate::error::ScheduleError;
 use crate::instance::ProblemInstance;
 
 /// How the cost of a checkpoint (and of the matching recovery) is computed
@@ -128,13 +132,78 @@ impl CheckpointCostModel {
     ) -> f64 {
         self.cost_after_prefix(instance.graph(), order, position, |t| instance.recovery_cost(t))
     }
+}
 
-    /// Both positional cost vectors of `order` under this model, in **one
-    /// incremental sweep**: entry `i` of the first vector is the cost of a
-    /// checkpoint taken right after position `i`
-    /// ([`checkpoint_cost`](CheckpointCostModel::checkpoint_cost)`(…, i)`),
-    /// entry `i` of the second the recovery cost of that checkpoint
-    /// ([`recovery_cost`](CheckpointCostModel::recovery_cost)`(…, i)`).
+/// `order` with its costs under `model`: the one entry from an execution
+/// order to the positional vectors of its cost table. It validates the order
+/// first, because the live-set sweep asserts (rather than returns) on bad
+/// input, then sweeps it once with [`LiveSetCostSweep::cost_order`].
+///
+/// # Errors
+///
+/// * [`ScheduleError::EmptyInstance`] if `order` is empty;
+/// * [`ScheduleError::InvalidOrder`] if `order` is not a topological order
+///   of the instance graph.
+pub(crate) fn costed_order(
+    instance: &ProblemInstance,
+    order: &[TaskId],
+    model: CheckpointCostModel,
+) -> Result<CostedOrder, ScheduleError> {
+    if order.is_empty() {
+        return Err(ScheduleError::EmptyInstance);
+    }
+    if !topo::is_topological_order(instance.graph(), order) {
+        return Err(ScheduleError::InvalidOrder);
+    }
+    Ok(LiveSetCostSweep::new(instance.graph()).cost_order(model, instance, order.to_vec()))
+}
+
+/// Reusable working state for repeated [`cost_order`] sweeps over orders of
+/// **one graph**: the live-set delta structure and the [`LiveSetMax`] lazy
+/// max-heaps are sized at the first live-set sweep, then cleared and
+/// refilled instead of being reallocated per order. The per-last-task model
+/// reads none of them, so its sweeps never size them.
+///
+/// It also keeps an order's costs up to date under window moves
+/// ([`apply_move`](LiveSetCostSweep::apply_move) on a [`CostedOrder`]),
+/// which is what the order search's proposal loop does: evaluating
+/// thousands of candidate orders allocates nothing.
+///
+/// [`cost_order`]: LiveSetCostSweep::cost_order
+/// [`LiveSetMax`]: CheckpointCostModel::LiveSetMax
+#[derive(Debug, Clone)]
+pub struct LiveSetCostSweep<'g> {
+    graph: &'g TaskGraph,
+    /// Built at the first live-set sweep.
+    sweep: Option<LiveSetSweep<'g>>,
+    ckpt_heap: BinaryHeap<MaxCostEntry>,
+    rec_heap: BinaryHeap<MaxCostEntry>,
+    /// A [`LiveSetMax`](CheckpointCostModel::LiveSetMax) window update's
+    /// tasks that may be live inside the window, with the position of
+    /// their last successor.
+    window_live: Vec<(TaskId, usize)>,
+}
+
+impl<'g> LiveSetCostSweep<'g> {
+    /// Working state for `graph` (which must be the graph every subsequent
+    /// order belongs to). It allocates nothing until a live-set sweep needs
+    /// it.
+    pub fn new(graph: &'g TaskGraph) -> Self {
+        LiveSetCostSweep {
+            graph,
+            sweep: None,
+            ckpt_heap: BinaryHeap::new(),
+            rec_heap: BinaryHeap::new(),
+            window_live: Vec::new(),
+        }
+    }
+
+    /// `order` with its costs under `model`, in **one incremental sweep**:
+    /// the work of each position, the cost of a checkpoint taken right after
+    /// it ([`checkpoint_cost`](CheckpointCostModel::checkpoint_cost)`(…, i)`)
+    /// and the recovery cost of that checkpoint
+    /// ([`recovery_cost`](CheckpointCostModel::recovery_cost)`(…, i)`), plus
+    /// the state a window move updates.
     ///
     /// The live-set models maintain the set as a delta structure
     /// ([`LiveSetSweep`]) instead of re-deriving it per position:
@@ -147,7 +216,8 @@ impl CheckpointCostModel {
     /// only for cross-checking.
     ///
     /// ```
-    /// use ckpt_core::{cost_model::CheckpointCostModel, ProblemInstance};
+    /// use ckpt_core::cost_model::{CheckpointCostModel, LiveSetCostSweep};
+    /// use ckpt_core::ProblemInstance;
     /// use ckpt_dag::{generators, TaskId};
     ///
     /// let graph = generators::diamond([10.0, 20.0, 30.0, 40.0])?;
@@ -158,11 +228,11 @@ impl CheckpointCostModel {
     ///     .build()?;
     /// let order = vec![TaskId(0), TaskId(1), TaskId(2), TaskId(3)];
     /// let model = CheckpointCostModel::LiveSetSum;
-    /// let (ckpt, _rec) = model.costs_along_order(&instance, &order);
+    /// let costed = LiveSetCostSweep::new(instance.graph()).cost_order(model, &instance, order);
     /// // Matches the per-position reference path: after {a, b} the live set
     /// // is {a, b} (c and d still need them), so the checkpoint costs 1 + 2.
-    /// assert_eq!(ckpt[1], 3.0);
-    /// assert_eq!(ckpt[1], model.checkpoint_cost(&instance, &order, 1));
+    /// assert_eq!(costed.checkpoints()[1], 3.0);
+    /// assert_eq!(costed.checkpoints()[1], model.checkpoint_cost(&instance, costed.order(), 1));
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     ///
@@ -172,95 +242,8 @@ impl CheckpointCostModel {
     /// order of the instance graph covering every task exactly once (the
     /// sweep asserts precedence as it advances).
     /// [`PerLastTask`](CheckpointCostModel::PerLastTask) reads positions
-    /// independently and performs no such validation — callers needing the
-    /// check (e.g. [`crate::dag_schedule::model_cost_table`]) validate
-    /// before calling.
-    pub fn costs_along_order(
-        &self,
-        instance: &ProblemInstance,
-        order: &[TaskId],
-    ) -> (Vec<f64>, Vec<f64>) {
-        let mut sweep = LiveSetCostSweep::new(instance.graph());
-        let mut ckpt = Vec::with_capacity(order.len());
-        let mut rec = Vec::with_capacity(order.len());
-        sweep.costs_into(*self, instance, order, &mut ckpt, &mut rec);
-        (ckpt, rec)
-    }
-}
-
-/// Reusable working state for repeated [`costs_along_order`] sweeps over
-/// orders of **one graph**: the live-set delta structure and the
-/// [`LiveSetMax`] lazy max-heaps are cleared and refilled instead of being
-/// reallocated per order, and every buffer is sized from the graph up
-/// front.
-///
-/// It also keeps an order's costs up to date under window moves
-/// ([`apply_move`](LiveSetCostSweep::apply_move) on a [`CostedOrder`]),
-/// which is what the order search's proposal loop does: evaluating
-/// thousands of candidate orders allocates nothing.
-///
-/// [`costs_along_order`]: CheckpointCostModel::costs_along_order
-/// [`LiveSetMax`]: CheckpointCostModel::LiveSetMax
-#[derive(Debug, Clone)]
-pub struct LiveSetCostSweep<'g> {
-    graph: &'g TaskGraph,
-    sweep: LiveSetSweep<'g>,
-    ckpt_heap: BinaryHeap<MaxCostEntry>,
-    rec_heap: BinaryHeap<MaxCostEntry>,
-    /// A [`LiveSetMax`](CheckpointCostModel::LiveSetMax) window update's
-    /// tasks that may be live inside the window, with the position of
-    /// their last successor.
-    window_live: Vec<(TaskId, usize)>,
-}
-
-impl<'g> LiveSetCostSweep<'g> {
-    /// Working state sized for `graph` (which must be the graph every
-    /// subsequent order belongs to).
-    pub fn new(graph: &'g TaskGraph) -> Self {
-        let n = graph.task_count();
-        LiveSetCostSweep {
-            graph,
-            sweep: LiveSetSweep::new(graph),
-            ckpt_heap: BinaryHeap::with_capacity(n),
-            rec_heap: BinaryHeap::with_capacity(n),
-            window_live: Vec::with_capacity(n),
-        }
-    }
-
-    /// The buffer-reusing core of
-    /// [`CheckpointCostModel::costs_along_order`]: clears `ckpt_out` /
-    /// `rec_out` and fills them with the positional checkpoint and recovery
-    /// costs of `order` under `model`. Identical results, same `O(n + E)`
-    /// sweep; the only difference is where the working memory lives.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`CheckpointCostModel::costs_along_order`]: the
-    /// live-set models panic on non-topological orders (the sweep asserts),
-    /// the per-last-task model performs no validation.
-    pub fn costs_into(
-        &mut self,
-        model: CheckpointCostModel,
-        instance: &ProblemInstance,
-        order: &[TaskId],
-        ckpt_out: &mut Vec<f64>,
-        rec_out: &mut Vec<f64>,
-    ) {
-        ckpt_out.clear();
-        rec_out.clear();
-        self.sweep_order(model, instance, order, |ckpt, rec, _, _| {
-            ckpt_out.push(ckpt);
-            rec_out.push(rec);
-        });
-    }
-
-    /// `order` with its costs under `model`: the vectors of
-    /// [`costs_into`](LiveSetCostSweep::costs_into), from the same sweep,
-    /// plus the weights and the state a window move updates.
-    ///
-    /// # Panics
-    ///
-    /// As [`costs_into`](LiveSetCostSweep::costs_into).
+    /// independently and performs no such validation; the crate's table
+    /// builders validate before they sweep.
     pub fn cost_order(
         &mut self,
         model: CheckpointCostModel,
@@ -268,96 +251,81 @@ impl<'g> LiveSetCostSweep<'g> {
         order: Vec<TaskId>,
     ) -> CostedOrder {
         let n = order.len();
+        let own_costs = |task| (instance.checkpoint_cost(task), instance.recovery_cost(task));
         let mut costed = CostedOrder {
             model,
             order: Vec::new(),
-            position: vec![0; self.graph.task_count()],
-            weights: Vec::with_capacity(n),
+            position: Vec::new(),
+            weights: order.iter().map(|&task| instance.weight(task)).collect(),
             checkpoints: Vec::with_capacity(n),
             recoveries: Vec::with_capacity(n + 1),
-            live: Vec::with_capacity(n),
-            sums: Vec::with_capacity(n),
+            live: Vec::new(),
+            sums: Vec::new(),
         };
+        // Entry `x` of `recoveries` protects a segment starting at `x`:
+        // `R₀` at position 0, the previous position's recovery after it.
+        costed.recoveries.push(instance.initial_recovery());
+        if model == CheckpointCostModel::PerLastTask {
+            costed.checkpoints.extend(order.iter().map(|&task| instance.checkpoint_cost(task)));
+            costed.recoveries.extend(order.iter().map(|&task| instance.recovery_cost(task)));
+            costed.order = order;
+            return costed;
+        }
+        costed.position = vec![0; self.graph.task_count()];
         for (p, &task) in order.iter().enumerate() {
             costed.position[task.0] = p;
-            costed.weights.push(instance.weight(task));
         }
-        costed.recoveries.push(instance.initial_recovery());
-        self.sweep_order(model, instance, &order, |ckpt, rec, live, sums| {
-            costed.checkpoints.push(ckpt);
-            costed.recoveries.push(rec);
-            costed.live.push(live);
-            costed.sums.push(sums);
-        });
+        costed.live = Vec::with_capacity(n);
+        let sweep = self.sweep.get_or_insert_with(|| LiveSetSweep::new(self.graph));
+        sweep.reset();
+        if model == CheckpointCostModel::LiveSetSum {
+            costed.sums = Vec::with_capacity(n);
+            let (mut ckpt_sum, mut rec_sum) = (0.0f64, 0.0f64);
+            for &task in &order {
+                let entered = sweep.complete(task, |retired| {
+                    ckpt_sum -= instance.checkpoint_cost(retired);
+                    rec_sum -= instance.recovery_cost(retired);
+                });
+                if entered {
+                    ckpt_sum += instance.checkpoint_cost(task);
+                    rec_sum += instance.recovery_cost(task);
+                }
+                let live = sweep.live_count();
+                // Empty live set (end of the order, or between independent
+                // components): the state to save is by convention the last
+                // task's output.
+                let (ckpt, rec) = if live == 0 { own_costs(task) } else { (ckpt_sum, rec_sum) };
+                costed.checkpoints.push(ckpt);
+                costed.recoveries.push(rec);
+                costed.live.push(live);
+                costed.sums.push((ckpt_sum, rec_sum));
+            }
+        } else {
+            for heap in [&mut self.ckpt_heap, &mut self.rec_heap] {
+                heap.clear();
+                heap.reserve(n);
+            }
+            // The window updates' scratch: at most every task.
+            self.window_live.reserve(self.graph.task_count());
+            for &task in &order {
+                if sweep.complete(task, |_| {}) {
+                    self.ckpt_heap
+                        .push(MaxCostEntry { cost: instance.checkpoint_cost(task), task });
+                    self.rec_heap.push(MaxCostEntry { cost: instance.recovery_cost(task), task });
+                }
+                let live = sweep.live_count();
+                let (ckpt, rec) = if live == 0 {
+                    own_costs(task)
+                } else {
+                    (live_max(&mut self.ckpt_heap, sweep), live_max(&mut self.rec_heap, sweep))
+                };
+                costed.checkpoints.push(ckpt);
+                costed.recoveries.push(rec);
+                costed.live.push(live);
+            }
+        }
         costed.order = order;
         costed
-    }
-
-    /// The one sweep behind [`costs_into`](LiveSetCostSweep::costs_into) and
-    /// [`cost_order`](LiveSetCostSweep::cost_order): for each position in
-    /// turn, `emit(checkpoint, recovery, live, sums)` receives its two
-    /// costs, the size of its live set (0 under the per-last-task model),
-    /// and the live-set-sum running sums (`(0, 0)` under the other models).
-    fn sweep_order(
-        &mut self,
-        model: CheckpointCostModel,
-        instance: &ProblemInstance,
-        order: &[TaskId],
-        mut emit: impl FnMut(f64, f64, usize, (f64, f64)),
-    ) {
-        let own_costs = |task| (instance.checkpoint_cost(task), instance.recovery_cost(task));
-        match model {
-            CheckpointCostModel::PerLastTask => {
-                for &task in order {
-                    let (ckpt, rec) = own_costs(task);
-                    emit(ckpt, rec, 0, (0.0, 0.0));
-                }
-            }
-            CheckpointCostModel::LiveSetSum => {
-                self.sweep.reset();
-                let (mut ckpt_sum, mut rec_sum) = (0.0f64, 0.0f64);
-                for &task in order {
-                    let entered = self.sweep.complete(task, |retired| {
-                        ckpt_sum -= instance.checkpoint_cost(retired);
-                        rec_sum -= instance.recovery_cost(retired);
-                    });
-                    if entered {
-                        ckpt_sum += instance.checkpoint_cost(task);
-                        rec_sum += instance.recovery_cost(task);
-                    }
-                    let live = self.sweep.live_count();
-                    // Empty live set (end of the order, or between
-                    // independent components): the state to save is by
-                    // convention the last task's output.
-                    let (ckpt, rec) = if live == 0 { own_costs(task) } else { (ckpt_sum, rec_sum) };
-                    emit(ckpt, rec, live, (ckpt_sum, rec_sum));
-                }
-            }
-            CheckpointCostModel::LiveSetMax => {
-                self.sweep.reset();
-                self.ckpt_heap.clear();
-                self.rec_heap.clear();
-                for &task in order {
-                    let entered = self.sweep.complete(task, |_| {});
-                    if entered {
-                        self.ckpt_heap
-                            .push(MaxCostEntry { cost: instance.checkpoint_cost(task), task });
-                        self.rec_heap
-                            .push(MaxCostEntry { cost: instance.recovery_cost(task), task });
-                    }
-                    let live = self.sweep.live_count();
-                    let (ckpt, rec) = if live == 0 {
-                        own_costs(task)
-                    } else {
-                        (
-                            live_max(&mut self.ckpt_heap, &self.sweep),
-                            live_max(&mut self.rec_heap, &self.sweep),
-                        )
-                    };
-                    emit(ckpt, rec, live, (0.0, 0.0));
-                }
-            }
-        }
     }
 
     /// Applies the window move `mv` to `costed`'s order and updates its
@@ -398,24 +366,24 @@ impl<'g> LiveSetCostSweep<'g> {
         let (lo, hi) = mv.window();
         neighborhood::apply_move(&mut costed.order, mv);
         for p in lo..=hi {
-            let task = costed.order[p];
-            costed.position[task.0] = p;
-            costed.weights[p] = instance.weight(task);
+            costed.weights[p] = instance.weight(costed.order[p]);
         }
-        let end = match costed.model {
-            CheckpointCostModel::PerLastTask => {
-                for p in lo..=hi {
-                    let task = costed.order[p];
-                    costed.checkpoints[p] = instance.checkpoint_cost(task);
-                    costed.recoveries[p + 1] = instance.recovery_cost(task);
-                }
-                hi + 1
+        if costed.model == CheckpointCostModel::PerLastTask {
+            for p in lo..=hi {
+                let task = costed.order[p];
+                costed.checkpoints[p] = instance.checkpoint_cost(task);
+                costed.recoveries[p + 1] = instance.recovery_cost(task);
             }
-            CheckpointCostModel::LiveSetSum => self.resume_sums(instance, costed, lo, hi),
-            CheckpointCostModel::LiveSetMax => {
-                self.window_maxima(instance, costed, lo, hi);
-                hi + 1
-            }
+            return lo..hi + 1;
+        }
+        for p in lo..=hi {
+            costed.position[costed.order[p].0] = p;
+        }
+        let end = if costed.model == CheckpointCostModel::LiveSetSum {
+            self.resume_sums(instance, costed, lo, hi)
+        } else {
+            self.window_maxima(instance, costed, lo, hi);
+            hi + 1
         };
         lo..end
     }
@@ -540,25 +508,24 @@ fn total_max(a: f64, b: f64) -> f64 {
 /// lets [`LiveSetCostSweep::apply_move`] update them in place after a
 /// window move instead of sweeping the whole order again. Built by
 /// [`LiveSetCostSweep::cost_order`].
-///
-/// [`SegmentCostTable`]: ckpt_expectation::segment_cost::SegmentCostTable
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostedOrder {
     model: CheckpointCostModel,
     order: Vec<TaskId>,
-    /// `position[t]`: where task `t` runs in `order`.
+    /// `position[t]`: where task `t` runs in `order` (empty under the
+    /// per-last-task model, whose window updates never read it).
     position: Vec<usize>,
     weights: Vec<f64>,
     checkpoints: Vec<f64>,
     /// `R₀`, then the recovery cost of the checkpoint after each position
     /// (`n + 1` entries): entry `x` protects a segment starting at `x`.
     recoveries: Vec<f64>,
-    /// The size of the live set after each position (0 under the
+    /// The size of the live set after each position (empty under the
     /// per-last-task model).
     live: Vec<usize>,
     /// The live-set-sum sweep's running checkpoint and recovery sums after
-    /// each position, before the empty-live-set convention (`(0, 0)` under
-    /// the other models).
+    /// each position, before the empty-live-set convention (empty under the
+    /// other models).
     sums: Vec<(f64, f64)>,
 }
 
@@ -591,8 +558,6 @@ impl CostedOrder {
     /// [`weights`](CostedOrder::weights) and
     /// [`checkpoints`](CostedOrder::checkpoints), the arguments of the
     /// order's [`SegmentCostTable`].
-    ///
-    /// [`SegmentCostTable`]: ckpt_expectation::segment_cost::SegmentCostTable
     pub fn protecting_recoveries(&self) -> &[f64] {
         &self.recoveries[..self.order.len()]
     }
@@ -611,14 +576,38 @@ impl CostedOrder {
         debug_assert_eq!(self.model, other.model);
         let (lo, end) = (range.start, range.end);
         self.order[lo..end].copy_from_slice(&other.order[lo..end]);
-        for p in lo..end {
-            self.position[self.order[p].0] = p;
-        }
         self.weights[lo..end].copy_from_slice(&other.weights[lo..end]);
         self.checkpoints[lo..end].copy_from_slice(&other.checkpoints[lo..end]);
         self.recoveries[lo + 1..end + 1].copy_from_slice(&other.recoveries[lo + 1..end + 1]);
-        self.live[lo..end].copy_from_slice(&other.live[lo..end]);
-        self.sums[lo..end].copy_from_slice(&other.sums[lo..end]);
+        if self.model != CheckpointCostModel::PerLastTask {
+            for p in lo..end {
+                self.position[self.order[p].0] = p;
+            }
+            self.live[lo..end].copy_from_slice(&other.live[lo..end]);
+        }
+        if self.model == CheckpointCostModel::LiveSetSum {
+            self.sums[lo..end].copy_from_slice(&other.sums[lo..end]);
+        }
+    }
+
+    /// The order's cost table at the instance's rate and downtime.
+    ///
+    /// # Errors
+    ///
+    /// [`SegmentCostTable::new`]'s, mapped by
+    /// [`ScheduleError::from_expectation`].
+    pub(crate) fn table(
+        &self,
+        instance: &ProblemInstance,
+    ) -> Result<SegmentCostTable, ScheduleError> {
+        SegmentCostTable::new(
+            instance.lambda(),
+            instance.downtime(),
+            &self.weights,
+            &self.checkpoints,
+            self.protecting_recoveries(),
+        )
+        .map_err(ScheduleError::from_expectation)
     }
 }
 
@@ -722,12 +711,11 @@ mod tests {
         ];
         for model in [CheckpointCostModel::LiveSetSum, CheckpointCostModel::LiveSetMax] {
             let mut reused = LiveSetCostSweep::new(inst.graph());
-            let (mut ckpt, mut rec) = (Vec::new(), Vec::new());
             for order in &orders {
-                reused.costs_into(model, &inst, order, &mut ckpt, &mut rec);
-                let (fresh_ckpt, fresh_rec) = model.costs_along_order(&inst, order);
-                assert_eq!(ckpt, fresh_ckpt, "{model}");
-                assert_eq!(rec, fresh_rec, "{model}");
+                let costed = reused.cost_order(model, &inst, order.clone());
+                let fresh =
+                    LiveSetCostSweep::new(inst.graph()).cost_order(model, &inst, order.clone());
+                assert_eq!(costed, fresh, "{model}");
             }
         }
     }
@@ -782,7 +770,9 @@ mod tests {
         let inst = diamond_instance();
         let order = vec![TaskId(0), TaskId(1), TaskId(2), TaskId(3)];
         for model in ALL_MODELS {
-            let (ckpt, rec) = model.costs_along_order(&inst, &order);
+            let costed =
+                LiveSetCostSweep::new(inst.graph()).cost_order(model, &inst, order.clone());
+            let (ckpt, rec) = (costed.checkpoints(), costed.recoveries());
             for pos in 0..order.len() {
                 assert_eq!(ckpt[pos], model.checkpoint_cost(&inst, &order, pos), "{model} ckpt");
                 assert_eq!(rec[pos], model.recovery_cost(&inst, &order, pos), "{model} rec");
@@ -803,9 +793,10 @@ mod tests {
             .unwrap();
         let order = vec![TaskId(2), TaskId(0), TaskId(1)];
         for model in ALL_MODELS {
-            let (ckpt, rec) = model.costs_along_order(&inst, &order);
-            assert_eq!(ckpt, vec![3.0, 1.0, 2.0], "{model}");
-            assert_eq!(rec, vec![6.0, 4.0, 5.0], "{model}");
+            let costed =
+                LiveSetCostSweep::new(inst.graph()).cost_order(model, &inst, order.clone());
+            assert_eq!(costed.checkpoints(), [3.0, 1.0, 2.0], "{model}");
+            assert_eq!(costed.recoveries(), [6.0, 4.0, 5.0], "{model}");
         }
     }
 

@@ -16,18 +16,19 @@
 //!    ([`chain_dp::scalable_placement_on_table_with_scratch`](crate::chain_dp::scalable_placement_on_table_with_scratch)).
 //!
 //! The positional cost vectors are produced by **one incremental sweep** of
-//! the order ([`CheckpointCostModel::costs_along_order`]): the live set is
-//! maintained as a delta structure
+//! the order ([`LiveSetCostSweep::cost_order`]): the live set is maintained
+//! as a delta structure
 //! ([`LiveSetSweep`](ckpt_dag::traversal::LiveSetSweep)) instead of being
 //! re-derived per position, so building the table costs `O(n + E)` per
 //! linearisation — not the `O(n·degree)` per position of the reference
 //! recomputing path (kept as [`model_cost_table_reference`] for
 //! cross-checks). The DP's inner loop then runs exp-free on precomputed
 //! costs with the table's monotone pruning bound, exactly like the chain
-//! fast path. The table is rebuilt only when the execution order changes
-//! (one table per strategy tried by [`schedule_dag_best_of`], one per
-//! candidate explored by [`crate::order_search`]), never per candidate
-//! segment.
+//! fast path. A table is built once per order, never per candidate segment:
+//! [`schedule_dag_best_of`] builds one per strategy it tries, and
+//! [`crate::order_search`] builds one per start and refills it in place
+//! after each move ([`SegmentCostTable::refill`] redoes only the entries
+//! whose inputs changed).
 //!
 //! For linear chains step 2 is exactly Algorithm 1 and the result is globally
 //! optimal; for other DAGs the result is a heuristic whose quality experiment
@@ -36,12 +37,14 @@
 //! order space beyond the fixed [`LinearizationStrategy`] handful.
 //!
 //! [`SegmentCostTable`]: ckpt_expectation::segment_cost::SegmentCostTable
+//! [`SegmentCostTable::refill`]: ckpt_expectation::segment_cost::SegmentCostTable::refill
+//! [`LiveSetCostSweep::cost_order`]: crate::cost_model::LiveSetCostSweep::cost_order
 
-use ckpt_dag::{linearize, LinearizationStrategy, TaskId};
+use ckpt_dag::{linearize, topo, LinearizationStrategy, TaskId};
 use ckpt_expectation::segment_cost::SegmentCostTable;
 
 use crate::chain_dp::{scalable_placement_on_table_with_scratch, ChainDpScratch};
-use crate::cost_model::CheckpointCostModel;
+use crate::cost_model::{costed_order, CheckpointCostModel};
 use crate::error::ScheduleError;
 use crate::instance::ProblemInstance;
 use crate::schedule::Schedule;
@@ -63,12 +66,12 @@ pub struct DagSolution {
 
 /// Builds the [`SegmentCostTable`] of `order` with per-position checkpoint
 /// and recovery costs drawn from `model` — the §6 generalisation of
-/// [`crate::evaluate::segment_cost_table`] (which this reduces to under
+/// [`crate::evaluate::segment_cost_table`] (which is this under
 /// [`CheckpointCostModel::PerLastTask`]).
 ///
 /// The positional cost vectors come from the model's single incremental
-/// live-set sweep ([`CheckpointCostModel::costs_along_order`], `O(n + E)`
-/// for the whole order); the DP afterwards never re-derives a cost.
+/// live-set sweep ([`LiveSetCostSweep::cost_order`], `O(n + E)` for the
+/// whole order); the DP afterwards never re-derives a cost.
 ///
 /// # Errors
 ///
@@ -76,37 +79,22 @@ pub struct DagSolution {
 /// * [`ScheduleError::InvalidOrder`] if `order` is not a topological order;
 /// * propagated validation errors (cannot occur for instances built through
 ///   [`ProblemInstance::builder`]).
+///
+/// [`LiveSetCostSweep::cost_order`]: crate::cost_model::LiveSetCostSweep::cost_order
 pub fn model_cost_table(
     instance: &ProblemInstance,
     order: &[TaskId],
     model: CheckpointCostModel,
 ) -> Result<SegmentCostTable, ScheduleError> {
-    // Validate before sweeping: the sweep itself asserts (rather than
-    // returns) on non-topological input.
-    if order.is_empty() {
-        return Err(ScheduleError::EmptyInstance);
-    }
-    if !ckpt_dag::topo::is_topological_order(instance.graph(), order) {
-        return Err(ScheduleError::InvalidOrder);
-    }
-    let (ckpt, rec) = model.costs_along_order(instance, order);
-    let (weights, checkpoints, recoveries) =
-        crate::evaluate::order_cost_vectors_prevalidated(instance, order, |j| ckpt[j], |p| rec[p]);
-    SegmentCostTable::new(
-        instance.lambda(),
-        instance.downtime(),
-        &weights,
-        &checkpoints,
-        &recoveries,
-    )
-    .map_err(ScheduleError::from_expectation)
+    costed_order(instance, order, model)?.table(instance)
 }
 
 /// The recomputing-path twin of [`model_cost_table`]: every position's costs
 /// are re-derived from scratch with
 /// [`CheckpointCostModel::checkpoint_cost`] /
 /// [`CheckpointCostModel::recovery_cost`] (`O(n·degree)` per position under
-/// the live-set models).
+/// the live-set models), and the protecting recoveries are shifted here, by
+/// hand, so that nothing of the production sweep is shared.
 ///
 /// Kept as the correctness reference the incremental sweep is cross-checked
 /// against (tests here, property tests in [`crate::cost_model`]) and as the
@@ -121,12 +109,18 @@ pub fn model_cost_table_reference(
     order: &[TaskId],
     model: CheckpointCostModel,
 ) -> Result<SegmentCostTable, ScheduleError> {
-    let (weights, checkpoints, recoveries) = crate::evaluate::order_cost_vectors_with(
-        instance,
-        order,
-        |j| model.checkpoint_cost(instance, order, j),
-        |p| model.recovery_cost(instance, order, p),
-    )?;
+    if order.is_empty() {
+        return Err(ScheduleError::EmptyInstance);
+    }
+    if !topo::is_topological_order(instance.graph(), order) {
+        return Err(ScheduleError::InvalidOrder);
+    }
+    let n = order.len();
+    let weights: Vec<f64> = order.iter().map(|&t| instance.weight(t)).collect();
+    let checkpoints: Vec<f64> = (0..n).map(|j| model.checkpoint_cost(instance, order, j)).collect();
+    let recoveries: Vec<f64> = std::iter::once(instance.initial_recovery())
+        .chain((1..n).map(|x| model.recovery_cost(instance, order, x - 1)))
+        .collect();
     SegmentCostTable::new(
         instance.lambda(),
         instance.downtime(),

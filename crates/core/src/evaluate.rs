@@ -5,12 +5,13 @@
 //! checkpoint-delimited segments** — this is exactly how the proof of
 //! Proposition 2 and the recurrence of Algorithm 1 compose segment costs.
 
-use ckpt_dag::{topo, TaskId};
+use ckpt_dag::TaskId;
 use ckpt_expectation::exact::{expected_time, ExecutionParams};
 use ckpt_expectation::segment_cost::SegmentCostTable;
 use ckpt_expectation::storage::{LevelledCostTable, StorageLevels};
 use ckpt_expectation::sweep::LambdaSweep;
 
+use crate::cost_model::{costed_order, CheckpointCostModel};
 use crate::error::ScheduleError;
 use crate::instance::ProblemInstance;
 use crate::schedule::Schedule;
@@ -60,7 +61,9 @@ fn segment_expected_time(
 ///
 /// Position `x` of the table is protected by the initial recovery `R₀` when
 /// `x = 0` and by the recovery cost of the task at position `x − 1`
-/// otherwise, matching [`Schedule::segments`].
+/// otherwise, matching [`Schedule::segments`]. This is
+/// [`model_cost_table`](crate::dag_schedule::model_cost_table) under the
+/// paper's [`CheckpointCostModel::PerLastTask`].
 ///
 /// # Errors
 ///
@@ -75,15 +78,7 @@ pub fn segment_cost_table(
     instance: &ProblemInstance,
     order: &[TaskId],
 ) -> Result<SegmentCostTable, ScheduleError> {
-    let (weights, checkpoints, recoveries) = order_cost_vectors(instance, order)?;
-    SegmentCostTable::new(
-        instance.lambda(),
-        instance.downtime(),
-        &weights,
-        &checkpoints,
-        &recoveries,
-    )
-    .map_err(ScheduleError::from_expectation)
+    crate::dag_schedule::model_cost_table(instance, order, CheckpointCostModel::PerLastTask)
 }
 
 /// Builds a [`LevelledCostTable`] for `instance` along `order`: one
@@ -101,13 +96,13 @@ pub fn levelled_cost_table(
     order: &[TaskId],
     levels: StorageLevels,
 ) -> Result<LevelledCostTable, ScheduleError> {
-    let (weights, checkpoints, recoveries) = order_cost_vectors(instance, order)?;
+    let costed = costed_order(instance, order, CheckpointCostModel::PerLastTask)?;
     LevelledCostTable::new(
         instance.lambda(),
         instance.downtime(),
-        &weights,
-        &checkpoints,
-        &recoveries,
+        costed.weights(),
+        costed.checkpoints(),
+        costed.protecting_recoveries(),
         levels,
     )
     .map_err(ScheduleError::from_expectation)
@@ -124,72 +119,14 @@ pub fn lambda_sweep_for_order(
     instance: &ProblemInstance,
     order: &[TaskId],
 ) -> Result<LambdaSweep, ScheduleError> {
-    let (weights, checkpoints, recoveries) = order_cost_vectors(instance, order)?;
-    LambdaSweep::new(instance.downtime(), &weights, &checkpoints, &recoveries)
-        .map_err(ScheduleError::from_expectation)
-}
-
-/// Validates `order` and materialises its positional weight, checkpoint-cost
-/// and protecting-recovery vectors (the paper's per-last-task cost model).
-#[allow(clippy::type_complexity)] // three parallel positional vectors
-fn order_cost_vectors(
-    instance: &ProblemInstance,
-    order: &[TaskId],
-) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>), ScheduleError> {
-    order_cost_vectors_with(
-        instance,
-        order,
-        |j| instance.checkpoint_cost(order[j]),
-        |p| instance.recovery_cost(order[p]),
+    let costed = costed_order(instance, order, CheckpointCostModel::PerLastTask)?;
+    LambdaSweep::new(
+        instance.downtime(),
+        costed.weights(),
+        costed.checkpoints(),
+        costed.protecting_recoveries(),
     )
-}
-
-/// Validates `order` and materialises its positional cost vectors from
-/// arbitrary per-position accessors: `checkpoint_at(j)` is the cost of a
-/// checkpoint taken after position `j`, `recovery_at(p)` the recovery cost
-/// of that checkpoint. The protecting-recovery convention lives **only**
-/// here: position `x > 0` is protected by `recovery_at(x − 1)`, position `0`
-/// by the instance's initial recovery `R₀` — shared by the per-last-task
-/// vectors above and `dag_schedule`'s §6 cost-model tables so the two can
-/// never diverge.
-#[allow(clippy::type_complexity)] // three parallel positional vectors
-pub(crate) fn order_cost_vectors_with(
-    instance: &ProblemInstance,
-    order: &[TaskId],
-    checkpoint_at: impl Fn(usize) -> f64,
-    recovery_at: impl Fn(usize) -> f64,
-) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>), ScheduleError> {
-    if order.is_empty() {
-        return Err(ScheduleError::EmptyInstance);
-    }
-    if !topo::is_topological_order(instance.graph(), order) {
-        return Err(ScheduleError::InvalidOrder);
-    }
-    Ok(order_cost_vectors_prevalidated(instance, order, checkpoint_at, recovery_at))
-}
-
-/// The materialisation half of [`order_cost_vectors_with`], for callers that
-/// have **already validated** `order` (non-empty, topological) and must not
-/// pay the `O(n + E)` validation twice — `dag_schedule::model_cost_table`
-/// validates before its live-set sweep (the sweep asserts rather than
-/// returns on bad orders) and then only materialises here.
-#[allow(clippy::type_complexity)] // three parallel positional vectors
-pub(crate) fn order_cost_vectors_prevalidated(
-    instance: &ProblemInstance,
-    order: &[TaskId],
-    checkpoint_at: impl Fn(usize) -> f64,
-    recovery_at: impl Fn(usize) -> f64,
-) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    debug_assert!(topo::is_topological_order(instance.graph(), order));
-    let n = order.len();
-    let weights: Vec<f64> = order.iter().map(|&t| instance.weight(t)).collect();
-    let checkpoints: Vec<f64> = (0..n).map(checkpoint_at).collect();
-    let mut recoveries = Vec::with_capacity(n);
-    recoveries.push(instance.initial_recovery());
-    for x in 1..n {
-        recoveries.push(recovery_at(x - 1));
-    }
-    (weights, checkpoints, recoveries)
+    .map_err(ScheduleError::from_expectation)
 }
 
 /// The slowdown of a schedule: expected makespan divided by the total task

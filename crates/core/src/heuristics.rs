@@ -13,14 +13,20 @@
 //! * a local-search improver that perturbs checkpoint decisions and adjacent
 //!   task pairs.
 
-use ckpt_dag::{linearize, topo, LinearizationStrategy, TaskId};
+use ckpt_dag::neighborhood::{is_valid_move, OrderMove};
+use ckpt_dag::{linearize, LinearizationStrategy, TaskId};
 use ckpt_expectation::approximations::young_period;
 use ckpt_expectation::segment_cost::SegmentCostTable;
 
+use crate::cost_model::CheckpointCostModel;
 use crate::error::ScheduleError;
-use crate::evaluate::{expected_makespan, lambda_sweep_for_order, segment_cost_table};
+use crate::evaluate::{expected_makespan, lambda_sweep_for_order};
 use crate::instance::ProblemInstance;
+use crate::order_search::OrderState;
 use crate::schedule::Schedule;
+
+#[cfg(test)]
+mod local_search_walls;
 
 /// Checkpoint after every `k`-th task of `order` (and after the last task).
 ///
@@ -231,12 +237,18 @@ fn toggle_delta(table: &SegmentCostTable, checkpoints: &[bool], pos: usize) -> f
 /// improvement (or `max_passes` passes have been made):
 ///
 /// 1. toggling the checkpoint decision at any non-final position — evaluated
-///    incrementally through the order's [`SegmentCostTable`], so a toggle
-///    costs three exp-free segment costs instead of a full re-evaluation;
+///    incrementally through the committed order's [`SegmentCostTable`], so a
+///    toggle costs three exp-free segment costs instead of a full
+///    re-evaluation;
 /// 2. swapping two adjacent tasks in the order, when the swap keeps the order
-///    topologically valid (an order change rebuilds the table once).
+///    topologically valid. A swap moves the order through the order
+///    search's [`OrderState`]: [`is_valid_move`] checks the pair, the
+///    window update re-costs the two positions, and a trial table is
+///    refilled ([`SegmentCostTable::refill`]) and exchanged with the
+///    committed one when the swap is accepted.
 ///
 /// The search is deterministic; it never degrades the starting schedule.
+/// Once its two tables are built, a pass allocates nothing.
 ///
 /// # Errors
 ///
@@ -246,12 +258,14 @@ fn local_search(
     start: Schedule,
     max_passes: usize,
 ) -> Result<LocalSearchResult, ScheduleError> {
-    let mut order: Vec<TaskId> = start.order().to_vec();
     let mut checkpoints: Vec<bool> = start.checkpoint_after().to_vec();
-    let mut table = segment_cost_table(instance, &order)?;
+    let mut state =
+        OrderState::new(instance, CheckpointCostModel::PerLastTask, start.order().to_vec());
+    let mut table = state.table()?;
+    let mut trial = state.table()?;
     let mut best_value = table.total_cost(&checkpoints);
     let mut improvements = 0u64;
-    let n = order.len();
+    let n = checkpoints.len();
 
     for _ in 0..max_passes {
         let mut improved = false;
@@ -268,20 +282,22 @@ fn local_search(
         }
 
         // Move family 2: adjacent swaps that preserve precedence.
-        for pos in 0..n.saturating_sub(1) {
-            order.swap(pos, pos + 1);
-            if topo::is_topological_order(instance.graph(), &order) {
-                let candidate_table = segment_cost_table(instance, &order)?;
-                let value = candidate_table.total_cost(&checkpoints);
-                if value + 1e-12 < best_value {
-                    best_value = value;
-                    table = candidate_table;
-                    improvements += 1;
-                    improved = true;
-                    continue;
-                }
+        for i in 0..n.saturating_sub(1) {
+            let swap = OrderMove::SwapAdjacent { i };
+            if !is_valid_move(instance.graph(), state.order(), &swap) {
+                continue;
             }
-            order.swap(pos, pos + 1);
+            state.try_move(&swap, &mut trial)?;
+            let value = trial.total_cost(&checkpoints);
+            if value + 1e-12 < best_value {
+                state.accept();
+                std::mem::swap(&mut table, &mut trial);
+                best_value = value;
+                improvements += 1;
+                improved = true;
+            } else {
+                state.reject();
+            }
         }
 
         if !improved {
@@ -289,7 +305,7 @@ fn local_search(
         }
     }
 
-    let schedule = Schedule::new(instance, order, checkpoints)?;
+    let schedule = Schedule::new(instance, state.into_order(), checkpoints)?;
     // Report the exact analytical value of the final schedule rather than the
     // incrementally tracked one (they agree to ~1e-12 relative error).
     let expected_makespan = expected_makespan(instance, &schedule)?;

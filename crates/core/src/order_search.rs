@@ -442,9 +442,10 @@ fn propose_move(rng: &mut Pcg64, n: usize, max_window: usize) -> OrderMove {
 /// pending move is applied to. The two differ only at the positions the
 /// move changed, which accepting or rejecting it copies one way or the
 /// other; all working memory (both copies, the live-set sweep state and its
-/// scratch) is sized when the state is built, so the proposal loop
-/// allocates nothing.
-struct OrderState<'a> {
+/// scratch) is sized when the state is built, so a proposal loop over it
+/// allocates nothing. The order search's runs and the heuristics' local
+/// search ([`crate::heuristics`]) both move orders through it.
+pub(crate) struct OrderState<'a> {
     instance: &'a ProblemInstance,
     cost_sweep: LiveSetCostSweep<'a>,
     committed: CostedOrder,
@@ -454,36 +455,35 @@ struct OrderState<'a> {
 }
 
 impl<'a> OrderState<'a> {
-    fn new(instance: &'a ProblemInstance, model: CheckpointCostModel, order: Vec<TaskId>) -> Self {
+    /// The state of `order`, which must be a topological order of the
+    /// instance graph (the live-set sweeps assert it).
+    pub(crate) fn new(
+        instance: &'a ProblemInstance,
+        model: CheckpointCostModel,
+        order: Vec<TaskId>,
+    ) -> Self {
         let mut cost_sweep = LiveSetCostSweep::new(instance.graph());
         let committed = cost_sweep.cost_order(model, instance, order);
         OrderState { instance, cost_sweep, candidate: committed.clone(), committed, changed: 0..0 }
     }
 
     /// The committed order.
-    fn order(&self) -> &[TaskId] {
+    pub(crate) fn order(&self) -> &[TaskId] {
         self.committed.order()
     }
 
-    fn into_order(self) -> Vec<TaskId> {
+    pub(crate) fn into_order(self) -> Vec<TaskId> {
         self.committed.order().to_vec()
     }
 
     /// The cost table of the committed order.
-    fn table(&self) -> Result<SegmentCostTable, ScheduleError> {
-        SegmentCostTable::new(
-            self.instance.lambda(),
-            self.instance.downtime(),
-            self.committed.weights(),
-            self.committed.checkpoints(),
-            self.committed.protecting_recoveries(),
-        )
-        .map_err(ScheduleError::from_expectation)
+    pub(crate) fn table(&self) -> Result<SegmentCostTable, ScheduleError> {
+        self.committed.table(self.instance)
     }
 
     /// Applies the valid move `mv` to the candidate and refills `table`
     /// with the candidate's costs.
-    fn try_move(
+    pub(crate) fn try_move(
         &mut self,
         mv: &OrderMove,
         table: &mut SegmentCostTable,
@@ -501,12 +501,12 @@ impl<'a> OrderState<'a> {
     }
 
     /// Commits the pending move.
-    fn accept(&mut self) {
+    pub(crate) fn accept(&mut self) {
         self.committed.copy_range_from(&self.candidate, self.changed.clone());
     }
 
     /// Undoes the pending move.
-    fn reject(&mut self) {
+    pub(crate) fn reject(&mut self) {
         self.candidate.copy_range_from(&self.committed, self.changed.clone());
     }
 }

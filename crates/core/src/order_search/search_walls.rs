@@ -2,10 +2,10 @@
 //! replaced.
 //!
 //! [`ReferenceState`] holds the trial evaluation the window updates
-//! replaced, as it was: every trial clones the committed positional
-//! vectors, re-sweeps the whole order with
-//! [`LiveSetCostSweep::costs_into`] (the per-last-task model patched its
-//! window) and builds a fresh [`SegmentCostTable::new`]. [`reference_run`]
+//! replaced: every trial clones the committed positional vectors, re-sweeps
+//! the whole order with a fresh [`LiveSetCostSweep::cost_order`] (the
+//! per-last-task model patched its window), shifts the recoveries by hand
+//! and builds a fresh [`SegmentCostTable::new`]. [`reference_run`]
 //! is the search run over it, with the production [`OrderState`] driven in
 //! lock step: at every valid move, accepted or rejected, the production
 //! candidate's weights, checkpoint costs and protecting recoveries and its
@@ -46,8 +46,6 @@ struct ReferenceState<'a> {
     cand_weights: Vec<f64>,
     cand_ckpt: Vec<f64>,
     cand_recoveries: Vec<f64>,
-    /// Scratch for the raw (unshifted) per-position recovery costs.
-    raw_rec: Vec<f64>,
 }
 
 impl<'a> ReferenceState<'a> {
@@ -63,23 +61,20 @@ impl<'a> ReferenceState<'a> {
             cand_weights: Vec::new(),
             cand_ckpt: Vec::new(),
             cand_recoveries: Vec::new(),
-            raw_rec: Vec::new(),
         };
         state.rebuild_committed();
         state
     }
 
     fn rebuild_committed(&mut self) {
-        self.weights.clear();
-        self.weights.extend(self.order.iter().map(|&t| self.instance.weight(t)));
-        self.cost_sweep.costs_into(
-            self.model,
-            self.instance,
-            &self.order,
-            &mut self.ckpt,
-            &mut self.raw_rec,
+        self.weights = self.order.iter().map(|&t| self.instance.weight(t)).collect();
+        let fresh = self.cost_sweep.cost_order(self.model, self.instance, self.order.clone());
+        self.ckpt = fresh.checkpoints().to_vec();
+        shift_recoveries(
+            self.instance.initial_recovery(),
+            fresh.recoveries(),
+            &mut self.recoveries,
         );
-        shift_recoveries(self.instance.initial_recovery(), &self.raw_rec, &mut self.recoveries);
     }
 
     fn refresh_candidate_vectors(&mut self, (lo, hi): (usize, usize)) {
@@ -100,16 +95,12 @@ impl<'a> ReferenceState<'a> {
                 }
             }
             CheckpointCostModel::LiveSetSum | CheckpointCostModel::LiveSetMax => {
-                self.cost_sweep.costs_into(
-                    self.model,
-                    self.instance,
-                    &self.order,
-                    &mut self.cand_ckpt,
-                    &mut self.raw_rec,
-                );
+                let fresh =
+                    self.cost_sweep.cost_order(self.model, self.instance, self.order.clone());
+                self.cand_ckpt = fresh.checkpoints().to_vec();
                 shift_recoveries(
                     self.instance.initial_recovery(),
-                    &self.raw_rec,
+                    fresh.recoveries(),
                     &mut self.cand_recoveries,
                 );
             }

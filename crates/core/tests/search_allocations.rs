@@ -1,9 +1,18 @@
-//! The allocation wall of the order search: its proposal loop allocates
-//! nothing. On a 72-task layered DAG (plan-mixed's 8 × 9 search shape),
-//! `schedule_dag_search` and `search_from_starts` make exactly as many heap
-//! allocations with 640 move proposals per start as with 64, under all
-//! three cost models, so every allocation they make belongs to the set-up
-//! or the final evaluation.
+//! The allocation walls of the order-costing path.
+//!
+//! * The order search's proposal loop allocates nothing: on a 72-task
+//!   layered DAG (plan-mixed's 8 × 9 search shape), `schedule_dag_search`
+//!   and `search_from_starts` make exactly as many heap allocations with 640
+//!   move proposals per start as with 64, under all three cost models, so
+//!   every allocation they make belongs to the set-up or the final
+//!   evaluation.
+//! * So does the heuristics' local search, which moves its orders through
+//!   the same state: `independent_tasks_heuristic` makes as many
+//!   allocations with one pass as with enough passes to improve further.
+//! * The table builders allocate per call, not per task:
+//!   `segment_cost_table`, `lambda_sweep_for_order`, `levelled_cost_table`
+//!   and `model_cost_table` under every model make as many allocations on a
+//!   10⁵-task order as on a 10³-task one.
 //!
 //! A counting global allocator tallies the allocations of the calling
 //! thread only (the searches run with `threads = 1`, on the test's own
@@ -16,9 +25,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ckpt_core::cost_model::CheckpointCostModel;
+use ckpt_core::dag_schedule::model_cost_table;
+use ckpt_core::evaluate::{lambda_sweep_for_order, levelled_cost_table, segment_cost_table};
+use ckpt_core::heuristics::independent_tasks_heuristic;
 use ckpt_core::order_search::{schedule_dag_search, search_from_starts, OrderSearchConfig};
 use ckpt_core::ProblemInstance;
-use ckpt_dag::{generators, linearize, LinearizationStrategy};
+use ckpt_dag::{generators, linearize, LinearizationStrategy, TaskId};
+use ckpt_expectation::storage::{StorageLevel, StorageLevels};
 use ckpt_failure::{Pcg64, RandomSource};
 
 thread_local! {
@@ -139,5 +152,97 @@ fn search_from_starts_allocates_nothing_per_proposal() {
             })
         });
         assert_eq!(counts[0], counts[1], "{model}: allocations at 64 and 640 steps");
+    }
+}
+
+/// Independent tasks with heterogeneous checkpoint costs, where the local
+/// search keeps finding swaps and toggles pass after pass.
+fn adversarial_independent_instance() -> ProblemInstance {
+    let mut rng = Pcg64::seed_from_u64(1);
+    let weights: Vec<f64> = (0..30).map(|_| 200.0 + rng.next_f64() * 1_000.0).collect();
+    let graph = generators::independent(&weights).unwrap();
+    ProblemInstance::builder(graph)
+        .checkpoint_costs((0..30).map(|_| rng.next_f64() * 400.0).collect())
+        .uniform_recovery_cost(50.0)
+        .platform_lambda(1.0 / 1_500.0)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn local_search_allocates_nothing_per_pass() {
+    let instance = adversarial_independent_instance();
+    independent_tasks_heuristic(&instance, 1).unwrap();
+    let mut improvements = [0; 2];
+    let counts = [1, 100].map(|passes| {
+        allocations_of(|| {
+            let found = independent_tasks_heuristic(&instance, passes).unwrap();
+            improvements[usize::from(passes == 100)] = found.improvements;
+        })
+    });
+    assert_eq!(counts[0], counts[1], "allocations at 1 and 100 passes");
+    assert!(improvements[1] > improvements[0], "more passes improved no further");
+}
+
+/// A layered DAG of `layers` layers of 10 tasks (edge density 0.3), with
+/// a non-zero `R₀`, and its id order.
+fn layered_order(layers: usize) -> (ProblemInstance, Vec<TaskId>) {
+    let mut rng = Pcg64::seed_from_u64(layers as u64);
+    let mut coins = rng.derive(2);
+    let graph = generators::layered_random(
+        &vec![10; layers],
+        |level, index| 100.0 + ((level * 7 + index * 13) % 29) as f64 * 30.0,
+        0.3,
+        move || coins.next_f64(),
+    )
+    .unwrap();
+    let n = graph.task_count();
+    let order = linearize::linearize(&graph, LinearizationStrategy::IdOrder);
+    let instance = ProblemInstance::builder(graph)
+        .checkpoint_costs((0..n).map(|_| 5.0 + rng.next_f64() * 55.0).collect())
+        .recovery_costs((0..n).map(|_| 5.0 + rng.next_f64() * 115.0).collect())
+        .initial_recovery(20.0)
+        .platform_lambda(1e-7)
+        .build()
+        .unwrap();
+    (instance, order)
+}
+
+/// The allocations of each table builder on `order`, by name.
+fn builder_allocations(instance: &ProblemInstance, order: &[TaskId]) -> Vec<(String, u64)> {
+    let levels = StorageLevels::two_level(
+        StorageLevel::new(0.25, 0.25).unwrap().with_slots(8),
+        StorageLevel::new(1.0, 1.0).unwrap(),
+    )
+    .unwrap();
+    let mut counts = vec![
+        (
+            "segment_cost_table".to_string(),
+            allocations_of(|| drop(segment_cost_table(instance, order).unwrap())),
+        ),
+        (
+            "lambda_sweep_for_order".to_string(),
+            allocations_of(|| drop(lambda_sweep_for_order(instance, order).unwrap())),
+        ),
+        (
+            "levelled_cost_table".to_string(),
+            allocations_of(|| drop(levelled_cost_table(instance, order, levels).unwrap())),
+        ),
+    ];
+    for model in MODELS {
+        let count = allocations_of(|| drop(model_cost_table(instance, order, model).unwrap()));
+        counts.push((format!("model_cost_table {model}"), count));
+    }
+    counts
+}
+
+#[test]
+fn table_builders_allocate_per_call_not_per_task() {
+    let (small, large) = (layered_order(100), layered_order(10_000));
+    assert_eq!((small.0.task_count(), large.0.task_count()), (1_000, 100_000));
+    let small = builder_allocations(&small.0, &small.1);
+    let large = builder_allocations(&large.0, &large.1);
+    for ((name, at_small), (_, at_large)) in small.iter().zip(&large) {
+        assert_eq!(at_small, at_large, "{name}: allocations at 10³ and 10⁵ tasks");
     }
 }

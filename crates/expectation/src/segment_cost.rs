@@ -31,11 +31,16 @@
 //!   answers every query through `exp_m1` (these instances have astronomically
 //!   large expected times anyway).
 //!
-//! Every table is built by [`SegmentCostTable::refill`] (`new` refills an
-//! empty one): it diffs its arguments against the inputs the table holds
-//! and recomputes only the entries whose inputs changed bits, so a caller
-//! that re-costs one order after small changes, like the order search after
-//! each window move, keeps one table and pays for what changed.
+//! Every λ-dependent entry of a table is computed by one full build, which
+//! [`SegmentCostTable::new`], a [`LambdaSweep`](crate::sweep::LambdaSweep)'s
+//! per-rate tables and a [`LevelledCostTable`](crate::storage::LevelledCostTable)'s
+//! per-level tables all go through. [`SegmentCostTable::refill`] (`new`
+//! refills an empty table) takes that build only when the rate, the
+//! downtime, the length or the saturation mode changes; otherwise it diffs
+//! its arguments against the inputs the table holds and recomputes only the
+//! entries whose inputs changed bits, so a caller that re-costs one order
+//! after small changes, like the order search after each window move, keeps
+//! one table and pays for what changed.
 //!
 //! The pruned Algorithm 1 recurrence stops a row at two lower bounds, each
 //! valid for every later checkpoint position:
@@ -216,7 +221,7 @@ impl SegmentCostTable {
     }
 
     /// A table of no positions: every refill of it rebuilds in full.
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         SegmentCostTable {
             lambda: f64::NAN,
             downtime: f64::NAN,
@@ -234,8 +239,7 @@ impl SegmentCostTable {
     }
 
     /// Rebuilds the table in place for new arguments: afterwards it is bit
-    /// for bit the table [`new`](SegmentCostTable::new) builds from them,
-    /// and this is the only code that builds one from raw inputs.
+    /// for bit the table [`new`](SegmentCostTable::new) builds from them.
     ///
     /// The table diffs the arguments against the inputs it holds, bit for
     /// bit, and redoes only what changed:
@@ -247,8 +251,11 @@ impl SegmentCostTable {
     ///   changed slope down, and stops at or below the lowest one as soon
     ///   as an entry equals its old value again (every entry below it then
     ///   does too);
-    /// * a change of `λ`, `D`, the length or the saturation mode rebuilds
-    ///   everything.
+    /// * a change of `λ`, `D`, the length or the saturation mode stores the
+    ///   arguments and rebuilds every λ-dependent entry, through the one
+    ///   full build that also makes the tables of a
+    ///   [`LambdaSweep`](crate::sweep::LambdaSweep) and a
+    ///   [`LevelledCostTable`](crate::storage::LevelledCostTable).
     ///
     /// Vectors the table shares with another (the per-rate tables of a
     /// [`LambdaSweep`](crate::sweep::LambdaSweep) share theirs) are copied
@@ -278,45 +285,38 @@ impl SegmentCostTable {
         let downtime = validate_positions(downtime, weights, checkpoints, recoveries)?;
         // The new prefix sums' total and the stretch `first..=last` of them
         // whose bits change, read off the stored prefix.
-        let (total_work, mut changed) = if n == self.len() {
+        let (total_work, changed) = if n == self.len() {
             self.resum(weights)
         } else {
-            (sum_weights(weights, |_| {}).0, Some((1, n)))
+            (sum_weights(weights, |_| {}).0, None)
         };
         let max_ckpt = largest(checkpoints);
         let lambda = check_order_rate(lambda, downtime, total_work, largest(recoveries), || {
             sum_weights(weights, |_| {}).1
         })?;
-        let saturated = is_saturated(lambda, total_work, max_ckpt);
-        let full = n != self.len()
+        if n != self.len()
             || lambda.to_bits() != self.lambda.to_bits()
             || downtime.to_bits() != self.downtime.to_bits()
-            || saturated != self.saturated;
-        if full {
-            for (stored, len) in
-                [(&mut self.prefix, n + 1), (&mut self.ckpt, n), (&mut self.recoveries, n)]
-            {
-                match Arc::get_mut(stored) {
-                    Some(buffer) => zeroed(buffer, len),
-                    None => *stored = Arc::new(vec![0.0; len]),
-                }
-            }
-            self.lambda = lambda;
-            self.downtime = downtime;
-            self.saturated = saturated;
-            self.size_derived(n);
-            changed = Some((1, n));
+            || is_saturated(lambda, total_work, max_ckpt) != self.saturated
+        {
+            let prefix = emptied(&mut self.prefix, n + 1);
+            prefix.push(0.0);
+            sum_weights(weights, |sum| prefix.push(sum));
+            emptied(&mut self.ckpt, n).extend_from_slice(checkpoints);
+            emptied(&mut self.recoveries, n).extend_from_slice(recoveries);
+            self.rebuild(lambda, downtime, max_ckpt);
+            return Ok(());
         }
         // Slopes `lo..=hi` (`e^{λ(prefix[j+1] + C_j)}`) changed.
-        let (mut lo, mut hi) = if full { (0, n - 1) } else { (n, 0) };
+        let (mut lo, mut hi) = (n, 0);
         if let Some((first, last)) = changed {
             let prefix = Arc::make_mut(&mut self.prefix);
             for k in first..=last {
                 // `prefix[k − 1]` holds the new sum already, written or kept.
                 let sum = prefix[k - 1] + weights[k - 1];
-                if full || sum.to_bits() != prefix[k].to_bits() {
+                if sum.to_bits() != prefix[k].to_bits() {
                     prefix[k] = sum;
-                    if !saturated {
+                    if !self.saturated {
                         (self.exp_prefix[k], self.inv_exp_prefix[k]) =
                             prefix_exponentials(lambda, sum);
                     }
@@ -326,9 +326,9 @@ impl SegmentCostTable {
         }
         let ckpt = Arc::make_mut(&mut self.ckpt);
         for (j, &cost) in checkpoints.iter().enumerate() {
-            if full || cost.to_bits() != ckpt[j].to_bits() {
+            if cost.to_bits() != ckpt[j].to_bits() {
                 ckpt[j] = cost;
-                if !saturated {
+                if !self.saturated {
                     self.exp_ckpt[j] = checkpoint_exponential(lambda, cost);
                 }
                 (lo, hi) = (lo.min(j), hi.max(j));
@@ -337,7 +337,7 @@ impl SegmentCostTable {
         let base = 1.0 / lambda + downtime;
         let stored = Arc::make_mut(&mut self.recoveries);
         for (x, &recovery) in recoveries.iter().enumerate() {
-            if full || recovery.to_bits() != stored[x].to_bits() {
+            if recovery.to_bits() != stored[x].to_bits() {
                 stored[x] = recovery;
                 self.coeff[x] = coefficient(lambda, base, recovery);
             }
@@ -384,38 +384,15 @@ impl SegmentCostTable {
         (stored[n], changed)
     }
 
-    /// Builds the table from already-validated data: `prefix` are the work
-    /// prefix sums (`n + 1` values, `prefix[0] = 0`), `checkpoints` and
-    /// `recoveries` the per-position costs, `max_ckpt` the largest checkpoint
-    /// cost. Used by [`crate::sweep::LambdaSweep`] to rebuild the table for a
-    /// new `λ` without re-validating, re-summing or copying the
-    /// λ-independent vectors (they are shared by `Arc`).
-    pub(crate) fn from_validated_parts(
-        lambda: f64,
-        downtime: f64,
-        prefix: &Arc<Vec<f64>>,
-        checkpoints: &Arc<Vec<f64>>,
-        recoveries: &Arc<Vec<f64>>,
-        max_ckpt: f64,
-    ) -> Self {
-        let mut table = SegmentCostTable::empty();
-        table.rebuild_from_validated_parts(
-            lambda,
-            downtime,
-            prefix,
-            checkpoints,
-            recoveries,
-            max_ckpt,
-        );
-        table
-    }
-
-    /// [`from_validated_parts`](SegmentCostTable::from_validated_parts)
-    /// into this table: the order's vectors are replaced unless the table
-    /// already shares them (refilling a table at a new rate then touches no
-    /// reference count, which every worker's tables of one sweep share),
-    /// and every λ-dependent entry is recomputed in its existing buffer,
-    /// with [`refill`](SegmentCostTable::refill)'s formulas.
+    /// Makes this table the order `prefix` (the work prefix sums, `n + 1`
+    /// values, `prefix[0] = 0`), `checkpoints` and `recoveries` at rate
+    /// `lambda`, from already-validated data: `max_ckpt` is the largest
+    /// checkpoint cost. Used by [`crate::sweep::LambdaSweep`] and
+    /// [`crate::storage::LevelledCostTable`] to build a table without
+    /// re-validating, re-summing or copying the λ-independent vectors: the
+    /// table shares them by `Arc`, and keeps the ones it already shares
+    /// (refilling a table at a new rate then touches no reference count,
+    /// which every worker's tables of one sweep share).
     pub(crate) fn rebuild_from_validated_parts(
         &mut self,
         lambda: f64,
@@ -434,30 +411,19 @@ impl SegmentCostTable {
                 *stored = Arc::clone(shared);
             }
         }
-        let n = checkpoints.len();
-        self.lambda = lambda;
-        self.downtime = downtime;
-        self.saturated = is_saturated(lambda, prefix[n], max_ckpt);
-        self.size_derived(n);
-        let base = 1.0 / lambda + downtime;
-        for (slot, &recovery) in self.coeff.iter_mut().zip(recoveries.iter()) {
-            *slot = coefficient(lambda, base, recovery);
-        }
-        if !self.saturated {
-            for (k, &sum) in prefix.iter().enumerate() {
-                (self.exp_prefix[k], self.inv_exp_prefix[k]) = prefix_exponentials(lambda, sum);
-            }
-            for (slot, &cost) in self.exp_ckpt.iter_mut().zip(checkpoints.iter()) {
-                *slot = checkpoint_exponential(lambda, cost);
-            }
-        }
-        self.refresh_suffix_minima(0, n - 1);
+        self.rebuild(lambda, downtime, max_ckpt);
     }
 
-    /// Sizes the λ-dependent vectors for `n` positions in the current
-    /// saturation mode (the precomputed exponentials are empty when
-    /// saturated), with `e^{±λ·prefix[0]}` in place.
-    fn size_derived(&mut self, n: usize) {
+    /// The one full build: recomputes every λ-dependent entry of the
+    /// stored order at rate `lambda` and downtime `downtime` (the
+    /// coefficients, the precomputed exponentials, none when saturated, and
+    /// the two suffix-minimum vectors), each in its existing buffer.
+    /// `max_ckpt` is the largest stored checkpoint cost.
+    fn rebuild(&mut self, lambda: f64, downtime: f64, max_ckpt: f64) {
+        let n = self.len();
+        self.lambda = lambda;
+        self.downtime = downtime;
+        self.saturated = is_saturated(lambda, self.prefix[n], max_ckpt);
         let exponentials = if self.saturated { 0 } else { n };
         zeroed(&mut self.coeff, n);
         zeroed(&mut self.min_log_slope_suffix, n);
@@ -465,9 +431,19 @@ impl SegmentCostTable {
         zeroed(&mut self.min_slope_suffix, exponentials);
         zeroed(&mut self.exp_prefix, exponentials + usize::from(!self.saturated));
         zeroed(&mut self.inv_exp_prefix, exponentials + usize::from(!self.saturated));
-        if !self.saturated {
-            (self.exp_prefix[0], self.inv_exp_prefix[0]) = prefix_exponentials(self.lambda, 0.0);
+        let base = 1.0 / lambda + downtime;
+        for (slot, &recovery) in self.coeff.iter_mut().zip(self.recoveries.iter()) {
+            *slot = coefficient(lambda, base, recovery);
         }
+        if !self.saturated {
+            for (k, &sum) in self.prefix.iter().enumerate() {
+                (self.exp_prefix[k], self.inv_exp_prefix[k]) = prefix_exponentials(lambda, sum);
+            }
+            for (slot, &cost) in self.exp_ckpt.iter_mut().zip(self.ckpt.iter()) {
+                *slot = checkpoint_exponential(lambda, cost);
+            }
+        }
+        self.refresh_suffix_minima(0, n - 1);
     }
 
     /// Restores the two suffix-minimum vectors after the slopes `lo..=hi`
@@ -549,15 +525,9 @@ impl SegmentCostTable {
     /// segment's exponent (see `SMALL_EXPONENT`): `10⁻¹³` on short tables,
     /// but up to `3·10⁻¹¹` for segments near `z = 10⁻²` on a table whose
     /// `λ·prefix[n]` nears the saturation edge of 650.
+    #[inline]
     pub fn cost(&self, x: usize, j: usize) -> f64 {
-        debug_assert!(x <= j && j < self.len());
-        let z = self.lambda * (self.work(x, j) + self.ckpt[j]);
-        if self.saturated || z < SMALL_EXPONENT {
-            self.coeff[x] * z.exp_m1()
-        } else {
-            self.coeff[x]
-                * (self.exp_prefix[j + 1] * self.inv_exp_prefix[x] * self.exp_ckpt[j] - 1.0)
-        }
+        self.cost_with_coefficient(x, j, self.coeff[x])
     }
 
     /// The coefficient `e^{λR_x}(1/λ + D)` of segments starting at `x`.
@@ -580,6 +550,7 @@ impl SegmentCostTable {
     /// collapse rests on.
     ///
     /// [`cost`]: SegmentCostTable::cost
+    #[inline]
     pub fn cost_with_coefficient(&self, x: usize, j: usize, coefficient: f64) -> f64 {
         debug_assert!(x <= j && j < self.len());
         let z = self.lambda * (self.work(x, j) + self.ckpt[j]);
@@ -598,6 +569,7 @@ impl SegmentCostTable {
     /// [`segment_lower_bound`] when `coefficient == self.coefficient(x)`.
     ///
     /// [`segment_lower_bound`]: SegmentCostTable::segment_lower_bound
+    #[inline]
     pub fn segment_lower_bound_with_coefficient(
         &self,
         x: usize,
@@ -662,13 +634,9 @@ impl SegmentCostTable {
     ///
     /// [`cost`]: SegmentCostTable::cost
     /// [`suffix_lower_bound_with_coefficient`]: SegmentCostTable::suffix_lower_bound_with_coefficient
+    #[inline]
     pub fn segment_lower_bound(&self, x: usize, j: usize) -> f64 {
-        debug_assert!(x <= j && j < self.len());
-        if self.saturated {
-            self.coeff[x] * (self.min_log_slope_suffix[j] - self.lambda * self.prefix[x]).exp_m1()
-        } else {
-            self.coeff[x] * (self.min_slope_suffix[j] * self.inv_exp_prefix[x] - 1.0)
-        }
+        self.segment_lower_bound_with_coefficient(x, j, self.coeff[x])
     }
 
     /// A lower bound on `cost_with_coefficient(x, j′, coefficient) + E(j′+1)`
@@ -1132,6 +1100,18 @@ fn coefficient(lambda: f64, base: f64, recovery: f64) -> f64 {
 fn zeroed(buffer: &mut Vec<f64>, len: usize) {
     buffer.clear();
     buffer.resize(len, 0.0);
+}
+
+/// The table's own vector behind `stored`, emptied, with room for
+/// `capacity` values: a vector shared with another table is left to it.
+fn emptied(stored: &mut Arc<Vec<f64>>, capacity: usize) -> &mut Vec<f64> {
+    if Arc::get_mut(stored).is_none() {
+        *stored = Arc::new(Vec::new());
+    }
+    let buffer = Arc::get_mut(stored).expect("the table owns the vector");
+    buffer.clear();
+    buffer.reserve(capacity);
+    buffer
 }
 
 /// Restores `minima[j] = min(slope(j), slope(j + 1), …)` after the slopes

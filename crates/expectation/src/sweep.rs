@@ -156,14 +156,9 @@ impl LambdaSweep {
     /// Returns an [`ExpectationError`] if `lambda` fails
     /// [`check_rate`](LambdaSweep::check_rate).
     pub fn table_for(&self, lambda: f64) -> Result<SegmentCostTable, ExpectationError> {
-        Ok(SegmentCostTable::from_validated_parts(
-            self.check_rate(lambda)?,
-            self.bounds.downtime,
-            &self.prefix,
-            &self.checkpoints,
-            &self.recoveries,
-            self.bounds.max_ckpt,
-        ))
+        let mut table = SegmentCostTable::empty();
+        self.table_into(lambda, &mut table)?;
+        Ok(table)
     }
 
     /// [`table_for`](LambdaSweep::table_for), built into `table` (a table of

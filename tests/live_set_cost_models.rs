@@ -1,12 +1,22 @@
-//! Cross-crate property test of the §6 live-set cost models: the
-//! incremental `O(n + E)` sweep ([`CheckpointCostModel::costs_along_order`])
-//! must match the recomputing reference path position by position on random
-//! layered DAGs.
+//! Cross-crate property tests of the one path from an execution order to
+//! its cost table.
+//!
+//! The §6 live-set cost models: the incremental `O(n + E)` sweep
+//! ([`LiveSetCostSweep::cost_order`]) must match the recomputing reference
+//! path position by position on random layered DAGs.
 //!
 //! The window updates are held to the same sweep: after a precedence-
 //! preserving move, [`LiveSetCostSweep::apply_move`] must leave a
 //! [`CostedOrder`] bit for bit what a fresh sweep of the new order gives,
 //! under every model, and change nothing outside the range it reports.
+//!
+//! Every builder of one order's table gives one table, bit for bit:
+//! `segment_cost_table`, `model_cost_table` at the per-last-task model, a
+//! `LambdaSweep`'s table at the instance's rate and a single-level
+//! `LevelledCostTable`'s, all equal to `SegmentCostTable::new` over the
+//! paper's vectors transcribed from the instance; under the live-set
+//! models, `model_cost_table` equals `SegmentCostTable::new` over a fresh
+//! sweep's vectors.
 //!
 //! Migrated from `ckpt-core`'s `cost_model::sweep_properties` unit tests
 //! when the random-instance generator moved to the shared
@@ -16,9 +26,15 @@
 
 use ckpt_bench::testgen::random_layered_proptest_case as random_dag_case;
 use ckpt_workflows::core::cost_model::{CheckpointCostModel, CostedOrder, LiveSetCostSweep};
+use ckpt_workflows::core::dag_schedule::model_cost_table;
+use ckpt_workflows::core::evaluate::{
+    lambda_sweep_for_order, levelled_cost_table, segment_cost_table,
+};
 use ckpt_workflows::core::ProblemInstance;
 use ckpt_workflows::dag::neighborhood::{is_valid_move, OrderMove};
 use ckpt_workflows::dag::{generators, linearize, LinearizationStrategy, TaskId};
+use ckpt_workflows::expectation::segment_cost::SegmentCostTable;
+use ckpt_workflows::expectation::storage::StorageLevels;
 use ckpt_workflows::failure::{Pcg64, RandomSource};
 use proptest::prelude::*;
 
@@ -35,7 +51,8 @@ proptest! {
     fn prop_incremental_matches_recomputing_path(seed in any::<u64>()) {
         let (inst, order) = random_dag_case(seed);
         for model in ALL_MODELS {
-            let (ckpt, rec) = model.costs_along_order(&inst, &order);
+            let costed = LiveSetCostSweep::new(inst.graph()).cost_order(model, &inst, order.clone());
+            let (ckpt, rec) = (costed.checkpoints(), costed.recoveries());
             prop_assert_eq!(ckpt.len(), order.len());
             for pos in 0..order.len() {
                 let c_ref = model.checkpoint_cost(&inst, &order, pos);
@@ -98,10 +115,6 @@ fn random_move(rng: &mut Pcg64, n: usize) -> OrderMove {
     }
 }
 
-fn bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
 /// Bit-for-bit equality: `Debug` prints every `f64` with the shortest
 /// digits that round-trip it.
 fn same_bits(a: &CostedOrder, b: &CostedOrder) -> bool {
@@ -121,7 +134,6 @@ fn walk_moves(
     let mut rng = Pcg64::seed_from_u64(seed);
     let mut sweep = LiveSetCostSweep::new(instance.graph());
     let mut costed = sweep.cost_order(model, instance, order.to_vec());
-    let (mut fresh_ckpt, mut fresh_rec) = (Vec::new(), Vec::new());
     let mut drifted = 0;
     for step in 0..80 {
         let mv = random_move(&mut rng, n);
@@ -135,9 +147,6 @@ fn walk_moves(
         drifted += usize::from(changed.end > hi + 1);
         let fresh = sweep.cost_order(model, instance, costed.order().to_vec());
         prop_assert!(same_bits(&costed, &fresh), "{} step {}: {:?}", model, step, mv);
-        sweep.costs_into(model, instance, costed.order(), &mut fresh_ckpt, &mut fresh_rec);
-        prop_assert!(bits(costed.checkpoints()) == bits(&fresh_ckpt), "{} step {}", model, step);
-        prop_assert!(bits(costed.recoveries()) == bits(&fresh_rec), "{} step {}", model, step);
         for p in (0..lo).chain(changed.end..n) {
             prop_assert!(costed.checkpoints()[p].to_bits() == before.checkpoints()[p].to_bits());
             prop_assert!(costed.recoveries()[p].to_bits() == before.recoveries()[p].to_bits());
@@ -183,4 +192,92 @@ fn live_set_sums_drift_past_the_window() {
         .map(|seed| walk_moves(&instance, &order, CheckpointCostModel::LiveSetSum, seed).unwrap())
         .sum();
     assert!(drifted > 0, "no update ran past its window");
+}
+
+/// A random layered DAG with heterogeneous costs, a non-zero `R₀` and
+/// downtime, and a rate log-uniform in 10⁻⁶ … 10⁻¹ (saturated tables
+/// included), with a random order of it.
+fn table_case(seed: u64) -> (ProblemInstance, Vec<TaskId>) {
+    let mut rng = Pcg64::seed_from_u64(seed);
+    let layers: Vec<usize> =
+        (0..2 + rng.next_u64() % 5).map(|_| 1 + (rng.next_u64() % 6) as usize).collect();
+    let mut weights = rng.derive(1);
+    let mut coins = rng.derive(2);
+    let graph = generators::layered_random(
+        &layers,
+        |_, _| 50.0 + weights.next_f64() * 950.0,
+        0.4,
+        move || coins.next_f64(),
+    )
+    .unwrap();
+    let n = graph.task_count();
+    let order = linearize::linearize(&graph, LinearizationStrategy::Random(seed));
+    let instance = ProblemInstance::builder(graph)
+        .checkpoint_costs((0..n).map(|_| rng.next_f64() * 80.0).collect())
+        .recovery_costs((0..n).map(|_| rng.next_f64() * 120.0).collect())
+        .initial_recovery(5.0 + rng.next_f64() * 40.0)
+        .downtime(rng.next_f64() * 30.0)
+        .platform_lambda(1e-6 * 1e5f64.powf(rng.next_f64()))
+        .build()
+        .unwrap();
+    (instance, order)
+}
+
+/// Bit-for-bit equality of two tables.
+fn same_table(a: &SegmentCostTable, b: &SegmentCostTable) -> bool {
+    a == b && format!("{a:?}") == format!("{b:?}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every builder of one order's table returns the table of the paper's
+    /// vectors, bit for bit (see the module docs).
+    #[test]
+    fn prop_every_builder_of_an_order_gives_one_table(seed in any::<u64>()) {
+        let (instance, order) = table_case(seed);
+        let (lambda, downtime) = (instance.lambda(), instance.downtime());
+        let weights: Vec<f64> = order.iter().map(|&t| instance.weight(t)).collect();
+        let checkpoints: Vec<f64> = order.iter().map(|&t| instance.checkpoint_cost(t)).collect();
+        let recoveries: Vec<f64> = std::iter::once(instance.initial_recovery())
+            .chain(order[..order.len() - 1].iter().map(|&t| instance.recovery_cost(t)))
+            .collect();
+        let paper = SegmentCostTable::new(lambda, downtime, &weights, &checkpoints, &recoveries)
+            .unwrap();
+        let built = [
+            ("segment_cost_table", segment_cost_table(&instance, &order).unwrap()),
+            (
+                "model_cost_table",
+                model_cost_table(&instance, &order, CheckpointCostModel::PerLastTask).unwrap(),
+            ),
+            (
+                "lambda_sweep_for_order",
+                lambda_sweep_for_order(&instance, &order).unwrap().table_for(lambda).unwrap(),
+            ),
+            (
+                "levelled_cost_table",
+                levelled_cost_table(&instance, &order, StorageLevels::single())
+                    .unwrap()
+                    .table(0)
+                    .clone(),
+            ),
+        ];
+        for (name, table) in &built {
+            prop_assert!(same_table(table, &paper), "{} differs from the paper's table", name);
+        }
+        for model in [CheckpointCostModel::LiveSetSum, CheckpointCostModel::LiveSetMax] {
+            let costed =
+                LiveSetCostSweep::new(instance.graph()).cost_order(model, &instance, order.clone());
+            let swept = SegmentCostTable::new(
+                lambda,
+                downtime,
+                costed.weights(),
+                costed.checkpoints(),
+                costed.protecting_recoveries(),
+            )
+            .unwrap();
+            let table = model_cost_table(&instance, &order, model).unwrap();
+            prop_assert!(same_table(&table, &swept), "{}", model);
+        }
+    }
 }
