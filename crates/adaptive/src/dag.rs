@@ -42,14 +42,14 @@
 
 use std::sync::Arc;
 
-use ckpt_core::cost_model::{CheckpointCostModel, LiveSetCostSweep};
+use ckpt_core::cost_model::{order_costs, CheckpointCostModel};
 use ckpt_core::order_search::{
     default_start_strategies, schedule_dag_search, search_from_starts, OrderSearchConfig,
     SeededSearchOutcome,
 };
 use ckpt_core::ProblemInstance;
 use ckpt_dag::subgraph::{suffix_subgraph, SuffixSubgraph};
-use ckpt_dag::{linearize, topo, TaskId};
+use ckpt_dag::{linearize, TaskId};
 use ckpt_expectation::sweep::LambdaSweep;
 use ckpt_simulator::{ChainTask, Decision, DecisionContext, Policy};
 
@@ -194,18 +194,13 @@ pub fn optimal_static_dag_plan(
 /// rate estimate in `O(n)`, plus the protecting recoveries
 /// (`protecting[x]` protects a segment that starts at position `x`) the
 /// suffix re-linearisation reads its initial recovery from. Both come from
-/// one [`CostedOrder`](ckpt_core::cost_model::CostedOrder). `order` must be
-/// a topological order of the spec graph.
+/// one [`order_costs`] sweep, which rejects an `order` that is not a
+/// topological order of the spec graph.
 fn order_sweep(spec: &DagSpec, order: &[TaskId]) -> Result<(LambdaSweep, Vec<f64>), AdaptiveError> {
-    let instance = spec.instance();
-    if !topo::is_topological_order(instance.graph(), order) {
-        return Err(ckpt_core::ScheduleError::InvalidOrder.into());
-    }
-    let costed =
-        LiveSetCostSweep::new(instance.graph()).cost_order(spec.model(), instance, order.to_vec());
-    let protecting = costed.protecting_recoveries();
+    let costs = order_costs(spec.instance(), order, spec.model())?;
+    let protecting = costs.protecting_recoveries();
     let sweep =
-        LambdaSweep::new(spec.downtime(), costed.weights(), costed.checkpoints(), protecting)?;
+        LambdaSweep::new(spec.downtime(), costs.weights(), costs.checkpoints(), protecting)?;
     Ok((sweep, protecting.to_vec()))
 }
 
@@ -495,6 +490,7 @@ pub fn compare_dag_policies(
 mod tests {
     use super::*;
     use crate::checkpoint_positions;
+    use ckpt_dag::topo;
     use ckpt_simulator::stream::{NoFailureStream, ScriptedStream};
     use ckpt_simulator::{simulate_dag_policy, PolicyExecutionRecord};
     use ckpt_telemetry::{NoopSink, RingBufferSink};

@@ -124,9 +124,9 @@ fn search_trials(instance: &ProblemInstance, trials: usize) -> Vec<TrialInputs> 
         let before = costed.clone();
         let changed = sweep.apply_move(instance, &mut costed, &mv);
         inputs.push((
-            costed.weights().to_vec(),
-            costed.checkpoints().to_vec(),
-            costed.protecting_recoveries().to_vec(),
+            costed.costs().weights().to_vec(),
+            costed.costs().checkpoints().to_vec(),
+            costed.costs().protecting_recoveries().to_vec(),
         ));
         if rng.next_u64().is_multiple_of(2) {
             costed.copy_range_from(&before, changed);

@@ -49,6 +49,8 @@
 //! these against; every formulation is cross-checked against the others and
 //! against exhaustive search in the tests below.
 
+use std::cmp::Ordering;
+
 use ckpt_dag::{properties, TaskId};
 use ckpt_expectation::segment_cost::SegmentCostTable;
 use ckpt_expectation::storage::{LevelledCostTable, StorageLevels};
@@ -202,6 +204,43 @@ impl DpTally {
     }
 }
 
+impl std::ops::AddAssign for DpTally {
+    fn add_assign(&mut self, other: DpTally) {
+        self.positions += other.positions;
+        self.candidates += other.candidates;
+        self.prune_breaks += other.prune_breaks;
+    }
+}
+
+/// The work of a [`ResumableDp`]'s [`try_prefix`](ResumableDp::try_prefix)
+/// trials, tallied in the state and flushed to [`solver_stats`] once, when
+/// the state is dropped: an order search runs thousands of trials per run,
+/// on workers that would otherwise contend for the counters' cache lines
+/// five times per trial. A clone starts from nothing, so every trial is
+/// flushed once.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct TrialTally {
+    trials: u64,
+    reused_positions: u64,
+    dp: DpTally,
+}
+
+impl Clone for TrialTally {
+    fn clone(&self) -> Self {
+        TrialTally::default()
+    }
+}
+
+impl Drop for TrialTally {
+    fn drop(&mut self) {
+        if self.trials > 0 {
+            solver_stats::PREFIX_TRIALS.add(self.trials);
+            solver_stats::SUFFIX_REUSED_POSITIONS.add(self.reused_positions);
+            self.dp.flush();
+        }
+    }
+}
+
 /// The pruned recurrence over the whole of `table`, in `scratch`'s DP
 /// buffers: the exact `O(n²)` solve behind [`optimal_chain_schedule`] and
 /// the small/saturated branch of
@@ -269,8 +308,10 @@ pub struct ResumableDp {
     trial_pending: bool,
     len: usize,
     /// The work of the last span solved (by `solve`, `try_prefix` or
-    /// `solve_suffix`), kept as it is flushed to [`solver_stats`].
+    /// `solve_suffix`).
     tally: DpTally,
+    /// The trials' work, not yet flushed to [`solver_stats`].
+    trials: TrialTally,
 }
 
 impl Default for ResumableDp {
@@ -284,6 +325,7 @@ impl Default for ResumableDp {
             trial_pending: false,
             len: 0,
             tally: DpTally::default(),
+            trials: TrialTally::default(),
         }
     }
 }
@@ -323,6 +365,10 @@ impl ResumableDp {
     /// commit swaps the two, which keeps that true), so a trial copies back
     /// only the part of that stretch it does not overwrite itself.
     ///
+    /// The trials' work reaches [`solver_stats`] when the state is dropped,
+    /// not per trial ([`solve`](ResumableDp::solve) and
+    /// [`solve_suffix`](ResumableDp::solve_suffix) flush per call).
+    ///
     /// # Panics
     ///
     /// Panics if no solve was committed or `table` has a different length.
@@ -342,10 +388,10 @@ impl ResumableDp {
             self.trial_choice.clone_from(&self.choice);
         }
         self.trial_stale = below;
-        solver_stats::PREFIX_TRIALS.add(1);
-        solver_stats::SUFFIX_REUSED_POSITIONS.add((n - below) as u64);
         self.tally = pruned_dp_span(table, &mut self.trial_value, &mut self.trial_choice, 0, below);
-        self.tally.flush();
+        self.trials.trials += 1;
+        self.trials.reused_positions += (n - below) as u64;
+        self.trials.dp += self.tally;
         self.trial_pending = true;
         self.trial_value[0]
     }
@@ -828,10 +874,12 @@ const DP_BLOCK: usize = 1024;
 /// the DP state of both kernels, and the blocked kernel's position orders,
 /// block-local Li Chao buffers and envelope hull.
 ///
-/// A blocked solve keeps about 70 bytes per position here: six `f64`/`usize`
+/// A blocked solve keeps about 74 bytes per position here: six `f64`/`usize`
 /// arrays (query points, slopes, DP values and choices, cross-range minima),
 /// two `u32` position orders and their spill half, and a hull of up to
-/// `n / 2` lines; the Li Chao domain, tree and ranks are block-sized. A solve
+/// `n / 2` lines of 32 bytes; the Li Chao domain, tree and ranks are
+/// block-sized. The orders are sorted in place, so nothing else grows with
+/// `n`. A solve
 /// without an arena allocates all of it afresh (tens of megabytes at
 /// `n = 10⁶`) and page-faults it in. Batch consumers (λ sweeps, the order
 /// search, the §6 batch planner) reuse one arena across every solve; a fresh
@@ -876,7 +924,10 @@ pub struct ChainDpScratch {
     rank: Vec<u32>,
     domain: Vec<f64>,
     tree: LiChaoTree,
-    hull: Vec<(f64, f64, usize)>,
+    hull: Vec<HullLine>,
+    /// How the last blocked solve's sorts (its point order and each block's
+    /// slope order) finished.
+    sorts: SortTally,
 }
 
 impl ChainDpScratch {
@@ -901,9 +952,13 @@ const SCALABLE_THRESHOLD: usize = 1024;
 ///   overflows), the exact pruned DP;
 /// * otherwise the **blocked kernel**, a divide and conquer over index space
 ///   so `10⁵`–`10⁶`-position tables stream through cache-sized working sets,
-///   in `O(n log n)` time: one sort orders the positions by query point, and
-///   every range of the recursion reads its positions in point and in slope
-///   order from a split of its parent's order and a merge of its halves'.
+///   in `O(n log n)` time: the positions are ordered once by query point,
+///   and every range of the recursion reads its positions in point and in
+///   slope order from a split of its parent's order and a merge of its
+///   halves'. Query points fall and slopes rise along the order up to cost
+///   jitter, so the point order and each block's slope order are finished
+///   by an insertion pass from descending positions, which hands off to a
+///   comparison sort once the jitter makes it move too much.
 ///   Trailing blocks of 1 024 positions are solved with a block-local Li
 ///   Chao sweep whose tree spans only the block's query points; once a
 ///   suffix range is solved, its candidate lines are batched into a monotone
@@ -946,9 +1001,17 @@ fn blocked_placement_with_block(table: &SegmentCostTable, block: usize) -> Table
 /// block and merged bottom-up once both halves of a range are solved. Ties
 /// go by position in both, the order a stable per-range sort gives, so the
 /// envelopes see the same sequences, and the placement, its value and the
-/// Li Chao counts do not depend on how the orders were obtained. One
-/// `O(n log n)` sort, `O(n)` work per recursion level and `O(n log B)` in
-/// the blocks make the solve `O(n log n)`.
+/// Li Chao counts do not depend on how the orders were obtained.
+///
+/// Query points `e^{λR_x}(1/λ + D)·e^{−λ·prefix[x]}` fall and slopes
+/// `e^{λ(prefix[j+1] + C_j)}` rise with the position, except where recovery
+/// or checkpoint costs vary by more than the work between two positions. So
+/// both sorts start from descending positions and run [`sort_positions`]'s
+/// insertion pass, which moves each position only past the ones it is out
+/// of order with; it hands off to a comparison sort once it has moved
+/// [`INSERTION_MOVES_PER_POSITION`] times as many positions as it sorts.
+/// Either way the sorts cost `O(n log n)` at most; `O(n)` work per recursion
+/// level and `O(n log B)` in the blocks make the solve `O(n log n)`.
 ///
 /// The Li Chao tree's tallies cover this solve only: they are cleared when
 /// it starts, flushed to [`solver_stats`] when it ends, and stay readable in
@@ -981,8 +1044,11 @@ fn blocked_placement_with_block_into(
     scratch.cross_id.resize(n, usize::MAX);
     let points = &scratch.points;
     scratch.by_point.clear();
-    scratch.by_point.extend(0..positions);
-    scratch.by_point.sort_by(|&a, &b| points[a as usize].total_cmp(&points[b as usize]));
+    scratch.by_point.extend((0..positions).rev());
+    scratch.sorts = SortTally::default();
+    scratch.sorts.add(sort_positions(&mut scratch.by_point, |&a, &b| {
+        points[a as usize].total_cmp(&points[b as usize]).then(a.cmp(&b))
+    }));
     scratch.by_slope.clear();
     scratch.by_slope.resize(n, 0);
     scratch.tree.clear_counts();
@@ -1006,7 +1072,8 @@ fn blocked_placement_with_block_into(
         rank: &'a mut Vec<u32>,
         domain: &'a mut Vec<f64>,
         tree: &'a mut LiChaoTree,
-        hull: &'a mut Vec<(f64, f64, usize)>,
+        hull: &'a mut Vec<HullLine>,
+        sorts: &'a mut SortTally,
     }
 
     impl BlockedDp<'_> {
@@ -1074,7 +1141,8 @@ fn blocked_placement_with_block_into(
         /// accumulated cross-range minima. The block's point order,
         /// deduplicated, is the tree's domain, and each position's place in
         /// it is the index its query reads. Once solved, the block's lines
-        /// are sorted into slope order for the merges above it.
+        /// are sorted into slope order, from descending positions, for the
+        /// merges above it.
         fn solve_block(&mut self, lo: usize, hi: usize) {
             self.domain.clear();
             self.rank.clear();
@@ -1108,10 +1176,12 @@ fn blocked_placement_with_block_into(
             }
             let slopes = self.slopes;
             let lines = &mut self.by_slope[lo..hi];
-            lines.copy_from_slice(&self.by_point[lo..hi]);
-            lines.sort_unstable_by(|&a, &b| {
+            for (slot, j) in lines.iter_mut().zip((lo as u32..hi as u32).rev()) {
+                *slot = j;
+            }
+            self.sorts.add(sort_positions(lines, |&a, &b| {
                 slopes[b as usize].total_cmp(&slopes[a as usize]).then(a.cmp(&b))
-            });
+            }));
         }
 
         /// Batches the lines of the solved range `mid..hi` into a monotone
@@ -1119,7 +1189,8 @@ fn blocked_placement_with_block_into(
         /// in point order, one forward sweep over each) and folds the
         /// per-point minima into the cross-range candidates of `lo..mid`.
         /// Both orders are already at hand, so everything is a sequential
-        /// scan — no sort, no tree.
+        /// scan — no sort, no tree. Each hull line keeps its crossover with
+        /// the line below it, so a pop test divides once.
         fn apply_cross(&mut self, lo: usize, mid: usize, hi: usize) {
             // Envelope construction, slope-descending (the minimum's winner
             // as the query point grows moves towards smaller slopes).
@@ -1130,34 +1201,37 @@ fn blocked_placement_with_block_into(
                 // A run of equal slopes offers one line: its lowest
                 // intercept, the first (lowest position) on ties.
                 let j = lines[k] as usize;
-                let mut line = (self.slopes[j], self.value[j + 1], j);
+                let mut line =
+                    LiChaoLine { slope: self.slopes[j], intercept: self.value[j + 1], id: j };
                 k += 1;
                 while let Some(&next) = lines.get(k) {
                     let j = next as usize;
-                    if self.slopes[j] != line.0 {
+                    if self.slopes[j] != line.slope {
                         break;
                     }
-                    if self.value[j + 1].total_cmp(&line.1).is_lt() {
-                        line = (line.0, self.value[j + 1], j);
+                    if self.value[j + 1].total_cmp(&line.intercept).is_lt() {
+                        line = LiChaoLine { intercept: self.value[j + 1], id: j, ..line };
                     }
                     k += 1;
                 }
                 while self.hull.len() >= 2 {
-                    let a = self.hull[self.hull.len() - 2];
+                    let a = self.hull[self.hull.len() - 2].line;
                     let b = self.hull[self.hull.len() - 1];
                     // `b` never strictly wins if the a/line crossover is not
-                    // to the right of the a/b crossover (slopes strictly
-                    // decrease along the hull, so both denominators are
-                    // positive).
-                    let x_ab = (b.1 - a.1) / (a.0 - b.0);
-                    let x_al = (line.1 - a.1) / (a.0 - line.0);
-                    if x_al <= x_ab {
+                    // to the right of the a/b crossover, stored with `b`
+                    // when it was pushed (slopes strictly decrease along
+                    // the hull, so both denominators are positive).
+                    let x_al = (line.intercept - a.intercept) / (a.slope - line.slope);
+                    if x_al <= b.crossover {
                         self.hull.pop();
                     } else {
                         break;
                     }
                 }
-                self.hull.push(line);
+                let crossover = self.hull.last().map_or(f64::NEG_INFINITY, |b| {
+                    (line.intercept - b.line.intercept) / (b.line.slope - line.slope)
+                });
+                self.hull.push(HullLine { line, crossover });
             }
 
             // Queries in ascending point order: the winning hull index only
@@ -1167,15 +1241,14 @@ fn blocked_placement_with_block_into(
                 let x = x as usize;
                 let t = self.points[x];
                 while k + 1 < self.hull.len()
-                    && self.hull[k + 1].0 * t + self.hull[k + 1].1
-                        <= self.hull[k].0 * t + self.hull[k].1
+                    && self.hull[k + 1].line.eval(t) <= self.hull[k].line.eval(t)
                 {
                     k += 1;
                 }
-                let candidate = self.hull[k].0 * t + self.hull[k].1;
+                let candidate = self.hull[k].line.eval(t);
                 if self.cross_id[x] == usize::MAX || candidate < self.cross_val[x] {
                     self.cross_val[x] = candidate;
-                    self.cross_id[x] = self.hull[k].2;
+                    self.cross_id[x] = self.hull[k].line.id;
                 }
             }
         }
@@ -1195,6 +1268,7 @@ fn blocked_placement_with_block_into(
         domain,
         tree,
         hull,
+        sorts,
     } = scratch;
     let mut dp = BlockedDp {
         table,
@@ -1212,6 +1286,7 @@ fn blocked_placement_with_block_into(
         domain,
         tree,
         hull,
+        sorts,
     };
     dp.solve(0, n);
     dp.tree.flush_counts();
@@ -1222,8 +1297,70 @@ fn blocked_placement_with_block_into(
     TablePlacement { expected_makespan, checkpoint_positions: positions }
 }
 
-/// A candidate line of the lower envelope: `eval(t) = slope·t + intercept`,
-/// tagged with the checkpoint position it represents.
+/// How many positions [`sort_positions`]'s insertion pass may move, per
+/// position it sorts, before it hands off to a comparison sort. The blocked
+/// kernel's orders need a few hundredths of a move per position on chains
+/// whose costs vary less than their work (plan-large's: 0.03 for the point
+/// order, 0.007 for the slope orders), so insertion finishes them; where
+/// the costs' jitter dwarfs the work, the pass gives up after `O(n)` moves.
+const INSERTION_MOVES_PER_POSITION: usize = 8;
+
+/// Sorts `positions` in place by `compare`, a total order (the kernel's
+/// break ties by position, so any sort gives the same result). An insertion
+/// pass moves each position back past those it precedes; once it has moved
+/// more than [`INSERTION_MOVES_PER_POSITION`] times as many positions as it
+/// sorts, `sort_unstable_by` finishes the slice. Neither allocates. Returns
+/// whether the comparison sort ran.
+fn sort_positions(positions: &mut [u32], compare: impl Fn(&u32, &u32) -> Ordering) -> bool {
+    let budget = INSERTION_MOVES_PER_POSITION * positions.len();
+    let mut moves = 0usize;
+    for i in 1..positions.len() {
+        let x = positions[i];
+        let mut k = i;
+        while k > 0 && compare(&x, &positions[k - 1]).is_lt() {
+            positions[k] = positions[k - 1];
+            k -= 1;
+        }
+        positions[k] = x;
+        moves += i - k;
+        if moves > budget {
+            positions.sort_unstable_by(compare);
+            return true;
+        }
+    }
+    false
+}
+
+/// How a blocked solve's sorts finished: by the insertion pass alone, or
+/// handed off to the comparison sort.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SortTally {
+    by_insertion: u32,
+    by_comparison: u32,
+}
+
+impl SortTally {
+    /// Counts one [`sort_positions`] call that returned `compared`.
+    fn add(&mut self, compared: bool) {
+        if compared {
+            self.by_comparison += 1;
+        } else {
+            self.by_insertion += 1;
+        }
+    }
+}
+
+/// A line of a cross-range envelope, with the query point from which it
+/// beats the line below it on the hull (`−∞` at the bottom).
+#[derive(Debug, Clone, Copy)]
+struct HullLine {
+    line: LiChaoLine,
+    crossover: f64,
+}
+
+/// A candidate line of a lower envelope (a Li Chao tree's, or a
+/// cross-range hull's): `eval(t) = slope·t + intercept`, tagged with the
+/// checkpoint position it represents.
 #[derive(Debug, Clone, Copy)]
 struct LiChaoLine {
     slope: f64,

@@ -33,11 +33,14 @@
 //! (coinciding lines and query points), and a rate so small that every
 //! slope and query point rounds to the same value. Swapping any tie rule
 //! of the kernel (the merge's, the hull's, the block sort's, the domain's)
-//! makes them fail. The pruned DP's wall also aims at the row split of
-//! [`SegmentCostTable::pruned_row`]: rows that are all `exp_m1` head, rows
-//! split mid-row, rows without a head, saturated tables, rows where
-//! `λ·work` lands exactly on the `10⁻²` switch or one ulp to either side,
-//! and rows the suffix bound cuts short.
+//! makes them fail. The kernel's orders come from a bounded insertion
+//! sort: `prop_sort_positions_matches_sort_by` holds it to `sort_by` and to
+//! its move budget, and the recovery-jitter orders drive the kernel past
+//! that budget at the production block size. The pruned DP's wall also
+//! aims at the row split of [`SegmentCostTable::pruned_row`]: rows that are
+//! all `exp_m1` head, rows split mid-row, rows without a head, saturated
+//! tables, rows where `λ·work` lands exactly on the `10⁻²` switch or one
+//! ulp to either side, and rows the suffix bound cuts short.
 
 use ckpt_dag::generators;
 use ckpt_expectation::segment_cost::SegmentCostTable;
@@ -47,8 +50,9 @@ use proptest::prelude::*;
 
 use super::{
     blocked_placement_with_block_into, optimal_chain_schedule, optimal_levelled_placement_on_table,
-    positions_from_choice, scalable_placement_on_table_with_scratch, ChainDpScratch, DpTally,
-    ResumableDp, DP_BLOCK, SCALABLE_THRESHOLD,
+    positions_from_choice, scalable_placement_on_table_with_scratch, sort_positions,
+    ChainDpScratch, DpTally, ResumableDp, SortTally, DP_BLOCK, INSERTION_MOVES_PER_POSITION,
+    SCALABLE_THRESHOLD,
 };
 use crate::instance::ProblemInstance;
 use reference::Rule;
@@ -503,6 +507,13 @@ enum Shape {
     /// split falls exactly where `cost` switches from `exp_m1` to the
     /// product form.
     FreeCheckpoints,
+    /// Weights of 1–2, one checkpoint cost of 1 and recoveries drawn in
+    /// 0–10⁴: a query point's recovery term outweighs thousands of prefix
+    /// steps, so the point order is far from descending position order and
+    /// its sort hands off to the comparison sort, while the slopes still
+    /// rise with the position and the blocks' slope orders are finished by
+    /// insertion.
+    RecoveryJitter,
 }
 
 /// An order's weights, checkpoint costs, protecting recoveries (entry 0 the
@@ -534,6 +545,11 @@ fn order(shape: Shape, seed: u64, n: usize) -> Order {
             let rec = (0..n).map(|_| rng.next_f64() * 250.0).collect();
             (weights, vec![0.0; n], rec, rng.next_f64() * 60.0)
         }
+        Shape::RecoveryJitter => {
+            let weights = (0..n).map(|_| 1.0 + rng.next_f64()).collect();
+            let rec = (0..n).map(|_| rng.next_f64() * 1e4).collect();
+            (weights, vec![1.0; n], rec, 30.0)
+        }
     }
 }
 
@@ -547,12 +563,13 @@ fn table_at(shape: Shape, seed: u64, n: usize, lambda_w: f64) -> SegmentCostTabl
 /// Solves `table` with both blocked kernels at block size `block` and
 /// asserts they agree bit for bit, counts included. Returns the number of
 /// adjacent positions with equal slopes, and of those whose lines are the
-/// same line, so callers can check that a tie input has ties.
+/// same line, so callers can check that a tie input has ties, and how the
+/// solve's sorts finished.
 fn assert_blocked_kernels_agree(
     table: &SegmentCostTable,
     block: usize,
     label: &str,
-) -> (usize, usize) {
+) -> (usize, usize, SortTally) {
     let mut scratch = ChainDpScratch::new();
     let placement = blocked_placement_with_block_into(table, block, &mut scratch);
     let mut old = reference::Scratch::default();
@@ -574,7 +591,7 @@ fn assert_blocked_kernels_agree(
     let equal_slopes: Vec<usize> =
         (1..table.len()).filter(|&j| table.slope(j) == table.slope(j - 1)).collect();
     let same_lines = equal_slopes.iter().filter(|&&j| old.value[j + 1] == old.value[j]).count();
-    (equal_slopes.len(), same_lines)
+    (equal_slopes.len(), same_lines, scratch.sorts)
 }
 
 #[test]
@@ -596,7 +613,7 @@ fn blocked_kernel_matches_the_per_range_sorting_kernel() {
                 }
                 for block in [1usize, 2, 3, 7, 64, DP_BLOCK] {
                     let label = format!("{shape:?} seed {seed} λW {lambda_w} n {n} block {block}");
-                    let (equal_slopes, same_lines) =
+                    let (equal_slopes, same_lines, _) =
                         assert_blocked_kernels_agree(&table, block, &label);
                     match shape {
                         Shape::Periodic => periodic_ties += equal_slopes,
@@ -611,18 +628,87 @@ fn blocked_kernel_matches_the_per_range_sorting_kernel() {
     assert!(absorbed_ties > 0, "the absorbed orders produced no coinciding lines");
 }
 
+/// Orders whose recovery jitter dwarfs their weights, at the production
+/// block size: the kernel hands its point order to the comparison sort and
+/// finishes the blocks' slope orders by insertion, and both kernels still
+/// agree bit for bit.
+#[test]
+fn blocked_kernel_matches_the_per_range_sorting_kernel_past_the_insertion_budget() {
+    for n in [1_500usize, 6_000] {
+        for (seed, lambda_w) in [3.0, 30.0].into_iter().enumerate() {
+            let table = table_at(Shape::RecoveryJitter, seed as u64, n, lambda_w);
+            let label = format!("RecoveryJitter seed {seed} λW {lambda_w} n {n}");
+            let (.., sorts) = assert_blocked_kernels_agree(&table, DP_BLOCK, &label);
+            assert_both_sorts_ran(sorts, &label);
+        }
+    }
+}
+
+/// Asserts that a solve's sorts took both of [`sort_positions`]'s paths.
+fn assert_both_sorts_ran(sorts: SortTally, label: &str) {
+    assert!(sorts.by_comparison > 0, "{label}: no sort handed off to the comparison sort");
+    assert!(sorts.by_insertion > 0, "{label}: no sort finished by insertion");
+}
+
 /// The production-size twin: 10⁵ positions at the production block size,
 /// up to λ·W = 640, just under the table's saturation switch.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn blocked_kernel_matches_the_per_range_sorting_kernel_at_production_size() {
-    for shape in [Shape::Heterogeneous, Shape::Uniform, Shape::Absorbed] {
+    for shape in [Shape::Heterogeneous, Shape::Uniform, Shape::Absorbed, Shape::RecoveryJitter] {
         for lambda_w in [3.0, 30.0, 300.0, 640.0] {
             let table = table_at(shape, 7, 100_000, lambda_w);
             assert!(!table.is_saturated());
             let label = format!("{shape:?} n 100000 λW {lambda_w}");
-            assert_blocked_kernels_agree(&table, DP_BLOCK, &label);
+            let (.., sorts) = assert_blocked_kernels_agree(&table, DP_BLOCK, &label);
+            if let Shape::RecoveryJitter = shape {
+                assert_both_sorts_ran(sorts, &label);
+            }
         }
+    }
+}
+
+/// The positions `0..n` sorted by `(key, position)`, as the blocked
+/// kernel's point order is.
+fn sorted_by_key(keys: &[f64]) -> Vec<u32> {
+    let mut positions: Vec<u32> = (0..keys.len() as u32).collect();
+    positions.sort_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
+    positions
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// [`sort_positions`] from descending positions gives `sort_by`'s order
+    /// on random keys, keys that fall with the position up to a jitter of
+    /// 0–40 positions' worth, keys that rise with it (every pair starts
+    /// inverted) and equal keys (ties by position: every pair inverted
+    /// too), and hands off to the comparison sort exactly when the
+    /// insertion pass would have to move more than its budget, the
+    /// number of inverted pairs.
+    #[test]
+    fn prop_sort_positions_matches_sort_by(
+        seed in any::<u64>(),
+        n in 0usize..400,
+        kind in 0usize..4,
+        jitter in 0.0f64..40.0,
+    ) {
+        let mut rng = Pcg64::seed_from_u64(seed);
+        let keys: Vec<f64> = match kind {
+            0 => (0..n).map(|_| rng.next_f64()).collect(),
+            1 => (0..n).map(|x| (n - x) as f64 + jitter * rng.next_f64()).collect(),
+            2 => (0..n).map(|x| x as f64).collect(),
+            _ => vec![0.5; n],
+        };
+        let compare =
+            |&a: &u32, &b: &u32| keys[a as usize].total_cmp(&keys[b as usize]).then(a.cmp(&b));
+        let mut positions: Vec<u32> = (0..n as u32).rev().collect();
+        let inverted = (0..n)
+            .map(|i| (i + 1..n).filter(|&k| compare(&positions[i], &positions[k]).is_gt()).count())
+            .sum::<usize>();
+        let compared = sort_positions(&mut positions, compare);
+        prop_assert_eq!(positions, sorted_by_key(&keys));
+        prop_assert_eq!(compared, inverted > INSERTION_MOVES_PER_POSITION * n);
     }
 }
 

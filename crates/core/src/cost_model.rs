@@ -14,17 +14,19 @@
 //!   [`CheckpointCostModel::recovery_cost`] re-derive the live set of one
 //!   prefix from scratch — the reference formulation, `O(n·degree)` per
 //!   query;
-//! * [`LiveSetCostSweep::cost_order`] sweeps a whole order once with
-//!   [`LiveSetSweep`], maintaining the live-set aggregates incrementally, and
-//!   returns a [`CostedOrder`]: the order with the three positional vectors
+//! * one sweep over a whole order with [`LiveSetSweep`], maintaining the
+//!   live-set aggregates incrementally, gives the three positional vectors
 //!   of its cost table (work, checkpoint costs, protecting recoveries), in
 //!   `O(n + E)`. It is the only code that turns an order into positional
-//!   costs: every table build ([`crate::dag_schedule::model_cost_table`],
+//!   costs, behind two entries: [`order_costs`] validates the caller's order
+//!   and returns its [`OrderCosts`], which every table build
+//!   ([`crate::dag_schedule::model_cost_table`],
 //!   [`crate::evaluate::segment_cost_table`], the λ-sweep and levelled
-//!   tables) takes it, and [`LiveSetCostSweep::apply_move`] keeps a
-//!   [`CostedOrder`] up to date under window moves, recomputing only around
-//!   the window — the order search's path, bit for bit equal to a fresh
-//!   sweep of the moved order.
+//!   tables) takes; [`LiveSetCostSweep::cost_order`] takes the order over and
+//!   returns a [`CostedOrder`], which [`LiveSetCostSweep::apply_move`] keeps
+//!   up to date under window moves, recomputing only around the window —
+//!   the order search's path, bit for bit equal to a fresh sweep of the
+//!   moved order.
 //!
 //! The paths are cross-checked by property tests.
 
@@ -134,28 +136,29 @@ impl CheckpointCostModel {
     }
 }
 
-/// `order` with its costs under `model`: the one entry from an execution
-/// order to the positional vectors of its cost table. It validates the order
-/// first, because the live-set sweep asserts (rather than returns) on bad
-/// input, then sweeps it once with [`LiveSetCostSweep::cost_order`].
+/// `order`'s costs under `model`: the one entry from an execution order to
+/// the positional vectors of its cost table. It validates the order first,
+/// because the live-set sweep asserts (rather than returns) on bad input,
+/// then sweeps it once, as [`LiveSetCostSweep::cost_order`] does, reading
+/// the caller's order in place and keeping no window-move state.
 ///
 /// # Errors
 ///
 /// * [`ScheduleError::EmptyInstance`] if `order` is empty;
 /// * [`ScheduleError::InvalidOrder`] if `order` is not a topological order
 ///   of the instance graph.
-pub(crate) fn costed_order(
+pub fn order_costs(
     instance: &ProblemInstance,
     order: &[TaskId],
     model: CheckpointCostModel,
-) -> Result<CostedOrder, ScheduleError> {
+) -> Result<OrderCosts, ScheduleError> {
     if order.is_empty() {
         return Err(ScheduleError::EmptyInstance);
     }
     if !topo::is_topological_order(instance.graph(), order) {
         return Err(ScheduleError::InvalidOrder);
     }
-    Ok(LiveSetCostSweep::new(instance.graph()).cost_order(model, instance, order.to_vec()))
+    Ok(LiveSetCostSweep::new(instance.graph()).costs_of(model, instance, order, |_, _| {}))
 }
 
 /// Reusable working state for repeated [`cost_order`] sweeps over orders of
@@ -231,8 +234,8 @@ impl<'g> LiveSetCostSweep<'g> {
     /// let costed = LiveSetCostSweep::new(instance.graph()).cost_order(model, &instance, order);
     /// // Matches the per-position reference path: after {a, b} the live set
     /// // is {a, b} (c and d still need them), so the checkpoint costs 1 + 2.
-    /// assert_eq!(costed.checkpoints()[1], 3.0);
-    /// assert_eq!(costed.checkpoints()[1], model.checkpoint_cost(&instance, costed.order(), 1));
+    /// assert_eq!(costed.costs().checkpoints()[1], 3.0);
+    /// assert_eq!(costed.costs().checkpoints()[1], model.checkpoint_cost(&instance, costed.order(), 1));
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     ///
@@ -251,37 +254,56 @@ impl<'g> LiveSetCostSweep<'g> {
         order: Vec<TaskId>,
     ) -> CostedOrder {
         let n = order.len();
+        let (mut position, mut live, mut sums) = (Vec::new(), Vec::new(), Vec::new());
+        if model != CheckpointCostModel::PerLastTask {
+            position = vec![0; self.graph.task_count()];
+            for (p, &task) in order.iter().enumerate() {
+                position[task.0] = p;
+            }
+            live.reserve_exact(n);
+        }
+        if model == CheckpointCostModel::LiveSetSum {
+            sums.reserve_exact(n);
+        }
+        let costs = self.costs_of(model, instance, &order, |size, sum| {
+            live.push(size);
+            sums.extend(sum);
+        });
+        CostedOrder { model, order, position, costs, live, sums }
+    }
+
+    /// The sweep behind [`cost_order`](LiveSetCostSweep::cost_order) and
+    /// [`order_costs`]: `order`'s costs under `model`. Under the live-set
+    /// models it hands `record` the size of the live set after each
+    /// position, with the running sums under
+    /// [`LiveSetSum`](CheckpointCostModel::LiveSetSum).
+    fn costs_of(
+        &mut self,
+        model: CheckpointCostModel,
+        instance: &ProblemInstance,
+        order: &[TaskId],
+        mut record: impl FnMut(usize, Option<(f64, f64)>),
+    ) -> OrderCosts {
+        let n = order.len();
         let own_costs = |task| (instance.checkpoint_cost(task), instance.recovery_cost(task));
-        let mut costed = CostedOrder {
-            model,
-            order: Vec::new(),
-            position: Vec::new(),
+        let mut costs = OrderCosts {
             weights: order.iter().map(|&task| instance.weight(task)).collect(),
             checkpoints: Vec::with_capacity(n),
             recoveries: Vec::with_capacity(n + 1),
-            live: Vec::new(),
-            sums: Vec::new(),
         };
         // Entry `x` of `recoveries` protects a segment starting at `x`:
         // `R₀` at position 0, the previous position's recovery after it.
-        costed.recoveries.push(instance.initial_recovery());
+        costs.recoveries.push(instance.initial_recovery());
         if model == CheckpointCostModel::PerLastTask {
-            costed.checkpoints.extend(order.iter().map(|&task| instance.checkpoint_cost(task)));
-            costed.recoveries.extend(order.iter().map(|&task| instance.recovery_cost(task)));
-            costed.order = order;
-            return costed;
+            costs.checkpoints.extend(order.iter().map(|&task| instance.checkpoint_cost(task)));
+            costs.recoveries.extend(order.iter().map(|&task| instance.recovery_cost(task)));
+            return costs;
         }
-        costed.position = vec![0; self.graph.task_count()];
-        for (p, &task) in order.iter().enumerate() {
-            costed.position[task.0] = p;
-        }
-        costed.live = Vec::with_capacity(n);
         let sweep = self.sweep.get_or_insert_with(|| LiveSetSweep::new(self.graph));
         sweep.reset();
         if model == CheckpointCostModel::LiveSetSum {
-            costed.sums = Vec::with_capacity(n);
             let (mut ckpt_sum, mut rec_sum) = (0.0f64, 0.0f64);
-            for &task in &order {
+            for &task in order {
                 let entered = sweep.complete(task, |retired| {
                     ckpt_sum -= instance.checkpoint_cost(retired);
                     rec_sum -= instance.recovery_cost(retired);
@@ -295,10 +317,9 @@ impl<'g> LiveSetCostSweep<'g> {
                 // components): the state to save is by convention the last
                 // task's output.
                 let (ckpt, rec) = if live == 0 { own_costs(task) } else { (ckpt_sum, rec_sum) };
-                costed.checkpoints.push(ckpt);
-                costed.recoveries.push(rec);
-                costed.live.push(live);
-                costed.sums.push((ckpt_sum, rec_sum));
+                costs.checkpoints.push(ckpt);
+                costs.recoveries.push(rec);
+                record(live, Some((ckpt_sum, rec_sum)));
             }
         } else {
             for heap in [&mut self.ckpt_heap, &mut self.rec_heap] {
@@ -307,7 +328,7 @@ impl<'g> LiveSetCostSweep<'g> {
             }
             // The window updates' scratch: at most every task.
             self.window_live.reserve(self.graph.task_count());
-            for &task in &order {
+            for &task in order {
                 if sweep.complete(task, |_| {}) {
                     self.ckpt_heap
                         .push(MaxCostEntry { cost: instance.checkpoint_cost(task), task });
@@ -319,13 +340,12 @@ impl<'g> LiveSetCostSweep<'g> {
                 } else {
                     (live_max(&mut self.ckpt_heap, sweep), live_max(&mut self.rec_heap, sweep))
                 };
-                costed.checkpoints.push(ckpt);
-                costed.recoveries.push(rec);
-                costed.live.push(live);
+                costs.checkpoints.push(ckpt);
+                costs.recoveries.push(rec);
+                record(live, None);
             }
         }
-        costed.order = order;
-        costed
+        costs
     }
 
     /// Applies the window move `mv` to `costed`'s order and updates its
@@ -365,14 +385,15 @@ impl<'g> LiveSetCostSweep<'g> {
         debug_assert!(is_valid_move(self.graph, &costed.order, mv), "{mv:?} is not a valid move");
         let (lo, hi) = mv.window();
         neighborhood::apply_move(&mut costed.order, mv);
+        let costs = &mut costed.costs;
         for p in lo..=hi {
-            costed.weights[p] = instance.weight(costed.order[p]);
+            costs.weights[p] = instance.weight(costed.order[p]);
         }
         if costed.model == CheckpointCostModel::PerLastTask {
             for p in lo..=hi {
                 let task = costed.order[p];
-                costed.checkpoints[p] = instance.checkpoint_cost(task);
-                costed.recoveries[p + 1] = instance.recovery_cost(task);
+                costs.checkpoints[p] = instance.checkpoint_cost(task);
+                costs.recoveries[p + 1] = instance.recovery_cost(task);
             }
             return lo..hi + 1;
         }
@@ -431,8 +452,8 @@ impl<'g> LiveSetCostSweep<'g> {
             } else {
                 sums
             };
-            costed.checkpoints[p] = ckpt;
-            costed.recoveries[p + 1] = rec;
+            costed.costs.checkpoints[p] = ckpt;
+            costed.costs.recoveries[p + 1] = rec;
         }
         costed.order.len()
     }
@@ -487,8 +508,8 @@ impl<'g> LiveSetCostSweep<'g> {
                 }
             }
             costed.live[p] = live;
-            costed.checkpoints[p] = max.0;
-            costed.recoveries[p + 1] = max.1;
+            costed.costs.checkpoints[p] = max.0;
+            costed.costs.recoveries[p + 1] = max.1;
         }
     }
 }
@@ -503,38 +524,19 @@ fn total_max(a: f64, b: f64) -> f64 {
     }
 }
 
-/// An execution order with its positional costs under one model: the three
-/// vectors a [`SegmentCostTable`] is built from, plus the sweep state that
-/// lets [`LiveSetCostSweep::apply_move`] update them in place after a
-/// window move instead of sweeping the whole order again. Built by
-/// [`LiveSetCostSweep::cost_order`].
+/// The positional costs of an execution order under one model: the three
+/// vectors a [`SegmentCostTable`] is built from. Made by [`order_costs`],
+/// and kept up to date under window moves inside a [`CostedOrder`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct CostedOrder {
-    model: CheckpointCostModel,
-    order: Vec<TaskId>,
-    /// `position[t]`: where task `t` runs in `order` (empty under the
-    /// per-last-task model, whose window updates never read it).
-    position: Vec<usize>,
+pub struct OrderCosts {
     weights: Vec<f64>,
     checkpoints: Vec<f64>,
     /// `R₀`, then the recovery cost of the checkpoint after each position
     /// (`n + 1` entries): entry `x` protects a segment starting at `x`.
     recoveries: Vec<f64>,
-    /// The size of the live set after each position (empty under the
-    /// per-last-task model).
-    live: Vec<usize>,
-    /// The live-set-sum sweep's running checkpoint and recovery sums after
-    /// each position, before the empty-live-set convention (empty under the
-    /// other models).
-    sums: Vec<(f64, f64)>,
 }
 
-impl CostedOrder {
-    /// The order.
-    pub fn order(&self) -> &[TaskId] {
-        &self.order
-    }
-
+impl OrderCosts {
     /// The work of the task at each position.
     pub fn weights(&self) -> &[f64] {
         &self.weights
@@ -554,40 +556,12 @@ impl CostedOrder {
 
     /// The recovery protecting a segment that starts at each position: the
     /// instance's initial recovery `R₀`, then
-    /// [`recoveries`](CostedOrder::recoveries) shifted by one. With
-    /// [`weights`](CostedOrder::weights) and
-    /// [`checkpoints`](CostedOrder::checkpoints), the arguments of the
+    /// [`recoveries`](OrderCosts::recoveries) shifted by one. With
+    /// [`weights`](OrderCosts::weights) and
+    /// [`checkpoints`](OrderCosts::checkpoints), the arguments of the
     /// order's [`SegmentCostTable`].
     pub fn protecting_recoveries(&self) -> &[f64] {
-        &self.recoveries[..self.order.len()]
-    }
-
-    /// Makes this order equal to `other` when the two differ only at the
-    /// positions `range`: the range [`LiveSetCostSweep::apply_move`]
-    /// returned when it made one from the other. An order search keeps a
-    /// committed and a candidate copy, and settles each move by copying the
-    /// range one way (accept) or the other (reject).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` reaches past the order, or (in debug builds) if
-    /// the two orders were costed under different models.
-    pub fn copy_range_from(&mut self, other: &CostedOrder, range: Range<usize>) {
-        debug_assert_eq!(self.model, other.model);
-        let (lo, end) = (range.start, range.end);
-        self.order[lo..end].copy_from_slice(&other.order[lo..end]);
-        self.weights[lo..end].copy_from_slice(&other.weights[lo..end]);
-        self.checkpoints[lo..end].copy_from_slice(&other.checkpoints[lo..end]);
-        self.recoveries[lo + 1..end + 1].copy_from_slice(&other.recoveries[lo + 1..end + 1]);
-        if self.model != CheckpointCostModel::PerLastTask {
-            for p in lo..end {
-                self.position[self.order[p].0] = p;
-            }
-            self.live[lo..end].copy_from_slice(&other.live[lo..end]);
-        }
-        if self.model == CheckpointCostModel::LiveSetSum {
-            self.sums[lo..end].copy_from_slice(&other.sums[lo..end]);
-        }
+        &self.recoveries[..self.weights.len()]
     }
 
     /// The order's cost table at the instance's rate and downtime.
@@ -608,6 +582,68 @@ impl CostedOrder {
             self.protecting_recoveries(),
         )
         .map_err(ScheduleError::from_expectation)
+    }
+}
+
+/// An execution order with its [`OrderCosts`] under one model, plus the
+/// sweep state that lets [`LiveSetCostSweep::apply_move`] update them in
+/// place after a window move instead of sweeping the whole order again.
+/// Built by [`LiveSetCostSweep::cost_order`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CostedOrder {
+    model: CheckpointCostModel,
+    order: Vec<TaskId>,
+    /// `position[t]`: where task `t` runs in `order` (empty under the
+    /// per-last-task model, whose window updates never read it).
+    position: Vec<usize>,
+    costs: OrderCosts,
+    /// The size of the live set after each position (empty under the
+    /// per-last-task model).
+    live: Vec<usize>,
+    /// The live-set-sum sweep's running checkpoint and recovery sums after
+    /// each position, before the empty-live-set convention (empty under the
+    /// other models).
+    sums: Vec<(f64, f64)>,
+}
+
+impl CostedOrder {
+    /// The order.
+    pub fn order(&self) -> &[TaskId] {
+        &self.order
+    }
+
+    /// The order's positional costs.
+    pub fn costs(&self) -> &OrderCosts {
+        &self.costs
+    }
+
+    /// Makes this order equal to `other` when the two differ only at the
+    /// positions `range`: the range [`LiveSetCostSweep::apply_move`]
+    /// returned when it made one from the other. An order search keeps a
+    /// committed and a candidate copy, and settles each move by copying the
+    /// range one way (accept) or the other (reject).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the order, or (in debug builds) if
+    /// the two orders were costed under different models.
+    pub fn copy_range_from(&mut self, other: &CostedOrder, range: Range<usize>) {
+        debug_assert_eq!(self.model, other.model);
+        let (lo, end) = (range.start, range.end);
+        let (costs, from) = (&mut self.costs, &other.costs);
+        self.order[lo..end].copy_from_slice(&other.order[lo..end]);
+        costs.weights[lo..end].copy_from_slice(&from.weights[lo..end]);
+        costs.checkpoints[lo..end].copy_from_slice(&from.checkpoints[lo..end]);
+        costs.recoveries[lo + 1..end + 1].copy_from_slice(&from.recoveries[lo + 1..end + 1]);
+        if self.model != CheckpointCostModel::PerLastTask {
+            for p in lo..end {
+                self.position[self.order[p].0] = p;
+            }
+            self.live[lo..end].copy_from_slice(&other.live[lo..end]);
+        }
+        if self.model == CheckpointCostModel::LiveSetSum {
+            self.sums[lo..end].copy_from_slice(&other.sums[lo..end]);
+        }
     }
 }
 
@@ -772,7 +808,7 @@ mod tests {
         for model in ALL_MODELS {
             let costed =
                 LiveSetCostSweep::new(inst.graph()).cost_order(model, &inst, order.clone());
-            let (ckpt, rec) = (costed.checkpoints(), costed.recoveries());
+            let (ckpt, rec) = (costed.costs().checkpoints(), costed.costs().recoveries());
             for pos in 0..order.len() {
                 assert_eq!(ckpt[pos], model.checkpoint_cost(&inst, &order, pos), "{model} ckpt");
                 assert_eq!(rec[pos], model.recovery_cost(&inst, &order, pos), "{model} rec");
@@ -795,8 +831,8 @@ mod tests {
         for model in ALL_MODELS {
             let costed =
                 LiveSetCostSweep::new(inst.graph()).cost_order(model, &inst, order.clone());
-            assert_eq!(costed.checkpoints(), [3.0, 1.0, 2.0], "{model}");
-            assert_eq!(costed.recoveries(), [6.0, 4.0, 5.0], "{model}");
+            assert_eq!(costed.costs().checkpoints(), [3.0, 1.0, 2.0], "{model}");
+            assert_eq!(costed.costs().recoveries(), [6.0, 4.0, 5.0], "{model}");
         }
     }
 

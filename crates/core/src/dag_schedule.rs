@@ -44,7 +44,7 @@ use ckpt_dag::{linearize, topo, LinearizationStrategy, TaskId};
 use ckpt_expectation::segment_cost::SegmentCostTable;
 
 use crate::chain_dp::{scalable_placement_on_table_with_scratch, ChainDpScratch};
-use crate::cost_model::{costed_order, CheckpointCostModel};
+use crate::cost_model::{order_costs, CheckpointCostModel};
 use crate::error::ScheduleError;
 use crate::instance::ProblemInstance;
 use crate::schedule::Schedule;
@@ -86,7 +86,7 @@ pub fn model_cost_table(
     order: &[TaskId],
     model: CheckpointCostModel,
 ) -> Result<SegmentCostTable, ScheduleError> {
-    costed_order(instance, order, model)?.table(instance)
+    order_costs(instance, order, model)?.table(instance)
 }
 
 /// The recomputing-path twin of [`model_cost_table`]: every position's costs

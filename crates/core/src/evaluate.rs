@@ -11,7 +11,7 @@ use ckpt_expectation::segment_cost::SegmentCostTable;
 use ckpt_expectation::storage::{LevelledCostTable, StorageLevels};
 use ckpt_expectation::sweep::LambdaSweep;
 
-use crate::cost_model::{costed_order, CheckpointCostModel};
+use crate::cost_model::{order_costs, CheckpointCostModel};
 use crate::error::ScheduleError;
 use crate::instance::ProblemInstance;
 use crate::schedule::Schedule;
@@ -96,13 +96,13 @@ pub fn levelled_cost_table(
     order: &[TaskId],
     levels: StorageLevels,
 ) -> Result<LevelledCostTable, ScheduleError> {
-    let costed = costed_order(instance, order, CheckpointCostModel::PerLastTask)?;
+    let costs = order_costs(instance, order, CheckpointCostModel::PerLastTask)?;
     LevelledCostTable::new(
         instance.lambda(),
         instance.downtime(),
-        costed.weights(),
-        costed.checkpoints(),
-        costed.protecting_recoveries(),
+        costs.weights(),
+        costs.checkpoints(),
+        costs.protecting_recoveries(),
         levels,
     )
     .map_err(ScheduleError::from_expectation)
@@ -119,12 +119,12 @@ pub fn lambda_sweep_for_order(
     instance: &ProblemInstance,
     order: &[TaskId],
 ) -> Result<LambdaSweep, ScheduleError> {
-    let costed = costed_order(instance, order, CheckpointCostModel::PerLastTask)?;
+    let costs = order_costs(instance, order, CheckpointCostModel::PerLastTask)?;
     LambdaSweep::new(
         instance.downtime(),
-        costed.weights(),
-        costed.checkpoints(),
-        costed.protecting_recoveries(),
+        costs.weights(),
+        costs.checkpoints(),
+        costs.protecting_recoveries(),
     )
     .map_err(ScheduleError::from_expectation)
 }

@@ -478,7 +478,7 @@ impl<'a> OrderState<'a> {
 
     /// The cost table of the committed order.
     pub(crate) fn table(&self) -> Result<SegmentCostTable, ScheduleError> {
-        self.committed.table(self.instance)
+        self.committed.costs().table(self.instance)
     }
 
     /// Applies the valid move `mv` to the candidate and refills `table`
@@ -493,9 +493,9 @@ impl<'a> OrderState<'a> {
             .refill(
                 self.instance.lambda(),
                 self.instance.downtime(),
-                self.candidate.weights(),
-                self.candidate.checkpoints(),
-                self.candidate.protecting_recoveries(),
+                self.candidate.costs().weights(),
+                self.candidate.costs().checkpoints(),
+                self.candidate.costs().protecting_recoveries(),
             )
             .map_err(ScheduleError::from_expectation)
     }

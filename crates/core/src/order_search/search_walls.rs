@@ -69,10 +69,10 @@ impl<'a> ReferenceState<'a> {
     fn rebuild_committed(&mut self) {
         self.weights = self.order.iter().map(|&t| self.instance.weight(t)).collect();
         let fresh = self.cost_sweep.cost_order(self.model, self.instance, self.order.clone());
-        self.ckpt = fresh.checkpoints().to_vec();
+        self.ckpt = fresh.costs().checkpoints().to_vec();
         shift_recoveries(
             self.instance.initial_recovery(),
-            fresh.recoveries(),
+            fresh.costs().recoveries(),
             &mut self.recoveries,
         );
     }
@@ -97,10 +97,10 @@ impl<'a> ReferenceState<'a> {
             CheckpointCostModel::LiveSetSum | CheckpointCostModel::LiveSetMax => {
                 let fresh =
                     self.cost_sweep.cost_order(self.model, self.instance, self.order.clone());
-                self.cand_ckpt = fresh.checkpoints().to_vec();
+                self.cand_ckpt = fresh.costs().checkpoints().to_vec();
                 shift_recoveries(
                     self.instance.initial_recovery(),
-                    fresh.recoveries(),
+                    fresh.costs().recoveries(),
                     &mut self.cand_recoveries,
                 );
             }
@@ -161,10 +161,10 @@ fn assert_same_trial(
 ) {
     let candidate = &production.candidate;
     assert_eq!(candidate.order(), &reference.order[..], "order");
-    assert_eq!(bits(candidate.weights()), bits(&reference.cand_weights), "weights");
-    assert_eq!(bits(candidate.checkpoints()), bits(&reference.cand_ckpt), "checkpoints");
+    assert_eq!(bits(candidate.costs().weights()), bits(&reference.cand_weights), "weights");
+    assert_eq!(bits(candidate.costs().checkpoints()), bits(&reference.cand_ckpt), "checkpoints");
     assert_eq!(
-        bits(candidate.protecting_recoveries()),
+        bits(candidate.costs().protecting_recoveries()),
         bits(&reference.cand_recoveries),
         "recoveries"
     );

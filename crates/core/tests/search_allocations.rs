@@ -13,6 +13,10 @@
 //!   `segment_cost_table`, `lambda_sweep_for_order`, `levelled_cost_table`
 //!   and `model_cost_table` under every model make as many allocations on a
 //!   10⁵-task order as on a 10³-task one.
+//! * A `LambdaSweep`'s per-rate table allocates only its six rate-dependent
+//!   vectors: it shares the sweep's three others.
+//! * A blocked Algorithm 1 solve on a kept `ChainDpScratch` allocates only
+//!   its result, at 10⁴ positions as at 10⁵: its orders are sorted in place.
 //!
 //! A counting global allocator tallies the allocations of the calling
 //! thread only (the searches run with `threads = 1`, on the test's own
@@ -24,6 +28,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use ckpt_core::chain_dp::{scalable_placement_on_table_with_scratch, ChainDpScratch};
 use ckpt_core::cost_model::CheckpointCostModel;
 use ckpt_core::dag_schedule::model_cost_table;
 use ckpt_core::evaluate::{lambda_sweep_for_order, levelled_cost_table, segment_cost_table};
@@ -31,7 +36,9 @@ use ckpt_core::heuristics::independent_tasks_heuristic;
 use ckpt_core::order_search::{schedule_dag_search, search_from_starts, OrderSearchConfig};
 use ckpt_core::ProblemInstance;
 use ckpt_dag::{generators, linearize, LinearizationStrategy, TaskId};
+use ckpt_expectation::segment_cost::SegmentCostTable;
 use ckpt_expectation::storage::{StorageLevel, StorageLevels};
+use ckpt_expectation::sweep::LambdaSweep;
 use ckpt_failure::{Pcg64, RandomSource};
 
 thread_local! {
@@ -245,4 +252,38 @@ fn table_builders_allocate_per_call_not_per_task() {
     for ((name, at_small), (_, at_large)) in small.iter().zip(&large) {
         assert_eq!(at_small, at_large, "{name}: allocations at 10³ and 10⁵ tasks");
     }
+}
+
+/// The `LambdaSweep` of an `n`-position order with plan-large's weights
+/// (100–2 000 s) and checkpoint and recovery costs that vary by position.
+fn chain_sweep(n: usize) -> LambdaSweep {
+    let mut rng = Pcg64::seed_from_u64(n as u64);
+    let weights: Vec<f64> = (0..n).map(|_| 100.0 + rng.next_f64() * 1_900.0).collect();
+    let checkpoints: Vec<f64> = (0..n).map(|_| 5.0 + rng.next_f64() * 55.0).collect();
+    let recoveries: Vec<f64> = (0..n).map(|_| 5.0 + rng.next_f64() * 115.0).collect();
+    LambdaSweep::new(30.0, &weights, &checkpoints, &recoveries).unwrap()
+}
+
+/// `sweep`'s table at `λ·W = 30`.
+fn table_at_30(sweep: &LambdaSweep) -> SegmentCostTable {
+    sweep.table_for(30.0 / sweep.total_work()).unwrap()
+}
+
+#[test]
+fn per_rate_tables_allocate_only_their_rate_dependent_vectors() {
+    let sweep = chain_sweep(100_000);
+    // The coefficients, both prefix exponentials, the checkpoint
+    // exponentials and both suffix minima.
+    assert_eq!(allocations_of(|| drop(table_at_30(&sweep))), 6);
+}
+
+#[test]
+fn blocked_solves_on_a_kept_scratch_allocate_only_their_result() {
+    let tables = [10_000, 100_000].map(|n| table_at_30(&chain_sweep(n)));
+    let mut scratch = ChainDpScratch::new();
+    drop(scalable_placement_on_table_with_scratch(&tables[1], &mut scratch));
+    let counts = tables.each_ref().map(|table| {
+        allocations_of(|| drop(scalable_placement_on_table_with_scratch(table, &mut scratch)))
+    });
+    assert_eq!(counts, [1, 1], "allocations at 10⁴ and 10⁵ positions");
 }

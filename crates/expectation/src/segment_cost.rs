@@ -215,19 +215,40 @@ impl SegmentCostTable {
         checkpoints: &[f64],
         recoveries: &[f64],
     ) -> Result<Self, ExpectationError> {
-        let mut table = SegmentCostTable::empty();
+        let mut table = SegmentCostTable::over(Arc::default(), Arc::default(), Arc::default());
         table.refill(lambda, downtime, weights, checkpoints, recoveries)?;
         Ok(table)
     }
 
-    /// A table of no positions: every refill of it rebuilds in full.
-    pub(crate) fn empty() -> Self {
+    /// The table of an already-validated order at rate `lambda`: `prefix`
+    /// (the work prefix sums, `n + 1` values, `prefix[0] = 0`),
+    /// `checkpoints` and `recoveries` are shared by `Arc`, not copied, and
+    /// `max_ckpt` is the largest checkpoint cost. Used by
+    /// [`crate::sweep::LambdaSweep`] and
+    /// [`crate::storage::LevelledCostTable`] to build a table without
+    /// re-validating, re-summing or copying the λ-independent vectors.
+    pub(crate) fn from_validated_parts(
+        lambda: f64,
+        downtime: f64,
+        prefix: Arc<Vec<f64>>,
+        checkpoints: Arc<Vec<f64>>,
+        recoveries: Arc<Vec<f64>>,
+        max_ckpt: f64,
+    ) -> Self {
+        let mut table = SegmentCostTable::over(prefix, checkpoints, recoveries);
+        table.rebuild(lambda, downtime, max_ckpt);
+        table
+    }
+
+    /// A table over these inputs with no λ-dependent entries and no rate
+    /// yet: the next refill or full build of it computes every entry.
+    fn over(prefix: Arc<Vec<f64>>, ckpt: Arc<Vec<f64>>, recoveries: Arc<Vec<f64>>) -> Self {
         SegmentCostTable {
             lambda: f64::NAN,
             downtime: f64::NAN,
-            prefix: Arc::new(Vec::new()),
-            ckpt: Arc::new(Vec::new()),
-            recoveries: Arc::new(Vec::new()),
+            prefix,
+            ckpt,
+            recoveries,
             exp_prefix: Vec::new(),
             inv_exp_prefix: Vec::new(),
             exp_ckpt: Vec::new(),
@@ -384,15 +405,13 @@ impl SegmentCostTable {
         (stored[n], changed)
     }
 
-    /// Makes this table the order `prefix` (the work prefix sums, `n + 1`
-    /// values, `prefix[0] = 0`), `checkpoints` and `recoveries` at rate
-    /// `lambda`, from already-validated data: `max_ckpt` is the largest
-    /// checkpoint cost. Used by [`crate::sweep::LambdaSweep`] and
-    /// [`crate::storage::LevelledCostTable`] to build a table without
-    /// re-validating, re-summing or copying the λ-independent vectors: the
-    /// table shares them by `Arc`, and keeps the ones it already shares
-    /// (refilling a table at a new rate then touches no reference count,
-    /// which every worker's tables of one sweep share).
+    /// Makes this table [`from_validated_parts`]'s table of the same
+    /// arguments, in its own buffers: it keeps the vectors it already
+    /// shares (rebuilding a table at a new rate then touches no reference
+    /// count, which every worker's tables of one sweep share). Used by
+    /// [`crate::sweep::LambdaSweep::table_into`].
+    ///
+    /// [`from_validated_parts`]: SegmentCostTable::from_validated_parts
     pub(crate) fn rebuild_from_validated_parts(
         &mut self,
         lambda: f64,

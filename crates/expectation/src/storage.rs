@@ -260,16 +260,14 @@ impl LevelledCostTable {
                     max_recovery: scaled_rec.iter().fold(0.0, |m: f64, &r| m.max(r)),
                     ..bounds
                 };
-                let mut table = SegmentCostTable::empty();
-                table.rebuild_from_validated_parts(
+                Ok(SegmentCostTable::from_validated_parts(
                     level_bounds.check_rate(lambda)?,
                     bounds.downtime,
-                    &prefix,
-                    &Arc::new(scaled_ckpt),
-                    &Arc::new(scaled_rec),
+                    Arc::clone(&prefix),
+                    Arc::new(scaled_ckpt),
+                    Arc::new(scaled_rec),
                     level_bounds.max_ckpt,
-                );
-                Ok(table)
+                ))
             })
             .collect::<Result<_, ExpectationError>>()?;
         Ok(LevelledCostTable { levels, tables })

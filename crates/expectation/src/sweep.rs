@@ -156,9 +156,14 @@ impl LambdaSweep {
     /// Returns an [`ExpectationError`] if `lambda` fails
     /// [`check_rate`](LambdaSweep::check_rate).
     pub fn table_for(&self, lambda: f64) -> Result<SegmentCostTable, ExpectationError> {
-        let mut table = SegmentCostTable::empty();
-        self.table_into(lambda, &mut table)?;
-        Ok(table)
+        Ok(SegmentCostTable::from_validated_parts(
+            self.check_rate(lambda)?,
+            self.bounds.downtime,
+            Arc::clone(&self.prefix),
+            Arc::clone(&self.checkpoints),
+            Arc::clone(&self.recoveries),
+            self.bounds.max_ckpt,
+        ))
     }
 
     /// [`table_for`](LambdaSweep::table_for), built into `table` (a table of

@@ -15,8 +15,9 @@
 //! `LambdaSweep`'s table at the instance's rate and a single-level
 //! `LevelledCostTable`'s, all equal to `SegmentCostTable::new` over the
 //! paper's vectors transcribed from the instance; under the live-set
-//! models, `model_cost_table` equals `SegmentCostTable::new` over a fresh
-//! sweep's vectors.
+//! models, `order_costs` (the builders' entry) gives a fresh `cost_order`
+//! sweep's vectors, and `model_cost_table` equals `SegmentCostTable::new`
+//! over them.
 //!
 //! Migrated from `ckpt-core`'s `cost_model::sweep_properties` unit tests
 //! when the random-instance generator moved to the shared
@@ -25,7 +26,9 @@
 //! its own crate).
 
 use ckpt_bench::testgen::random_layered_proptest_case as random_dag_case;
-use ckpt_workflows::core::cost_model::{CheckpointCostModel, CostedOrder, LiveSetCostSweep};
+use ckpt_workflows::core::cost_model::{
+    order_costs, CheckpointCostModel, CostedOrder, LiveSetCostSweep,
+};
 use ckpt_workflows::core::dag_schedule::model_cost_table;
 use ckpt_workflows::core::evaluate::{
     lambda_sweep_for_order, levelled_cost_table, segment_cost_table,
@@ -52,7 +55,7 @@ proptest! {
         let (inst, order) = random_dag_case(seed);
         for model in ALL_MODELS {
             let costed = LiveSetCostSweep::new(inst.graph()).cost_order(model, &inst, order.clone());
-            let (ckpt, rec) = (costed.checkpoints(), costed.recoveries());
+            let (ckpt, rec) = (costed.costs().checkpoints(), costed.costs().recoveries());
             prop_assert_eq!(ckpt.len(), order.len());
             for pos in 0..order.len() {
                 let c_ref = model.checkpoint_cost(&inst, &order, pos);
@@ -148,8 +151,14 @@ fn walk_moves(
         let fresh = sweep.cost_order(model, instance, costed.order().to_vec());
         prop_assert!(same_bits(&costed, &fresh), "{} step {}: {:?}", model, step, mv);
         for p in (0..lo).chain(changed.end..n) {
-            prop_assert!(costed.checkpoints()[p].to_bits() == before.checkpoints()[p].to_bits());
-            prop_assert!(costed.recoveries()[p].to_bits() == before.recoveries()[p].to_bits());
+            prop_assert!(
+                costed.costs().checkpoints()[p].to_bits()
+                    == before.costs().checkpoints()[p].to_bits()
+            );
+            prop_assert!(
+                costed.costs().recoveries()[p].to_bits()
+                    == before.costs().recoveries()[p].to_bits()
+            );
         }
         if rng.next_u64().is_multiple_of(2) {
             costed.copy_range_from(&before, changed);
@@ -268,12 +277,18 @@ proptest! {
         for model in [CheckpointCostModel::LiveSetSum, CheckpointCostModel::LiveSetMax] {
             let costed =
                 LiveSetCostSweep::new(instance.graph()).cost_order(model, &instance, order.clone());
+            let costs = order_costs(&instance, &order, model).unwrap();
+            prop_assert!(
+                costs == *costed.costs() && format!("{costs:?}") == format!("{:?}", costed.costs()),
+                "{}: the builders' costs differ from the search's",
+                model
+            );
             let swept = SegmentCostTable::new(
                 lambda,
                 downtime,
-                costed.weights(),
-                costed.checkpoints(),
-                costed.protecting_recoveries(),
+                costed.costs().weights(),
+                costed.costs().checkpoints(),
+                costed.costs().protecting_recoveries(),
             )
             .unwrap();
             let table = model_cost_table(&instance, &order, model).unwrap();
